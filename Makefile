@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-obs bench-core bench-scale bench-diff bench-kernel-diff bench-load bench-load-diff tuebench
+.PHONY: check build vet test race bench bench-obs bench-core bench-scale bench-diff bench-kernel-diff bench-load bench-load-diff bench-e2e bench-build tuebench
 
 # check is the full gate: compile everything, vet, and run the test
 # suite under the race detector (the experiment layer is concurrent).
@@ -37,7 +37,13 @@ bench-obs:
 # the failing throughput gate. Kernels run at a real -benchtime (unlike
 # the 1x experiment tables) so the recorded MB/s figures are stable.
 KERNEL_PKGS = ./internal/chunker ./internal/delta
-KERNEL_FILTER = ^(Fixed$$|ContentDefined|Delta|WeakSum$$)
+KERNEL_FILTER = ^(Fixed$$|ContentDefined|Delta|Resign$$|WeakSum$$)
+# KERNEL_BENCH measures them, plus the one live round trip whose cost is
+# a kernel's: the repeat delta sync (syncnet's signature cache keeps it
+# at Resign's O(edit) hashing; losing the cache shows as Sign's extra
+# allocations and a throughput drop).
+KERNEL_BENCH = $(GO) test -bench . -benchmem -benchtime 0.5s -run '^$$' $(KERNEL_PKGS) ; \
+	$(GO) test -bench 'DeltaSyncRepeat$$' -benchmem -benchtime 0.5s -run '^$$' ./internal/syncnet
 
 # bench-core records the experiment-table baseline — every root-package
 # benchmark (the paper tables and figures) at -benchtime 1x — plus the
@@ -46,8 +52,7 @@ KERNEL_FILTER = ^(Fixed$$|ContentDefined|Delta|WeakSum$$)
 # machine-dependent — the trajectory to watch is allocation counts,
 # relative shape, and kernel throughput ratios.
 bench-core:
-	{ $(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ; \
-	  $(GO) test -bench . -benchmem -benchtime 0.5s -run '^$$' $(KERNEL_PKGS) ; } \
+	{ $(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ; $(KERNEL_BENCH) ; } \
 		| $(GO) run ./internal/obs/benchjson -raw > BENCH_core.json
 	cat BENCH_core.json
 
@@ -64,8 +69,7 @@ bench-scale:
 # counts against the committed BENCH_core.json baseline. Exit 1 on a
 # regression beyond the tolerance; CI runs this warn-only.
 bench-diff:
-	{ $(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ; \
-	  $(GO) test -bench . -benchmem -benchtime 0.5s -run '^$$' $(KERNEL_PKGS) ; } \
+	{ $(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ; $(KERNEL_BENCH) ; } \
 		| $(GO) run ./internal/obs/benchjson -raw > /tmp/bench_core_new.json
 	$(GO) run ./internal/obs/benchjson -compare BENCH_core.json /tmp/bench_core_new.json -tolerance-pct 10
 
@@ -77,7 +81,7 @@ bench-diff:
 # scan, the tag bitmap, or the batched hashing is a 2–10x drop) against
 # the kernel entries of BENCH_core.json.
 bench-kernel-diff:
-	$(GO) test -bench . -benchmem -benchtime 0.5s -run '^$$' $(KERNEL_PKGS) \
+	{ $(KERNEL_BENCH) ; } \
 		| $(GO) run ./internal/obs/benchjson -raw > /tmp/bench_kernel_new.json
 	$(GO) run ./internal/obs/benchjson -compare BENCH_core.json /tmp/bench_kernel_new.json \
 		-tolerance-pct 10 -throughput-tolerance-pct 50 -filter '$(KERNEL_FILTER)'
@@ -103,6 +107,20 @@ bench-load:
 bench-load-diff:
 	$(GO) run ./cmd/syncload $(SYNCLOAD_ARGS) -json /tmp/bench_load_new.json
 	$(GO) run ./internal/obs/benchjson -compare BENCH_load.json /tmp/bench_load_new.json -tolerance-pct 30
+
+# bench-e2e runs the repo's one closed-loop benchmark (BENCHMARK.json):
+# every named workload, end-to-end metrics checked for correctness,
+# results under bench/out/. Pass arguments through ARGS, e.g.
+# `make bench-e2e ARGS='-workload large-modify -trace 1'`.
+bench-e2e:
+	bash bench/run.sh $(ARGS)
+
+# bench-build compiles and vets the benchmark. bench/ is its own module
+# importing internal/*, invisible to the root `go build ./...`, so this
+# is what catches an internal API drifting away from it. Compile-only:
+# the module's timing-sensitive tests are not for CI machines.
+bench-build:
+	cd bench && $(GO) build ./... && $(GO) vet ./...
 
 tuebench:
 	$(GO) run ./cmd/tuebench -quick

@@ -53,15 +53,81 @@ func Sign(data []byte, blockSize int) Signature {
 		if end > len(data) {
 			end = len(data)
 		}
-		blk := data[off:end]
-		sig.Blocks = append(sig.Blocks, BlockSig{
-			Index:  idx,
-			Size:   len(blk),
-			Weak:   weakSum(blk),
-			Strong: md5.Sum(blk),
-		})
+		sig.Blocks = append(sig.Blocks, signBlock(data[off:end], idx))
 	}
 	return sig
+}
+
+func signBlock(blk []byte, idx int) BlockSig {
+	return BlockSig{Index: idx, Size: len(blk), Weak: weakSum(blk), Strong: md5.Sum(blk)}
+}
+
+// Resign derives Sign(target, old.BlockSize) from old — the signature
+// of the basis — and the delta d that produced target from that basis,
+// hashing only the blocks the delta actually changed. It also reports
+// how many blocks it had to hash.
+//
+// Walking d's ops while tracking the output offset, a copy op's sums
+// are reused under the new index when the copied bytes are exactly one
+// target block: the copy lands at a multiple of the block size and is
+// as long as the target block there. A full basis block qualifies
+// anywhere it lands aligned (the target block there is then full too,
+// or the delta would overrun); the basis's final short block qualifies
+// only as the target's final block — mid-file it covers part of a
+// block, and both sums depend on the window's length as well as its
+// bytes. Every other target block is hashed from target.
+//
+// The result equals Sign(target, old.BlockSize) field for field. When
+// the inputs are not the triple described above — another block size,
+// a copy outside old, sizes that do not add up — nothing can be reused
+// safely and Resign is Sign.
+func Resign(old Signature, d Delta, target []byte) (sig Signature, hashed int) {
+	bs := old.BlockSize
+	if bs <= 0 {
+		panic(fmt.Sprintf("delta: signature with invalid block size %d", bs))
+	}
+	n := (len(target) + bs - 1) / bs
+	signAll := func() (Signature, int) { return Sign(target, bs), n }
+	if d.BlockSize != bs || d.TargetSize != int64(len(target)) {
+		return signAll()
+	}
+	sig = Signature{BlockSize: bs, FileSize: int64(len(target))}
+	if n == 0 {
+		return sig, 0
+	}
+	// A zero Size marks a block not yet filled: real blocks are never
+	// empty.
+	sig.Blocks = make([]BlockSig, n)
+	pos := 0
+	for _, op := range d.Ops {
+		if op.Kind == OpLiteral {
+			pos += len(op.Data)
+			continue
+		}
+		if op.Kind != OpCopy || op.Index < 0 || op.Index >= len(old.Blocks) {
+			return signAll()
+		}
+		blk := old.Blocks[op.Index]
+		if blk.Size <= 0 || blk.Size > bs {
+			return signAll()
+		}
+		if pos%bs == 0 && pos < len(target) && blk.Size == min(bs, len(target)-pos) {
+			blk.Index = pos / bs
+			sig.Blocks[blk.Index] = blk
+		}
+		pos += blk.Size
+	}
+	if pos != len(target) {
+		return signAll()
+	}
+	for idx := range sig.Blocks {
+		if sig.Blocks[idx].Size == 0 {
+			off := idx * bs
+			sig.Blocks[idx] = signBlock(target[off:min(off+bs, len(target))], idx)
+			hashed++
+		}
+	}
+	return sig, hashed
 }
 
 // WireSize reports the cost of transmitting the signature: 4 weak + 16

@@ -343,6 +343,30 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
+// BenchmarkResign is the repeat-sync signature cost: a 4 MiB basis with
+// 8 dirty blocks, so 8 of 512 blocks are hashed and the rest carried
+// over. MB/s is over the whole target — what Sign would have to read —
+// so the figure is directly comparable with BenchmarkDeltaSign1MB.
+func BenchmarkResign(b *testing.B) {
+	const size = 4 << 20
+	basis := content.Random(size, 1).Bytes()
+	target := append([]byte(nil), basis...)
+	for k := 0; k < 8; k++ {
+		target[k*(size/8)+12_345] ^= 0xFF
+	}
+	old := Sign(basis, DefaultBlockSize)
+	d := Compute(old, target)
+	if _, hashed := Resign(old, d, target); hashed != 8 {
+		b.Fatalf("resign hashed %d blocks, want 8", hashed)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkSig, _ = Resign(old, d, target)
+	}
+}
+
 func BenchmarkWeakSum(b *testing.B) {
 	data := content.Random(1<<20, 1).Bytes()
 	b.SetBytes(1 << 20)

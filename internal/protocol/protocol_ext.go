@@ -86,6 +86,11 @@ const (
 	ErrNotFound uint32 = 1 + iota
 	ErrBadRequest
 	ErrInternal
+	// ErrConflict is a soft refusal: the request was well formed but
+	// built on state another session has since replaced (a delta against
+	// a superseded file version). The session stays usable; the sender
+	// refreshes its view and tries again.
+	ErrConflict
 )
 
 func (m *Get) encodeBody(e *encBuf) { e.str(m.Name) }

@@ -547,7 +547,28 @@ func (c *Client) resumeQuery(name string, size int64, hash protocol.Fingerprint)
 	return info, nil
 }
 
+// maxDeltaConflicts bounds how often one deltaUpload re-requests the
+// signature after the server refused its delta as built on a
+// superseded version. Each refusal means another device committed in
+// between, so the bound only matters against a writer that never rests.
+const maxDeltaConflicts = 4
+
+// deltaUpload runs the signature/delta exchange, starting over from a
+// fresh signature whenever the server answers ErrConflict: another
+// device moved the file after the signature was served, and a delta
+// against the old version must not be applied to the new one.
 func (c *Client) deltaUpload(name string, data []byte) (UploadStats, error) {
+	for conflicts := 0; ; conflicts++ {
+		stats, err := c.deltaExchange(name, data)
+		var perr *protocol.Error
+		if err == nil || conflicts == maxDeltaConflicts ||
+			!isProtoErr(err, &perr) || perr.Code != protocol.ErrConflict {
+			return stats, err
+		}
+	}
+}
+
+func (c *Client) deltaExchange(name string, data []byte) (UploadStats, error) {
 	sp := c.parent().Child("client.delta_sync")
 	defer sp.End()
 	var stats UploadStats

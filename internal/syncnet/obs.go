@@ -29,6 +29,12 @@ type serverObs struct {
 	bundles     *obs.Counter
 	bundleFiles *obs.Counter
 
+	// Signature cache: a miss signs the whole file, a hit none of it,
+	// and resigned blocks are what delta syncs hashed to keep it current.
+	sigCacheHits      *obs.Counter
+	sigCacheMisses    *obs.Counter
+	sigResignedBlocks *obs.Counter
+
 	pendingResumable *obs.Gauge
 	bytesStored      *obs.Gauge
 
@@ -59,6 +65,10 @@ func newServerObs(reg *obs.Registry) serverObs {
 
 		bundles:     reg.Counter("syncd_bundles_total", "Bundle messages handled (batched small-file uploads)."),
 		bundleFiles: reg.Counter("syncd_bundle_files_total", "Files committed via bundle messages."),
+
+		sigCacheHits:      reg.Counter("syncd_sig_cache_hits_total", "Signature requests answered from a file's cached signature (no hashing)."),
+		sigCacheMisses:    reg.Counter("syncd_sig_cache_misses_total", "Signature requests that had to sign the whole file (first request, full re-upload since, or another block size)."),
+		sigResignedBlocks: reg.Counter("syncd_sig_resigned_blocks_total", "Blocks hashed by delta syncs to carry a cached signature to the new version (the edit's share of the file, not the file)."),
 
 		pendingResumable: reg.Gauge("syncd_pending_resumable", "Stashed partial uploads currently held for resumption."),
 		bytesStored:      reg.Gauge("syncd_bytes_stored", "Unique raw content bytes in the dedup content store."),

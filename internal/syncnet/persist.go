@@ -55,6 +55,7 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		users:     make(map[string]map[string]*serverFile),
+		byID:      make(map[fileKey]*serverFile),
 		byHash:    make(map[dedup.Fingerprint][]byte),
 		index:     dedup.NewIndex(cfg.CrossUserDedup),
 		listeners: make(map[net.Listener]struct{}),
@@ -121,13 +122,7 @@ func (s *Server) replayRecord(rec []byte) error {
 		if !ok {
 			return fmt.Errorf("syncnet: file record %s/%s references unknown content %x", user, name, hash)
 		}
-		files := s.files(user)
-		f := files[name]
-		if f == nil {
-			f = &serverFile{id: id, name: name}
-			files[name] = f
-		}
-		f.id = id
+		f := s.fileLocked(user, name, id)
 		f.data = data
 		f.hash = hash
 		f.version = version
@@ -358,4 +353,3 @@ func (s *Server) closePersist() error {
 	}
 	return p.Close()
 }
-

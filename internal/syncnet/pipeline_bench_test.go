@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"net"
 	"testing"
+
+	"cloudsync/internal/content"
 )
 
 // benchBatchClient runs fn (one batched upload) b.N times over a
@@ -67,4 +69,59 @@ func BenchmarkUploadLockstep8(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// BenchmarkDeltaSyncRepeat is the repeat-modification round trip the
+// signature cache exists for: one 4 MiB file, 8 in-place 256-byte edits
+// per iteration, re-uploaded through SigRequest/Delta over net.Pipe.
+// The edit is an XOR toggle, so the file alternates between two
+// contents and the server's never-evicting content store stays at two
+// blobs however long the benchmark runs. Bytes/s is file bytes kept in
+// sync per second, not wire bytes.
+func BenchmarkDeltaSyncRepeat(b *testing.B) {
+	const size, regions, editLen = 4 << 20, 8, 256
+	srv := NewServer(ServerConfig{})
+	defer srv.Close()
+	cp, sp := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- srv.HandleConn(sp) }()
+	c, err := NewClient(cp, "bench", "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := append([]byte(nil), content.Random(size, 1).Bytes()...)
+	toggle := func() {
+		for r := 0; r < regions; r++ {
+			region := data[r*(size/regions)+4096:][:editLen]
+			for i := range region {
+				region[i] ^= 0xA5
+			}
+		}
+	}
+	if _, err := c.Upload("big", data); err != nil {
+		b.Fatal(err)
+	}
+	// Both contents stored and the cache warm before timing starts.
+	for i := 0; i < 2; i++ {
+		toggle()
+		if _, err := c.Upload("big", data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		toggle()
+		st, err := c.Upload("big", data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !st.DeltaSync {
+			b.Fatal("re-upload was not a delta sync")
+		}
+	}
+	b.StopTimer()
+	c.Close()
+	<-done
 }

@@ -119,6 +119,28 @@ type serverFile struct {
 	version uint64
 	deleted bool
 	history int // versions ever stored (fake deletion keeps content)
+	// sig is the signature cache: one lazily filled slot, current only
+	// while its version equals the file's. Filled by the first SigRequest,
+	// advanced by onDelta, dropped by every other mutation, never
+	// persisted. Nil for files that were never delta-synced.
+	sig *cachedSig
+}
+
+// cachedSig is delta.Sign(data, sig.BlockSize) of the content a file
+// held at version. Immutable once published, so sessions may read one
+// outside s.mu.
+type cachedSig struct {
+	version uint64
+	sig     delta.Signature
+}
+
+// currentSig returns the cached signature when it describes the file's
+// present content at block size bs, else nil. Caller holds s.mu.
+func (f *serverFile) currentSig(bs int) *cachedSig {
+	if c := f.sig; c != nil && c.version == f.version && c.sig.BlockSize == bs {
+		return c
+	}
+	return nil
 }
 
 // ServerStats is a snapshot of server activity.
@@ -147,6 +169,12 @@ type ServerStats struct {
 	BytesSent int64
 }
 
+// fileKey names a file the way a Delete does: by owner and FileID.
+type fileKey struct {
+	user string
+	id   uint64
+}
+
 // pendingKey identifies a stashed partial upload: the same identity a
 // reconnecting client presents in its ResumeQuery. Including the
 // content hash means a stash from an older edit of the file can never
@@ -163,8 +191,12 @@ type pendingKey struct {
 type Server struct {
 	cfg ServerConfig
 
-	mu        sync.Mutex
-	users     map[string]map[string]*serverFile
+	mu    sync.Mutex
+	users map[string]map[string]*serverFile
+	// byID indexes each user's files by FileID — what a Delete names.
+	// An entry is added wherever a serverFile is created and never
+	// removed: deletion is fake and a recreated name keeps its file.
+	byID      map[fileKey]*serverFile
 	byHash    map[dedup.Fingerprint][]byte // full-file dedup content store
 	index     *dedup.Index
 	nextID    uint64
@@ -579,6 +611,20 @@ func (s *Server) files(user string) map[string]*serverFile {
 	return m
 }
 
+// fileLocked returns the user's file under name, creating it with the
+// given id — and indexing it by that id — when absent. Caller holds
+// s.mu (or is replaying before the server is shared).
+func (s *Server) fileLocked(user, name string, id uint64) *serverFile {
+	files := s.files(user)
+	f := files[name]
+	if f == nil {
+		f = &serverFile{id: id, name: name}
+		files[name] = f
+		s.byID[fileKey{user, id}] = f
+	}
+	return f
+}
+
 // FileState is one file's externally visible server-side state, as
 // reported by Snapshot.
 type FileState struct {
@@ -633,6 +679,11 @@ type session struct {
 	user string
 
 	uploads map[uint64]*pendingUpload // keyed by fileID
+
+	// sigServed maps a name to the file version whose signature this
+	// session was last sent and has not yet answered with a delta: the
+	// only basis a DeltaMsg for that name may be applied to.
+	sigServed map[string]uint64
 
 	enc  []byte     // pooled frame scratch, reused across replies
 	segs []causeSeg // reusable ledger-segment scratch
@@ -926,15 +977,11 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	files := s.files(ss.user)
-	f := files[name]
-	if f == nil {
-		f = &serverFile{id: id, name: name}
-		files[name] = f
-	}
+	f := s.fileLocked(ss.user, name, id)
 	f.data = raw
 	f.hash = hash
 	f.version++
+	f.sig = nil // whole new content: nothing to carry over
 	f.deleted = false
 	f.history++
 	s.index.Add(ss.user, hash, int64(len(raw)))
@@ -1049,13 +1096,7 @@ func (ss *session) onList(*protocol.ListRequest) error {
 func (ss *session) onDelete(m *protocol.Delete) error {
 	s := ss.srv
 	s.mu.Lock()
-	var target *serverFile
-	for _, f := range s.files(ss.user) {
-		if f.id == m.FileID {
-			target = f
-			break
-		}
-	}
+	target := s.byID[fileKey{ss.user, m.FileID}]
 	if target == nil || target.deleted {
 		s.mu.Unlock()
 		ss.sendErr(protocol.ErrNotFound, "no such file")
@@ -1063,6 +1104,7 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 	}
 	target.deleted = true // fake deletion: content retained
 	target.version++
+	target.sig = nil
 	s.stats.Deletes++
 	version := target.version
 	s.persistFileLocked(ss.user, target)
@@ -1112,6 +1154,11 @@ func (ss *session) onGet(m *protocol.Get) error {
 	return ss.send(&protocol.Ack{FileID: info.FileID, Version: info.Version, OK: true})
 }
 
+// onSigRequest serves the signature a delta will be computed against.
+// A repeat request for an unchanged (or delta-synced) file is answered
+// from the file's cached signature; a miss signs outside s.mu — stored
+// content is immutable, files only ever swap to a new slice — and
+// publishes the result if the file has not moved meanwhile.
 func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	s := ss.srv
 	bs := s.cfg.BlockSize
@@ -1125,11 +1172,32 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
-	sig := delta.Sign(f.data, bs)
+	data, version, c := f.data, f.version, f.currentSig(bs)
 	s.mu.Unlock()
-	return ss.send(&protocol.SignatureMsg{Name: m.Name, Payload: sig.Encode()})
+	if c != nil {
+		s.om.sigCacheHits.Inc()
+	} else {
+		s.om.sigCacheMisses.Inc()
+		c = &cachedSig{version: version, sig: delta.Sign(data, bs)}
+		s.mu.Lock()
+		if f.version == version {
+			f.sig = c
+		}
+		s.mu.Unlock()
+	}
+	if ss.sigServed == nil {
+		ss.sigServed = make(map[string]uint64)
+	}
+	ss.sigServed[m.Name] = version
+	return ss.send(&protocol.SignatureMsg{Name: m.Name, Payload: c.sig.Encode()})
 }
 
+// onDelta applies a delta to the version this session was served the
+// signature of, and to no other: a delta carries no full-file hash, so
+// applied to any other basis it would corrupt the file silently. The
+// version is checked when the basis is read and again when the result
+// is published; in between — Apply, MD5 and the next signature, all
+// proportional to the file — the server lock is not held.
 func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	ta := ss.applyStart()
 	d, err := delta.DecodeDelta(m.Payload)
@@ -1137,6 +1205,8 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrBadRequest, "undecodable delta")
 		return fmt.Errorf("syncnet: %w", err)
 	}
+	served, wasServed := ss.sigServed[m.Name]
+	delete(ss.sigServed, m.Name)
 	s := ss.srv
 	s.mu.Lock()
 	f := s.files(ss.user)[m.Name]
@@ -1145,7 +1215,11 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
-	basis := f.data
+	if !wasServed || f.version != served {
+		s.mu.Unlock()
+		return ss.staleBasis(m.Name)
+	}
+	basis, old := f.data, f.currentSig(d.BlockSize)
 	s.mu.Unlock()
 
 	raw, err := delta.Apply(basis, d)
@@ -1153,12 +1227,27 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrBadRequest, "inapplicable delta")
 		return fmt.Errorf("syncnet: %w", err)
 	}
+	hash := md5.Sum(raw)
+	// Another block size took the slot since this session was served:
+	// drop it rather than sign the whole file here; the next SigRequest
+	// refills it.
+	var next *cachedSig
+	if old != nil {
+		sig, hashed := delta.Resign(old.sig, d, raw)
+		next = &cachedSig{version: served + 1, sig: sig}
+		s.om.sigResignedBlocks.Add(int64(hashed))
+	}
+
 	s.mu.Lock()
+	if f.version != served {
+		s.mu.Unlock()
+		return ss.staleBasis(m.Name)
+	}
 	f.data = raw
 	f.version++
 	f.history++
-	hash := md5.Sum(raw)
 	f.hash = hash
+	f.sig = next
 	s.index.Add(ss.user, hash, int64(len(raw)))
 	if _, ok := s.byHash[hash]; !ok {
 		s.byHash[hash] = raw
@@ -1181,4 +1270,13 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	}
 	ss.srv.logf("delta-synced %s/%s v%d (%d literal bytes)", ss.user, m.Name, version, d.LiteralBytes())
 	return ss.send(&protocol.Ack{FileID: id, Version: version, OK: true})
+}
+
+// staleBasis refuses a delta whose basis is no longer the file's
+// content. Soft: the session continues, and the client answers by
+// asking for the current signature.
+func (ss *session) staleBasis(name string) error {
+	ss.srv.logf("refused stale-basis delta for %s/%s", ss.user, name)
+	ss.sendErr(protocol.ErrConflict, "file changed since its signature was served")
+	return nil
 }
