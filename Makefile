@@ -91,8 +91,12 @@ bench-kernel-diff:
 # over real TCP in all three modes (lockstep, pipelined, bundle) at a
 # rate past lockstep saturation, verifying ledger exactness as it goes,
 # and writes sustained req/s, latency quantiles, and peak RSS per mode
-# into BENCH_load.json. The headline is the shape: the batched paths
-# must sustain a multiple of lockstep's files/s at equal-or-better p99.
+# into BENCH_load.json. The headline is the shape, which follows the
+# exchanges per file: these files fit one delta block, so lockstep
+# Upload sends each inline (one exchange per file) and now outruns
+# pipelined, which still windows the two-exchange index/data/commit
+# protocol; bundle (one exchange per batch) must carry the whole offered
+# rate without shedding, at a fraction of lockstep's p50 and p99.
 SYNCLOAD_ARGS = -accounts 256 -rate 8000 -duration 4s -batch 8 \
 	-max-size 4096 -seed 1 -check -quiet
 

@@ -190,7 +190,8 @@ func main() {
 		}
 		switch {
 		case stats.DedupHit:
-			fmt.Printf("put %s: deduplicated (v%d, 0 payload bytes)\n", args[2], stats.Version)
+			// A file small enough to go inline was sent without probing.
+			fmt.Printf("put %s: deduplicated (v%d, %d payload bytes)\n", args[2], stats.Version, stats.PayloadBytes)
 		case stats.DeltaSync:
 			fmt.Printf("put %s: delta sync (v%d, %d payload bytes)\n",
 				args[2], stats.Version, stats.PayloadBytes)

@@ -67,6 +67,14 @@ func (*SignatureMsg) Type() MsgType { return TypeSignature }
 type DeltaMsg struct {
 	Name    string
 	Payload []byte
+	// BaseVersion, when non-zero, is a precondition: the delta was cut
+	// against the sender's own record of the file at exactly this
+	// version, and the receiver applies it only while the file is still
+	// there (else ErrConflict). Zero means the delta answers the
+	// signature this session was just served. The field is
+	// wire-optional like Hello.Caps: omitted when zero, so the
+	// unconditional frame is byte-identical to the legacy one.
+	BaseVersion uint64
 }
 
 // Type implements Message.
@@ -154,13 +162,22 @@ func (m *SignatureMsg) decodeBody(d *decBuf) (err error) {
 func (m *DeltaMsg) encodeBody(e *encBuf) {
 	e.str(m.Name)
 	e.blob(m.Payload)
+	if m.BaseVersion != 0 {
+		e.u64(m.BaseVersion)
+	}
 }
 
 func (m *DeltaMsg) decodeBody(d *decBuf) (err error) {
 	if m.Name, err = d.str(); err != nil {
 		return err
 	}
-	m.Payload, err = d.blob()
+	if m.Payload, err = d.blob(); err != nil {
+		return err
+	}
+	m.BaseVersion = 0
+	if d.remaining() > 0 {
+		m.BaseVersion, err = d.u64()
+	}
 	return err
 }
 

@@ -1,9 +1,12 @@
 package protocol
 
 import (
+	"bytes"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func extMessages() []Message {
@@ -78,5 +81,57 @@ func TestEmptyPayloadRoundTrip(t *testing.T) {
 	sig := got.(*SignatureMsg)
 	if sig.Name != "empty" || len(sig.Payload) != 0 {
 		t.Fatalf("roundtrip = %+v", sig)
+	}
+}
+
+// TestDeltaMsgLegacyInterop pins the version precondition's wire
+// contract: a DeltaMsg that names no base version is, byte for byte,
+// the frame peers wrote before the field existed (golden bytes taken
+// from that encoder), that frame decodes with BaseVersion zero, and
+// naming a version appends exactly the 8-byte word.
+func TestDeltaMsgLegacyInterop(t *testing.T) {
+	legacy, err := hex.DecodeString("0d1800000005000000612e62696e0b00000064656c7461206279746573")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := &DeltaMsg{Name: "a.bin", Payload: []byte("delta bytes")}
+	if got := Encode(plain); !bytes.Equal(got, legacy) {
+		t.Fatalf("unconditional DeltaMsg differs from the legacy frame:\n got %x\nwant %x", got, legacy)
+	}
+	m, err := Decode(legacy)
+	if err != nil {
+		t.Fatalf("decoding the legacy frame: %v", err)
+	}
+	if !reflect.DeepEqual(m, plain) {
+		t.Fatalf("legacy frame decoded to %#v", m)
+	}
+	cond := Encode(&DeltaMsg{Name: "a.bin", Payload: []byte("delta bytes"), BaseVersion: 1 << 40})
+	if got, want := len(cond), len(legacy)+8; got != want {
+		t.Fatalf("conditional DeltaMsg is %d bytes, want %d", got, want)
+	}
+	if !bytes.Equal(cond[frameHeader:len(legacy)], legacy[frameHeader:]) {
+		t.Fatal("conditional DeltaMsg body prefix differs from the legacy body")
+	}
+	// A torn version word is a decode error, not a zero version.
+	cond = cond[:len(cond)-3]
+	cond[1] -= 3
+	if _, err := Decode(cond); err == nil {
+		t.Fatal("truncated base version not rejected")
+	}
+}
+
+// Property: any (name, payload, base version) triple round-trips, zero
+// version included.
+func TestPropertyDeltaMsgRoundTrip(t *testing.T) {
+	f := func(name string, payload []byte, base uint64) bool {
+		got, err := Decode(Encode(&DeltaMsg{Name: name, Payload: payload, BaseVersion: base}))
+		if err != nil {
+			return false
+		}
+		d := got.(*DeltaMsg)
+		return d.Name == name && bytes.Equal(d.Payload, payload) && d.BaseVersion == base
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

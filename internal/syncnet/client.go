@@ -18,7 +18,11 @@ import (
 
 // UploadStats describes what one Upload cost.
 type UploadStats struct {
-	// DedupHit: the server already had the content; nothing was sent.
+	// DedupHit: the server already had the content. On the probing path
+	// (files larger than one delta block) nothing was sent and
+	// PayloadBytes is 0; a file small enough to ride inline was sent
+	// without asking first, and PayloadBytes reports the bytes the server
+	// discarded.
 	DedupHit bool
 	// DeltaSync: the file was updated incrementally from a signature.
 	DeltaSync bool
@@ -48,6 +52,7 @@ type Client struct {
 
 	ids   map[string]uint64
 	known map[string]bool // names known to exist server-side
+	sigs  sigCache        // signatures the delta exchanges ended on
 
 	// Pooled live-path scratch: enc frames outgoing messages, readBuf
 	// absorbs incoming ones (both from the wire frame pool, returned on
@@ -393,14 +398,26 @@ func (c *Client) read() (protocol.Message, error) {
 	return m, nil
 }
 
-// Upload synchronizes data under name. For a file the server already
-// holds, it tries incremental (rsync) sync against the server's
-// signature; otherwise it performs a full upload with dedup probing
-// and compression. Under a retry policy, transport failures reconnect
-// and retry: the delta path re-requests the signature (idempotent —
-// the signature reflects whatever the server holds now), and the full
-// path asks the server how much of the interrupted payload it already
-// buffered, re-sending only the unacknowledged tail.
+// Upload synchronizes data under name, in one request/reply exchange
+// unless a probe can save bytes:
+//
+//   - a file no larger than one delta block rides inline in a one-entry
+//     Bundle, new name or known — below a block neither an rsync
+//     exchange nor a dedup probe can save more than the probe costs;
+//   - a file the server already holds is synced incrementally (rsync):
+//     against the signature this client's last delta exchange on it
+//     ended on, when it remembers one, as a delta conditional on that
+//     version — else, or when the server refuses the guess as stale,
+//     against a signature it requests first;
+//   - anything else is a full upload with dedup probing and compression.
+//
+// Under a retry policy, transport failures reconnect and retry: the
+// inline path re-sends (an entry the broken attempt committed collapses
+// into a dedup hit), the delta path forgets what it remembered and
+// re-requests the signature (idempotent — the signature reflects
+// whatever the server holds now), and the full path asks the server
+// how much of the interrupted payload it already buffered, re-sending
+// only the unacknowledged tail.
 func (c *Client) Upload(name string, data []byte) (UploadStats, error) {
 	c.op = c.tracer.Start("client.upload",
 		obs.String("name", name), obs.Int("size", int64(len(data))))
@@ -427,6 +444,9 @@ func (c *Client) Upload(name string, data []byte) (UploadStats, error) {
 }
 
 func (c *Client) uploadOnce(name string, data []byte, attempt int) (UploadStats, error) {
+	if len(data) <= c.inlineLimit() {
+		return c.inlineUpload(name, data, attempt)
+	}
 	if c.known[name] {
 		stats, err := c.deltaUpload(name, data)
 		if err == nil {
@@ -454,9 +474,39 @@ func isProtoErr(err error, out **protocol.Error) bool {
 	return ok
 }
 
+// inlineLimit is the largest file Upload sends without probing first:
+// one block of the session's delta granularity.
+func (c *Client) inlineLimit() int {
+	if c.blockSize > 0 {
+		return c.blockSize
+	}
+	return delta.DefaultBlockSize
+}
+
+// inlineUpload sends a small file as a one-entry Bundle: identity and
+// content in one frame, answered by one BundleReply.
+func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStats, error) {
+	sp := c.parent().Child("client.inline_upload")
+	defer sp.End()
+	c.sigs.drop(name) // whole new content: nothing to carry over
+	entries := []protocol.BundleEntry{{
+		Name: name, Size: int64(len(data)), FileHash: md5.Sum(data),
+		Payload: comp.Compress(data, c.compression),
+	}}
+	var stats [1]UploadStats
+	err := c.bundleExchange(entries, stats[:], attempt)
+	stats[0].Attempts = attempt
+	sp.Set("payload_bytes", stats[0].PayloadBytes)
+	if stats[0].DedupHit {
+		sp.Set("dedup_hit", true)
+	}
+	return stats[0], err
+}
+
 func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats, error) {
 	sp := c.parent().Child("client.full_upload")
 	defer sp.End()
+	c.sigs.drop(name) // whole new content: nothing to carry over
 	var stats UploadStats
 	defer func() {
 		sp.Set("payload_bytes", stats.PayloadBytes)
@@ -523,6 +573,9 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 		return stats, err
 	}
 	stats.Version = ack.Version
+	// The identity the file was committed under: another device that
+	// created the name since the IndexReply keeps its id.
+	c.ids[name] = ack.FileID
 	c.known[name] = true
 	return stats, nil
 }
@@ -547,57 +600,82 @@ func (c *Client) resumeQuery(name string, size int64, hash protocol.Fingerprint)
 	return info, nil
 }
 
-// maxDeltaConflicts bounds how often one deltaUpload re-requests the
-// signature after the server refused its delta as built on a
-// superseded version. Each refusal means another device committed in
-// between, so the bound only matters against a writer that never rests.
+// maxDeltaConflicts bounds how often one deltaUpload starts over after
+// the server refused its delta as built on a superseded version. Each
+// refusal means another device committed in between, so the bound only
+// matters against a writer that never rests.
 const maxDeltaConflicts = 4
 
-// deltaUpload runs the signature/delta exchange, starting over from a
-// fresh signature whenever the server answers ErrConflict: another
-// device moved the file after the signature was served, and a delta
-// against the old version must not be applied to the new one.
+// deltaUpload runs the delta exchange — first on the signature this
+// client remembers for the file, if any — starting over from a freshly
+// requested signature whenever the server answers ErrConflict: another
+// device moved the file, and a delta against the old version must not
+// be applied to the new one.
 func (c *Client) deltaUpload(name string, data []byte) (UploadStats, error) {
+	have := c.sigs.get(name)
 	for conflicts := 0; ; conflicts++ {
-		stats, err := c.deltaExchange(name, data)
+		stats, err := c.deltaExchange(name, data, have)
 		var perr *protocol.Error
 		if err == nil || conflicts == maxDeltaConflicts ||
 			!isProtoErr(err, &perr) || perr.Code != protocol.ErrConflict {
 			return stats, err
 		}
+		have = nil
 	}
 }
 
-func (c *Client) deltaExchange(name string, data []byte) (UploadStats, error) {
+// deltaExchange is one try at a delta sync. With have, the delta is cut
+// against the remembered signature and sent conditional on its version:
+// one round trip. Without, the signature is requested first. Either way
+// an acknowledged exchange leaves the signature of data — carried
+// forward from the basis signature in O(edit), not signed afresh — and
+// the acknowledged version remembered for the next modify; a failed one
+// leaves nothing, because a lost Ack means the file may have moved.
+func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats UploadStats, err error) {
 	sp := c.parent().Child("client.delta_sync")
 	defer sp.End()
-	var stats UploadStats
-	defer func() { sp.Set("payload_bytes", stats.PayloadBytes) }()
-	if err := c.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
-		return stats, err
-	}
-	m, err := c.read()
-	if err != nil {
-		return stats, err
-	}
-	sigMsg, ok := m.(*protocol.SignatureMsg)
-	if !ok {
-		return stats, fmt.Errorf("syncnet: expected signature, got %v", m.Type())
-	}
-	sp.Set("sig_bytes", len(sigMsg.Payload))
-	sig, err := delta.DecodeSignature(sigMsg.Payload)
-	if err != nil {
-		return stats, err
+	defer func() {
+		sp.Set("payload_bytes", stats.PayloadBytes)
+		if err != nil {
+			c.sigs.drop(name)
+		}
+	}()
+	var sig delta.Signature
+	var base uint64
+	if have != nil {
+		sig, base = have.sig, have.version
+		sp.Set("base_version", base)
+	} else {
+		if err := c.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
+			return stats, err
+		}
+		m, err := c.read()
+		if err != nil {
+			return stats, err
+		}
+		sigMsg, ok := m.(*protocol.SignatureMsg)
+		if !ok {
+			return stats, fmt.Errorf("syncnet: expected signature, got %v", m.Type())
+		}
+		sp.Set("sig_bytes", len(sigMsg.Payload))
+		if sig, err = delta.DecodeSignature(sigMsg.Payload); err != nil {
+			return stats, err
+		}
 	}
 	d := delta.Compute(sig, data)
 	payload := d.Encode()
-	if err := c.send(&protocol.DeltaMsg{Name: name, Payload: payload}); err != nil {
+	if err := c.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {
 		return stats, err
 	}
+	// Hashing the edited blocks overlaps the server applying the delta
+	// (and, on a real link, the round trip): the result is only kept if
+	// the Ack arrives.
+	next, _ := delta.Resign(sig, d, data)
 	ack, err := c.readAck()
 	if err != nil {
 		return stats, err
 	}
+	c.sigs.put(name, ack.Version, next)
 	stats.DeltaSync = true
 	stats.PayloadBytes = len(payload)
 	stats.Version = ack.Version
@@ -686,6 +764,7 @@ func (c *Client) Delete(name string) error {
 	if !ok {
 		return fmt.Errorf("syncnet: %q was never synced by this client", name)
 	}
+	c.sigs.drop(name)
 	c.op = c.tracer.Start("client.delete", obs.String("name", name))
 	in0, out0 := c.wireIn, c.wireOut
 	err := c.withRetry(func(attempt int) error {

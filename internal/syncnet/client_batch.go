@@ -69,38 +69,7 @@ func (c *Client) UploadBundle(files []FileUpload) ([]UploadStats, error) {
 	}
 	stats := make([]UploadStats, len(files))
 	err := c.withRetry(func(attempt int) error {
-		if err := c.send(&protocol.Bundle{Entries: entries}); err != nil {
-			return err
-		}
-		m, err := c.read()
-		if err != nil {
-			return err
-		}
-		reply, ok := m.(*protocol.BundleReply)
-		if !ok {
-			return fmt.Errorf("syncnet: expected bundle reply, got %v", m.Type())
-		}
-		if len(reply.Results) != len(entries) {
-			return fmt.Errorf("syncnet: bundle reply has %d results for %d entries", len(reply.Results), len(entries))
-		}
-		for i, r := range reply.Results {
-			if !r.OK {
-				// The server answered and rejected the entry; shaped as a
-				// protocol error so the retry policy does not replay a
-				// bundle the server will reject again.
-				return &protocol.Error{Code: protocol.ErrBadRequest,
-					Msg: fmt.Sprintf("bundle entry %q rejected", entries[i].Name)}
-			}
-			stats[i] = UploadStats{
-				DedupHit:     r.DedupHit,
-				PayloadBytes: len(entries[i].Payload),
-				Version:      r.Version,
-				Attempts:     attempt,
-			}
-			c.ids[entries[i].Name] = r.FileID
-			c.known[entries[i].Name] = true
-		}
-		return nil
+		return c.bundleExchange(entries, stats, attempt)
 	})
 	c.op.Set("attempts", stats[0].Attempts)
 	c.endOp(in0, out0, err)
@@ -108,6 +77,44 @@ func (c *Client) UploadBundle(files []FileUpload) ([]UploadStats, error) {
 		return nil, err
 	}
 	return stats, nil
+}
+
+// bundleExchange sends entries as one Bundle and fills stats from the
+// BundleReply: one attempt of UploadBundle, or of an Upload small
+// enough to go inline.
+func (c *Client) bundleExchange(entries []protocol.BundleEntry, stats []UploadStats, attempt int) error {
+	if err := c.send(&protocol.Bundle{Entries: entries}); err != nil {
+		return err
+	}
+	m, err := c.read()
+	if err != nil {
+		return err
+	}
+	reply, ok := m.(*protocol.BundleReply)
+	if !ok {
+		return fmt.Errorf("syncnet: expected bundle reply, got %v", m.Type())
+	}
+	if len(reply.Results) != len(entries) {
+		return fmt.Errorf("syncnet: bundle reply has %d results for %d entries", len(reply.Results), len(entries))
+	}
+	for i, r := range reply.Results {
+		if !r.OK {
+			// The server answered and rejected the entry; shaped as a
+			// protocol error so the retry policy does not replay a
+			// bundle the server will reject again.
+			return &protocol.Error{Code: protocol.ErrBadRequest,
+				Msg: fmt.Sprintf("bundle entry %q rejected", entries[i].Name)}
+		}
+		stats[i] = UploadStats{
+			DedupHit:     r.DedupHit,
+			PayloadBytes: len(entries[i].Payload),
+			Version:      r.Version,
+			Attempts:     attempt,
+		}
+		c.ids[entries[i].Name] = r.FileID
+		c.known[entries[i].Name] = true
+	}
+	return nil
 }
 
 // UploadPipelined uploads a batch of files over the ordinary
@@ -178,6 +185,7 @@ func (c *Client) UploadPipelined(files []FileUpload, window int) ([]UploadStats,
 			i := ackQueue[0]
 			ackQueue = ackQueue[1:]
 			stats[i].Version = ack.Version
+			c.ids[files[i].Name] = ack.FileID
 			c.known[files[i].Name] = true
 			return nil
 		}

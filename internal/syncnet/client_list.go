@@ -63,8 +63,11 @@ func (c *Client) FileID(name string) (uint64, bool) {
 // the next Upload through the delta path). The watch-mode executor
 // primes its worker clients from one shared listing so that any worker
 // can delta-update or delete any file, regardless of which client
-// originally uploaded it.
+// originally uploaded it. What the client is told this way happened
+// outside its own exchanges, so a signature it remembers for the file
+// may describe a superseded version and is forgotten.
 func (c *Client) Prime(name string, fileID uint64, live bool) {
+	c.sigs.drop(name)
 	c.ids[name] = fileID
 	if live {
 		c.known[name] = true

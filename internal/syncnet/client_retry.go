@@ -68,8 +68,12 @@ func (c *Client) backoff(attempt int) time.Duration {
 // reconnect tears down the broken transport, backs off, redials, and
 // re-opens the session with a fresh Hello. Server-side file state
 // survives across sessions, so the client's name→id map stays valid.
+// The remembered signatures do not: the exchange the cut interrupted
+// may or may not have committed, so the version they name is no longer
+// known to be current.
 func (c *Client) reconnect(attempt int) error {
 	c.conn.Close()
+	c.sigs.clear()
 	if d := c.backoff(attempt); d > 0 {
 		c.att.Set("backoff_us", d.Microseconds())
 		if c.retry.Sleep != nil {

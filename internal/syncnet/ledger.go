@@ -37,7 +37,8 @@ type causeSeg struct {
 //	Data: fileID/offset/len      → framing; payload → payload
 //	IndexUpdate: fingerprints    → dedup_probe; rest → metadata
 //	SignatureMsg body            → dedup_probe (block fingerprints)
-//	DeltaMsg: literal op data    → delta_literal; rest → delta_copyref
+//	DeltaMsg: literal op data    → delta_literal; version
+//	        precondition         → metadata; rest → delta_copyref
 //	ResumeQuery / ResumeInfo     → resume
 //	TraceCtx                     → framing (pure protocol overhead)
 //	Bundle: per entry name/size  → metadata; hash → dedup_probe;
@@ -71,9 +72,16 @@ func messageSegments(dst []causeSeg, m protocol.Message, total int64) []causeSeg
 		if err != nil || lit > int64(len(v.Payload)) {
 			lit = 0
 		}
+		// The trailing BaseVersion, when present, is what the sender
+		// knows about the file, not part of the delta.
+		var cond int64
+		if v.BaseVersion != 0 {
+			cond = 8
+		}
 		dst = append(dst,
-			causeSeg{ledger.DeltaCopyRef, body - lit},
-			causeSeg{ledger.DeltaLiteral, lit})
+			causeSeg{ledger.DeltaCopyRef, body - lit - cond},
+			causeSeg{ledger.DeltaLiteral, lit},
+			causeSeg{ledger.Metadata, cond})
 	case *protocol.ResumeQuery, *protocol.ResumeInfo:
 		dst = append(dst, causeSeg{ledger.Resume, body})
 	case *protocol.TraceCtx:

@@ -29,6 +29,13 @@ type serverObs struct {
 	bundles     *obs.Counter
 	bundleFiles *obs.Counter
 
+	// One-round-trip uploads: files that rode inline in a one-entry
+	// bundle, and deltas that named their base version instead of
+	// asking for a signature first (accepted, and refused as stale).
+	inlineUploads      *obs.Counter
+	condDeltas         *obs.Counter
+	condDeltaConflicts *obs.Counter
+
 	// Signature cache: a miss signs the whole file, a hit none of it,
 	// and resigned blocks are what delta syncs hashed to keep it current.
 	sigCacheHits      *obs.Counter
@@ -65,6 +72,10 @@ func newServerObs(reg *obs.Registry) serverObs {
 
 		bundles:     reg.Counter("syncd_bundles_total", "Bundle messages handled (batched small-file uploads)."),
 		bundleFiles: reg.Counter("syncd_bundle_files_total", "Files committed via bundle messages."),
+
+		inlineUploads:      reg.Counter("syncd_inline_uploads_total", "Files committed from one-entry bundles: lockstep uploads of files no larger than one delta block, payload inline, one round trip."),
+		condDeltas:         reg.Counter("syncd_cond_deltas_total", "Delta syncs applied on the sender's own base version (no signature round trip)."),
+		condDeltaConflicts: reg.Counter("syncd_cond_delta_conflicts_total", "Version-conditional deltas refused with ErrConflict because the file had moved past the named base version."),
 
 		sigCacheHits:      reg.Counter("syncd_sig_cache_hits_total", "Signature requests answered from a file's cached signature (no hashing)."),
 		sigCacheMisses:    reg.Counter("syncd_sig_cache_misses_total", "Signature requests that had to sign the whole file (first request, full re-upload since, or another block size)."),

@@ -157,6 +157,16 @@ type ServerStats struct {
 	// entries they committed.
 	Bundles      int64
 	BundledFiles int64
+	// InlineUploads counts the files committed from one-entry Bundles —
+	// what a lockstep Upload sends for a file no larger than one delta
+	// block. They are included in Bundles and BundledFiles.
+	InlineUploads int64
+	// CondDeltas counts the delta syncs (included in DeltaSyncs) whose
+	// DeltaMsg named its own base version instead of answering a served
+	// signature; CondDeltaConflicts counts the ones refused because the
+	// file had moved on.
+	CondDeltas         int64
+	CondDeltaConflicts int64
 	// PendingResumable is the number of stashed partial uploads
 	// currently held for resumption.
 	PendingResumable int
@@ -955,12 +965,14 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 		ss.sendErr(protocol.ErrBadRequest, "content size mismatch")
 		return fmt.Errorf("syncnet: committed %d bytes, announced %d", len(raw), up.size)
 	}
-	if md5.Sum(raw) != up.hash {
+	// Content out of the dedup store is filed under the very hash the
+	// client announced; only transferred bytes need hashing.
+	if !up.dedupHit && md5.Sum(raw) != up.hash {
 		ss.sendErr(protocol.ErrBadRequest, "content hash mismatch")
 		return fmt.Errorf("syncnet: content hash mismatch for %q", up.name)
 	}
 
-	version := ss.store(up.name, up.id, raw, up.hash, up.dedupHit)
+	id, version := ss.store(up.name, up.id, raw, up.hash, up.dedupHit)
 	ss.applyEnd(ta)
 	// Durability before acknowledgement: the commit must survive kill -9
 	// once the client has seen the Ack.
@@ -968,12 +980,15 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
 		return err
 	}
-	return ss.send(&protocol.Ack{FileID: up.id, Version: version, OK: true})
+	return ss.send(&protocol.Ack{FileID: id, Version: version, OK: true})
 }
 
-// store commits raw content under the user's name and returns the new
-// version.
-func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Fingerprint, wasDedup bool) uint64 {
+// store commits raw content under the user's name and returns the
+// identity and version it committed under. id is only a proposal,
+// minted before the content was verified outside s.mu: when another
+// session created the name in between, the file keeps the identity it
+// was created with, and that is the one the caller must report.
+func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Fingerprint, wasDedup bool) (uint64, uint64) {
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1000,7 +1015,7 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	s.om.bytesStored.Set(s.stats.BytesStored)
 	ss.contentBytes += int64(len(raw))
 	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, f.version, len(raw), wasDedup)
-	return f.version
+	return f.id, f.version
 }
 
 // onBundle demultiplexes a batched small-file upload: each entry is
@@ -1045,21 +1060,28 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 				continue
 			}
 		}
-		if int64(len(raw)) != en.Size || md5.Sum(raw) != en.FileHash {
+		// A hit's content is filed under en.FileHash already (see onCommit).
+		if int64(len(raw)) != en.Size || (!hit && md5.Sum(raw) != en.FileHash) {
 			s.logf("bundle entry %s/%s: size or hash mismatch", ss.user, en.Name)
 			continue
 		}
-		version := ss.store(en.Name, id, raw, en.FileHash, hit)
-		res.FileID, res.Version, res.DedupHit, res.OK = id, version, hit, true
+		res.FileID, res.Version = ss.store(en.Name, id, raw, en.FileHash, hit)
+		res.DedupHit, res.OK = hit, true
 		committed++
 	}
 	ss.applyEnd(ta)
+	var inline int64
+	if len(m.Entries) == 1 {
+		inline = int64(committed)
+	}
 	s.mu.Lock()
 	s.stats.Bundles++
 	s.stats.BundledFiles += int64(committed)
+	s.stats.InlineUploads += inline
 	s.mu.Unlock()
 	s.om.bundles.Inc()
 	s.om.bundleFiles.Add(int64(committed))
+	s.om.inlineUploads.Add(inline)
 	// One group commit covers the whole bundle: N entries, one fsync.
 	if err := s.persistSync(); err != nil {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
@@ -1192,12 +1214,14 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	return ss.send(&protocol.SignatureMsg{Name: m.Name, Payload: c.sig.Encode()})
 }
 
-// onDelta applies a delta to the version this session was served the
-// signature of, and to no other: a delta carries no full-file hash, so
-// applied to any other basis it would corrupt the file silently. The
-// version is checked when the basis is read and again when the result
-// is published; in between — Apply, MD5 and the next signature, all
-// proportional to the file — the server lock is not held.
+// onDelta applies a delta to the one version it was cut against, and to
+// no other: a delta carries no full-file hash, so applied to any other
+// basis it would corrupt the file silently. That version is the one the
+// message names (BaseVersion: the sender kept the signature its last
+// exchange ended on) or, unnamed, the one this session was last served
+// the signature of. It is checked when the basis is read and again when
+// the result is published; in between — Apply, MD5 and the next
+// signature, all proportional to the file — the server lock is not held.
 func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	ta := ss.applyStart()
 	d, err := delta.DecodeDelta(m.Payload)
@@ -1207,6 +1231,10 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	}
 	served, wasServed := ss.sigServed[m.Name]
 	delete(ss.sigServed, m.Name)
+	cond := m.BaseVersion != 0
+	if cond {
+		served, wasServed = m.BaseVersion, true
+	}
 	s := ss.srv
 	s.mu.Lock()
 	f := s.files(ss.user)[m.Name]
@@ -1217,7 +1245,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	}
 	if !wasServed || f.version != served {
 		s.mu.Unlock()
-		return ss.staleBasis(m.Name)
+		return ss.staleBasis(m.Name, cond)
 	}
 	basis, old := f.data, f.currentSig(d.BlockSize)
 	s.mu.Unlock()
@@ -1241,7 +1269,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	s.mu.Lock()
 	if f.version != served {
 		s.mu.Unlock()
-		return ss.staleBasis(m.Name)
+		return ss.staleBasis(m.Name, cond)
 	}
 	f.data = raw
 	f.version++
@@ -1256,11 +1284,17 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	}
 	s.persistFileLocked(ss.user, f)
 	s.stats.DeltaSyncs++
+	if cond {
+		s.stats.CondDeltas++
+	}
 	version := f.version
 	id := f.id
 	stored := s.stats.BytesStored
 	s.mu.Unlock()
 	s.om.deltaSyncs.Inc()
+	if cond {
+		s.om.condDeltas.Inc()
+	}
 	s.om.bytesStored.Set(stored)
 	ss.contentBytes += int64(len(raw))
 	ss.applyEnd(ta)
@@ -1274,9 +1308,17 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 
 // staleBasis refuses a delta whose basis is no longer the file's
 // content. Soft: the session continues, and the client answers by
-// asking for the current signature.
-func (ss *session) staleBasis(name string) error {
+// asking for the current signature. cond marks a delta that named its
+// base version itself.
+func (ss *session) staleBasis(name string, cond bool) error {
+	if cond {
+		s := ss.srv
+		s.mu.Lock()
+		s.stats.CondDeltaConflicts++
+		s.mu.Unlock()
+		s.om.condDeltaConflicts.Inc()
+	}
 	ss.srv.logf("refused stale-basis delta for %s/%s", ss.user, name)
-	ss.sendErr(protocol.ErrConflict, "file changed since its signature was served")
+	ss.sendErr(protocol.ErrConflict, "file changed since the delta's basis")
 	return nil
 }

@@ -5,11 +5,13 @@ import (
 	"crypto/md5"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cloudsync/internal/content"
 	"cloudsync/internal/delta"
@@ -238,11 +240,12 @@ func TestClientSurfacesPersistentConflict(t *testing.T) {
 	other, closeOther := pipeClient(t, srv, "alice", "other", nil)
 	defer closeOther()
 
+	const size = 16 << 10 // several blocks: a one-block file would go inline
 	rounds := 0
 	var conn *beforeDeltaConn
 	rearm := func() {
 		rounds++
-		if _, err := other.Upload("f", content.Random(4096, int64(100+rounds)).Bytes()); err != nil {
+		if _, err := other.Upload("f", content.Random(size, int64(100+rounds)).Bytes()); err != nil {
 			t.Errorf("competing writer: %v", err)
 		}
 	}
@@ -251,7 +254,7 @@ func TestClientSurfacesPersistentConflict(t *testing.T) {
 		return conn
 	})
 	defer closeC()
-	if _, err := c.Upload("f", content.Random(4096, 1).Bytes()); err != nil {
+	if _, err := c.Upload("f", content.Random(size, 1).Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := other.Download("f"); err != nil {
@@ -261,7 +264,7 @@ func TestClientSurfacesPersistentConflict(t *testing.T) {
 	var hook func()
 	hook = func() { rearm(); conn.hook = hook }
 	conn.hook = hook
-	_, err := c.Upload("f", content.Random(4096, 2).Bytes())
+	_, err := c.Upload("f", content.Random(size, 2).Bytes())
 	var perr *protocol.Error
 	if !errors.As(err, &perr) || perr.Code != protocol.ErrConflict {
 		t.Fatalf("upload against a restless writer: %v, want ErrConflict", err)
@@ -270,7 +273,7 @@ func TestClientSurfacesPersistentConflict(t *testing.T) {
 		t.Fatalf("client sent %d deltas, want %d (one plus the bounded re-requests)", rounds, maxDeltaConflicts+1)
 	}
 	conn.hook = nil
-	if _, err := c.Upload("f", content.Random(4096, 3).Bytes()); err != nil {
+	if _, err := c.Upload("f", content.Random(size, 3).Bytes()); err != nil {
 		t.Fatalf("session unusable after a surfaced conflict: %v", err)
 	}
 }
@@ -347,8 +350,12 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	}
 
 	cur = append(edit(cur, 100), content.Random(3*bs, 12).Bytes()...)
+	// The client kept the signature its first delta sync ended on: this
+	// one names its base version and asks for nothing.
 	upload("delta sync that grows the file", cur, true)
-	hits++
+	if st := srv.Stats(); st.CondDeltas != 1 || st.CondDeltaConflicts != 0 {
+		t.Fatalf("repeat delta sync: %d conditional deltas, %d refused, want 1 and 0", st.CondDeltas, st.CondDeltaConflicts)
+	}
 	check("after growing delta sync", true)
 	if got := reg.Counter("syncd_sig_resigned_blocks_total", "").Value(); got <= resigned {
 		t.Fatalf("growing delta sync re-signed nothing (counter %d)", got)
@@ -535,7 +542,7 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 	const (
 		devices = 2
 		iters   = 120
-		size    = 8 << 10
+		size    = 16 << 10 // past one client-side block, or every upload goes inline
 	)
 	names := []string{"n0", "n1", "n2"}
 
@@ -633,5 +640,337 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 	t.Logf("%d stale-basis deltas refused, %d delta syncs, %d full uploads", refused.Load(), ss.DeltaSyncs, ss.Uploads)
 	if devTotal == 0 || ss.DeltaSyncs == 0 || ss.Uploads <= int64(len(names)) {
 		t.Errorf("hammer did not exercise both paths: %d delta syncs, %d uploads", ss.DeltaSyncs, ss.Uploads)
+	}
+}
+
+// device is one client of the two-device harness: its transport (a
+// fresh net.Pipe per dial, each wrapped by the device's fault
+// scheduler), its ledger, and the working copies it edits.
+type device struct {
+	c        *Client
+	led      *ledger.Ledger
+	sched    *FaultScheduler
+	prevDone chan struct{}
+	local    map[string][]byte
+}
+
+func newDevice(t *testing.T, srv *Server, name string, plan FaultPlan, opts ...ClientOption) *device {
+	t.Helper()
+	d := &device{led: &ledger.Ledger{}, sched: NewFaultScheduler(plan), local: map[string][]byte{}}
+	dial := func() (net.Conn, error) {
+		// Wait for the previous session to unwind, so whatever it
+		// committed or stashed is settled before the retry asks.
+		if d.prevDone != nil {
+			<-d.prevDone
+		}
+		cp, sp := net.Pipe()
+		done := make(chan struct{})
+		d.prevDone = done
+		go func() {
+			defer close(done)
+			srv.HandleConn(sp)
+		}()
+		return d.sched.Wrap(cp), nil
+	}
+	conn, _ := dial()
+	opts = append([]ClientOption{
+		WithDialer(dial), WithLedger(d.led),
+		WithRetry(RetryPolicy{MaxAttempts: 6, Sleep: func(time.Duration) {}}),
+	}, opts...)
+	c, err := NewClient(conn, "alice", name, opts...)
+	if err != nil {
+		t.Fatalf("NewClient(%s): %v", name, err)
+	}
+	d.c = c
+	return d
+}
+
+// arm makes the device's live connection cut after n more bytes (both
+// directions), exactly as a scheduled fault would.
+func (d *device) arm(n int64) {
+	conn := d.c.conn
+	if mc, ok := conn.(*meterConn); ok {
+		conn = mc.Conn
+	}
+	fc := conn.(*faultConn)
+	fc.mu.Lock()
+	fc.budget = n
+	fc.mu.Unlock()
+}
+
+// close ends the device's session and checks its ledger against its
+// own wire meter.
+func (d *device) close(t *testing.T, label string) int64 {
+	t.Helper()
+	d.c.Close()
+	<-d.prevDone
+	in, out := d.c.WireTotals()
+	for _, v := range invariant.CheckLedger(in+out, d.led.Snapshot()) {
+		t.Errorf("%s ledger: %v", label, v)
+	}
+	return in + out
+}
+
+// TestTwoDeviceEditScripts is the safety property of the client-held
+// signature: two devices of one account, each remembering the
+// signatures its own delta syncs ended on, run a seeded script of
+// edits, whole-file replacements, shrinks below one block, deletes,
+// re-creates and pulls against shared names, over links that cut
+// connections at seeded byte offsets — inside bundle frames, inside
+// deltas, between a commit and its Ack. After every upload the server
+// must hold exactly the bytes that were uploaded (a delta applied to
+// any basis but its own cannot produce them), at the end every name is
+// as the last writer left it, and all three ledgers equal their wire
+// totals.
+func TestTwoDeviceEditScripts(t *testing.T) {
+	const bs = 1024
+	names := []string{"x", "y", "z"}
+	var total ServerStats
+	var retried int
+	for seed := uint64(0); seed < 120; seed++ {
+		seed := seed
+		func() {
+			srvLed := &ledger.Ledger{}
+			srv := NewServer(ServerConfig{Ledger: srvLed, BlockSize: bs})
+			defer srv.Close()
+			rng := rand.New(rand.NewPCG(seed, 0x51c))
+			devs := make([]*device, 2)
+			for i := range devs {
+				var plan FaultPlan // every fifth seed runs on clean links
+				if seed%5 != 0 {
+					plan = FaultPlan{
+						Seed:          seed*2 + uint64(i) + 1,
+						MeanDropBytes: 2048 + int64(seed%7)*3072,
+						MaxDrops:      1 + int(seed%3),
+					}
+				}
+				devs[i] = newDevice(t, srv, fmt.Sprintf("dev-%d", i), plan, WithBlockSize(bs))
+			}
+
+			type state struct {
+				sum     [md5.Size]byte
+				deleted bool
+			}
+			truth := map[string]*state{}
+			fresh := func(lo, hi int) []byte {
+				return append([]byte(nil), content.Random(int64(lo+rng.IntN(hi-lo)), rng.Int64()).Bytes()...)
+			}
+			fail := func(i int, what string, err error) {
+				t.Fatalf("seed %d op %d: %s: %v", seed, i, what, err)
+			}
+			for i := 0; i < 14; i++ {
+				d := devs[rng.IntN(2)]
+				name := names[rng.IntN(len(names))]
+				cur, st := d.local[name], truth[name]
+				live := st != nil && !st.deleted
+				_, hasID := d.c.FileID(name)
+				roll := rng.IntN(10)
+				switch {
+				case roll == 9 && live && hasID:
+					if err := d.c.Delete(name); err != nil {
+						fail(i, "delete "+name, err)
+					}
+					st.deleted = true
+					continue
+				case roll == 8 && live:
+					got, err := d.c.Download(name)
+					if err != nil {
+						fail(i, "download "+name, err)
+					}
+					if md5.Sum(got) != st.sum {
+						t.Fatalf("seed %d op %d: downloaded %s is not what was last uploaded", seed, i, name)
+					}
+					d.local[name] = got
+					continue
+				case roll == 7:
+					cur = fresh(1, bs) // at most one block: rides inline
+				case roll == 6 || cur == nil:
+					cur = fresh(4*bs, 20*bs) // whole new content
+				default:
+					cur = append([]byte(nil), cur...)
+					for n := 1 + rng.IntN(3); n > 0 && len(cur) > 0; n-- {
+						cur[rng.IntN(len(cur))] ^= 0x5A
+					}
+					switch rng.IntN(4) {
+					case 0:
+						cur = append(cur, fresh(1, 2*bs)...)
+					case 1:
+						cur = cur[:len(cur)-rng.IntN(len(cur)/2+1)]
+					}
+				}
+				up, err := d.c.Upload(name, cur)
+				if err != nil {
+					fail(i, "upload "+name, err)
+				}
+				if up.Attempts > 1 {
+					retried++
+				}
+				d.local[name] = cur
+				got, ok := srv.FileContent("alice", name)
+				if !ok || md5.Sum(got) != md5.Sum(cur) {
+					t.Fatalf("seed %d op %d: after uploading %s (%+v) the server holds other bytes", seed, i, name, up)
+				}
+				if st == nil {
+					st = &state{}
+					truth[name] = st
+				}
+				st.sum, st.deleted = md5.Sum(cur), false
+			}
+
+			var devTotal int64
+			for i, d := range devs {
+				devTotal += d.close(t, fmt.Sprintf("seed %d device %d", seed, i))
+			}
+			snap := srv.Snapshot("alice")
+			for name, st := range truth {
+				f := snap[name]
+				if f.Deleted != st.deleted || md5.Sum(f.Data) != st.sum {
+					t.Errorf("seed %d: %s ended deleted=%v, want %v with the last writer's bytes", seed, name, f.Deleted, st.deleted)
+				}
+			}
+			ss := srv.Stats()
+			for _, v := range invariant.CheckLedger(ss.BytesReceived+ss.BytesSent, srvLed.Snapshot()) {
+				t.Errorf("seed %d server ledger: %v", seed, v)
+			}
+			// net.Pipe is synchronous: cut or not, the server metered
+			// exactly the bytes the two devices did.
+			if got := ss.BytesReceived + ss.BytesSent; got != devTotal {
+				t.Errorf("seed %d: server wire total %d, devices' %d", seed, got, devTotal)
+			}
+			total.InlineUploads += ss.InlineUploads
+			total.CondDeltas += ss.CondDeltas
+			total.CondDeltaConflicts += ss.CondDeltaConflicts
+			total.DeltaSyncs += ss.DeltaSyncs
+		}()
+		if t.Failed() {
+			return
+		}
+	}
+	t.Logf("120 scripts: %d inline uploads, %d delta syncs of which %d conditional, %d conditional deltas refused, %d uploads retried",
+		total.InlineUploads, total.DeltaSyncs, total.CondDeltas, total.CondDeltaConflicts, retried)
+	if total.InlineUploads == 0 || total.CondDeltas == 0 || total.CondDeltaConflicts == 0 || retried == 0 {
+		t.Error("the scripts did not reach every path")
+	}
+}
+
+// TestLostAckOfConditionalDelta cuts the link in the middle of the Ack
+// of a version-conditional delta: the server committed, the client
+// cannot know. Its remembered version is now a stale guess, and the
+// retry must neither apply the delta a second time nor build on the
+// old signature — it forgets, asks, and lands the same bytes.
+func TestLostAckOfConditionalDelta(t *testing.T) {
+	leakCheck(t)
+	srvLed := &ledger.Ledger{}
+	srv := NewServer(ServerConfig{Ledger: srvLed})
+	t.Cleanup(func() { srv.Close() })
+	d := newDevice(t, srv, "dev", FaultPlan{})
+	v1 := content.Random(256<<10, 21).Bytes()
+	flip := func(data []byte, at int) []byte {
+		out := append([]byte(nil), data...)
+		out[at] ^= 0xFF
+		return out
+	}
+	v2, v3, v4 := flip(v1, 10<<10), flip(v1, 100<<10), flip(v1, 200<<10)
+	for _, v := range [][]byte{v1, v2} { // full upload, then the delta sync that fills the cache
+		if _, err := d.c.Upload("f", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	have := d.c.sigs.get("f")
+	if have == nil || have.version != 2 {
+		t.Fatalf("after a delta sync the client remembers %+v, want the signature of v2", have)
+	}
+	// The whole DeltaMsg gets through; the cut lands inside the Ack.
+	frame := protocol.EncodedSize(&protocol.DeltaMsg{
+		Name: "f", Payload: delta.Compute(have.sig, v3).Encode(), BaseVersion: 2})
+	d.arm(int64(frame + protocol.SizeAck()/2))
+	st, err := d.c.Upload("f", v3)
+	if err != nil {
+		t.Fatalf("upload across the lost ack: %v", err)
+	}
+	// v3 by the delta whose Ack was lost, v4 by the retry's (all copy
+	// references: the server already held the bytes).
+	if st.Attempts != 2 || !st.DeltaSync || st.Version != 4 {
+		t.Fatalf("upload across the lost ack: %+v, want a delta sync landing v4 on the second attempt", st)
+	}
+	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v3) {
+		t.Fatal("server content is not what was uploaded")
+	}
+	ss := srv.Stats()
+	if ss.CondDeltas != 1 || ss.CondDeltaConflicts != 0 {
+		t.Fatalf("%d conditional deltas, %d refused: the retry reused a version it could not vouch for", ss.CondDeltas, ss.CondDeltaConflicts)
+	}
+	// The exchange that did get its Ack is remembered again.
+	if st, err := d.c.Upload("f", v4); err != nil || !st.DeltaSync || st.Version != 5 {
+		t.Fatalf("modify after the recovery: %+v, %v", st, err)
+	}
+	if ss := srv.Stats(); ss.CondDeltas != 2 {
+		t.Fatalf("modify after the recovery was not conditional (%d conditional deltas)", ss.CondDeltas)
+	}
+	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v4) {
+		t.Fatal("server content is not what was uploaded")
+	}
+
+	wire := d.close(t, "device")
+	ss = srv.Stats()
+	for _, v := range invariant.CheckLedger(ss.BytesReceived+ss.BytesSent, srvLed.Snapshot()) {
+		t.Errorf("server ledger: %v", v)
+	}
+	if got := ss.BytesReceived + ss.BytesSent; got != wire {
+		t.Errorf("server wire total %d, device's %d", got, wire)
+	}
+}
+
+// TestCutInsideInlineBundle cuts an inline Upload twice: first inside
+// the Bundle frame itself (the server never sees a whole request, the
+// retry is the first commit), then inside the BundleReply (the server
+// committed, the retry re-sends and collapses into a dedup hit). Either
+// way the content is right and every byte of both attempts is
+// accounted for, the second send as retransmit.
+func TestCutInsideInlineBundle(t *testing.T) {
+	leakCheck(t)
+	srvLed := &ledger.Ledger{}
+	srv := NewServer(ServerConfig{Ledger: srvLed})
+	t.Cleanup(func() { srv.Close() })
+	d := newDevice(t, srv, "dev", FaultPlan{})
+	data := content.Random(3000, 5).Bytes()
+	frame := int64(protocol.EncodedSize(&protocol.Bundle{Entries: []protocol.BundleEntry{{
+		Name: "note", Size: int64(len(data)), Payload: data}}}))
+
+	d.arm(frame / 2)
+	st, err := d.c.Upload("note", data)
+	if err != nil {
+		t.Fatalf("upload cut inside the bundle frame: %v", err)
+	}
+	if st.Attempts != 2 || st.DedupHit || st.Version != 1 {
+		t.Fatalf("upload cut inside the bundle frame: %+v, want a first commit on the second attempt", st)
+	}
+
+	data2 := content.Random(3000, 6).Bytes()
+	d.arm(frame + 3) // the request gets through, the reply does not
+	st, err = d.c.Upload("note", data2)
+	if err != nil {
+		t.Fatalf("upload cut inside the bundle reply: %v", err)
+	}
+	if st.Attempts != 2 || !st.DedupHit || st.Version != 3 || st.PayloadBytes != len(data2) {
+		t.Fatalf("upload cut inside the bundle reply: %+v, want the re-send to collapse into a dedup hit at v3", st)
+	}
+	if got, _ := srv.FileContent("alice", "note"); !bytes.Equal(got, data2) {
+		t.Fatal("server content is not what was uploaded")
+	}
+	if ss := srv.Stats(); ss.InlineUploads != 3 {
+		t.Fatalf("%d inline uploads committed, want 3", ss.InlineUploads)
+	}
+
+	wire := d.close(t, "device")
+	if d.led.Get(ledger.Retransmit) < 2*int64(len(data)) {
+		t.Errorf("two bundles were re-sent but only %d bytes are tagged retransmit", d.led.Get(ledger.Retransmit))
+	}
+	ss := srv.Stats()
+	for _, v := range invariant.CheckLedger(ss.BytesReceived+ss.BytesSent, srvLed.Snapshot()) {
+		t.Errorf("server ledger: %v", v)
+	}
+	if got := ss.BytesReceived + ss.BytesSent; got != wire {
+		t.Errorf("server wire total %d, device's %d", got, wire)
 	}
 }

@@ -339,11 +339,13 @@ func TestFlightRecorderCrashDump(t *testing.T) {
 	srv, dial := startServer(t, ServerConfig{StateDir: dir, Flight: fl})
 	c, _ := dial("alice")
 
-	if _, err := c.Upload("safe", bytes.Repeat([]byte("s"), 4096)); err != nil {
+	// Larger than one delta block, so the uploads take the
+	// index/data/commit exchange the assertions below name.
+	if _, err := c.Upload("safe", bytes.Repeat([]byte("s"), 16<<10)); err != nil {
 		t.Fatal(err)
 	}
 	srv.FailStateAt(srv.StateLogBytes() + 3)
-	if _, err := c.Upload("doomed", bytes.Repeat([]byte("d"), 4096)); err == nil {
+	if _, err := c.Upload("doomed", bytes.Repeat([]byte("d"), 16<<10)); err == nil {
 		t.Fatal("upload acknowledged past an armed crash point")
 	}
 	select {

@@ -72,6 +72,7 @@ func (e *Executor) Apply(actions []planner.Action, read func(string) ([]byte, er
 		}
 	}
 	results := make([]Result, len(transfers))
+	ranOn := make([]*syncnet.Client, len(transfers))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for _, w := range e.workers {
@@ -80,6 +81,7 @@ func (e *Executor) Apply(actions []planner.Action, read func(string) ([]byte, er
 			defer wg.Done()
 			for i := range jobs {
 				results[i] = e.run(c, transfers[i], read)
+				ranOn[i] = c
 			}
 		}(w)
 	}
@@ -90,18 +92,21 @@ func (e *Executor) Apply(actions []planner.Action, read func(string) ([]byte, er
 	wg.Wait()
 
 	// Propagate learned identities: a file uploaded by worker 2 must be
-	// deletable by worker 0 in a later round.
+	// deletable by worker 0 in a later round. The worker that ran the
+	// action is left alone — it knows, and priming would make it forget
+	// the signature its delta sync ended on.
 	for i := range results {
 		r := &results[i]
 		if r.Err != nil {
 			continue
 		}
-		for _, w := range e.workers {
-			if id, ok := w.FileID(r.Action.Path); ok {
-				for _, other := range e.workers {
-					other.Prime(r.Action.Path, id, r.Action.Kind != planner.Delete)
-				}
-				break
+		id, ok := ranOn[i].FileID(r.Action.Path)
+		if !ok {
+			continue
+		}
+		for _, other := range e.workers {
+			if other != ranOn[i] {
+				other.Prime(r.Action.Path, id, r.Action.Kind != planner.Delete)
 			}
 		}
 	}

@@ -145,7 +145,10 @@ func TestPipelineLifecycle(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "baseline.json")
 	r := newRig(t, 2, Config{BaselinePath: base})
 
-	r.src.WriteFile("a.txt", []byte("alpha alpha alpha"), 0)
+	// a.txt spans several delta blocks: below one block a modify goes
+	// inline, as b.txt's would.
+	alpha := strings.Repeat("alpha ", 4096)
+	r.src.WriteFile("a.txt", []byte(alpha), 0)
 	r.src.WriteFile("b.txt", []byte("beta beta beta beta"), 0)
 	st := r.step(t, 0)
 	if st.Uploads != 2 || st.Deltas != 0 {
@@ -153,7 +156,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	}
 
 	// Append to a.txt: must go incremental, not full.
-	r.src.WriteFile("a.txt", []byte("alpha alpha alpha + more"), time.Second)
+	r.src.WriteFile("a.txt", []byte(alpha+"+ more"), time.Second)
 	st = r.step(t, time.Second)
 	if st.Deltas != 1 || st.Uploads != 0 {
 		t.Fatalf("modify: %+v, want 1 delta", st)
@@ -166,7 +169,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	}
 
 	snap := r.srv.Snapshot("alice")
-	if f, ok := snap["a.txt"]; !ok || string(f.Data) != "alpha alpha alpha + more" {
+	if f, ok := snap["a.txt"]; !ok || string(f.Data) != alpha+"+ more" {
 		t.Fatalf("server a.txt = %+v", f)
 	}
 	if f, ok := snap["b.txt"]; !ok || !f.Deleted {
@@ -190,7 +193,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	if len(loaded) != 1 {
 		t.Fatalf("baseline = %v, want just a.txt", loaded)
 	}
-	if m := loaded["a.txt"]; m.Size != int64(len("alpha alpha alpha + more")) {
+	if m := loaded["a.txt"]; m.Size != int64(len(alpha+"+ more")) {
 		t.Fatalf("baseline a.txt = %+v", m)
 	}
 }
@@ -199,6 +202,52 @@ func TestPipelineLifecycle(t *testing.T) {
 // generation loading the persisted baseline must recognize unchanged
 // files without re-uploading a byte, and must still be able to delete
 // a file only the previous generation ever uploaded.
+// TestRepeatEditsAcrossWorkers: each worker client remembers the
+// signatures its own delta syncs ended on, and a file's edits land on
+// whichever worker is free. The pool must never pay for a stale memory:
+// a worker told about another's sync forgets its own signature (it
+// falls back to asking), and the worker that did the sync keeps its —
+// so a lone worker sends every repeat edit as a one-round-trip
+// conditional delta, and no pool is ever refused one.
+func TestRepeatEditsAcrossWorkers(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		r := newRig(t, workers, Config{})
+		docs := []string{"a.bin", "b.bin"}
+		data := make([][]byte, len(docs))
+		for i, name := range docs {
+			data[i] = []byte(strings.Repeat(name+" ", 4096))
+			r.src.WriteFile(name, data[i], 0)
+		}
+		r.step(t, 0)
+		const rounds = 6
+		for round := 1; round <= rounds; round++ {
+			now := time.Duration(round) * time.Second
+			for i, name := range docs {
+				data[i] = append([]byte(nil), data[i]...)
+				data[i][100*round] ^= 0xFF
+				r.src.WriteFile(name, data[i], now)
+			}
+			if st := r.step(t, now); st.Deltas != len(docs) {
+				t.Fatalf("%d workers, round %d: %+v, want %d deltas", workers, round, st, len(docs))
+			}
+		}
+		ss := r.srv.Stats()
+		if ss.CondDeltaConflicts != 0 {
+			t.Errorf("%d workers: %d conditional deltas refused inside one executor", workers, ss.CondDeltaConflicts)
+		}
+		if want := int64(len(docs) * (rounds - 1)); workers == 1 && ss.CondDeltas != want {
+			t.Errorf("lone worker sent %d conditional deltas, want %d (every edit after a file's first)", ss.CondDeltas, want)
+		}
+		snap := r.srv.Snapshot("alice")
+		for i, name := range docs {
+			if string(snap[name].Data) != string(data[i]) {
+				t.Errorf("%d workers: %s diverged", workers, name)
+			}
+		}
+		r.close()
+	}
+}
+
 func TestPipelineRestartResumes(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "baseline.json")
 	r := newRig(t, 1, Config{BaselinePath: base})
