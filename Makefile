@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-obs bench-core bench-scale bench-diff bench-kernel-diff bench-load bench-load-diff bench-e2e bench-build tuebench
+.PHONY: check build vet test race bench bench-obs bench-core bench-scale bench-kernel-diff bench-load bench-e2e bench-build tuebench
 
 # check is the full gate: compile everything, vet, and run the test
 # suite under the race detector (the experiment layer is concurrent).
@@ -65,14 +65,6 @@ bench-scale:
 		| $(GO) run ./internal/obs/benchjson -raw > BENCH_scale.json
 	cat BENCH_scale.json
 
-# bench-diff re-measures the core benchmarks and diffs their allocation
-# counts against the committed BENCH_core.json baseline. Exit 1 on a
-# regression beyond the tolerance; CI runs this warn-only.
-bench-diff:
-	{ $(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ; $(KERNEL_BENCH) ; } \
-		| $(GO) run ./internal/obs/benchjson -raw > /tmp/bench_core_new.json
-	$(GO) run ./internal/obs/benchjson -compare BENCH_core.json /tmp/bench_core_new.json -tolerance-pct 10
-
 # bench-kernel-diff is the failing CI gate on the data-plane kernels:
 # re-measure only the chunker/delta benchmarks and diff allocation
 # counts (tight, machine-independent) and MB/s throughput (loose —
@@ -88,29 +80,20 @@ bench-kernel-diff:
 
 # bench-load records the live-sync throughput baseline: syncload drives
 # open-loop arrivals of small-file batches against an in-process syncd
-# over real TCP in all three modes (lockstep, pipelined, bundle) at a
-# rate past lockstep saturation, verifying ledger exactness as it goes,
-# and writes sustained req/s, latency quantiles, and peak RSS per mode
-# into BENCH_load.json. The headline is the shape, which follows the
+# over real TCP in both modes (lockstep, bundle) at a rate past lockstep
+# saturation, verifying ledger exactness as it goes, and writes
+# sustained req/s, latency quantiles, and peak RSS per mode into
+# BENCH_load.json. The headline is the shape, which follows the
 # exchanges per file: these files fit one delta block, so lockstep
-# Upload sends each inline (one exchange per file) and now outruns
-# pipelined, which still windows the two-exchange index/data/commit
-# protocol; bundle (one exchange per batch) must carry the whole offered
-# rate without shedding, at a fraction of lockstep's p50 and p99.
+# Upload sends each inline (one exchange per file) and sheds what it
+# cannot carry; bundle (one exchange per batch) must carry the whole
+# offered rate without shedding, at a fraction of lockstep's p50 and p99.
 SYNCLOAD_ARGS = -accounts 256 -rate 8000 -duration 4s -batch 8 \
 	-max-size 4096 -seed 1 -check -quiet
 
 bench-load:
 	$(GO) run ./cmd/syncload $(SYNCLOAD_ARGS) -json BENCH_load.json
 	cat BENCH_load.json
-
-# bench-load-diff re-runs the load scenario and diffs it against the
-# committed BENCH_load.json: a sustained-throughput drop or p99 growth
-# beyond the tolerance fails. Load numbers are noisier than allocation
-# counts, hence the loose tolerance; CI runs this warn-only.
-bench-load-diff:
-	$(GO) run ./cmd/syncload $(SYNCLOAD_ARGS) -json /tmp/bench_load_new.json
-	$(GO) run ./internal/obs/benchjson -compare BENCH_load.json /tmp/bench_load_new.json -tolerance-pct 30
 
 # bench-e2e runs the repo's one closed-loop benchmark (BENCHMARK.json):
 # every named workload, end-to-end metrics checked for correctness,

@@ -53,10 +53,8 @@ func main() {
 		compress  = flag.Bool("compress", true, "compress content on the wire and at rest")
 		crossUser = flag.Bool("cross-user-dedup", false, "share the dedup index across accounts")
 		blockSize = flag.Int("block-size", 0, "delta-sync granularity in bytes (0 = default 8 KiB)")
-		inflight  = flag.Int("max-inflight", 0,
-			"requests read ahead per connection for pipelined clients (0 = default, 1 ≈ lockstep)")
-		quiet    = flag.Bool("quiet", false, "suppress per-request logging")
-		stateDir = flag.String("state-dir", "",
+		quiet     = flag.Bool("quiet", false, "suppress per-request logging")
+		stateDir  = flag.String("state-dir", "",
 			"durable state directory: replay on start, group-commit before every ACK (empty = in-RAM)")
 
 		faultBytes = flag.Int64("fault-drop-bytes", 0,
@@ -79,7 +77,6 @@ func main() {
 	cfg := syncnet.ServerConfig{
 		BlockSize:      *blockSize,
 		CrossUserDedup: *crossUser,
-		MaxInflight:    *inflight,
 		StateDir:       *stateDir,
 	}
 	if *compress {

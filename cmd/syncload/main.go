@@ -14,11 +14,10 @@
 // let one-round-trip-per-file pacing hide behind slower offered load.
 //
 // Each account uploads batches of small files with sizes drawn from
-// the paper-calibrated trace (internal/trace), in one of three modes:
+// the paper-calibrated trace (internal/trace), in one of two modes:
 //
-//	lockstep:  one Upload per file, each stalling on its replies
-//	pipelined: UploadPipelined, a window of exchanges in flight
-//	bundle:    UploadBundle, the whole batch in one framed exchange
+//	lockstep: one Upload per file, each stalling on its reply
+//	bundle:   UploadBundle, the whole batch in one framed exchange
 //
 // Without -addr it hosts the server in-process on a loopback TCP
 // listener; -check then also verifies the traffic-attribution ledgers
@@ -40,8 +39,8 @@
 // for visibility; the per-operation client tracers are reset after
 // every operation.
 //
-// Output is a benchjson raw report (one entry per mode) suitable for
-// `benchjson -compare` gating: make bench-load writes BENCH_load.json.
+// Output is a report in benchjson's -raw schema (one entry per mode):
+// make bench-load writes BENCH_load.json.
 package main
 
 import (
@@ -70,22 +69,20 @@ func main() {
 }
 
 type config struct {
-	addr        string
-	accounts    int
-	rate        float64
-	duration    time.Duration
-	modes       []string
-	batch       int
-	window      int
-	maxInflight int
-	maxSize     int64
-	seed        int64
-	jsonPath    string
-	check       bool
-	quiet       bool
-	stateDir    string
-	traceOut    string
-	traceTop    int
+	addr     string
+	accounts int
+	rate     float64
+	duration time.Duration
+	modes    []string
+	batch    int
+	maxSize  int64
+	seed     int64
+	jsonPath string
+	check    bool
+	quiet    bool
+	stateDir string
+	traceOut string
+	traceTop int
 }
 
 func run() int {
@@ -95,10 +92,8 @@ func run() int {
 	flag.IntVar(&cfg.accounts, "accounts", 1000, "concurrent accounts, one connection each")
 	flag.Float64Var(&cfg.rate, "rate", 2000, "offered arrival rate in operations/second (one operation = one batch)")
 	flag.DurationVar(&cfg.duration, "duration", 5*time.Second, "arrival window per mode")
-	flag.StringVar(&modes, "modes", "lockstep,pipelined,bundle", "comma-separated modes to run: lockstep, pipelined, bundle")
+	flag.StringVar(&modes, "modes", "lockstep,bundle", "comma-separated modes to run: lockstep, bundle")
 	flag.IntVar(&cfg.batch, "batch", 8, "files per operation")
-	flag.IntVar(&cfg.window, "window", 16, "pipelined mode: requests in flight per connection")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "in-process server read-ahead per connection (0 = default)")
 	flag.Int64Var(&cfg.maxSize, "max-size", 32<<10, "cap on trace-derived file sizes in bytes")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for trace sizes and file content")
 	flag.StringVar(&cfg.jsonPath, "json", "", "write the benchjson raw report here (empty = stdout)")
@@ -112,7 +107,7 @@ func run() int {
 	for _, m := range strings.Split(modes, ",") {
 		m = strings.TrimSpace(m)
 		switch m {
-		case "lockstep", "pipelined", "bundle":
+		case "lockstep", "bundle":
 			cfg.modes = append(cfg.modes, m)
 		case "":
 		default:
@@ -146,7 +141,7 @@ func run() int {
 	var traceDumps []obs.TraceDump
 	var traceKept int
 	for _, mode := range cfg.modes {
-		res, col, err := runMode(cfg, mode, sizes)
+		res, col, err := runMode(cfg, mode, sizes, obs.NewRegistry())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "syncload: mode %s: %v\n", mode, err)
 			return 1
@@ -195,8 +190,8 @@ func run() int {
 	return 0
 }
 
-// rawReport mirrors benchjson's -raw schema so bench-load output plugs
-// straight into `benchjson -compare`.
+// rawReport mirrors benchjson's -raw schema, so BENCH_load.json reads
+// like the other committed baselines.
 type rawReport struct {
 	Note       string     `json:"note"`
 	Benchmarks []rawEntry `json:"benchmarks"`
@@ -239,9 +234,11 @@ type account struct {
 	tracer *obs.Tracer
 }
 
-func runMode(cfg config, mode string, sizes []int64) (rawEntry, *traceCollector, error) {
+// runMode drives one mode's arrival window, registering the server's,
+// the clients' and its own instruments on reg (a fresh registry per
+// mode, so the phase quantiles are that mode's alone).
+func runMode(cfg config, mode string, sizes []int64, reg *obs.Registry) (rawEntry, *traceCollector, error) {
 	resetPeakRSS()
-	reg := obs.NewRegistry()
 	var col *traceCollector
 	var srvTracer *obs.Tracer
 	if cfg.traceOut != "" {
@@ -258,7 +255,6 @@ func runMode(cfg config, mode string, sizes []int64) (rawEntry, *traceCollector,
 		}
 		scfg := syncnet.ServerConfig{
 			Compression: comp.None,
-			MaxInflight: cfg.maxInflight,
 			Ledger:      srvLedger,
 			Metrics:     reg,
 			Tracer:      srvTracer,
@@ -337,8 +333,6 @@ func runMode(cfg config, mode string, sizes []int64) (rawEntry, *traceCollector,
 							break
 						}
 					}
-				case "pipelined":
-					_, err = a.client.UploadPipelined(batch, cfg.window)
 				case "bundle":
 					_, err = a.client.UploadBundle(batch)
 				}
@@ -411,14 +405,14 @@ func runMode(cfg config, mode string, sizes []int64) (rawEntry, *traceCollector,
 		Name:    "SyncLoad/mode=" + mode,
 		NsPerOp: meanNs(latencyUS),
 		Extra: map[string]float64{
-			"reqs-per-sec": float64(files.Load()) / elapsed.Seconds(),
-			"ops-per-sec":  float64(latencyUS.Count()) / elapsed.Seconds(),
-			"ops":          float64(latencyUS.Count()),
-			"p50-us":       float64(latencyUS.Quantile(0.50)),
-			"p99-us":       float64(latencyUS.Quantile(0.99)),
-			"p999-us":      float64(latencyUS.Quantile(0.999)),
-			"dropped-ops":  float64(dropped.Load()),
-			"failed-ops":   float64(failedOps.Load()),
+			"reqs-per-sec":   float64(files.Load()) / elapsed.Seconds(),
+			"ops-per-sec":    float64(latencyUS.Count()) / elapsed.Seconds(),
+			"ops":            float64(latencyUS.Count()),
+			"p50-us":         float64(latencyUS.Quantile(0.50)),
+			"p99-us":         float64(latencyUS.Quantile(0.99)),
+			"p999-us":        float64(latencyUS.Quantile(0.999)),
+			"dropped-ops":    float64(dropped.Load()),
+			"failed-ops":     float64(failedOps.Load()),
 			"peak-rss-bytes": float64(readPeakRSS()),
 		},
 	}

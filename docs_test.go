@@ -1,20 +1,28 @@
 package cloudsync_test
 
 // Documentation gates: every Go package carries a package-level doc
-// comment, every relative link in the Markdown tree resolves, and
-// every Makefile target is documented in the README. These run in the
-// ordinary test suite (and as CI's docs step) so the docs cannot drift
-// silently the way they did before docs/ARCHITECTURE.md existed.
+// comment, every relative link in the Markdown tree resolves, every
+// Makefile target is documented in the README, and the metric and span
+// catalogue of docs/OBSERVABILITY.md names exactly what the live path
+// registers and emits. These run in the ordinary test suite (and as
+// CI's docs step) so the docs cannot drift silently the way they did
+// before docs/ARCHITECTURE.md existed.
 
 import (
+	"bytes"
 	"go/parser"
 	"go/token"
+	"net"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"cloudsync/internal/content"
+	"cloudsync/internal/obs"
+	"cloudsync/internal/syncnet"
 )
 
 // goPackageDirs returns every directory in the repository that holds
@@ -150,4 +158,159 @@ func TestMakefileTargetsDocumented(t *testing.T) {
 	if targets < 5 {
 		t.Fatalf("only %d Makefile targets parsed; regexp broken?", targets)
 	}
+}
+
+var (
+	docToken     = regexp.MustCompile("`([^`]+)`")
+	metricName   = regexp.MustCompile(`^(syncd|syncnet)_[a-z0-9_]+$`)
+	liveSpanName = regexp.MustCompile(`^(client|server)\.[a-z_.-]+$`)
+	promTypeLine = regexp.MustCompile(`(?m)^# TYPE (\S+) `)
+)
+
+// tableTokens returns the back-ticked tokens matching want in the
+// Markdown table rows of doc.
+func tableTokens(doc string, want *regexp.Regexp) map[string]bool {
+	out := make(map[string]bool)
+	for _, line := range strings.Split(doc, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, m := range docToken.FindAllStringSubmatch(line, -1) {
+			if want.MatchString(m[1]) {
+				out[m[1]] = true
+			}
+		}
+	}
+	return out
+}
+
+// section returns the part of doc under the given heading line, up to
+// the next heading.
+func section(t *testing.T, doc, heading string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(doc, "\n"+heading)
+	if !ok {
+		t.Fatalf("docs/OBSERVABILITY.md has no %q section", heading)
+	}
+	body, _, _ := strings.Cut(rest, "\n#")
+	return body
+}
+
+// diffSets reports, as test errors, what the code has that the
+// catalogue lacks and the reverse.
+func diffSets(t *testing.T, what string, code, doc map[string]bool) {
+	t.Helper()
+	for name := range code {
+		if !doc[name] {
+			t.Errorf("%s %s is not in the docs/OBSERVABILITY.md catalogue", what, name)
+		}
+	}
+	for name := range doc {
+		if !code[name] {
+			t.Errorf("docs/OBSERVABILITY.md catalogues %s %s, which the live path never produced", what, name)
+		}
+	}
+	if len(code) < 5 {
+		t.Fatalf("only %d %ss observed; harness broken?", len(code), what)
+	}
+}
+
+// TestObservabilityCatalogue drives every live upload shape, a resumed
+// retry, and List/Download/Delete through a durable server with a
+// registry and a tracer on both ends, then requires the syncd_* and
+// syncnet_* metric names registered, and the client.* and server.* span
+// names emitted, to equal the ones the tables of docs/OBSERVABILITY.md
+// name — in both directions. (syncload's own instruments are held to
+// the same tables by cmd/syncload's TestSyncloadMetricsDocumented.)
+func TestObservabilityCatalogue(t *testing.T) {
+	reg := obs.NewRegistry()
+	srvTr, cliTr := obs.NewTracer(), obs.NewTracer()
+	srv, err := syncnet.OpenServer(syncnet.ServerConfig{StateDir: t.TempDir(), Metrics: reg, Tracer: srvTr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+
+	// One cut, inside the first large upload, so the retry asks to resume.
+	faults := syncnet.NewFaultScheduler(syncnet.FaultPlan{Seed: 1, MeanDropBytes: 160 << 10, MaxDrops: 1})
+	faults.SetMetrics(reg)
+	dial := func() (net.Conn, error) {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			return nil, err
+		}
+		return faults.Wrap(conn), nil
+	}
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := syncnet.NewClient(conn, "alice", "docs",
+		syncnet.WithTracer(cliTr), syncnet.WithClientMetrics(reg),
+		syncnet.WithDialer(dial), syncnet.WithRetry(syncnet.RetryPolicy{MaxAttempts: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := content.Random(512<<10, 1).Bytes()
+	edited := append([]byte(nil), big...)
+	edited[100<<10] ^= 0xFF
+	small := big[:1024]
+	must := func(step string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	st, err := c.Upload("big", big) // full upload, cut and resumed
+	must("full upload", err)
+	if st.Attempts < 2 {
+		t.Fatalf("full upload took %d attempt(s); the fault never fired", st.Attempts)
+	}
+	_, err = c.Upload("big", edited) // delta sync
+	must("delta upload", err)
+	_, err = c.Upload("small", small) // inline
+	must("inline upload", err)
+	_, err = c.UploadBundle([]syncnet.FileUpload{{Name: "b0", Data: big[:2048]}, {Name: "b1", Data: big[2048:4096]}})
+	must("bundle", err)
+	_, err = c.List()
+	must("list", err)
+	got, err := c.Download("big")
+	must("download", err)
+	if !bytes.Equal(got, edited) {
+		t.Fatal("downloaded content differs from what was uploaded")
+	}
+	must("delete", c.Delete("small"))
+	must("client close", c.Close())
+	must("server close", srv.Close())
+
+	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+
+	var prom bytes.Buffer
+	must("metrics export", reg.WritePrometheus(&prom))
+	metrics := make(map[string]bool)
+	for _, m := range promTypeLine.FindAllStringSubmatch(prom.String(), -1) {
+		metrics[m[1]] = true
+	}
+	diffSets(t, "metric", metrics, tableTokens(doc, metricName))
+
+	spans := make(map[string]bool)
+	for _, tr := range []*obs.Tracer{cliTr, srvTr} {
+		for _, sp := range tr.Spans() {
+			spans[sp.Name] = true
+		}
+	}
+	documented := tableTokens(section(t, doc, "### Live client"), liveSpanName)
+	for name := range tableTokens(section(t, doc, "### Live server"), liveSpanName) {
+		documented[name] = true
+	}
+	diffSets(t, "span", spans, documented)
 }

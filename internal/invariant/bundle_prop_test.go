@@ -15,7 +15,7 @@ import (
 // batchPlan is one generated batched-upload round: which path carries
 // it and the files it commits.
 type batchPlan struct {
-	bundle bool // UploadBundle vs UploadPipelined
+	bundle bool // one UploadBundle vs a lockstep Upload per file
 	files  []syncnet.FileUpload
 }
 
@@ -50,12 +50,13 @@ func genBatches(seed uint64) []batchPlan {
 
 // runBundlePipe replays a seeded batched-session against a fresh server
 // over net.Pipe under the seed's fault schedule: every batch goes
-// through UploadBundle or UploadPipelined (window 1 — net.Pipe cannot
-// absorb outstanding replies), every file is downloaded back at the
-// end, and the run must satisfy the full invariant set — server state
-// converged to the tracker's view (which hashes content, so MD5
-// convergence is implied by byte equality), exact wire balance, and
-// exact per-byte ledger attribution on both sides.
+// through UploadBundle or, file by file, through Upload (every file
+// fits a delta block, so each rides inline — bundle and inline writes
+// of the same names interleave under cuts), every file is downloaded
+// back at the end, and the run must satisfy the full invariant set —
+// server state converged to the tracker's view (which hashes content,
+// so MD5 convergence is implied by byte equality), exact wire balance,
+// and exact per-byte ledger attribution on both sides.
 func runBundlePipe(seed uint64, plans []batchPlan) []invariant.Violation {
 	clientLed := &ledger.Ledger{}
 	serverLed := &ledger.Ledger{}
@@ -98,7 +99,12 @@ func runBundlePipe(seed uint64, plans []batchPlan) []invariant.Violation {
 		if plan.bundle {
 			stats, err = c.UploadBundle(plan.files)
 		} else {
-			stats, err = c.UploadPipelined(plan.files, 1)
+			stats = make([]syncnet.UploadStats, len(plan.files))
+			for i, f := range plan.files {
+				if stats[i], err = c.Upload(f.Name, f.Data); err != nil {
+					break
+				}
+			}
 		}
 		if err != nil {
 			c.Close()
@@ -136,8 +142,8 @@ func runBundlePipe(seed uint64, plans []batchPlan) []invariant.Violation {
 
 // TestSyncnetBundleInvariants is the batched-path acceptance property:
 // 120 seeded fault schedules × seeded batch sequences, bundle and
-// pipelined uploads interleaved, checked for convergence and exact
-// per-byte attribution on a synchronous transport.
+// lockstep inline uploads interleaved, checked for convergence and
+// exact per-byte attribution on a synchronous transport.
 func TestSyncnetBundleInvariants(t *testing.T) {
 	for seed := uint64(0); seed < 120; seed++ {
 		plans := genBatches(seed)

@@ -15,11 +15,7 @@
 // benchmark present in both is checked for allocs/op and ns/op
 // regressions beyond -tolerance-pct (allocations are the tracked
 // budget, so the default tolerance for them is tight; ns/op is
-// machine-dependent and only reported). Entries carrying a
-// "reqs-per-sec" extra (the syncload raw reports in BENCH_load.json)
-// are load results, not micro-benchmarks, and are gated on what a load
-// test promises instead: a sustained-throughput drop or a p99-us growth
-// beyond the tolerance is the regression. Exit codes follow the tuediff
+// machine-dependent and only reported). Exit codes follow the tuediff
 // convention: 0 = within tolerance, 1 = regression or benchmark-set
 // drift, 2 = usage or I/O error.
 //
@@ -40,8 +36,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"cloudsync/internal/obs"
 )
 
 // result is one parsed benchmark line.
@@ -203,10 +197,8 @@ func main() {
 // runCompare diffs two -raw reports. allocs/op is the enforced budget:
 // a benchmark whose allocation count grew more than tolerancePct over
 // the old report is a regression. ns/op changes and allocation
-// improvements are reported but never fail. Load-generator entries
-// (extra["reqs-per-sec"] set on both sides) are gated by compareLoad on
-// throughput and tail latency instead; kernel entries (a "mb-per-sec"
-// extra from SetBytes on both sides) are additionally gated on
+// improvements are reported but never fail. Kernel entries (a
+// "mb-per-sec" extra from SetBytes on both sides) are additionally gated on
 // throughput with the looser thrTolerancePct, since absolute MB/s moves
 // with the machine but a kernel falling to a fraction of its baseline
 // is an algorithmic regression on any hardware. A non-empty filter
@@ -298,14 +290,6 @@ func runCompare(args []string, tolerancePct, thrTolerancePct float64, filter str
 			exit = 1
 			continue
 		}
-		if o.Extra["reqs-per-sec"] > 0 && n.Extra["reqs-per-sec"] > 0 {
-			// A load-generator entry (syncload raw report): the budget is
-			// sustained throughput and tail latency, not allocations.
-			if compareLoad(name, o, n, tolerancePct) != 0 {
-				exit = 1
-			}
-			continue
-		}
 		if o.Extra["mb-per-sec"] > 0 && n.Extra["mb-per-sec"] > 0 {
 			// A data-plane kernel with SetBytes throughput: gate the MB/s
 			// drop (loosely — absolute throughput is machine-dependent,
@@ -358,57 +342,6 @@ func runCompare(args []string, tolerancePct, thrTolerancePct float64, filter str
 	for _, name := range newNames {
 		fmt.Printf("DRIFT   %-40s new benchmark, not in %s\n", name, args[0])
 		exit = 1
-	}
-	return exit
-}
-
-// compareLoad gates one load-generator benchmark pair: entries whose
-// extra map carries "reqs-per-sec" (and usually "p99-us") are judged on
-// what a load test actually promises — sustained throughput must not
-// drop, and tail latency must not grow, beyond the tolerance.
-// Improvements and in-tolerance movement are reported but never fail.
-// Returns 0 if within tolerance, 1 on regression.
-func compareLoad(name string, o, n rawEntry, tolerancePct float64) int {
-	exit := 0
-	oldRPS, newRPS := o.Extra["reqs-per-sec"], n.Extra["reqs-per-sec"]
-	dropPct := (oldRPS - newRPS) / oldRPS * 100
-	switch {
-	case dropPct > tolerancePct:
-		fmt.Printf("REGRESS %-40s reqs/s %.0f → %.0f (-%.1f%% > %.1f%%)\n",
-			name, oldRPS, newRPS, dropPct, tolerancePct)
-		exit = 1
-	case dropPct < 0:
-		fmt.Printf("improve %-40s reqs/s %.0f → %.0f (+%.1f%%)\n",
-			name, oldRPS, newRPS, -dropPct)
-	default:
-		fmt.Printf("ok      %-40s reqs/s %.0f → %.0f (-%.1f%%)\n",
-			name, oldRPS, newRPS, dropPct)
-	}
-	oldP99, newP99 := o.Extra["p99-us"], n.Extra["p99-us"]
-	if oldP99 > 0 && newP99 > 0 {
-		// The obs histogram's power-of-two buckets bound quantile
-		// resolution to roughly one bucket step (2×): a true p99 sitting
-		// near a bucket boundary can legitimately report from either
-		// side. Gating tighter than a bucket step would flag instrument
-		// noise, so the p99 tolerance is floored at the histogram's own
-		// resolution contract (obs.QuantileStepTolerancePct).
-		p99Tol := tolerancePct
-		if p99Tol < obs.QuantileStepTolerancePct {
-			p99Tol = obs.QuantileStepTolerancePct
-		}
-		growPct := (newP99 - oldP99) / oldP99 * 100
-		switch {
-		case growPct > p99Tol:
-			fmt.Printf("REGRESS %-40s p99 %.0fus → %.0fus (%+.1f%% > %.1f%%)\n",
-				name, oldP99, newP99, growPct, p99Tol)
-			exit = 1
-		case growPct < 0:
-			fmt.Printf("improve %-40s p99 %.0fus → %.0fus (%.1f%%)\n",
-				name, oldP99, newP99, growPct)
-		default:
-			fmt.Printf("ok      %-40s p99 %.0fus → %.0fus (%+.1f%%)\n",
-				name, oldP99, newP99, growPct)
-		}
 	}
 	return exit
 }

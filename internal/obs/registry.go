@@ -132,8 +132,7 @@ func (h *Histogram) Sum() int64 {
 // representable answers inside one power-of-two bucket can differ by
 // up to the bucket's full width, i.e. up to 2×. Comparisons of
 // quantiles — regression gates, phase decompositions, bench diffs —
-// must therefore never use a tolerance tighter than this; the
-// bench-load diff floor in cmd (obs/benchjson) is built on it.
+// must therefore never use a tolerance tighter than this.
 const QuantileStepTolerancePct = 125
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed values

@@ -57,7 +57,7 @@ type Client struct {
 	// Pooled live-path scratch: enc frames outgoing messages, readBuf
 	// absorbs incoming ones (both from the wire frame pool, returned on
 	// Close), segs is the reusable ledger-segment layout, and digest is
-	// the MD5 state the batched upload paths reuse across files.
+	// the MD5 state UploadBundle reuses across a batch's files.
 	enc     []byte
 	readBuf []byte
 	segs    []causeSeg
@@ -88,16 +88,13 @@ type Client struct {
 	ledger  *ledger.Ledger
 	charged int64
 	attempt int // current retry attempt (1-based; 0 during Hello)
-	// txHigh / rxHigh track, per file, the highest payload offset sent
-	// or received this operation — per file, because a pipelined batch
-	// has several files' Data pieces interleaved in one operation and
-	// each file's re-sends must be attributed independently. Send-side
-	// marks are keyed by the file's position in the operation (0 for
-	// single-file ops), not by wire fileID: a retry that restarts after
-	// the server lost its stash gets a fresh fileID, yet its re-sent
-	// ranges are still retransmits of the same file.
-	txHigh map[uint64]int64
-	rxHigh map[uint64]int64
+	// txHigh / rxHigh are the highest payload offsets sent and received
+	// this operation: an operation streams Data pieces for one file only,
+	// so one mark per direction tells a re-sent range from a fresh one.
+	// They follow the operation, not the wire fileID: a retry that
+	// restarts after the server lost its stash gets a fresh fileID, yet
+	// its re-sent ranges are still retransmits of the same file.
+	txHigh, rxHigh int64
 }
 
 // WireTotals reports the bytes this client has read from and written to
@@ -235,8 +232,6 @@ func NewClient(conn net.Conn, user, device string, opts ...ClientOption) (*Clien
 		known:   make(map[string]bool),
 		enc:     wire.GetFrame(256),
 		readBuf: wire.GetFrame(1024),
-		txHigh:  make(map[uint64]int64),
-		rxHigh:  make(map[uint64]int64),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -305,14 +300,12 @@ func (c *Client) sendOn(conn net.Conn, m protocol.Message) error {
 // frame header and body prefix come from the pooled scratch, the
 // payload slice goes to the connection directly — content is never
 // copied into a frame buffer, and on connections that support
-// net.Buffers both land in a single writev. key identifies the file
-// within the current operation for retransmit attribution (0 for
-// single-file operations, the batch position for pipelined ones).
-func (c *Client) sendData(key, fileID uint64, offset int64, payload []byte) error {
+// net.Buffers both land in a single writev.
+func (c *Client) sendData(fileID uint64, offset int64, payload []byte) error {
 	hdr := protocol.AppendDataHeader(c.enc[:0], fileID, offset, len(payload))
 	c.enc = hdr[:0]
 	n, err := writeVectored(c.conn, hdr, payload)
-	c.chargeDataWrite(key, offset, int64(len(payload)), int64(len(hdr)+len(payload)), n)
+	c.chargeDataWrite(offset, int64(len(payload)), int64(len(hdr)+len(payload)), n)
 	if err != nil {
 		return fmt.Errorf("syncnet: sending data: %w", err)
 	}
@@ -342,7 +335,7 @@ func (c *Client) chargeWrite(m protocol.Message, total, n int64) {
 	}
 	segs := messageSegments(c.segs[:0], m, total)
 	if d, ok := m.(*protocol.Data); ok {
-		segs = splitDataByHighWater(segs, d.Offset, int64(len(d.Payload)), c.txHigh, 0)
+		segs = splitDataByHighWater(segs, d.Offset, int64(len(d.Payload)), &c.txHigh)
 	} else if c.attempt > 1 {
 		segs = retagRetransmit(segs)
 	}
@@ -352,12 +345,12 @@ func (c *Client) chargeWrite(m protocol.Message, total, n int64) {
 
 // chargeDataWrite is chargeWrite for the vectored Data path, which
 // never materializes a protocol.Data value.
-func (c *Client) chargeDataWrite(key uint64, offset, payloadLen, total, n int64) {
+func (c *Client) chargeDataWrite(offset, payloadLen, total, n int64) {
 	if c.ledger == nil {
 		return
 	}
 	segs := appendDataSegments(c.segs[:0], total, payloadLen)
-	segs = splitDataByHighWater(segs, offset, payloadLen, c.txHigh, key)
+	segs = splitDataByHighWater(segs, offset, payloadLen, &c.txHigh)
 	c.charged += chargeSegs(c.ledger, segs, n)
 	c.segs = segs[:0]
 }
@@ -371,7 +364,7 @@ func (c *Client) chargeRead(m protocol.Message, consumed int64) {
 	}
 	segs := messageSegments(c.segs[:0], m, consumed)
 	if d, ok := m.(*protocol.Data); ok {
-		segs = splitDataByHighWater(segs, d.Offset, int64(len(d.Payload)), c.rxHigh, 0)
+		segs = splitDataByHighWater(segs, d.Offset, int64(len(d.Payload)), &c.rxHigh)
 	}
 	c.charged += chargeSegs(c.ledger, segs, consumed)
 	c.segs = segs[:0]
@@ -488,7 +481,6 @@ func (c *Client) inlineLimit() int {
 func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStats, error) {
 	sp := c.parent().Child("client.inline_upload")
 	defer sp.End()
-	c.sigs.drop(name) // whole new content: nothing to carry over
 	entries := []protocol.BundleEntry{{
 		Name: name, Size: int64(len(data)), FileHash: md5.Sum(data),
 		Payload: comp.Compress(data, c.compression),
@@ -560,7 +552,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 			if end > len(payload) {
 				end = len(payload)
 			}
-			if err := c.sendData(0, fileID, int64(off), payload[off:end]); err != nil {
+			if err := c.sendData(fileID, int64(off), payload[off:end]); err != nil {
 				return stats, err
 			}
 		}

@@ -107,12 +107,10 @@ func (c *Client) withRetry(op func(attempt int) error) error {
 	if attempts < 1 || c.dialer == nil {
 		attempts = 1
 	}
-	// Fresh per-operation ledger state: per-file payload high-water
-	// marks track what this operation has already put on (or pulled
-	// off) the wire, so only genuine re-sends are charged as
-	// retransmits.
-	clear(c.txHigh)
-	clear(c.rxHigh)
+	// Fresh per-operation ledger state: the payload high-water marks
+	// track what this operation has already put on (or pulled off) the
+	// wire, so only genuine re-sends are charged as retransmits.
+	c.txHigh, c.rxHigh = 0, 0
 	var err error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		c.attempt = attempt // lets the ledger tag re-sent bytes as retransmits

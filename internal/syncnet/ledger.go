@@ -178,27 +178,25 @@ func retagRetransmit(segs []causeSeg) []causeSeg {
 }
 
 // splitDataByHighWater replaces the payload segment of a Data piece
-// with a retransmit/payload split against the file's high-water mark
-// for this operation (the highest payload offset already sent or
-// received), and advances the mark. Fresh bytes stay payload; bytes at
-// offsets covered before are retransmits. Marks are kept per fileID so
-// a pipelined batch with several files in flight attributes each file's
-// re-sends independently.
+// with a retransmit/payload split against the operation's high-water
+// mark (the highest payload offset already sent or received), and
+// advances the mark. Fresh bytes stay payload; bytes at offsets covered
+// before are retransmits.
 //
 // The rewrite reuses segs' backing array (out grows at most one element
 // past the read cursor), which is safe because the payload segment is
 // always the layout's last.
-func splitDataByHighWater(segs []causeSeg, offset, length int64, highs map[uint64]int64, fileID uint64) []causeSeg {
+func splitDataByHighWater(segs []causeSeg, offset, length int64, high *int64) []causeSeg {
 	hi := offset + length
-	resent := highs[fileID] - offset
+	resent := *high - offset
 	if resent < 0 {
 		resent = 0
 	}
 	if resent > length {
 		resent = length
 	}
-	if hi > highs[fileID] {
-		highs[fileID] = hi
+	if hi > *high {
+		*high = hi
 	}
 	if resent == 0 {
 		return segs

@@ -87,7 +87,7 @@ func newServerObs(reg *obs.Registry) serverObs {
 		sessionTUEMilli: reg.Histogram("syncd_session_tue_milli", "Per-session TUE x1000: wire bytes received / content bytes committed, for sessions that committed content."),
 		requestUS:       reg.Histogram("syncd_request_duration_us", "Per-request handling time in microseconds."),
 
-		inboundWaitUS: reg.Histogram("syncd_inbound_queue_wait_us", "Microseconds a fully read request waited in the connection's inbound queue before dispatch (MaxInflight backpressure)."),
+		inboundWaitUS: reg.Histogram("syncd_inbound_queue_wait_us", "Microseconds a fully read request waited in the connection's inbound queue before dispatch (read-ahead backpressure)."),
 		applyUS:       reg.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
 	}
 }

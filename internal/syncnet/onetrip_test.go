@@ -19,10 +19,11 @@ import (
 // the WithClientMetrics reply-wait histogram: one for a file that fits
 // a delta block (new name or known), two for a larger new file (dedup
 // probe, then content), two for the first modify of a known large file
-// (signature, then delta), one for every repeat modify, and three when
-// another device committed in between (refusal, signature, delta) —
-// with the right content on the server every time and exact ledgers on
-// both sides.
+// (signature, then delta), one for every repeat modify, two again once
+// this client replaced the file whole through a bundle (the remembered
+// signature went with the old content), and three when another device
+// committed in between (refusal, signature, delta) — with the right
+// content on the server every time and exact ledgers on both sides.
 func TestUploadRoundTripBudget(t *testing.T) {
 	srvLed := &ledger.Ledger{}
 	srv, dial := startServer(t, ServerConfig{Ledger: srvLed})
@@ -78,6 +79,16 @@ func TestUploadRoundTripBudget(t *testing.T) {
 		upload("repeat modify", "big", big, 1, true)
 	}
 
+	// A replaces the file whole through a bundle: what it remembered
+	// describes content that is gone, so the next modify asks for a
+	// signature instead of guessing a version the server must refuse.
+	big = content.Random(1<<20, 4).Bytes()
+	if _, err := a.UploadBundle([]FileUpload{{Name: "big", Data: big}, {Name: "rider", Data: small}}); err != nil {
+		t.Fatalf("bundle replacing a delta-synced file: %v", err)
+	}
+	big = edit(big, 400<<10)
+	upload("modify after a bundle replaced the file", "big", big, 2, true)
+
 	// Another device moves the file: A's remembered version is stale.
 	if _, err := b.Download("big"); err != nil {
 		t.Fatal(err)
@@ -88,8 +99,8 @@ func TestUploadRoundTripBudget(t *testing.T) {
 	}
 	big = edit(big, 50<<10)
 	st = upload("modify after another device's commit", "big", big, 3, true)
-	if st.Version != 7 {
-		t.Errorf("version after the fallback = %d, want 7", st.Version)
+	if st.Version != 9 {
+		t.Errorf("version after the fallback = %d, want 9", st.Version)
 	}
 	upload("repeat modify after the fallback", "big", edit(big, 60<<10), 1, true)
 

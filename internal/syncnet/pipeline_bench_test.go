@@ -74,15 +74,6 @@ func BenchmarkUploadBundle8(b *testing.B) {
 	})
 }
 
-func BenchmarkUploadPipelined8(b *testing.B) {
-	// Window 1 over net.Pipe: the unbuffered transport cannot absorb
-	// outstanding replies (see UploadPipelined's doc comment).
-	benchBatchClient(b, 8, false, func(c *Client, batch []FileUpload) error {
-		_, err := c.UploadPipelined(batch, 1)
-		return err
-	})
-}
-
 // uploadLockstep uploads the batch one blocking Upload at a time. The
 // files are 1 KiB, so each rides inline: one exchange per file where
 // the bundle pays one per batch.
@@ -96,7 +87,7 @@ func uploadLockstep(c *Client, batch []FileUpload) error {
 }
 
 // BenchmarkUploadLockstep8 is the per-operation allocation comparator
-// for the batched paths above.
+// for the bundle above.
 func BenchmarkUploadLockstep8(b *testing.B) { benchBatchClient(b, 8, false, uploadLockstep) }
 
 // BenchmarkUploadLockstepTCP8 is the same batch over a loopback socket:

@@ -69,62 +69,6 @@ func TestUploadBundleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUploadPipelinedRoundTrip(t *testing.T) {
-	_, dial := startServer(t, ServerConfig{})
-	c, _ := dial("alice")
-
-	files := makeBatch("pipe", 20, 900)
-	stats, err := c.UploadPipelined(files, 6)
-	if err != nil {
-		t.Fatalf("UploadPipelined: %v", err)
-	}
-	for i, st := range stats {
-		if st.Version != 1 || st.DedupHit {
-			t.Errorf("file %d: stats = %+v, want fresh v1", i, st)
-		}
-	}
-	for _, f := range files {
-		got, err := c.Download(f.Name)
-		if err != nil {
-			t.Fatalf("download %s: %v", f.Name, err)
-		}
-		if !bytes.Equal(got, f.Data) {
-			t.Fatalf("download %s: content mismatch", f.Name)
-		}
-	}
-	// Second pipelined pass over the same content: all dedup hits, no
-	// payload sent.
-	stats, err = c.UploadPipelined(files, 6)
-	if err != nil {
-		t.Fatalf("second UploadPipelined: %v", err)
-	}
-	for i, st := range stats {
-		if !st.DedupHit || st.PayloadBytes != 0 {
-			t.Errorf("file %d: stats = %+v, want dedup hit with 0 payload", i, st)
-		}
-	}
-}
-
-// TestPipelinedWindowAboveServerInflight pins the lockstep-compatible
-// floor: a server configured with MaxInflight 1 reads one request at a
-// time, and a windowed client above that still completes over TCP (the
-// kernel buffers absorb the spill) — the knob bounds server read-ahead,
-// not correctness.
-func TestPipelinedAgainstMaxInflightOne(t *testing.T) {
-	_, dial := startServer(t, ServerConfig{MaxInflight: 1})
-	c, _ := dial("alice")
-	files := makeBatch("floor", 10, 400)
-	if _, err := c.UploadPipelined(files, 8); err != nil {
-		t.Fatalf("UploadPipelined over MaxInflight=1 server: %v", err)
-	}
-	for _, f := range files {
-		got, err := c.Download(f.Name)
-		if err != nil || !bytes.Equal(got, f.Data) {
-			t.Fatalf("download %s after pipelined upload: %v", f.Name, err)
-		}
-	}
-}
-
 // TestServerCloseDrainsPipelinedRequests is the deterministic-drain
 // contract: requests fully read off a pipelined connection when Close
 // fires still get dispatched and their replies flushed before the
@@ -133,7 +77,7 @@ func TestPipelinedAgainstMaxInflightOne(t *testing.T) {
 // leak check registered by startServer enforces that part).
 func TestServerCloseDrainsPipelinedRequests(t *testing.T) {
 	leakCheck(t)
-	srv := NewServer(ServerConfig{MaxInflight: 32})
+	srv := NewServer(ServerConfig{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +204,11 @@ func TestBundleFaultRetryRetransmit(t *testing.T) {
 	}
 }
 
-// TestConcurrentPipelinedClients races many batched clients against one
-// server — the coverage the race detector needs over the pipelined
-// reader/dispatcher split and the pooled buffers.
-func TestConcurrentPipelinedClients(t *testing.T) {
+// TestConcurrentBatchedClients races many clients, each uploading
+// lockstep (files above one block, so the index/data/commit exchange)
+// and bundled, against one server — the coverage the race detector
+// needs over the reader/dispatcher split and the pooled buffers.
+func TestConcurrentBatchedClients(t *testing.T) {
 	srv, dial := startServer(t, ServerConfig{})
 	const clients = 6
 	var wg sync.WaitGroup
@@ -273,10 +218,13 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int, c *Client) {
 			defer wg.Done()
-			files := makeBatch(fmt.Sprintf("u%d", g), 10, 600)
-			if _, err := c.UploadPipelined(files[:5], 4); err != nil {
-				errs <- fmt.Errorf("client %d pipelined: %w", g, err)
-				return
+			files := append(makeBatch(fmt.Sprintf("u%d/big", g), 5, 12<<10),
+				makeBatch(fmt.Sprintf("u%d", g), 5, 600)...)
+			for _, f := range files[:5] {
+				if _, err := c.Upload(f.Name, f.Data); err != nil {
+					errs <- fmt.Errorf("client %d upload %s: %w", g, f.Name, err)
+					return
+				}
 			}
 			if _, err := c.UploadBundle(files[5:]); err != nil {
 				errs <- fmt.Errorf("client %d bundle: %w", g, err)

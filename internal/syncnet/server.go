@@ -40,11 +40,11 @@ import (
 // transfer.
 const DataPieceSize = 64 << 10
 
-// DefaultMaxInflight is the per-connection pipelining depth when
-// ServerConfig.MaxInflight is zero: how many fully read requests a
-// connection's reader keeps queued for in-order dispatch while earlier
-// ones are still being handled.
-const DefaultMaxInflight = 32
+// maxInflight is the per-connection read-ahead: how many fully read
+// requests a connection's reader keeps queued for in-order dispatch
+// while earlier ones are still being handled. It bounds the memory one
+// connection can pin ahead of dispatch.
+const maxInflight = 32
 
 // drainWriteTimeout bounds how long a draining session may spend
 // flushing replies to a peer that has stopped reading after Close
@@ -69,13 +69,6 @@ type ServerConfig struct {
 	BlockSize int
 	// CrossUserDedup shares the full-file dedup index across accounts.
 	CrossUserDedup bool
-	// MaxInflight caps how many fully read requests one connection may
-	// have queued awaiting dispatch (0 = DefaultMaxInflight, 1 ≈
-	// lockstep). Requests are always dispatched — and answered — in
-	// arrival order; the cap only bounds the read-ahead, which is also
-	// the memory bound per connection and the pipelining window a
-	// client may safely use over an unbuffered transport.
-	MaxInflight int
 	// Logf, when set, receives one line per handled request (useful in
 	// syncd; tests leave it nil).
 	Logf func(format string, args ...any)
@@ -413,11 +406,11 @@ type inboundMsg struct {
 // ends — stashes the partial buffers so a reconnecting client can
 // resume them with a ResumeQuery.
 //
-// The connection is pipelined: a reader goroutine keeps it drained up
-// to MaxInflight fully read requests while this goroutine dispatches
+// The connection is read ahead: a reader goroutine keeps it drained up
+// to maxInflight fully read requests while this goroutine dispatches
 // them strictly in arrival order. Replies therefore come back in
-// request order, which is what lets a pipelining client pair them up
-// without request IDs.
+// request order, which is what lets a peer that pipelines requests pair
+// them up without request IDs.
 func (s *Server) HandleConn(conn net.Conn) error {
 	if err := s.register(conn); err != nil {
 		conn.Close()
@@ -458,14 +451,10 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	}
 	s.logf("session start user=%s device=%s", hello.User, hello.Device)
 
-	inflight := s.cfg.MaxInflight
-	if inflight <= 0 {
-		inflight = DefaultMaxInflight
-	}
 	// The reader owns the read buffer, sess.wireIn, and the channel; it
 	// hands each request's consumed byte count through the channel so
 	// the dispatcher never touches wireIn until the reader has exited.
-	queue := make(chan inboundMsg, inflight-1)
+	queue := make(chan inboundMsg, maxInflight-1)
 	timedQueue := s.om.inboundWaitUS != nil
 	go func() {
 		defer close(queue)
@@ -494,7 +483,7 @@ func (s *Server) HandleConn(conn net.Conn) error {
 		}
 		if !in.at.IsZero() {
 			// Inbound-queue wait: fully read, not yet dispatched — the
-			// MaxInflight backpressure phase.
+			// read-ahead backpressure phase.
 			s.om.inboundWaitUS.Observe(time.Since(in.at).Microseconds())
 		}
 		sess.chargeRead(in.msg, in.consumed)
@@ -677,11 +666,11 @@ func (s *Server) FileContent(user, name string) ([]byte, bool) {
 	return append([]byte(nil), f.data...), true
 }
 
-// session is the per-connection state: the in-progress uploads (a
-// pipelined client may have several index→data→commit exchanges in
-// flight), the authenticated user, the pooled encode and ledger
-// scratch, and the session's observability context (wire byte
-// counters, content-commit total, span).
+// session is the per-connection state: the in-progress uploads (a peer
+// may have several index→data→commit exchanges in flight), the
+// authenticated user, the pooled encode and ledger scratch, and the
+// session's observability context (wire byte counters, content-commit
+// total, span).
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -786,6 +775,7 @@ type pendingUpload struct {
 	size     int64
 	hash     protocol.Fingerprint
 	dedupHit bool
+	stored   []byte // dedup hit: the content store's copy, fetched by the probe
 	buf      []byte
 }
 
@@ -881,27 +871,53 @@ func (ss *session) handle(msg protocol.Message) error {
 	}
 }
 
-func (ss *session) onIndexUpdate(m *protocol.IndexUpdate) error {
+// probe opens a whole-content upload of name, announced alone
+// (IndexUpdate) or inside a Bundle: it resolves the identity the file
+// would commit under — its own, or a freshly minted one — and looks the
+// announced content up in the dedup store. stored is the store's copy
+// on a hit; an index hit whose content is gone is a miss.
+func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id uint64, stored []byte, hit bool) {
 	s := ss.srv
 	s.mu.Lock()
-	f := s.files(ss.user)[m.Name]
-	var id uint64
-	if f != nil {
+	defer s.mu.Unlock()
+	if f := s.files(ss.user)[name]; f != nil {
 		id = f.id
 	} else {
 		s.nextID++
 		id = s.nextID
 	}
-	hit := s.index.Lookup(ss.user, m.FileHash, m.Size)
-	if hit {
-		if _, ok := s.byHash[m.FileHash]; !ok {
-			// Index says yes but content is gone — treat as miss.
-			hit = false
+	if s.index.Lookup(ss.user, hash, size) {
+		stored, hit = s.byHash[hash]
+	}
+	return id, stored, hit
+}
+
+// verifiedContent returns the raw content a whole-content upload
+// commits: on a dedup hit the store's copy — filed under the very hash
+// the client announced, so only transferred bytes need hashing — else
+// the payload decompressed and checked against the announced hash. The
+// announced size is checked either way. The error text is what the peer
+// is told.
+func (s *Server) verifiedContent(hit bool, stored, payload []byte, size int64, hash protocol.Fingerprint) ([]byte, error) {
+	raw := stored
+	if !hit {
+		var err error
+		if raw, err = comp.Decompress(payload, s.cfg.Compression); err != nil {
+			return nil, errors.New("undecodable content")
 		}
 	}
-	s.mu.Unlock()
+	if int64(len(raw)) != size {
+		return nil, errors.New("content size mismatch")
+	}
+	if !hit && md5.Sum(raw) != hash {
+		return nil, errors.New("content hash mismatch")
+	}
+	return raw, nil
+}
 
-	ss.uploads[id] = &pendingUpload{id: id, name: m.Name, size: m.Size, hash: m.FileHash, dedupHit: hit}
+func (ss *session) onIndexUpdate(m *protocol.IndexUpdate) error {
+	id, stored, hit := ss.probe(m.Name, m.FileHash, m.Size)
+	ss.uploads[id] = &pendingUpload{id: id, name: m.Name, size: m.Size, hash: m.FileHash, dedupHit: hit, stored: stored}
 	return ss.send(&protocol.IndexReply{FileID: id, DedupHit: hit})
 }
 
@@ -947,29 +963,12 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 	delete(ss.uploads, m.FileID)
 
 	ta := ss.applyStart()
-	var raw []byte
 	s := ss.srv
-	if up.dedupHit {
-		s.mu.Lock()
-		raw = s.byHash[up.hash]
-		s.mu.Unlock()
-	} else {
-		var err error
-		raw, err = comp.Decompress(up.buf, s.cfg.Compression)
-		if err != nil {
-			ss.sendErr(protocol.ErrBadRequest, "undecodable content")
-			return fmt.Errorf("syncnet: decompress: %w", err)
-		}
-	}
-	if int64(len(raw)) != up.size {
-		ss.sendErr(protocol.ErrBadRequest, "content size mismatch")
-		return fmt.Errorf("syncnet: committed %d bytes, announced %d", len(raw), up.size)
-	}
-	// Content out of the dedup store is filed under the very hash the
-	// client announced; only transferred bytes need hashing.
-	if !up.dedupHit && md5.Sum(raw) != up.hash {
-		ss.sendErr(protocol.ErrBadRequest, "content hash mismatch")
-		return fmt.Errorf("syncnet: content hash mismatch for %q", up.name)
+	raw, err := s.verifiedContent(up.dedupHit, up.stored, up.buf, up.size, up.hash)
+	if err != nil {
+		// Hard: a lone upload that fails verification ends the session.
+		ss.sendErr(protocol.ErrBadRequest, err.Error())
+		return fmt.Errorf("syncnet: commit of %q: %w", up.name, err)
 	}
 
 	id, version := ss.store(up.name, up.id, raw, up.hash, up.dedupHit)
@@ -1033,36 +1032,10 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 		en := &m.Entries[i]
 		res := &results[i]
 
-		s.mu.Lock()
-		f := s.files(ss.user)[en.Name]
-		var id uint64
-		if f != nil {
-			id = f.id
-		} else {
-			s.nextID++
-			id = s.nextID
-		}
-		hit := s.index.Lookup(ss.user, en.FileHash, en.Size)
-		var raw []byte
-		if hit {
-			var ok bool
-			if raw, ok = s.byHash[en.FileHash]; !ok {
-				// Index says yes but content is gone — treat as miss.
-				hit = false
-			}
-		}
-		s.mu.Unlock()
-
-		if !hit {
-			var err error
-			if raw, err = comp.Decompress(en.Payload, s.cfg.Compression); err != nil {
-				s.logf("bundle entry %s/%s: undecodable content", ss.user, en.Name)
-				continue
-			}
-		}
-		// A hit's content is filed under en.FileHash already (see onCommit).
-		if int64(len(raw)) != en.Size || (!hit && md5.Sum(raw) != en.FileHash) {
-			s.logf("bundle entry %s/%s: size or hash mismatch", ss.user, en.Name)
+		id, stored, hit := ss.probe(en.Name, en.FileHash, en.Size)
+		raw, err := s.verifiedContent(hit, stored, en.Payload, en.Size, en.FileHash)
+		if err != nil {
+			s.logf("bundle entry %s/%s: %v", ss.user, en.Name, err)
 			continue
 		}
 		res.FileID, res.Version = ss.store(en.Name, id, raw, en.FileHash, hit)
