@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-obs bench-core bench-scale bench-kernel-diff bench-load bench-e2e bench-build tuebench
+.PHONY: check build vet test race fuzz bench bench-obs bench-core bench-scale bench-kernel-diff bench-load bench-e2e bench-build tuebench
 
 # check is the full gate: compile everything, vet, and run the test
 # suite under the race detector (the experiment layer is concurrent).
@@ -17,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz explores the protocol decoder for 30 s beyond its seed corpus (one
+# frame of every message type, replayed by every ordinary test run).
+# A crasher lands in internal/protocol/testdata/fuzz/FuzzDecode: fix it
+# and commit the file, so the test suite replays it from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/protocol
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./...

@@ -111,7 +111,8 @@ func IdealSize(b *content.Blob) int64 {
 	case content.KindRandom:
 		return b.Size()
 	case content.KindZeros:
-		return b.Size()/1024 + 64
+		// The 64-byte token floor exceeds a blob shorter than that.
+		return min(b.Size()/1024+64, b.Size())
 	case content.KindText:
 		// Synthetic text compresses at a ratio that depends only on
 		// length (vocabulary and token mix are fixed), so the ratio is

@@ -11,17 +11,31 @@ import "fmt"
 // ListRequest answers with one Listing; the exchange is metadata
 // traffic, the chatter the paper's TUE accounting charges against
 // every sync protocol.
+//
+// Both frames carry an optional trailer that turns the exchange into a
+// change feed: a ListRequest with a cursor asks for what changed since
+// it, and the Listing names the cursor it brings the client to. Without
+// the trailers both frames are byte-identical to the legacy ones.
 const (
-	// TypeListRequest asks for the user's full remote file listing.
+	// TypeListRequest asks for the user's remote file listing.
 	TypeListRequest MsgType = iota + 19
 	// TypeListing answers a ListRequest with one entry per file the
 	// server has ever stored for the user (fake-deleted files included,
-	// flagged).
+	// flagged) — or, answering a feed request incrementally, one per
+	// file changed since the request's cursor.
 	TypeListing
 )
 
 // ListRequest asks for the authenticated user's remote listing.
-type ListRequest struct{}
+type ListRequest struct {
+	// Feed asks for a change feed: the request carries the cursor
+	// (Epoch, Since) of the last Listing this client applied, all zeros
+	// when it has none yet. The trailer is present exactly when Feed is
+	// set; a request without it is the legacy full-listing request.
+	Feed  bool
+	Epoch uint64
+	Since uint64
+}
 
 // Type implements Message.
 func (*ListRequest) Type() MsgType { return TypeListRequest }
@@ -41,18 +55,45 @@ type ListEntry struct {
 	FileHash Fingerprint
 }
 
-// Listing answers a ListRequest, entries in server (map) order; the
-// receiver sorts if it needs determinism.
+// Listing answers a ListRequest, entries sorted by name.
 type Listing struct {
 	Entries []ListEntry
+	// Feed marks the answer to a feed request: the trailer (Epoch, Seq,
+	// Incremental) is present exactly when it is set. (Epoch, Seq) is
+	// the cursor the client holds once it has applied the entries.
+	// Incremental entries are only the files changed since the request's
+	// cursor, to be upserted into what the client already holds; a
+	// non-incremental Listing is the whole namespace.
+	Feed        bool
+	Epoch       uint64
+	Seq         uint64
+	Incremental bool
 }
 
 // Type implements Message.
 func (*Listing) Type() MsgType { return TypeListing }
 
-func (m *ListRequest) encodeBody(*encBuf) {}
+// listEntryFixedSize is one Listing entry's bytes beyond its name: ID,
+// name prefix, size, version, flags and hash.
+const listEntryFixedSize = 8 + 4 + 8 + 8 + 1 + 16
 
-func (m *ListRequest) decodeBody(*decBuf) error { return nil }
+func (m *ListRequest) encodeBody(e *encBuf) {
+	if m.Feed {
+		e.u64(m.Epoch)
+		e.u64(m.Since)
+	}
+}
+
+func (m *ListRequest) decodeBody(d *decBuf) (err error) {
+	if m.Feed = d.remaining() > 0; !m.Feed {
+		return nil
+	}
+	if m.Epoch, err = d.u64(); err != nil {
+		return err
+	}
+	m.Since, err = d.u64()
+	return err
+}
 
 func (m *Listing) encodeBody(e *encBuf) {
 	e.u32(uint32(len(m.Entries)))
@@ -69,6 +110,15 @@ func (m *Listing) encodeBody(e *encBuf) {
 		e.u8(flags)
 		e.raw(en.FileHash[:])
 	}
+	if m.Feed {
+		e.u64(m.Epoch)
+		e.u64(m.Seq)
+		var flags byte
+		if m.Incremental {
+			flags |= 1
+		}
+		e.u8(flags)
+	}
 }
 
 func (m *Listing) decodeBody(d *decBuf) (err error) {
@@ -79,7 +129,7 @@ func (m *Listing) decodeBody(d *decBuf) (err error) {
 	// Every entry costs at least an ID, a name prefix, a size, a
 	// version, a flag byte, and a hash; a count that cannot fit in the
 	// remaining body is corruption, not a big listing.
-	if int(n)*(8+4+8+8+1+16) > d.remaining() {
+	if int(n)*listEntryFixedSize > d.remaining() {
 		return fmt.Errorf("listing entry count %d exceeds body", n)
 	}
 	m.Entries = make([]ListEntry, n)
@@ -106,5 +156,16 @@ func (m *Listing) decodeBody(d *decBuf) (err error) {
 			return err
 		}
 	}
-	return nil
+	if m.Feed = d.remaining() > 0; !m.Feed {
+		return nil
+	}
+	if m.Epoch, err = d.u64(); err != nil {
+		return err
+	}
+	if m.Seq, err = d.u64(); err != nil {
+		return err
+	}
+	flags, err := d.u8()
+	m.Incremental = flags&1 != 0
+	return err
 }

@@ -44,6 +44,12 @@ func allMessages() []Message {
 			{FileID: 9, Name: "old.bin", Size: 12, Version: 2, Deleted: true},
 		}},
 		&Listing{},
+		&ListRequest{Feed: true},
+		&ListRequest{Feed: true, Epoch: 1 << 60, Since: 42},
+		&Listing{Feed: true, Epoch: 1 << 60, Seq: 43},
+		&Listing{Feed: true, Epoch: 9, Seq: 44, Incremental: true, Entries: []ListEntry{
+			{FileID: 5, Name: "b", Size: 1, Version: 7, FileHash: md5.Sum([]byte("b"))},
+		}},
 	}
 }
 

@@ -53,6 +53,9 @@ type Client struct {
 	ids   map[string]uint64
 	known map[string]bool // names known to exist server-side
 	sigs  sigCache        // signatures the delta exchanges ended on
+	// mirror is the account listing as of the last List, and the
+	// change-feed cursor the next List sends.
+	mirror listMirror
 
 	// Pooled live-path scratch: enc frames outgoing messages, readBuf
 	// absorbs incoming ones (both from the wire frame pool, returned on

@@ -2,50 +2,96 @@ package syncnet
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"cloudsync/internal/protocol"
 )
 
-// List fetches the user's complete remote listing — one entry per file
-// the server has ever stored, fake-deleted files included. It is the
-// remote observer of the watch-mode pipeline: the pure planner
-// reconciles this listing against the local tree and the persisted
-// baseline. Listing is idempotent, so under a retry policy a transport
-// failure simply re-requests it.
+// listMirror is the client half of the change feed (see feed.go): the
+// account's listing as of the cursor (epoch, seq), sorted by name.
+type listMirror struct {
+	entries    []protocol.ListEntry
+	epoch, seq uint64
+}
+
+// apply brings the mirror to the listing's cursor. A full listing
+// replaces it. An incremental one is a pure upsert: deletion is fake,
+// so within one epoch a name, once listed, is never removed — only
+// changed, and a changed file is re-listed whole.
+func (lm *listMirror) apply(l *protocol.Listing) {
+	lm.epoch, lm.seq = l.Epoch, l.Seq
+	if !l.Incremental {
+		lm.entries = l.Entries
+		return
+	}
+	byName := func(a, b protocol.ListEntry) int { return strings.Compare(a.Name, b.Name) }
+	n := len(lm.entries)
+	for _, en := range l.Entries {
+		if i, ok := slices.BinarySearchFunc(lm.entries[:n], en, byName); ok {
+			lm.entries[i] = en
+		} else {
+			lm.entries = append(lm.entries, en)
+		}
+	}
+	if len(lm.entries) > n {
+		slices.SortFunc(lm.entries, byName)
+	}
+}
+
+// List returns the user's complete remote listing — one entry per file
+// the server has ever stored, fake-deleted files included, sorted by
+// name. It is the remote observer of the watch-mode pipeline: the pure
+// planner reconciles this listing against the local tree and the
+// persisted baseline.
 //
-// As a side effect the client learns every live file's server identity
-// (fileID), so a later Delete or delta upload works even for files
-// this client never uploaded — the watch daemon restarting with a
-// persisted baseline depends on exactly that.
+// On the wire it is a change feed: the request names the cursor of the
+// last listing this client applied, and the server sends only the files
+// committed since (or everything, when it cannot honour the cursor).
+// The cursor advances only once a reply has decoded, so under a retry
+// policy a transport failure simply re-requests from the old one.
+//
+// As a side effect the client learns the server identity (fileID) and
+// liveness of every file the reply carried, so a later Delete or delta
+// upload works even for files this client never uploaded — the watch
+// daemon restarting with a persisted baseline depends on exactly that.
+// A signature the client remembers for a file survives when the listed
+// version is the one it describes.
 func (c *Client) List() ([]protocol.ListEntry, error) {
 	c.op = c.tracer.Start("client.list")
 	in0, out0 := c.wireIn, c.wireOut
-	var entries []protocol.ListEntry
+	var listing *protocol.Listing
 	err := c.withRetry(func(int) error {
-		if err := c.send(&protocol.ListRequest{}); err != nil {
+		if err := c.send(&protocol.ListRequest{Feed: true, Epoch: c.mirror.epoch, Since: c.mirror.seq}); err != nil {
 			return err
 		}
 		m, err := c.read()
 		if err != nil {
 			return err
 		}
-		listing, ok := m.(*protocol.Listing)
+		l, ok := m.(*protocol.Listing)
 		if !ok {
 			return fmt.Errorf("syncnet: expected listing, got %v", m.Type())
 		}
-		entries = listing.Entries
+		listing = l
 		return nil
 	})
-	c.op.Set("entries", len(entries))
+	if err == nil {
+		c.mirror.apply(listing)
+		for i := range listing.Entries {
+			en := &listing.Entries[i]
+			c.sigs.dropUnless(en.Name, en.Version)
+			c.identify(en.Name, en.FileID, !en.Deleted)
+		}
+		c.op.Set("entries", len(c.mirror.entries))
+		c.op.Set("incremental", listing.Incremental)
+		c.op.Set("changed", len(listing.Entries))
+	}
 	c.endOp(in0, out0, err)
 	if err != nil {
 		return nil, err
 	}
-	for i := range entries {
-		en := &entries[i]
-		c.Prime(en.Name, en.FileID, !en.Deleted)
-	}
-	return entries, nil
+	return slices.Clone(c.mirror.entries), nil
 }
 
 // FileID reports the server-side identity this client has learned for
@@ -64,10 +110,15 @@ func (c *Client) FileID(name string) (uint64, bool) {
 // primes its worker clients from one shared listing so that any worker
 // can delta-update or delete any file, regardless of which client
 // originally uploaded it. What the client is told this way happened
-// outside its own exchanges, so a signature it remembers for the file
-// may describe a superseded version and is forgotten.
+// outside its own exchanges, and names no version, so a signature it
+// remembers for the file may describe a superseded version and is
+// forgotten.
 func (c *Client) Prime(name string, fileID uint64, live bool) {
 	c.sigs.drop(name)
+	c.identify(name, fileID, live)
+}
+
+func (c *Client) identify(name string, fileID uint64, live bool) {
 	c.ids[name] = fileID
 	if live {
 		c.known[name] = true

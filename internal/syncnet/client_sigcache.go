@@ -76,6 +76,13 @@ func (sc *sigCache) drop(name string) {
 	delete(sc.entries, name)
 }
 
+// dropUnless forgets name's signature unless it describes version.
+func (sc *sigCache) dropUnless(name string, version uint64) {
+	if el, ok := sc.entries[name]; ok && el.Value.(*clientSig).version != version {
+		sc.drop(name)
+	}
+}
+
 // clear forgets everything.
 func (sc *sigCache) clear() {
 	sc.ll.Init()

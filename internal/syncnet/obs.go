@@ -42,6 +42,11 @@ type serverObs struct {
 	sigCacheMisses    *obs.Counter
 	sigResignedBlocks *obs.Counter
 
+	// Change feed: entries per Listing sent, and the full listings sent
+	// to feed requests (first poll, new epoch, or an unusable cursor).
+	listingEntries *obs.Histogram
+	listingResyncs *obs.Counter
+
 	pendingResumable *obs.Gauge
 	bytesStored      *obs.Gauge
 
@@ -80,6 +85,9 @@ func newServerObs(reg *obs.Registry) serverObs {
 		sigCacheHits:      reg.Counter("syncd_sig_cache_hits_total", "Signature requests answered from a file's cached signature (no hashing)."),
 		sigCacheMisses:    reg.Counter("syncd_sig_cache_misses_total", "Signature requests that had to sign the whole file (first request, full re-upload since, or another block size)."),
 		sigResignedBlocks: reg.Counter("syncd_sig_resigned_blocks_total", "Blocks hashed by delta syncs to carry a cached signature to the new version (the edit's share of the file, not the file)."),
+
+		listingEntries: reg.Histogram("syncd_listing_entries", "Entries per Listing sent: the whole namespace for a full listing, the files changed since the cursor for an incremental one."),
+		listingResyncs: reg.Counter("syncd_listing_resyncs_total", "Full listings sent in answer to a change-feed request: a first poll, a cursor from before a reopen (epoch change), or a cursor the server never issued."),
 
 		pendingResumable: reg.Gauge("syncd_pending_resumable", "Stashed partial uploads currently held for resumption."),
 		bytesStored:      reg.Gauge("syncd_bytes_stored", "Unique raw content bytes in the dedup content store."),

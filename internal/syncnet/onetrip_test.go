@@ -19,7 +19,9 @@ import (
 // the WithClientMetrics reply-wait histogram: one for a file that fits
 // a delta block (new name or known), two for a larger new file (dedup
 // probe, then content), two for the first modify of a known large file
-// (signature, then delta), one for every repeat modify, two again once
+// (signature, then delta), one for every repeat modify — a listing in
+// between included, since it shows the file at the version the client
+// remembers the signature of — two again once
 // this client replaced the file whole through a bundle (the remembered
 // signature went with the old content), and three when another device
 // committed in between (refusal, signature, delta) — with the right
@@ -79,6 +81,18 @@ func TestUploadRoundTripBudget(t *testing.T) {
 		upload("repeat modify", "big", big, 1, true)
 	}
 
+	// A poll between two of A's own modifies lists big at the version A's
+	// remembered signature describes: the signature survives the listing.
+	conflicts := srv.Stats().CondDeltaConflicts
+	if _, err := a.List(); err != nil {
+		t.Fatalf("list between modifies: %v", err)
+	}
+	big = edit(big, 700<<10)
+	upload("modify after a listing", "big", big, 1, true)
+	if got := srv.Stats().CondDeltaConflicts; got != conflicts {
+		t.Errorf("modify after a listing: %d conditional deltas refused, want none", got-conflicts)
+	}
+
 	// A replaces the file whole through a bundle: what it remembered
 	// describes content that is gone, so the next modify asks for a
 	// signature instead of guessing a version the server must refuse.
@@ -99,14 +113,14 @@ func TestUploadRoundTripBudget(t *testing.T) {
 	}
 	big = edit(big, 50<<10)
 	st = upload("modify after another device's commit", "big", big, 3, true)
-	if st.Version != 9 {
-		t.Errorf("version after the fallback = %d, want 9", st.Version)
+	if st.Version != 10 {
+		t.Errorf("version after the fallback = %d, want 10", st.Version)
 	}
 	upload("repeat modify after the fallback", "big", edit(big, 60<<10), 1, true)
 
 	ss := srv.Stats()
-	if ss.InlineUploads != 3 || ss.CondDeltas != 4 || ss.CondDeltaConflicts != 1 {
-		t.Errorf("server counted %d inline uploads, %d conditional deltas, %d refused; want 3, 4, 1",
+	if ss.InlineUploads != 3 || ss.CondDeltas != 5 || ss.CondDeltaConflicts != 1 {
+		t.Errorf("server counted %d inline uploads, %d conditional deltas, %d refused; want 3, 5, 1",
 			ss.InlineUploads, ss.CondDeltas, ss.CondDeltaConflicts)
 	}
 

@@ -54,7 +54,8 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		users:     make(map[string]map[string]*serverFile),
+		users:     make(map[string]*account),
+		epoch:     newEpoch(),
 		byID:      make(map[fileKey]*serverFile),
 		byHash:    make(map[dedup.Fingerprint][]byte),
 		index:     dedup.NewIndex(cfg.CrossUserDedup),
@@ -138,16 +139,6 @@ func (s *Server) replayRecord(rec []byte) error {
 		return fmt.Errorf("syncnet: unknown state record kind %d", rec[0])
 	}
 	return nil
-}
-
-// persistFileLocked appends the file's current metadata to the durable
-// log. Caller holds s.mu; the referenced content must already be
-// persisted (persistContentLocked runs at every byHash insertion).
-func (s *Server) persistFileLocked(user string, f *serverFile) {
-	if s.persist == nil {
-		return
-	}
-	s.persist.Append(encodeFileRec(user, f))
 }
 
 // encodeFileRec renders one file's metadata as a recFile record.
@@ -241,7 +232,7 @@ func (s *Server) snapshotRecordsLocked() [][]byte {
 	}
 	sort.Strings(users)
 	for _, u := range users {
-		files := s.users[u]
+		files := s.users[u].files
 		names := make([]string, 0, len(files))
 		for n := range files {
 			names = append(names, n)

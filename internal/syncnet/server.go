@@ -21,7 +21,6 @@ import (
 	"log"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,6 +116,12 @@ type serverFile struct {
 	// advanced by onDelta, dropped by every other mutation, never
 	// persisted. Nil for files that were never delta-synced.
 	sig *cachedSig
+	// seq is the account change sequence number of the file's last
+	// commit in this server's lifetime (0 for a file replayed at open and
+	// untouched since); older/newer link the account's committed files
+	// in seq order. See feed.go.
+	seq          uint64
+	older, newer *serverFile
 }
 
 // cachedSig is delta.Sign(data, sig.BlockSize) of the content a file
@@ -195,7 +200,10 @@ type Server struct {
 	cfg ServerConfig
 
 	mu    sync.Mutex
-	users map[string]map[string]*serverFile
+	users map[string]*account
+	// epoch names this server's lifetime in change-feed cursors: drawn
+	// at random, never zero, never persisted (see feed.go).
+	epoch uint64
 	// byID indexes each user's files by FileID — what a Delete names.
 	// An entry is added wherever a serverFile is created and never
 	// removed: deletion is fake and a recreated name keeps its file.
@@ -601,20 +609,20 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) files(user string) map[string]*serverFile {
-	m := s.users[user]
-	if m == nil {
-		m = make(map[string]*serverFile)
-		s.users[user] = m
+func (s *Server) account(user string) *account {
+	a := s.users[user]
+	if a == nil {
+		a = &account{files: make(map[string]*serverFile)}
+		s.users[user] = a
 	}
-	return m
+	return a
 }
 
 // fileLocked returns the user's file under name, creating it with the
 // given id — and indexing it by that id — when absent. Caller holds
 // s.mu (or is replaying before the server is shared).
 func (s *Server) fileLocked(user, name string, id uint64) *serverFile {
-	files := s.files(user)
+	files := s.account(user).files
 	f := files[name]
 	if f == nil {
 		f = &serverFile{id: id, name: name}
@@ -641,8 +649,9 @@ type FileState struct {
 func (s *Server) Snapshot(user string) map[string]FileState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]FileState, len(s.users[user]))
-	for name, f := range s.users[user] {
+	files := s.account(user).files
+	out := make(map[string]FileState, len(files))
+	for name, f := range files {
 		out[name] = FileState{
 			ID:      f.id,
 			Data:    append([]byte(nil), f.data...),
@@ -659,7 +668,7 @@ func (s *Server) Snapshot(user string) map[string]FileState {
 func (s *Server) FileContent(user, name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.files(user)[name]
+	f, ok := s.account(user).files[name]
 	if !ok || f.deleted {
 		return nil, false
 	}
@@ -880,7 +889,7 @@ func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f := s.files(ss.user)[name]; f != nil {
+	if f := s.account(ss.user).files[name]; f != nil {
 		id = f.id
 	} else {
 		s.nextID++
@@ -1004,7 +1013,7 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 		s.stats.BytesStored += int64(len(raw))
 		s.persistContentLocked(hash, raw)
 	}
-	s.persistFileLocked(ss.user, f)
+	s.commitFileLocked(ss.user, f)
 	s.stats.Uploads++
 	if wasDedup {
 		s.stats.DedupSkips++
@@ -1064,30 +1073,6 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 	return ss.send(&protocol.BundleReply{Results: results})
 }
 
-// onList answers with the user's full remote listing — the remote
-// observer of the watch-mode pipeline. Entries are sorted by name so
-// the reply is deterministic for a given state; fake-deleted files are
-// included (flagged) because a planner must distinguish "deleted
-// remotely" from "never existed" when reconciling deletions.
-func (ss *session) onList(*protocol.ListRequest) error {
-	s := ss.srv
-	s.mu.Lock()
-	files := s.files(ss.user)
-	entries := make([]protocol.ListEntry, 0, len(files))
-	for name, f := range files {
-		entries = append(entries, protocol.ListEntry{
-			FileID: f.id, Name: name, Size: int64(len(f.data)),
-			Version: f.version, Deleted: f.deleted, FileHash: f.hash,
-		})
-	}
-	s.mu.Unlock()
-	slices.SortFunc(entries, func(a, b protocol.ListEntry) int {
-		return strings.Compare(a.Name, b.Name)
-	})
-	s.logf("listing: %d entries for %s", len(entries), ss.user)
-	return ss.send(&protocol.Listing{Entries: entries})
-}
-
 func (ss *session) onDelete(m *protocol.Delete) error {
 	s := ss.srv
 	s.mu.Lock()
@@ -1102,7 +1087,7 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 	target.sig = nil
 	s.stats.Deletes++
 	version := target.version
-	s.persistFileLocked(ss.user, target)
+	s.commitFileLocked(ss.user, target)
 	s.mu.Unlock()
 	s.om.deletes.Inc()
 	if err := s.persistSync(); err != nil {
@@ -1115,7 +1100,7 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 func (ss *session) onGet(m *protocol.Get) error {
 	s := ss.srv
 	s.mu.Lock()
-	f := s.files(ss.user)[m.Name]
+	f := s.account(ss.user).files[m.Name]
 	if f == nil || f.deleted {
 		s.mu.Unlock()
 		ss.sendErr(protocol.ErrNotFound, "no such file")
@@ -1161,7 +1146,7 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 		bs = int(m.BlockSize)
 	}
 	s.mu.Lock()
-	f := s.files(ss.user)[m.Name]
+	f := s.account(ss.user).files[m.Name]
 	if f == nil || f.deleted {
 		s.mu.Unlock()
 		ss.sendErr(protocol.ErrNotFound, "no such file")
@@ -1210,7 +1195,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	}
 	s := ss.srv
 	s.mu.Lock()
-	f := s.files(ss.user)[m.Name]
+	f := s.account(ss.user).files[m.Name]
 	if f == nil || f.deleted {
 		s.mu.Unlock()
 		ss.sendErr(protocol.ErrNotFound, "no such file")
@@ -1255,7 +1240,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		s.stats.BytesStored += int64(len(raw))
 		s.persistContentLocked(hash, raw)
 	}
-	s.persistFileLocked(ss.user, f)
+	s.commitFileLocked(ss.user, f)
 	s.stats.DeltaSyncs++
 	if cond {
 		s.stats.CondDeltas++
