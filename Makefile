@@ -18,12 +18,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz explores the protocol decoder for 30 s beyond its seed corpus (one
-# frame of every message type, replayed by every ordinary test run).
-# A crasher lands in internal/protocol/testdata/fuzz/FuzzDecode: fix it
-# and commit the file, so the test suite replays it from then on.
+# fuzz explores the wire decoders for 30 s each beyond their seed
+# corpora (replayed by every ordinary test run): the protocol frame
+# decoder and the delta and signature codecs. A crasher lands in the
+# package's testdata/fuzz/<Target>: fix it and commit the file, so the
+# test suite replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime 30s ./internal/delta
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignature$$' -fuzztime 30s ./internal/delta
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./...

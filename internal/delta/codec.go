@@ -3,6 +3,7 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Wire format of an encoded delta:
@@ -12,8 +13,15 @@ import (
 //	targetSize uint64
 //	opCount    uint32
 //	ops:
-//	  0x01 <uint32 index>                copy
+//	  0x01 <uint32 index>                copy of one block
 //	  0x02 <uint32 length> <bytes>       literal
+//	  0x03 <uint32 index> <uint32 count> copy of count ≥ 1 consecutive
+//	                                     blocks (written for count ≥ 2)
+//
+// A delta without adjacent copies encodes exactly as it did before
+// runs existed; a decoder that predates 0x03 rejects one that has them.
+// Every op takes at least 5 bytes, which bounds what a hostile opCount
+// can make the decoder allocate.
 //
 // Signatures encode as:
 //
@@ -35,21 +43,25 @@ const (
 	sigMagic    = "SIG1"
 	opCopyTag   = 0x01
 	opLitTag    = 0x02
+	opRunTag    = 0x03
 	deltaHeader = 20 // magic + blockSize + targetSize + opCount
 	sigHeader   = 20 // magic + blockSize + fileSize + count
+	minOpSize   = 5  // tag + one uint32
 )
 
 // Encode serializes the delta for transmission.
 func (d Delta) Encode() []byte {
 	size := deltaHeader
 	for _, op := range d.Ops {
-		switch op.Kind {
-		case OpCopy:
-			size += 1 + 4
-		case OpLiteral:
+		switch {
+		case op.Kind == OpLiteral:
 			size += 1 + 4 + len(op.Data)
+		case op.Kind == OpCopy && op.Count == 1:
+			size += 1 + 4
+		case op.Kind == OpCopy && op.Count > 1:
+			size += 1 + 4 + 4
 		default:
-			panic(fmt.Sprintf("delta: encoding unknown op kind %d", op.Kind))
+			panic(fmt.Sprintf("delta: encoding invalid op (kind %d, count %d)", op.Kind, op.Count))
 		}
 	}
 	buf := make([]byte, 0, size)
@@ -58,13 +70,18 @@ func (d Delta) Encode() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.TargetSize))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Ops)))
 	for _, op := range d.Ops {
-		if op.Kind == OpCopy {
-			buf = append(buf, opCopyTag)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(op.Index))
-		} else {
+		switch {
+		case op.Kind == OpLiteral:
 			buf = append(buf, opLitTag)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Data)))
 			buf = append(buf, op.Data...)
+		case op.Count == 1:
+			buf = append(buf, opCopyTag)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(op.Index))
+		default:
+			buf = append(buf, opRunTag)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(op.Index))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(op.Count))
 		}
 	}
 	return buf
@@ -90,12 +107,18 @@ func EncodedLiteralBytes(data []byte) (int64, error) {
 		switch tag {
 		case opCopyTag:
 			off += 4
+		case opRunTag:
+			off += 8
 		case opLitTag:
 			if off+4 > len(data) {
 				return 0, fmt.Errorf("delta: truncated literal length at op %d", i)
 			}
-			l := int(binary.LittleEndian.Uint32(data[off : off+4]))
-			off += 4 + l
+			l := binary.LittleEndian.Uint32(data[off : off+4])
+			off += 4
+			if uint64(l) > uint64(len(data)-off) {
+				return 0, fmt.Errorf("delta: literal of %d bytes at op %d exceeds %d remaining", l, i, len(data)-off)
+			}
+			off += int(l)
 			lit += int64(l)
 		default:
 			return 0, fmt.Errorf("delta: op %d has unknown tag %#x", i, tag)
@@ -107,7 +130,9 @@ func EncodedLiteralBytes(data []byte) (int64, error) {
 	return lit, nil
 }
 
-// DecodeDelta parses an encoded delta.
+// DecodeDelta parses an encoded delta. It allocates no more ops than
+// the input's bytes can encode, and a run stays one op whatever its
+// count.
 func DecodeDelta(data []byte) (Delta, error) {
 	var d Delta
 	if len(data) < deltaHeader || string(data[:4]) != deltaMagic {
@@ -116,13 +141,15 @@ func DecodeDelta(data []byte) (Delta, error) {
 	bs := binary.LittleEndian.Uint32(data[4:8])
 	ts := binary.LittleEndian.Uint64(data[8:16])
 	n := binary.LittleEndian.Uint32(data[16:deltaHeader])
-	if bs == 0 {
-		return d, fmt.Errorf("delta: zero block size")
+	if bs == 0 || bs > math.MaxInt32 {
+		return d, fmt.Errorf("delta: block size %d out of range", bs)
 	}
 	d.BlockSize = int(bs)
 	d.TargetSize = int64(ts)
 	if n > 0 {
-		d.Ops = make([]Op, 0, n)
+		// The bound is taken before converting to int: on a 32-bit int
+		// a count word of 2³¹ or more would turn negative.
+		d.Ops = make([]Op, 0, int(min(uint64(n), uint64(len(data)-deltaHeader)/minOpSize)))
 	}
 	off := deltaHeader
 	for i := uint32(0); i < n; i++ {
@@ -138,14 +165,25 @@ func DecodeDelta(data []byte) (Delta, error) {
 			}
 			idx := binary.LittleEndian.Uint32(data[off : off+4])
 			off += 4
-			d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: int(idx)})
+			d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: int(idx), Count: 1})
+		case opRunTag:
+			if off+8 > len(data) {
+				return d, fmt.Errorf("delta: op %d run: unexpected EOF", i)
+			}
+			idx := binary.LittleEndian.Uint32(data[off : off+4])
+			count := binary.LittleEndian.Uint32(data[off+4 : off+8])
+			off += 8
+			if count == 0 || uint64(idx)+uint64(count) > math.MaxUint32 {
+				return d, fmt.Errorf("delta: op %d has invalid run of %d blocks at %d", i, count, idx)
+			}
+			d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: int(idx), Count: int(count)})
 		case opLitTag:
 			if off+4 > len(data) {
 				return d, fmt.Errorf("delta: op %d length: unexpected EOF", i)
 			}
 			length := binary.LittleEndian.Uint32(data[off : off+4])
 			off += 4
-			if int(length) > len(data)-off {
+			if uint64(length) > uint64(len(data)-off) {
 				return d, fmt.Errorf("delta: op %d literal of %d bytes exceeds %d remaining",
 					i, length, len(data)-off)
 			}
@@ -187,8 +225,11 @@ func DecodeSignature(data []byte) (Signature, error) {
 	bs := binary.LittleEndian.Uint32(data[4:8])
 	fs := binary.LittleEndian.Uint64(data[8:16])
 	n := binary.LittleEndian.Uint32(data[16:sigHeader])
-	if bs == 0 {
-		return s, fmt.Errorf("delta: zero block size in signature")
+	if bs == 0 || bs > math.MaxInt32 {
+		return s, fmt.Errorf("delta: signature block size %d out of range", bs)
+	}
+	if fs > math.MaxInt64 {
+		return s, fmt.Errorf("delta: signature file size %d out of range", fs)
 	}
 	s.BlockSize = int(bs)
 	s.FileSize = int64(fs)
@@ -196,9 +237,9 @@ func DecodeSignature(data []byte) (Signature, error) {
 	if int64(n) != want {
 		return s, fmt.Errorf("delta: signature has %d blocks, file size implies %d", n, want)
 	}
-	if len(data)-sigHeader != int(n)*(4+16) {
+	if uint64(len(data)-sigHeader) != uint64(n)*(4+16) {
 		return s, fmt.Errorf("delta: signature body is %d bytes, %d blocks imply %d",
-			len(data)-sigHeader, n, int(n)*(4+16))
+			len(data)-sigHeader, n, uint64(n)*(4+16))
 	}
 	if n > 0 {
 		s.Blocks = make([]BlockSig, n)

@@ -14,13 +14,37 @@ package delta
 import (
 	"crypto/md5"
 	"fmt"
+	"math/bits"
 )
 
-// DefaultBlockSize is the sync granularity used when callers do not
-// choose one. The paper estimates Dropbox's granularity at ≈ 10 KB and
-// notes rsync's recommended defaults of 700 B–16 KB; 8 KB sits in that
-// band.
+// DefaultBlockSize is the fixed sync granularity of the simulator's
+// reference profile and the live client's inline-upload threshold. The
+// paper estimates Dropbox's granularity at ≈ 10 KB and notes rsync's
+// recommended defaults of 700 B–16 KB; 8 KB sits in that band. The live
+// server picks a block per file instead (BlockSizeFor).
 const DefaultBlockSize = 8 << 10
+
+// Bounds of BlockSizeFor: rsync clamps its √N rule to [700 B, 128 KiB];
+// powers of two keep Resign's alignment arithmetic simple.
+const (
+	minBlockSize = 512
+	maxBlockSize = 128 << 10
+)
+
+// BlockSizeFor is the block size a file of size bytes is signed at: the
+// largest power of two not above √size, clamped to [512 B, 128 KiB] —
+// rsync's rule. A delta sync pays 20 B of signature per block whenever
+// the sender must fetch one, plus about one block of literals per dirty
+// block; 20·size/B + edits·B is smallest at B ∝ √size. 64 KiB gets
+// 512 B, 1 MiB gets 1 KiB, 4 MiB 2 KiB, 1 GiB 32 KiB.
+func BlockSizeFor(size int64) int {
+	if size <= 0 {
+		return minBlockSize
+	}
+	// 2^k ≤ √size ⇔ 2k ≤ ⌊log2 size⌋.
+	bs := 1 << ((bits.Len64(uint64(size)) - 1) / 2)
+	return min(max(bs, minBlockSize), maxBlockSize)
+}
 
 // BlockSig is the signature of one basis block.
 type BlockSig struct {
@@ -67,10 +91,10 @@ func signBlock(blk []byte, idx int) BlockSig {
 // hashing only the blocks the delta actually changed. It also reports
 // how many blocks it had to hash.
 //
-// Walking d's ops while tracking the output offset, a copy op's sums
-// are reused under the new index when the copied bytes are exactly one
-// target block: the copy lands at a multiple of the block size and is
-// as long as the target block there. A full basis block qualifies
+// Walking d's ops block by block while tracking the output offset, a
+// copied block's sums are reused under the new index when its bytes are
+// exactly one target block: the block lands at a multiple of the block
+// size and is as long as the target block there. A full basis block qualifies
 // anywhere it lands aligned (the target block there is then full too,
 // or the delta would overrun); the basis's final short block qualifies
 // only as the target's final block — mid-file it covers part of a
@@ -104,18 +128,19 @@ func Resign(old Signature, d Delta, target []byte) (sig Signature, hashed int) {
 			pos += len(op.Data)
 			continue
 		}
-		if op.Kind != OpCopy || op.Index < 0 || op.Index >= len(old.Blocks) {
+		if op.Kind != OpCopy || op.Index < 0 || op.Count < 1 || op.Count > len(old.Blocks)-op.Index {
 			return signAll()
 		}
-		blk := old.Blocks[op.Index]
-		if blk.Size <= 0 || blk.Size > bs {
-			return signAll()
+		for _, blk := range old.Blocks[op.Index : op.Index+op.Count] {
+			if blk.Size <= 0 || blk.Size > bs {
+				return signAll()
+			}
+			if pos%bs == 0 && pos < len(target) && blk.Size == min(bs, len(target)-pos) {
+				blk.Index = pos / bs
+				sig.Blocks[blk.Index] = blk
+			}
+			pos += blk.Size
 		}
-		if pos%bs == 0 && pos < len(target) && blk.Size == min(bs, len(target)-pos) {
-			blk.Index = pos / bs
-			sig.Blocks[blk.Index] = blk
-		}
-		pos += blk.Size
 	}
 	if pos != len(target) {
 		return signAll()
@@ -176,7 +201,7 @@ func roll(sum uint32, out, in byte, n int) uint32 {
 type OpKind uint8
 
 const (
-	// OpCopy references a block of the basis by index.
+	// OpCopy references a run of consecutive basis blocks.
 	OpCopy OpKind = iota
 	// OpLiteral carries raw bytes.
 	OpLiteral
@@ -185,10 +210,21 @@ const (
 // Op is one delta instruction.
 type Op struct {
 	Kind OpKind
-	// Index is the basis block referenced by a copy op.
-	Index int
+	// Index is the first basis block a copy op references, and Count
+	// (≥ 1) how many consecutive blocks from there it copies.
+	Index, Count int
 	// Data is the payload of a literal op.
 	Data []byte
+}
+
+// appendCopy appends a copy of basis block idx to ops, extending the
+// last op instead when it is a run that ends just before idx.
+func appendCopy(ops []Op, idx int) []Op {
+	if n := len(ops); n > 0 && ops[n-1].Kind == OpCopy && ops[n-1].Index+ops[n-1].Count == idx {
+		ops[n-1].Count++
+		return ops
+	}
+	return append(ops, Op{Kind: OpCopy, Index: idx, Count: 1})
 }
 
 // Delta is an ordered list of instructions that transforms the basis
@@ -215,33 +251,27 @@ func (d Delta) CopiedBlocks() int {
 	n := 0
 	for _, op := range d.Ops {
 		if op.Kind == OpCopy {
-			n++
+			n += op.Count
 		}
 	}
 	return n
 }
 
 // WireSize reports the transmission cost of the delta: literal bytes
-// plus a 4-byte header per literal run, plus 8 bytes per run of
-// consecutive copy ops (rsync collapses adjacent block references).
+// plus a 4-byte header per literal run, plus 8 bytes per maximal run of
+// consecutive copied blocks (rsync collapses adjacent block references,
+// however the ops split them).
 func (d Delta) WireSize() int {
 	size := 0
-	i := 0
-	for i < len(d.Ops) {
-		op := d.Ops[i]
+	for i, op := range d.Ops {
 		if op.Kind == OpLiteral {
 			size += 4 + len(op.Data)
-			i++
 			continue
 		}
-		// Collapse a run of consecutive copies.
-		j := i
-		for j+1 < len(d.Ops) && d.Ops[j+1].Kind == OpCopy &&
-			d.Ops[j+1].Index == d.Ops[j].Index+1 {
-			j++
+		if prev := i - 1; prev < 0 || d.Ops[prev].Kind != OpCopy ||
+			d.Ops[prev].Index+d.Ops[prev].Count != op.Index {
+			size += 8
 		}
-		size += 8
-		i = j + 1
 	}
 	return size
 }
@@ -324,10 +354,12 @@ func tagOf(w uint32) uint32 { return (w ^ (w >> tagBits)) & (1<<tagBits - 1) }
 // Compute builds the delta that turns the signed basis into target. The
 // scan matches weak checksums first and confirms with the strong hash,
 // exactly as rsync does; on hash collision the strong check rejects the
-// block and the byte goes out as a literal.
+// block and the byte goes out as a literal. A match of the basis block
+// after the one just copied extends that copy run, so an unchanged
+// stretch costs one op however many blocks it spans.
 //
-// Throughput engineering (outputs byte-identical to computeRef, pinned
-// by the differential harness):
+// Throughput engineering (outputs byte-identical to computeRef with its
+// adjacent copies merged, pinned by the differential harness):
 //
 //   - rsync's tag bitmap: every basis block sets one bit of a 2^16-bit
 //     map keyed by its folded weak sum. The per-byte scan tests one bit
@@ -408,7 +440,7 @@ func Compute(sig Signature, target []byte) Delta {
 			}
 			if matched >= 0 {
 				emitLiteral(target[litStart:i])
-				d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: matched})
+				d.Ops = appendCopy(d.Ops, matched)
 				i += bs
 				litStart = i
 				if i+bs > len(target) {
@@ -432,7 +464,7 @@ tail:
 		tail := rest[len(rest)-partial.Size:]
 		if weakSum(tail) == partial.Weak && md5.Sum(tail) == partial.Strong {
 			emitLiteral(rest[:len(rest)-partial.Size])
-			d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: partial.Index})
+			d.Ops = appendCopy(d.Ops, partial.Index)
 			sealLiterals(&d)
 			return d
 		}
@@ -471,47 +503,51 @@ func sealLiterals(d *Delta) {
 // block references and the final size, returning an error on any
 // inconsistency.
 //
-// The output is a single exactly-sized allocation — TargetSize is known
-// up front — written with bounds-checked copies: an op that would
-// overrun the declared size fails before writing rather than growing
-// the buffer (the old bytes.Buffer path paid an alloc plus at least one
-// grow per apply and only caught oversize deltas at the end).
+// Every op is checked and the output length summed before anything is
+// allocated, so a TargetSize the ops do not add up to costs no memory
+// (it arrives straight off the wire). The output is then one
+// exactly-sized allocation filled with one copy per op: a copy run is
+// one contiguous range of the basis.
 func Apply(basis []byte, d Delta) ([]byte, error) {
-	if d.BlockSize <= 0 {
-		return nil, fmt.Errorf("delta: apply with invalid block size %d", d.BlockSize)
+	bs := d.BlockSize
+	if bs <= 0 {
+		return nil, fmt.Errorf("delta: apply with invalid block size %d", bs)
 	}
 	if d.TargetSize < 0 {
 		return nil, fmt.Errorf("delta: apply with negative target size %d", d.TargetSize)
 	}
-	out := make([]byte, d.TargetSize)
-	pos := 0
+	nBlocks := (len(basis) + bs - 1) / bs
+	var size int64
 	for i, op := range d.Ops {
 		switch op.Kind {
 		case OpLiteral:
-			if pos+len(op.Data) > len(out) {
-				return nil, fmt.Errorf("delta: op %d overruns target size %d", i, d.TargetSize)
-			}
-			pos += copy(out[pos:], op.Data)
+			size += int64(len(op.Data))
 		case OpCopy:
-			off := op.Index * d.BlockSize
-			if op.Index < 0 || off >= len(basis) {
-				return nil, fmt.Errorf("delta: op %d references block %d outside basis (%d bytes)",
-					i, op.Index, len(basis))
+			if op.Index < 0 || op.Count < 1 || op.Index >= nBlocks || op.Count > nBlocks-op.Index {
+				return nil, fmt.Errorf("delta: op %d copies blocks %d+%d outside basis (%d blocks)",
+					i, op.Index, op.Count, nBlocks)
 			}
-			end := off + d.BlockSize
-			if end > len(basis) {
-				end = len(basis)
-			}
-			if pos+(end-off) > len(out) {
-				return nil, fmt.Errorf("delta: op %d overruns target size %d", i, d.TargetSize)
-			}
-			pos += copy(out[pos:], basis[off:end])
+			off := op.Index * bs
+			size += int64(min(off+op.Count*bs, len(basis)) - off)
 		default:
 			return nil, fmt.Errorf("delta: op %d has unknown kind %d", i, op.Kind)
 		}
+		if size > d.TargetSize {
+			return nil, fmt.Errorf("delta: op %d overruns target size %d", i, d.TargetSize)
+		}
 	}
-	if int64(pos) != d.TargetSize {
-		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", pos, d.TargetSize)
+	if size != d.TargetSize {
+		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", size, d.TargetSize)
+	}
+	out := make([]byte, size)
+	pos := 0
+	for _, op := range d.Ops {
+		if op.Kind == OpLiteral {
+			pos += copy(out[pos:], op.Data)
+			continue
+		}
+		off := op.Index * bs
+		pos += copy(out[pos:], basis[off:min(off+op.Count*bs, len(basis))])
 	}
 	return out, nil
 }

@@ -2,7 +2,9 @@ package delta
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -131,18 +133,116 @@ func TestComputeInvalidSigPanics(t *testing.T) {
 }
 
 func TestApplyErrors(t *testing.T) {
-	basis := make([]byte, 100)
+	basis := make([]byte, 95) // ten blocks of 10, the last one short
 	cases := []Delta{
 		{BlockSize: 0, TargetSize: 0},
-		{BlockSize: 10, TargetSize: 10, Ops: []Op{{Kind: OpCopy, Index: 50}}},
-		{BlockSize: 10, TargetSize: 10, Ops: []Op{{Kind: OpCopy, Index: -1}}},
-		{BlockSize: 10, TargetSize: 999, Ops: []Op{{Kind: OpCopy, Index: 0}}},
+		{BlockSize: 10, TargetSize: 10, Ops: []Op{{Kind: OpCopy, Index: 50, Count: 1}}},
+		{BlockSize: 10, TargetSize: 10, Ops: []Op{{Kind: OpCopy, Index: -1, Count: 1}}},
+		{BlockSize: 10, TargetSize: 10, Ops: []Op{{Kind: OpCopy, Index: 0, Count: 0}}},
+		{BlockSize: 10, TargetSize: 10, Ops: []Op{{Kind: OpCopy, Index: 0, Count: -1}}},
+		{BlockSize: 10, TargetSize: 100, Ops: []Op{{Kind: OpCopy, Index: 1, Count: 10}}},         // run past the basis
+		{BlockSize: 10, TargetSize: 95, Ops: []Op{{Kind: OpCopy, Index: 0, Count: math.MaxInt}}}, // count overflows Count×BlockSize
+		{BlockSize: 10, TargetSize: 999, Ops: []Op{{Kind: OpCopy, Index: 0, Count: 1}}},
+		{BlockSize: 10, TargetSize: 5, Ops: []Op{{Kind: OpCopy, Index: 0, Count: 1}}},
 		{BlockSize: 10, TargetSize: 10, Ops: []Op{{Kind: OpKind(9)}}},
+		{BlockSize: 10, TargetSize: -1},
 	}
 	for i, d := range cases {
 		if _, err := Apply(basis, d); err == nil {
 			t.Errorf("case %d: Apply succeeded, want error", i)
 		}
+	}
+}
+
+// TestApplyChecksBeforeAllocating: TargetSize arrives off the wire, so a
+// delta whose ops do not add up to it must fail without allocating it.
+func TestApplyChecksBeforeAllocating(t *testing.T) {
+	basis := make([]byte, 1000)
+	d := Delta{BlockSize: 100, TargetSize: 64 << 20, Ops: []Op{{Kind: OpCopy, Index: 0, Count: 10}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Apply(basis, d)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Apply succeeded on 1000 bytes of ops claiming 64 MiB")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("failed Apply allocated %d bytes", alloc)
+	}
+}
+
+// TestApplyRunCopiesShortFinalBlock: a run ending on the basis's short
+// final block copies exactly to the end of the basis.
+func TestApplyRunCopiesShortFinalBlock(t *testing.T) {
+	basis := content.Random(1000, 12).Bytes()
+	d := Delta{BlockSize: 128, TargetSize: 1000 - 256 + 3, Ops: []Op{
+		{Kind: OpLiteral, Data: []byte("abc")},
+		{Kind: OpCopy, Index: 2, Count: 6},
+	}}
+	got, err := Apply(basis, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("abc"), basis[256:]...); !bytes.Equal(got, want) {
+		t.Fatal("run ending on the short final block reconstructed the wrong bytes")
+	}
+}
+
+func TestBlockSizeFor(t *testing.T) {
+	cases := []struct {
+		size int64
+		want int
+	}{
+		{0, 512},
+		{1, 512},
+		{256<<10 - 1, 512},
+		{256 << 10, 512},
+		{1 << 20, 1 << 10},
+		{4 << 20, 2 << 10},
+		{4<<20 - 1, 1 << 10},
+		{1 << 30, 32 << 10},
+		{1 << 40, 128 << 10},
+		{-1, 512},
+	}
+	for _, c := range cases {
+		if got := BlockSizeFor(c.size); got != c.want {
+			t.Errorf("BlockSizeFor(%d) = %d, want %d", c.size, got, c.want)
+		}
+	}
+	prev := 0
+	for size := int64(0); size < 1<<42; size = size*5/4 + 1 {
+		bs := BlockSizeFor(size)
+		if bs&(bs-1) != 0 || bs < 512 || bs > 128<<10 {
+			t.Fatalf("BlockSizeFor(%d) = %d: not a power of two in [512, 128 KiB]", size, bs)
+		}
+		if bs < prev {
+			t.Fatalf("BlockSizeFor(%d) = %d, below %d for a smaller file", size, bs, prev)
+		}
+		if int64(bs) > 512 && int64(bs)*int64(bs) > size {
+			t.Fatalf("BlockSizeFor(%d) = %d exceeds √size", size, bs)
+		}
+		prev = bs
+	}
+}
+
+// TestComputeEmitsRuns pins the op count the live path sees: eight
+// in-place edits of a 4 MiB file at its own block size are nine copy
+// runs around eight literals, not one op per block.
+func TestComputeEmitsRuns(t *testing.T) {
+	const size = 4 << 20
+	basis := content.Random(size, 13).Bytes()
+	target := append([]byte(nil), basis...)
+	bs := BlockSizeFor(size)
+	for k := 0; k < 8; k++ {
+		target[k*(size/8)+bs+7] ^= 0xFF
+	}
+	d := roundTrip(t, basis, target, bs)
+	if len(d.Ops) != 17 || d.CopiedBlocks() != size/bs-8 || d.LiteralBytes() != 8*bs {
+		t.Fatalf("%d ops, %d copied blocks, %d literal bytes; want 17, %d, %d",
+			len(d.Ops), d.CopiedBlocks(), d.LiteralBytes(), size/bs-8, 8*bs)
+	}
+	if got, want := d.WireSize(), 9*8+8*(4+bs); got != want {
+		t.Fatalf("WireSize = %d, want %d", got, want)
 	}
 }
 
@@ -160,15 +260,32 @@ func TestWeakSumRolling(t *testing.T) {
 
 func TestWireSizeAccountsRuns(t *testing.T) {
 	d := Delta{BlockSize: 10, Ops: []Op{
-		{Kind: OpCopy, Index: 0},
-		{Kind: OpCopy, Index: 1},
-		{Kind: OpCopy, Index: 5}, // breaks the run
+		{Kind: OpCopy, Index: 0, Count: 1},
+		{Kind: OpCopy, Index: 1, Count: 1},
+		{Kind: OpCopy, Index: 5, Count: 1}, // breaks the run
 		{Kind: OpLiteral, Data: make([]byte, 100)},
-		{Kind: OpCopy, Index: 6},
+		{Kind: OpCopy, Index: 6, Count: 1},
 	}}
 	// Runs: [0,1], [5], literal(100), [6] → 8 + 8 + 104 + 8.
 	if got := d.WireSize(); got != 128 {
 		t.Fatalf("WireSize = %d, want 128", got)
+	}
+	// The same blocks held as runs, split anywhere, price the same.
+	runs := Delta{BlockSize: 10, Ops: []Op{
+		{Kind: OpCopy, Index: 0, Count: 2},
+		{Kind: OpCopy, Index: 5, Count: 1},
+		{Kind: OpLiteral, Data: make([]byte, 100)},
+		{Kind: OpCopy, Index: 6, Count: 1},
+	}}
+	if got := runs.WireSize(); got != 128 {
+		t.Fatalf("WireSize of runs = %d, want 128", got)
+	}
+	split := Delta{BlockSize: 10, Ops: []Op{
+		{Kind: OpCopy, Index: 3, Count: 4},
+		{Kind: OpCopy, Index: 7, Count: 2}, // continues [3,7)
+	}}
+	if got := split.WireSize(); got != 8 {
+		t.Fatalf("WireSize of a split run = %d, want 8", got)
 	}
 }
 

@@ -1,8 +1,9 @@
 package delta
 
 // Differential harness: the optimized Compute (tag bitmap, inlined
-// roll, literal arena) and weakSum (unrolled) against their retained
-// references, op for op and byte for byte, across random bases, edit
+// roll, literal arena, copy runs) and weakSum (unrolled) against their
+// retained references — computeRef's per-block copies merged into runs
+// — op for op and byte for byte, across random bases, edit
 // scripts, and block sizes — including adversarial all-equal-byte
 // inputs where every position weak-matches every block, and disjoint
 // random inputs where nothing ever matches. Resign, which has no
@@ -43,11 +44,51 @@ func deltasEqual(a, b Delta) bool {
 	}
 	for i := range a.Ops {
 		if a.Ops[i].Kind != b.Ops[i].Kind || a.Ops[i].Index != b.Ops[i].Index ||
-			!bytes.Equal(a.Ops[i].Data, b.Ops[i].Data) {
+			a.Ops[i].Count != b.Ops[i].Count || !bytes.Equal(a.Ops[i].Data, b.Ops[i].Data) {
 			return false
 		}
 	}
 	return true
+}
+
+// coalesce turns computeRef's one-op-per-block copies into runs: each
+// of its copy ops is one block, and a copy of the block after the
+// previous op's last extends that op.
+func coalesce(d Delta) Delta {
+	ops := d.Ops
+	d.Ops = nil
+	for _, op := range ops {
+		if op.Kind == OpCopy {
+			if n := len(d.Ops); n > 0 && d.Ops[n-1].Kind == OpCopy && d.Ops[n-1].Index+d.Ops[n-1].Count == op.Index {
+				d.Ops[n-1].Count++
+				continue
+			}
+			op.Count = 1
+		}
+		d.Ops = append(d.Ops, op)
+	}
+	return d
+}
+
+// wireSizeRef is WireSize as it was written for one op per copied
+// block: 4 + len per literal, 8 per chain of consecutive block indices.
+func wireSizeRef(d Delta) int {
+	size := 0
+	i := 0
+	for i < len(d.Ops) {
+		if d.Ops[i].Kind == OpLiteral {
+			size += 4 + len(d.Ops[i].Data)
+			i++
+			continue
+		}
+		j := i
+		for j+1 < len(d.Ops) && d.Ops[j+1].Kind == OpCopy && d.Ops[j+1].Index == d.Ops[j].Index+1 {
+			j++
+		}
+		size += 8
+		i = j + 1
+	}
+	return size
 }
 
 // TestDifferentialWeakSum holds the unrolled checksum to the textbook
@@ -121,11 +162,14 @@ func TestDifferentialCompute(t *testing.T) {
 		}
 		sig := Sign(basis, bs)
 		got := Compute(sig, target)
-		want := computeRef(sig, target)
+		want := coalesce(computeRef(sig, target))
 		if !deltasEqual(got, want) {
 			t.Fatalf("iter %d (bs=%d, len basis=%d target=%d): optimized delta diverged from reference\ngot  %d ops, %d literal\nwant %d ops, %d literal",
 				iter, bs, len(basis), len(target),
 				len(got.Ops), got.LiteralBytes(), len(want.Ops), want.LiteralBytes())
+		}
+		if gotWire, wantWire := got.WireSize(), wireSizeRef(computeRef(sig, target)); gotWire != wantWire {
+			t.Fatalf("iter %d: WireSize %d, the per-block reference prices it at %d", iter, gotWire, wantWire)
 		}
 		applied, err := Apply(basis, got)
 		if err != nil {
@@ -176,7 +220,7 @@ func TestDifferentialComputeTagCollisions(t *testing.T) {
 		basis := r.bytes(4096)
 		target := r.bytes(4096)
 		sig := Sign(basis, bs)
-		if got, want := Compute(sig, target), computeRef(sig, target); !deltasEqual(got, want) {
+		if got, want := Compute(sig, target), coalesce(computeRef(sig, target)); !deltasEqual(got, want) {
 			t.Fatalf("iter %d (bs=%d): diverged under tag-collision sweep", iter, bs)
 		}
 	}
@@ -309,33 +353,43 @@ func TestDifferentialResign(t *testing.T) {
 }
 
 // TestDifferentialResignHandBuiltDeltas covers op sequences Compute
-// never emits but the wire can carry: copies in any order, repeated,
-// and the basis's short final block landing mid-file — aligned or not —
-// where its sums must not be reused.
+// never emits but the wire can carry: copies and runs in any order,
+// repeated, adjacent runs that could have been one, and the basis's
+// short final block landing mid-file — alone or ending a multi-block
+// run, aligned or not — where its sums must not be reused.
 func TestDifferentialResignHandBuiltDeltas(t *testing.T) {
 	r := deltaRand(0xD1FF)
 	for iter := 0; iter < 400; iter++ {
 		bs := 1 + r.intn(64)
 		basis := r.bytes(1 + r.intn(12*bs))
 		old := Sign(basis, bs)
+		nb := len(old.Blocks)
 		d := Delta{BlockSize: bs}
 		for k := 0; k < r.intn(16); k++ {
-			switch r.intn(4) {
+			switch r.intn(6) {
 			case 0:
 				d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: r.bytes(1 + r.intn(2*bs))})
 			case 1: // block-multiple literal: later copies stay aligned
 				d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: r.bytes(bs)})
 			case 2: // the final (possibly short) block, wherever it lands
-				d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: len(old.Blocks) - 1})
+				d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: nb - 1, Count: 1})
+			case 3: // a run ending on the final (possibly short) block
+				idx := r.intn(nb)
+				d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: idx, Count: nb - idx})
+			case 4: // any run
+				idx := r.intn(nb)
+				d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: idx, Count: 1 + r.intn(nb-idx)})
 			default:
-				d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: r.intn(len(old.Blocks))})
+				d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: r.intn(nb), Count: 1})
 			}
 		}
 		for _, op := range d.Ops {
-			if op.Kind == OpCopy {
-				d.TargetSize += int64(old.Blocks[op.Index].Size)
-			} else {
+			if op.Kind != OpCopy {
 				d.TargetSize += int64(len(op.Data))
+				continue
+			}
+			for _, blk := range old.Blocks[op.Index : op.Index+op.Count] {
+				d.TargetSize += int64(blk.Size)
 			}
 		}
 		target, err := Apply(basis, d)
@@ -386,13 +440,26 @@ func TestResignFallsBackOnInconsistentInput(t *testing.T) {
 	old := Sign(basis, 100)
 	target := append([]byte(nil), basis...)
 	good := Compute(old, target)
+	if len(good.Ops) != 1 || good.Ops[0].Count != 10 {
+		t.Fatalf("unchanged 10-block file gave %d ops, want one 10-block run", len(good.Ops))
+	}
 
 	wrongSize := good
 	wrongSize.TargetSize++
-	outside := Delta{BlockSize: 100, TargetSize: 1000, Ops: append([]Op{{Kind: OpCopy, Index: 10}}, good.Ops[1:]...)}
-	short := Delta{BlockSize: 100, TargetSize: 1000, Ops: good.Ops[:5]}
-	long := Delta{BlockSize: 100, TargetSize: 1000, Ops: append(append([]Op(nil), good.Ops...), Op{Kind: OpCopy, Index: 0})}
-	for name, d := range map[string]Delta{"wrong size": wrongSize, "copy outside": outside, "short": short, "long": long} {
+	copyOp := func(idx, count int) Op { return Op{Kind: OpCopy, Index: idx, Count: count} }
+	cases := map[string][]Op{
+		"copy outside":  {copyOp(10, 1), copyOp(1, 9)},
+		"run past end":  {copyOp(0, 9), copyOp(9, 2)},
+		"zero count":    {copyOp(0, 0), copyOp(0, 10)},
+		"short":         {copyOp(0, 5)},
+		"long":          {copyOp(0, 10), copyOp(0, 1)},
+		"negative copy": {copyOp(-1, 1), copyOp(0, 10)},
+	}
+	ds := map[string]Delta{"wrong size": wrongSize}
+	for name, ops := range cases {
+		ds[name] = Delta{BlockSize: 100, TargetSize: 1000, Ops: ops}
+	}
+	for name, d := range ds {
 		if got := requireResignEqualsSign(t, name, old, d, target); got != 10 {
 			t.Fatalf("%s: hashed %d blocks, want a full re-sign of 10", name, got)
 		}

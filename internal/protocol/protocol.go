@@ -291,7 +291,7 @@ func (d *decBuf) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if int(n) > len(d.b) {
+	if uint64(n) > uint64(len(d.b)) {
 		return "", fmt.Errorf("string length %d exceeds %d remaining", n, len(d.b))
 	}
 	s := string(d.b[:n])
@@ -306,7 +306,7 @@ func (d *decBuf) blob() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > len(d.b) {
+	if uint64(n) > uint64(len(d.b)) {
 		return nil, fmt.Errorf("payload length %d exceeds body", n)
 	}
 	p := make([]byte, n)
@@ -568,7 +568,7 @@ func (m *IndexUpdate) decodeBody(d *decBuf) (err error) {
 	if err != nil {
 		return err
 	}
-	if int(n)*md5.Size > d.remaining() {
+	if uint64(n)*md5.Size > uint64(d.remaining()) {
 		return fmt.Errorf("block hash count %d exceeds body", n)
 	}
 	m.BlockHashes = make([]Fingerprint, n)
@@ -600,7 +600,7 @@ func (m *IndexReply) decodeBody(d *decBuf) (err error) {
 	if err != nil {
 		return err
 	}
-	if int(n)*4 > d.remaining() {
+	if uint64(n)*4 > uint64(d.remaining()) {
 		return fmt.Errorf("need-block count %d exceeds body", n)
 	}
 	m.NeedBlocks = make([]uint32, n)

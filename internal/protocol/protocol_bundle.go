@@ -74,7 +74,7 @@ func (m *Bundle) decodeBody(d *decBuf) (err error) {
 	}
 	// Every entry costs at least a name prefix, size, hash, and payload
 	// prefix; a count that cannot fit is corruption, not a big bundle.
-	if int(n)*(4+8+16+4) > d.remaining() {
+	if uint64(n)*(4+8+16+4) > uint64(d.remaining()) {
 		return fmt.Errorf("bundle entry count %d exceeds body", n)
 	}
 	m.Entries = make([]BundleEntry, n)
@@ -117,7 +117,7 @@ func (m *BundleReply) decodeBody(d *decBuf) (err error) {
 	if err != nil {
 		return err
 	}
-	if int(n)*(8+8+1) > d.remaining() {
+	if uint64(n)*(8+8+1) > uint64(d.remaining()) {
 		return fmt.Errorf("bundle result count %d exceeds body", n)
 	}
 	m.Results = make([]BundleResult, n)

@@ -129,7 +129,7 @@ func (m *Listing) decodeBody(d *decBuf) (err error) {
 	// Every entry costs at least an ID, a name prefix, a size, a
 	// version, a flag byte, and a hash; a count that cannot fit in the
 	// remaining body is corruption, not a big listing.
-	if int(n)*listEntryFixedSize > d.remaining() {
+	if uint64(n)*listEntryFixedSize > uint64(d.remaining()) {
 		return fmt.Errorf("listing entry count %d exceeds body", n)
 	}
 	m.Entries = make([]ListEntry, n)

@@ -471,7 +471,8 @@ func isProtoErr(err error, out **protocol.Error) bool {
 }
 
 // inlineLimit is the largest file Upload sends without probing first:
-// one block of the session's delta granularity.
+// the block size this client asks for, else delta.DefaultBlockSize —
+// not the server's per-file size, which for such files is smaller.
 func (c *Client) inlineLimit() int {
 	if c.blockSize > 0 {
 		return c.blockSize
@@ -657,6 +658,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 			return stats, err
 		}
 	}
+	sp.Set("block_size", sig.BlockSize)
 	d := delta.Compute(sig, data)
 	payload := d.Encode()
 	if err := c.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {

@@ -8,8 +8,10 @@ import (
 
 // sigCacheBudget bounds what one client remembers about the files it
 // delta-syncs, in encoded signature bytes (delta.Signature.WireSize: 20
-// per block, 0.24 % of the file at the default block size — the budget
-// covers ≈ 1.7 GB of files; resident, a block signature is twice that).
+// per block; at delta.BlockSizeFor's √size blocks that is 3.9 % of a
+// file under 1 MiB, 1 % of a 4 MiB file, 0.06 % of 1 GiB — so the budget
+// covers ≈ 100 MB of small files, ≈ 400 MB of 4 MiB ones; resident, a
+// block signature is twice that).
 const sigCacheBudget = 4 << 20
 
 // clientSig is delta.Sign of the content a file held at version, as far

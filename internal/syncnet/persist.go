@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cloudsync/internal/dedup"
-	"cloudsync/internal/delta"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/protocol"
 	"cloudsync/internal/store/wal"
@@ -43,9 +42,6 @@ const DefaultCompactLogBytes = 64 << 20
 // cfg.StateDir when it is set. With an empty StateDir the server is
 // purely in-RAM and OpenServer cannot fail (NewServer wraps this case).
 func OpenServer(cfg ServerConfig) (*Server, error) {
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = delta.DefaultBlockSize
-	}
 	if cfg.BlockSize < 0 {
 		panic(fmt.Sprintf("syncnet: negative block size %d", cfg.BlockSize))
 	}

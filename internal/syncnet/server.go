@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"cloudsync/internal/comp"
 	"cloudsync/internal/dedup"
@@ -64,7 +65,8 @@ type ServerConfig struct {
 	// (comp.None disables it).
 	Compression comp.Level
 	// BlockSize is the rsync signature granularity for incremental
-	// updates (0 = delta.DefaultBlockSize).
+	// updates when a SigRequest names none (0 = per file, from its size:
+	// delta.BlockSizeFor).
 	BlockSize int
 	// CrossUserDedup shares the full-file dedup index across accounts.
 	CrossUserDedup bool
@@ -141,6 +143,23 @@ func (f *serverFile) currentSig(bs int) *cachedSig {
 	return nil
 }
 
+// setSigLocked replaces f's signature slot (nil drops it) and keeps the
+// resident-bytes gauge in step. Caller holds s.mu.
+func (s *Server) setSigLocked(f *serverFile, c *cachedSig) {
+	s.sigBytes += c.residentBytes() - f.sig.residentBytes()
+	f.sig = c
+	s.om.sigCacheBytes.Set(s.sigBytes)
+}
+
+// residentBytes is the memory a cached signature's block table holds
+// (nil holds none).
+func (c *cachedSig) residentBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	return int64(len(c.sig.Blocks)) * int64(unsafe.Sizeof(delta.BlockSig{}))
+}
+
 // ServerStats is a snapshot of server activity.
 type ServerStats struct {
 	Sessions    int64
@@ -212,6 +231,7 @@ type Server struct {
 	index     *dedup.Index
 	nextID    uint64
 	stats     ServerStats
+	sigBytes  int64 // Σ residentBytes of the files' signature slots
 	closed    bool
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
@@ -1004,7 +1024,7 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	f.data = raw
 	f.hash = hash
 	f.version++
-	f.sig = nil // whole new content: nothing to carry over
+	s.setSigLocked(f, nil) // whole new content: nothing to carry over
 	f.deleted = false
 	f.history++
 	s.index.Add(ss.user, hash, int64(len(raw)))
@@ -1084,7 +1104,7 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 	}
 	target.deleted = true // fake deletion: content retained
 	target.version++
-	target.sig = nil
+	s.setSigLocked(target, nil)
 	s.stats.Deletes++
 	version := target.version
 	s.commitFileLocked(ss.user, target)
@@ -1134,11 +1154,13 @@ func (ss *session) onGet(m *protocol.Get) error {
 	return ss.send(&protocol.Ack{FileID: info.FileID, Version: info.Version, OK: true})
 }
 
-// onSigRequest serves the signature a delta will be computed against.
-// A repeat request for an unchanged (or delta-synced) file is answered
-// from the file's cached signature; a miss signs outside s.mu — stored
-// content is immutable, files only ever swap to a new slice — and
-// publishes the result if the file has not moved meanwhile.
+// onSigRequest serves the signature a delta will be computed against, at
+// the block size the request names, else the server's configured one,
+// else the one the file's size calls for. A repeat request for an
+// unchanged (or delta-synced) file is answered from the file's cached
+// signature; a miss signs outside s.mu — stored content is immutable,
+// files only ever swap to a new slice — and publishes the result if the
+// file has not moved meanwhile.
 func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	s := ss.srv
 	bs := s.cfg.BlockSize
@@ -1152,6 +1174,9 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
+	if bs == 0 {
+		bs = delta.BlockSizeFor(int64(len(f.data)))
+	}
 	data, version, c := f.data, f.version, f.currentSig(bs)
 	s.mu.Unlock()
 	if c != nil {
@@ -1161,7 +1186,7 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 		c = &cachedSig{version: version, sig: delta.Sign(data, bs)}
 		s.mu.Lock()
 		if f.version == version {
-			f.sig = c
+			s.setSigLocked(f, c)
 		}
 		s.mu.Unlock()
 	}
@@ -1233,7 +1258,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	f.version++
 	f.history++
 	f.hash = hash
-	f.sig = next
+	s.setSigLocked(f, next)
 	s.index.Add(ss.user, hash, int64(len(raw)))
 	if _, ok := s.byHash[hash]; !ok {
 		s.byHash[hash] = raw
@@ -1250,6 +1275,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	stored := s.stats.BytesStored
 	s.mu.Unlock()
 	s.om.deltaSyncs.Inc()
+	s.om.deltaLiteralBytes.Add(int64(d.LiteralBytes()))
 	if cond {
 		s.om.condDeltas.Inc()
 	}
