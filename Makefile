@@ -20,11 +20,12 @@ race:
 
 # fuzz explores the wire decoders for 30 s each beyond their seed
 # corpora (replayed by every ordinary test run): the protocol frame
-# decoder and the delta and signature codecs. A crasher lands in the
-# package's testdata/fuzz/<Target>: fix it and commit the file, so the
-# test suite replays it from then on.
+# decoder and stream reader, and the delta and signature codecs. A
+# crasher lands in the package's testdata/fuzz/<Target>: fix it and
+# commit the file, so the test suite replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime 30s ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignature$$' -fuzztime 30s ./internal/delta
 
@@ -49,9 +50,9 @@ bench-obs:
 KERNEL_PKGS = ./internal/chunker ./internal/delta
 KERNEL_FILTER = ^(Fixed$$|ContentDefined|Delta|Resign$$|WeakSum$$)
 # KERNEL_BENCH measures them, plus the one live round trip whose cost is
-# a kernel's: the repeat delta sync (syncnet's signature cache keeps it
-# at Resign's O(edit) hashing; losing the cache shows as Sign's extra
-# allocations and a throughput drop).
+# a kernel's: the repeat delta sync (the client-held signature keeps it
+# at Resign's O(edit) hashing and the server signs nothing; losing
+# either shows as Sign's extra allocations and a throughput drop).
 KERNEL_BENCH = $(GO) test -bench . -benchmem -benchtime 0.5s -run '^$$' $(KERNEL_PKGS) ; \
 	$(GO) test -bench 'DeltaSyncRepeat$$' -benchmem -benchtime 0.5s -run '^$$' ./internal/syncnet
 

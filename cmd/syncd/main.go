@@ -52,7 +52,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7777", "listen address")
 		compress  = flag.Bool("compress", true, "compress content on the wire and at rest")
 		crossUser = flag.Bool("cross-user-dedup", false, "share the dedup index across accounts")
-		blockSize = flag.Int("block-size", 0, "delta-sync granularity in bytes (0 = per file: the largest power of two ≤ √size, within 512 B–128 KiB)")
 		quiet     = flag.Bool("quiet", false, "suppress per-request logging")
 		stateDir  = flag.String("state-dir", "",
 			"durable state directory: replay on start, group-commit before every ACK (empty = in-RAM)")
@@ -75,7 +74,6 @@ func main() {
 	flag.Parse()
 
 	cfg := syncnet.ServerConfig{
-		BlockSize:      *blockSize,
 		CrossUserDedup: *crossUser,
 		StateDir:       *stateDir,
 	}

@@ -481,26 +481,35 @@ func ReadMessage(r io.Reader) (Message, error) {
 // caller to reuse on the next read. Decoded messages copy out any
 // fields that reference the frame, so the buffer is free for reuse the
 // moment ReadMessageBuf returns — a session that recycles its read
-// buffer pays one allocation per *session*, not per message (plus the
+// buffer pays each growth once per *session*, not per message (plus the
 // unavoidable copies of payload-bearing fields).
+//
+// The buffer grows by doubling, and only once the bytes already read
+// fill it: a frame's length word alone cannot buy an allocation, and
+// the buffer never exceeds twice the bytes actually received (or 4 KiB).
 func ReadMessageBuf(r io.Reader, buf []byte) (Message, []byte, error) {
 	if cap(buf) < frameHeader {
 		buf = make([]byte, 0, 4096)
 	}
-	hdr := buf[:frameHeader]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	buf = buf[:frameHeader]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[1:5]))
-	total := frameHeader + n
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, hdr)
-		buf = grown
-	}
-	buf = buf[:total]
-	if _, err := io.ReadFull(r, buf[frameHeader:]); err != nil {
-		return nil, buf, fmt.Errorf("protocol: reading body: %w", err)
+	total := frameHeader + int(binary.LittleEndian.Uint32(buf[1:5]))
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(2*cap(buf), total))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := io.ReadFull(r, buf[len(buf):min(total, cap(buf))])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF && len(buf) > frameHeader {
+			err = io.ErrUnexpectedEOF // the stream ended between two chunks
+		}
+		if err != nil {
+			return nil, buf, fmt.Errorf("protocol: reading body: %w", err)
+		}
 	}
 	m, err := Decode(buf)
 	return m, buf, err

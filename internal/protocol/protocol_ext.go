@@ -54,10 +54,12 @@ type SigRequest struct {
 // Type implements Message.
 func (*SigRequest) Type() MsgType { return TypeSigRequest }
 
-// SignatureMsg carries an encoded delta.Signature.
+// SignatureMsg carries an encoded delta.Signature and the version of
+// the file it describes: the BaseVersion a delta cut against it names.
 type SignatureMsg struct {
 	Name    string
 	Payload []byte
+	Version uint64
 }
 
 // Type implements Message.
@@ -67,13 +69,13 @@ func (*SignatureMsg) Type() MsgType { return TypeSignature }
 type DeltaMsg struct {
 	Name    string
 	Payload []byte
-	// BaseVersion, when non-zero, is a precondition: the delta was cut
-	// against the sender's own record of the file at exactly this
-	// version, and the receiver applies it only while the file is still
-	// there (else ErrConflict). Zero means the delta answers the
-	// signature this session was just served. The field is
-	// wire-optional like Hello.Caps: omitted when zero, so the
-	// unconditional frame is byte-identical to the legacy one.
+	// BaseVersion is the delta's precondition: it was cut against the
+	// file at exactly this version — the one a served SignatureMsg
+	// carried, or the one the sender's last acknowledged delta left —
+	// and the receiver applies it only while the file is still there
+	// (else ErrConflict). No file has version 0, so a delta that names
+	// none is always refused. On the wire the field is a trailing word,
+	// omitted when zero.
 	BaseVersion uint64
 }
 
@@ -149,13 +151,17 @@ func (m *SigRequest) decodeBody(d *decBuf) (err error) {
 func (m *SignatureMsg) encodeBody(e *encBuf) {
 	e.str(m.Name)
 	e.blob(m.Payload)
+	e.u64(m.Version)
 }
 
 func (m *SignatureMsg) decodeBody(d *decBuf) (err error) {
 	if m.Name, err = d.str(); err != nil {
 		return err
 	}
-	m.Payload, err = d.blob()
+	if m.Payload, err = d.blob(); err != nil {
+		return err
+	}
+	m.Version, err = d.u64()
 	return err
 }
 

@@ -14,7 +14,7 @@ func extMessages() []Message {
 		&Get{Name: "docs/report.txt"},
 		&FileInfo{FileID: 3, Name: "a.bin", Size: 1 << 20, Version: 7, Compression: 2},
 		&SigRequest{Name: "a.bin", BlockSize: 8192},
-		&SignatureMsg{Name: "a.bin", Payload: []byte{1, 2, 3, 4, 5}},
+		&SignatureMsg{Name: "a.bin", Payload: []byte{1, 2, 3, 4, 5}, Version: 7},
 		&DeltaMsg{Name: "a.bin", Payload: []byte("delta bytes")},
 		&Error{Code: ErrNotFound, Msg: "no such file"},
 		&ResumeQuery{Name: "a.bin", Size: 4 << 20, FileHash: Fingerprint{9, 8, 7}},
@@ -81,6 +81,28 @@ func TestEmptyPayloadRoundTrip(t *testing.T) {
 	sig := got.(*SignatureMsg)
 	if sig.Name != "empty" || len(sig.Payload) != 0 {
 		t.Fatalf("roundtrip = %+v", sig)
+	}
+}
+
+// TestSignatureMsgCarriesItsVersion: the version a signature describes
+// round-trips as a fixed trailing word, and a frame without it — the
+// shape a SignatureMsg had before the field — is a decode error, not a
+// signature of version 0.
+func TestSignatureMsgCarriesItsVersion(t *testing.T) {
+	m := &SignatureMsg{Name: "a.bin", Payload: []byte("sig"), Version: 1 << 40}
+	enc := Encode(m)
+	got, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip: got %#v, want %#v", got, m)
+	}
+	short := Encode(&SignatureMsg{Name: "a.bin", Payload: []byte("sig")})
+	short = short[:len(short)-8]
+	short[1] -= 8
+	if _, err := Decode(short); err == nil {
+		t.Fatal("a SignatureMsg without its version decoded")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -142,6 +143,26 @@ func TestReadMessageFraming(t *testing.T) {
 	}
 	if _, err := ReadMessage(&stream); err == nil {
 		t.Fatal("ReadMessage past end should error")
+	}
+}
+
+// TestReadMessageHostileLength: a 5-byte header claiming a body of
+// almost 4 GiB, then EOF, is an error — and costs a buffer sized by the
+// bytes that arrived, not by the length word.
+func TestReadMessageHostileLength(t *testing.T) {
+	frame := []byte{byte(TypeData), 0xF0, 0xFF, 0xFF, 0xFF}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, buf, err := ReadMessageBuf(bytes.NewReader(frame), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no body decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a 5-byte frame allocated %d bytes", got)
+	}
+	if cap(buf) > 4096 {
+		t.Fatalf("reading a 5-byte frame grew the buffer to %d bytes", cap(buf))
 	}
 }
 

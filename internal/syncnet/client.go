@@ -621,9 +621,10 @@ func (c *Client) deltaUpload(name string, data []byte) (UploadStats, error) {
 }
 
 // deltaExchange is one try at a delta sync. With have, the delta is cut
-// against the remembered signature and sent conditional on its version:
-// one round trip. Without, the signature is requested first. Either way
-// an acknowledged exchange leaves the signature of data — carried
+// against the remembered signature: one round trip. Without, the
+// signature is requested first. Either way the delta is sent
+// conditional on the version its signature describes, and an
+// acknowledged exchange leaves the signature of data — carried
 // forward from the basis signature in O(edit), not signed afresh — and
 // the acknowledged version remembered for the next modify; a failed one
 // leaves nothing, because a lost Ack means the file may have moved.
@@ -657,6 +658,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 		if sig, err = delta.DecodeSignature(sigMsg.Payload); err != nil {
 			return stats, err
 		}
+		base = sigMsg.Version
 	}
 	sp.Set("block_size", sig.BlockSize)
 	d := delta.Compute(sig, data)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"strconv"
 	"testing"
-	"unsafe"
 
 	"cloudsync/internal/content"
 	"cloudsync/internal/delta"
@@ -110,50 +108,6 @@ func TestDeltaGranularityFollowsFileSize(t *testing.T) {
 		t.Errorf("ServerConfig.BlockSize 4096: served %d B", sig.BlockSize)
 	}
 	raw.close()
-}
-
-// TestSigCacheBytesGauge: syncd_sig_cache_bytes follows the signature
-// slots as a delta fills and advances them, a request at another block
-// size replaces one, and a delete drops one.
-func TestSigCacheBytesGauge(t *testing.T) {
-	leakCheck(t)
-	reg := obs.NewRegistry()
-	srv := NewServer(ServerConfig{Metrics: reg})
-	t.Cleanup(func() { srv.Close() })
-	gauge := reg.Gauge("syncd_sig_cache_bytes", "")
-	perBlock := int64(unsafe.Sizeof(delta.BlockSig{}))
-	if strconv.IntSize == 64 && perBlock != 40 {
-		t.Fatalf("a cached block holds %d B; docs/OBSERVABILITY.md says 40", perBlock)
-	}
-
-	c, closeC := pipeClient(t, srv, "alice", "dev", nil)
-	for i, size := range []int{64 << 10, 1 << 20} {
-		name := fmt.Sprintf("f%d", i)
-		v := content.Random(int64(size), int64(i+1)).Bytes()
-		if _, err := c.Upload(name, v); err != nil {
-			t.Fatal(err)
-		}
-		if st, err := c.Upload(name, editRegions(v, 2, 1)); err != nil || !st.DeltaSync {
-			t.Fatalf("%s: modify was not a delta sync (%v)", name, err)
-		}
-	}
-	// 64 KiB at 512 B and 1 MiB at 1 KiB blocks.
-	if got, want := gauge.Value(), (128+1024)*perBlock; got != want {
-		t.Fatalf("after two delta syncs the gauge reads %d, want %d", got, want)
-	}
-	if err := c.Delete("f0"); err != nil {
-		t.Fatal(err)
-	}
-	closeC()
-	if got, want := gauge.Value(), 1024*perBlock; got != want {
-		t.Fatalf("after deleting f0 the gauge reads %d, want %d", got, want)
-	}
-	raw := openRaw(t, srv, "alice")
-	raw.signature("f1", 4096)
-	raw.close()
-	if got, want := gauge.Value(), 256*perBlock; got != want {
-		t.Fatalf("after f1 was signed at 4 KiB the gauge reads %d, want %d", got, want)
-	}
 }
 
 // deltaCapture records the DeltaMsg frames a client writes: the deltas,

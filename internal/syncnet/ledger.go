@@ -36,9 +36,10 @@ type causeSeg struct {
 //	frame header                 → framing
 //	Data: fileID/offset/len      → framing; payload → payload
 //	IndexUpdate: fingerprints    → dedup_probe; rest → metadata
-//	SignatureMsg body            → dedup_probe (block fingerprints)
-//	DeltaMsg: literal op data    → delta_literal; version
-//	        precondition         → metadata; rest → delta_copyref
+//	SignatureMsg: version        → metadata; rest → dedup_probe
+//	        (block fingerprints)
+//	DeltaMsg: literal op data    → delta_literal; base version
+//	        → metadata; rest     → delta_copyref
 //	ResumeQuery / ResumeInfo     → resume
 //	TraceCtx                     → framing (pure protocol overhead)
 //	Bundle: per entry name/size  → metadata; hash → dedup_probe;
@@ -66,7 +67,9 @@ func messageSegments(dst []causeSeg, m protocol.Message, total int64) []causeSeg
 		}
 		dst = append(dst, causeSeg{ledger.Metadata, body - probe}, causeSeg{ledger.DedupProbe, probe})
 	case *protocol.SignatureMsg:
-		dst = append(dst, causeSeg{ledger.DedupProbe, body})
+		// The trailing version says which file the signature describes;
+		// it is not part of the signature.
+		dst = append(dst, causeSeg{ledger.DedupProbe, body - 8}, causeSeg{ledger.Metadata, 8})
 	case *protocol.DeltaMsg:
 		lit, err := delta.EncodedLiteralBytes(v.Payload)
 		if err != nil || lit > int64(len(v.Payload)) {

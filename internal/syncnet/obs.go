@@ -33,20 +33,12 @@ type serverObs struct {
 	// at whatever block size they were cut.
 	deltaLiteralBytes *obs.Counter
 
-	// One-round-trip uploads: files that rode inline in a one-entry
-	// bundle, and deltas that named their base version instead of
-	// asking for a signature first (accepted, and refused as stale).
+	// Round trips: files that rode inline in a one-entry bundle,
+	// signatures served (each one a round trip ahead of a delta), and
+	// deltas refused because the file was not at their base version.
 	inlineUploads      *obs.Counter
-	condDeltas         *obs.Counter
+	signaturesServed   *obs.Counter
 	condDeltaConflicts *obs.Counter
-
-	// Signature cache: a miss signs the whole file, a hit none of it,
-	// resigned blocks are what delta syncs hashed to keep it current, and
-	// the bytes are what the slots hold resident.
-	sigCacheHits      *obs.Counter
-	sigCacheMisses    *obs.Counter
-	sigResignedBlocks *obs.Counter
-	sigCacheBytes     *obs.Gauge
 
 	// Change feed: entries per Listing sent, and the full listings sent
 	// to feed requests (first poll, new epoch, or an unusable cursor).
@@ -87,13 +79,8 @@ func newServerObs(reg *obs.Registry) serverObs {
 		deltaLiteralBytes: reg.Counter("syncd_delta_literal_bytes_total", "Literal bytes in the deltas applied: what edits cost on the wire, about one block per dirty block."),
 
 		inlineUploads:      reg.Counter("syncd_inline_uploads_total", "Files committed from one-entry bundles: lockstep uploads of files no larger than one delta block, payload inline, one round trip."),
-		condDeltas:         reg.Counter("syncd_cond_deltas_total", "Delta syncs applied on the sender's own base version (no signature round trip)."),
-		condDeltaConflicts: reg.Counter("syncd_cond_delta_conflicts_total", "Version-conditional deltas refused with ErrConflict because the file had moved past the named base version."),
-
-		sigCacheHits:      reg.Counter("syncd_sig_cache_hits_total", "Signature requests answered from a file's cached signature (no hashing)."),
-		sigCacheMisses:    reg.Counter("syncd_sig_cache_misses_total", "Signature requests that had to sign the whole file (first request, full re-upload or reopen since, or another block size: one the request names, or the per-file size rule's after the file's size changed)."),
-		sigResignedBlocks: reg.Counter("syncd_sig_resigned_blocks_total", "Blocks hashed by delta syncs to carry a cached signature to the new version (the edit's share of the file, not the file)."),
-		sigCacheBytes:     reg.Gauge("syncd_sig_cache_bytes", "Memory held by the files' cached signatures: 40 B per block on 64-bit, so about 7.8 % of a file under 1 MiB signed at 512 B blocks."),
+		signaturesServed:   reg.Counter("syncd_signatures_served_total", "Signatures served in answer to SigRequest, each signed from the file's content at that moment: every one is a round trip some delta sync paid before its delta."),
+		condDeltaConflicts: reg.Counter("syncd_cond_delta_conflicts_total", "Deltas refused with ErrConflict because the file was not at the base version they named."),
 
 		listingEntries: reg.Histogram("syncd_listing_entries", "Entries per Listing sent: the whole namespace for a full listing, the files changed since the cursor for an incremental one."),
 		listingResyncs: reg.Counter("syncd_listing_resyncs_total", "Full listings sent in answer to a change-feed request: a first poll, a cursor from before a reopen (epoch change), or a cursor the server never issued."),

@@ -119,9 +119,9 @@ func TestUploadRoundTripBudget(t *testing.T) {
 	upload("repeat modify after the fallback", "big", edit(big, 60<<10), 1, true)
 
 	ss := srv.Stats()
-	if ss.InlineUploads != 3 || ss.CondDeltas != 5 || ss.CondDeltaConflicts != 1 {
-		t.Errorf("server counted %d inline uploads, %d conditional deltas, %d refused; want 3, 5, 1",
-			ss.InlineUploads, ss.CondDeltas, ss.CondDeltaConflicts)
+	if ss.InlineUploads != 3 || ss.DeltaSyncs-ss.SignaturesServed != 5 || ss.CondDeltaConflicts != 1 {
+		t.Errorf("server counted %d inline uploads, %d deltas without a signature served, %d refused; want 3, 5, 1",
+			ss.InlineUploads, ss.DeltaSyncs-ss.SignaturesServed, ss.CondDeltaConflicts)
 	}
 
 	a.Close()
@@ -137,19 +137,33 @@ func TestUploadRoundTripBudget(t *testing.T) {
 	}
 }
 
+// replyTee records the bytes a connection reads: the server's replies
+// as the client saw them.
+type replyTee struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *replyTee) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.buf.Write(p[:n])
+	return n, err
+}
+
 // TestConditionalDeltaOnTheWire looks at the frames themselves: the
-// delta that answers a served signature is the legacy frame (no base
-// version, so a server that predates the field reads it unchanged), the
-// repeat modify sends nothing but one DeltaMsg naming the version the
-// previous Ack reported, and a legacy-style exchange driven by hand —
-// SigRequest, then DeltaMsg{BaseVersion: 0} — still works.
+// first modify's delta names the version the SignatureMsg it answers
+// carried, the repeat modify sends nothing but one DeltaMsg naming the
+// version the previous Ack reported, and an exchange driven by hand —
+// SigRequest, then a DeltaMsg on the served version — applies.
 func TestConditionalDeltaOnTheWire(t *testing.T) {
 	leakCheck(t)
 	srv := NewServer(ServerConfig{})
 	t.Cleanup(func() { srv.Close() })
 	var tee *teeConn
+	var replies *replyTee
 	c, closeC := pipeClient(t, srv, "alice", "dev", func(nc net.Conn) net.Conn {
-		tee = &teeConn{Conn: nc}
+		replies = &replyTee{Conn: nc}
+		tee = &teeConn{Conn: replies}
 		return tee
 	})
 	v1 := content.Random(64<<10, 3).Bytes()
@@ -165,6 +179,7 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 		return frames
 	}
 	sent()
+	replies.buf.Reset()
 
 	v2 := append([]byte(nil), v1...)
 	v2[1000] ^= 1
@@ -176,16 +191,20 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 	if len(frames) != 2 || protocol.MsgType(frames[0][0]) != protocol.TypeSigRequest {
 		t.Fatalf("first modify sent %d frames, want SigRequest + DeltaMsg", len(frames))
 	}
+	reply, err := protocol.ReadMessage(&replies.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, ok := reply.(*protocol.SignatureMsg)
+	if !ok || sig.Version != 1 {
+		t.Fatalf("first modify was answered %#v, want the signature of v1", reply)
+	}
 	m, err := protocol.Decode(frames[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, ok := m.(*protocol.DeltaMsg)
-	if !ok || dm.BaseVersion != 0 {
-		t.Fatalf("first modify's delta: %#v, want an unconditional DeltaMsg", m)
-	}
-	if want := protocol.Encode(&protocol.DeltaMsg{Name: "f", Payload: dm.Payload}); !bytes.Equal(frames[1], want) {
-		t.Fatal("unconditional DeltaMsg is not the legacy frame")
+	if dm, ok := m.(*protocol.DeltaMsg); !ok || dm.BaseVersion != sig.Version {
+		t.Fatalf("first modify's delta: %#v, want a DeltaMsg on base version %d", m, sig.Version)
 	}
 
 	v3 := append([]byte(nil), v2...)
@@ -208,18 +227,22 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 
 	raw := openRaw(t, srv, "alice")
 	defer raw.close()
-	sig, err := delta.DecodeSignature(raw.signature("f", 0))
+	served := raw.served("f", 0)
+	if served.Version != 3 {
+		t.Fatalf("signature served for v3 names version %d", served.Version)
+	}
+	basis, err := delta.DecodeSignature(served.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v4 := append([]byte(nil), v3...)
 	v4[7] ^= 1
-	reply := raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: delta.Compute(sig, v4).Encode()})
+	reply = raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: delta.Compute(basis, v4).Encode(), BaseVersion: served.Version})
 	if ack, ok := reply.(*protocol.Ack); !ok || ack.Version != 4 {
-		t.Fatalf("legacy exchange: %#v, want ack of v4", reply)
+		t.Fatalf("hand-driven exchange: %#v, want ack of v4", reply)
 	}
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v4) {
-		t.Fatal("legacy exchange did not commit its target")
+		t.Fatal("hand-driven exchange did not commit its target")
 	}
 }
 
@@ -266,8 +289,9 @@ func TestConditionalDeltaNeedsTheCurrentVersion(t *testing.T) {
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v3) {
 		t.Fatal("accepted conditional delta did not produce its target")
 	}
-	if ss := srv.Stats(); ss.CondDeltas != 1 || ss.CondDeltaConflicts != 3 {
-		t.Fatalf("server counted %d conditional deltas, %d refused; want 1 and 3", ss.CondDeltas, ss.CondDeltaConflicts)
+	if ss := srv.Stats(); ss.DeltaSyncs-ss.SignaturesServed != 1 || ss.CondDeltaConflicts != 3 {
+		t.Fatalf("server counted %d deltas without a signature served, %d refused; want 1 and 3",
+			ss.DeltaSyncs-ss.SignaturesServed, ss.CondDeltaConflicts)
 	}
 }
 

@@ -14,6 +14,7 @@
 package syncnet
 
 import (
+	"cmp"
 	"crypto/md5"
 	"errors"
 	"fmt"
@@ -24,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"cloudsync/internal/comp"
 	"cloudsync/internal/dedup"
@@ -113,51 +113,12 @@ type serverFile struct {
 	version uint64
 	deleted bool
 	history int // versions ever stored (fake deletion keeps content)
-	// sig is the signature cache: one lazily filled slot, current only
-	// while its version equals the file's. Filled by the first SigRequest,
-	// advanced by onDelta, dropped by every other mutation, never
-	// persisted. Nil for files that were never delta-synced.
-	sig *cachedSig
 	// seq is the account change sequence number of the file's last
 	// commit in this server's lifetime (0 for a file replayed at open and
 	// untouched since); older/newer link the account's committed files
 	// in seq order. See feed.go.
 	seq          uint64
 	older, newer *serverFile
-}
-
-// cachedSig is delta.Sign(data, sig.BlockSize) of the content a file
-// held at version. Immutable once published, so sessions may read one
-// outside s.mu.
-type cachedSig struct {
-	version uint64
-	sig     delta.Signature
-}
-
-// currentSig returns the cached signature when it describes the file's
-// present content at block size bs, else nil. Caller holds s.mu.
-func (f *serverFile) currentSig(bs int) *cachedSig {
-	if c := f.sig; c != nil && c.version == f.version && c.sig.BlockSize == bs {
-		return c
-	}
-	return nil
-}
-
-// setSigLocked replaces f's signature slot (nil drops it) and keeps the
-// resident-bytes gauge in step. Caller holds s.mu.
-func (s *Server) setSigLocked(f *serverFile, c *cachedSig) {
-	s.sigBytes += c.residentBytes() - f.sig.residentBytes()
-	f.sig = c
-	s.om.sigCacheBytes.Set(s.sigBytes)
-}
-
-// residentBytes is the memory a cached signature's block table holds
-// (nil holds none).
-func (c *cachedSig) residentBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return int64(len(c.sig.Blocks)) * int64(unsafe.Sizeof(delta.BlockSig{}))
 }
 
 // ServerStats is a snapshot of server activity.
@@ -178,11 +139,12 @@ type ServerStats struct {
 	// what a lockstep Upload sends for a file no larger than one delta
 	// block. They are included in Bundles and BundledFiles.
 	InlineUploads int64
-	// CondDeltas counts the delta syncs (included in DeltaSyncs) whose
-	// DeltaMsg named its own base version instead of answering a served
-	// signature; CondDeltaConflicts counts the ones refused because the
-	// file had moved on.
-	CondDeltas         int64
+	// SignaturesServed counts SignatureMsg replies; when every signature
+	// served is used, DeltaSyncs minus SignaturesServed is the delta
+	// syncs cut against a signature the client remembered.
+	// CondDeltaConflicts counts the deltas refused because the file was
+	// not at the base version they named.
+	SignaturesServed   int64
 	CondDeltaConflicts int64
 	// PendingResumable is the number of stashed partial uploads
 	// currently held for resumption.
@@ -231,7 +193,6 @@ type Server struct {
 	index     *dedup.Index
 	nextID    uint64
 	stats     ServerStats
-	sigBytes  int64 // Σ residentBytes of the files' signature slots
 	closed    bool
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
@@ -708,11 +669,6 @@ type session struct {
 
 	uploads map[uint64]*pendingUpload // keyed by fileID
 
-	// sigServed maps a name to the file version whose signature this
-	// session was last sent and has not yet answered with a delta: the
-	// only basis a DeltaMsg for that name may be applied to.
-	sigServed map[string]uint64
-
 	enc  []byte     // pooled frame scratch, reused across replies
 	segs []causeSeg // reusable ledger-segment scratch
 
@@ -1024,7 +980,6 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	f.data = raw
 	f.hash = hash
 	f.version++
-	s.setSigLocked(f, nil) // whole new content: nothing to carry over
 	f.deleted = false
 	f.history++
 	s.index.Add(ss.user, hash, int64(len(raw)))
@@ -1104,7 +1059,6 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 	}
 	target.deleted = true // fake deletion: content retained
 	target.version++
-	s.setSigLocked(target, nil)
 	s.stats.Deletes++
 	version := target.version
 	s.commitFileLocked(ss.user, target)
@@ -1154,19 +1108,13 @@ func (ss *session) onGet(m *protocol.Get) error {
 	return ss.send(&protocol.Ack{FileID: info.FileID, Version: info.Version, OK: true})
 }
 
-// onSigRequest serves the signature a delta will be computed against, at
-// the block size the request names, else the server's configured one,
-// else the one the file's size calls for. A repeat request for an
-// unchanged (or delta-synced) file is answered from the file's cached
-// signature; a miss signs outside s.mu — stored content is immutable,
-// files only ever swap to a new slice — and publishes the result if the
-// file has not moved meanwhile.
+// onSigRequest serves the signature a delta will be computed against,
+// with the file version it describes, at the block size the request
+// names, else the server's configured one, else the one the file's size
+// calls for. Stored content is immutable — files only ever swap to a
+// new slice — so the file is signed outside s.mu, and nothing is kept.
 func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	s := ss.srv
-	bs := s.cfg.BlockSize
-	if m.BlockSize > 0 {
-		bs = int(m.BlockSize)
-	}
 	s.mu.Lock()
 	f := s.account(ss.user).files[m.Name]
 	if f == nil || f.deleted {
@@ -1174,37 +1122,20 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
-	if bs == 0 {
-		bs = delta.BlockSizeFor(int64(len(f.data)))
-	}
-	data, version, c := f.data, f.version, f.currentSig(bs)
+	data, version := f.data, f.version
+	s.stats.SignaturesServed++
 	s.mu.Unlock()
-	if c != nil {
-		s.om.sigCacheHits.Inc()
-	} else {
-		s.om.sigCacheMisses.Inc()
-		c = &cachedSig{version: version, sig: delta.Sign(data, bs)}
-		s.mu.Lock()
-		if f.version == version {
-			s.setSigLocked(f, c)
-		}
-		s.mu.Unlock()
-	}
-	if ss.sigServed == nil {
-		ss.sigServed = make(map[string]uint64)
-	}
-	ss.sigServed[m.Name] = version
-	return ss.send(&protocol.SignatureMsg{Name: m.Name, Payload: c.sig.Encode()})
+	s.om.signaturesServed.Inc()
+	bs := cmp.Or(int(m.BlockSize), s.cfg.BlockSize, delta.BlockSizeFor(int64(len(data))))
+	return ss.send(&protocol.SignatureMsg{Name: m.Name, Payload: delta.Sign(data, bs).Encode(), Version: version})
 }
 
 // onDelta applies a delta to the one version it was cut against, and to
 // no other: a delta carries no full-file hash, so applied to any other
 // basis it would corrupt the file silently. That version is the one the
-// message names (BaseVersion: the sender kept the signature its last
-// exchange ended on) or, unnamed, the one this session was last served
-// the signature of. It is checked when the basis is read and again when
-// the result is published; in between — Apply, MD5 and the next
-// signature, all proportional to the file — the server lock is not held.
+// message names, checked when the basis is read and again when the
+// result is published; in between — Apply and MD5, both proportional to
+// the file — the server lock is not held.
 func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	ta := ss.applyStart()
 	d, err := delta.DecodeDelta(m.Payload)
@@ -1212,12 +1143,6 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrBadRequest, "undecodable delta")
 		return fmt.Errorf("syncnet: %w", err)
 	}
-	served, wasServed := ss.sigServed[m.Name]
-	delete(ss.sigServed, m.Name)
-	cond := m.BaseVersion != 0
-	if cond {
-		served, wasServed = m.BaseVersion, true
-	}
 	s := ss.srv
 	s.mu.Lock()
 	f := s.account(ss.user).files[m.Name]
@@ -1226,11 +1151,12 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
-	if !wasServed || f.version != served {
+	if f.version != m.BaseVersion {
+		s.stats.CondDeltaConflicts++
 		s.mu.Unlock()
-		return ss.staleBasis(m.Name, cond)
+		return ss.staleBasis(m.Name)
 	}
-	basis, old := f.data, f.currentSig(d.BlockSize)
+	basis := f.data
 	s.mu.Unlock()
 
 	raw, err := delta.Apply(basis, d)
@@ -1239,26 +1165,17 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		return fmt.Errorf("syncnet: %w", err)
 	}
 	hash := md5.Sum(raw)
-	// Another block size took the slot since this session was served:
-	// drop it rather than sign the whole file here; the next SigRequest
-	// refills it.
-	var next *cachedSig
-	if old != nil {
-		sig, hashed := delta.Resign(old.sig, d, raw)
-		next = &cachedSig{version: served + 1, sig: sig}
-		s.om.sigResignedBlocks.Add(int64(hashed))
-	}
 
 	s.mu.Lock()
-	if f.version != served {
+	if f.version != m.BaseVersion {
+		s.stats.CondDeltaConflicts++
 		s.mu.Unlock()
-		return ss.staleBasis(m.Name, cond)
+		return ss.staleBasis(m.Name)
 	}
 	f.data = raw
 	f.version++
 	f.history++
 	f.hash = hash
-	s.setSigLocked(f, next)
 	s.index.Add(ss.user, hash, int64(len(raw)))
 	if _, ok := s.byHash[hash]; !ok {
 		s.byHash[hash] = raw
@@ -1267,18 +1184,12 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	}
 	s.commitFileLocked(ss.user, f)
 	s.stats.DeltaSyncs++
-	if cond {
-		s.stats.CondDeltas++
-	}
 	version := f.version
 	id := f.id
 	stored := s.stats.BytesStored
 	s.mu.Unlock()
 	s.om.deltaSyncs.Inc()
 	s.om.deltaLiteralBytes.Add(int64(d.LiteralBytes()))
-	if cond {
-		s.om.condDeltas.Inc()
-	}
 	s.om.bytesStored.Set(stored)
 	ss.contentBytes += int64(len(raw))
 	ss.applyEnd(ta)
@@ -1290,18 +1201,11 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	return ss.send(&protocol.Ack{FileID: id, Version: version, OK: true})
 }
 
-// staleBasis refuses a delta whose basis is no longer the file's
-// content. Soft: the session continues, and the client answers by
-// asking for the current signature. cond marks a delta that named its
-// base version itself.
-func (ss *session) staleBasis(name string, cond bool) error {
-	if cond {
-		s := ss.srv
-		s.mu.Lock()
-		s.stats.CondDeltaConflicts++
-		s.mu.Unlock()
-		s.om.condDeltaConflicts.Inc()
-	}
+// staleBasis refuses a delta cut against a version the file is not at
+// (the caller has counted it). Soft: the session continues, and the
+// client answers by asking for the current signature.
+func (ss *session) staleBasis(name string) error {
+	ss.srv.om.condDeltaConflicts.Inc()
 	ss.srv.logf("refused stale-basis delta for %s/%s", ss.user, name)
 	ss.sendErr(protocol.ErrConflict, "file changed since the delta's basis")
 	return nil

@@ -16,7 +16,6 @@ import (
 	"cloudsync/internal/content"
 	"cloudsync/internal/delta"
 	"cloudsync/internal/invariant"
-	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/protocol"
 )
@@ -52,16 +51,22 @@ func (r *rawSession) roundTrip(m protocol.Message) protocol.Message {
 	return reply
 }
 
-// signature requests name's signature at block size bs (0 = server
-// default) and returns the served payload.
-func (r *rawSession) signature(name string, bs int) []byte {
+// served requests name's signature at block size bs (0 = server
+// default) and returns the server's answer.
+func (r *rawSession) served(name string, bs int) *protocol.SignatureMsg {
 	r.t.Helper()
 	reply := r.roundTrip(&protocol.SigRequest{Name: name, BlockSize: uint32(bs)})
 	sig, ok := reply.(*protocol.SignatureMsg)
 	if !ok {
 		r.t.Fatalf("signature of %q: got %#v", name, reply)
 	}
-	return sig.Payload
+	return sig
+}
+
+// signature returns the payload of the signature served for name.
+func (r *rawSession) signature(name string, bs int) []byte {
+	r.t.Helper()
+	return r.served(name, bs).Payload
 }
 
 func (r *rawSession) close() {
@@ -194,10 +199,12 @@ func TestStaleBasisDeltaIsRefused(t *testing.T) {
 	}
 }
 
-// TestDeltaWithoutServedSignatureIsRefused: a DeltaMsg for a name this
-// session was never served a signature of has no basis the server can
-// vouch for — and one signature admits one delta, not two.
-func TestDeltaWithoutServedSignatureIsRefused(t *testing.T) {
+// TestDeltaWithoutBaseVersionIsRefused: a DeltaMsg that names no base
+// version names version 0, which no file is at, so it is refused —
+// even straight after the session was served the file's signature —
+// and the session stays usable. One base version admits one delta, not
+// two.
+func TestDeltaWithoutBaseVersionIsRefused(t *testing.T) {
 	leakCheck(t)
 	srv := NewServer(ServerConfig{BlockSize: 512})
 	t.Cleanup(func() { srv.Close() })
@@ -220,13 +227,21 @@ func TestDeltaWithoutServedSignatureIsRefused(t *testing.T) {
 		}
 	}
 	wantConflict("unsolicited delta", raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: payload}))
-	raw.signature("f", 0)
-	if ack, ok := raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: payload}).(*protocol.Ack); !ok || ack.Version != 2 {
-		t.Fatalf("delta after its signature: %#v, want ack of v2", ack)
+	sig := raw.served("f", 0)
+	wantConflict("delta on version 0 after its signature", raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: payload}))
+	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v1) {
+		t.Fatal("a refused delta changed the content")
 	}
-	wantConflict("second delta on one signature", raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: payload}))
+	onBase := &protocol.DeltaMsg{Name: "f", Payload: payload, BaseVersion: sig.Version}
+	if ack, ok := raw.roundTrip(onBase).(*protocol.Ack); !ok || ack.Version != 2 {
+		t.Fatalf("delta on the served version: %#v, want ack of v2", ack)
+	}
+	wantConflict("second delta on one base", raw.roundTrip(onBase))
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v2) {
 		t.Fatal("server content is not the one accepted delta's target")
+	}
+	if ss := srv.Stats(); ss.CondDeltaConflicts != 3 {
+		t.Fatalf("%d deltas counted as refused, want 3", ss.CondDeltaConflicts)
 	}
 }
 
@@ -279,17 +294,15 @@ func TestClientSurfacesPersistentConflict(t *testing.T) {
 }
 
 // TestServedSignatureMatchesContentOnEveryPath walks every way a file's
-// content can change — or the cache slot can be lost — and after each
-// step asks for the signature: the served bytes must be exactly
-// delta.Sign(current content).Encode(), and the hit/miss counters must
-// show the cache was used where it could be and bypassed where it had
-// to be. The walk ends across a Close and a reopen of the state dir.
+// content can change and after each step asks for the signature: the
+// served bytes must be exactly delta.Sign(current content).Encode(), and
+// the served version the one Snapshot reports. The walk ends across a
+// Close and a reopen of the state dir.
 func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	leakCheck(t)
 	const bs = 1024
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	srv, err := OpenServer(ServerConfig{StateDir: dir, BlockSize: bs, Metrics: reg})
+	srv, err := OpenServer(ServerConfig{StateDir: dir, BlockSize: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,26 +310,18 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	c, closeC := pipeClient(t, srv, "alice", "dev", nil)
 	probe := openRaw(t, srv, "alice")
 
-	var hits, misses int64
-	check := func(step string, probeHits bool) {
+	check := func(step string) {
 		t.Helper()
 		cur, ok := srv.FileContent("alice", "f")
 		if !ok {
 			t.Fatalf("%s: file missing", step)
 		}
-		if got, want := probe.signature("f", 0), delta.Sign(cur, bs).Encode(); !bytes.Equal(got, want) {
+		sig := probe.served("f", 0)
+		if want := delta.Sign(cur, bs).Encode(); !bytes.Equal(sig.Payload, want) {
 			t.Fatalf("%s: served signature differs from delta.Sign(current content)", step)
 		}
-		if probeHits {
-			hits++
-		} else {
-			misses++
-		}
-		if got := reg.Counter("syncd_sig_cache_hits_total", "").Value(); got != hits {
-			t.Fatalf("%s: %d cache hits, want %d", step, got, hits)
-		}
-		if got := reg.Counter("syncd_sig_cache_misses_total", "").Value(); got != misses {
-			t.Fatalf("%s: %d cache misses, want %d", step, got, misses)
+		if want := srv.Snapshot("alice")["f"].Version; sig.Version != want {
+			t.Fatalf("%s: served signature names v%d, the file is at v%d", step, sig.Version, want)
 		}
 	}
 	upload := func(step string, data []byte, wantDelta bool) {
@@ -337,41 +342,35 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	cur := content.Random(20*bs+300, 11).Bytes()
 
 	upload("full upload", cur, false)
-	check("after full upload", false) // set-up uploads never sign
-	check("unchanged file", true)
+	check("after full upload")
+	check("unchanged file")
 
 	cur = edit(cur, 5*bs+1)
 	upload("delta sync", cur, true)
-	hits++ // the client's own SigRequest
-	check("after delta sync", true)
-	resigned := reg.Counter("syncd_sig_resigned_blocks_total", "").Value()
-	if resigned != 1 {
-		t.Fatalf("one dirty block re-signed %d blocks", resigned)
-	}
+	check("after delta sync")
 
 	cur = append(edit(cur, 100), content.Random(3*bs, 12).Bytes()...)
 	// The client kept the signature its first delta sync ended on: this
 	// one names its base version and asks for nothing.
+	served := srv.Stats().SignaturesServed
 	upload("delta sync that grows the file", cur, true)
-	if st := srv.Stats(); st.CondDeltas != 1 || st.CondDeltaConflicts != 0 {
-		t.Fatalf("repeat delta sync: %d conditional deltas, %d refused, want 1 and 0", st.CondDeltas, st.CondDeltaConflicts)
+	if st := srv.Stats(); st.SignaturesServed != served || st.CondDeltaConflicts != 0 {
+		t.Fatalf("repeat delta sync: %d signatures requested, %d deltas refused, want none",
+			st.SignaturesServed-served, st.CondDeltaConflicts)
 	}
-	check("after growing delta sync", true)
-	if got := reg.Counter("syncd_sig_resigned_blocks_total", "").Value(); got <= resigned {
-		t.Fatalf("growing delta sync re-signed nothing (counter %d)", got)
-	}
+	check("after growing delta sync")
 
 	id, _ := c.FileID("f")
 	cur = content.Random(18*bs, 13).Bytes()
 	c.Prime("f", id, false) // forget the file: next upload is a full one
 	upload("full overwrite", cur, false)
-	check("after full overwrite", false)
+	check("after full overwrite")
 
 	cur = content.Random(3000, 14).Bytes()
 	if _, err := c.UploadBundle([]FileUpload{{Name: "f", Data: cur}}); err != nil {
 		t.Fatalf("bundle: %v", err)
 	}
-	check("after bundle entry", false)
+	check("after bundle entry")
 
 	cur = content.Random(9*bs+7, 15).Bytes()
 	if _, err := c.Upload("elsewhere", cur); err != nil {
@@ -381,8 +380,7 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	if st, err := c.Upload("f", cur); err != nil || !st.DedupHit {
 		t.Fatalf("dedup-hit store: %+v, %v", st, err)
 	}
-	check("after dedup-hit store", false)
-	check("unchanged again", true)
+	check("after dedup-hit store")
 
 	if err := c.Delete("f"); err != nil {
 		t.Fatal(err)
@@ -392,32 +390,29 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	}
 	cur = edit(cur, 4000)
 	upload("recreate after delete", cur, false)
-	check("after delete and recreate", false)
+	check("after delete and recreate")
 
 	if got, want := probe.signature("f", 256), delta.Sign(cur, 256).Encode(); !bytes.Equal(got, want) {
 		t.Fatal("signature at another block size differs from delta.Sign")
 	}
-	misses++
-	check("default size after another took the slot", false)
-	check("default size again", true)
 
-	// A session is served the default-size signature, another block size
-	// takes the slot, then the first session's delta lands: it applies
-	// (the file has not moved) but has nothing to carry forward.
+	// A session is served the default-size signature, another session a
+	// signature at another block size, then the first session's delta
+	// lands: the file has not moved, so it applies.
 	second := openRaw(t, srv, "alice")
-	served, err := delta.DecodeSignature(second.signature("f", 0))
+	sig := second.served("f", 0)
+	basis, err := delta.DecodeSignature(sig.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits++
 	probe.signature("f", 256)
-	misses++
 	cur = edit(cur, 2*bs)
-	if ack, ok := second.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: delta.Compute(served, cur).Encode()}).(*protocol.Ack); !ok || !ack.OK {
-		t.Fatalf("delta after the slot was taken: %#v", ack)
+	reply := second.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: delta.Compute(basis, cur).Encode(), BaseVersion: sig.Version})
+	if ack, ok := reply.(*protocol.Ack); !ok || !ack.OK {
+		t.Fatalf("delta after another block size was served: %#v", reply)
 	}
 	second.close()
-	check("after a delta that lost the slot", false)
+	check("after a delta on a signature served between others")
 
 	probe.close()
 	closeC()
@@ -425,10 +420,8 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	// Reopen: content comes back from the log, signatures do not.
-	reg = obs.NewRegistry()
-	hits, misses = 0, 0
-	srv, err = OpenServer(ServerConfig{StateDir: dir, BlockSize: bs, Metrics: reg})
+	// Reopen: content and versions come back from the log.
+	srv, err = OpenServer(ServerConfig{StateDir: dir, BlockSize: bs})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -439,14 +432,13 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	defer probe.close()
 	c, closeC = pipeClient(t, srv, "alice", "dev", nil)
 	defer closeC()
-	check("cold after reopen", false)
+	check("after reopen")
 	if _, err := c.List(); err != nil { // learn the file
 		t.Fatal(err)
 	}
 	cur = edit(cur, 7*bs+3)
 	upload("delta sync after reopen", cur, true)
-	hits++
-	check("after post-reopen delta sync", true)
+	check("after post-reopen delta sync")
 }
 
 // TestDeleteByIDIndex: Delete names a file by id, resolved through the
@@ -838,7 +830,7 @@ func TestTwoDeviceEditScripts(t *testing.T) {
 				t.Errorf("seed %d: server wire total %d, devices' %d", seed, got, devTotal)
 			}
 			total.InlineUploads += ss.InlineUploads
-			total.CondDeltas += ss.CondDeltas
+			total.SignaturesServed += ss.SignaturesServed
 			total.CondDeltaConflicts += ss.CondDeltaConflicts
 			total.DeltaSyncs += ss.DeltaSyncs
 		}()
@@ -846,9 +838,10 @@ func TestTwoDeviceEditScripts(t *testing.T) {
 			return
 		}
 	}
-	t.Logf("120 scripts: %d inline uploads, %d delta syncs of which %d conditional, %d conditional deltas refused, %d uploads retried",
-		total.InlineUploads, total.DeltaSyncs, total.CondDeltas, total.CondDeltaConflicts, retried)
-	if total.InlineUploads == 0 || total.CondDeltas == 0 || total.CondDeltaConflicts == 0 || retried == 0 {
+	remembered := total.DeltaSyncs - total.SignaturesServed
+	t.Logf("120 scripts: %d inline uploads, %d delta syncs, %d signatures served, %d deltas refused, %d uploads retried",
+		total.InlineUploads, total.DeltaSyncs, total.SignaturesServed, total.CondDeltaConflicts, retried)
+	if total.InlineUploads == 0 || remembered <= 0 || total.CondDeltaConflicts == 0 || retried == 0 {
 		t.Error("the scripts did not reach every path")
 	}
 }
@@ -897,15 +890,16 @@ func TestLostAckOfConditionalDelta(t *testing.T) {
 		t.Fatal("server content is not what was uploaded")
 	}
 	ss := srv.Stats()
-	if ss.CondDeltas != 1 || ss.CondDeltaConflicts != 0 {
-		t.Fatalf("%d conditional deltas, %d refused: the retry reused a version it could not vouch for", ss.CondDeltas, ss.CondDeltaConflicts)
+	if ss.DeltaSyncs-ss.SignaturesServed != 1 || ss.CondDeltaConflicts != 0 {
+		t.Fatalf("%d deltas without a signature served, %d refused: the retry reused a version it could not vouch for",
+			ss.DeltaSyncs-ss.SignaturesServed, ss.CondDeltaConflicts)
 	}
 	// The exchange that did get its Ack is remembered again.
 	if st, err := d.c.Upload("f", v4); err != nil || !st.DeltaSync || st.Version != 5 {
 		t.Fatalf("modify after the recovery: %+v, %v", st, err)
 	}
-	if ss := srv.Stats(); ss.CondDeltas != 2 {
-		t.Fatalf("modify after the recovery was not conditional (%d conditional deltas)", ss.CondDeltas)
+	if ss := srv.Stats(); ss.DeltaSyncs-ss.SignaturesServed != 2 {
+		t.Fatalf("modify after the recovery asked for a signature (%d deltas without one)", ss.DeltaSyncs-ss.SignaturesServed)
 	}
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v4) {
 		t.Fatal("server content is not what was uploaded")

@@ -235,8 +235,9 @@ func TestRepeatEditsAcrossWorkers(t *testing.T) {
 		if ss.CondDeltaConflicts != 0 {
 			t.Errorf("%d workers: %d conditional deltas refused inside one executor", workers, ss.CondDeltaConflicts)
 		}
-		if want := int64(len(docs) * (rounds - 1)); workers == 1 && ss.CondDeltas != want {
-			t.Errorf("lone worker sent %d conditional deltas, want %d (every edit after a file's first)", ss.CondDeltas, want)
+		if want := int64(len(docs) * (rounds - 1)); workers == 1 && ss.DeltaSyncs-ss.SignaturesServed != want {
+			t.Errorf("lone worker sent %d deltas without asking for a signature, want %d (every edit after a file's first)",
+				ss.DeltaSyncs-ss.SignaturesServed, want)
 		}
 		snap := r.srv.Snapshot("alice")
 		for i, name := range docs {
