@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench bench-obs bench-core bench-scale bench-kernel-diff bench-load bench-e2e bench-build tuebench
+.PHONY: check build vet test race fuzz bench bench-core bench-kernel-diff bench-load bench-e2e bench-build tuebench
 
 # check is the full gate: compile everything, vet, and run the test
 # suite under the race detector (the experiment layer is concurrent).
@@ -32,17 +32,6 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./...
 
-# bench-obs measures the observability tax: every <Base>Off/<Base>On
-# benchmark pair (nil tracer/registry vs instrumented) across the obs
-# primitives and the syncnet hot path, summarised as overhead
-# percentages in BENCH_obs.json. Target: spans/counters on the nil
-# path free, instrumented sync path within a few percent.
-bench-obs:
-	$(GO) test -bench 'ObsO(ff|n)$$' -benchmem -run '^$$' \
-		./internal/obs ./internal/syncnet \
-		| $(GO) run ./internal/obs/benchjson > BENCH_obs.json
-	cat BENCH_obs.json
-
 # KERNEL_PKGS are the data-plane kernel packages (chunking and delta
 # scan); KERNEL_FILTER selects their entries out of BENCH_core.json for
 # the failing throughput gate. Kernels run at a real -benchtime (unlike
@@ -64,30 +53,21 @@ KERNEL_BENCH = $(GO) test -bench . -benchmem -benchtime 0.5s -run '^$$' $(KERNEL
 # relative shape, and kernel throughput ratios.
 bench-core:
 	{ $(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ; $(KERNEL_BENCH) ; } \
-		| $(GO) run ./internal/obs/benchjson -raw > BENCH_core.json
+		| $(GO) run ./internal/obs/benchjson > BENCH_core.json
 	cat BENCH_core.json
-
-# bench-scale records the multi-tenant scale-replay baseline: the trace
-# replayed at 8× synthetic user multiples on the sharded index/cloud,
-# reporting wall time, heap growth, peak RSS, and per-service TUE
-# (which must match the 1× baseline exactly) into BENCH_scale.json.
-bench-scale:
-	$(GO) run ./cmd/tuebench scale -n 8 \
-		| $(GO) run ./internal/obs/benchjson -raw > BENCH_scale.json
-	cat BENCH_scale.json
 
 # bench-kernel-diff is the failing CI gate on the data-plane kernels:
 # re-measure only the chunker/delta benchmarks and diff allocation
 # counts (tight, machine-independent) and MB/s throughput (loose —
-# absolute throughput moves with the machine, so the 50% default only
+# absolute throughput moves with the machine, so the 50% bound only
 # catches falling off an algorithmic cliff: losing the gear-hash skip
 # scan, the tag bitmap, or the batched hashing is a 2–10x drop) against
 # the kernel entries of BENCH_core.json.
 bench-kernel-diff:
 	{ $(KERNEL_BENCH) ; } \
-		| $(GO) run ./internal/obs/benchjson -raw > /tmp/bench_kernel_new.json
-	$(GO) run ./internal/obs/benchjson -compare BENCH_core.json /tmp/bench_kernel_new.json \
-		-tolerance-pct 10 -throughput-tolerance-pct 50 -filter '$(KERNEL_FILTER)'
+		| $(GO) run ./internal/obs/benchjson > /tmp/bench_kernel_new.json
+	$(GO) run ./internal/obs/benchjson -compare -filter '$(KERNEL_FILTER)' \
+		BENCH_core.json /tmp/bench_kernel_new.json
 
 # bench-load records the live-sync throughput baseline: syncload drives
 # open-loop arrivals of small-file batches against an in-process syncd

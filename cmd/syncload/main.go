@@ -39,7 +39,7 @@
 // for visibility; the per-operation client tracers are reset after
 // every operation.
 //
-// Output is a report in benchjson's -raw schema (one entry per mode):
+// Output is a report in benchjson's schema (one entry per mode):
 // make bench-load writes BENCH_load.json.
 package main
 
@@ -190,7 +190,7 @@ func run() int {
 	return 0
 }
 
-// rawReport mirrors benchjson's -raw schema, so BENCH_load.json reads
+// rawReport mirrors benchjson's schema, so BENCH_load.json reads
 // like the other committed baselines.
 type rawReport struct {
 	Note       string     `json:"note"`

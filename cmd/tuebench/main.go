@@ -18,7 +18,7 @@
 // independent account (all accounts of one service sharing one sharded
 // cloud) at 1× and N× the user population, checks per-service TUE is
 // identical at both multiples, and reports wall time, allocations, and
-// peak RSS as benchmark lines (make bench-scale → BENCH_scale.json).
+// peak RSS as benchmark lines.
 //
 // -trace records one span per simulated experiment cell (wall-clock
 // timed, so the trace shows where regeneration time goes across the

@@ -18,8 +18,8 @@ import (
 //
 // Besides the human table, the run prints `go test -bench`-style
 // result lines, so the output pipes straight through
-// internal/obs/benchjson -raw into BENCH_scale.json (make bench-scale).
-// Custom units (peak-rss-bytes, tue-*) ride along as extra metrics.
+// internal/obs/benchjson into a JSON report. Custom units
+// (peak-rss-bytes, tue-*) ride along as extra metrics.
 func runScale(args []string) {
 	fs := flag.NewFlagSet("tuebench scale", flag.ExitOnError)
 	var (

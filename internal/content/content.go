@@ -107,18 +107,6 @@ func FromBytes(data []byte) *Blob {
 	return &Blob{kind: KindBytes, size: int64(len(data)), data: data}
 }
 
-// FromDescriptor reconstructs a descriptor blob from its (kind, size,
-// seed) triple — the inverse of the Identity encoding, used by durable
-// stores that persist large blobs as descriptors instead of bytes.
-// KindBytes is not a descriptor; literal content goes through FromBytes.
-func FromDescriptor(kind Kind, size, seed int64) *Blob {
-	if kind == KindBytes {
-		panic("content: FromDescriptor with KindBytes; use FromBytes")
-	}
-	checkSize(size)
-	return &Blob{kind: kind, size: size, seed: seed}
-}
-
 func checkSize(size int64) {
 	if size < 0 {
 		panic(fmt.Sprintf("content: negative blob size %d", size))

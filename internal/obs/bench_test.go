@@ -8,8 +8,8 @@ import (
 // The ObsOff/ObsOn pairs below quantify the nil-instrument contract:
 // the Off variant runs the exact call sequence instrumented code makes
 // with observability disabled (nil receivers), the On variant with a
-// live tracer/registry. `make bench-obs` records both into
-// BENCH_obs.json and computes the overhead.
+// live tracer/registry. `go test -bench 'ObsO(ff|n)$'` runs every pair
+// here and in internal/syncnet; compare each On with its Off.
 
 func BenchmarkSpanObsOff(b *testing.B) {
 	var tr *Tracer

@@ -1,29 +1,21 @@
-// Command benchjson turns `go test -bench` output into a small JSON
-// overhead report. It pairs benchmarks named <Base>Off / <Base>On —
-// the convention the observability benchmarks use for uninstrumented
-// vs instrumented runs — and computes the relative overhead of each
-// pair. make bench-obs pipes the obs and syncnet benchmarks through it
-// into BENCH_obs.json.
+// Command benchjson turns `go test -bench` output into a JSON report:
+// every benchmark result on stdin, sorted by name — the mode make
+// bench-core uses to record the core experiment-table baseline into
+// BENCH_core.json. Custom metric units (testing.B ReportMetric style,
+// e.g. "123 peak-rss-bytes") are captured into each entry's "extra"
+// map.
 //
-// With -raw, pairing is skipped and every benchmark result on stdin is
-// emitted as-is — the mode make bench-core uses to record the core
-// experiment-table baseline into BENCH_core.json. Custom metric units
-// (testing.B ReportMetric style, e.g. "123 peak-rss-bytes") are
-// captured into each entry's "extra" map.
-//
-// With -compare OLD NEW, two -raw reports are diffed instead: every
-// benchmark present in both is checked for allocs/op and ns/op
-// regressions beyond -tolerance-pct (allocations are the tracked
-// budget, so the default tolerance for them is tight; ns/op is
-// machine-dependent and only reported). Exit codes follow the tuediff
-// convention: 0 = within tolerance, 1 = regression or benchmark-set
-// drift, 2 = usage or I/O error.
+// With -compare OLD NEW, two reports are diffed instead: every
+// benchmark present in both is checked for an allocs/op regression
+// beyond tolerancePct (allocations are the tracked budget, so the
+// tolerance is tight; ns/op is machine-dependent and only reported).
+// Exit codes follow the tuediff convention: 0 = within tolerance, 1 =
+// regression or benchmark-set drift, 2 = usage or I/O error.
 //
 // Usage:
 //
-//	go test -bench 'ObsO(ff|n)$' -benchmem ./... | go run ./internal/obs/benchjson > BENCH_obs.json
-//	go test -bench . -benchmem -benchtime 1x . | go run ./internal/obs/benchjson -raw > BENCH_core.json
-//	go run ./internal/obs/benchjson -compare BENCH_core.json new.json -tolerance-pct 10
+//	go test -bench . -benchmem -benchtime 1x . | go run ./internal/obs/benchjson > BENCH_core.json
+//	go run ./internal/obs/benchjson -compare [-filter RE] BENCH_core.json new.json
 package main
 
 import (
@@ -46,27 +38,19 @@ type result struct {
 	extra       map[string]float64
 }
 
-// pair is the JSON record for one Off/On benchmark pair. OverheadPct
-// is (on−off)/off in percent; negative values mean the difference is
-// below measurement noise.
-type pair struct {
-	Name        string  `json:"name"`
-	OffNsPerOp  float64 `json:"off_ns_per_op"`
-	OnNsPerOp   float64 `json:"on_ns_per_op"`
-	OffAllocs   int64   `json:"off_allocs_per_op"`
-	OnAllocs    int64   `json:"on_allocs_per_op"`
-	OverheadPct float64 `json:"overhead_pct"`
-}
+// The -compare gates: an allocs/op rise beyond tolerancePct fails, and
+// so does a kernel's MB/s drop beyond thrTolerancePct — loose, since
+// absolute throughput moves with the machine; it only catches falling
+// off an algorithmic cliff.
+const (
+	tolerancePct    float64 = 10
+	thrTolerancePct float64 = 50
+)
 
-type report struct {
-	Note  string `json:"note"`
-	Pairs []pair `json:"pairs"`
-}
-
-// rawEntry is one benchmark result in -raw mode: no Off/On pairing,
-// just the measured figures under the benchmark's own name. Extra
-// holds custom metric units ("peak-rss-bytes", "tue-dropbox", ...).
-type rawEntry struct {
+// entry is one benchmark result under the benchmark's own name.
+// Extra holds custom metric units ("peak-rss-bytes", "tue-dropbox",
+// ...).
+type entry struct {
 	Name        string             `json:"name"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
@@ -74,9 +58,9 @@ type rawEntry struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
-type rawReport struct {
-	Note       string     `json:"note"`
-	Benchmarks []rawEntry `json:"benchmarks"`
+type report struct {
+	Note       string  `json:"note"`
+	Benchmarks []entry `json:"benchmarks"`
 }
 
 // parseLine extracts a benchmark result from one `go test -bench`
@@ -127,20 +111,14 @@ func parseLine(line string) (name string, r result, ok bool) {
 }
 
 func main() {
-	raw := flag.Bool("raw", false,
-		"emit every benchmark result as-is instead of pairing <Base>Off/<Base>On")
 	compare := flag.Bool("compare", false,
-		"compare two -raw reports (OLD NEW file args) instead of reading stdin")
-	tolerance := flag.Float64("tolerance-pct", 10,
-		"allowed allocs/op regression in -compare mode, percent")
-	thrTolerance := flag.Float64("throughput-tolerance-pct", 50,
-		"allowed mb-per-sec drop in -compare mode, percent (loose: absolute throughput is machine-dependent)")
+		"compare two reports (OLD NEW file args) instead of reading stdin")
 	filter := flag.String("filter", "",
 		"in -compare mode, only diff benchmarks whose name matches this regexp")
 	flag.Parse()
 
 	if *compare {
-		os.Exit(runCompare(flag.Args(), *tolerance, *thrTolerance, *filter))
+		os.Exit(runCompare(flag.Args(), *filter))
 	}
 
 	results := map[string]result{}
@@ -155,48 +133,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-
-	if *raw {
-		emitRaw(results)
-		return
-	}
-
-	rep := report{Note: "observability overhead: <Base>Off = nil tracer/registry, <Base>On = instrumented"}
-	for name, off := range results {
-		base, found := strings.CutSuffix(name, "Off")
-		if !found {
-			continue
-		}
-		on, ok := results[base+"On"]
-		if !ok {
-			continue
-		}
-		rep.Pairs = append(rep.Pairs, pair{
-			Name:        base,
-			OffNsPerOp:  off.nsPerOp,
-			OnNsPerOp:   on.nsPerOp,
-			OffAllocs:   off.allocsPerOp,
-			OnAllocs:    on.allocsPerOp,
-			OverheadPct: (on.nsPerOp - off.nsPerOp) / off.nsPerOp * 100,
-		})
-	}
-	if len(rep.Pairs) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no Off/On benchmark pairs on stdin")
-		os.Exit(1)
-	}
-	sort.Slice(rep.Pairs, func(i, j int) bool { return rep.Pairs[i].Name < rep.Pairs[j].Name })
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
+	emit(results)
 }
 
-// runCompare diffs two -raw reports. allocs/op is the enforced budget:
-// a benchmark whose allocation count grew more than tolerancePct over
-// the old report is a regression. ns/op changes and allocation
+// runCompare diffs two reports. allocs/op is the enforced budget: a
+// benchmark whose allocation count grew more than tolerancePct over the
+// old report is a regression. ns/op changes and allocation
 // improvements are reported but never fail. Kernel entries (a
 // "mb-per-sec" extra from SetBytes on both sides) are additionally gated on
 // throughput with the looser thrTolerancePct, since absolute MB/s moves
@@ -208,51 +150,17 @@ func main() {
 // too — a renamed or dropped benchmark silently invalidates the
 // baseline. Returns the process exit code: 0 within tolerance, 1
 // regression/drift, 2 usage or I/O error.
-func runCompare(args []string, tolerancePct, thrTolerancePct float64, filter string) int {
-	// The flag package stops at the first positional argument, so
-	// accept the option flags after the file pair too.
-	var files []string
-	for i := 0; i < len(args); i++ {
-		if !strings.HasPrefix(args[i], "-") {
-			files = append(files, args[i])
-			continue
-		}
-		name := strings.TrimLeft(args[i], "-")
-		if name != "tolerance-pct" && name != "throughput-tolerance-pct" && name != "filter" {
-			files = append(files, args[i])
-			continue
-		}
-		if i+1 >= len(args) {
-			fmt.Fprintf(os.Stderr, "benchjson: -%s needs a value\n", name)
-			return 2
-		}
-		i++
-		if name == "filter" {
-			filter = args[i]
-			continue
-		}
-		v, err := strconv.ParseFloat(args[i], 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -%s %q\n", name, args[i])
-			return 2
-		}
-		if name == "tolerance-pct" {
-			tolerancePct = v
-		} else {
-			thrTolerancePct = v
-		}
-	}
-	args = files
+func runCompare(args []string, filter string) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two file arguments: OLD NEW")
 		return 2
 	}
-	old, err := readRawReport(args[0])
+	old, err := readReport(args[0])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
 	}
-	new_, err := readRawReport(args[1])
+	new_, err := readReport(args[1])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		return 2
@@ -346,30 +254,30 @@ func runCompare(args []string, tolerancePct, thrTolerancePct float64, filter str
 	return exit
 }
 
-// readRawReport loads a -raw JSON report as name → entry.
-func readRawReport(path string) (map[string]rawEntry, error) {
+// readReport loads a JSON report as name → entry.
+func readReport(path string) (map[string]entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rep rawReport
+	var rep report
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	out := make(map[string]rawEntry, len(rep.Benchmarks))
+	out := make(map[string]entry, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		out[b.Name] = b
 	}
 	return out, nil
 }
 
-// emitRaw writes every parsed benchmark, sorted by name. Wall-clock
+// emit writes every parsed benchmark, sorted by name. Wall-clock
 // figures are machine-dependent; the baseline's value is the allocation
 // counts and the relative shape, not absolute nanoseconds.
-func emitRaw(results map[string]result) {
-	rep := rawReport{Note: "core experiment-table baseline (-benchtime 1x; ns/op is machine-dependent, compare shapes not absolutes)"}
+func emit(results map[string]result) {
+	rep := report{Note: "core experiment-table baseline (-benchtime 1x; ns/op is machine-dependent, compare shapes not absolutes)"}
 	for name, r := range results {
-		rep.Benchmarks = append(rep.Benchmarks, rawEntry{
+		rep.Benchmarks = append(rep.Benchmarks, entry{
 			Name:        name,
 			NsPerOp:     r.nsPerOp,
 			AllocsPerOp: r.allocsPerOp,

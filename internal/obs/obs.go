@@ -9,8 +9,8 @@
 // instrumented code never branches on "is observability enabled" —
 // it simply calls through, and an uninstrumented run (the default for
 // every experiment and test) pays only a nil check. The tracer-off
-// cost is asserted by the ObsOff/ObsOn benchmark pair recorded by
-// `make bench-obs`.
+// cost is measured by the *ObsOff/*ObsOn benchmark pairs
+// (`go test -bench 'ObsO(ff|n)$'`).
 //
 // Tracers are clock-aware: NewTracer stamps spans with wall-clock
 // offsets, while NewSimTracer reads a virtual clock (simclock.Clock's

@@ -159,10 +159,6 @@ func (st *Store) Sync() error { return st.log.Sync() }
 // the quantity compaction policies threshold on.
 func (st *Store) LogBytes() int64 { return st.log.Size() + st.log.Pending() }
 
-// Pending reports the buffered-but-unsynced byte volume — the quantity
-// group-commit batching policies threshold on.
-func (st *Store) Pending() int64 { return st.log.Pending() }
-
 // FailAt arms the injected crash point on the current log at an
 // absolute log-file offset (see Log.FailAt).
 func (st *Store) FailAt(offset int64) { st.log.FailAt(offset) }

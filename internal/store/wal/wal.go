@@ -1,5 +1,5 @@
-// Package wal is the durability substrate behind the cloud file table
-// and the live sync server: an append-only record log with CRC-framed,
+// Package wal is the durability substrate behind the live sync server
+// (internal/syncnet): an append-only record log with CRC-framed,
 // length-prefixed records and batched fsync, plus generational
 // compacting snapshots, managed together as one state directory.
 //
@@ -14,9 +14,8 @@
 // crash-point property harness in internal/invariant drives kill
 // -9-equivalent cuts through this package at seeded offsets.
 //
-// The package is deliberately value-free about record contents: callers
-// (internal/cloud, internal/syncnet) define their own record codecs and
-// replay functions.
+// The package is deliberately value-free about record contents: the
+// caller defines its own record codec and replay function.
 package wal
 
 import (

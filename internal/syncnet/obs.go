@@ -3,16 +3,15 @@ package syncnet
 import (
 	"io"
 	"net"
-	"sync/atomic"
 
 	"cloudsync/internal/obs"
 	"cloudsync/internal/store/wal"
 )
 
-// serverObs bundles the server's live-metric instruments. When the
-// server runs without a registry every field is nil, and the nil-safe
-// obs instruments make every update a no-op — the live path costs
-// nothing unless syncd was started with -obs-addr. The full metric
+// serverObs bundles the server's live-metric instruments. The counters
+// and gauges always exist — they are the one copy of every ServerStats
+// number — while the histograms are nil without a registry, so an
+// uninstrumented server makes no extra time.Now calls. The full metric
 // catalogue is documented in docs/OBSERVABILITY.md.
 type serverObs struct {
 	bytesIn     *obs.Counter
@@ -57,9 +56,14 @@ type serverObs struct {
 	applyUS       *obs.Histogram
 }
 
-// newServerObs registers the server's metric set on reg (no-op
-// instruments when reg is nil).
+// newServerObs registers the server's metric set on reg. With reg nil
+// the counters and gauges go to a private registry and the histograms
+// stay nil.
 func newServerObs(reg *obs.Registry) serverObs {
+	hist := reg
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	return serverObs{
 		bytesIn:     reg.Counter("syncd_bytes_received_total", "Bytes read off client connections (server-side wire view, up direction)."),
 		bytesOut:    reg.Counter("syncd_bytes_sent_total", "Bytes written to client connections (down direction)."),
@@ -82,17 +86,17 @@ func newServerObs(reg *obs.Registry) serverObs {
 		signaturesServed:   reg.Counter("syncd_signatures_served_total", "Signatures served in answer to SigRequest, each signed from the file's content at that moment: every one is a round trip some delta sync paid before its delta."),
 		condDeltaConflicts: reg.Counter("syncd_cond_delta_conflicts_total", "Deltas refused with ErrConflict because the file was not at the base version they named."),
 
-		listingEntries: reg.Histogram("syncd_listing_entries", "Entries per Listing sent: the whole namespace for a full listing, the files changed since the cursor for an incremental one."),
+		listingEntries: hist.Histogram("syncd_listing_entries", "Entries per Listing sent: the whole namespace for a full listing, the files changed since the cursor for an incremental one."),
 		listingResyncs: reg.Counter("syncd_listing_resyncs_total", "Full listings sent in answer to a change-feed request: a first poll, a cursor from before a reopen (epoch change), or a cursor the server never issued."),
 
 		pendingResumable: reg.Gauge("syncd_pending_resumable", "Stashed partial uploads currently held for resumption."),
 		bytesStored:      reg.Gauge("syncd_bytes_stored", "Unique raw content bytes in the dedup content store."),
 
-		sessionTUEMilli: reg.Histogram("syncd_session_tue_milli", "Per-session TUE x1000: wire bytes received / content bytes committed, for sessions that committed content."),
-		requestUS:       reg.Histogram("syncd_request_duration_us", "Per-request handling time in microseconds."),
+		sessionTUEMilli: hist.Histogram("syncd_session_tue_milli", "Per-session TUE x1000: wire bytes received / content bytes committed, for sessions that committed content."),
+		requestUS:       hist.Histogram("syncd_request_duration_us", "Per-request handling time in microseconds."),
 
-		inboundWaitUS: reg.Histogram("syncd_inbound_queue_wait_us", "Microseconds a fully read request waited in the connection's inbound queue before dispatch (read-ahead backpressure)."),
-		applyUS:       reg.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
+		inboundWaitUS: hist.Histogram("syncd_inbound_queue_wait_us", "Microseconds a fully read request waited in the connection's inbound queue before dispatch (read-ahead backpressure)."),
+		applyUS:       hist.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
 	}
 }
 
@@ -110,19 +114,16 @@ func walMetrics(reg *obs.Registry) *wal.Metrics {
 }
 
 // countingWriter mirrors countingReader for the send direction: it
-// tallies bytes into the per-session counter, the server-wide atomic,
-// and the live metric.
+// tallies bytes into the per-session counter and the server-wide one.
 type countingWriter struct {
-	w     io.Writer
-	n     *int64
-	total *atomic.Int64
-	obsC  *obs.Counter
+	w    io.Writer
+	n    *int64
+	obsC *obs.Counter
 }
 
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	*cw.n += int64(n)
-	cw.total.Add(int64(n))
 	cw.obsC.Add(int64(n))
 	return n, err
 }
@@ -134,7 +135,6 @@ func (cw *countingWriter) writeVectored(hdr, payload []byte) (int64, error) {
 	bufs := net.Buffers{hdr, payload}
 	n, err := bufs.WriteTo(cw.w)
 	*cw.n += n
-	cw.total.Add(n)
 	cw.obsC.Add(n)
 	return n, err
 }

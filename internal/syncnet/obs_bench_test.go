@@ -10,10 +10,11 @@ import (
 
 // benchUploads drives b.N small uploads through a client/server pair
 // over net.Pipe. When observed is true the pair runs fully
-// instrumented (server registry + tracer, client tracer); otherwise it
-// runs on the nil no-op path. The delta between the two is the whole
-// observability tax on the sync hot path — make bench-obs records it
-// into BENCH_obs.json. propagate additionally opts the client into
+// instrumented (server registry + tracer, client tracer); otherwise
+// the server keeps only the private counters behind Stats and nothing
+// traces. The delta between the two is the whole observability tax on
+// the sync hot path (`go test -bench 'ObsO(ff|n)$'` runs the pairs).
+// propagate additionally opts the client into
 // cross-process trace-context propagation (one extra TraceCtx frame
 // per operation attempt).
 func benchUploads(b *testing.B, observed, propagate bool) {

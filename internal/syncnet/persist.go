@@ -92,7 +92,7 @@ func (s *Server) replayRecord(rec []byte) error {
 		}
 		if _, ok := s.byHash[hash]; !ok {
 			s.byHash[hash] = append([]byte(nil), data...)
-			s.stats.BytesStored += int64(len(data))
+			s.om.bytesStored.Add(int64(len(data)))
 		}
 	case recIndex:
 		scope := c.Str()

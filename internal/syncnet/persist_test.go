@@ -2,10 +2,14 @@ package syncnet
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"cloudsync/internal/content"
+	"cloudsync/internal/obs"
 	"cloudsync/internal/store/wal"
 )
 
@@ -31,11 +35,8 @@ func sameSnapshot(t *testing.T, label string, want, got map[string]FileState) {
 		if !ok {
 			t.Fatalf("%s: file %q lost in recovery", label, name)
 		}
-		if g.ID != w.ID || g.Version != w.Version || g.Deleted != w.Deleted || g.History != w.History {
+		if !sameFile(g, true, w, true) {
 			t.Fatalf("%s: %q recovered as %+v, want %+v", label, name, g, w)
-		}
-		if !bytes.Equal(g.Data, w.Data) {
-			t.Fatalf("%s: %q content diverged after recovery", label, name)
 		}
 	}
 }
@@ -83,6 +84,138 @@ func TestDurableRoundTrip(t *testing.T) {
 	if got := srv2.Stats().BytesStored; got != wantStored {
 		t.Fatalf("BytesStored %d after recovery, want %d", got, wantStored)
 	}
+}
+
+// TestBytesStoredAfterReopen: content replayed at open counts in the
+// syncd_bytes_stored gauge, which is the number Stats reports — one
+// copy, so the live metric and Stats cannot drift apart.
+func TestBytesStoredAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	srv, dial := startServer(t, ServerConfig{StateDir: dir, Metrics: obs.NewRegistry()})
+	c, _ := dial("alice")
+	if _, err := c.Upload("a", content.Random(20_000, 1).Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Upload("b", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	srv2, err := OpenServer(ServerConfig{StateDir: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	gauge := reg.Gauge("syncd_bytes_stored", "").Value()
+	if stored := srv2.Stats().BytesStored; gauge != stored || stored != 20_000+5 {
+		t.Fatalf("after reopen: syncd_bytes_stored %d, Stats().BytesStored %d, want both %d", gauge, stored, 20_000+5)
+	}
+}
+
+// TestServerTornTailEveryOffset is the kill -9 property over the whole
+// log: truncated at every byte, the state directory must reopen without
+// error. A cut at an acknowledged commit's end recovers exactly the
+// state at that ack; a cut inside a commit recovers no torn file and not
+// the whole commit.
+func TestServerTornTailEveryOffset(t *testing.T) {
+	seedDir := t.TempDir()
+	srv, dial := startServer(t, ServerConfig{StateDir: seedDir})
+	// A 512 B block size lets a 2 KiB file take the delta path while the
+	// log stays a few KiB, so the every-offset loop runs quickly.
+	c, _ := dial("alice", WithBlockSize(512))
+
+	type checkpoint struct {
+		bytes int64
+		state map[string]FileState
+	}
+	ckpts := []checkpoint{{0, srv.Snapshot("alice")}}
+	acked := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, checkpoint{srv.StateLogBytes(), srv.Snapshot("alice")})
+	}
+	big := content.Random(2_048, 1).Bytes()
+	_, err := c.Upload("inline", []byte("rides in a one-entry bundle"))
+	acked(err)
+	_, err = c.UploadBundle([]FileUpload{{"b1", []byte("first")}, {"b2", []byte("second")}})
+	acked(err)
+	_, err = c.Upload("big", big)
+	acked(err)
+	edited := append([]byte(nil), big...)
+	copy(edited[1_000:], "edit")
+	st, err := c.Upload("big", edited)
+	if err == nil && !st.DeltaSync {
+		t.Fatal("edit of big did not take the delta path")
+	}
+	acked(err)
+	acked(c.Delete("inline"))
+	c.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(seedDir, "wal-00000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := ckpts[len(ckpts)-1].bytes; int64(len(raw)) != last {
+		t.Fatalf("log is %d bytes, last checkpoint %d", len(raw), last)
+	}
+	dir := t.TempDir()
+	for cut := 0; cut <= len(raw); cut++ {
+		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := OpenServer(ServerConfig{StateDir: dir})
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		got := rs.Snapshot("alice")
+		rs.Close()
+
+		i := 0
+		for i+1 < len(ckpts) && ckpts[i+1].bytes <= int64(cut) {
+			i++
+		}
+		label := fmt.Sprintf("cut %d", cut)
+		if ckpts[i].bytes == int64(cut) {
+			sameSnapshot(t, label, ckpts[i].state, got)
+			continue
+		}
+		// Inside one group commit: its whole-record prefix replays, so a
+		// bundle may land in part, but every file is at its state before
+		// or after the commit, and the commit as a whole is not visible
+		// until its last byte is.
+		prev, next := ckpts[i].state, ckpts[i+1].state
+		whole := true
+		for _, snap := range []map[string]FileState{got, prev, next} {
+			for name := range snap {
+				g, gok := got[name]
+				p, pok := prev[name]
+				n, nok := next[name]
+				atNext := sameFile(g, gok, n, nok)
+				if !atNext && !sameFile(g, gok, p, pok) {
+					t.Fatalf("%s: %q recovered as %+v, neither before (%+v) nor after (%+v) its commit", label, name, g, p, n)
+				}
+				whole = whole && atNext
+			}
+		}
+		if whole {
+			t.Fatalf("%s: the commit ending at byte %d is visible before its last byte", label, ckpts[i+1].bytes)
+		}
+	}
+}
+
+// sameFile reports whether two optional file states are the same.
+func sameFile(a FileState, aok bool, b FileState, bok bool) bool {
+	return aok == bok && a.ID == b.ID && a.Version == b.Version &&
+		a.Deleted == b.Deleted && a.History == b.History && bytes.Equal(a.Data, b.Data)
 }
 
 // TestDurableCompaction: state folded into a snapshot plus records

@@ -75,7 +75,7 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 	// Metrics, when set, receives the server's live metric set (the
 	// syncd_* catalogue in docs/OBSERVABILITY.md). Nil keeps the
-	// uninstrumented zero-overhead behaviour.
+	// counters and gauges behind Stats private and the histograms off.
 	Metrics *obs.Registry
 	// Tracer, when set, records one span per client session with one
 	// child span per handled request. When a session propagates a trace
@@ -192,7 +192,6 @@ type Server struct {
 	byHash    map[dedup.Fingerprint][]byte // full-file dedup content store
 	index     *dedup.Index
 	nextID    uint64
-	stats     ServerStats
 	closed    bool
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
@@ -201,9 +200,7 @@ type Server struct {
 	pending      map[pendingKey]*pendingUpload
 	pendingOrder []pendingKey
 
-	handlers      sync.WaitGroup // serve loops + connection handlers
-	bytesReceived atomic.Int64
-	bytesSent     atomic.Int64
+	handlers sync.WaitGroup // serve loops + connection handlers
 
 	// persist is the durable state store (nil for in-RAM servers);
 	// appended under s.mu, group-committed by persistSync. crashed trips
@@ -231,15 +228,29 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Stats returns a snapshot of server activity.
+// Stats returns a snapshot of server activity, read from the server's
+// syncd_* counters and gauges. Each field is read atomically, but not
+// all at one instant: read a quiescent server for a consistent set.
 func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.BytesReceived = s.bytesReceived.Load()
-	st.BytesSent = s.bytesSent.Load()
-	st.PendingResumable = len(s.pending)
-	return st
+	om := &s.om
+	return ServerStats{
+		Sessions:           om.sessions.Value(),
+		Uploads:            om.uploads.Value(),
+		DedupSkips:         om.dedupSkips.Value(),
+		DeltaSyncs:         om.deltaSyncs.Value(),
+		Downloads:          om.downloads.Value(),
+		Deletes:            om.deletes.Value(),
+		Resumes:            om.resumes.Value(),
+		BytesStored:        om.bytesStored.Value(),
+		Bundles:            om.bundles.Value(),
+		BundledFiles:       om.bundleFiles.Value(),
+		InlineUploads:      om.inlineUploads.Value(),
+		SignaturesServed:   om.signaturesServed.Value(),
+		CondDeltaConflicts: om.condDeltaConflicts.Value(),
+		PendingResumable:   int(om.pendingResumable.Value()),
+		BytesReceived:      om.bytesIn.Value(),
+		BytesSent:          om.bytesOut.Value(),
+	}
 }
 
 // AttachCloser registers a closer that Close tears down after every
@@ -347,7 +358,6 @@ func (s *Server) register(conn net.Conn) error {
 	}
 	s.conns[conn] = struct{}{}
 	s.handlers.Add(1)
-	s.stats.Sessions++
 	s.om.sessions.Inc()
 	s.om.activeConns.Add(1)
 	return nil
@@ -362,18 +372,16 @@ func (s *Server) unregister(conn net.Conn) {
 }
 
 // countingReader tallies the bytes the server reads off a connection:
-// into the server-wide atomic, the live metric, and the per-session
-// counter that feeds the session-TUE histogram.
+// into the server-wide counter and the per-session counter that feeds
+// the session-TUE histogram.
 type countingReader struct {
 	r    io.Reader
-	n    *atomic.Int64
 	sess *int64
 	obsC *obs.Counter
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
 	*cr.sess += int64(n)
 	cr.obsC.Add(int64(n))
 	return n, err
@@ -408,8 +416,8 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	defer s.unregister(conn)
 	defer conn.Close()
 	sess := &session{srv: s, conn: conn, uploads: make(map[uint64]*pendingUpload)}
-	r := &countingReader{r: conn, n: &s.bytesReceived, sess: &sess.wireIn, obsC: s.om.bytesIn}
-	sess.w = &countingWriter{w: conn, n: &sess.wireOut, total: &s.bytesSent, obsC: s.om.bytesOut}
+	r := &countingReader{r: conn, sess: &sess.wireIn, obsC: s.om.bytesIn}
+	sess.w = &countingWriter{w: conn, n: &sess.wireOut, obsC: s.om.bytesOut}
 	sess.enc = wire.GetFrame(512)
 	defer func() { wire.PutFrame(sess.enc); sess.enc = nil }()
 	// Runs last: once every other defer has finished touching the wire,
@@ -819,6 +827,7 @@ func (s *Server) takePending(key pendingKey) *pendingUpload {
 			break
 		}
 	}
+	s.om.pendingResumable.Set(int64(len(s.pending)))
 	return up
 }
 
@@ -916,10 +925,6 @@ func (ss *session) onResumeQuery(m *protocol.ResumeQuery) error {
 		return ss.send(&protocol.ResumeInfo{})
 	}
 	ss.uploads[up.id] = up
-	s.mu.Lock()
-	s.stats.Resumes++
-	s.om.pendingResumable.Set(int64(len(s.pending)))
-	s.mu.Unlock()
 	s.om.resumes.Inc()
 	s.logf("resuming %s/%s at offset %d", ss.user, up.name, len(up.buf))
 	return ss.send(&protocol.ResumeInfo{FileID: up.id, Offset: int64(len(up.buf))})
@@ -985,17 +990,14 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	s.index.Add(ss.user, hash, int64(len(raw)))
 	if _, ok := s.byHash[hash]; !ok {
 		s.byHash[hash] = raw
-		s.stats.BytesStored += int64(len(raw))
+		s.om.bytesStored.Add(int64(len(raw)))
 		s.persistContentLocked(hash, raw)
 	}
 	s.commitFileLocked(ss.user, f)
-	s.stats.Uploads++
 	if wasDedup {
-		s.stats.DedupSkips++
 		s.om.dedupSkips.Inc()
 	}
 	s.om.uploads.Inc()
-	s.om.bytesStored.Set(s.stats.BytesStored)
 	ss.contentBytes += int64(len(raw))
 	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, f.version, len(raw), wasDedup)
 	return f.id, f.version
@@ -1031,11 +1033,6 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 	if len(m.Entries) == 1 {
 		inline = int64(committed)
 	}
-	s.mu.Lock()
-	s.stats.Bundles++
-	s.stats.BundledFiles += int64(committed)
-	s.stats.InlineUploads += inline
-	s.mu.Unlock()
 	s.om.bundles.Inc()
 	s.om.bundleFiles.Add(int64(committed))
 	s.om.inlineUploads.Add(inline)
@@ -1059,7 +1056,6 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 	}
 	target.deleted = true // fake deletion: content retained
 	target.version++
-	s.stats.Deletes++
 	version := target.version
 	s.commitFileLocked(ss.user, target)
 	s.mu.Unlock()
@@ -1085,7 +1081,6 @@ func (ss *session) onGet(m *protocol.Get) error {
 		FileID: f.id, Name: f.name, Size: int64(len(raw)),
 		Version: f.version, Compression: uint8(s.cfg.Compression),
 	}
-	s.stats.Downloads++
 	s.mu.Unlock()
 	s.om.downloads.Inc()
 
@@ -1123,7 +1118,6 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 		return nil
 	}
 	data, version := f.data, f.version
-	s.stats.SignaturesServed++
 	s.mu.Unlock()
 	s.om.signaturesServed.Inc()
 	bs := cmp.Or(int(m.BlockSize), s.cfg.BlockSize, delta.BlockSizeFor(int64(len(data))))
@@ -1152,7 +1146,6 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		return nil
 	}
 	if f.version != m.BaseVersion {
-		s.stats.CondDeltaConflicts++
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
@@ -1168,7 +1161,6 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 
 	s.mu.Lock()
 	if f.version != m.BaseVersion {
-		s.stats.CondDeltaConflicts++
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
@@ -1179,18 +1171,15 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	s.index.Add(ss.user, hash, int64(len(raw)))
 	if _, ok := s.byHash[hash]; !ok {
 		s.byHash[hash] = raw
-		s.stats.BytesStored += int64(len(raw))
+		s.om.bytesStored.Add(int64(len(raw)))
 		s.persistContentLocked(hash, raw)
 	}
 	s.commitFileLocked(ss.user, f)
-	s.stats.DeltaSyncs++
 	version := f.version
 	id := f.id
-	stored := s.stats.BytesStored
 	s.mu.Unlock()
 	s.om.deltaSyncs.Inc()
 	s.om.deltaLiteralBytes.Add(int64(d.LiteralBytes()))
-	s.om.bytesStored.Set(stored)
 	ss.contentBytes += int64(len(raw))
 	ss.applyEnd(ta)
 	if err := s.persistSync(); err != nil {
@@ -1201,9 +1190,9 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	return ss.send(&protocol.Ack{FileID: id, Version: version, OK: true})
 }
 
-// staleBasis refuses a delta cut against a version the file is not at
-// (the caller has counted it). Soft: the session continues, and the
-// client answers by asking for the current signature.
+// staleBasis counts and refuses a delta cut against a version the file
+// is not at. Soft: the session continues, and the client answers by
+// asking for the current signature.
 func (ss *session) staleBasis(name string) error {
 	ss.srv.om.condDeltaConflicts.Inc()
 	ss.srv.logf("refused stale-basis delta for %s/%s", ss.user, name)
