@@ -87,7 +87,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "synccli: %v\n", err)
 				return
 			}
-			if err := tracer.WriteChromeTrace(f); err == nil {
+			if err := obs.WriteMergedChromeTrace(f, obs.Merge(tracer.Dump("synccli"))); err == nil {
 				err = f.Close()
 			}
 			if err != nil {

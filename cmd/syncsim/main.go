@@ -214,7 +214,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := tracer.WriteChromeTrace(f); err == nil {
+		if err := obs.WriteMergedChromeTrace(f, obs.Merge(tracer.Dump("syncsim"))); err == nil {
 			err = f.Close()
 		}
 		if err != nil {

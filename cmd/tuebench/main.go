@@ -87,6 +87,9 @@ var experiments = []experiment{
 	{"findings", "trace statistics vs the paper (§§ 4-5)", func(c config) string {
 		return core.RenderFindings(trace.Analyze(c.trace()))
 	}},
+	{"table2", "users and files per service in the trace (Table 2)", func(c config) string {
+		return core.RenderTable2(trace.PerServiceCounts(c.trace()))
+	}},
 	{"table6", "file-creation traffic (Table 6)", func(c config) string {
 		sizes := core.TableSizes
 		if c.quick {
@@ -327,7 +330,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tuebench: %v\n", err)
 			os.Exit(1)
 		}
-		if err := tracer.WriteChromeTrace(f); err == nil {
+		if err := obs.WriteMergedChromeTrace(f, obs.Merge(tracer.Dump("tuebench"))); err == nil {
 			err = f.Close()
 		}
 		if err != nil {

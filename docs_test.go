@@ -2,9 +2,10 @@ package cloudsync_test
 
 // Documentation gates: every Go package carries a package-level doc
 // comment, every relative link in the Markdown tree resolves, every
-// Makefile target is documented in the README, and the metric and span
-// catalogue of docs/OBSERVABILITY.md names exactly what the live path
-// registers and emits. These run in the ordinary test suite (and as
+// Makefile target is documented in the README, the README's tool and
+// example tables list exactly cmd/* and examples/*, and the metric and
+// span catalogue of docs/OBSERVABILITY.md names exactly what the live
+// path registers and emits. These run in the ordinary test suite (and as
 // CI's docs step) so the docs cannot drift silently the way they did
 // before docs/ARCHITECTURE.md existed.
 
@@ -157,6 +158,60 @@ func TestMakefileTargetsDocumented(t *testing.T) {
 	}
 	if targets < 5 {
 		t.Fatalf("only %d Makefile targets parsed; regexp broken?", targets)
+	}
+}
+
+// TestCommandsDocumented: the rows of README.md's "Command-line tools"
+// table must name exactly the cmd/* directories, and the rows of its
+// runnable-examples table exactly the examples/* directories, in both
+// directions — so a deleted tool cannot stay listed and a new one
+// cannot go unlisted.
+func TestCommandsDocumented(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ intro, dir string }{
+		{"Command-line tools:", "cmd"},
+		{"Runnable examples live in `examples/`:", "examples"},
+	} {
+		_, rest, ok := strings.Cut(string(raw), "\n"+c.intro+"\n")
+		if !ok {
+			t.Fatalf("README.md has no %q table", c.intro)
+		}
+		row := regexp.MustCompile("^\\| `(" + c.dir + "/[^`]+)` \\|")
+		listed := make(map[string]bool)
+		for _, line := range strings.Split(strings.TrimLeft(rest, "\n"), "\n") {
+			if !strings.HasPrefix(line, "|") {
+				break
+			}
+			if m := row.FindStringSubmatch(line); m != nil {
+				listed[m[1]] = true
+			}
+		}
+		entries, err := os.ReadDir(c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		present := make(map[string]bool)
+		for _, e := range entries {
+			if e.IsDir() {
+				present[c.dir+"/"+e.Name()] = true
+			}
+		}
+		for d := range present {
+			if !listed[d] {
+				t.Errorf("%s is not listed in README.md's %q table", d, c.intro)
+			}
+		}
+		for d := range listed {
+			if !present[d] {
+				t.Errorf("README.md's %q table lists %s, which does not exist", c.intro, d)
+			}
+		}
+		if len(present) < 2 {
+			t.Fatalf("only %d %s/* directories found; walk broken?", len(present), c.dir)
+		}
 	}
 }
 

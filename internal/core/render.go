@@ -434,6 +434,22 @@ func RenderFindings(s trace.Stats) string {
 	return "Trace findings vs. the paper's statistics\n" + tb.String()
 }
 
+// RenderTable2 formats the trace's users and files per service, as
+// reported by trace.PerServiceCounts.
+func RenderTable2(counts map[string][2]int) string {
+	services := make([]string, 0, len(counts))
+	for svc := range counts {
+		services = append(services, svc)
+	}
+	sort.Strings(services)
+	tb := metrics.Table{Header: []string{"Service", "Users", "Files"}}
+	for _, svc := range services {
+		c := counts[svc]
+		tb.AddRow(svc, fmt.Sprintf("%d", c[0]), fmt.Sprintf("%d", c[1]))
+	}
+	return "Table 2: users and files per service in the trace\n" + tb.String()
+}
+
 // RenderMidLayer formats the mid-layer ablation.
 func RenderMidLayer(rows []MidLayerResult) string {
 	tb := metrics.Table{Header: []string{"Mid-layer", "PUTs", "GETs", "DELETEs", "Internal bytes"}}

@@ -9,35 +9,9 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("zero Counter.Value() = %d", c.Value())
-	}
-	c.Add(5)
-	c.Add(7)
-	if c.Value() != 12 {
-		t.Fatalf("Value() = %d, want 12", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("after Reset Value() = %d", c.Value())
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add(-1) did not panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
 func TestDistributionEmpty(t *testing.T) {
 	var d Distribution
-	if d.Count() != 0 || d.Mean() != 0 || d.Median() != 0 || d.Min() != 0 || d.Max() != 0 {
+	if d.Sum() != 0 || d.Mean() != 0 || d.Median() != 0 || d.Max() != 0 {
 		t.Fatal("empty distribution should report zeros")
 	}
 	if d.CDF(10) != 0 {
@@ -50,11 +24,8 @@ func TestDistributionBasics(t *testing.T) {
 	for _, v := range []float64{3, 1, 4, 1, 5, 9, 2, 6} {
 		d.Add(v)
 	}
-	if d.Count() != 8 {
-		t.Fatalf("Count = %d", d.Count())
-	}
-	if got := d.Min(); got != 1 {
-		t.Fatalf("Min = %v", got)
+	if got := d.Quantile(0); got != 1 {
+		t.Fatalf("Quantile(0) = %v", got)
 	}
 	if got := d.Max(); got != 9 {
 		t.Fatalf("Max = %v", got)
@@ -115,7 +86,9 @@ func TestCDF(t *testing.T) {
 
 func TestCDFPoints(t *testing.T) {
 	var d Distribution
-	d.AddN(5, 4)
+	for i := 0; i < 4; i++ {
+		d.Add(5)
+	}
 	pts := d.CDFPoints([]float64{4, 5, 6})
 	want := []float64{0, 1, 1}
 	for i := range want {
@@ -132,8 +105,8 @@ func TestAddAfterQueryResorts(t *testing.T) {
 		t.Fatal("median of {5} should be 5")
 	}
 	d.Add(1)
-	if got := d.Min(); got != 1 {
-		t.Fatalf("Min after re-add = %v, want 1", got)
+	if got := d.Quantile(0); got != 1 {
+		t.Fatalf("Quantile(0) after re-add = %v, want 1", got)
 	}
 }
 

@@ -1,23 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
 )
-
-// jsonSpan is the JSONL export schema: one of these per line.
-type jsonSpan struct {
-	ID     uint64            `json:"id"`
-	Parent uint64            `json:"parent,omitempty"`
-	Name   string            `json:"name"`
-	StartU float64           `json:"start_us"`
-	DurU   float64           `json:"dur_us"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-}
 
 func (d SpanData) attrMap() map[string]string {
 	if len(d.Attrs) == 0 {
@@ -31,23 +19,6 @@ func (d SpanData) attrMap() map[string]string {
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// WriteJSONL writes every recorded span as one JSON object per line
-// (id, parent, name, start_us, dur_us, attrs). A nil tracer writes
-// nothing.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, d := range t.Spans() {
-		if err := enc.Encode(jsonSpan{
-			ID: d.ID, Parent: d.Parent, Name: d.Name,
-			StartU: us(d.Start), DurU: us(d.Duration()),
-			Attrs: d.attrMap(),
-		}); err != nil {
-			return fmt.Errorf("obs: writing JSONL: %w", err)
-		}
-	}
-	return nil
-}
 
 // chromeEvent is one trace_event record in the Chrome/Perfetto JSON
 // format: a "complete" (ph "X") event with microsecond timestamps.
@@ -64,27 +35,6 @@ type chromeEvent struct {
 type chromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// WriteChromeTrace writes the recorded spans as a Chrome trace_event
-// JSON document loadable in chrome://tracing and ui.perfetto.dev. Each
-// span tree renders as one track (tid = root span id), so nested spans
-// stack under their root operation. Unfinished spans are exported with
-// zero duration.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	spans := t.Spans()
-	doc := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(spans)), DisplayTimeUnit: "ms"}
-	for _, d := range spans {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: d.Name, Ph: "X", Ts: us(d.Start), Dur: us(d.Duration()),
-			Pid: 1, Tid: d.Root, Args: d.attrMap(),
-		})
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("obs: writing Chrome trace: %w", err)
-	}
-	return nil
 }
 
 // Report renders the span forest as an indented summary tree — one

@@ -268,11 +268,12 @@ func Merge(dumps ...TraceDump) []MergedSpan {
 }
 
 // WriteMergedChromeTrace writes a merged span forest as a Chrome
-// trace_event JSON document (chrome://tracing, ui.perfetto.dev). Each
-// joined tree renders as one track (tid = merged Root), so server
+// trace_event JSON document (chrome://tracing, ui.perfetto.dev) — the
+// one Chrome writer: a single process's trace is Merge of its one dump.
+// Each joined tree renders as one track (tid = merged Root), so server
 // spans stack under the client operation that caused them; every
-// event's args carry its process name. Timestamps are rebased so the
-// earliest span starts at 0.
+// event's args carry its process name. Unfinished spans have zero
+// duration. Timestamps are rebased so the earliest span starts at 0.
 func WriteMergedChromeTrace(w io.Writer, spans []MergedSpan) error {
 	var base time.Duration
 	for i, m := range spans {

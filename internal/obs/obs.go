@@ -15,10 +15,11 @@
 // Tracers are clock-aware: NewTracer stamps spans with wall-clock
 // offsets, while NewSimTracer reads a virtual clock (simclock.Clock's
 // Now), so simulation spans carry deterministic virtual timestamps and
-// do not perturb experiment reproducibility. Finished traces export as
-// JSONL (one span per line), as a Chrome trace_event file loadable in
-// chrome://tracing or Perfetto, and as a human-readable summary tree
-// (synccli -report).
+// do not perturb experiment reproducibility. A finished trace exports
+// as a dump (WriteDump: JSONL, one span per line, which tracemerge
+// reads), as a Chrome trace_event file loadable in chrome://tracing or
+// Perfetto (WriteMergedChromeTrace over Merge of one or more dumps),
+// and as a human-readable summary tree (synccli -report).
 //
 // Registries render in the Prometheus text exposition format and are
 // served together with liveness and pprof endpoints by Handler /
@@ -44,9 +45,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 
 // Int builds an integer-valued attribute.
 func Int(k string, v int64) Attr { return Attr{Key: k, Value: v} }
-
-// Float builds a float-valued attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }

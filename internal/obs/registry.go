@@ -136,8 +136,8 @@ func (h *Histogram) Sum() int64 {
 const QuantileStepTolerancePct = 125
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed values
-// by log-linear interpolation within the power-of-two bucket holding
-// the target rank.
+// by linear interpolation within the power-of-two bucket holding the
+// target rank.
 //
 // Resolution contract: the answer is exact only to the width of the
 // bucket the rank lands in. Buckets double, so the true quantile can

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -40,10 +39,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	if tr.Now() != 0 {
 		t.Fatalf("nil tracer Now = %v, want 0", tr.Now())
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil tracer WriteJSONL wrote %q (err %v)", buf.String(), err)
 	}
 }
 
@@ -118,73 +113,69 @@ func TestRecordExplicitTimes(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	clk := &simNow{}
-	tr := NewSimTracer(clk.now)
-	root := tr.Start("a")
-	clk.t = time.Millisecond
-	root.Child("b").End()
-	root.End()
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines int
-	for sc.Scan() {
-		var js jsonSpan
-		if err := json.Unmarshal(sc.Bytes(), &js); err != nil {
-			t.Fatalf("line %d not JSON: %v", lines, err)
-		}
-		lines++
-	}
-	if lines != 2 {
-		t.Fatalf("got %d JSONL lines, want 2", lines)
-	}
-}
-
+// TestWriteChromeTrace: a single process's Chrome trace is Merge of its
+// one dump, for a wall tracer and a sim tracer alike — valid JSON,
+// every event a complete "X" event, and a child on its root's track.
 func TestWriteChromeTrace(t *testing.T) {
 	clk := &simNow{}
-	tr := NewSimTracer(clk.now)
-	root := tr.Start("a", String("k", "v"))
+	sim := NewSimTracer(clk.now)
+	root := sim.Start("a", String("k", "v"))
 	clk.t = 2 * time.Millisecond
 	root.Child("b").End()
 	root.End()
 
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Ts   float64           `json:"ts"`
-			Dur  float64           `json:"dur"`
-			Tid  uint64            `json:"tid"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace not JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != 2 {
-		t.Fatalf("got %d events, want 2", len(doc.TraceEvents))
-	}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			t.Fatalf("event %q has phase %q, want X", ev.Name, ev.Ph)
+	wall := NewTracer()
+	wroot := wall.Start("a", String("k", "v"))
+	wroot.Child("b").End()
+	wroot.End()
+
+	for _, c := range []struct {
+		process string
+		tr      *Tracer
+	}{{"sim", sim}, {"wall", wall}} {
+		var buf bytes.Buffer
+		if err := WriteMergedChromeTrace(&buf, Merge(c.tr.Dump(c.process))); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if doc.TraceEvents[0].Tid != doc.TraceEvents[1].Tid {
-		t.Fatalf("spans of one tree on different tids: %+v", doc.TraceEvents)
-	}
-	if doc.TraceEvents[0].Args["k"] != "v" {
-		t.Fatalf("args lost: %+v", doc.TraceEvents[0].Args)
-	}
-	if doc.TraceEvents[0].Dur != 2000 {
-		t.Fatalf("root dur %v µs, want 2000", doc.TraceEvents[0].Dur)
+		var doc struct {
+			TraceEvents []struct {
+				Name string            `json:"name"`
+				Ph   string            `json:"ph"`
+				Ts   float64           `json:"ts"`
+				Dur  float64           `json:"dur"`
+				Tid  uint64            `json:"tid"`
+				Args map[string]string `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: chrome trace not JSON: %v", c.process, err)
+		}
+		if len(doc.TraceEvents) != 2 {
+			t.Fatalf("%s: got %d events, want 2", c.process, len(doc.TraceEvents))
+		}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph != "X" {
+				t.Fatalf("%s: event %q has phase %q, want X", c.process, ev.Name, ev.Ph)
+			}
+			if ev.Args["process"] != c.process {
+				t.Fatalf("%s: event %q process %q", c.process, ev.Name, ev.Args["process"])
+			}
+		}
+		r, ch := doc.TraceEvents[0], doc.TraceEvents[1]
+		if r.Name != "a" || ch.Name != "b" {
+			t.Fatalf("%s: events %q, %q; want root a first", c.process, r.Name, ch.Name)
+		}
+		if r.Tid != ch.Tid {
+			t.Fatalf("%s: spans of one tree on different tids: %+v", c.process, doc.TraceEvents)
+		}
+		if r.Args["k"] != "v" {
+			t.Fatalf("%s: args lost: %+v", c.process, r.Args)
+		}
+		// The sim dump has no epoch, so its virtual offsets stay raw:
+		// b starts 2 ms into a's 2 ms.
+		if c.tr == sim && (ch.Ts != 2000 || r.Dur != 2000) {
+			t.Fatalf("sim child ts %v µs, root dur %v µs; want 2000, 2000", ch.Ts, r.Dur)
+		}
 	}
 }
 

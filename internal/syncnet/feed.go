@@ -49,7 +49,7 @@ func newEpoch() uint64 {
 // ends here, so it is the one place the feed is written. The feed
 // work is O(1) pointer updates, no allocation. Caller holds s.mu; the
 // content f references must already be persisted
-// (persistContentLocked runs at every byHash insertion).
+// (putContentLocked runs at every byHash insertion).
 func (s *Server) commitFileLocked(user string, f *serverFile) {
 	acct := s.users[user]
 	acct.seq++

@@ -90,9 +90,10 @@ func (s *Server) replayRecord(rec []byte) error {
 		if c.Err() != nil {
 			return fmt.Errorf("syncnet: content record: %w", c.Err())
 		}
+		// data lives in the log's reused frame buffer: copy a new blob,
+		// and only a new one.
 		if _, ok := s.byHash[hash]; !ok {
-			s.byHash[hash] = append([]byte(nil), data...)
-			s.om.bytesStored.Add(int64(len(data)))
+			s.putContentLocked(hash, bytes.Clone(data))
 		}
 	case recIndex:
 		scope := c.Str()
@@ -154,16 +155,29 @@ func encodeFileRec(user string, f *serverFile) []byte {
 	return append(b, f.hash[:]...)
 }
 
-// persistContentLocked appends one content blob to the durable log.
-// Caller holds s.mu and has just inserted the blob into byHash.
-func (s *Server) persistContentLocked(hash protocol.Fingerprint, data []byte) {
-	if s.persist == nil {
-		return
-	}
+// encodeContentRec renders one content blob as a recContent record.
+func encodeContentRec(hash protocol.Fingerprint, data []byte) []byte {
 	b := make([]byte, 0, 1+16+4+len(data))
 	b = append(b, recContent)
 	b = append(b, hash[:]...)
-	s.persist.Append(wal.AppendBytes(b, data))
+	return wal.AppendBytes(b, data)
+}
+
+// putContentLocked is the content store's one insertion, shared by
+// store, a published delta and replay: a blob not yet in byHash is
+// kept (raw is retained, not copied), counted in syncd_bytes_stored and
+// appended to the durable log. Replay appends nothing, because
+// s.persist is still nil until wal.Open returns. Caller holds s.mu (or,
+// during replay, owns the unshared server).
+func (s *Server) putContentLocked(hash protocol.Fingerprint, raw []byte) {
+	if _, ok := s.byHash[hash]; ok {
+		return
+	}
+	s.byHash[hash] = raw
+	s.om.bytesStored.Add(int64(len(raw)))
+	if s.persist != nil {
+		s.persist.Append(encodeContentRec(hash, raw))
+	}
 }
 
 // persistSync group-commits every record appended since the last sync —
@@ -208,11 +222,7 @@ func (s *Server) snapshotRecordsLocked() [][]byte {
 	}
 	sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
 	for _, h := range hashes {
-		data := s.byHash[h]
-		b := make([]byte, 0, 1+16+4+len(data))
-		b = append(b, recContent)
-		b = append(b, h[:]...)
-		recs = append(recs, wal.AppendBytes(b, data))
+		recs = append(recs, encodeContentRec(h, s.byHash[h]))
 	}
 	for _, e := range s.index.Entries() {
 		b := make([]byte, 0, 1+4+len(e.Scope)+16+8)

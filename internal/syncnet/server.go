@@ -988,11 +988,7 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	f.deleted = false
 	f.history++
 	s.index.Add(ss.user, hash, int64(len(raw)))
-	if _, ok := s.byHash[hash]; !ok {
-		s.byHash[hash] = raw
-		s.om.bytesStored.Add(int64(len(raw)))
-		s.persistContentLocked(hash, raw)
-	}
+	s.putContentLocked(hash, raw)
 	s.commitFileLocked(ss.user, f)
 	if wasDedup {
 		s.om.dedupSkips.Inc()
@@ -1169,11 +1165,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	f.history++
 	f.hash = hash
 	s.index.Add(ss.user, hash, int64(len(raw)))
-	if _, ok := s.byHash[hash]; !ok {
-		s.byHash[hash] = raw
-		s.om.bytesStored.Add(int64(len(raw)))
-		s.persistContentLocked(hash, raw)
-	}
+	s.putContentLocked(hash, raw)
 	s.commitFileLocked(ss.user, f)
 	version := f.version
 	id := f.id

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -210,45 +208,6 @@ func TestNumBlocks(t *testing.T) {
 	}
 	if (Record{}).NumBlocks(128) != 0 {
 		t.Fatal("empty file should have 0 blocks")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	recs := Generate(GenConfig{Seed: 3, Scale: 0.005})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("roundtrip length %d, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		a, b := recs[i], got[i]
-		// Times round-trip through RFC3339Nano in UTC.
-		a.Created, a.Modified = a.Created.UTC(), a.Modified.UTC()
-		if a != b {
-			t.Fatalf("record %d: %+v != %+v", i, a, b)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"bad,header\n1,2\n",
-		strings.Join(csvHeader, ",") + "\nu,svc,zz,1,1,2013-07-01T00:00:00Z,2013-07-01T00:00:00Z,0,1,-1,0\n",
-		strings.Join(csvHeader, ",") + "\nu,svc," + strings.Repeat("ab", 16) + ",x,1,2013-07-01T00:00:00Z,2013-07-01T00:00:00Z,0,1,-1,0\n",
-		strings.Join(csvHeader, ",") + "\nu,svc," + strings.Repeat("ab", 16) + ",1,1,notatime,2013-07-01T00:00:00Z,0,1,-1,0\n",
-		strings.Join(csvHeader, ",") + "\nu,svc," + strings.Repeat("ab", 16) + ",-5,1,2013-07-01T00:00:00Z,2013-07-01T00:00:00Z,0,1,-1,0\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: ReadCSV succeeded on malformed input", i)
-		}
 	}
 }
 
