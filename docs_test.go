@@ -271,7 +271,8 @@ func diffSets(t *testing.T, what string, code, doc map[string]bool) {
 }
 
 // TestObservabilityCatalogue drives every live upload shape, a resumed
-// retry, and List/Download/Delete through a durable server with a
+// retry, a second device's signature-fetching modify, and
+// List/Download/Delete through a durable server with a
 // registry and a tracer on both ends, then requires the syncd_* and
 // syncnet_* metric names registered, and the client.* and server.* span
 // names emitted, to equal the ones the tables of docs/OBSERVABILITY.md
@@ -326,8 +327,18 @@ func TestObservabilityCatalogue(t *testing.T) {
 	if st.Attempts < 2 {
 		t.Fatalf("full upload took %d attempt(s); the fault never fired", st.Attempts)
 	}
-	_, err = c.Upload("big", edited) // delta sync
+	_, err = c.Upload("big", edited) // delta sync on the signature the upload left
 	must("delta upload", err)
+	// A second device holds no signature of big: its modify asks for one.
+	other, err := syncnet.Dial("tcp", l.Addr().String(), "alice", "docs-2")
+	must("second device", err)
+	_, err = other.List()
+	must("second device list", err)
+	edited = append([]byte(nil), edited...)
+	edited[300<<10] ^= 0xFF
+	_, err = other.Upload("big", edited) // signature request, then delta
+	must("second device delta upload", err)
+	must("second device close", other.Close())
 	_, err = c.Upload("small", small) // inline
 	must("inline upload", err)
 	_, err = c.UploadBundle([]syncnet.FileUpload{{Name: "b0", Data: big[:2048]}, {Name: "b1", Data: big[2048:4096]}})

@@ -72,6 +72,9 @@ func Sign(data []byte, blockSize int) Signature {
 		panic(fmt.Sprintf("delta: invalid block size %d", blockSize))
 	}
 	sig := Signature{BlockSize: blockSize, FileSize: int64(len(data))}
+	if len(data) > 0 { // an empty file keeps Blocks nil, as Decode gives it back
+		sig.Blocks = make([]BlockSig, 0, (len(data)-1)/blockSize+1)
+	}
 	for off, idx := 0, 0; off < len(data); off, idx = off+blockSize, idx+1 {
 		end := off + blockSize
 		if end > len(data) {

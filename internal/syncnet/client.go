@@ -1,11 +1,13 @@
 package syncnet
 
 import (
+	"cmp"
 	"crypto/md5"
 	"fmt"
 	"hash"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"cloudsync/internal/comp"
@@ -52,7 +54,7 @@ type Client struct {
 
 	ids   map[string]uint64
 	known map[string]bool // names known to exist server-side
-	sigs  sigCache        // signatures the delta exchanges ended on
+	sigs  sigCache        // signatures the uploads and delta exchanges ended on
 	// mirror is the account listing as of the last List, and the
 	// change-feed cursor the next List sends.
 	mirror listMirror
@@ -81,7 +83,8 @@ type Client struct {
 	propagate bool
 	// replyWaitUS, set via WithClientMetrics, times every blocking wait
 	// for a server reply — the wire round-trip as the client sees it.
-	replyWaitUS *obs.Histogram
+	// signWaitUS times what a full upload's signing added after the Ack.
+	replyWaitUS, signWaitUS *obs.Histogram
 
 	// ledger, when set via WithLedger, attributes every metered wire
 	// byte (both directions) to a cause. charged tracks how much this
@@ -191,12 +194,16 @@ func WithTraceContext() ClientOption {
 // WithClientMetrics registers the client's phase instruments on reg:
 // syncnet_client_reply_wait_us, the microseconds each blocking wait
 // for a server reply took (the wire round-trip plus server queueing
-// and service, as the client experiences it). A nil reg leaves the
-// client unmetered.
+// and service, as the client experiences it), and
+// syncnet_client_sign_wait_us, the microseconds a full upload blocked
+// on its own signature after the Ack (the part of signing the upload
+// did not hide). A nil reg leaves the client unmetered.
 func WithClientMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) {
 		c.replyWaitUS = reg.Histogram("syncnet_client_reply_wait_us",
 			"Microseconds a client blocked waiting for a server reply (round-trip wait).")
+		c.signWaitUS = reg.Histogram("syncnet_client_sign_wait_us",
+			"Microseconds a full upload blocked after its Ack on signing what it uploaded.")
 	}
 }
 
@@ -401,10 +408,10 @@ func (c *Client) read() (protocol.Message, error) {
 //     Bundle, new name or known — below a block neither an rsync
 //     exchange nor a dedup probe can save more than the probe costs;
 //   - a file the server already holds is synced incrementally (rsync):
-//     against the signature this client's last delta exchange on it
-//     ended on, when it remembers one, as a delta conditional on that
-//     version — else, or when the server refuses the guess as stale,
-//     against a signature it requests first;
+//     against the signature this client's last full upload or delta
+//     exchange of it left, when it remembers one, as a delta conditional
+//     on that version — else, or when the server refuses the guess as
+//     stale, against a signature it requests first;
 //   - anything else is a full upload with dedup probing and compression.
 //
 // Under a retry policy, transport failures reconnect and retry: the
@@ -499,10 +506,26 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 	return stats[0], err
 }
 
+// fullUpload sends the whole file — or, on a dedup hit, only its
+// identity; after a reconnect, only the tail the server lacks. Either
+// way the client holds the bytes the server commits, so it signs them
+// while the exchange runs, and an acknowledged upload leaves that
+// signature remembered at the acknowledged version: the first modify
+// is then one conditional delta. A failed one leaves nothing.
 func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats, error) {
 	sp := c.parent().Child("client.full_upload")
 	defer sp.End()
 	c.sigs.drop(name) // whole new content: nothing to carry over
+	bs := cmp.Or(c.blockSize, delta.BlockSizeFor(int64(len(data))))
+	sp.Set("block_size", bs)
+	var sig delta.Signature
+	var signing sync.WaitGroup
+	signing.Add(1)
+	go func() {
+		defer signing.Done()
+		sig = delta.Sign(data, bs)
+	}()
+	defer signing.Wait() // no signer outlives the upload, failed or not
 	var stats UploadStats
 	defer func() {
 		sp.Set("payload_bytes", stats.PayloadBytes)
@@ -573,6 +596,16 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 	// created the name since the IndexReply keeps its id.
 	c.ids[name] = ack.FileID
 	c.known[name] = true
+	var t0 time.Time
+	if c.signWaitUS != nil {
+		t0 = time.Now()
+	}
+	signing.Wait()
+	if c.signWaitUS != nil {
+		c.signWaitUS.Observe(time.Since(t0).Microseconds())
+	}
+	sp.Set("signed_blocks", len(sig.Blocks))
+	c.sigs.put(name, ack.Version, sig)
 	return stats, nil
 }
 

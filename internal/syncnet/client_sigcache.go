@@ -7,16 +7,17 @@ import (
 )
 
 // sigCacheBudget bounds what one client remembers about the files it
-// delta-syncs, in encoded signature bytes (delta.Signature.WireSize: 20
-// per block; at delta.BlockSizeFor's √size blocks that is 3.9 % of a
-// file under 1 MiB, 1 % of a 4 MiB file, 0.06 % of 1 GiB — so the budget
-// covers ≈ 100 MB of small files, ≈ 400 MB of 4 MiB ones; resident, a
-// block signature is twice that).
+// uploads and delta-syncs, in encoded signature bytes
+// (delta.Signature.WireSize: 20 per block; at delta.BlockSizeFor's
+// √size blocks that is 3.9 % of a file under 1 MiB, 1 % of a 4 MiB
+// file, 0.06 % of 1 GiB — so the budget covers ≈ 100 MB of small
+// files, ≈ 400 MB of 4 MiB ones; resident, a block signature is twice
+// that).
 const sigCacheBudget = 4 << 20
 
 // clientSig is delta.Sign of the content a file held at version, as far
-// as this client knows: the signature its last delta exchange on the
-// file ended on.
+// as this client knows: the signature its last full upload or delta
+// exchange of the file ended on.
 type clientSig struct {
 	name    string
 	version uint64
@@ -24,15 +25,18 @@ type clientSig struct {
 }
 
 // sigCache is the client-held half of the version-conditional delta:
-// per file, the signature and version the last delta exchange ended on,
-// so that the next modify can cut its delta without asking the server
-// for a signature first. Entries only ever come out of an acknowledged
-// exchange (the served signature carried forward with delta.Resign),
-// never out of a client-side Sign. It is a guess — another device may
-// have moved the file — and the server's version check is what makes a
-// wrong guess harmless. Least recently used entries are evicted once
-// the encoded signatures exceed sigCacheBudget. The zero value is an
-// empty cache.
+// per file, the signature and version the client's last acknowledged
+// exchange on it ended on, so that the next modify can cut its delta
+// without asking the server for a signature first. Entries come from
+// the client's own bytes: a full upload signs what it sent (dedup hits
+// and resumed uploads too — the client holds the content either way),
+// and a delta exchange carries its basis signature forward with
+// delta.Resign. A served SignatureMsg is only ever the fallback, once
+// an entry is missing or refused. An entry is a guess — another device
+// may have moved the file — and the server's version check is what
+// makes a wrong guess harmless. Least recently used entries are evicted
+// once the encoded signatures exceed sigCacheBudget. The zero value is
+// an empty cache.
 type sigCache struct {
 	ll      list.List // of *clientSig, front = most recently used
 	entries map[string]*list.Element

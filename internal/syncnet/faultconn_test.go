@@ -274,7 +274,7 @@ func TestDownloadRetriesAfterInjectedFault(t *testing.T) {
 }
 
 func TestDeltaUploadRetriesAfterInjectedFault(t *testing.T) {
-	_, addr := startFaultServer(t, ServerConfig{BlockSize: 4096})
+	srv, addr := startFaultServer(t, ServerConfig{BlockSize: 4096})
 	base := content.Random(1<<20, 11).Bytes()
 
 	clean, err := Dial("tcp", addr, "alice", "setup")
@@ -286,12 +286,15 @@ func TestDeltaUploadRetriesAfterInjectedFault(t *testing.T) {
 	}
 	clean.Close()
 
+	// A 16 KiB rewrite: the dedup-hit upload below leaves the client the
+	// signature of base (1 KiB blocks), so the modify is one DeltaMsg
+	// carrying ~17 KiB of literals.
 	modified := append([]byte(nil), base...)
-	modified[100] ^= 0xFF
+	copy(modified[100:], content.Random(16<<10, 1<<30).Bytes()) // a seed far from 11: no shared bytes
 
-	// The budget comfortably covers the handshake and the dedup-probing
-	// re-upload below (a few hundred bytes) but lands inside the delta
-	// exchange (signature + delta, ~13 KB for this file).
+	// The budget, in [4 000, 12 000) bytes, comfortably covers the
+	// handshake and the dedup-probing re-upload (a few hundred bytes) but
+	// lands inside that DeltaMsg.
 	dial, _ := faultyDialer(t, addr, FaultPlan{Seed: 6, MeanDropBytes: 8_000, MaxDrops: 1})
 	conn, err := dial()
 	if err != nil {
@@ -312,15 +315,18 @@ func TestDeltaUploadRetriesAfterInjectedFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seed.DedupHit {
-		t.Fatalf("seeding upload was not a dedup hit: %+v", seed)
+	if !seed.DedupHit || seed.Attempts != 1 {
+		t.Fatalf("seeding upload was not a dedup hit on the first attempt: %+v", seed)
 	}
 	stats, err := c.Upload("big", modified)
 	if err != nil {
 		t.Fatalf("delta upload never completed: %v", err)
 	}
-	if stats.Attempts < 2 {
-		t.Fatalf("stats = %+v, want a retried upload", stats)
+	// The retry forgot the remembered signature with the broken session
+	// and asked for one.
+	if stats.Attempts < 2 || !stats.DeltaSync || srv.Stats().SignaturesServed != 1 {
+		t.Fatalf("stats = %+v, %d signatures served; want a retried delta sync that asked once",
+			stats, srv.Stats().SignaturesServed)
 	}
 	got, err := c.Download("big")
 	if err != nil || !bytes.Equal(got, modified) {

@@ -18,14 +18,14 @@ import (
 // waits for, per case, over loopback TCP — counted, not timed, from
 // the WithClientMetrics reply-wait histogram: one for a file that fits
 // a delta block (new name or known), two for a larger new file (dedup
-// probe, then content), two for the first modify of a known large file
-// (signature, then delta), one for every repeat modify — a listing in
-// between included, since it shows the file at the version the client
-// remembers the signature of — two again once
-// this client replaced the file whole through a bundle (the remembered
-// signature went with the old content), and three when another device
-// committed in between (refusal, signature, delta) — with the right
-// content on the server every time and exact ledgers on both sides.
+// probe, then content), one for every modify of a known large file —
+// the first included, since the full upload left its signature behind,
+// and a listing in between included, since it shows the file at the
+// version the client remembers the signature of — two once this client
+// replaced the file whole through a bundle (bundles leave no signature:
+// signature, then delta), and three when another device committed in
+// between (refusal, signature, delta) — with the right content on the
+// server every time and exact ledgers on both sides.
 func TestUploadRoundTripBudget(t *testing.T) {
 	srvLed := &ledger.Ledger{}
 	srv, dial := startServer(t, ServerConfig{Ledger: srvLed})
@@ -75,7 +75,7 @@ func TestUploadRoundTripBudget(t *testing.T) {
 	}
 
 	big = edit(big, 300<<10)
-	upload("first modify", "big", big, 2, true)
+	upload("first modify", "big", big, 1, true)
 	for i := 0; i < 3; i++ {
 		big = edit(big, (100+200*i)<<10)
 		upload("repeat modify", "big", big, 1, true)
@@ -119,8 +119,8 @@ func TestUploadRoundTripBudget(t *testing.T) {
 	upload("repeat modify after the fallback", "big", edit(big, 60<<10), 1, true)
 
 	ss := srv.Stats()
-	if ss.InlineUploads != 3 || ss.DeltaSyncs-ss.SignaturesServed != 5 || ss.CondDeltaConflicts != 1 {
-		t.Errorf("server counted %d inline uploads, %d deltas without a signature served, %d refused; want 3, 5, 1",
+	if ss.InlineUploads != 3 || ss.DeltaSyncs-ss.SignaturesServed != 6 || ss.CondDeltaConflicts != 1 {
+		t.Errorf("server counted %d inline uploads, %d deltas without a signature served, %d refused; want 3, 6, 1",
 			ss.InlineUploads, ss.DeltaSyncs-ss.SignaturesServed, ss.CondDeltaConflicts)
 	}
 
@@ -151,10 +151,11 @@ func (c *replyTee) Read(p []byte) (int, error) {
 }
 
 // TestConditionalDeltaOnTheWire looks at the frames themselves: the
-// first modify's delta names the version the SignatureMsg it answers
-// carried, the repeat modify sends nothing but one DeltaMsg naming the
-// version the previous Ack reported, and an exchange driven by hand —
-// SigRequest, then a DeltaMsg on the served version — applies.
+// first modify after a full upload sends nothing but one DeltaMsg
+// naming the version the upload's Ack reported, and is answered by one
+// Ack with no signature before it; the repeat modify does the same on
+// the version the previous Ack reported; and an exchange driven by
+// hand — SigRequest, then a DeltaMsg on the served version — applies.
 func TestConditionalDeltaOnTheWire(t *testing.T) {
 	leakCheck(t)
 	srv := NewServer(ServerConfig{})
@@ -167,7 +168,8 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 		return tee
 	})
 	v1 := content.Random(64<<10, 3).Bytes()
-	if _, err := c.Upload("f", v1); err != nil {
+	full, err := c.Upload("f", v1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sent := func() [][]byte { // frames written since the last call
@@ -178,6 +180,20 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 		tee.mu.Unlock()
 		return frames
 	}
+	oneDelta := func(step string, base uint64) {
+		t.Helper()
+		frames := sent()
+		if len(frames) != 1 {
+			t.Fatalf("%s sent %d frames, want one DeltaMsg", step, len(frames))
+		}
+		m, err := protocol.Decode(frames[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dm, ok := m.(*protocol.DeltaMsg); !ok || dm.BaseVersion != base {
+			t.Fatalf("%s sent %#v, want a DeltaMsg on base version %d", step, m, base)
+		}
+	}
 	sent()
 	replies.buf.Reset()
 
@@ -187,24 +203,13 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := sent()
-	if len(frames) != 2 || protocol.MsgType(frames[0][0]) != protocol.TypeSigRequest {
-		t.Fatalf("first modify sent %d frames, want SigRequest + DeltaMsg", len(frames))
-	}
+	oneDelta("first modify", full.Version)
 	reply, err := protocol.ReadMessage(&replies.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, ok := reply.(*protocol.SignatureMsg)
-	if !ok || sig.Version != 1 {
-		t.Fatalf("first modify was answered %#v, want the signature of v1", reply)
-	}
-	m, err := protocol.Decode(frames[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm, ok := m.(*protocol.DeltaMsg); !ok || dm.BaseVersion != sig.Version {
-		t.Fatalf("first modify's delta: %#v, want a DeltaMsg on base version %d", m, sig.Version)
+	if ack, ok := reply.(*protocol.Ack); !ok || ack.Version != full.Version+1 || replies.buf.Len() != 0 {
+		t.Fatalf("first modify was answered %#v (%d bytes more), want only the ack of v%d", reply, replies.buf.Len(), full.Version+1)
 	}
 
 	v3 := append([]byte(nil), v2...)
@@ -212,17 +217,7 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 	if _, err := c.Upload("f", v3); err != nil {
 		t.Fatal(err)
 	}
-	frames = sent()
-	if len(frames) != 1 {
-		t.Fatalf("repeat modify sent %d frames, want one DeltaMsg", len(frames))
-	}
-	m, err = protocol.Decode(frames[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm, ok := m.(*protocol.DeltaMsg); !ok || dm.BaseVersion != first.Version {
-		t.Fatalf("repeat modify sent %#v, want a DeltaMsg on base version %d", m, first.Version)
-	}
+	oneDelta("repeat modify", first.Version)
 	closeC()
 
 	raw := openRaw(t, srv, "alice")
@@ -289,8 +284,10 @@ func TestConditionalDeltaNeedsTheCurrentVersion(t *testing.T) {
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v3) {
 		t.Fatal("accepted conditional delta did not produce its target")
 	}
-	if ss := srv.Stats(); ss.DeltaSyncs-ss.SignaturesServed != 1 || ss.CondDeltaConflicts != 3 {
-		t.Fatalf("server counted %d deltas without a signature served, %d refused; want 1 and 3",
+	// The client's modify to v2 cut its delta on the signature its full
+	// upload left: no signature was served at all.
+	if ss := srv.Stats(); ss.DeltaSyncs-ss.SignaturesServed != 2 || ss.CondDeltaConflicts != 3 {
+		t.Fatalf("server counted %d deltas without a signature served, %d refused; want 2 and 3",
 			ss.DeltaSyncs-ss.SignaturesServed, ss.CondDeltaConflicts)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"cloudsync/internal/content"
 	"cloudsync/internal/delta"
 	"cloudsync/internal/invariant"
+	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/protocol"
 )
@@ -864,7 +866,7 @@ func TestLostAckOfConditionalDelta(t *testing.T) {
 		return out
 	}
 	v2, v3, v4 := flip(v1, 10<<10), flip(v1, 100<<10), flip(v1, 200<<10)
-	for _, v := range [][]byte{v1, v2} { // full upload, then the delta sync that fills the cache
+	for _, v := range [][]byte{v1, v2} { // full upload, then a delta sync on the signature it left
 		if _, err := d.c.Upload("f", v); err != nil {
 			t.Fatal(err)
 		}
@@ -889,16 +891,17 @@ func TestLostAckOfConditionalDelta(t *testing.T) {
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v3) {
 		t.Fatal("server content is not what was uploaded")
 	}
+	// v2 and v3 were cut on remembered signatures, v4 on a served one.
 	ss := srv.Stats()
-	if ss.DeltaSyncs-ss.SignaturesServed != 1 || ss.CondDeltaConflicts != 0 {
-		t.Fatalf("%d deltas without a signature served, %d refused: the retry reused a version it could not vouch for",
-			ss.DeltaSyncs-ss.SignaturesServed, ss.CondDeltaConflicts)
+	if ss.SignaturesServed != 1 || ss.DeltaSyncs-ss.SignaturesServed != 2 || ss.CondDeltaConflicts != 0 {
+		t.Fatalf("%d signatures served, %d deltas without one, %d refused: the retry reused a version it could not vouch for",
+			ss.SignaturesServed, ss.DeltaSyncs-ss.SignaturesServed, ss.CondDeltaConflicts)
 	}
 	// The exchange that did get its Ack is remembered again.
 	if st, err := d.c.Upload("f", v4); err != nil || !st.DeltaSync || st.Version != 5 {
 		t.Fatalf("modify after the recovery: %+v, %v", st, err)
 	}
-	if ss := srv.Stats(); ss.DeltaSyncs-ss.SignaturesServed != 2 {
+	if ss := srv.Stats(); ss.DeltaSyncs-ss.SignaturesServed != 3 {
 		t.Fatalf("modify after the recovery asked for a signature (%d deltas without one)", ss.DeltaSyncs-ss.SignaturesServed)
 	}
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v4) {
@@ -912,6 +915,151 @@ func TestLostAckOfConditionalDelta(t *testing.T) {
 	}
 	if got := ss.BytesReceived + ss.BytesSent; got != wire {
 		t.Errorf("server wire total %d, device's %d", got, wire)
+	}
+}
+
+// TestFullUploadRemembersItsSignature: every acknowledged full upload —
+// content sent whole, a probed dedup hit that sends none, one resumed
+// after a cut inside its payload — leaves the client the signature of
+// the bytes it holds, field for field delta.Sign at the file's
+// BlockSizeFor, at the version the Ack reported. That is exactly what
+// the server serves for that version, so the first modify needs no
+// SigRequest.
+func TestFullUploadRemembersItsSignature(t *testing.T) {
+	leakCheck(t)
+	srv := NewServer(ServerConfig{})
+	t.Cleanup(func() { srv.Close() })
+	reg := obs.NewRegistry()
+	d := newDevice(t, srv, "dev", FaultPlan{}, WithClientMetrics(reg))
+	probe := openRaw(t, srv, "alice")
+	check := func(step, name string, data []byte, st UploadStats) {
+		t.Helper()
+		have := d.c.sigs.get(name)
+		if have == nil || have.version != st.Version {
+			t.Fatalf("%s: client remembers %+v, want a signature of v%d", step, have, st.Version)
+		}
+		want := delta.Sign(data, delta.BlockSizeFor(int64(len(data))))
+		if !reflect.DeepEqual(have.sig, want) {
+			t.Fatalf("%s: remembered signature (%d blocks of %d B) is not delta.Sign of the uploaded bytes (%d of %d B)",
+				step, len(have.sig.Blocks), have.sig.BlockSize, len(want.Blocks), want.BlockSize)
+		}
+		if served := probe.served(name, 0); served.Version != st.Version || !bytes.Equal(served.Payload, want.Encode()) {
+			t.Fatalf("%s: the server serves v%d as other bytes than the client remembers of v%d", step, served.Version, st.Version)
+		}
+	}
+
+	data := content.Random(256<<10, 1).Bytes()
+	st, err := d.c.Upload("a", data)
+	if err != nil || st.DedupHit || st.Attempts != 1 {
+		t.Fatalf("full upload: %+v, %v", st, err)
+	}
+	check("full upload", "a", data, st)
+
+	st, err = d.c.Upload("b", data)
+	if err != nil || !st.DedupHit || st.PayloadBytes != 0 {
+		t.Fatalf("probed dedup hit: %+v, %v", st, err)
+	}
+	check("probed dedup hit", "b", data, st)
+
+	other := content.Random(256<<10, 1<<30).Bytes()
+	d.arm(100 << 10) // inside the payload
+	st, err = d.c.Upload("c", other)
+	if err != nil || st.Attempts != 2 || st.ResumedFrom == 0 {
+		t.Fatalf("resumed upload: %+v, %v", st, err)
+	}
+	check("resumed upload", "c", other, st)
+	// One join per acknowledged upload; the attempt cut short had none.
+	if n := reg.Histogram("syncnet_client_sign_wait_us", "").Count(); n != 3 {
+		t.Fatalf("sign wait observed %d times, want 3", n)
+	}
+
+	probe.close()
+	d.close(t, "device")
+	if ss := srv.Stats(); ss.SignaturesServed != 3 || ss.Resumes != 1 {
+		t.Fatalf("%d signatures served, %d resumes; want only the probe's 3 and 1", ss.SignaturesServed, ss.Resumes)
+	}
+}
+
+// fullUploadBytes is what a first-attempt full upload of data under
+// name, neither compressed nor a dedup hit, puts on the wire in both
+// directions up to and including its Commit.
+func fullUploadBytes(name string, data []byte) int64 {
+	n := protocol.EncodedSize(&protocol.IndexUpdate{Name: name, Size: int64(len(data))}) +
+		protocol.EncodedSize(&protocol.IndexReply{}) +
+		protocol.EncodedSize(&protocol.Commit{})
+	for off := 0; off < len(data); off += DataPieceSize {
+		n += protocol.EncodedSize(&protocol.Data{Payload: data[off:min(off+DataPieceSize, len(data))]})
+	}
+	return int64(n)
+}
+
+// TestLostAckOfFullUpload cuts the link inside the Ack of a full
+// upload, on a client that does not retry: the server committed, the
+// client cannot know at which version, so it remembers no signature.
+// Once it has reconnected and learned the file from a listing, its
+// modify asks for the signature and lands, with nothing refused.
+func TestLostAckOfFullUpload(t *testing.T) {
+	leakCheck(t)
+	srv := NewServer(ServerConfig{})
+	t.Cleanup(func() { srv.Close() })
+	d := newDevice(t, srv, "dev", FaultPlan{}, WithRetry(RetryPolicy{MaxAttempts: 1}))
+	v1 := content.Random(256<<10, 31).Bytes()
+	d.arm(fullUploadBytes("f", v1) + int64(protocol.SizeAck()/2))
+	if st, err := d.c.Upload("f", v1); err == nil {
+		t.Fatalf("upload across the lost ack: %+v, want the cut to surface", st)
+	}
+	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v1) {
+		t.Fatal("the cut landed before the commit: the server does not hold the upload")
+	}
+	if have := d.c.sigs.get("f"); have != nil {
+		t.Fatalf("an unacknowledged upload left a remembered signature of v%d", have.version)
+	}
+
+	if err := d.c.reconnect(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.c.List(); err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte(nil), v1...)
+	v2[1000] ^= 0xFF
+	st, err := d.c.Upload("f", v2)
+	if err != nil || !st.DeltaSync || st.Version != 2 {
+		t.Fatalf("modify after the lost ack: %+v, %v", st, err)
+	}
+	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v2) {
+		t.Fatal("server content is not what was uploaded")
+	}
+	if ss := srv.Stats(); ss.SignaturesServed != 1 || ss.CondDeltaConflicts != 0 {
+		t.Fatalf("%d signatures served, %d deltas refused; want 1 and 0", ss.SignaturesServed, ss.CondDeltaConflicts)
+	}
+	d.close(t, "device")
+}
+
+// TestFailedFullUploadLeavesNoSigner: the signature a full upload
+// computes beside its exchange is joined on every return path, so a
+// failed upload returns with no signing goroutine left behind.
+func TestFailedFullUploadLeavesNoSigner(t *testing.T) {
+	leakCheck(t)
+	srv := NewServer(ServerConfig{})
+	t.Cleanup(func() { srv.Close() })
+	// 64 B blocks make Sign several times slower than the MD5 of the
+	// whole file that precedes the first request.
+	c, closeC := pipeClient(t, srv, "alice", "dev", nil, WithBlockSize(64))
+	defer closeC()
+	c.conn.Close() // the first request fails, long before Sign could finish
+	if _, err := c.Upload("f", content.Random(4<<20, 1).Bytes()); err == nil {
+		t.Fatal("upload on a closed connection succeeded")
+	}
+	// A joined signer may still be unwinding out of WaitGroup.Done; one
+	// still inside Sign was not joined.
+	for _, g := range syncnetGoroutines("") {
+		if strings.Contains(g, "fullUpload") && strings.Contains(g, "delta.Sign(") {
+			t.Fatalf("a signer outlived its failed upload:\n\n%s", g)
+		}
+	}
+	if c.sigs.get("f") != nil {
+		t.Fatal("a failed upload left a remembered signature")
 	}
 }
 

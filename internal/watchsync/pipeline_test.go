@@ -203,12 +203,13 @@ func TestPipelineLifecycle(t *testing.T) {
 // files without re-uploading a byte, and must still be able to delete
 // a file only the previous generation ever uploaded.
 // TestRepeatEditsAcrossWorkers: each worker client remembers the
-// signatures its own delta syncs ended on, and a file's edits land on
-// whichever worker is free. The pool must never pay for a stale memory:
-// a worker told about another's sync forgets its own signature (it
-// falls back to asking), and the worker that did the sync keeps its —
-// so a lone worker sends every repeat edit as a one-round-trip
-// conditional delta, and no pool is ever refused one.
+// signatures its own uploads and delta syncs ended on, and a file's
+// edits land on whichever worker is free. The pool must never pay for a
+// stale memory: a worker told about another's sync forgets its own
+// signature (it falls back to asking), and the worker that did the sync
+// keeps its — so a lone worker sends every edit, the first after the
+// full upload included, as a one-round-trip conditional delta, and no
+// pool is ever refused one.
 func TestRepeatEditsAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		r := newRig(t, workers, Config{})
@@ -235,8 +236,8 @@ func TestRepeatEditsAcrossWorkers(t *testing.T) {
 		if ss.CondDeltaConflicts != 0 {
 			t.Errorf("%d workers: %d conditional deltas refused inside one executor", workers, ss.CondDeltaConflicts)
 		}
-		if want := int64(len(docs) * (rounds - 1)); workers == 1 && ss.DeltaSyncs-ss.SignaturesServed != want {
-			t.Errorf("lone worker sent %d deltas without asking for a signature, want %d (every edit after a file's first)",
+		if want := int64(len(docs) * rounds); workers == 1 && ss.DeltaSyncs-ss.SignaturesServed != want {
+			t.Errorf("lone worker sent %d deltas without asking for a signature, want %d (every edit)",
 				ss.DeltaSyncs-ss.SignaturesServed, want)
 		}
 		snap := r.srv.Snapshot("alice")
