@@ -9,8 +9,11 @@ check: build vet race
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would change, listing them.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -27,10 +27,9 @@
 // the WAL group-commit phase shows up in the decomposition below.
 //
 // Each mode also prints a per-phase latency decomposition — client
-// send-queue wait, wire round-trip, server inbound-queue wait, request
-// handling, apply, and WAL fsync — from the same histograms syncd
-// serves on /metrics, and folds the phase quantiles into the report's
-// extras. With -trace-out, every account runs a tracer with cross-
+// send-queue wait, wire round-trip, server request handling, apply,
+// and WAL fsync — from the same histograms syncd serves on /metrics,
+// and folds the phase quantiles into the report's extras. With -trace-out, every account runs a tracer with cross-
 // process context propagation, the -trace-top slowest operations per
 // mode are kept (client spans per operation; the in-process server's
 // spans are filtered to the kept operations), and the merged timeline
@@ -466,7 +465,6 @@ func phaseOrder(reg *obs.Registry) []phase {
 	return []phase{
 		{"queue-wait", "client send-queue wait", reg.Histogram("syncload_queue_wait_us", "")},
 		{"reply-wait", "client wire round-trip wait", reg.Histogram("syncnet_client_reply_wait_us", "")},
-		{"inbound-wait", "server inbound-queue wait", reg.Histogram("syncd_inbound_queue_wait_us", "")},
 		{"request", "server request handling", reg.Histogram("syncd_request_duration_us", "")},
 		{"apply", "server apply (in-memory)", reg.Histogram("syncd_apply_us", "")},
 		{"fsync", "server WAL group commit", reg.Histogram("syncd_wal_fsync_duration_us", "")},

@@ -127,15 +127,15 @@ func TestDaemonSmoke(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- runDaemon(options{
-			dir:      dir,
-			addr:     l.Addr().String(),
-			user:     "smoke",
-			device:   "smoketest",
-			interval: 20 * time.Millisecond,
-			debounce: 10 * time.Millisecond,
-			baseline: filepath.Join(dir, ".syncwatch", "baseline.json"),
-			workers:  2,
-			compress: true,
+			dir:       dir,
+			addr:      l.Addr().String(),
+			user:      "smoke",
+			device:    "smoketest",
+			interval:  20 * time.Millisecond,
+			debounce:  10 * time.Millisecond,
+			baseline:  filepath.Join(dir, ".syncwatch", "baseline.json"),
+			workers:   2,
+			compress:  true,
 			deferMode: "none",
 		}, stop)
 	}()

@@ -379,7 +379,7 @@ func tableCases() []tableCase {
 				Changes: []Change{withWrites(wB,
 					s, s+200*ms, s+400*ms, s+600*ms, s+800*ms, 2*s)},
 				RemoteKnown: true, Defer: asd},
-			want: []string{"defer a.txt [defer window open] until=2.390625s"},
+			want:   []string{"defer a.txt [defer window open] until=2.390625s"},
 			noIdem: true, wantWake: 2*s + 390625*time.Microsecond,
 		},
 		// --- UDS ---

@@ -7,11 +7,10 @@ import (
 )
 
 // FuzzDecode feeds arbitrary frames to Decode, seeded with one encoding
-// of every message type (both forms of the optional-trailer messages
-// included). Decode must never panic, and a frame that decodes must
-// re-encode to bytes that decode to an equal message: the codec may
-// normalise (an explicit zero Hello.Caps is dropped on re-encode) but
-// never lose or invent a field. The seed corpus and any crashers
+// of every message type. Every message has exactly one encoding, so
+// Decode must never panic, and a frame that decodes must re-encode to
+// bytes that decode to an equal message: the codec never loses or
+// invents a field. The seed corpus and any crashers
 // committed under testdata/fuzz/FuzzDecode replay in the ordinary test
 // run; `make fuzz` explores beyond them.
 func FuzzDecode(f *testing.F) {

@@ -28,7 +28,7 @@ import (
 type MsgType uint8
 
 const (
-	// TypeHello opens a session: client identity and capabilities.
+	// TypeHello opens a session: client identity.
 	TypeHello MsgType = iota + 1
 	// TypeIndexUpdate announces a file version: metadata plus content
 	// fingerprints (the "data index" of Fig. 1).
@@ -110,23 +110,11 @@ type Message interface {
 // Fingerprint matches dedup.Fingerprint (MD5).
 type Fingerprint = [md5.Size]byte
 
-// Capability bits carried in Hello.Caps.
-const (
-	// CapTrace: the sender can emit and interpret TraceCtx frames
-	// (cross-process trace propagation).
-	CapTrace uint32 = 1 << 0
-)
-
 // Hello opens a session.
 type Hello struct {
 	User    string
 	Device  string
 	Version string
-	// Caps advertises optional capabilities (Cap* bits). The field is
-	// wire-optional: a zero Caps encodes to exactly the legacy Hello
-	// bytes, and a legacy Hello decodes with Caps zero — so peers of
-	// different versions interoperate unchanged.
-	Caps uint32
 }
 
 // Type implements Message.
@@ -521,11 +509,6 @@ func (m *Hello) encodeBody(e *encBuf) {
 	e.str(m.User)
 	e.str(m.Device)
 	e.str(m.Version)
-	// Caps is a trailing optional field: omitted when zero so a
-	// capability-free Hello stays byte-identical to the legacy form.
-	if m.Caps != 0 {
-		e.u32(m.Caps)
-	}
 }
 
 func (m *Hello) decodeBody(d *decBuf) (err error) {
@@ -535,13 +518,7 @@ func (m *Hello) decodeBody(d *decBuf) (err error) {
 	if m.Device, err = d.str(); err != nil {
 		return err
 	}
-	if m.Version, err = d.str(); err != nil {
-		return err
-	}
-	m.Caps = 0
-	if d.remaining() > 0 {
-		m.Caps, err = d.u32()
-	}
+	m.Version, err = d.str()
 	return err
 }
 

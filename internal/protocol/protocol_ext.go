@@ -74,8 +74,7 @@ type DeltaMsg struct {
 	// carried, or the one the sender's last acknowledged delta left —
 	// and the receiver applies it only while the file is still there
 	// (else ErrConflict). No file has version 0, so a delta that names
-	// none is always refused. On the wire the field is a trailing word,
-	// omitted when zero.
+	// none is always refused.
 	BaseVersion uint64
 }
 
@@ -168,9 +167,7 @@ func (m *SignatureMsg) decodeBody(d *decBuf) (err error) {
 func (m *DeltaMsg) encodeBody(e *encBuf) {
 	e.str(m.Name)
 	e.blob(m.Payload)
-	if m.BaseVersion != 0 {
-		e.u64(m.BaseVersion)
-	}
+	e.u64(m.BaseVersion)
 }
 
 func (m *DeltaMsg) decodeBody(d *decBuf) (err error) {
@@ -180,10 +177,7 @@ func (m *DeltaMsg) decodeBody(d *decBuf) (err error) {
 	if m.Payload, err = d.blob(); err != nil {
 		return err
 	}
-	m.BaseVersion = 0
-	if d.remaining() > 0 {
-		m.BaseVersion, err = d.u64()
-	}
+	m.BaseVersion, err = d.u64()
 	return err
 }
 

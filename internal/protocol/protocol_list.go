@@ -12,10 +12,9 @@ import "fmt"
 // traffic, the chatter the paper's TUE accounting charges against
 // every sync protocol.
 //
-// Both frames carry an optional trailer that turns the exchange into a
-// change feed: a ListRequest with a cursor asks for what changed since
-// it, and the Listing names the cursor it brings the client to. Without
-// the trailers both frames are byte-identical to the legacy ones.
+// The exchange is a change feed: a ListRequest names the cursor of the
+// last Listing its sender applied and asks for what changed since it,
+// and the Listing names the cursor it brings the client to.
 const (
 	// TypeListRequest asks for the user's remote file listing.
 	TypeListRequest MsgType = iota + 19
@@ -28,11 +27,8 @@ const (
 
 // ListRequest asks for the authenticated user's remote listing.
 type ListRequest struct {
-	// Feed asks for a change feed: the request carries the cursor
-	// (Epoch, Since) of the last Listing this client applied, all zeros
-	// when it has none yet. The trailer is present exactly when Feed is
-	// set; a request without it is the legacy full-listing request.
-	Feed  bool
+	// Epoch and Since are the cursor of the last Listing this client
+	// applied, all zeros when it has none yet.
 	Epoch uint64
 	Since uint64
 }
@@ -58,13 +54,10 @@ type ListEntry struct {
 // Listing answers a ListRequest, entries sorted by name.
 type Listing struct {
 	Entries []ListEntry
-	// Feed marks the answer to a feed request: the trailer (Epoch, Seq,
-	// Incremental) is present exactly when it is set. (Epoch, Seq) is
-	// the cursor the client holds once it has applied the entries.
-	// Incremental entries are only the files changed since the request's
-	// cursor, to be upserted into what the client already holds; a
-	// non-incremental Listing is the whole namespace.
-	Feed        bool
+	// (Epoch, Seq) is the cursor the client holds once it has applied
+	// the entries. Incremental entries are only the files changed since
+	// the request's cursor, to be upserted into what the client already
+	// holds; a non-incremental Listing is the whole namespace.
 	Epoch       uint64
 	Seq         uint64
 	Incremental bool
@@ -78,16 +71,11 @@ func (*Listing) Type() MsgType { return TypeListing }
 const listEntryFixedSize = 8 + 4 + 8 + 8 + 1 + 16
 
 func (m *ListRequest) encodeBody(e *encBuf) {
-	if m.Feed {
-		e.u64(m.Epoch)
-		e.u64(m.Since)
-	}
+	e.u64(m.Epoch)
+	e.u64(m.Since)
 }
 
 func (m *ListRequest) decodeBody(d *decBuf) (err error) {
-	if m.Feed = d.remaining() > 0; !m.Feed {
-		return nil
-	}
 	if m.Epoch, err = d.u64(); err != nil {
 		return err
 	}
@@ -110,15 +98,9 @@ func (m *Listing) encodeBody(e *encBuf) {
 		e.u8(flags)
 		e.raw(en.FileHash[:])
 	}
-	if m.Feed {
-		e.u64(m.Epoch)
-		e.u64(m.Seq)
-		var flags byte
-		if m.Incremental {
-			flags |= 1
-		}
-		e.u8(flags)
-	}
+	e.u64(m.Epoch)
+	e.u64(m.Seq)
+	e.bool(m.Incremental)
 }
 
 func (m *Listing) decodeBody(d *decBuf) (err error) {
@@ -155,9 +137,6 @@ func (m *Listing) decodeBody(d *decBuf) (err error) {
 		if err = d.fingerprint(&en.FileHash); err != nil {
 			return err
 		}
-	}
-	if m.Feed = d.remaining() > 0; !m.Feed {
-		return nil
 	}
 	if m.Epoch, err = d.u64(); err != nil {
 		return err

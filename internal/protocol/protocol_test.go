@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"crypto/md5"
+	"encoding/hex"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func allMessages() []Message {
 	return []Message{
 		&Hello{User: "alice", Device: "M1", Version: "1.0"},
-		&Hello{User: "bob", Device: "M2", Version: "1.1", Caps: CapTrace},
+		&Hello{User: "bob", Device: "M2", Version: "cloudsync/1"},
 		&TraceCtx{TraceID: [16]byte{1, 2, 3, 4}, SpanID: 99},
 		&IndexUpdate{
 			FileID: 7, Name: "docs/report.txt", Size: 1 << 20,
@@ -45,10 +46,10 @@ func allMessages() []Message {
 			{FileID: 9, Name: "old.bin", Size: 12, Version: 2, Deleted: true},
 		}},
 		&Listing{},
-		&ListRequest{Feed: true},
-		&ListRequest{Feed: true, Epoch: 1 << 60, Since: 42},
-		&Listing{Feed: true, Epoch: 1 << 60, Seq: 43},
-		&Listing{Feed: true, Epoch: 9, Seq: 44, Incremental: true, Entries: []ListEntry{
+		&Listing{Epoch: 1 << 60, Seq: 43, Incremental: true},
+		&ListRequest{Epoch: 1 << 60, Since: 42},
+		&Listing{Epoch: 1 << 60, Seq: 43},
+		&Listing{Epoch: 9, Seq: 44, Incremental: true, Entries: []ListEntry{
 			{FileID: 5, Name: "b", Size: 1, Version: 7, FileHash: md5.Sum([]byte("b"))},
 		}},
 	}
@@ -63,6 +64,45 @@ func TestRoundTripAllMessages(t *testing.T) {
 		}
 		if !reflect.DeepEqual(normalize(got), normalize(m)) {
 			t.Fatalf("%v roundtrip:\n got %#v\nwant %#v", m.Type(), got, m)
+		}
+	}
+}
+
+// TestClientFramesMatchGoldens pins the frames a client sends, and the
+// listing it reads, to golden bytes: a delta conditional on its base
+// version, a listing request with a cursor, an incremental listing, and
+// a Hello. Each must encode to exactly these bytes and decode back to
+// the message; any change here is a change of the wire format.
+func TestClientFramesMatchGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		m      Message
+		golden string
+	}{
+		{&DeltaMsg{Name: "a.bin", Payload: []byte("delta bytes"), BaseVersion: 1 << 40},
+			"0d2000000005000000612e62696e0b00000064656c74612062797465730000000000010000"},
+		{&ListRequest{Epoch: 1 << 40, Since: 7},
+			"131000000000000000000100000700000000000000"},
+		{&Listing{Entries: []ListEntry{
+			{FileID: 3, Name: "a.txt", Size: 42, Version: 2, FileHash: md5.Sum([]byte("a"))},
+			{FileID: 9, Name: "old", Size: 7, Version: 4, Deleted: true},
+		}, Epoch: 1 << 40, Seq: 9, Incremental: true},
+			"147700000002000000030000000000000005000000612e7478742a000000000000000200000000000000000cc175b9c0f1b6a831c399e2697726610900000000000000030000006f6c640700000000000000040000000000000001000000000000000000000000000000000000000000010000090000000000000001"},
+		{&Hello{User: "alice", Device: "M1", Version: "cloudsync/1"},
+			"011e00000005000000616c696365020000004d310b000000636c6f756473796e632f31"},
+	} {
+		want, err := hex.DecodeString(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Encode(tc.m); !bytes.Equal(got, want) {
+			t.Fatalf("%v encodes to\n %x\nwant the golden\n %x", tc.m.Type(), got, want)
+		}
+		m, err := Decode(want)
+		if err != nil {
+			t.Fatalf("decoding the golden %v: %v", tc.m.Type(), err)
+		}
+		if !reflect.DeepEqual(m, tc.m) {
+			t.Fatalf("the golden %v decodes to %#v", tc.m.Type(), m)
 		}
 	}
 }

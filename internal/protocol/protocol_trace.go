@@ -1,13 +1,14 @@
 package protocol
 
-// Trace-propagation message type: an opt-in (Hello CapTrace) prefix
-// frame carrying the client's trace context, so the server can parent
-// its spans under the client operation that caused them.
+// Trace-propagation message type: a prefix frame carrying the client's
+// trace context, so the server can parent its spans under the client
+// operation that caused them. A client sends it only when it opted into
+// propagation.
 const (
 	// TypeTraceCtx sets the session's current trace context. It stays
 	// in effect for every subsequent request until replaced by the next
-	// TraceCtx. Servers that advertised CapTrace absorb it silently (no
-	// reply, no state mutation beyond the session's trace fields).
+	// TraceCtx. The server absorbs it silently (no reply, no state
+	// mutation beyond the session's trace fields).
 	TypeTraceCtx MsgType = iota + 21
 )
 

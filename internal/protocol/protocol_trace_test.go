@@ -1,77 +1,10 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
 )
-
-// legacyHello hand-builds the pre-capability Hello frame — type byte,
-// body length, three length-prefixed strings, nothing after — exactly
-// what a peer without the Caps field puts on the wire.
-func legacyHello(user, device, version string) []byte {
-	b := []byte{byte(TypeHello), 0, 0, 0, 0}
-	for _, s := range []string{user, device, version} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
-	}
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(b)-frameHeader))
-	return b
-}
-
-// TestHelloCapsRoundTrip: a nonzero capability word survives the codec.
-func TestHelloCapsRoundTrip(t *testing.T) {
-	want := &Hello{User: "alice", Device: "M1", Version: "cloudsync/1", Caps: CapTrace}
-	got, err := Decode(Encode(want))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("roundtrip: got %#v want %#v", got, want)
-	}
-}
-
-// TestHelloLegacyInterop pins the mixed-version contract in both
-// directions: a legacy peer's Hello bytes decode on a new peer with
-// Caps zero, and a new peer that advertises nothing encodes bytes a
-// legacy decoder would have produced itself — the capability is
-// invisible unless claimed.
-func TestHelloLegacyInterop(t *testing.T) {
-	legacy := legacyHello("alice", "M1", "cloudsync/1")
-
-	// Old bytes, new decoder.
-	m, err := Decode(legacy)
-	if err != nil {
-		t.Fatalf("decoding legacy Hello: %v", err)
-	}
-	h, ok := m.(*Hello)
-	if !ok {
-		t.Fatalf("decoded %T, want *Hello", m)
-	}
-	if h.Caps != 0 {
-		t.Fatalf("legacy Hello decoded with Caps %#x, want 0", h.Caps)
-	}
-	if h.User != "alice" || h.Device != "M1" || h.Version != "cloudsync/1" {
-		t.Fatalf("legacy Hello fields corrupted: %#v", h)
-	}
-
-	// New encoder, zero caps: byte-identical to the legacy frame.
-	if got := Encode(&Hello{User: "alice", Device: "M1", Version: "cloudsync/1"}); !bytes.Equal(got, legacy) {
-		t.Fatalf("zero-caps Hello differs from legacy bytes:\n got %x\nwant %x", got, legacy)
-	}
-
-	// Advertising a capability appends exactly the 4-byte word.
-	capable := Encode(&Hello{User: "alice", Device: "M1", Version: "cloudsync/1", Caps: CapTrace})
-	if got, want := len(capable), len(legacy)+4; got != want {
-		t.Fatalf("capable Hello is %d bytes, want %d", got, want)
-	}
-	// Only the trailing word and the length header differ: the body
-	// prefix is the legacy body unchanged.
-	if !bytes.Equal(capable[frameHeader:len(legacy)], legacy[frameHeader:]) {
-		t.Fatalf("capable Hello body prefix differs from legacy body")
-	}
-}
 
 // TestTraceCtxRoundTrip: the propagation frame survives the codec.
 func TestTraceCtxRoundTrip(t *testing.T) {

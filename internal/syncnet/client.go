@@ -77,9 +77,8 @@ type Client struct {
 	wireIn, wireOut int64
 
 	// propagate, set via WithTraceContext, opts the session into
-	// cross-process trace propagation: Hello advertises CapTrace and
-	// each attempt is prefixed with a TraceCtx frame. Inert without a
-	// tracer.
+	// cross-process trace propagation: each attempt is prefixed with a
+	// TraceCtx frame. Inert without a tracer.
 	propagate bool
 	// replyWaitUS, set via WithClientMetrics, times every blocking wait
 	// for a server reply — the wire round-trip as the client sees it.
@@ -181,10 +180,9 @@ func WithLedger(l *ledger.Ledger) ClientOption {
 }
 
 // WithTraceContext opts the session into cross-process trace
-// propagation: the Hello advertises protocol.CapTrace and every
-// operation attempt is prefixed with a TraceCtx frame naming the
-// client tracer's identity and the attempt span, so a trace-capable
-// server parents its spans under this client's operation (joined by
+// propagation: every operation attempt is prefixed with a TraceCtx
+// frame naming the client tracer's identity and the attempt span, so
+// the server parents its spans under this client's operation (joined by
 // obs.Merge). Requires WithTracer — without a tracer the option is
 // inert and not a single wire byte changes.
 func WithTraceContext() ClientOption {
@@ -205,14 +203,6 @@ func WithClientMetrics(reg *obs.Registry) ClientOption {
 		c.signWaitUS = reg.Histogram("syncnet_client_sign_wait_us",
 			"Microseconds a full upload blocked after its Ack on signing what it uploaded.")
 	}
-}
-
-// helloCaps is the capability word the session's Hello advertises.
-func (c *Client) helloCaps() uint32 {
-	if c.propagate && c.tracer != nil {
-		return protocol.CapTrace
-	}
-	return 0
 }
 
 // sendTraceCtx prefixes the current attempt with the client's trace
@@ -250,7 +240,7 @@ func NewClient(conn net.Conn, user, device string, opts ...ClientOption) (*Clien
 	if c.tracer != nil || c.ledger != nil {
 		c.conn = &meterConn{Conn: conn, in: &c.wireIn, out: &c.wireOut}
 	}
-	if err := c.send(&protocol.Hello{User: user, Device: device, Version: "cloudsync/1", Caps: c.helloCaps()}); err != nil {
+	if err := c.send(&protocol.Hello{User: user, Device: device, Version: "cloudsync/1"}); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -62,7 +62,7 @@ func (c *Client) List() ([]protocol.ListEntry, error) {
 	in0, out0 := c.wireIn, c.wireOut
 	var listing *protocol.Listing
 	err := c.withRetry(func(int) error {
-		if err := c.send(&protocol.ListRequest{Feed: true, Epoch: c.mirror.epoch, Since: c.mirror.seq}); err != nil {
+		if err := c.send(&protocol.ListRequest{Epoch: c.mirror.epoch, Since: c.mirror.seq}); err != nil {
 			return err
 		}
 		m, err := c.read()

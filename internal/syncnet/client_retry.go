@@ -89,7 +89,7 @@ func (c *Client) reconnect(attempt int) error {
 	if c.tracer != nil || c.ledger != nil {
 		conn = &meterConn{Conn: conn, in: &c.wireIn, out: &c.wireOut}
 	}
-	if err := c.sendOn(conn, &protocol.Hello{User: c.user, Device: c.device, Version: "cloudsync/1", Caps: c.helloCaps()}); err != nil {
+	if err := c.sendOn(conn, &protocol.Hello{User: c.user, Device: c.device, Version: "cloudsync/1"}); err != nil {
 		conn.Close()
 		return err
 	}

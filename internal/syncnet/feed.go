@@ -81,25 +81,21 @@ func (f *serverFile) listEntry() protocol.ListEntry {
 	}
 }
 
-// onList answers a listing request. A feed request whose cursor this
-// server handed out — its epoch, at or behind the account's sequence —
-// is answered incrementally: the files committed since, nothing else.
-// Any other feed request (no cursor yet, a cursor from before a
-// reopen, or one the server never issued) and the legacy request get
-// the whole namespace; the feed reply says which it is and carries the
-// cursor the client holds once it has applied it. Entries are sorted
-// by name so a reply is deterministic for a given state; fake-deleted
-// files are included (flagged) because a planner must distinguish
-// "deleted remotely" from "never existed".
+// onList answers a listing request. A request whose cursor this server
+// handed out — its epoch, at or behind the account's sequence — is
+// answered incrementally: the files committed since, nothing else. Any
+// other request (no cursor yet, a cursor from before a reopen, or one
+// the server never issued) gets the whole namespace; the reply says
+// which it is and carries the cursor the client holds once it has
+// applied it. Entries are sorted by name so a reply is deterministic
+// for a given state; fake-deleted files are included (flagged) because
+// a planner must distinguish "deleted remotely" from "never existed".
 func (ss *session) onList(m *protocol.ListRequest) error {
 	s := ss.srv
-	reply := &protocol.Listing{Feed: m.Feed}
 	s.mu.Lock()
 	acct := s.account(ss.user)
-	if m.Feed {
-		reply.Epoch, reply.Seq = s.epoch, acct.seq
-		reply.Incremental = m.Epoch == s.epoch && m.Since <= acct.seq
-	}
+	reply := &protocol.Listing{Epoch: s.epoch, Seq: acct.seq,
+		Incremental: m.Epoch == s.epoch && m.Since <= acct.seq}
 	if reply.Incremental {
 		for f := acct.newest; f != nil && f.seq > m.Since; f = f.older {
 			reply.Entries = append(reply.Entries, f.listEntry())
@@ -115,7 +111,7 @@ func (ss *session) onList(m *protocol.ListRequest) error {
 		return strings.Compare(a.Name, b.Name)
 	})
 	s.om.listingEntries.Observe(int64(len(reply.Entries)))
-	if m.Feed && !reply.Incremental {
+	if !reply.Incremental {
 		s.om.listingResyncs.Inc()
 	}
 	s.logf("listing: %d entries for %s (incremental=%v)", len(reply.Entries), ss.user, reply.Incremental)

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -212,7 +211,7 @@ func runFeedScript(base string, seed uint64, ops []feedOp) (vs []string, cov fee
 			return []string{err.Error()}, cov
 		}
 	}
-	overhead := protocol.EncodedSize(&protocol.Listing{Feed: true})
+	overhead := protocol.EncodedSize(&protocol.Listing{})
 	truth := map[string][]byte{} // live names' content
 
 	for i, op := range ops {
@@ -498,8 +497,7 @@ func TestListFeedForgetsUnsyncedCommit(t *testing.T) {
 // every cursor the server did not issue in this lifetime — another
 // epoch, a sequence number ahead of the account's — are answered with
 // the full listing and counted as resyncs; an issued cursor gets
-// exactly the files committed since; and the legacy request gets the
-// legacy frame, byte for byte.
+// exactly the files committed since.
 func TestListFeedCursorRules(t *testing.T) {
 	leakCheck(t)
 	reg := obs.NewRegistry()
@@ -518,8 +516,8 @@ func TestListFeedCursorRules(t *testing.T) {
 	list := func(label string, req *protocol.ListRequest, wantIncremental bool, wantNames ...string) *protocol.Listing {
 		t.Helper()
 		l, ok := raw.roundTrip(req).(*protocol.Listing)
-		if !ok || !l.Feed || l.Incremental != wantIncremental {
-			t.Fatalf("%s: %#v, want a feed listing with incremental=%v", label, l, wantIncremental)
+		if !ok || l.Incremental != wantIncremental {
+			t.Fatalf("%s: %#v, want a listing with incremental=%v", label, l, wantIncremental)
 		}
 		var names []string
 		for _, en := range l.Entries {
@@ -531,64 +529,32 @@ func TestListFeedCursorRules(t *testing.T) {
 		return l
 	}
 
-	first := list("first poll", &protocol.ListRequest{Feed: true}, false, "a", "b", "c")
+	first := list("first poll", &protocol.ListRequest{}, false, "a", "b", "c")
 	epoch, seq := first.Epoch, first.Seq
 	if epoch == 0 || seq != 3 {
 		t.Fatalf("first poll's cursor (%d, %d), want a nonzero epoch and seq 3", epoch, seq)
 	}
-	list("nothing changed", &protocol.ListRequest{Feed: true, Epoch: epoch, Since: seq}, true)
+	list("nothing changed", &protocol.ListRequest{Epoch: epoch, Since: seq}, true)
 	if _, err := c.Upload("b", []byte("v2 of b")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete("c"); err != nil {
 		t.Fatal(err)
 	}
-	next := list("two commits since", &protocol.ListRequest{Feed: true, Epoch: epoch, Since: seq}, true, "b", "c")
+	next := list("two commits since", &protocol.ListRequest{Epoch: epoch, Since: seq}, true, "b", "c")
 	if !next.Entries[1].Deleted || next.Seq != seq+2 {
 		t.Fatalf("two commits since: %+v", next)
 	}
-	list("an older cursor", &protocol.ListRequest{Feed: true, Epoch: epoch, Since: 1}, true, "a", "b", "c")
-	list("another epoch", &protocol.ListRequest{Feed: true, Epoch: epoch ^ 1, Since: seq}, false, "a", "b", "c")
-	list("a cursor ahead of the account", &protocol.ListRequest{Feed: true, Epoch: epoch, Since: next.Seq + 1}, false, "a", "b", "c")
+	list("an older cursor", &protocol.ListRequest{Epoch: epoch, Since: 1}, true, "a", "b", "c")
+	list("another epoch", &protocol.ListRequest{Epoch: epoch ^ 1, Since: seq}, false, "a", "b", "c")
+	list("a cursor ahead of the account", &protocol.ListRequest{Epoch: epoch, Since: next.Seq + 1}, false, "a", "b", "c")
 	if got := resyncs.Value(); got != 3 {
 		t.Fatalf("%d resyncs counted, want 3 (first poll, foreign epoch, cursor ahead)", got)
 	}
 
-	// The legacy request: the legacy frame, and no resync.
-	if _, err := raw.conn.Write(protocol.Encode(&protocol.ListRequest{})); err != nil {
-		t.Fatal(err)
+	if h := reg.Histogram("syncd_listing_entries", ""); h.Count() != 6 || h.Sum() != 3+0+2+3+3+3 {
+		t.Fatalf("syncd_listing_entries: %d listings, %d entries; want 6 and 14", h.Count(), h.Sum())
 	}
-	frame, err := readFrame(raw.conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := srv.Snapshot("alice")
-	var legacy protocol.Listing
-	for _, name := range []string{"a", "b", "c"} {
-		f := snap[name]
-		legacy.Entries = append(legacy.Entries, protocol.ListEntry{FileID: f.ID, Name: name, Size: int64(len(f.Data)),
-			Version: f.Version, Deleted: f.Deleted, FileHash: md5.Sum(f.Data)})
-	}
-	if want := protocol.Encode(&legacy); !bytes.Equal(frame, want) {
-		t.Fatalf("legacy request answered with\n %x\nwant the legacy frame\n %x", frame, want)
-	}
-	if got := resyncs.Value(); got != 3 {
-		t.Fatalf("the legacy request counted as a resync (%d)", got)
-	}
-	if h := reg.Histogram("syncd_listing_entries", ""); h.Count() != 7 || h.Sum() != 3+0+2+3+3+3+3 {
-		t.Fatalf("syncd_listing_entries: %d listings, %d entries; want 7 and 17", h.Count(), h.Sum())
-	}
-}
-
-// readFrame reads one whole frame's bytes.
-func readFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, frameHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	frame := append(hdr, make([]byte, binary.LittleEndian.Uint32(hdr[1:5]))...)
-	_, err := io.ReadFull(r, frame[frameHeaderSize:])
-	return frame, err
 }
 
 // BenchmarkListFeed polls an account of n files after one commit: the
@@ -633,11 +599,11 @@ func BenchmarkListFeed(b *testing.B) {
 				}
 				exchange(writer, bundle)
 			}
-			l := exchange(reader, &protocol.ListRequest{Feed: true}).(*protocol.Listing)
+			l := exchange(reader, &protocol.ListRequest{}).(*protocol.Listing)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				exchange(writer, &protocol.Bundle{Entries: []protocol.BundleEntry{entry(0, byte(i+1))}})
-				l = exchange(reader, &protocol.ListRequest{Feed: true, Epoch: l.Epoch, Since: l.Seq}).(*protocol.Listing)
+				l = exchange(reader, &protocol.ListRequest{Epoch: l.Epoch, Since: l.Seq}).(*protocol.Listing)
 				if !l.Incremental || len(l.Entries) != 1 {
 					b.Fatalf("poll after one commit: incremental=%v with %d entries", l.Incremental, len(l.Entries))
 				}

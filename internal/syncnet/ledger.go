@@ -75,16 +75,12 @@ func messageSegments(dst []causeSeg, m protocol.Message, total int64) []causeSeg
 		if err != nil || lit > int64(len(v.Payload)) {
 			lit = 0
 		}
-		// The trailing BaseVersion, when present, is what the sender
-		// knows about the file, not part of the delta.
-		var cond int64
-		if v.BaseVersion != 0 {
-			cond = 8
-		}
+		// The trailing BaseVersion is what the sender knows about the
+		// file, not part of the delta.
 		dst = append(dst,
-			causeSeg{ledger.DeltaCopyRef, body - lit - cond},
+			causeSeg{ledger.DeltaCopyRef, body - lit - 8},
 			causeSeg{ledger.DeltaLiteral, lit},
-			causeSeg{ledger.Metadata, cond})
+			causeSeg{ledger.Metadata, 8})
 	case *protocol.ResumeQuery, *protocol.ResumeInfo:
 		dst = append(dst, causeSeg{ledger.Resume, body})
 	case *protocol.TraceCtx:

@@ -2,14 +2,19 @@ package syncnet
 
 import (
 	"bytes"
+	"crypto/md5"
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cloudsync/internal/content"
 	"cloudsync/internal/obs"
+	"cloudsync/internal/protocol"
 	"cloudsync/internal/store/wal"
 )
 
@@ -298,6 +303,79 @@ func TestCrashMidCommit(t *testing.T) {
 		t.Fatal("unacknowledged commit resurrected by recovery")
 	}
 	sameSnapshot(t, "alice", want, got)
+}
+
+// TestDataAfterCrashEndsSession: a peer streaming a full upload over a
+// synchronous transport (net.Pipe) when another session's commit crashes
+// the server must see its writes fail, not block. The streaming peer
+// reads nothing before its Commit, so a reply to a Data frame would
+// block both ends; the server ends the session instead.
+func TestDataAfterCrashEndsSession(t *testing.T) {
+	leakCheck(t)
+	srv := NewServer(ServerConfig{StateDir: t.TempDir()})
+	t.Cleanup(func() { srv.Close() })
+
+	cp, sp := net.Pipe()
+	defer cp.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.HandleConn(sp) }()
+	data := content.Random(64*DataPieceSize, 1).Bytes()
+	for _, m := range []protocol.Message{
+		&protocol.Hello{User: "alice", Device: "streamer"},
+		&protocol.IndexUpdate{Name: "big", Size: int64(len(data)), FileHash: md5.Sum(data)},
+	} {
+		if _, err := cp.Write(protocol.Encode(m)); err != nil {
+			t.Fatalf("write %v: %v", m.Type(), err)
+		}
+	}
+	reply, err := protocol.ReadMessage(cp)
+	ir, ok := reply.(*protocol.IndexReply)
+	if err != nil || !ok || ir.DedupHit {
+		t.Fatalf("index reply: %#v, %v", reply, err)
+	}
+
+	// Another session's commit trips the crash latch.
+	op, osp := net.Pipe()
+	otherDone := make(chan error, 1)
+	go func() { otherDone <- srv.HandleConn(osp) }()
+	other, err := NewClient(op, "bob", "crasher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.FailStateAt(srv.StateLogBytes() + 3)
+	if _, err := other.Upload("doomed", []byte("x")); err == nil {
+		t.Fatal("upload acknowledged past an armed crash point")
+	}
+	other.Close()
+	<-otherDone
+	if !srv.Crashed() {
+		t.Fatal("server not crashed after torn group commit")
+	}
+
+	wrote := make(chan error, 1)
+	go func() {
+		for off := 0; off < len(data); off += DataPieceSize {
+			piece := &protocol.Data{FileID: ir.FileID, Offset: int64(off), Payload: data[off : off+DataPieceSize]}
+			if _, err := cp.Write(protocol.Encode(piece)); err != nil {
+				wrote <- err
+				return
+			}
+		}
+		_, err := cp.Write(protocol.Encode(&protocol.Commit{FileID: ir.FileID}))
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		if err == nil {
+			t.Fatal("a crashed server read the whole upload")
+		}
+	case <-time.After(10 * time.Second):
+		cp.Close() // unblock both ends so the test can end
+		t.Fatal("streaming an upload to a crashed server blocked")
+	}
+	if err := <-done; !errors.Is(err, ErrServerCrashed) {
+		t.Fatalf("streaming session ended with %v, want ErrServerCrashed", err)
+	}
 }
 
 // TestArmCrash: the fault scheduler draws seeded crash offsets within

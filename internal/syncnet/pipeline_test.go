@@ -70,11 +70,11 @@ func TestUploadBundleRoundTrip(t *testing.T) {
 }
 
 // TestServerCloseDrainsPipelinedRequests is the deterministic-drain
-// contract: requests fully read off a pipelined connection when Close
-// fires still get dispatched and their replies flushed before the
-// connection dies — Close half-closes the read side rather than
-// snapping the socket — and no handler goroutine outlives Close (the
-// leak check registered by startServer enforces that part).
+// contract: a peer that pipelines a burst of requests still gets every
+// reply, in request order, then EOF — Close half-closes the read side
+// rather than snapping the socket, so replies already written reach the
+// peer — and no handler goroutine outlives Close (the leak check
+// enforces that part).
 func TestServerCloseDrainsPipelinedRequests(t *testing.T) {
 	leakCheck(t)
 	srv := NewServer(ServerConfig{})
@@ -104,9 +104,8 @@ func TestServerCloseDrainsPipelinedRequests(t *testing.T) {
 		})
 	}
 
-	// Wait until the server has read the whole burst off the socket (the
-	// reader goroutine queues ahead of dispatch), so Close fires with
-	// requests genuinely in flight.
+	// Wait until the server has read the whole burst off the socket, so
+	// Close fires with the replies written but not yet read by the peer.
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.Stats().BytesReceived < int64(wrote) {
 		if time.Now().After(deadline) {
@@ -118,7 +117,7 @@ func TestServerCloseDrainsPipelinedRequests(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Every queued request's reply must arrive, then EOF.
+	// Every request's reply must arrive, in order, then EOF.
 	for i := 0; i < burst; i++ {
 		m, err := protocol.ReadMessage(conn)
 		if err != nil {
@@ -207,7 +206,7 @@ func TestBundleFaultRetryRetransmit(t *testing.T) {
 // TestConcurrentBatchedClients races many clients, each uploading
 // lockstep (files above one block, so the index/data/commit exchange)
 // and bundled, against one server — the coverage the race detector
-// needs over the reader/dispatcher split and the pooled buffers.
+// needs over concurrent sessions and the pooled buffers.
 func TestConcurrentBatchedClients(t *testing.T) {
 	srv, dial := startServer(t, ServerConfig{})
 	const clients = 6

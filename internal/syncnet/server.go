@@ -40,12 +40,6 @@ import (
 // transfer.
 const DataPieceSize = 64 << 10
 
-// maxInflight is the per-connection read-ahead: how many fully read
-// requests a connection's reader keeps queued for in-order dispatch
-// while earlier ones are still being handled. It bounds the memory one
-// connection can pin ahead of dispatch.
-const maxInflight = 32
-
 // drainWriteTimeout bounds how long a draining session may spend
 // flushing replies to a peer that has stopped reading after Close
 // half-closed its connection.
@@ -79,10 +73,9 @@ type ServerConfig struct {
 	Metrics *obs.Registry
 	// Tracer, when set, records one span per client session with one
 	// child span per handled request. When a session propagates a trace
-	// context (Hello CapTrace + TraceCtx frames), request spans are
-	// instead parented under the client's remote operation span, so a
-	// client and server dump merge into one tree (obs.Merge). Nil
-	// disables tracing at no cost.
+	// context (TraceCtx frames), request spans are instead parented under
+	// the client's remote operation span, so a client and server dump
+	// merge into one tree (obs.Merge). Nil disables tracing at no cost.
 	Tracer *obs.Tracer
 	// Flight, when set, receives one record per handled request (plus
 	// session and crash events) in a bounded ring; the crash latch dumps
@@ -264,11 +257,11 @@ func (s *Server) AttachCloser(c io.Closer) {
 
 // Close shuts the server down deterministically: it closes every
 // registered listener, half-closes every live connection's read side
-// so pipelined requests already queued are still dispatched and their
-// replies flushed (bounded by drainWriteTimeout against peers that
-// stopped reading), then waits for all serve loops and connection
-// handlers to return. Transports without a read-side half-close
-// (net.Pipe) are closed outright. Safe to call more than once.
+// so the request in hand is still handled and its reply flushed
+// (bounded by drainWriteTimeout against peers that stopped reading),
+// then waits for all serve loops and connection handlers to return.
+// Transports without a read-side half-close (net.Pipe) are closed
+// outright. Safe to call more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -387,27 +380,14 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// inboundMsg is one fully read request handed from a connection's
-// reader goroutine to its dispatcher, with the wire bytes it consumed.
-// A read failure travels the same channel as a final sentinel, so the
-// dispatcher sees every successfully read request before the error.
-type inboundMsg struct {
-	msg      protocol.Message
-	consumed int64
-	at       time.Time // enqueue instant (zero unless queue wait is metered)
-	err      error
-}
-
 // HandleConn runs one client session to completion. It returns nil on
 // clean disconnect (EOF). A session that ends mid-upload — however it
 // ends — stashes the partial buffers so a reconnecting client can
 // resume them with a ResumeQuery.
 //
-// The connection is read ahead: a reader goroutine keeps it drained up
-// to maxInflight fully read requests while this goroutine dispatches
-// them strictly in arrival order. Replies therefore come back in
-// request order, which is what lets a peer that pipelines requests pair
-// them up without request IDs.
+// The session is one loop on the caller's goroutine: read a request,
+// charge it, handle it, repeat. Replies therefore come back in request
+// order.
 func (s *Server) HandleConn(conn net.Conn) error {
 	if err := s.register(conn); err != nil {
 		conn.Close()
@@ -425,20 +405,18 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	defer sess.settle()
 
 	readBuf := wire.GetFrame(4096)
+	defer func() { wire.PutFrame(readBuf) }()
 	first, readBuf, err := protocol.ReadMessageBuf(r, readBuf)
 	if err != nil {
-		wire.PutFrame(readBuf)
 		return fmt.Errorf("syncnet: reading hello: %w", err)
 	}
 	sess.chargeRead(first, sess.wireIn)
 	hello, ok := first.(*protocol.Hello)
 	if !ok {
-		wire.PutFrame(readBuf)
 		sess.sendErr(protocol.ErrBadRequest, "expected hello")
 		return fmt.Errorf("syncnet: first message was %v", first.Type())
 	}
 	sess.user = hello.User
-	sess.caps = hello.Caps
 	sess.span = s.cfg.Tracer.Start("server.session",
 		obs.String("user", hello.User), obs.String("device", hello.Device))
 	defer sess.finish()
@@ -448,69 +426,21 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	}
 	s.logf("session start user=%s device=%s", hello.User, hello.Device)
 
-	// The reader owns the read buffer, sess.wireIn, and the channel; it
-	// hands each request's consumed byte count through the channel so
-	// the dispatcher never touches wireIn until the reader has exited.
-	queue := make(chan inboundMsg, maxInflight-1)
-	timedQueue := s.om.inboundWaitUS != nil
-	go func() {
-		defer close(queue)
-		defer func() { wire.PutFrame(readBuf) }()
-		for {
-			in0 := sess.wireIn
-			msg, buf, err := protocol.ReadMessageBuf(r, readBuf)
-			readBuf = buf
-			if err != nil {
-				queue <- inboundMsg{err: err}
-				return
-			}
-			in := inboundMsg{msg: msg, consumed: sess.wireIn - in0}
-			if timedQueue {
-				in.at = time.Now()
-			}
-			queue <- in
+	for {
+		in0 := sess.wireIn
+		msg, buf, err := protocol.ReadMessageBuf(r, readBuf)
+		readBuf = buf
+		if err == io.EOF {
+			return nil
 		}
-	}()
-
-	var readErr, dispatchErr error
-	for in := range queue {
-		if in.err != nil {
-			readErr = in.err
-			break
+		if err != nil {
+			return fmt.Errorf("syncnet: reading message: %w", err)
 		}
-		if !in.at.IsZero() {
-			// Inbound-queue wait: fully read, not yet dispatched — the
-			// read-ahead backpressure phase.
-			s.om.inboundWaitUS.Observe(time.Since(in.at).Microseconds())
-		}
-		sess.chargeRead(in.msg, in.consumed)
-		if err := sess.dispatch(in.msg); err != nil {
-			dispatchErr = err
-			break
+		sess.chargeRead(msg, sess.wireIn-in0)
+		if err := sess.dispatch(msg); err != nil {
+			return err
 		}
 	}
-	// Deterministic drain. Every request the reader accepted was either
-	// dispatched above — its reply flushed before the error sentinel
-	// could be reached, since the channel preserves arrival order — or
-	// is discarded here after a dispatch error. Closing the connection
-	// unblocks a reader stuck mid-read; consuming the queue until the
-	// reader closes it joins the goroutine, so wireIn is quiescent for
-	// the deferred finish/settle and no goroutine outlives the session.
-	// Discarded requests are still charged by message semantics; the
-	// settle sweep covers any partial trailing frame.
-	conn.Close()
-	for in := range queue {
-		if in.err == nil {
-			sess.chargeRead(in.msg, in.consumed)
-		}
-	}
-	if dispatchErr != nil {
-		return dispatchErr
-	}
-	if readErr == io.EOF {
-		return nil
-	}
-	return fmt.Errorf("syncnet: reading message: %w", readErr)
 }
 
 // dispatch runs one request through handle, wrapped in its span, its
@@ -520,10 +450,8 @@ func (s *Server) HandleConn(conn net.Conn) error {
 // counts in no request metric.
 func (ss *session) dispatch(msg protocol.Message) error {
 	if tc, ok := msg.(*protocol.TraceCtx); ok {
-		if ss.caps&protocol.CapTrace != 0 {
-			ss.rTrace = obs.TraceID(tc.TraceID)
-			ss.rParent = tc.SpanID
-		}
+		ss.rTrace = obs.TraceID(tc.TraceID)
+		ss.rParent = tc.SpanID
 		return nil
 	}
 	fl := ss.srv.cfg.Flight
@@ -686,11 +614,9 @@ type session struct {
 	contentBytes int64 // raw content bytes committed this session
 	span         *obs.Span
 
-	// caps is the capability word the client's Hello advertised; rTrace
-	// and rParent hold the current remote trace context (set by the
-	// latest TraceCtx frame, honored only with CapTrace advertised) that
-	// request spans adopt as their cross-process parent.
-	caps    uint32
+	// rTrace and rParent hold the current remote trace context (set by
+	// the latest TraceCtx frame) that request spans adopt as their
+	// cross-process parent.
 	rTrace  obs.TraceID
 	rParent uint64
 }
@@ -834,8 +760,13 @@ func (s *Server) takePending(key pendingKey) *pendingUpload {
 func (ss *session) handle(msg protocol.Message) error {
 	if ss.srv.crashed.Load() {
 		// The durable state is dead: behave like a killed process —
-		// refuse everything, let the client reconnect after recovery.
-		ss.sendErr(protocol.ErrInternal, "server crashed")
+		// refuse everything, let the client reconnect after recovery. A
+		// Data frame's sender is still streaming and reads nothing before
+		// its Commit, so it gets no reply: on a synchronous transport the
+		// reply would block both ends. Ending the session is its answer.
+		if _, ok := msg.(*protocol.Data); !ok {
+			ss.sendErr(protocol.ErrInternal, "server crashed")
+		}
 		return ErrServerCrashed
 	}
 	switch m := msg.(type) {
@@ -930,14 +861,14 @@ func (ss *session) onResumeQuery(m *protocol.ResumeQuery) error {
 	return ss.send(&protocol.ResumeInfo{FileID: up.id, Offset: int64(len(up.buf))})
 }
 
+// onData appends one piece to its upload. A bad piece ends the session
+// without a reply: its sender is still streaming (see handle).
 func (ss *session) onData(m *protocol.Data) error {
 	up := ss.uploads[m.FileID]
 	if up == nil {
-		ss.sendErr(protocol.ErrBadRequest, "data without matching index update")
 		return fmt.Errorf("syncnet: stray data for file %d", m.FileID)
 	}
 	if int64(m.Offset) != int64(len(up.buf)) {
-		ss.sendErr(protocol.ErrBadRequest, "out-of-order data")
 		return fmt.Errorf("syncnet: data offset %d, expected %d", m.Offset, len(up.buf))
 	}
 	up.buf = append(up.buf, m.Payload...)

@@ -3,6 +3,7 @@ package syncnet
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -438,18 +439,21 @@ func TestServerRejectsNonHello(t *testing.T) {
 	}
 }
 
+// TestServerRejectsStrayData: a Data frame with no upload to join ends
+// the session without a reply — its sender is streaming and reads
+// nothing — so the peer sees EOF and the server reports the violation.
 func TestServerRejectsStrayData(t *testing.T) {
 	srv := NewServer(ServerConfig{})
 	client, server := net.Pipe()
-	go srv.HandleConn(server)
+	done := make(chan error, 1)
+	go func() { done <- srv.HandleConn(server) }()
 	client.Write(protocol.Encode(&protocol.Hello{User: "alice"}))
 	client.Write(protocol.Encode(&protocol.Data{FileID: 99, Payload: []byte("x")}))
-	m, err := protocol.ReadMessage(client)
-	if err != nil {
-		t.Fatal(err)
+	if m, err := protocol.ReadMessage(client); err != io.EOF {
+		t.Fatalf("reply = %#v, %v; want EOF", m, err)
 	}
-	if _, ok := m.(*protocol.Error); !ok {
-		t.Fatalf("reply = %#v", m)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "stray data") {
+		t.Fatalf("HandleConn = %v, want the stray-data violation", err)
 	}
 }
 

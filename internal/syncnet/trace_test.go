@@ -161,12 +161,10 @@ func (c *teeConn) frames(t *testing.T) [][]byte {
 
 const frameHeaderLen = 5
 
-// TestNonPropagatingClientIsWireIdenticalToLegacy pins the interop
-// guarantee: a traced client that does not opt into propagation puts
-// exactly the legacy byte stream on the wire — its Hello matches the
-// pre-capability encoding byte for byte and no TraceCtx frame ever
-// appears — and the ledgers still balance. A peer that predates the
-// capability cannot tell the difference.
+// TestNonPropagatingClientIsWireIdenticalToLegacy: a traced client that
+// does not opt into propagation puts exactly an untraced client's byte
+// stream on the wire — its Hello is the plain encoding and no TraceCtx
+// frame ever appears — and the ledgers still balance.
 func TestNonPropagatingClientIsWireIdenticalToLegacy(t *testing.T) {
 	leakCheck(t)
 	clientLed := &ledger.Ledger{}
@@ -193,9 +191,9 @@ func TestNonPropagatingClientIsWireIdenticalToLegacy(t *testing.T) {
 	if len(frames) == 0 {
 		t.Fatal("no frames captured")
 	}
-	legacyHello := protocol.Encode(&protocol.Hello{User: "alice", Device: "legacy-test", Version: "cloudsync/1"})
-	if !bytes.Equal(frames[0], legacyHello) {
-		t.Fatalf("Hello differs from legacy bytes:\n got %x\nwant %x", frames[0], legacyHello)
+	plainHello := protocol.Encode(&protocol.Hello{User: "alice", Device: "legacy-test", Version: "cloudsync/1"})
+	if !bytes.Equal(frames[0], plainHello) {
+		t.Fatalf("Hello differs from the plain encoding:\n got %x\nwant %x", frames[0], plainHello)
 	}
 	for i, f := range frames {
 		if protocol.MsgType(f[0]) == protocol.TypeTraceCtx {
@@ -208,11 +206,9 @@ func TestNonPropagatingClientIsWireIdenticalToLegacy(t *testing.T) {
 	}
 }
 
-// driveRawTraceCtx sends a raw Hello (with the given caps), a TraceCtx,
-// and a ListRequest at a tracing server, and reports the remote context
-// the server's request span recorded.
-func driveRawTraceCtx(t *testing.T, caps uint32) (obs.TraceID, uint64) {
-	t.Helper()
+// TestTraceCtxAdopted: a raw Hello, a TraceCtx and a ListRequest at a
+// tracing server re-parent the request's span under the remote context.
+func TestTraceCtxAdopted(t *testing.T) {
 	leakCheck(t)
 	remote := obs.TraceID{1, 2, 3}
 	serverTr := obs.NewTracer()
@@ -224,7 +220,7 @@ func driveRawTraceCtx(t *testing.T, caps uint32) (obs.TraceID, uint64) {
 	go io.Copy(io.Discard, client) // drain replies so writes never block
 
 	for _, m := range []protocol.Message{
-		&protocol.Hello{User: "raw", Device: "d", Version: "v", Caps: caps},
+		&protocol.Hello{User: "raw", Device: "d", Version: "v"},
 		&protocol.TraceCtx{TraceID: [16]byte(remote), SpanID: 77},
 		&protocol.ListRequest{},
 	} {
@@ -236,30 +232,15 @@ func driveRawTraceCtx(t *testing.T, caps uint32) (obs.TraceID, uint64) {
 	<-handlerCh
 
 	for _, s := range serverTr.Spans() {
-		if s.Name == "server.list-request" {
-			return s.RemoteTrace, s.RemoteParent
+		if s.Name != "server.list-request" {
+			continue
 		}
+		if s.RemoteParent != 77 || s.RemoteTrace != remote {
+			t.Fatalf("server did not adopt the context: trace %v span %d", s.RemoteTrace, s.RemoteParent)
+		}
+		return
 	}
 	t.Fatal("server.list-request span not recorded")
-	return obs.TraceID{}, 0
-}
-
-// TestTraceCtxIgnoredWithoutCapability: a TraceCtx after a legacy
-// (capability-free) Hello is absorbed without adopting the context.
-func TestTraceCtxIgnoredWithoutCapability(t *testing.T) {
-	trace, span := driveRawTraceCtx(t, 0)
-	if span != 0 || !trace.IsZero() {
-		t.Fatalf("server adopted a context it never negotiated: trace %v span %d", trace, span)
-	}
-}
-
-// TestTraceCtxAdoptedWithCapability: the same frames after a CapTrace
-// Hello re-parent the next request span under the remote context.
-func TestTraceCtxAdoptedWithCapability(t *testing.T) {
-	trace, span := driveRawTraceCtx(t, protocol.CapTrace)
-	if span != 77 || trace != (obs.TraceID{1, 2, 3}) {
-		t.Fatalf("server did not adopt the context: trace %v span %d", trace, span)
-	}
 }
 
 // TestWalMetricsRegisteredOnlyWithStateDir: the WAL instrument family
@@ -309,7 +290,7 @@ func TestWalMetricsRegisteredOnlyWithStateDir(t *testing.T) {
 
 // TestPhaseHistogramsPopulated: one traced upload must move every phase
 // instrument that does not need a durable state — client reply wait,
-// server inbound-queue wait, request duration, and apply time.
+// request duration, and apply time.
 func TestPhaseHistogramsPopulated(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, _, finish := tracedPair(t, ServerConfig{Metrics: reg}, WithClientMetrics(reg))
@@ -319,7 +300,6 @@ func TestPhaseHistogramsPopulated(t *testing.T) {
 	finish()
 	for _, name := range []string{
 		"syncnet_client_reply_wait_us",
-		"syncd_inbound_queue_wait_us",
 		"syncd_request_duration_us",
 		"syncd_apply_us",
 	} {
