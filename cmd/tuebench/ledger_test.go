@@ -23,9 +23,8 @@ func renderLedgerDump(t *testing.T) []byte {
 }
 
 // TestLedgerDumpGolden pins the quick ledger dump byte-for-byte against
-// testdata/ledger-quick.golden.json — the file CI diffs fresh builds
-// against with cmd/tuediff. Intentional attribution changes regenerate
-// it with
+// testdata/ledger-quick.golden.json; cmd/tuediff shows a failure cause
+// by cause. Intentional attribution changes regenerate it with
 //
 //	go test ./cmd/tuebench -run TestLedgerDumpGolden -update
 func TestLedgerDumpGolden(t *testing.T) {

@@ -2,8 +2,9 @@
 // produced by `tuebench -ledger-out` and flags per-cause drift: cells
 // that appeared or vanished, and causes whose byte counts moved beyond
 // the tolerance. Exit status 1 means drift was found, 2 means the
-// inputs could not be read — so CI can pin a build's attribution
-// against a committed golden with a single command:
+// inputs could not be read. It is how to read a TestLedgerDumpGolden
+// failure: dump the build's attribution and diff it against the
+// committed golden:
 //
 //	tuebench -quick -ledger-out new.json
 //	tuediff cmd/tuebench/testdata/ledger-quick.golden.json new.json

@@ -24,11 +24,12 @@ import (
 // server picks a block per file instead (BlockSizeFor).
 const DefaultBlockSize = 8 << 10
 
-// Bounds of BlockSizeFor: rsync clamps its √N rule to [700 B, 128 KiB];
+// Bounds of BlockSizeFor, and of the block size a peer may ask the live
+// server to sign at: rsync clamps its √N rule to [700 B, 128 KiB];
 // powers of two keep Resign's alignment arithmetic simple.
 const (
-	minBlockSize = 512
-	maxBlockSize = 128 << 10
+	MinBlockSize = 512
+	MaxBlockSize = 128 << 10
 )
 
 // BlockSizeFor is the block size a file of size bytes is signed at: the
@@ -39,11 +40,11 @@ const (
 // 512 B, 1 MiB gets 1 KiB, 4 MiB 2 KiB, 1 GiB 32 KiB.
 func BlockSizeFor(size int64) int {
 	if size <= 0 {
-		return minBlockSize
+		return MinBlockSize
 	}
 	// 2^k ≤ √size ⇔ 2k ≤ ⌊log2 size⌋.
 	bs := 1 << ((bits.Len64(uint64(size)) - 1) / 2)
-	return min(max(bs, minBlockSize), maxBlockSize)
+	return min(max(bs, MinBlockSize), MaxBlockSize)
 }
 
 // BlockSig is the signature of one basis block.

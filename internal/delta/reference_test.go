@@ -6,11 +6,11 @@ import (
 )
 
 // Retained reference implementations: the straightforward forms of the
-// optimized kernels, kept in the package proper so the differential
-// harness can hold every release's Compute/weakSum/Apply to them on
-// random inputs. They trade all the throughput tricks — the tag
-// bitmap, the unrolled checksum, the literal arena — for being an
-// obviously faithful transcription of the rsync scan.
+// optimized kernels, which the differential harness and the benchmarks
+// hold every release's Compute/weakSum to on random inputs. They trade
+// all the throughput tricks — the tag bitmap, the unrolled checksum, the
+// literal arena — for being an obviously faithful transcription of the
+// rsync scan.
 
 // weakSumRef is the textbook two-accumulator checksum: b weights each
 // byte by its distance from the window end.

@@ -5,7 +5,6 @@ import (
 	"crypto/md5"
 	"fmt"
 	"hash"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/protocol"
-	"cloudsync/internal/wire"
 )
 
 // UploadStats describes what one Upload cost.
@@ -43,7 +41,7 @@ type UploadStats struct {
 // Client is a sync client for one user over one connection. It is not
 // safe for concurrent use; open one client per goroutine.
 type Client struct {
-	conn        net.Conn
+	wc          wireConn // across reconnects: one meter, one ledger
 	user        string
 	device      string
 	compression comp.Level
@@ -51,6 +49,10 @@ type Client struct {
 	retry       RetryPolicy
 	dialer      func() (net.Conn, error)
 	jitterRNG   jitterXorshift
+	// resend marks what the current operation has already put on (or
+	// pulled off) the wire, so the connection charges only genuine
+	// re-sends as retransmits.
+	resend resendMarks
 
 	ids   map[string]uint64
 	known map[string]bool // names known to exist server-side
@@ -59,22 +61,15 @@ type Client struct {
 	// change-feed cursor the next List sends.
 	mirror listMirror
 
-	// Pooled live-path scratch: enc frames outgoing messages, readBuf
-	// absorbs incoming ones (both from the wire frame pool, returned on
-	// Close), segs is the reusable ledger-segment layout, and digest is
-	// the MD5 state UploadBundle reuses across a batch's files.
-	enc     []byte
-	readBuf []byte
-	segs    []causeSeg
-	digest  hash.Hash
+	// digest is the MD5 state UploadBundle reuses across a batch's files.
+	digest hash.Hash
 
 	// tracer, when set via WithTracer, records one span per operation
-	// with children per attempt and per protocol stage, and meters the
-	// client-side wire bytes. Nil keeps the untraced fast path.
-	tracer          *obs.Tracer
-	op              *obs.Span // span of the operation currently in flight
-	att             *obs.Span // span of the current retry attempt, if any
-	wireIn, wireOut int64
+	// with children per attempt and per protocol stage. Nil keeps the
+	// untraced fast path.
+	tracer *obs.Tracer
+	op     *obs.Span // span of the operation currently in flight
+	att    *obs.Span // span of the current retry attempt, if any
 
 	// propagate, set via WithTraceContext, opts the session into
 	// cross-process trace propagation: each attempt is prefixed with a
@@ -84,46 +79,12 @@ type Client struct {
 	// for a server reply — the wire round-trip as the client sees it.
 	// signWaitUS times what a full upload's signing added after the Ack.
 	replyWaitUS, signWaitUS *obs.Histogram
-
-	// ledger, when set via WithLedger, attributes every metered wire
-	// byte (both directions) to a cause. charged tracks how much this
-	// client has attributed so Close can sweep the residual — partial
-	// frames around a connection cut — into framing, keeping
-	// ledger-total == wireIn+wireOut exact.
-	ledger  *ledger.Ledger
-	charged int64
-	attempt int // current retry attempt (1-based; 0 during Hello)
-	// txHigh / rxHigh are the highest payload offsets sent and received
-	// this operation: an operation streams Data pieces for one file only,
-	// so one mark per direction tells a re-sent range from a fresh one.
-	// They follow the operation, not the wire fileID: a retry that
-	// restarts after the server lost its stash gets a fresh fileID, yet
-	// its re-sent ranges are still retransmits of the same file.
-	txHigh, rxHigh int64
 }
 
 // WireTotals reports the bytes this client has read from and written to
-// its connection(s), across reconnects. Metering requires WithTracer or
-// WithLedger; without either both totals stay zero.
-func (c *Client) WireTotals() (in, out int64) { return c.wireIn, c.wireOut }
-
-// meterConn counts a traced client's wire bytes in both directions.
-type meterConn struct {
-	net.Conn
-	in, out *int64
-}
-
-func (mc *meterConn) Read(p []byte) (int, error) {
-	n, err := mc.Conn.Read(p)
-	*mc.in += int64(n)
-	return n, err
-}
-
-func (mc *meterConn) Write(p []byte) (int, error) {
-	n, err := mc.Conn.Write(p)
-	*mc.out += int64(n)
-	return n, err
-}
+// its connection(s), across reconnects. Every client meters them,
+// instrumented or not.
+func (c *Client) WireTotals() (in, out int64) { return c.wc.in, c.wc.out }
 
 // parent is the span new protocol-stage spans should hang off: the
 // current attempt when retrying, else the operation itself.
@@ -140,8 +101,8 @@ func (c *Client) endOp(in0, out0 int64, err error) {
 	if c.op == nil {
 		return
 	}
-	c.op.Set("bytes_in", c.wireIn-in0)
-	c.op.Set("bytes_out", c.wireOut-out0)
+	c.op.Set("bytes_in", c.wc.in-in0)
+	c.op.Set("bytes_out", c.wc.out-out0)
 	if err != nil {
 		c.op.Set("error", err.Error())
 	}
@@ -159,24 +120,24 @@ func WithCompression(l comp.Level) ClientOption {
 }
 
 // WithBlockSize sets the delta-sync granularity requested from the
-// server (0 = server default).
+// server (0 = server default), which refuses a size outside
+// [delta.MinBlockSize, delta.MaxBlockSize].
 func WithBlockSize(bs int) ClientOption {
 	return func(c *Client) { c.blockSize = bs }
 }
 
 // WithTracer records client-side spans (one per operation, with
-// children per attempt and protocol stage) on tr and meters wire bytes
-// for WireTotals. A nil tr leaves the client completely uninstrumented.
+// children per attempt and protocol stage) on tr. A nil tr records
+// none.
 func WithTracer(tr *obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = tr }
 }
 
 // WithLedger attributes every wire byte the client sends or receives to
-// a traffic cause on l (and enables wire metering, like WithTracer).
-// The sum over all causes equals WireTotals' in+out exactly once the
-// client is closed; a nil l leaves the client uninstrumented.
+// a traffic cause on l. The sum over all causes equals WireTotals'
+// in+out exactly once the client is closed; a nil l charges nothing.
 func WithLedger(l *ledger.Ledger) ClientOption {
-	return func(c *Client) { c.ledger = l }
+	return func(c *Client) { c.wc.led = l }
 }
 
 // WithTraceContext opts the session into cross-process trace
@@ -212,7 +173,7 @@ func (c *Client) sendTraceCtx() error {
 	if !c.propagate || c.tracer == nil {
 		return nil
 	}
-	return c.send(&protocol.TraceCtx{
+	return c.wc.send(&protocol.TraceCtx{
 		TraceID: [16]byte(c.tracer.TraceID()),
 		SpanID:  c.parent().SpanID(),
 	})
@@ -225,25 +186,26 @@ func NewClient(conn net.Conn, user, device string, opts ...ClientOption) (*Clien
 		return nil, fmt.Errorf("syncnet: empty user")
 	}
 	c := &Client{
-		conn:    conn,
-		user:    user,
-		device:  device,
-		ids:     make(map[string]uint64),
-		known:   make(map[string]bool),
-		enc:     wire.GetFrame(256),
-		readBuf: wire.GetFrame(1024),
+		wc:     newWireConn(conn, 256, 1024),
+		user:   user,
+		device: device,
+		ids:    make(map[string]uint64),
+		known:  make(map[string]bool),
 	}
+	c.wc.resend = &c.resend
 	for _, opt := range opts {
 		opt(c)
 	}
 	c.jitterRNG = newJitterRNG(c.retry.Seed)
-	if c.tracer != nil || c.ledger != nil {
-		c.conn = &meterConn{Conn: conn, in: &c.wireIn, out: &c.wireOut}
-	}
-	if err := c.send(&protocol.Hello{User: user, Device: device, Version: "cloudsync/1"}); err != nil {
+	if err := c.hello(); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// hello opens the session on the current connection.
+func (c *Client) hello() error {
+	return c.wc.send(&protocol.Hello{User: c.user, Device: c.device, Version: "cloudsync/1"})
 }
 
 // Dial connects to a server and starts a session. It installs a
@@ -267,124 +229,22 @@ func Dial(network, addr, user, device string, opts ...ClientOption) (*Client, er
 // residual — metered bytes that never formed a complete message, such
 // as partial frames around a connection cut — into framing, after
 // which the ledger total equals the wire total exactly.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	if c.ledger != nil {
-		if resid := c.wireIn + c.wireOut - c.charged; resid > 0 {
-			c.ledger.Add(ledger.Framing, resid)
-			c.charged += resid
-		}
-	}
-	wire.PutFrame(c.enc)
-	wire.PutFrame(c.readBuf)
-	c.enc, c.readBuf = nil, nil
-	return err
-}
+func (c *Client) Close() error { return c.wc.settle() }
 
-// send encodes and writes one message on the session connection,
-// charging the bytes actually written to the ledger.
-func (c *Client) send(m protocol.Message) error { return c.sendOn(c.conn, m) }
-
-func (c *Client) sendOn(conn net.Conn, m protocol.Message) error {
-	enc := protocol.AppendEncode(c.enc[:0], m)
-	c.enc = enc[:0]
-	n, err := conn.Write(enc)
-	c.chargeWrite(m, int64(len(enc)), int64(n))
-	if err != nil {
-		return fmt.Errorf("syncnet: sending %v: %w", m.Type(), err)
-	}
-	return nil
-}
-
-// sendData writes one Data piece as a vectored send: the ~25-byte
-// frame header and body prefix come from the pooled scratch, the
-// payload slice goes to the connection directly — content is never
-// copied into a frame buffer, and on connections that support
-// net.Buffers both land in a single writev.
-func (c *Client) sendData(fileID uint64, offset int64, payload []byte) error {
-	hdr := protocol.AppendDataHeader(c.enc[:0], fileID, offset, len(payload))
-	c.enc = hdr[:0]
-	n, err := writeVectored(c.conn, hdr, payload)
-	c.chargeDataWrite(offset, int64(len(payload)), int64(len(hdr)+len(payload)), n)
-	if err != nil {
-		return fmt.Errorf("syncnet: sending data: %w", err)
-	}
-	return nil
-}
-
-// writeVectored writes hdr then payload through one net.Buffers send,
-// unwrapping the metering layer so the underlying connection can use
-// writev while byte counting still happens exactly once.
-func writeVectored(w io.Writer, hdr, payload []byte) (int64, error) {
-	bufs := net.Buffers{hdr, payload}
-	if mc, ok := w.(*meterConn); ok {
-		n, err := bufs.WriteTo(mc.Conn)
-		*mc.out += n
-		return n, err
-	}
-	return bufs.WriteTo(w)
-}
-
-// chargeWrite attributes the n bytes a write put on the wire. Data
-// pieces split against the operation's sent high-water mark (re-sent
-// ranges are retransmits); any other message re-sent on a retry attempt
-// is a retransmit wholesale.
-func (c *Client) chargeWrite(m protocol.Message, total, n int64) {
-	if c.ledger == nil {
-		return
-	}
-	segs := messageSegments(c.segs[:0], m, total)
-	if d, ok := m.(*protocol.Data); ok {
-		segs = splitDataByHighWater(segs, d.Offset, int64(len(d.Payload)), &c.txHigh)
-	} else if c.attempt > 1 {
-		segs = retagRetransmit(segs)
-	}
-	c.charged += chargeSegs(c.ledger, segs, n)
-	c.segs = segs[:0]
-}
-
-// chargeDataWrite is chargeWrite for the vectored Data path, which
-// never materializes a protocol.Data value.
-func (c *Client) chargeDataWrite(offset, payloadLen, total, n int64) {
-	if c.ledger == nil {
-		return
-	}
-	segs := appendDataSegments(c.segs[:0], total, payloadLen)
-	segs = splitDataByHighWater(segs, offset, payloadLen, &c.txHigh)
-	c.charged += chargeSegs(c.ledger, segs, n)
-	c.segs = segs[:0]
-}
-
-// chargeRead attributes one fully read message's wire bytes. Download
-// pieces split against the received high-water mark, so content
-// re-fetched after a mid-download reconnect shows up as retransmit.
-func (c *Client) chargeRead(m protocol.Message, consumed int64) {
-	if c.ledger == nil {
-		return
-	}
-	segs := messageSegments(c.segs[:0], m, consumed)
-	if d, ok := m.(*protocol.Data); ok {
-		segs = splitDataByHighWater(segs, d.Offset, int64(len(d.Payload)), &c.rxHigh)
-	}
-	c.charged += chargeSegs(c.ledger, segs, consumed)
-	c.segs = segs[:0]
-}
-
+// read waits for one reply, timing the wait, and turns an Error reply
+// into an error.
 func (c *Client) read() (protocol.Message, error) {
-	in0 := c.wireIn
 	var t0 time.Time
 	if c.replyWaitUS != nil {
 		t0 = time.Now()
 	}
-	m, buf, err := protocol.ReadMessageBuf(c.conn, c.readBuf)
+	m, err := c.wc.recv()
 	if c.replyWaitUS != nil {
 		c.replyWaitUS.Observe(time.Since(t0).Microseconds())
 	}
-	c.readBuf = buf
 	if err != nil {
 		return nil, fmt.Errorf("syncnet: reading reply: %w", err)
 	}
-	c.chargeRead(m, c.wireIn-in0)
 	if e, ok := m.(*protocol.Error); ok {
 		return nil, e
 	}
@@ -414,7 +274,7 @@ func (c *Client) read() (protocol.Message, error) {
 func (c *Client) Upload(name string, data []byte) (UploadStats, error) {
 	c.op = c.tracer.Start("client.upload",
 		obs.String("name", name), obs.Int("size", int64(len(data))))
-	in0, out0 := c.wireIn, c.wireOut
+	in0, out0 := c.WireTotals()
 	var stats UploadStats
 	err := c.withRetry(func(attempt int) error {
 		var err error
@@ -544,7 +404,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 	}
 
 	if resumeAt == 0 {
-		if err := c.send(&protocol.IndexUpdate{
+		if err := c.wc.send(&protocol.IndexUpdate{
 			FileID: c.ids[name], Name: name, Size: int64(len(data)), FileHash: hash,
 		}); err != nil {
 			return stats, err
@@ -564,17 +424,11 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 
 	if !stats.DedupHit {
 		stats.PayloadBytes = len(payload) - int(resumeAt)
-		for off := int(resumeAt); off < len(payload); off += DataPieceSize {
-			end := off + DataPieceSize
-			if end > len(payload) {
-				end = len(payload)
-			}
-			if err := c.sendData(fileID, int64(off), payload[off:end]); err != nil {
-				return stats, err
-			}
+		if err := c.wc.sendPayload(fileID, payload, resumeAt); err != nil {
+			return stats, err
 		}
 	}
-	if err := c.send(&protocol.Commit{FileID: fileID}); err != nil {
+	if err := c.wc.send(&protocol.Commit{FileID: fileID}); err != nil {
 		return stats, err
 	}
 	ack, err := c.readAck()
@@ -604,7 +458,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 func (c *Client) resumeQuery(name string, size int64, hash protocol.Fingerprint) (*protocol.ResumeInfo, error) {
 	sp := c.parent().Child("client.resume_query", obs.String("name", name))
 	defer sp.End()
-	if err := c.send(&protocol.ResumeQuery{Name: name, Size: size, FileHash: hash}); err != nil {
+	if err := c.wc.send(&protocol.ResumeQuery{Name: name, Size: size, FileHash: hash}); err != nil {
 		return nil, err
 	}
 	m, err := c.read()
@@ -666,7 +520,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 		sig, base = have.sig, have.version
 		sp.Set("base_version", base)
 	} else {
-		if err := c.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
+		if err := c.wc.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
 			return stats, err
 		}
 		m, err := c.read()
@@ -686,7 +540,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 	sp.Set("block_size", sig.BlockSize)
 	d := delta.Compute(sig, data)
 	payload := d.Encode()
-	if err := c.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {
+	if err := c.wc.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {
 		return stats, err
 	}
 	// Hashing the edited blocks overlaps the server applying the delta
@@ -724,7 +578,7 @@ func (c *Client) readAck() (*protocol.Ack, error) {
 // start.
 func (c *Client) Download(name string) ([]byte, error) {
 	c.op = c.tracer.Start("client.download", obs.String("name", name))
-	in0, out0 := c.wireIn, c.wireOut
+	in0, out0 := c.WireTotals()
 	var data []byte
 	err := c.withRetry(func(int) error {
 		var err error
@@ -737,7 +591,7 @@ func (c *Client) Download(name string) ([]byte, error) {
 }
 
 func (c *Client) downloadOnce(name string) ([]byte, error) {
-	if err := c.send(&protocol.Get{Name: name}); err != nil {
+	if err := c.wc.send(&protocol.Get{Name: name}); err != nil {
 		return nil, err
 	}
 	m, err := c.read()
@@ -788,9 +642,9 @@ func (c *Client) Delete(name string) error {
 	}
 	c.sigs.drop(name)
 	c.op = c.tracer.Start("client.delete", obs.String("name", name))
-	in0, out0 := c.wireIn, c.wireOut
+	in0, out0 := c.WireTotals()
 	err := c.withRetry(func(attempt int) error {
-		if err := c.send(&protocol.Delete{FileID: id}); err != nil {
+		if err := c.wc.send(&protocol.Delete{FileID: id}); err != nil {
 			return err
 		}
 		_, err := c.readAck()

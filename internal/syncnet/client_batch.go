@@ -39,7 +39,7 @@ func (c *Client) UploadBundle(files []FileUpload) ([]UploadStats, error) {
 		return nil, nil
 	}
 	c.op = c.tracer.Start("client.upload_bundle", obs.Int("files", int64(len(files))))
-	in0, out0 := c.wireIn, c.wireOut
+	in0, out0 := c.WireTotals()
 	// The batch is fingerprinted and compressed once, outside the retry
 	// loop, reusing one MD5 state across files — retries must not
 	// recompute digests, and per-file md5.New allocations would dominate
@@ -75,7 +75,7 @@ func (c *Client) bundleExchange(entries []protocol.BundleEntry, stats []UploadSt
 	for i := range entries {
 		c.sigs.drop(entries[i].Name) // whole new content: nothing to carry over
 	}
-	if err := c.send(&protocol.Bundle{Entries: entries}); err != nil {
+	if err := c.wc.send(&protocol.Bundle{Entries: entries}); err != nil {
 		return err
 	}
 	m, err := c.read()

@@ -59,10 +59,10 @@ func (lm *listMirror) apply(l *protocol.Listing) {
 // version is the one it describes.
 func (c *Client) List() ([]protocol.ListEntry, error) {
 	c.op = c.tracer.Start("client.list")
-	in0, out0 := c.wireIn, c.wireOut
+	in0, out0 := c.WireTotals()
 	var listing *protocol.Listing
 	err := c.withRetry(func(int) error {
-		if err := c.send(&protocol.ListRequest{Epoch: c.mirror.epoch, Since: c.mirror.seq}); err != nil {
+		if err := c.wc.send(&protocol.ListRequest{Epoch: c.mirror.epoch, Since: c.mirror.seq}); err != nil {
 			return err
 		}
 		m, err := c.read()

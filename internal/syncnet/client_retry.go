@@ -72,7 +72,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 // may or may not have committed, so the version they name is no longer
 // known to be current.
 func (c *Client) reconnect(attempt int) error {
-	c.conn.Close()
+	c.wc.conn.Close()
 	c.sigs.clear()
 	if d := c.backoff(attempt); d > 0 {
 		c.att.Set("backoff_us", d.Microseconds())
@@ -86,15 +86,25 @@ func (c *Client) reconnect(attempt int) error {
 	if err != nil {
 		return fmt.Errorf("syncnet: reconnect: %w", err)
 	}
-	if c.tracer != nil || c.ledger != nil {
-		conn = &meterConn{Conn: conn, in: &c.wireIn, out: &c.wireOut}
-	}
-	if err := c.sendOn(conn, &protocol.Hello{User: c.user, Device: c.device, Version: "cloudsync/1"}); err != nil {
+	c.wc.conn = conn
+	if err := c.hello(); err != nil {
 		conn.Close()
 		return err
 	}
-	c.conn = conn
 	return nil
+}
+
+// resendMarks is what only a client knows about its own bytes: which
+// are on the wire a second time because an operation was retried.
+type resendMarks struct {
+	attempt int // current retry attempt (1-based; 0 during the first Hello)
+	// txHigh / rxHigh are the highest payload offsets sent and received
+	// this operation: an operation streams Data pieces for one file only,
+	// so one mark per direction tells a re-sent range from a fresh one.
+	// They follow the operation, not the wire fileID: a retry that
+	// restarts after the server lost its stash gets a fresh fileID, yet
+	// its re-sent ranges are still retransmits of the same file.
+	txHigh, rxHigh int64
 }
 
 // withRetry runs op, reconnecting and re-running it on transport
@@ -107,13 +117,10 @@ func (c *Client) withRetry(op func(attempt int) error) error {
 	if attempts < 1 || c.dialer == nil {
 		attempts = 1
 	}
-	// Fresh per-operation ledger state: the payload high-water marks
-	// track what this operation has already put on (or pulled off) the
-	// wire, so only genuine re-sends are charged as retransmits.
-	c.txHigh, c.rxHigh = 0, 0
+	c.resend = resendMarks{} // fresh per operation
 	var err error
 	for attempt := 1; attempt <= attempts; attempt++ {
-		c.attempt = attempt // lets the ledger tag re-sent bytes as retransmits
+		c.resend.attempt = attempt
 		c.att = c.op.Child("client.attempt", obs.Int("attempt", int64(attempt)))
 		if attempt > 1 {
 			if rerr := c.reconnect(attempt); rerr != nil {

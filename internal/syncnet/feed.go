@@ -115,5 +115,5 @@ func (ss *session) onList(m *protocol.ListRequest) error {
 		s.om.listingResyncs.Inc()
 	}
 	s.logf("listing: %d entries for %s (incremental=%v)", len(reply.Entries), ss.user, reply.Incremental)
-	return ss.send(reply)
+	return ss.wc.send(reply)
 }

@@ -110,6 +110,40 @@ func TestDeltaGranularityFollowsFileSize(t *testing.T) {
 	raw.close()
 }
 
+// TestSigRequestBlockSizeBounded: a peer may name the granularity it is
+// signed at only within the bounds delta.BlockSizeFor keeps to. Below
+// them a 64 KiB file's signature would balloon (1 B blocks: ~500× the
+// 512 B one); above 2³¹ the size turns negative as a 32-bit int. Each
+// out-of-range request is refused with ErrBadRequest and the session
+// goes on to serve the in-range ones.
+func TestSigRequestBlockSizeBounded(t *testing.T) {
+	leakCheck(t)
+	srv := NewServer(ServerConfig{})
+	t.Cleanup(func() { srv.Close() })
+	c, closeC := pipeClient(t, srv, "alice", "dev", nil)
+	if _, err := c.Upload("f", content.Random(64<<10, 1).Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	closeC()
+	raw := openRaw(t, srv, "alice")
+	for _, bs := range []uint32{1, delta.MinBlockSize - 1, delta.MaxBlockSize + 1, 1 << 31} {
+		reply := raw.roundTrip(&protocol.SigRequest{Name: "f", BlockSize: bs})
+		if e, ok := reply.(*protocol.Error); !ok || e.Code != protocol.ErrBadRequest {
+			t.Errorf("SigRequest at %d B: got %v, want ErrBadRequest", bs, reply.Type())
+		}
+	}
+	for _, cs := range []struct{ req, want int }{{0, 512}, {1024, 1024}} {
+		sig, err := delta.DecodeSignature(raw.signature("f", cs.req))
+		if err != nil || sig.BlockSize != cs.want {
+			t.Errorf("SigRequest at %d B: served %d B (%v), want %d B", cs.req, sig.BlockSize, err, cs.want)
+		}
+	}
+	raw.close()
+	if n := srv.Stats().SignaturesServed; n != 2 {
+		t.Errorf("%d signatures served, want 2", n)
+	}
+}
+
 // deltaCapture records the DeltaMsg frames a client writes: the deltas,
 // and the bytes of each frame body that are not the delta's literals or
 // its BaseVersion — what the ledger charges to delta_copyref.

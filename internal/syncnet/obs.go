@@ -1,9 +1,6 @@
 package syncnet
 
 import (
-	"io"
-	"net"
-
 	"cloudsync/internal/obs"
 	"cloudsync/internal/store/wal"
 )
@@ -109,30 +106,4 @@ func walMetrics(reg *obs.Registry) *wal.Metrics {
 		Compactions:   reg.Counter("syncd_wal_compactions_total", "Log-into-snapshot compactions completed."),
 		SnapshotBytes: reg.Gauge("syncd_wal_snapshot_bytes", "Size of the current generation's snapshot in bytes."),
 	}
-}
-
-// countingWriter mirrors countingReader for the send direction: it
-// tallies bytes into the per-session counter and the server-wide one.
-type countingWriter struct {
-	w    io.Writer
-	n    *int64
-	obsC *obs.Counter
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	*cw.n += int64(n)
-	cw.obsC.Add(int64(n))
-	return n, err
-}
-
-// writeVectored writes hdr then payload in one net.Buffers send — a
-// single writev when the underlying connection supports it — counting
-// the bytes exactly once.
-func (cw *countingWriter) writeVectored(hdr, payload []byte) (int64, error) {
-	bufs := net.Buffers{hdr, payload}
-	n, err := bufs.WriteTo(cw.w)
-	*cw.n += n
-	cw.obsC.Add(n)
-	return n, err
 }

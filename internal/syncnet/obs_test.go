@@ -239,33 +239,45 @@ func adaptSnapshot(snap map[string]FileState) map[string]invariant.ServerFile {
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
-// TestObsUntracedClientCountsNothing pins the zero-cost contract: a
-// client without WithTracer installs no metering wrapper and records
-// no spans.
+// TestObsUntracedClientCountsNothing pins what an uninstrumented client
+// costs: it charges no ledger and puts no trace context on the wire
+// (WithTraceContext is inert without a tracer, so the server's spans
+// all stay local), while its wire meter — every client has one —
+// agrees byte for byte with the server's on a net.Pipe session.
 func TestObsUntracedClientCountsNothing(t *testing.T) {
 	leakCheck(t)
-	srv := NewServer(ServerConfig{})
+	srvTr := obs.NewTracer()
+	srv := NewServer(ServerConfig{Tracer: srvTr})
 	defer srv.Close()
 	cp, sp := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- srv.HandleConn(sp) }()
-	c, err := NewClient(cp, "alice", "plain")
+	c, err := NewClient(cp, "alice", "plain", WithTraceContext())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Upload("f", []byte("content")); err != nil {
 		t.Fatalf("upload: %v", err)
 	}
-	if _, ok := c.conn.(*meterConn); ok {
-		t.Fatal("untraced client wrapped its connection in a meter")
-	}
-	in, out := c.WireTotals()
-	if in != 0 || out != 0 {
-		t.Fatalf("untraced client counted bytes: in=%d out=%d", in, out)
+	if _, err := c.Download("f"); err != nil {
+		t.Fatalf("download: %v", err)
 	}
 	c.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("HandleConn: %v", err)
+	}
+	if c.wc.charged != 0 {
+		t.Fatalf("untraced client charged %d bytes to a ledger", c.wc.charged)
+	}
+	for _, sd := range srvTr.Spans() {
+		if sd.RemoteParent != 0 {
+			t.Fatalf("server span %s has a remote parent: the untraced client sent a trace context", sd.Name)
+		}
+	}
+	in, out := c.WireTotals()
+	st := srv.Stats()
+	if in == 0 || in != st.BytesSent || out != st.BytesReceived {
+		t.Fatalf("client wire in=%d out=%d, server sent=%d received=%d", in, out, st.BytesSent, st.BytesReceived)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/protocol"
 	"cloudsync/internal/store/wal"
-	"cloudsync/internal/wire"
 )
 
 // DataPieceSize is the Data-message payload granularity for content
@@ -364,22 +363,6 @@ func (s *Server) unregister(conn net.Conn) {
 	s.handlers.Done()
 }
 
-// countingReader tallies the bytes the server reads off a connection:
-// into the server-wide counter and the per-session counter that feeds
-// the session-TUE histogram.
-type countingReader struct {
-	r    io.Reader
-	sess *int64
-	obsC *obs.Counter
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	*cr.sess += int64(n)
-	cr.obsC.Add(int64(n))
-	return n, err
-}
-
 // HandleConn runs one client session to completion. It returns nil on
 // clean disconnect (EOF). A session that ends mid-upload — however it
 // ends — stashes the partial buffers so a reconnecting client can
@@ -394,23 +377,16 @@ func (s *Server) HandleConn(conn net.Conn) error {
 		return err
 	}
 	defer s.unregister(conn)
-	defer conn.Close()
-	sess := &session{srv: s, conn: conn, uploads: make(map[uint64]*pendingUpload)}
-	r := &countingReader{r: conn, sess: &sess.wireIn, obsC: s.om.bytesIn}
-	sess.w = &countingWriter{w: conn, n: &sess.wireOut, obsC: s.om.bytesOut}
-	sess.enc = wire.GetFrame(512)
-	defer func() { wire.PutFrame(sess.enc); sess.enc = nil }()
+	sess := &session{srv: s, wc: newWireConn(conn, 512, 4096), uploads: make(map[uint64]*pendingUpload)}
+	sess.wc.led, sess.wc.inC, sess.wc.outC = s.cfg.Ledger, s.om.bytesIn, s.om.bytesOut
 	// Runs last: once every other defer has finished touching the wire,
-	// sweep the session's unattributed bytes into the ledger.
-	defer sess.settle()
+	// close it and sweep the session's unattributed bytes into the ledger.
+	defer sess.wc.settle()
 
-	readBuf := wire.GetFrame(4096)
-	defer func() { wire.PutFrame(readBuf) }()
-	first, readBuf, err := protocol.ReadMessageBuf(r, readBuf)
+	first, err := sess.wc.recv()
 	if err != nil {
 		return fmt.Errorf("syncnet: reading hello: %w", err)
 	}
-	sess.chargeRead(first, sess.wireIn)
 	hello, ok := first.(*protocol.Hello)
 	if !ok {
 		sess.sendErr(protocol.ErrBadRequest, "expected hello")
@@ -427,16 +403,13 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	s.logf("session start user=%s device=%s", hello.User, hello.Device)
 
 	for {
-		in0 := sess.wireIn
-		msg, buf, err := protocol.ReadMessageBuf(r, readBuf)
-		readBuf = buf
+		msg, err := sess.wc.recv()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("syncnet: reading message: %w", err)
 		}
-		sess.chargeRead(msg, sess.wireIn-in0)
 		if err := sess.dispatch(msg); err != nil {
 			return err
 		}
@@ -491,12 +464,12 @@ func (ss *session) requestSpan(name string) *obs.Span {
 // per-session TUE histogram (wire bytes in over content bytes
 // committed, in thousandths) for sessions that committed content.
 func (ss *session) finish() {
-	ss.span.Set("bytes_in", ss.wireIn)
-	ss.span.Set("bytes_out", ss.wireOut)
+	ss.span.Set("bytes_in", ss.wc.in)
+	ss.span.Set("bytes_out", ss.wc.out)
 	ss.span.Set("content_bytes", ss.contentBytes)
 	ss.span.End()
 	if ss.contentBytes > 0 {
-		ss.srv.om.sessionTUEMilli.Observe(ss.wireIn * 1000 / ss.contentBytes)
+		ss.srv.om.sessionTUEMilli.Observe(ss.wc.in * 1000 / ss.contentBytes)
 	}
 	if fl := ss.srv.cfg.Flight; fl != nil {
 		fl.Record(obs.FlightRecord{At: time.Now().UnixNano(), Name: "server.session.end", User: ss.user})
@@ -592,25 +565,17 @@ func (s *Server) FileContent(user, name string) ([]byte, bool) {
 	return append([]byte(nil), f.data...), true
 }
 
-// session is the per-connection state: the in-progress uploads (a peer
-// may have several index→data→commit exchanges in flight), the
-// authenticated user, the pooled encode and ledger scratch, and the
-// session's observability context (wire byte counters, content-commit
-// total, span).
+// session is the per-connection state: the connection, the
+// in-progress uploads (a peer may have several index→data→commit
+// exchanges in flight), the authenticated user, and the session's
+// observability context (content-commit total, span).
 type session struct {
 	srv  *Server
-	conn net.Conn
-	w    *countingWriter
+	wc   wireConn
 	user string
 
 	uploads map[uint64]*pendingUpload // keyed by fileID
 
-	enc  []byte     // pooled frame scratch, reused across replies
-	segs []causeSeg // reusable ledger-segment scratch
-
-	wireIn       int64
-	wireOut      int64
-	charged      int64 // wire bytes already attributed to the ledger
 	contentBytes int64 // raw content bytes committed this session
 	span         *obs.Span
 
@@ -621,70 +586,9 @@ type session struct {
 	rParent uint64
 }
 
-// send encodes one reply into the session's pooled scratch and writes
-// it, charging the bytes actually written to the server's ledger by
-// message semantics. The server attributes by message type only:
-// unlike the client it cannot know whether a peer's retry made these
-// bytes a retransmission.
-func (ss *session) send(m protocol.Message) error {
-	enc := protocol.AppendEncode(ss.enc[:0], m)
-	ss.enc = enc[:0]
-	n, err := ss.w.Write(enc)
-	if led := ss.srv.cfg.Ledger; led != nil {
-		segs := messageSegments(ss.segs[:0], m, int64(len(enc)))
-		ss.charged += chargeSegs(led, segs, int64(n))
-		ss.segs = segs[:0]
-	}
-	if err != nil {
-		return fmt.Errorf("syncnet: sending %v: %w", m.Type(), err)
-	}
-	return nil
-}
-
-// sendData writes one download Data piece as a vectored send: header
-// from the pooled scratch, payload slice directly — the content is
-// never copied into a frame buffer.
-func (ss *session) sendData(fileID uint64, offset int64, payload []byte) error {
-	hdr := protocol.AppendDataHeader(ss.enc[:0], fileID, offset, len(payload))
-	ss.enc = hdr[:0]
-	n, err := ss.w.writeVectored(hdr, payload)
-	if led := ss.srv.cfg.Ledger; led != nil {
-		segs := appendDataSegments(ss.segs[:0], int64(len(hdr)+len(payload)), int64(len(payload)))
-		ss.charged += chargeSegs(led, segs, n)
-		ss.segs = segs[:0]
-	}
-	if err != nil {
-		return fmt.Errorf("syncnet: sending data: %w", err)
-	}
-	return nil
-}
-
 func (ss *session) sendErr(code uint32, msg string) {
-	if err := ss.send(&protocol.Error{Code: code, Msg: msg}); err != nil {
+	if err := ss.wc.send(&protocol.Error{Code: code, Msg: msg}); err != nil {
 		log.Printf("syncnet: sending error reply: %v", err)
-	}
-}
-
-// chargeRead attributes one fully read request's wire bytes.
-func (ss *session) chargeRead(m protocol.Message, consumed int64) {
-	if led := ss.srv.cfg.Ledger; led != nil {
-		segs := messageSegments(ss.segs[:0], m, consumed)
-		ss.charged += chargeSegs(led, segs, consumed)
-		ss.segs = segs[:0]
-	}
-}
-
-// settle sweeps the session's unattributed wire bytes — partial frames
-// read or written around a connection cut — into framing, after which
-// the server ledger's total equals BytesReceived+BytesSent exactly.
-func (ss *session) settle() {
-	led := ss.srv.cfg.Ledger
-	if led == nil {
-		return
-	}
-	if resid := ss.wireIn + ss.wireOut - ss.charged; resid > 0 {
-		led.Add(ledger.Framing, resid)
-		ss.charged += resid
 	}
 }
 
@@ -843,7 +747,7 @@ func (s *Server) verifiedContent(hit bool, stored, payload []byte, size int64, h
 func (ss *session) onIndexUpdate(m *protocol.IndexUpdate) error {
 	id, stored, hit := ss.probe(m.Name, m.FileHash, m.Size)
 	ss.uploads[id] = &pendingUpload{id: id, name: m.Name, size: m.Size, hash: m.FileHash, dedupHit: hit, stored: stored}
-	return ss.send(&protocol.IndexReply{FileID: id, DedupHit: hit})
+	return ss.wc.send(&protocol.IndexReply{FileID: id, DedupHit: hit})
 }
 
 // onResumeQuery adopts a stashed partial upload matching the client's
@@ -853,12 +757,12 @@ func (ss *session) onResumeQuery(m *protocol.ResumeQuery) error {
 	s := ss.srv
 	up := s.takePending(pendingKey{user: ss.user, name: m.Name, size: m.Size, hash: m.FileHash})
 	if up == nil {
-		return ss.send(&protocol.ResumeInfo{})
+		return ss.wc.send(&protocol.ResumeInfo{})
 	}
 	ss.uploads[up.id] = up
 	s.om.resumes.Inc()
 	s.logf("resuming %s/%s at offset %d", ss.user, up.name, len(up.buf))
-	return ss.send(&protocol.ResumeInfo{FileID: up.id, Offset: int64(len(up.buf))})
+	return ss.wc.send(&protocol.ResumeInfo{FileID: up.id, Offset: int64(len(up.buf))})
 }
 
 // onData appends one piece to its upload. A bad piece ends the session
@@ -900,7 +804,7 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
 		return err
 	}
-	return ss.send(&protocol.Ack{FileID: id, Version: version, OK: true})
+	return ss.wc.send(&protocol.Ack{FileID: id, Version: version, OK: true})
 }
 
 // store commits raw content under the user's name and returns the
@@ -969,7 +873,7 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 		return err
 	}
 	s.logf("bundle: committed %d/%d entries for %s", committed, len(m.Entries), ss.user)
-	return ss.send(&protocol.BundleReply{Results: results})
+	return ss.wc.send(&protocol.BundleReply{Results: results})
 }
 
 func (ss *session) onDelete(m *protocol.Delete) error {
@@ -991,7 +895,7 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
 		return err
 	}
-	return ss.send(&protocol.Ack{FileID: m.FileID, Version: version, OK: true})
+	return ss.wc.send(&protocol.Ack{FileID: m.FileID, Version: version, OK: true})
 }
 
 func (ss *session) onGet(m *protocol.Get) error {
@@ -1011,31 +915,28 @@ func (ss *session) onGet(m *protocol.Get) error {
 	s.mu.Unlock()
 	s.om.downloads.Inc()
 
-	if err := ss.send(info); err != nil {
+	if err := ss.wc.send(info); err != nil {
 		return err
 	}
-	payload := comp.Compress(raw, s.cfg.Compression)
-	for off := 0; off < len(payload) || off == 0; off += DataPieceSize {
-		end := off + DataPieceSize
-		if end > len(payload) {
-			end = len(payload)
-		}
-		if err := ss.sendData(info.FileID, int64(off), payload[off:end]); err != nil {
-			return err
-		}
-		if len(payload) == 0 {
-			break
-		}
+	if err := ss.wc.sendPayload(info.FileID, comp.Compress(raw, s.cfg.Compression), 0); err != nil {
+		return err
 	}
-	return ss.send(&protocol.Ack{FileID: info.FileID, Version: info.Version, OK: true})
+	return ss.wc.send(&protocol.Ack{FileID: info.FileID, Version: info.Version, OK: true})
 }
 
 // onSigRequest serves the signature a delta will be computed against,
 // with the file version it describes, at the block size the request
 // names, else the server's configured one, else the one the file's size
-// calls for. Stored content is immutable — files only ever swap to a
+// calls for. A named size outside [delta.MinBlockSize,
+// delta.MaxBlockSize] is refused, softly: below it the signature of a
+// large file would outweigh the file, above 2³¹ the size is negative as
+// a 32-bit int. Stored content is immutable — files only ever swap to a
 // new slice — so the file is signed outside s.mu, and nothing is kept.
 func (ss *session) onSigRequest(m *protocol.SigRequest) error {
+	if bs := m.BlockSize; bs != 0 && (bs < delta.MinBlockSize || bs > delta.MaxBlockSize) {
+		ss.sendErr(protocol.ErrBadRequest, "block size out of range")
+		return nil
+	}
 	s := ss.srv
 	s.mu.Lock()
 	f := s.account(ss.user).files[m.Name]
@@ -1048,7 +949,7 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	s.mu.Unlock()
 	s.om.signaturesServed.Inc()
 	bs := cmp.Or(int(m.BlockSize), s.cfg.BlockSize, delta.BlockSizeFor(int64(len(data))))
-	return ss.send(&protocol.SignatureMsg{Name: m.Name, Payload: delta.Sign(data, bs).Encode(), Version: version})
+	return ss.wc.send(&protocol.SignatureMsg{Name: m.Name, Payload: delta.Sign(data, bs).Encode(), Version: version})
 }
 
 // onDelta applies a delta to the one version it was cut against, and to
@@ -1110,7 +1011,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		return err
 	}
 	ss.srv.logf("delta-synced %s/%s v%d (%d literal bytes)", ss.user, m.Name, version, d.LiteralBytes())
-	return ss.send(&protocol.Ack{FileID: id, Version: version, OK: true})
+	return ss.wc.send(&protocol.Ack{FileID: id, Version: version, OK: true})
 }
 
 // staleBasis counts and refuses a delta cut against a version the file

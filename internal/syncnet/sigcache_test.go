@@ -394,7 +394,7 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	upload("recreate after delete", cur, false)
 	check("after delete and recreate")
 
-	if got, want := probe.signature("f", 256), delta.Sign(cur, 256).Encode(); !bytes.Equal(got, want) {
+	if got, want := probe.signature("f", 512), delta.Sign(cur, 512).Encode(); !bytes.Equal(got, want) {
 		t.Fatal("signature at another block size differs from delta.Sign")
 	}
 
@@ -407,7 +407,7 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.signature("f", 256)
+	probe.signature("f", 512)
 	cur = edit(cur, 2*bs)
 	reply := second.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: delta.Compute(basis, cur).Encode(), BaseVersion: sig.Version})
 	if ack, ok := reply.(*protocol.Ack); !ok || !ack.OK {
@@ -682,11 +682,7 @@ func newDevice(t *testing.T, srv *Server, name string, plan FaultPlan, opts ...C
 // arm makes the device's live connection cut after n more bytes (both
 // directions), exactly as a scheduled fault would.
 func (d *device) arm(n int64) {
-	conn := d.c.conn
-	if mc, ok := conn.(*meterConn); ok {
-		conn = mc.Conn
-	}
-	fc := conn.(*faultConn)
+	fc := d.c.wc.conn.(*faultConn)
 	fc.mu.Lock()
 	fc.budget = n
 	fc.mu.Unlock()
@@ -1047,7 +1043,7 @@ func TestFailedFullUploadLeavesNoSigner(t *testing.T) {
 	// whole file that precedes the first request.
 	c, closeC := pipeClient(t, srv, "alice", "dev", nil, WithBlockSize(64))
 	defer closeC()
-	c.conn.Close() // the first request fails, long before Sign could finish
+	c.wc.conn.Close() // the first request fails, long before Sign could finish
 	if _, err := c.Upload("f", content.Random(4<<20, 1).Bytes()); err == nil {
 		t.Fatal("upload on a closed connection succeeded")
 	}
