@@ -108,7 +108,9 @@ func WithUser(user string) Option {
 // WithAdaptiveSyncDefer replaces the service's deferment policy with
 // the paper's proposed ASD mechanism (Eq. 2).
 func WithAdaptiveSyncDefer(epsilon, tmax time.Duration) Option {
-	return func(o *service.Options) { o.Defer = deferpolicy.NewASD(epsilon, tmax) }
+	return func(o *service.Options) {
+		o.Defer = &deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: epsilon, TMax: tmax}
+	}
 }
 
 // SharedCloud attaches this simulation to another simulation's cloud,

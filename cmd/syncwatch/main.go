@@ -1,9 +1,12 @@
 // Command syncwatch is the watch-mode sync daemon: it mirrors a local
 // directory to a running syncd through the full watch-mode pipeline —
 // polling observer → debounced change buffer → pure planner →
-// parallel executor → atomically persisted baseline. Sync deferment
-// (including the paper's adaptive sync defer) is a planner policy
-// knob, selected with -defer. The durable client state (the baseline)
+// parallel executor → atomically persisted baseline. Sync deferment is
+// one deferpolicy.Policy value, the same one the simulator steps:
+// -defer selects its kind and that kind's flags its parameters; a
+// parameter the paper forbids (an ASD ε outside (0, 1 s], a zero
+// -tmax, a negative -defer-fixed, a zero UDS threshold or delay) is
+// refused before anything runs. The durable client state (the baseline)
 // lives under -state-dir, DIR/.syncwatch by default; a crash at any
 // point leaves either the old baseline or the new one, never a torn
 // file (see docs/DURABILITY.md).
@@ -37,6 +40,7 @@ import (
 	"time"
 
 	"cloudsync/internal/comp"
+	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/dirwatch"
 	"cloudsync/internal/planner"
 	"cloudsync/internal/syncnet"
@@ -73,30 +77,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.dir, "dir", ".", "directory to watch and sync")
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:7777", "syncd address")
-	flag.StringVar(&o.user, "user", "alice", "account name")
-	flag.StringVar(&o.device, "device", "syncwatch", "device name")
-	flag.DurationVar(&o.interval, "interval", time.Second, "poll interval")
-	flag.DurationVar(&o.debounce, "debounce", 500*time.Millisecond, "change buffer quiet window")
-	flag.StringVar(&o.stateDir, "state-dir", "",
-		"durable client state directory (default DIR/.syncwatch)")
-	flag.StringVar(&o.baseline, "baseline", "", "baseline path (default STATE-DIR/baseline.json)")
-	flag.IntVar(&o.workers, "workers", 2, "parallel transfer workers")
-	flag.BoolVar(&o.compress, "compress", true, "compress uploads (must match syncd)")
-	flag.BoolVar(&o.once, "once", false, "sync until converged, then exit")
-	flag.StringVar(&o.deferMode, "defer", "none", "sync deferment policy: none, fixed, asd, uds")
-	flag.DurationVar(&o.fixedT, "defer-fixed", 5*time.Second, "deferment for -defer fixed")
-	flag.DurationVar(&o.epsilon, "epsilon", 100*time.Millisecond, "ASD epsilon (Eq. 2)")
-	flag.DurationVar(&o.tmax, "tmax", 10*time.Second, "ASD maximum deferment (Eq. 2)")
-	flag.Int64Var(&o.threshold, "uds-threshold", 1<<20, "UDS size threshold (bytes)")
-	flag.DurationVar(&o.maxDelay, "uds-delay", 4*time.Second, "UDS maximum linger")
-	flag.BoolVar(&o.dryRun, "dry-run", false, "print the plan against the baseline and exit")
-	flag.StringVar(&o.replay, "replay", "", "replay a canned workload (freqmod) and exit")
-	flag.BoolVar(&o.explain, "explain", false, "with -replay: print per-cause ledgers and TUE deltas")
-	flag.IntVar(&o.files, "files", 2, "with -replay: files in the workload")
-	flag.IntVar(&o.edits, "edits", 8, "with -replay: edits per file")
-	flag.DurationVar(&o.editGap, "edit-interval", 500*time.Millisecond, "with -replay: virtual time between edits")
+	register(flag.CommandLine, &o)
 	flag.Parse()
 
 	if o.stateDir == "" {
@@ -121,28 +102,53 @@ func main() {
 	}
 }
 
-// deferConfig translates the policy flags.
-func deferConfig(o options) (planner.DeferConfig, error) {
-	cfg := planner.DeferConfig{
-		FixedT:    o.fixedT,
-		Epsilon:   o.epsilon,
-		TMax:      o.tmax,
-		Threshold: o.threshold,
-		MaxDelay:  o.maxDelay,
-	}
+// register binds every command-line flag to its field of o.
+func register(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.dir, "dir", ".", "directory to watch and sync")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7777", "syncd address")
+	fs.StringVar(&o.user, "user", "alice", "account name")
+	fs.StringVar(&o.device, "device", "syncwatch", "device name")
+	fs.DurationVar(&o.interval, "interval", time.Second, "poll interval")
+	fs.DurationVar(&o.debounce, "debounce", 500*time.Millisecond, "change buffer quiet window")
+	fs.StringVar(&o.stateDir, "state-dir", "",
+		"durable client state directory (default DIR/.syncwatch)")
+	fs.StringVar(&o.baseline, "baseline", "", "baseline path (default STATE-DIR/baseline.json)")
+	fs.IntVar(&o.workers, "workers", 2, "parallel transfer workers")
+	fs.BoolVar(&o.compress, "compress", true, "compress uploads (must match syncd)")
+	fs.BoolVar(&o.once, "once", false, "sync until converged, then exit")
+	fs.StringVar(&o.deferMode, "defer", "none", "sync deferment policy: none, fixed, asd, uds")
+	fs.DurationVar(&o.fixedT, "defer-fixed", 5*time.Second, "deferment for -defer fixed")
+	fs.DurationVar(&o.epsilon, "epsilon", 100*time.Millisecond, "ASD epsilon (Eq. 2)")
+	fs.DurationVar(&o.tmax, "tmax", 10*time.Second, "ASD maximum deferment (Eq. 2)")
+	fs.Int64Var(&o.threshold, "uds-threshold", 1<<20, "UDS size threshold (bytes)")
+	fs.DurationVar(&o.maxDelay, "uds-delay", 4*time.Second, "UDS maximum linger")
+	fs.BoolVar(&o.dryRun, "dry-run", false, "print the plan against the baseline and exit")
+	fs.StringVar(&o.replay, "replay", "", "replay a canned workload (freqmod) and exit")
+	fs.BoolVar(&o.explain, "explain", false, "with -replay: print per-cause ledgers and TUE deltas")
+	fs.IntVar(&o.files, "files", 2, "with -replay: files in the workload")
+	fs.IntVar(&o.edits, "edits", 8, "with -replay: edits per file")
+	fs.DurationVar(&o.editGap, "edit-interval", 500*time.Millisecond, "with -replay: virtual time between edits")
+}
+
+// deferPolicy translates the policy flags, refusing parameters the
+// paper does not allow (deferpolicy.Policy.Validate).
+func deferPolicy(o options) (deferpolicy.Policy, error) {
+	var p deferpolicy.Policy
 	switch o.deferMode {
 	case "none":
-		cfg.Mode = planner.DeferNone
 	case "fixed":
-		cfg.Mode = planner.DeferFixed
+		p = deferpolicy.Policy{Kind: deferpolicy.Fixed, T: o.fixedT}
 	case "asd":
-		cfg.Mode = planner.DeferASD
+		p = deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: o.epsilon, TMax: o.tmax}
 	case "uds":
-		cfg.Mode = planner.DeferUDS
+		p = deferpolicy.Policy{Kind: deferpolicy.UDS, Threshold: o.threshold, MaxDelay: o.maxDelay}
 	default:
-		return cfg, fmt.Errorf("unknown -defer mode %q", o.deferMode)
+		return p, fmt.Errorf("unknown -defer mode %q", o.deferMode)
 	}
-	return cfg, nil
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("-defer %s: %w", o.deferMode, err)
+	}
+	return p, nil
 }
 
 // ignored filters hidden files, editor droppings, and the syncwatch
@@ -211,12 +217,15 @@ func runReplay(o options, out io.Writer) error {
 	if o.replay != "freqmod" {
 		return fmt.Errorf("unknown -replay workload %q (have: freqmod)", o.replay)
 	}
-	policy, err := deferConfig(o)
+	fallback := o.deferMode == "none"
+	if fallback {
+		o.deferMode = "asd"
+	}
+	policy, err := deferPolicy(o)
 	if err != nil {
 		return err
 	}
-	if policy.Mode == planner.DeferNone {
-		policy = planner.DeferConfig{Mode: planner.DeferASD, Epsilon: o.epsilon, TMax: o.tmax}
+	if fallback {
 		fmt.Fprintf(out, "(-defer none would compare no-defer against itself; using asd)\n\n")
 	}
 	base := watchsync.ReplayConfig{
@@ -237,7 +246,7 @@ func runReplay(o options, out io.Writer) error {
 
 	fmt.Fprintf(out, "freqmod: %d files, %d edits each, one edit per %v\n\n",
 		o.files, o.edits, o.editGap)
-	fmt.Fprintf(out, "%-22s %14s %14s\n", "", "no-defer", policy.Mode.String())
+	fmt.Fprintf(out, "%-22s %14s %14s\n", "", "no-defer", policy.Kind.String())
 	row := func(label string, a, b any) { fmt.Fprintf(out, "%-22s %14v %14v\n", label, a, b) }
 	row("sync points", none.SyncPoints, pol.SyncPoints)
 	row("full uploads", none.Uploads, pol.Uploads)
@@ -249,13 +258,13 @@ func runReplay(o options, out io.Writer) error {
 	row("TUE", fmt.Sprintf("%.3f", none.TUE()), fmt.Sprintf("%.3f", pol.TUE()))
 	saved := none.ClientWire - pol.ClientWire
 	fmt.Fprintf(out, "\n%v saves %d wire bytes (%.1f%%), TUE %.3f -> %.3f\n",
-		policy.Mode, saved, 100*float64(saved)/float64(none.ClientWire),
+		policy.Kind, saved, 100*float64(saved)/float64(none.ClientWire),
 		none.TUE(), pol.TUE())
 
 	if o.explain {
 		fmt.Fprintf(out, "\n%s\n", none.ClientLedger.Table("no-defer client traffic by cause"))
-		fmt.Fprintf(out, "%s\n", pol.ClientLedger.Table(policy.Mode.String()+" client traffic by cause"))
-		fmt.Fprintf(out, "per-cause delta (no-defer minus %v):\n", policy.Mode)
+		fmt.Fprintf(out, "%s\n", pol.ClientLedger.Table(policy.Kind.String()+" client traffic by cause"))
+		fmt.Fprintf(out, "per-cause delta (no-defer minus %v):\n", policy.Kind)
 		diff := none.ClientLedger
 		for i := range diff {
 			diff[i] -= pol.ClientLedger[i]
@@ -270,7 +279,7 @@ func runReplay(o options, out io.Writer) error {
 // sleep. stop, when non-nil, requests a clean shutdown (tests use it;
 // the CLI runs until killed).
 func runDaemon(o options, stop <-chan struct{}) error {
-	policy, err := deferConfig(o)
+	policy, err := deferPolicy(o)
 	if err != nil {
 		return err
 	}
@@ -311,7 +320,7 @@ func runDaemon(o options, stop <-chan struct{}) error {
 		return err
 	}
 	log.Printf("syncwatch: mirroring %s to %s as %s (poll %v, debounce %v, defer %v, %d workers)",
-		o.dir, o.addr, o.user, o.interval, o.debounce, policy.Mode, o.workers)
+		o.dir, o.addr, o.user, o.interval, o.debounce, policy.Kind, o.workers)
 
 	synced := false
 	for {

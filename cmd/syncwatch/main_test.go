@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -70,6 +72,50 @@ func TestReplayCommand(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("replay output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestReplayRefusesForbiddenPolicies runs `-replay freqmod` through the
+// real flag set: parameters the paper forbids (deferpolicy's Validate)
+// are refused with a message naming the mode, and every kind's default
+// flags still replay, its name heading the comparison column.
+func TestReplayRefusesForbiddenPolicies(t *testing.T) {
+	for _, c := range []struct {
+		args    string
+		refused bool
+		column  string // the policy column's heading when replayed
+	}{
+		{"-defer asd -epsilon 0", true, ""},
+		{"-defer asd -epsilon 5s", true, ""},
+		{"-defer asd -tmax 0", true, ""},
+		{"-defer fixed -defer-fixed -1s", true, ""},
+		{"-defer uds -uds-threshold 0", true, ""},
+		{"-defer uds -uds-delay 0", true, ""},
+		{"-defer none", false, "asd"}, // no-defer against itself falls back to asd
+		{"-defer fixed", false, "fixed"},
+		{"-defer asd", false, "asd"},
+		{"-defer uds", false, "uds"},
+	} {
+		t.Run(c.args, func(t *testing.T) {
+			fs := flag.NewFlagSet("syncwatch", flag.ContinueOnError)
+			var o options
+			register(fs, &o)
+			if err := fs.Parse(append([]string{"-replay", "freqmod"}, strings.Fields(c.args)...)); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			err := runReplay(o, &out)
+			switch {
+			case c.refused && err == nil:
+				t.Fatalf("replayed with a forbidden policy:\n%s", out.String())
+			case c.refused && !strings.Contains(err.Error(), "-defer "+o.deferMode):
+				t.Fatalf("refusal %q does not name the mode", err)
+			case !c.refused && err != nil:
+				t.Fatal(err)
+			case !c.refused && !regexp.MustCompile(`no-defer +`+c.column+`\n`).MatchString(out.String()):
+				t.Fatalf("comparison column is not headed %q:\n%s", c.column, out.String())
+			}
+		})
 	}
 }
 

@@ -209,21 +209,6 @@ var experiments = []experiment{
 	}},
 }
 
-// extraExperiments are opt-in artifacts: runnable by explicit
-// -experiment name, never part of "all" or the pinned golden set.
-// Content seeds are a process-global sequence, so an experiment that
-// ran implicitly would shift the seeds — and the tables — of every
-// experiment after it.
-var extraExperiments = []experiment{
-	{"chunkingnc", "chunking ablation plus a normalized (two-mask) content-defined row", func(c config) string {
-		versions, size, edit := 10, int64(2<<20), 1024
-		if c.quick {
-			versions, size = 4, 512<<10
-		}
-		return core.RenderChunking(core.ChunkingAblationNC(versions, size, edit), versions, size, edit)
-	}},
-}
-
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "scale" {
 		runScale(os.Args[2:])
@@ -256,9 +241,6 @@ func main() {
 		for _, e := range experiments {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)
 		}
-		for _, e := range extraExperiments {
-			fmt.Printf("%-10s %s (extra; not part of \"all\")\n", e.name, e.desc)
-		}
 		return
 	}
 	cfg := config{quick: *quick, scale: *scale, seed: *seed}
@@ -267,19 +249,14 @@ func main() {
 	for _, n := range strings.Split(*name, ",") {
 		selected[strings.TrimSpace(n)] = true
 	}
-	runnable := append(append([]experiment(nil), experiments...), extraExperiments...)
 	known := map[string]bool{}
-	for _, e := range runnable {
+	for _, e := range experiments {
 		known[e.name] = true
-	}
-	extra := map[string]bool{}
-	for _, e := range extraExperiments {
-		extra[e.name] = true
 	}
 	for n := range selected {
 		if n != "all" && !known[n] {
 			var names []string
-			for _, e := range runnable {
+			for _, e := range experiments {
 				names = append(names, e.name)
 			}
 			sort.Strings(names)
@@ -291,9 +268,8 @@ func main() {
 
 	start := time.Now()
 	ran := 0
-	for _, e := range runnable {
-		// "all" is the pinned artifact set; extras run only by name.
-		if !selected[e.name] && !(selected["all"] && !extra[e.name]) {
+	for _, e := range experiments {
+		if !selected[e.name] && !selected["all"] {
 			continue
 		}
 		t0 := time.Now()

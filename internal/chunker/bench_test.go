@@ -71,19 +71,6 @@ func BenchmarkContentDefinedCutsRef(b *testing.B) {
 	}
 }
 
-// BenchmarkContentDefinedNC is the two-mask normalized variant,
-// geometry plus batched hashing.
-func BenchmarkContentDefinedNC(b *testing.B) {
-	data := benchData(4 << 20)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if blocks := ContentDefinedNC(data, 2<<10, 8<<10, 32<<10); len(blocks) == 0 {
-			b.Fatal("no blocks")
-		}
-	}
-}
-
 // BenchmarkBoundaries measures the geometry-only path chunk-object
 // stores use instead of Fixed when no fingerprints are needed.
 func BenchmarkBoundaries(b *testing.B) {

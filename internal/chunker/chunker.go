@@ -376,83 +376,3 @@ func CutPoints(data []byte, min, avg, max int) []Range {
 	}
 	return cuts
 }
-
-// ContentDefinedNC is ContentDefined with FastCDC's two-mask chunk-size
-// normalization: positions below the average length are judged with a
-// stricter mask (one extra bit) and positions at or beyond it with a
-// looser one (one bit fewer). Chunk sizes cluster around avg — fewer
-// tiny and fewer max-capped chunks — at the cost of slightly weaker
-// boundary stability under edits (a cut's survival now also depends on
-// which side of the average the scan meets it from). It is a separate
-// ablation variant: ContentDefined's cut points are untouched.
-func ContentDefinedNC(data []byte, min, avg, max int) []Block {
-	return sumBlocks(data, CutPointsNC(data, min, avg, max))
-}
-
-// CutPointsNC is the geometry-only pass of ContentDefinedNC. It uses
-// the same warm-up-window skip as CutPoints, with the judged segment
-// split at the average-length position where the mask switches. avg
-// must be at least 2 so the loose mask keeps one bit.
-func CutPointsNC(data []byte, min, avg, max int) []Range {
-	checkCDCParams(min, avg, max)
-	if avg < 2 {
-		panic(fmt.Sprintf("chunker: normalized chunking needs avg ≥ 2, got %d", avg))
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	if min < gearWindow {
-		return cutPointsNCRef(data, min, avg, max)
-	}
-	maskS := uint64(2*avg - 1) // one bit stricter: fires half as often
-	maskL := uint64(avg/2 - 1) // one bit looser: fires twice as often
-	cuts := make([]Range, 0, len(data)/avg+1)
-	start := 0
-	for len(data)-start >= min {
-		i := start + min - 1
-		end := start + max
-		if end > len(data) {
-			end = len(data)
-		}
-		// The strict segment covers lengths in [min, avg), the loose one
-		// [avg, max); both are clipped to the data.
-		split := start + avg - 1
-		if split > end {
-			split = end
-		}
-		var h uint64
-		for j := i - (gearWindow - 1); j < i; j++ {
-			h = (h << 1) + gearTable[data[j]]
-		}
-		cut := -1
-		for ; i < split; i++ {
-			h = (h << 1) + gearTable[data[i]]
-			if h&maskS == maskS {
-				cut = i
-				break
-			}
-		}
-		if cut < 0 {
-			for ; i < end; i++ {
-				h = (h << 1) + gearTable[data[i]]
-				if h&maskL == maskL {
-					cut = i
-					break
-				}
-			}
-		}
-		if cut < 0 {
-			if end == start+max {
-				cut = end - 1
-			} else {
-				break
-			}
-		}
-		cuts = append(cuts, Range{Off: int64(start), Len: int64(cut - start + 1)})
-		start = cut + 1
-	}
-	if start < len(data) {
-		cuts = append(cuts, Range{Off: int64(start), Len: int64(len(data) - start)})
-	}
-	return cuts
-}

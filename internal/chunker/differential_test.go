@@ -108,22 +108,6 @@ func TestDifferentialCutPoints(t *testing.T) {
 	}
 }
 
-// TestDifferentialCutPointsNC is the same harness for the normalized
-// two-mask variant.
-func TestDifferentialCutPointsNC(t *testing.T) {
-	r := diffRand(0x243F6A8885A308D3)
-	for iter := 0; iter < 1000; iter++ {
-		min, avg, max := randCDCParams(&r)
-		data := randData(&r, 64<<10)
-		got := CutPointsNC(data, min, avg, max)
-		want := cutPointsNCRef(data, min, avg, max)
-		if !rangesEqual(got, want) {
-			t.Fatalf("iter %d: CutPointsNC(len=%d, %d/%d/%d) diverged from reference:\ngot  %v\nwant %v",
-				iter, len(data), min, avg, max, clip(got), clip(want))
-		}
-	}
-}
-
 // TestDifferentialContentDefined holds the full optimized pipeline —
 // geometry pass plus batched MD5 — to the reference scan's blocks.
 func TestDifferentialContentDefined(t *testing.T) {
@@ -160,9 +144,6 @@ func TestCutPointsEmpty(t *testing.T) {
 	}
 	if got := ContentDefined(nil, 64, 128, 256); got != nil {
 		t.Fatalf("ContentDefined(nil) = %v", got)
-	}
-	if got := CutPointsNC(nil, 64, 128, 256); got != nil {
-		t.Fatalf("CutPointsNC(nil) = %v", got)
 	}
 }
 
@@ -264,44 +245,4 @@ func TestCutPointsGeometryMatchesContentDefined(t *testing.T) {
 			t.Fatalf("range %d = %+v, block %+v", i, cuts[i], blocks[i])
 		}
 	}
-}
-
-// TestContentDefinedNCTightensSizes: normalization must concentrate
-// chunk sizes around the average — strictly fewer min-adjacent and
-// max-capped chunks than the single-mask scan on the same input.
-func TestContentDefinedNCTightensSizes(t *testing.T) {
-	r := diffRand(123456789)
-	data := make([]byte, 1<<20)
-	for i := range data {
-		data[i] = byte(r.next())
-	}
-	const min, avg, max = 2048, 8192, 32768
-	spread := func(cuts []Range) (below, above int) {
-		for _, c := range cuts[:len(cuts)-1] { // final chunk is truncation noise
-			if c.Len < avg/2 {
-				below++
-			}
-			if c.Len >= 3*avg {
-				above++
-			}
-		}
-		return below, above
-	}
-	sBelow, sAbove := spread(CutPoints(data, min, avg, max))
-	nBelow, nAbove := spread(CutPointsNC(data, min, avg, max))
-	if nBelow >= sBelow {
-		t.Fatalf("NC small-chunk count %d not below single-mask %d", nBelow, sBelow)
-	}
-	if nAbove > sAbove {
-		t.Fatalf("NC oversized-chunk count %d above single-mask %d", nAbove, sAbove)
-	}
-}
-
-func TestContentDefinedNCValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ContentDefinedNC with avg=1 did not panic")
-		}
-	}()
-	ContentDefinedNC([]byte{1, 2, 3}, 1, 1, 4)
 }

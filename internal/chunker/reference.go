@@ -1,13 +1,13 @@
 package chunker
 
-// Reference cut-point scans: the byte-at-a-time loops the optimized
-// CutPoints/CutPointsNC paths must agree with exactly. They judge every
-// byte with the full length checks — no warm-up skip, no segment
-// bounds — which makes them obviously correct and obviously slow. They
-// are not test fixtures: CutPoints falls back to them whenever
-// min < gearWindow (the skip would underrun the chunk start), and the
-// differential harness holds the fast paths to them on every random
-// parameter draw, so they must stay in the package proper.
+// Reference cut-point scan: the byte-at-a-time loop the optimized
+// CutPoints path must agree with exactly. It judges every byte with the
+// full length checks — no warm-up skip, no segment bounds — which makes
+// it obviously correct and obviously slow. It is not a test fixture:
+// CutPoints falls back to it whenever min < gearWindow (the skip would
+// underrun the chunk start), and the differential harness holds the
+// fast path to it on every random parameter draw, so it must stay in
+// the package proper.
 
 // cutPointsRef is the reference boundary scan for CutPoints: the
 // original ContentDefined loop with the MD5 pass removed. Callers have
@@ -21,41 +21,6 @@ func cutPointsRef(data []byte, min, avg, max int) []Range {
 		h = (h << 1) + gearTable[data[i]]
 		length := i - start + 1
 		if (length >= min && h&mask == mask) || length >= max {
-			cuts = append(cuts, Range{Off: int64(start), Len: int64(length)})
-			start = i + 1
-			h = 0
-		}
-	}
-	if start < len(data) {
-		cuts = append(cuts, Range{Off: int64(start), Len: int64(len(data) - start)})
-	}
-	return cuts
-}
-
-// cutPointsNCRef is the reference scan for CutPointsNC: two-mask
-// normalization judged byte-at-a-time. Lengths in [min, avg) use the
-// strict mask (one bit more than avg's), lengths in [avg, max) the
-// loose one (one bit fewer), and max still forces a cut.
-func cutPointsNCRef(data []byte, min, avg, max int) []Range {
-	maskS := uint64(2*avg - 1)
-	maskL := uint64(avg/2 - 1)
-	var cuts []Range
-	start := 0
-	var h uint64
-	for i := 0; i < len(data); i++ {
-		h = (h << 1) + gearTable[data[i]]
-		length := i - start + 1
-		cut := false
-		switch {
-		case length >= max:
-			cut = true
-		case length < min:
-		case length < avg:
-			cut = h&maskS == maskS
-		default:
-			cut = h&maskL == maskL
-		}
-		if cut {
 			cuts = append(cuts, Range{Off: int64(start), Len: int64(length)})
 			start = i + 1
 			h = 0

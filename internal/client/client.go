@@ -91,7 +91,7 @@ type Config struct {
 	BDS        bool
 	BundleSize int
 
-	// Defer is the sync-deferment policy.
+	// Defer is the sync-deferment policy; it must be valid.
 	Defer deferpolicy.Policy
 
 	// Hardware drives Condition 2's metadata-computation time.
@@ -136,8 +136,8 @@ func (c Config) validate() {
 	if !c.FullFileSync && c.ChunkSize <= 0 {
 		panic("client: chunked sync requires ChunkSize")
 	}
-	if c.Defer == nil {
-		panic("client: Config.Defer must be set")
+	if err := c.Defer.Validate(); err != nil {
+		panic("client: " + err.Error())
 	}
 	if c.PayloadExpansion < 1 {
 		panic(fmt.Sprintf("client: PayloadExpansion %v < 1", c.PayloadExpansion))
@@ -184,6 +184,7 @@ type Client struct {
 	synced         map[string]*syncedInfo
 	pending        map[string]*pendingEntry
 	inSession      map[string]bool
+	deferState     deferpolicy.ASDState
 	deferTimer     *simclock.Timer
 	inFlight       bool
 	wantSync       bool
@@ -263,7 +264,8 @@ func (c *Client) onEvent(ev vfs.Event) {
 		}
 		p.deleted = true
 	}
-	delay := c.cfg.Defer.Delay(c.clock.Now(), c.pendingBytes())
+	var delay time.Duration
+	delay, c.deferState = c.cfg.Defer.Step(c.deferState, c.clock.Now(), c.pendingBytes())
 	if c.deferTimer != nil {
 		c.deferTimer.Stop()
 	}
@@ -709,7 +711,6 @@ func (c *Client) onAllSessionsDone() {
 	c.round = nil
 	c.inFlight = false
 	clear(c.inSession)
-	c.cfg.Defer.Reset()
 	if c.wantSync {
 		c.wantSync = false
 		c.trySync()

@@ -36,7 +36,7 @@ func defaultConfig() Config {
 		FullFileSync:        true,
 		UploadCompression:   comp.None,
 		DownloadCompression: comp.None,
-		Defer:               deferpolicy.None{},
+		Defer:               deferpolicy.Policy{},
 		Hardware:            hardware.M1(),
 		MetaPerSyncUp:       2000,
 		MetaPerSyncDown:     1000,
@@ -215,7 +215,7 @@ func TestDeletionTrafficNegligible(t *testing.T) {
 
 func TestDeleteBeforeSyncCostsNothing(t *testing.T) {
 	cfg := defaultConfig()
-	cfg.Defer = deferpolicy.Fixed{T: time.Minute}
+	cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.Fixed, T: time.Minute}
 	r := newRig(t, cfg, cloud.Config{}, netem.Minnesota(), true)
 	r.fs.Create("temp", content.Random(1000, 7))
 	r.fs.Delete("temp")
@@ -284,7 +284,7 @@ func TestFixedDeferBatchesFastUpdates(t *testing.T) {
 	// Appends every 1 s with a 4.2 s deferment: everything batches into
 	// one sync at the end (Fig. 6(a), X < T region).
 	cfg := defaultConfig()
-	cfg.Defer = deferpolicy.Fixed{T: 4200 * time.Millisecond}
+	cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.Fixed, T: 4200 * time.Millisecond}
 	r := newRig(t, cfg, cloud.Config{}, netem.Minnesota(), true)
 	r.fs.Create("doc", content.Random(0, 11))
 	r.clock.Run()
@@ -312,7 +312,7 @@ func TestFixedDeferUselessForSlowUpdates(t *testing.T) {
 	// Appends every 10 s with a 4.2 s deferment: every append syncs
 	// separately (the X > T traffic overuse of Fig. 6).
 	cfg := defaultConfig()
-	cfg.Defer = deferpolicy.Fixed{T: 4200 * time.Millisecond}
+	cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.Fixed, T: 4200 * time.Millisecond}
 	r := newRig(t, cfg, cloud.Config{}, netem.Minnesota(), true)
 	r.fs.Create("doc", content.Random(0, 12))
 	r.clock.Run()
@@ -331,7 +331,7 @@ func TestASDBatchesSlowUpdates(t *testing.T) {
 	// The same 10 s cadence with ASD: the deferment adapts above 10 s
 	// and batches everything.
 	cfg := defaultConfig()
-	cfg.Defer = deferpolicy.NewASD(500*time.Millisecond, time.Minute)
+	cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 500 * time.Millisecond, TMax: time.Minute}
 	r := newRig(t, cfg, cloud.Config{}, netem.Minnesota(), true)
 	r.fs.Create("doc", content.Random(0, 13))
 	r.clock.Run()
@@ -441,7 +441,7 @@ func TestConfigValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.User = "" },
 		func(c *Config) { c.FullFileSync = false; c.ChunkSize = 0 },
-		func(c *Config) { c.Defer = nil },
+		func(c *Config) { c.Defer = deferpolicy.Policy{Kind: deferpolicy.Fixed, T: -time.Second} },
 		func(c *Config) { c.PayloadExpansion = 0.5 },
 		func(c *Config) { c.Hardware = hardware.Profile{} },
 	}
@@ -482,7 +482,7 @@ func TestRapidEditsCoalesceDirtyRanges(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.FullFileSync = false
 	cfg.ChunkSize = 8 << 10
-	cfg.Defer = deferpolicy.Fixed{T: time.Second}
+	cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.Fixed, T: time.Second}
 	r := newRig(t, cfg, cloud.Config{}, netem.Minnesota(), true)
 	r.fs.Create("f", content.Random(1<<20, 18))
 	r.clock.Run()

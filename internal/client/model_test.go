@@ -35,13 +35,13 @@ func TestPropertyCloudMirrorsFolder(t *testing.T) {
 		cfg.BDS = rng.Intn(2) == 0
 		switch rng.Intn(4) {
 		case 0:
-			cfg.Defer = deferpolicy.None{}
+			cfg.Defer = deferpolicy.Policy{}
 		case 1:
-			cfg.Defer = deferpolicy.Fixed{T: time.Duration(1+rng.Intn(8)) * time.Second}
+			cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.Fixed, T: time.Duration(1+rng.Intn(8)) * time.Second}
 		case 2:
-			cfg.Defer = deferpolicy.NewASD(500*time.Millisecond, 30*time.Second)
+			cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 500 * time.Millisecond, TMax: 30 * time.Second}
 		case 3:
-			cfg.Defer = deferpolicy.UDS{Threshold: 64 << 10, MaxDelay: 20 * time.Second}
+			cfg.Defer = deferpolicy.Policy{Kind: deferpolicy.UDS, Threshold: 64 << 10, MaxDelay: 20 * time.Second}
 		}
 		cfg.SharedSession = rng.Intn(2) == 0
 		cfg.UploadCompression = comp.Level(rng.Intn(3))
@@ -94,8 +94,8 @@ func TestPropertyCloudMirrorsFolder(t *testing.T) {
 
 		// Convergence: every folder file is live in the cloud with
 		// identical content; nothing extra is live in the cloud.
-		desc := fmt.Sprintf("iter %d (fullfile=%v dedup=%v bds=%v defer=%s shared=%v)",
-			iter, cfg.FullFileSync, cfg.UseDedup, cfg.BDS, cfg.Defer.Name(), cfg.SharedSession)
+		desc := fmt.Sprintf("iter %d (fullfile=%v dedup=%v bds=%v defer=%v shared=%v)",
+			iter, cfg.FullFileSync, cfg.UseDedup, cfg.BDS, cfg.Defer.Kind, cfg.SharedSession)
 		if r.client.PendingCount() != 0 || r.client.InFlight() {
 			t.Fatalf("%s: client did not quiesce (pending=%d inflight=%v)",
 				desc, r.client.PendingCount(), r.client.InFlight())

@@ -24,26 +24,6 @@ type ChunkingCell struct {
 	FirstVersion int64
 }
 
-// ChunkingAblation quantifies the discussion the paper cites ([19],
-// [39]) but sidesteps: how much better content-defined chunking and
-// rolling-hash delta sync handle *insertions* than the "simple and
-// natural" fixed-size blocking used for the Fig. 5 analysis. Each
-// version inserts editSize random bytes at a pseudo-random offset; the
-// upload cost of a version is the volume of chunks the store has not
-// seen yet (or, for rsync, the encoded delta).
-func ChunkingAblation(versions int, fileSize int64, editSize int) []ChunkingCell {
-	return runChunkingAblation(versions, fileSize, editSize, false)
-}
-
-// ChunkingAblationNC is the ablation with one extra row: normalized
-// (two-mask) content-defined chunking, which trades a slightly less
-// content-driven boundary choice for a tighter chunk-size distribution.
-// It is an opt-in extra — it consumes content seeds, so it never runs
-// as part of the pinned experiment set.
-func ChunkingAblationNC(versions int, fileSize int64, editSize int) []ChunkingCell {
-	return runChunkingAblation(versions, fileSize, editSize, true)
-}
-
 // chunkScheme is one chunk-store discipline under ablation. Chunking
 // runs through content.CDCFingerprints / chunker so repeated
 // fingerprinting of the same blob is a cache hit.
@@ -52,7 +32,14 @@ type chunkScheme struct {
 	chunks func(b *content.Blob) []chunker.Block
 }
 
-func runChunkingAblation(versions int, fileSize int64, editSize int, normalized bool) []ChunkingCell {
+// ChunkingAblation quantifies the discussion the paper cites ([19],
+// [39]) but sidesteps: how much better content-defined chunking and
+// rolling-hash delta sync handle *insertions* than the "simple and
+// natural" fixed-size blocking used for the Fig. 5 analysis. Each
+// version inserts editSize random bytes at a pseudo-random offset; the
+// upload cost of a version is the volume of chunks the store has not
+// seen yet (or, for rsync, the encoded delta).
+func ChunkingAblation(versions int, fileSize int64, editSize int) []ChunkingCell {
 	if versions < 2 || fileSize <= 0 || fileSize > content.MaterializeLimit || editSize <= 0 {
 		panic(fmt.Sprintf("core: ChunkingAblation(%d, %d, %d) out of range", versions, fileSize, editSize))
 	}
@@ -89,12 +76,6 @@ func runChunkingAblation(versions int, fileSize int64, editSize int, normalized 
 		{"content-defined (2/8/32 KB)", func(b *content.Blob) []chunker.Block {
 			return content.CDCFingerprints(b, 2<<10, 8<<10, 32<<10)
 		}},
-	}
-	if normalized {
-		schemes = append(schemes, chunkScheme{
-			"content-defined normalized (2/8/32 KB)", func(b *content.Blob) []chunker.Block {
-				return chunker.ContentDefinedNC(b.Bytes(), 2<<10, 8<<10, 32<<10)
-			}})
 	}
 
 	// The chain is read-only from here on; the scheme evaluations (each

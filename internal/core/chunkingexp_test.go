@@ -46,37 +46,6 @@ func TestChunkingAblation(t *testing.T) {
 	}
 }
 
-// TestChunkingAblationNC: the normalized row rides along without
-// disturbing the standard rows, still beats fixed blocking on
-// insertions, and uploads the whole file once like every chunk store.
-func TestChunkingAblationNC(t *testing.T) {
-	const versions = 6
-	const fileSize = 1 << 20
-	const editSize = 512
-	cells := ChunkingAblationNC(versions, fileSize, editSize)
-	if len(cells) != 4 {
-		t.Fatalf("cells = %d, want 4 (fixed, cdc, cdc-nc, rsync)", len(cells))
-	}
-	byName := map[string]ChunkingCell{}
-	for _, c := range cells {
-		byName[c.Scheme] = c
-	}
-	fixed, ok := byName["fixed 8 KB blocks"]
-	if !ok {
-		t.Fatal("fixed row missing")
-	}
-	nc, ok := byName["content-defined normalized (2/8/32 KB)"]
-	if !ok {
-		t.Fatal("normalized row missing")
-	}
-	if nc.Uploaded > fixed.Uploaded/5 {
-		t.Errorf("normalized CDC uploaded %d vs fixed %d; want ≥ 5× better", nc.Uploaded, fixed.Uploaded)
-	}
-	if nc.FirstVersion < fileSize*9/10 || nc.FirstVersion > fileSize*11/10 {
-		t.Errorf("normalized first upload %d, want ≈ %d", nc.FirstVersion, fileSize)
-	}
-}
-
 func TestChunkingAblationValidation(t *testing.T) {
 	for _, c := range [][3]int64{{1, 1000, 10}, {3, 0, 10}, {3, 1000, 0}} {
 		func() {

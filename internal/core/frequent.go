@@ -127,32 +127,29 @@ type PolicyCell struct {
 // fixed deferments fail (X > T). The (policy × X) cells run on the
 // worker pool.
 func ASDEvaluation(n service.Name, xs []float64) []PolicyCell {
+	asd := service.ReferenceClientConfig().Defer
 	policies := []struct {
-		label string
-		mk    func() deferpolicy.Policy
+		label  string
+		policy *deferpolicy.Policy
 	}{
-		{"native", func() deferpolicy.Policy { return nil }}, // service default
-		{"asd", func() deferpolicy.Policy {
-			return deferpolicy.NewASD(500*time.Millisecond, 45*time.Second)
-		}},
-		{"uds", func() deferpolicy.Policy {
-			return deferpolicy.UDS{Threshold: 256 << 10, MaxDelay: 5 * time.Minute}
-		}},
+		{"native", nil}, // service default
+		{"asd", &asd},   // the reference design's policy
+		{"uds", &deferpolicy.Policy{Kind: deferpolicy.UDS, Threshold: 256 << 10, MaxDelay: 5 * time.Minute}},
 	}
 	type task struct {
-		label string
-		mk    func() deferpolicy.Policy
-		x     float64
-		seed  int64
+		label  string
+		policy *deferpolicy.Policy
+		x      float64
+		seed   int64
 	}
 	var tasks []task
 	for _, p := range policies {
 		for _, x := range xs {
-			tasks = append(tasks, task{label: p.label, mk: p.mk, x: x, seed: nextSeed()})
+			tasks = append(tasks, task{label: p.label, policy: p.policy, x: x, seed: nextSeed()})
 		}
 	}
 	return parallel.Map(tasks, func(_ int, t task) PolicyCell {
-		tue := appendTUE(n, service.Options{Defer: t.mk()}, t.x, t.seed)
+		tue := appendTUE(n, service.Options{Defer: t.policy}, t.x, t.seed)
 		return PolicyCell{Service: n, Policy: t.label, X: t.x, TUE: tue}
 	})
 }

@@ -13,8 +13,11 @@
 //   - UDS: the byte-counter baseline from the authors' earlier work
 //     [36]: sync once pending bytes exceed a threshold.
 //
-// The client calls Delay on every update; the returned duration
-// (re)arms its defer timer. A zero delay means "sync now".
+// A Policy is a plain comparable value. Its caller keeps the adaptive
+// state and steps it on every update; the returned duration (re)arms
+// the caller's defer timer, and a zero delay means "sync now". The
+// simulated client and the watch-mode planner both step the same value,
+// so the two can never disagree about a deferment.
 package deferpolicy
 
 import (
@@ -22,58 +25,111 @@ import (
 	"time"
 )
 
-// Policy decides how long to defer synchronization after an update.
-type Policy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
-	// Delay is invoked at each file update with the current virtual
-	// time and the total bytes pending synchronization. The client
-	// (re)arms its defer timer to fire after the returned duration.
-	Delay(now time.Duration, pendingBytes int64) time.Duration
-	// Reset clears adaptive state (called when a sync completes).
-	Reset()
-}
+// Kind selects one of the § 6.1 deferment mechanisms.
+type Kind uint8
 
-// None syncs immediately.
-type None struct{}
+const (
+	// None syncs immediately.
+	None Kind = iota
+	// Fixed defers by a constant T, restarted on every update
+	// (debounce): updates arriving faster than T batch indefinitely;
+	// updates slower than T each sync separately.
+	Fixed
+	// ASD is the adaptive sync defer mechanism, Eq. (2).
+	ASD
+	// UDS defers while pending bytes are below Threshold and syncs
+	// immediately once they reach it; MaxDelay bounds how long a small
+	// update can linger.
+	UDS
+)
 
-// Name implements Policy.
-func (None) Name() string { return "none" }
-
-// Delay implements Policy: always zero.
-func (None) Delay(time.Duration, int64) time.Duration { return 0 }
-
-// Reset implements Policy.
-func (None) Reset() {}
-
-// Fixed defers by a constant T, restarted on every update (debounce):
-// updates arriving faster than T batch indefinitely; updates slower
-// than T each sync separately.
-type Fixed struct {
-	T time.Duration
-}
-
-// Name implements Policy.
-func (f Fixed) Name() string { return fmt.Sprintf("fixed(%v)", f.T) }
-
-// Delay implements Policy.
-func (f Fixed) Delay(time.Duration, int64) time.Duration {
-	if f.T < 0 {
-		panic(fmt.Sprintf("deferpolicy: negative fixed deferment %v", f.T))
+// String names the kind in experiment and command output.
+func (k Kind) String() string {
+	switch k {
+	case None:
+		return "none"
+	case Fixed:
+		return "fixed"
+	case ASD:
+		return "asd"
+	case UDS:
+		return "uds"
+	default:
+		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
-	return f.T
 }
 
-// Reset implements Policy.
-func (Fixed) Reset() {}
+// Policy is one deferment policy: a kind and the parameters that kind
+// reads (the others are ignored). The zero value is None.
+type Policy struct {
+	Kind Kind
+	// T is the Fixed deferment.
+	T time.Duration
+	// Epsilon keeps the ASD deferment slightly above the inter-update
+	// time; the paper requires ε ∈ (0, 1) seconds. TMax caps it so idle
+	// files do not wait unboundedly.
+	Epsilon time.Duration
+	TMax    time.Duration
+	// Threshold and MaxDelay parameterize UDS.
+	Threshold int64
+	MaxDelay  time.Duration
+}
 
-// ASDState is the adaptive estimator's complete state in pure,
-// value-passing form: the previous deferment estimate T_{i−1} and the
-// time of the last observed update. Threading an ASDState through
-// ASDStep is exactly equivalent to driving a stateful *ASD — the
-// pure-function planner (internal/planner) carries one per file across
-// planning rounds, so the defer decision never touches mutable state
-// or a wall clock.
+// Validate reports whether the policy's parameters are ones the paper
+// allows: a non-negative fixed T, ε ∈ (0, 1 s] and a positive TMax for
+// ASD, and a positive threshold and maximum delay for UDS.
+func (p Policy) Validate() error {
+	switch p.Kind {
+	case None:
+	case Fixed:
+		if p.T < 0 {
+			return fmt.Errorf("deferpolicy: negative fixed deferment %v", p.T)
+		}
+	case ASD:
+		if p.Epsilon <= 0 || p.Epsilon > time.Second {
+			return fmt.Errorf("deferpolicy: ASD epsilon %v outside (0, 1s]", p.Epsilon)
+		}
+		if p.TMax <= 0 {
+			return fmt.Errorf("deferpolicy: ASD TMax %v must be positive", p.TMax)
+		}
+	case UDS:
+		if p.Threshold <= 0 || p.MaxDelay <= 0 {
+			return fmt.Errorf("deferpolicy: UDS threshold %d and max delay %v must be positive",
+				p.Threshold, p.MaxDelay)
+		}
+	default:
+		return fmt.Errorf("deferpolicy: unknown kind %v", p.Kind)
+	}
+	return nil
+}
+
+// Step decides one update at virtual time now with pendingBytes
+// awaiting synchronization. It returns the delay to (re)arm the sync
+// timer with (zero = sync now) and the successor state; only ASD reads
+// or changes the state. Step is pure — equal inputs give equal
+// outputs — so the caller owns the state and may carry it across syncs,
+// planning rounds or processes. The policy must be valid.
+func (p Policy) Step(s ASDState, now time.Duration, pendingBytes int64) (time.Duration, ASDState) {
+	switch p.Kind {
+	case Fixed:
+		return p.T, s
+	case ASD:
+		return ASDStep(s, now, p.Epsilon, p.TMax)
+	case UDS:
+		if pendingBytes >= p.Threshold {
+			return 0, s
+		}
+		return p.MaxDelay, s
+	default:
+		return 0, s
+	}
+}
+
+// ASDState is the adaptive estimator's complete state: the previous
+// deferment estimate T_{i−1} and the time of the last observed update.
+// Both are properties of the update stream, not of individual sync
+// sessions — Eq. (2) wants a long idle gap to lengthen the deferment
+// (capped at TMax) — so a caller never clears it when a sync completes.
 type ASDState struct {
 	// T is the current deferment estimate T_{i−1}.
 	T time.Duration
@@ -87,8 +143,7 @@ type ASDState struct {
 // ASDStep applies the paper's Eq. (2) to one update at virtual time
 // now: T_i = min(T_{i−1}/2 + Δt_i/2 + ε, T_max). It returns the new
 // deferment (the delay to re-arm the sync timer with) and the
-// successor state. The function is pure: equal inputs give equal
-// outputs, which is what makes deferment decisions table-testable.
+// successor state.
 func ASDStep(s ASDState, now, epsilon, tmax time.Duration) (time.Duration, ASDState) {
 	var dt time.Duration
 	if s.Seen {
@@ -100,79 +155,3 @@ func ASDStep(s ASDState, now, epsilon, tmax time.Duration) (time.Duration, ASDSt
 	}
 	return t, ASDState{T: t, LastUpdate: now, Seen: true}
 }
-
-// ASD is the adaptive sync defer mechanism (Eq. 2), the stateful
-// wrapper around ASDStep. The zero value is not usable; construct with
-// NewASD.
-type ASD struct {
-	// Epsilon keeps the deferment slightly above the inter-update time;
-	// the paper requires ε ∈ (0, 1) seconds.
-	Epsilon time.Duration
-	// TMax caps the deferment so idle files do not wait unboundedly.
-	TMax time.Duration
-
-	state ASDState
-}
-
-// NewASD constructs an adaptive sync defer policy. Epsilon must lie in
-// (0, 1 s]; TMax must be positive.
-func NewASD(epsilon, tmax time.Duration) *ASD {
-	if epsilon <= 0 || epsilon > time.Second {
-		panic(fmt.Sprintf("deferpolicy: ASD epsilon %v outside (0, 1s]", epsilon))
-	}
-	if tmax <= 0 {
-		panic(fmt.Sprintf("deferpolicy: ASD TMax %v must be positive", tmax))
-	}
-	return &ASD{Epsilon: epsilon, TMax: tmax}
-}
-
-// Name implements Policy.
-func (a *ASD) Name() string { return fmt.Sprintf("asd(ε=%v,Tmax=%v)", a.Epsilon, a.TMax) }
-
-// Delay implements Policy with the paper's update rule, by delegating
-// to the pure ASDStep.
-func (a *ASD) Delay(now time.Duration, _ int64) time.Duration {
-	delay, next := ASDStep(a.state, now, a.Epsilon, a.TMax)
-	a.state = next
-	return delay
-}
-
-// Reset implements Policy as a no-op: both the deferment estimate and
-// the inter-update clock are properties of the update stream, not of
-// individual sync sessions. Eq. (2) explicitly wants a long idle gap to
-// lengthen the deferment (capped at TMax), so nothing is cleared.
-func (a *ASD) Reset() {}
-
-// Current exposes the present deferment estimate T_i (for tests and
-// telemetry).
-func (a *ASD) Current() time.Duration { return a.state.T }
-
-// State exposes the estimator's pure state, so a caller can hand the
-// adaptive estimate across process or planning-round boundaries and
-// resume it with ASDStep.
-func (a *ASD) State() ASDState { return a.state }
-
-// UDS is the byte-counter batching baseline: defer while pending bytes
-// are below Threshold, sync immediately once they reach it. MaxDelay
-// bounds how long a small update can linger.
-type UDS struct {
-	Threshold int64
-	MaxDelay  time.Duration
-}
-
-// Name implements Policy.
-func (u UDS) Name() string { return fmt.Sprintf("uds(%dB,%v)", u.Threshold, u.MaxDelay) }
-
-// Delay implements Policy.
-func (u UDS) Delay(_ time.Duration, pendingBytes int64) time.Duration {
-	if u.Threshold <= 0 || u.MaxDelay <= 0 {
-		panic(fmt.Sprintf("deferpolicy: UDS misconfigured: %+v", u))
-	}
-	if pendingBytes >= u.Threshold {
-		return 0
-	}
-	return u.MaxDelay
-}
-
-// Reset implements Policy.
-func (UDS) Reset() {}

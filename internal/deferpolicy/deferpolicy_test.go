@@ -6,37 +6,52 @@ import (
 	"time"
 )
 
+// stepper threads one policy's state through a stream of updates, the
+// way the simulated client and the planner do.
+type stepper struct {
+	p Policy
+	s ASDState
+}
+
+func (st *stepper) delay(now time.Duration, pendingBytes int64) time.Duration {
+	d, next := st.p.Step(st.s, now, pendingBytes)
+	st.s = next
+	return d
+}
+
+func asd(eps, tmax time.Duration) *stepper {
+	return &stepper{p: Policy{Kind: ASD, Epsilon: eps, TMax: tmax}}
+}
+
 func TestNone(t *testing.T) {
-	var p None
-	if p.Delay(5*time.Second, 1000) != 0 {
-		t.Fatal("None should never defer")
+	var p Policy
+	if p.Kind != None || p.Validate() != nil {
+		t.Fatalf("zero Policy = %v (valid: %v), want a valid None", p.Kind, p.Validate())
 	}
-	if p.Name() != "none" {
-		t.Fatalf("Name = %q", p.Name())
+	if d, s := p.Step(ASDState{}, 5*time.Second, 1000); d != 0 || s != (ASDState{}) {
+		t.Fatalf("None Step = (%v, %+v), want (0, zero state)", d, s)
 	}
-	p.Reset()
 }
 
 func TestFixed(t *testing.T) {
-	p := Fixed{T: 4200 * time.Millisecond}
+	p := Policy{Kind: Fixed, T: 4200 * time.Millisecond}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
-		if got := p.Delay(time.Duration(i)*time.Second, int64(i*100)); got != p.T {
-			t.Fatalf("Delay = %v, want %v", got, p.T)
+		if got, s := p.Step(ASDState{}, time.Duration(i)*time.Second, int64(i*100)); got != p.T || s.Seen {
+			t.Fatalf("Step = (%v, %+v), want (%v, untouched state)", got, s, p.T)
 		}
 	}
-	if p.Name() == "" {
-		t.Fatal("empty name")
+	if err := (Policy{Kind: Fixed}).Validate(); err != nil {
+		t.Fatalf("zero fixed T refused: %v", err)
 	}
-	p.Reset()
 }
 
-func TestFixedNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative fixed deferment did not panic")
-		}
-	}()
-	Fixed{T: -time.Second}.Delay(0, 0)
+func TestFixedNegativeRefused(t *testing.T) {
+	if (Policy{Kind: Fixed, T: -time.Second}).Validate() == nil {
+		t.Fatal("negative fixed deferment accepted")
+	}
 }
 
 func TestASDValidation(t *testing.T) {
@@ -45,25 +60,23 @@ func TestASDValidation(t *testing.T) {
 		{2 * time.Second, time.Minute},
 		{time.Millisecond, 0},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewASD(%v, %v) did not panic", c.eps, c.tmax)
-				}
-			}()
-			NewASD(c.eps, c.tmax)
-		}()
+		if (Policy{Kind: ASD, Epsilon: c.eps, TMax: c.tmax}).Validate() == nil {
+			t.Errorf("ASD(ε=%v, Tmax=%v) accepted", c.eps, c.tmax)
+		}
+	}
+	if err := (Policy{Kind: ASD, Epsilon: time.Second, TMax: time.Nanosecond}).Validate(); err != nil {
+		t.Errorf("ASD at the edge of its range refused: %v", err)
 	}
 }
 
 func TestASDTracksInterUpdateTime(t *testing.T) {
 	// Updates every 7 s: the deferment should converge to slightly
 	// above 7 s — long enough to batch the next update.
-	a := NewASD(500*time.Millisecond, time.Minute)
+	a := asd(500*time.Millisecond, time.Minute)
 	now := time.Duration(0)
 	var d time.Duration
 	for i := 0; i < 30; i++ {
-		d = a.Delay(now, 1000)
+		d = a.delay(now, 1000)
 		now += 7 * time.Second
 	}
 	if d <= 7*time.Second {
@@ -75,20 +88,20 @@ func TestASDTracksInterUpdateTime(t *testing.T) {
 }
 
 func TestASDAdaptsDown(t *testing.T) {
-	a := NewASD(100*time.Millisecond, time.Minute)
+	a := asd(100*time.Millisecond, time.Minute)
 	now := time.Duration(0)
 	// Slow updates first.
 	for i := 0; i < 10; i++ {
-		a.Delay(now, 0)
+		a.delay(now, 0)
 		now += 20 * time.Second
 	}
-	slow := a.Current()
+	slow := a.s.T
 	// Then fast updates.
 	for i := 0; i < 20; i++ {
-		a.Delay(now, 0)
+		a.delay(now, 0)
 		now += time.Second
 	}
-	fast := a.Current()
+	fast := a.s.T
 	if fast >= slow {
 		t.Fatalf("deferment did not adapt down: slow=%v fast=%v", slow, fast)
 	}
@@ -98,53 +111,37 @@ func TestASDAdaptsDown(t *testing.T) {
 }
 
 func TestASDCapsAtTMax(t *testing.T) {
-	a := NewASD(time.Second, 5*time.Second)
+	a := asd(time.Second, 5*time.Second)
 	now := time.Duration(0)
 	for i := 0; i < 10; i++ {
-		if d := a.Delay(now, 0); d > 5*time.Second {
+		if d := a.delay(now, 0); d > 5*time.Second {
 			t.Fatalf("deferment %v exceeds TMax", d)
 		}
 		now += time.Hour // huge gaps
 	}
-	if a.Current() != 5*time.Second {
-		t.Fatalf("Current = %v, want TMax", a.Current())
+	if a.s.T != 5*time.Second {
+		t.Fatalf("estimate = %v, want TMax", a.s.T)
 	}
 }
 
-func TestASDResetKeepsAdaptation(t *testing.T) {
-	// Reset (called after each sync session) must not discard the
-	// learned cadence: otherwise a steady slow update stream would
-	// never accumulate a deferment above its period.
-	a := NewASD(500*time.Millisecond, time.Minute)
-	now := time.Duration(0)
-	for i := 0; i < 20; i++ {
-		a.Delay(now, 0)
-		a.Reset() // as if a sync completed between updates
-		now += 10 * time.Second
+func TestKindString(t *testing.T) {
+	for k, want := range map[Kind]string{None: "none", Fixed: "fixed", ASD: "asd", UDS: "uds"} {
+		if got := k.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", uint8(k), got, want)
+		}
 	}
-	if a.Current() <= 10*time.Second {
-		t.Fatalf("deferment %v did not adapt above the 10s cadence", a.Current())
-	}
-	// And an idle gap is capped at TMax per Eq. (2).
-	a.Delay(now+time.Hour, 0)
-	if a.Current() > time.Minute {
-		t.Fatalf("deferment %v exceeded TMax", a.Current())
-	}
-}
-
-func TestASDName(t *testing.T) {
-	if NewASD(time.Millisecond, time.Minute).Name() == "" {
-		t.Fatal("empty name")
+	if (Policy{Kind: UDS + 1}).Validate() == nil {
+		t.Error("unknown kind accepted")
 	}
 }
 
 // Property: ASD deferment never exceeds TMax and is always positive.
 func TestPropertyASDBounds(t *testing.T) {
 	f := func(gapsMs []uint16) bool {
-		a := NewASD(200*time.Millisecond, 30*time.Second)
+		a := asd(200*time.Millisecond, 30*time.Second)
 		now := time.Duration(0)
 		for _, g := range gapsMs {
-			d := a.Delay(now, 0)
+			d := a.delay(now, 0)
 			if d <= 0 || d > 30*time.Second {
 				return false
 			}
@@ -164,13 +161,13 @@ func TestPropertyASDConvergence(t *testing.T) {
 	f := func(gapSecRaw uint8) bool {
 		gap := time.Duration(gapSecRaw%20+1) * time.Second
 		eps := 500 * time.Millisecond
-		a := NewASD(eps, time.Minute)
+		a := asd(eps, time.Minute)
 		now := time.Duration(0)
 		for i := 0; i < 60; i++ {
-			a.Delay(now, 0)
+			a.delay(now, 0)
 			now += gap
 		}
-		got := a.Current()
+		got := a.s.T
 		return got > gap && got <= gap+2*eps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -179,37 +176,38 @@ func TestPropertyASDConvergence(t *testing.T) {
 }
 
 func TestUDS(t *testing.T) {
-	p := UDS{Threshold: 4 << 20, MaxDelay: time.Minute}
-	if d := p.Delay(0, 1<<20); d != time.Minute {
-		t.Fatalf("below threshold: Delay = %v", d)
+	p := Policy{Kind: UDS, Threshold: 4 << 20, MaxDelay: time.Minute}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if d := p.Delay(0, 4<<20); d != 0 {
-		t.Fatalf("at threshold: Delay = %v, want 0", d)
+	if d, _ := p.Step(ASDState{}, 0, 1<<20); d != time.Minute {
+		t.Fatalf("below threshold: delay = %v", d)
 	}
-	if p.Name() == "" {
-		t.Fatal("empty name")
+	if d, _ := p.Step(ASDState{}, 0, 4<<20); d != 0 {
+		t.Fatalf("at threshold: delay = %v, want 0", d)
 	}
-	p.Reset()
 }
 
-func TestUDSMisconfiguredPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("misconfigured UDS did not panic")
+func TestUDSMisconfiguredRefused(t *testing.T) {
+	for _, p := range []Policy{
+		{Kind: UDS},
+		{Kind: UDS, Threshold: 1, MaxDelay: 0},
+		{Kind: UDS, Threshold: 0, MaxDelay: time.Second},
+	} {
+		if p.Validate() == nil {
+			t.Errorf("misconfigured UDS %+v accepted", p)
 		}
-	}()
-	UDS{}.Delay(0, 0)
+	}
 }
 
-// TestASDStepMatchesStateful pins the refactor contract: replaying an
-// update stream through the pure ASDStep, threading the state by
-// value, produces exactly the delays and estimates the stateful ASD
-// produces — so the pure-function planner and the live client can
-// never disagree about a deferment.
-func TestASDStepMatchesStateful(t *testing.T) {
+// TestStepMatchesASDStep pins that an ASD policy's Step is exactly the
+// Eq. (2) kernel, whatever the pending bytes — so a caller threading
+// ASDState through Step and one threading it through ASDStep can never
+// disagree about a deferment.
+func TestStepMatchesASDStep(t *testing.T) {
 	const eps, tmax = 100 * time.Millisecond, 10 * time.Second
-	stateful := NewASD(eps, tmax)
-	var pure ASDState
+	p := Policy{Kind: ASD, Epsilon: eps, TMax: tmax}
+	var viaStep, viaKernel ASDState
 	now := time.Duration(0)
 	rng := uint64(12345)
 	for i := 0; i < 200; i++ {
@@ -217,17 +215,14 @@ func TestASDStepMatchesStateful(t *testing.T) {
 		rng ^= rng >> 7
 		rng ^= rng << 17
 		now += time.Duration(rng%5000) * time.Millisecond
-		want := stateful.Delay(now, 0)
-		got, next := ASDStep(pure, now, eps, tmax)
-		pure = next
+		got, next := p.Step(viaStep, now, int64(rng%(1<<20)))
+		want, nextKernel := ASDStep(viaKernel, now, eps, tmax)
+		viaStep, viaKernel = next, nextKernel
 		if got != want {
-			t.Fatalf("update %d at %v: ASDStep = %v, stateful ASD = %v", i, now, got, want)
+			t.Fatalf("update %d at %v: Step = %v, ASDStep = %v", i, now, got, want)
 		}
-		if pure != stateful.State() {
-			t.Fatalf("update %d: state diverged: pure %+v, stateful %+v", i, pure, stateful.State())
-		}
-		if stateful.Current() != pure.T {
-			t.Fatalf("update %d: Current() = %v, pure T = %v", i, stateful.Current(), pure.T)
+		if viaStep != viaKernel {
+			t.Fatalf("update %d: state diverged: Step %+v, ASDStep %+v", i, viaStep, viaKernel)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func faultyLinkForSeed(seed uint64) netem.Link {
 func runSim(seed uint64, ops []invariant.Op) ([]invariant.Violation, int64) {
 	s := service.NewSetup(service.GoogleDrive, client.PC, service.Options{
 		Link:  faultyLinkForSeed(seed),
-		Defer: deferpolicy.None{},
+		Defer: &deferpolicy.Policy{Kind: deferpolicy.None},
 	})
 	led := &ledger.Ledger{}
 	s.Capture.SetLedger(led)

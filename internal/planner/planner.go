@@ -1,6 +1,6 @@
 // Package planner is the pure heart of the watch-mode sync pipeline:
 // a deterministic, I/O-free reconciliation function that turns (confirmed
-// baseline, pending local changes, remote listing, defer policy knobs)
+// baseline, pending local changes, remote listing, deferment policy)
 // into an ordered list of sync actions.
 //
 // Purity is the point. The planner never touches the filesystem, the
@@ -66,56 +66,9 @@ type Change struct {
 	Writes []time.Duration
 }
 
-// DeferMode selects the deferment policy the planner applies to write
-// changes (§6.1 of the paper). Removes always sync immediately: a
-// deferred deletion saves no payload bytes and risks resurrecting the
-// file on a crash.
-type DeferMode uint8
-
-const (
-	// DeferNone syncs as soon as possible.
-	DeferNone DeferMode = iota
-	// DeferFixed re-arms a fixed deferment T on every write.
-	DeferFixed
-	// DeferASD runs the paper's adaptive sync defer, Eq. (2).
-	DeferASD
-	// DeferUDS defers until pending bytes reach a threshold, with a
-	// maximum linger re-armed on every write.
-	DeferUDS
-)
-
-// String names the mode.
-func (m DeferMode) String() string {
-	switch m {
-	case DeferNone:
-		return "none"
-	case DeferFixed:
-		return "fixed"
-	case DeferASD:
-		return "asd"
-	case DeferUDS:
-		return "uds"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// DeferConfig is the planner's deferment policy knob.
-type DeferConfig struct {
-	Mode DeferMode
-	// FixedT is the deferment for DeferFixed.
-	FixedT time.Duration
-	// Epsilon and TMax parameterize DeferASD (Eq. 2).
-	Epsilon time.Duration
-	TMax    time.Duration
-	// Threshold and MaxDelay parameterize DeferUDS.
-	Threshold int64
-	MaxDelay  time.Duration
-}
-
 // DeferState is one path's deferment state, threaded by value through
-// planning rounds: the pure-state ASD estimator plus the armed defer
-// deadline for the currently pending change.
+// planning rounds: the policy's state (the ASD estimator) plus the
+// armed defer deadline for the currently pending change.
 type DeferState struct {
 	ASD deferpolicy.ASDState
 	// Deadline is the virtual time the pending change becomes ready to
@@ -138,9 +91,12 @@ type Input struct {
 	// differently from an unknown one ("trust the baseline").
 	Remote      map[string]RemoteFile
 	RemoteKnown bool
-	// Defer is the policy knob; DeferState carries per-path estimator
-	// state from the previous round (nil = fresh).
-	Defer      DeferConfig
+	// Defer is the deferment policy (§6.1) applied to write changes;
+	// removes always sync immediately — a deferred deletion saves no
+	// payload bytes and risks resurrecting the file on a crash.
+	// DeferState carries per-path estimator state from the previous
+	// round (nil = fresh).
+	Defer      deferpolicy.Policy
 	DeferState map[string]DeferState
 }
 
@@ -233,39 +189,16 @@ func kindOrder(k ActionKind) int {
 	}
 }
 
-// advanceDefer folds one pending change's new writes into its
-// deferment state under cfg and returns the successor state.
-func advanceDefer(st DeferState, ch *Change, cfg DeferConfig) DeferState {
-	for _, w := range ch.Writes {
-		switch cfg.Mode {
-		case DeferNone:
-			st.Armed = false
-		case DeferFixed:
-			st.Deadline, st.Armed = w+cfg.FixedT, true
-		case DeferASD:
-			var delay time.Duration
-			delay, st.ASD = deferpolicy.ASDStep(st.ASD, w, cfg.Epsilon, cfg.TMax)
-			st.Deadline, st.Armed = w+delay, true
-		case DeferUDS:
-			if ch.Size >= cfg.Threshold {
-				st.Deadline, st.Armed = w, true // ready immediately
-			} else {
-				st.Deadline, st.Armed = w+cfg.MaxDelay, true
-			}
-		default:
-			panic(fmt.Sprintf("planner: unknown defer mode %v", cfg.Mode))
-		}
-	}
-	return st
-}
-
 // Plan reconciles one round. It is a pure function: no I/O, no clock,
 // no mutation of its inputs, and equal inputs yield equal plans.
 //
-// Contract violations — duplicate change paths, descending write
-// timestamps — panic rather than degrade, because they indicate a
-// broken change buffer, not a planable state.
+// Contract violations — an invalid policy, duplicate change paths,
+// descending write timestamps — panic rather than degrade, because
+// they indicate a broken caller, not a planable state.
 func Plan(in Input) Output {
+	if err := in.Defer.Validate(); err != nil {
+		panic("planner: " + err.Error())
+	}
 	out := Output{Now: in.Now, DeferState: make(map[string]DeferState)}
 
 	changes := make(map[string]*Change, len(in.Changes))
@@ -321,7 +254,14 @@ func Plan(in Input) Output {
 			continue
 		}
 
-		st := advanceDefer(in.DeferState[path], ch, in.Defer)
+		// Each write is one policy step; the change's size is the
+		// pending byte count UDS compares with its threshold.
+		st := in.DeferState[path]
+		for _, w := range ch.Writes {
+			var delay time.Duration
+			delay, st.ASD = in.Defer.Step(st.ASD, w, ch.Size)
+			st.Deadline, st.Armed = w+delay, delay > 0
+		}
 		if st.Armed && st.Deadline > in.Now {
 			out.Actions = append(out.Actions, Action{
 				Kind: Defer, Path: path, Size: ch.Size, MD5: ch.MD5,

@@ -121,9 +121,9 @@ func tableCases() []tableCase {
 	wB := Change{Path: "a.txt", Size: 9, MD5: hashB}
 	rm := Change{Path: "a.txt", Remove: true}
 
-	fixed5 := DeferConfig{Mode: DeferFixed, FixedT: 5 * s}
-	asd := DeferConfig{Mode: DeferASD, Epsilon: 100 * ms, TMax: 10 * s}
-	uds := DeferConfig{Mode: DeferUDS, Threshold: 1 << 20, MaxDelay: 4 * s}
+	fixed5 := deferpolicy.Policy{Kind: deferpolicy.Fixed, T: 5 * s}
+	asd := deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 100 * ms, TMax: 10 * s}
+	uds := deferpolicy.Policy{Kind: deferpolicy.UDS, Threshold: 1 << 20, MaxDelay: 4 * s}
 
 	withWrites := func(ch Change, ws ...time.Duration) Change {
 		ch.Writes = ws
@@ -331,7 +331,7 @@ func tableCases() []tableCase {
 		{
 			name: "defer-fixed/zero-T-syncs-immediately",
 			in: Input{Now: s, Changes: []Change{withWrites(wA, s)},
-				RemoteKnown: true, Defer: DeferConfig{Mode: DeferFixed, FixedT: 0}},
+				RemoteKnown: true, Defer: deferpolicy.Policy{Kind: deferpolicy.Fixed, T: 0}},
 			want: []string{"upload a.txt [new file]"},
 		},
 		// --- ASD ---
@@ -355,7 +355,7 @@ func tableCases() []tableCase {
 			name: "defer-asd/tmax-caps-deferment",
 			in: Input{Now: 100 * s, Changes: []Change{withWrites(wA, s, 99*s)},
 				RemoteKnown: true,
-				Defer:       DeferConfig{Mode: DeferASD, Epsilon: 100 * ms, TMax: 2 * s}},
+				Defer:       deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 100 * ms, TMax: 2 * s}},
 			want:     []string{"defer a.txt [defer window open] until=1m41s"},
 			wantWake: 101 * s, noIdem: true,
 		},
@@ -393,6 +393,15 @@ func tableCases() []tableCase {
 		{
 			name: "defer-uds/at-threshold-immediate",
 			in: Input{Now: s,
+				Changes:     []Change{withWrites(Change{Path: "big.bin", Size: 1 << 20, MD5: hashC}, s)},
+				RemoteKnown: true, Defer: uds},
+			want: []string{"upload big.bin [new file]"},
+		},
+		{
+			// A zero delay means "sync now" under every kind, as under
+			// none: a write stamped after Now does not re-arm a window.
+			name: "defer-uds/at-threshold-future-write-still-ready",
+			in: Input{Now: 0,
 				Changes:     []Change{withWrites(Change{Path: "big.bin", Size: 1 << 20, MD5: hashC}, s)},
 				RemoteKnown: true, Defer: uds},
 			want: []string{"upload big.bin [new file]"},
@@ -609,6 +618,18 @@ func TestPlannerPanicsOnDescendingWrites(t *testing.T) {
 	}})
 }
 
+// TestPlannerPanicsOnInvalidPolicy: the planner holds the policy to the
+// same deferpolicy.Validate rule the simulated client panics on, so no
+// caller can plan with an ε the paper forbids.
+func TestPlannerPanicsOnInvalidPolicy(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ASD with ε = 0 did not panic")
+		}
+	}()
+	Plan(Input{Defer: deferpolicy.Policy{Kind: deferpolicy.ASD, TMax: s}})
+}
+
 // TestPlannerDoesNotMutateInput guards purity from the other side: the
 // inputs must come back byte-identical, so callers can re-plan or
 // shrink failing scenarios without defensive copies.
@@ -622,7 +643,7 @@ func TestPlannerDoesNotMutateInput(t *testing.T) {
 		},
 		Remote:      map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, MD5: hashA, Version: 3}},
 		RemoteKnown: true,
-		Defer:       DeferConfig{Mode: DeferASD, Epsilon: 100 * ms, TMax: 10 * s},
+		Defer:       deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 100 * ms, TMax: 10 * s},
 		DeferState:  map[string]DeferState{"a.txt": {Deadline: 500 * ms, Armed: true}},
 	}
 	snap := fmt.Sprintf("%+v", in)

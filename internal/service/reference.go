@@ -47,7 +47,7 @@ func ReferenceClientConfig() client.Config {
 		DownloadCompression: comp.High,
 		UseDedup:            true,
 		BDS:                 true,
-		Defer:               deferpolicy.NewASD(500*time.Millisecond, 45*time.Second),
+		Defer:               deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 500 * time.Millisecond, TMax: 45 * time.Second},
 		Hardware:            hardware.M1(),
 		SharedSession:       true,
 		ExtraRTTs:           1,

@@ -225,7 +225,7 @@ func TestSetupOptions(t *testing.T) {
 	s := NewSetup(Dropbox, client.PC, Options{
 		Link:  netem.Beijing(),
 		User:  "bob",
-		Defer: deferpolicy.NewASD(500*time.Millisecond, time.Minute),
+		Defer: &deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 500 * time.Millisecond, TMax: time.Minute},
 	})
 	if s.Path.Link().UpBps != netem.Beijing().UpBps {
 		t.Fatal("link option not applied")
@@ -233,7 +233,7 @@ func TestSetupOptions(t *testing.T) {
 	if s.Client.Config().User != "bob" {
 		t.Fatal("user option not applied")
 	}
-	if s.Client.Config().Defer.Name() == "none" {
+	if s.Client.Config().Defer.Kind == deferpolicy.None {
 		t.Fatal("defer override not applied")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/planner"
 )
 
@@ -16,8 +17,8 @@ func contentMD5(data []byte) [16]byte { return md5.Sum(data) }
 type Config struct {
 	// Debounce is the change buffer's quiet window.
 	Debounce time.Duration
-	// Defer is the planner's sync-deferment policy.
-	Defer planner.DeferConfig
+	// Defer is the sync-deferment policy the planner steps.
+	Defer deferpolicy.Policy
 	// BaselinePath, when non-empty, persists the baseline atomically
 	// after every round that changed it.
 	BaselinePath string

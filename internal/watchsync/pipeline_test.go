@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/obs/ledger"
-	"cloudsync/internal/planner"
 	"cloudsync/internal/syncnet"
 )
 
@@ -376,8 +376,8 @@ func TestPipelineRestartDetectsOfflineDelete(t *testing.T) {
 // transfer per edit.
 func TestPipelineASDBatchesBurst(t *testing.T) {
 	r := newRig(t, 1, Config{
-		Defer: planner.DeferConfig{
-			Mode: planner.DeferASD, Epsilon: 200 * time.Millisecond, TMax: 10 * time.Second,
+		Defer: deferpolicy.Policy{
+			Kind: deferpolicy.ASD, Epsilon: 200 * time.Millisecond, TMax: 10 * time.Second,
 		},
 	})
 	// Edits every 300ms; ASD's estimate converges to 300ms+2·200ms =

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"cloudsync/internal/content"
+	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/invariant"
-	"cloudsync/internal/planner"
 )
 
 // propSeeds is how many independent scenarios the property test
@@ -21,16 +21,16 @@ const (
 // propDefer derives the scenario's deferment policy from its seed, so
 // every policy — including no deferment — faces every interleaving
 // shape over the run.
-func propDefer(seed uint64) planner.DeferConfig {
+func propDefer(seed uint64) deferpolicy.Policy {
 	switch seed % 4 {
 	case 1:
-		return planner.DeferConfig{Mode: planner.DeferFixed, FixedT: 600 * time.Millisecond}
+		return deferpolicy.Policy{Kind: deferpolicy.Fixed, T: 600 * time.Millisecond}
 	case 2:
-		return planner.DeferConfig{Mode: planner.DeferASD, Epsilon: 50 * time.Millisecond, TMax: 3 * time.Second}
+		return deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 50 * time.Millisecond, TMax: 3 * time.Second}
 	case 3:
-		return planner.DeferConfig{Mode: planner.DeferUDS, Threshold: 8 << 10, MaxDelay: time.Second}
+		return deferpolicy.Policy{Kind: deferpolicy.UDS, Threshold: 8 << 10, MaxDelay: time.Second}
 	default:
-		return planner.DeferConfig{}
+		return deferpolicy.Policy{}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"cloudsync/internal/content"
+	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/obs/ledger"
-	"cloudsync/internal/planner"
 	"cloudsync/internal/syncnet"
 )
 
@@ -28,7 +28,7 @@ type ReplayConfig struct {
 	InitialSize int
 	EditBytes   int
 	Seed        int64
-	Defer       planner.DeferConfig
+	Defer       deferpolicy.Policy
 	Debounce    time.Duration
 	// Workers is the executor pool size (0 = 1).
 	Workers int

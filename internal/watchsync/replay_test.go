@@ -4,15 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/invariant"
-	"cloudsync/internal/planner"
 )
 
 // freqModConfig and asdPolicy are the run `syncwatch -replay freqmod
 // -defer asd` makes with its default flags, which EXPERIMENTS.md
 // reports: 16 KiB files (the replay's default, past the 8 KiB a file
 // may ride inline in) growing by 256 B per edit.
-func freqModConfig(mode planner.DeferConfig) ReplayConfig {
+func freqModConfig(mode deferpolicy.Policy) ReplayConfig {
 	return ReplayConfig{
 		Files:    2,
 		Edits:    8,
@@ -23,8 +23,8 @@ func freqModConfig(mode planner.DeferConfig) ReplayConfig {
 	}
 }
 
-var asdPolicy = planner.DeferConfig{
-	Mode:    planner.DeferASD,
+var asdPolicy = deferpolicy.Policy{
+	Kind:    deferpolicy.ASD,
 	Epsilon: 100 * time.Millisecond,
 	TMax:    10 * time.Second,
 }
@@ -38,7 +38,7 @@ var asdPolicy = planner.DeferConfig{
 // attribution ledgers stay exact on both ends in both runs.
 func TestReplayFreqModASDReducesTraffic(t *testing.T) {
 	leakCheck(t)
-	none, err := ReplayFreqMod(freqModConfig(planner.DeferConfig{}))
+	none, err := ReplayFreqMod(freqModConfig(deferpolicy.Policy{}))
 	if err != nil {
 		t.Fatal(err)
 	}
