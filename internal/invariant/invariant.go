@@ -22,8 +22,19 @@
 //     than the client sent, and (on a lossless transport) the two
 //     counters must agree exactly.
 //
+// Beside Check, CheckStored holds one acknowledged upload against the
+// bytes the server stores, CheckListing holds a client's listing
+// against the server's state, CheckRecovery holds a reopened durable
+// store against the state as of the last acknowledgement, and
+// CheckLedger holds a traffic-attribution ledger against its wire
+// total.
+//
 // The package has no dependencies on the simulator or the live syncnet
-// stack; drivers adapt either side into ServerFile / Wire values.
+// stack; its callers adapt either side into ServerFile / Wire values.
+// Those live in this package's tests: TestSimInvariants runs the
+// simulator, and TestWorldInvariants runs seeded worlds of live devices,
+// link cuts, server reopens and WAL crashes (world_test.go), as do four
+// narrower bands of one fault family each.
 package invariant
 
 import (
@@ -37,8 +48,11 @@ import (
 
 // Violation is one broken invariant.
 type Violation struct {
-	// Invariant names the broken property: "convergence", "versions",
-	// "tue-floor", or "wire-balance".
+	// Invariant names the broken property. Check reports
+	// "convergence", "versions", "tue-floor" and "wire-balance";
+	// CheckStored "stored"; CheckListing "listing"; CheckRecovery
+	// "recovery"; CheckLedger "ledger-balance". The tests add their own,
+	// such as "failed-op" for an operation that failed outright.
 	Invariant string
 	// Detail is a human-readable description of the breakage.
 	Detail string
@@ -122,6 +136,18 @@ func (t *Tracker) violatef(invariant, format string, args ...any) {
 // counts toward the TUE floor — deduplication cannot save bytes on
 // genuinely novel content, so the wire must carry at least that much.
 func (t *Tracker) RecordUpload(name string, data []byte, version uint64) {
+	t.record(name, data, version, true)
+}
+
+// RecordEdit notes a committed upload of content derived from bytes the
+// server already holds — an in-place edit, a truncation. A delta sync
+// legitimately moves less than such a file, so it never counts toward
+// the TUE floor.
+func (t *Tracker) RecordEdit(name string, data []byte, version uint64) {
+	t.record(name, data, version, false)
+}
+
+func (t *Tracker) record(name string, data []byte, version uint64, fresh bool) {
 	f := t.files[name]
 	if f == nil {
 		f = &trackedFile{}
@@ -136,10 +162,10 @@ func (t *Tracker) RecordUpload(name string, data []byte, version uint64) {
 	f.deleted = false
 
 	sum := md5.Sum(data)
-	if !t.seen[sum] {
-		t.seen[sum] = true
+	if !t.seen[sum] && fresh {
 		t.freshBytes += int64(len(data))
 	}
+	t.seen[sum] = true
 }
 
 // RecordDelete notes a successful deletion of name.
@@ -237,6 +263,54 @@ func (t *Tracker) Check(server map[string]ServerFile, w Wire) []Violation {
 	return out
 }
 
+// CheckStored verifies one acknowledged upload against what the server
+// stores for name right after the acknowledgement: exactly the bytes
+// the client sent. A delta applied to any basis but the one it was cut
+// against cannot produce them.
+func CheckStored(name string, acked []byte, stored ServerFile) []Violation {
+	if stored.Deleted || !bytes.Equal(stored.Data, acked) {
+		return []Violation{{"stored", fmt.Sprintf("%q: acknowledged %d bytes (md5 %x), the server stores %d bytes (md5 %x, deleted=%v)",
+			name, len(acked), md5.Sum(acked), len(stored.Data), md5.Sum(stored.Data), stored.Deleted)}}
+	}
+	return nil
+}
+
+// Listed is one entry of a client's remote listing: what it was told a
+// file is, without the content.
+type Listed struct {
+	ID      uint64
+	Size    int64
+	MD5     [md5.Size]byte
+	Version uint64
+	Deleted bool
+}
+
+// CheckListing verifies a client's listing against the server snapshot
+// taken with it: one entry per server file, fake-deleted ones included,
+// each naming the file's identity, size, content hash, version and
+// deletion flag — and nothing the server does not hold.
+func CheckListing(listed map[string]Listed, server map[string]ServerFile) []Violation {
+	var out []Violation
+	names := make([]string, 0, len(server))
+	for name := range server {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f := server[name]
+		want := Listed{f.ID, int64(len(f.Data)), md5.Sum(f.Data), f.Version, f.Deleted}
+		if got, ok := listed[name]; !ok || got != want {
+			out = append(out, Violation{"listing", fmt.Sprintf("%q: listed %+v (present %v), the server holds %+v", name, got, ok, want)})
+		}
+	}
+	for name := range listed {
+		if _, ok := server[name]; !ok {
+			out = append(out, Violation{"listing", fmt.Sprintf("%q: listed, but the server holds no such file", name)})
+		}
+	}
+	return out
+}
+
 // CheckRecovery verifies the crash-recovery contract of a durable
 // store: after a crash at ANY byte of the state log, reopening must
 // reconstruct exactly the state as of the last acknowledged operation
@@ -245,8 +319,10 @@ func (t *Tracker) Check(server map[string]ServerFile, w Wire) []Violation {
 // invented. acked is the snapshot taken after the last operation the
 // client saw acknowledged before the crash; recovered is the reopened
 // store's snapshot. A mutation that was in flight when the crash hit
-// must be entirely absent: it was never acknowledged, so recovery must
-// neither surface it as a new name nor as an advanced version.
+// was never acknowledged, so recovery must neither surface it as a new
+// name nor as an advanced version — unless the caller counts it in
+// acked, where a torn group commit carried a file in flight whole (a
+// bundle's first entries; a commit whose Ack a cut lost).
 func CheckRecovery(acked, recovered map[string]ServerFile) []Violation {
 	var out []Violation
 	report := func(format string, args ...any) {

@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"crypto/md5"
 	"strings"
 	"testing"
 )
@@ -126,11 +127,19 @@ func TestCheckFlagsTUEFloor(t *testing.T) {
 	}
 
 	// Re-uploading already-seen content is not fresh; dedup may skip it.
+	// Nor is an edit of known content, which a delta sync moves in less.
 	tr = NewTracker()
 	tr.RecordUpload("a", content('a', 1000), 1)
 	tr.RecordUpload("b", content('a', 1000), 1) // same bytes, other name
+	tr.RecordEdit("a", append(content('a', 999), 'b'), 2)
 	if got := tr.FreshBytes(); got != 1000 {
-		t.Fatalf("FreshBytes = %d, want 1000 (duplicate content must not count)", got)
+		t.Fatalf("FreshBytes = %d, want 1000 (duplicate content and edits must not count)", got)
+	}
+	// An edit is still a commit: versions and convergence apply.
+	tr.RecordEdit("a", content('c', 10), 2)
+	vs = tr.Check(map[string]ServerFile{"a": {Data: content('x', 10), Version: 2}}, Wire{})
+	if !hasViolation(vs, "versions", "not above previous") || !hasViolation(vs, "convergence", `"a"`) {
+		t.Fatalf("stuck or divergent edit not flagged: %v", vs)
 	}
 }
 
@@ -160,66 +169,40 @@ func TestCheckFlagsWireImbalance(t *testing.T) {
 	}
 }
 
-func TestGenOpsDeterministicAndValid(t *testing.T) {
-	for seed := uint64(0); seed < 50; seed++ {
-		a := GenOps(seed, 12)
-		b := GenOps(seed, 12)
-		if len(a) != 12 {
-			t.Fatalf("seed %d: got %d ops, want 12", seed, len(a))
-		}
-		live := make(map[string]bool)
-		for i, op := range a {
-			if op != b[i] {
-				t.Fatalf("seed %d: op %d differs between runs: %v vs %v", seed, i, op, b[i])
-			}
-			switch op.Kind {
-			case OpPut:
-				if op.Size < 1<<10 || op.Size > 25<<10 {
-					t.Fatalf("seed %d: put size %d outside [1KiB, 25KiB]", seed, op.Size)
-				}
-				live[op.Name] = true
-			case OpGet:
-				if !live[op.Name] {
-					t.Fatalf("seed %d: get of dead file %q at op %d", seed, op.Name, i)
-				}
-			case OpDelete:
-				if !live[op.Name] {
-					t.Fatalf("seed %d: delete of dead file %q at op %d", seed, op.Name, i)
-				}
-				live[op.Name] = false
-			}
-		}
+func TestCheckStoredFlags(t *testing.T) {
+	acked := content('a', 100)
+	if vs := CheckStored("a", acked, ServerFile{Data: content('a', 100), Version: 3}); len(vs) != 0 {
+		t.Fatalf("stored bytes equal to the acknowledged ones flagged: %v", vs)
 	}
-	if a, b := GenOps(1, 12), GenOps(2, 12); a[0] == b[0] && a[1] == b[1] && a[2] == b[2] {
-		t.Fatalf("adjacent seeds generated identical op prefixes: %v", a[:3])
-	}
-}
-
-func TestGenOpsContentSeedsAreNovel(t *testing.T) {
-	seen := make(map[int64]bool)
-	for seed := uint64(0); seed < 20; seed++ {
-		for _, op := range GenOps(seed, 10) {
-			if op.Kind != OpPut {
-				continue
-			}
-			if seen[op.ContentSeed] {
-				t.Fatalf("content seed %d reused", op.ContentSeed)
-			}
-			seen[op.ContentSeed] = true
+	for label, stored := range map[string]ServerFile{
+		"spliced":  {Data: append(content('a', 99), 'x'), Version: 3},
+		"short":    {Data: content('a', 50), Version: 3},
+		"deleted":  {Data: content('a', 100), Version: 3, Deleted: true},
+		"missing":  {},
+		"oversize": {Data: content('a', 101), Version: 3},
+	} {
+		if vs := CheckStored("a", acked, stored); !hasViolation(vs, "stored", `"a"`) {
+			t.Errorf("%s: stored bytes not flagged: %v", label, vs)
 		}
 	}
 }
 
-func TestShrinkPrefix(t *testing.T) {
-	if got := ShrinkPrefix(10, func(k int) bool { return k >= 4 }); got != 4 {
-		t.Fatalf("ShrinkPrefix = %d, want 4", got)
-	}
-	// Failure only at full length.
-	if got := ShrinkPrefix(10, func(k int) bool { return k >= 10 }); got != 10 {
-		t.Fatalf("ShrinkPrefix = %d, want 10", got)
-	}
-	// Pathological fails that never returns true still terminates at n.
-	if got := ShrinkPrefix(3, func(int) bool { return false }); got != 3 {
-		t.Fatalf("ShrinkPrefix = %d, want 3", got)
+func TestCheckListingFlags(t *testing.T) {
+	a := content('a', 10)
+	listed := map[string]Listed{"a": {1, 10, md5.Sum(a), 2, false}, "b": {2, 10, md5.Sum(a), 1, true}}
+	for label, server := range map[string]map[string]ServerFile{
+		"":               {"a": {ID: 1, Data: a, Version: 2}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}},
+		"newer version":  {"a": {ID: 1, Data: a, Version: 3}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}},
+		"other content":  {"a": {ID: 1, Data: content('x', 10), Version: 2}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}},
+		"other size":     {"a": {ID: 1, Data: content('a', 11), Version: 2}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}},
+		"other identity": {"a": {ID: 9, Data: a, Version: 2}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}},
+		"resurrected":    {"a": {ID: 1, Data: a, Version: 2}, "b": {ID: 2, Data: a, Version: 1}},
+		"unlisted file":  {"a": {ID: 1, Data: a, Version: 2}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}, "c": {ID: 3}},
+		"listed ghost":   {"a": {ID: 1, Data: a, Version: 2}},
+	} {
+		vs := CheckListing(listed, server)
+		if label == "" && len(vs) > 0 || label != "" && !hasViolation(vs, "listing", `"`) {
+			t.Errorf("%q: %v", label, vs)
+		}
 	}
 }

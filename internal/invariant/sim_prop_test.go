@@ -39,13 +39,15 @@ func faultyLinkForSeed(seed uint64) netem.Link {
 	return l
 }
 
-// runSim replays ops on the simulated sync path — Google Drive's PC
-// client, which syncs full files with no compression and no dedup, so
-// the TUE floor applies — and checks the invariants against the cloud's
-// file table. It returns the violations plus the up-traffic total (for
-// the determinism check). Gets are skipped: the simulated client is
-// upload-driven; downloads are covered by the live syncnet drivers.
-func runSim(seed uint64, ops []invariant.Op) ([]invariant.Violation, int64) {
+// runSim replays a world's script on the simulated sync path — Google
+// Drive's PC client, which syncs full files with no compression and no
+// dedup, so the TUE floor applies — and checks the invariants against
+// the cloud's file table. It returns the violations plus the up-traffic
+// total (for the determinism check). The simulator has one device and
+// no live server: puts (bundled ones included) and deletes replay, the
+// other kinds have no counterpart and are skipped. Edits and shrinks
+// only name live files, so skipping them keeps every delete valid.
+func runSim(seed uint64, ops []op) ([]invariant.Violation, int64) {
 	s := service.NewSetup(service.GoogleDrive, client.PC, service.Options{
 		Link:  faultyLinkForSeed(seed),
 		Defer: &deferpolicy.Policy{Kind: deferpolicy.None},
@@ -56,38 +58,38 @@ func runSim(seed uint64, ops []invariant.Op) ([]invariant.Violation, int64) {
 	server := make(map[string]invariant.ServerFile)
 
 	fail := func(err error) ([]invariant.Violation, int64) {
-		return []invariant.Violation{{Invariant: "driver", Detail: err.Error()}}, s.Capture.UpBytes()
+		return []invariant.Violation{{Invariant: "failed-op", Detail: err.Error()}}, s.Capture.UpBytes()
 	}
-	for _, op := range ops {
-		switch op.Kind {
-		case invariant.OpPut:
-			blob := content.Random(op.Size, op.ContentSeed)
-			var err error
-			if _, ok := s.FS.File(op.Name); ok {
-				err = s.FS.Write(op.Name, blob, []chunker.Range{{Off: 0, Len: op.Size}})
-			} else {
-				err = s.FS.Create(op.Name, blob)
+	for _, o := range ops {
+		for _, p := range append([]op{o}, o.batch...) {
+			switch p.kind {
+			case opPut:
+				blob := content.Random(p.size, p.seed)
+				var err error
+				if _, ok := s.FS.File(p.name); ok {
+					err = s.FS.Write(p.name, blob, []chunker.Range{{Off: 0, Len: p.size}})
+				} else {
+					err = s.FS.Create(p.name, blob)
+				}
+				if err != nil {
+					return fail(err)
+				}
+				s.Clock.Run()
+				e, ok := s.Cloud.File("alice", p.name)
+				if !ok {
+					return fail(fmt.Errorf("%v: not in the cloud after quiescence", p))
+				}
+				tr.RecordUpload(p.name, blob.Bytes(), e.Version)
+			case opDelete:
+				if err := s.FS.Delete(p.name); err != nil {
+					return fail(err)
+				}
+				s.Clock.Run()
+				if _, ok := s.Cloud.File("alice", p.name); ok {
+					return fail(fmt.Errorf("%v: still live in the cloud after quiescence", p))
+				}
+				tr.RecordDelete(p.name)
 			}
-			if err != nil {
-				return fail(err)
-			}
-			s.Clock.Run()
-			e, ok := s.Cloud.File("alice", op.Name)
-			if !ok {
-				return fail(fmt.Errorf("%v: not in the cloud after quiescence", op))
-			}
-			tr.RecordUpload(op.Name, blob.Bytes(), e.Version)
-		case invariant.OpGet:
-			continue
-		case invariant.OpDelete:
-			if err := s.FS.Delete(op.Name); err != nil {
-				return fail(err)
-			}
-			s.Clock.Run()
-			if _, ok := s.Cloud.File("alice", op.Name); ok {
-				return fail(fmt.Errorf("%v: still live in the cloud after quiescence", op))
-			}
-			tr.RecordDelete(op.Name)
 		}
 	}
 	s.Clock.Run()
@@ -112,18 +114,19 @@ func runSim(seed uint64, ops []invariant.Op) ([]invariant.Violation, int64) {
 }
 
 // TestSimInvariants is the simulated half of the acceptance property:
-// 200 seeded fault schedules × seeded edit sequences through the
-// netem/client/cloud stack.
+// 200 seeded fault schedules × the scripts of the seeds' worlds through
+// the netem/client/cloud stack.
 func TestSimInvariants(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
-		ops := invariant.GenOps(seed, 5+int(seed%6))
+		ops := genWorld(seed).ops
 		vs, up := runSim(seed, ops)
 		if len(vs) > 0 {
-			reportShrunk(t, seed, ops, vs, func(seed uint64, ops []invariant.Op) []invariant.Violation {
-				vs, _ := runSim(seed, ops)
-				return vs
+			k := shrinkPrefix(len(ops), func(k int) bool {
+				vs, _ := runSim(seed, ops[:k])
+				return len(vs) > 0
 			})
-			return
+			t.Fatalf("seed %d: %d violation(s): %v\nminimal failing prefix (%d of %d ops): %v",
+				seed, len(vs), vs, k, len(ops), ops[:k])
 		}
 		// Fault schedules are drawn from the profile's own seed, so a
 		// replay of the same seed must cost byte-identical traffic.

@@ -1,400 +1,138 @@
 package syncnet
 
 import (
-	"bytes"
 	"crypto/md5"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"os"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"cloudsync/internal/content"
-	"cloudsync/internal/invariant"
 	"cloudsync/internal/obs"
-	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/protocol"
 )
 
-// readTap records every byte a client reads off one connection, below
-// the fault wrapper: exactly what the client consumed.
-type readTap struct {
-	net.Conn
-	buf bytes.Buffer
-}
-
-func (r *readTap) Read(p []byte) (int, error) {
-	n, err := r.Conn.Read(p)
-	r.buf.Write(p[:n])
-	return n, err
-}
-
-// listingFrames returns the complete Listing frames in the captured
-// stream (a torn trailing frame is what a cut leaves behind).
-func (r *readTap) listingFrames() [][]byte {
-	var out [][]byte
-	for b := r.buf.Bytes(); len(b) >= frameHeaderSize; {
-		n := frameHeaderSize + int(binary.LittleEndian.Uint32(b[1:5]))
-		if len(b) < n {
-			break
-		}
-		if protocol.MsgType(b[0]) == protocol.TypeListing {
-			out = append(out, b[:n])
-		}
-		b = b[n:]
-	}
-	return out
-}
-
-// feedDevice is a device of the change-feed harness: it dials whichever
-// server is current, so the script can reopen the durable server under
-// it, and taps every connection it reads from.
+// feedDevice is a device that dials whichever server is current, so a
+// test can reopen the durable server under it.
 type feedDevice struct {
 	*device
-	taps []*readTap
-	// seen is each name's version in the last listing this device
-	// applied, and gen the server generation that listing came from
-	// (-1: none yet).
-	seen map[string]uint64
-	gen  int
 }
 
 func newFeedDevice(srv func() *Server, name string, plan FaultPlan) (*feedDevice, error) {
-	d := &feedDevice{
-		device: &device{led: &ledger.Ledger{}, sched: NewFaultScheduler(plan)},
-		gen:    -1,
-	}
-	dial := func() (net.Conn, error) {
-		if d.prevDone != nil {
-			<-d.prevDone
-		}
-		cp, sp := net.Pipe()
-		done := make(chan struct{})
-		d.prevDone = done
-		s := srv()
-		go func() {
-			defer close(done)
-			s.HandleConn(sp)
-		}()
-		tap := &readTap{Conn: cp}
-		d.taps = append(d.taps, tap)
-		return d.sched.Wrap(tap), nil
-	}
-	conn, _ := dial()
-	c, err := NewClient(conn, "alice", name, WithDialer(dial), WithLedger(d.led), WithBlockSize(feedBlock),
-		WithRetry(RetryPolicy{MaxAttempts: 6, Sleep: func(time.Duration) {}}))
-	d.c = c
-	return d, err
-}
-
-// feedBlock is the harness's delta block size: files of one to a few
-// blocks take the inline, delta and full paths alike.
-const feedBlock = 1024
-
-type feedOpKind int
-
-const (
-	feedList feedOpKind = iota
-	feedPut
-	feedEdit
-	feedDelete
-	feedReopen
-)
-
-// feedOp is one step of a change-feed script. A List may arm the
-// device's link to cut after cut more bytes: inside the 21-byte feed
-// request, or inside the Listing that answers it (every feed Listing
-// is at least 26 bytes).
-type feedOp struct {
-	dev  int
-	kind feedOpKind
-	name string
-	size int
-	seed int64
-	cut  int64
-}
-
-func (op feedOp) String() string {
-	return fmt.Sprintf("{dev %d kind %d %s size %d cut %d}", op.dev, op.kind, op.name, op.size, op.cut)
-}
-
-func genFeedOps(seed uint64, n int) []feedOp {
-	rng := rand.New(rand.NewPCG(seed, 0xfeed))
-	reopenAt := n/3 + rng.IntN(n/3)
-	ops := make([]feedOp, n)
-	for i := range ops {
-		op := feedOp{dev: rng.IntN(2), name: fmt.Sprintf("f%d", rng.IntN(6)), seed: rng.Int64()}
-		switch r := rng.IntN(20); {
-		case i == reopenAt:
-			op.kind = feedReopen
-		case r < 8:
-			op.kind = feedList
-			switch r % 4 {
-			case 0:
-				op.cut = 1 + rng.Int64N(20)
-			case 1:
-				op.cut = 21 + 1 + rng.Int64N(25)
-			}
-		case r < 12:
-			op.kind, op.size = feedPut, 1+rng.IntN(4*feedBlock)
-		case r < 17:
-			op.kind = feedEdit
-		default:
-			op.kind = feedDelete
-		}
-		ops[i] = op
-	}
-	return ops
-}
-
-// feedCoverage counts what a script exercised.
-type feedCoverage struct {
-	incremental, full, cutInRequest, cutInListing, reopens int
-}
-
-func (fc *feedCoverage) add(o feedCoverage) {
-	fc.incremental += o.incremental
-	fc.full += o.full
-	fc.cutInRequest += o.cutInRequest
-	fc.cutInListing += o.cutInListing
-	fc.reopens += o.reopens
-}
-
-// listEntryWireSize is one Listing entry's encoded size.
-func listEntryWireSize(name string) int {
-	return protocol.EncodedSize(&protocol.Listing{Entries: []protocol.ListEntry{{Name: name}}}) -
-		protocol.EncodedSize(&protocol.Listing{})
-}
-
-// runFeedScript replays ops from scratch — a fresh durable server in a
-// fresh directory under base, two devices of one account over net.Pipe
-// with seeded link cuts — and returns every violation: after each List
-// the device's result must be the server's state, the Listing it
-// applied must be no larger than the frame's fixed overhead plus the
-// entries of the files committed since the device's previous listing in
-// the same server lifetime, and all three ledgers must balance.
-func runFeedScript(base string, seed uint64, ops []feedOp) (vs []string, cov feedCoverage) {
-	violate := func(i int, format string, args ...any) {
-		vs = append(vs, fmt.Sprintf("op %d %v: ", i, ops[i])+fmt.Sprintf(format, args...))
-	}
-	dir, err := os.MkdirTemp(base, "feed")
-	if err != nil {
-		return []string{err.Error()}, cov
-	}
-	defer os.RemoveAll(dir)
-	srvLed := &ledger.Ledger{}
-	cfg := ServerConfig{StateDir: dir, Ledger: srvLed, BlockSize: feedBlock}
-	srv, err := OpenServer(cfg)
-	if err != nil {
-		return []string{err.Error()}, cov
-	}
-	gen := 0
-	var srvWire int64
-	closeServer := func() {
-		srv.Close()
-		st := srv.Stats()
-		srvWire += st.BytesReceived + st.BytesSent
-	}
-	devs := make([]*feedDevice, 2)
-	for i := range devs {
-		var plan FaultPlan // every fifth seed runs on clean links
-		if seed%5 != 0 {
-			plan = FaultPlan{Seed: seed*2 + uint64(i) + 1, MeanDropBytes: 3000 + int64(seed%7)*2048, MaxDrops: 1 + int(seed%3)}
-		}
-		if devs[i], err = newFeedDevice(func() *Server { return srv }, fmt.Sprintf("dev-%d", i), plan); err != nil {
-			closeServer()
-			return []string{err.Error()}, cov
-		}
-	}
-	overhead := protocol.EncodedSize(&protocol.Listing{})
-	truth := map[string][]byte{} // live names' content
-
-	for i, op := range ops {
-		d := devs[op.dev]
-		if op.kind == feedReopen {
-			closeServer()
-			if srv, err = OpenServer(cfg); err != nil {
-				violate(i, "reopen: %v", err)
-				return vs, cov
-			}
-			gen++
-			cov.reopens++
-			continue
-		}
-		_, hasID := d.c.FileID(op.name)
-		cur, live := truth[op.name]
-		kind := op.kind
-		if kind == feedEdit && !live {
-			kind = feedPut
-		}
-		if kind == feedDelete && (!live || !hasID) {
-			kind = feedList
-		}
-		switch kind {
-		case feedPut, feedEdit:
-			data := content.Random(int64(max(op.size, 1)), op.seed).Bytes()
-			if kind == feedEdit {
-				data = append([]byte(nil), cur...)
-				data[int(uint64(op.seed)%uint64(len(data)))] ^= 0x5A
-			}
-			if _, err := d.c.Upload(op.name, data); err != nil {
-				violate(i, "upload: %v", err)
-				continue
-			}
-			truth[op.name] = data
-			if got, _ := srv.FileContent("alice", op.name); !bytes.Equal(got, data) {
-				violate(i, "server does not hold the uploaded bytes")
-			}
-		case feedDelete:
-			if err := d.c.Delete(op.name); err != nil {
-				violate(i, "delete: %v", err)
-				continue
-			}
-			delete(truth, op.name)
-		case feedList:
-			vs = append(vs, checkFeedList(d, i, op, srv, gen, overhead, &cov)...)
-		}
-	}
-
-	var devWire int64
-	for i, d := range devs {
-		d.c.Close()
-		<-d.prevDone
-		in, out := d.c.WireTotals()
-		devWire += in + out
-		for _, v := range invariant.CheckLedger(in+out, d.led.Snapshot()) {
-			vs = append(vs, fmt.Sprintf("device %d ledger: %v", i, v))
-		}
-	}
-	closeServer()
-	for _, v := range invariant.CheckLedger(srvWire, srvLed.Snapshot()) {
-		vs = append(vs, fmt.Sprintf("server ledger: %v", v))
-	}
-	// net.Pipe is synchronous: cut or not, the servers metered exactly
-	// the bytes the two devices did.
-	if srvWire != devWire {
-		vs = append(vs, fmt.Sprintf("servers' wire total %d, devices' %d", srvWire, devWire))
-	}
-	return vs, cov
-}
-
-// checkFeedList runs one List on d (cut as the op says) and checks it.
-func checkFeedList(d *feedDevice, i int, op feedOp, srv *Server, gen, overhead int, cov *feedCoverage) (vs []string) {
-	violate := func(format string, args ...any) {
-		vs = append(vs, fmt.Sprintf("op %d %v: ", i, op)+fmt.Sprintf(format, args...))
-	}
-	// The live connection sits at a frame boundary between operations:
-	// from here on the taps hold this List's reads only.
-	d.taps = d.taps[len(d.taps)-1:]
-	d.taps[0].buf.Reset()
-	drops := d.sched.Stats().Drops
-	if op.cut > 0 {
-		d.arm(op.cut)
-	}
-	got, err := d.c.List()
-	if err != nil {
-		violate("list: %v", err)
-		return vs
-	}
-	if d.sched.Stats().Drops > drops {
-		switch {
-		case op.cut > 21:
-			cov.cutInListing++
-		case op.cut > 0:
-			cov.cutInRequest++
-		}
-	}
-
-	snap := srv.Snapshot("alice")
-	want := make([]protocol.ListEntry, 0, len(snap))
-	for name, f := range snap {
-		want = append(want, protocol.ListEntry{FileID: f.ID, Name: name, Size: int64(len(f.Data)),
-			Version: f.Version, Deleted: f.Deleted, FileHash: md5.Sum(f.Data)})
-	}
-	slices.SortFunc(want, func(a, b protocol.ListEntry) int { return strings.Compare(a.Name, b.Name) })
-	if !slices.Equal(got, want) {
-		violate("listed\n %v\nserver holds\n %v", got, want)
-	}
-
-	var frames [][]byte
-	for _, tap := range d.taps {
-		frames = append(frames, tap.listingFrames()...)
-	}
-	if len(frames) != 1 {
-		violate("read %d complete Listing frames, want 1", len(frames))
-		return vs
-	}
-	m, err := protocol.Decode(frames[0])
-	if err != nil {
-		violate("applied Listing does not decode: %v", err)
-		return vs
-	}
-	incremental := m.(*protocol.Listing).Incremental
-	if d.gen == gen {
-		// Polled before in this server lifetime: the reply may carry the
-		// files committed since then, and nothing else.
-		bound := overhead
-		for _, en := range want {
-			if v, ok := d.seen[en.Name]; !ok || v != en.Version {
-				bound += listEntryWireSize(en.Name)
-			}
-		}
-		if len(frames[0]) > bound {
-			violate("Listing of %d bytes exceeds %d, the overhead plus the entries changed since the last poll", len(frames[0]), bound)
-		}
-		if !incremental {
-			violate("a cursor from this server lifetime was answered with a full listing")
-		}
-		cov.incremental++
-	} else {
-		if incremental {
-			violate("first poll in this server lifetime was answered incrementally")
-		}
-		cov.full++
-	}
-	d.seen = make(map[string]uint64, len(want))
-	for _, en := range want {
-		d.seen[en.Name] = en.Version
-	}
-	d.gen = gen
-	return vs
+	d, err := dialDevice(srv, name, plan)
+	return &feedDevice{d}, err
 }
 
 // TestListFeedConverges is the change feed's safety property: two
-// devices of one account run seeded scripts of uploads, edits, deletes
-// and polls against a durable server that is closed and reopened
-// mid-script — a new epoch under every cursor the devices hold — over
-// links that cut inside feed requests and inside the listings that
-// answer them. After every List the device's listing is the server's
-// state, entry for entry; a poll within one server lifetime costs the
-// wire no more than the files changed since the device's previous
-// poll; and every ledger balances exactly. A failing script is shrunk
-// to its shortest failing prefix.
+// devices of one account poll a durable server between seeded uploads
+// and deletes, over links cut inside feed requests and inside the
+// listings that answer them, and the server is closed and reopened
+// mid-script — a new epoch under every cursor the devices hold. After
+// every List the device's listing is the server's state, entry for
+// entry, and the server answered it incrementally exactly when the
+// device's cursor is from the current server lifetime. The seeded
+// worlds of internal/invariant compose this with crashes, the listing
+// size bound and watch devices.
 func TestListFeedConverges(t *testing.T) {
 	leakCheck(t)
-	base := t.TempDir()
-	var total feedCoverage
-	for seed := uint64(0); seed < 120; seed++ {
-		ops := genFeedOps(seed, 18)
-		vs, cov := runFeedScript(base, seed, ops)
-		if len(vs) > 0 {
-			k := invariant.ShrinkPrefix(len(ops), func(k int) bool {
-				vs, _ := runFeedScript(base, seed, ops[:k])
-				return len(vs) > 0
-			})
-			t.Fatalf("seed %d: %d violation(s):\n%s\nminimal failing prefix (%d of %d ops): %v",
-				seed, len(vs), strings.Join(vs, "\n"), k, len(ops), ops[:k])
+	var incremental, full, cutInRequest, cutInListing int
+	for seed := uint64(0); seed < 40; seed++ {
+		var answered atomic.Bool // whether the server's last listing was incremental
+		cfg := ServerConfig{StateDir: t.TempDir(), BlockSize: 1024, Logf: func(format string, args ...any) {
+			if strings.HasPrefix(format, "listing:") {
+				answered.Store(args[len(args)-1].(bool))
+			}
+		}}
+		srv, err := OpenServer(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		total.add(cov)
+		rng := rand.New(rand.NewPCG(seed, 0xfeed))
+		life, lives := 1, [2]int{} // server lifetimes: the current one, each device's last listing's
+		var devs [2]*feedDevice
+		for i := range devs {
+			var plan FaultPlan // every fifth seed runs on clean links
+			if seed%5 != 0 {
+				plan = FaultPlan{Seed: seed*2 + uint64(i) + 1, MeanDropBytes: 3000 + int64(seed%7)*2048, MaxDrops: 1 + int(seed%3)}
+			}
+			if devs[i], err = newFeedDevice(func() *Server { return srv }, fmt.Sprintf("dev-%d", i), plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reopenAt, live := 6+rng.IntN(6), map[string]bool{}
+		for i := 0; i < 18; i++ {
+			k, name := rng.IntN(2), fmt.Sprintf("f%d", rng.IntN(5))
+			d := devs[k]
+			_, known := d.c.FileID(name)
+			known = known && live[name] // a client deletes by identity
+			switch roll := rng.IntN(10); {
+			case i == reopenAt:
+				srv.Close()
+				if srv, err = OpenServer(cfg); err != nil {
+					t.Fatalf("seed %d: reopen: %v", seed, err)
+				}
+				life++
+			case roll < 8 && roll >= 4 || roll >= 8 && !known:
+				data := content.Random(1+rng.Int64N(4096), rng.Int64()).Bytes()
+				if _, err := d.c.Upload(name, data); err != nil {
+					t.Fatalf("seed %d op %d: upload %s: %v", seed, i, name, err)
+				}
+				live[name] = true
+			case roll >= 8:
+				if err := d.c.Delete(name); err != nil {
+					t.Fatalf("seed %d op %d: delete %s: %v", seed, i, name, err)
+				}
+				live[name] = false
+			default:
+				// One poll in two is cut inside the 21-byte request or
+				// inside the Listing (at least 26 bytes) that answers it.
+				var cut int64
+				if roll < 2 {
+					cut = 1 + rng.Int64N(46)
+					d.arm(cut)
+				}
+				drops := d.sched.Stats().Drops
+				got, err := d.c.List()
+				if err != nil {
+					t.Fatalf("seed %d op %d: list: %v", seed, i, err)
+				}
+				if d.sched.Stats().Drops > drops && cut > 21 {
+					cutInListing++
+				} else if d.sched.Stats().Drops > drops && cut > 0 {
+					cutInRequest++
+				}
+				snap := srv.Snapshot("alice")
+				want := make([]protocol.ListEntry, 0, len(snap))
+				for name, f := range snap {
+					want = append(want, protocol.ListEntry{FileID: f.ID, Name: name, Size: int64(len(f.Data)),
+						Version: f.Version, Deleted: f.Deleted, FileHash: md5.Sum(f.Data)})
+				}
+				slices.SortFunc(want, func(a, b protocol.ListEntry) int { return strings.Compare(a.Name, b.Name) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d op %d: listed\n %v\nserver holds\n %v", seed, i, got, want)
+				}
+				if again := lives[k] == life; answered.Load() != again {
+					t.Fatalf("seed %d op %d: incremental %v, but the cursor is from this server lifetime: %v", seed, i, answered.Load(), again)
+				} else if again {
+					incremental++
+				} else {
+					full++
+				}
+				lives[k] = life
+			}
+		}
+		for i, d := range devs {
+			d.close(t, fmt.Sprintf("seed %d device %d", seed, i))
+		}
+		srv.Close()
 	}
-	t.Logf("120 scripts: %d incremental and %d full listings, %d polls cut inside the request and %d inside the listing, %d reopens",
-		total.incremental, total.full, total.cutInRequest, total.cutInListing, total.reopens)
-	if total.incremental == 0 || total.full == 0 || total.cutInRequest == 0 || total.cutInListing == 0 || total.reopens == 0 {
+	t.Logf("%d incremental and %d full listings, %d polls cut inside the request and %d inside the listing",
+		incremental, full, cutInRequest, cutInListing)
+	if incremental == 0 || full == 0 || cutInRequest == 0 || cutInListing == 0 {
 		t.Error("the scripts did not reach every path")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"testing"
-	"time"
 
 	"cloudsync/internal/obs/ledger"
 )
@@ -109,47 +108,17 @@ func TestLedgerRoundTrip(t *testing.T) {
 // payload ranges (if any) tagged retransmit rather than payload.
 func TestLedgerResumeAndRetransmit(t *testing.T) {
 	leakCheck(t)
-	clientLed := &ledger.Ledger{}
 	srv := NewServer(ServerConfig{})
 	t.Cleanup(func() { srv.Close() })
-	sched := NewFaultScheduler(FaultPlan{Seed: 7, MeanDropBytes: 16 << 10, MaxDrops: 2})
-
-	// Pipe dialer in the invariant harness's shape: wait for the previous
-	// handler to stash the interrupted upload before handing out a fresh
-	// connection, so ResumeQuery deterministically sees it.
-	var prevDone chan struct{}
-	dial := func() (net.Conn, error) {
-		if prevDone != nil {
-			<-prevDone
-		}
-		clientEnd, serverEnd := net.Pipe()
-		done := make(chan struct{})
-		prevDone = done
-		go func() {
-			defer close(done)
-			srv.HandleConn(serverEnd)
-		}()
-		return sched.Wrap(clientEnd), nil
-	}
-
-	conn, err := dial()
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	c, err := NewClient(conn, "alice", "ledger-retry",
-		WithLedger(clientLed),
-		WithDialer(dial),
-		WithRetry(RetryPolicy{MaxAttempts: 6, Sleep: func(time.Duration) {}}))
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
+	d := newDevice(t, srv, "ledger-retry", FaultPlan{Seed: 7, MeanDropBytes: 16 << 10, MaxDrops: 2})
+	c, clientLed, sched := d.c, d.led, d.sched
 
 	payload := bytes.Repeat([]byte("resumable "), 16<<10)
 	if _, err := c.Upload("big.bin", payload); err != nil {
 		t.Fatalf("upload: %v", err)
 	}
 	c.Close()
-	<-prevDone
+	<-d.prevDone
 
 	if sched.Stats().Drops == 0 {
 		t.Fatal("fault schedule never fired; the test exercised nothing")

@@ -139,37 +139,12 @@ func TestServerCloseDrainsPipelinedRequests(t *testing.T) {
 // rather than inflating the fresh-payload figure.
 func TestBundleFaultRetryRetransmit(t *testing.T) {
 	leakCheck(t)
-	clientLed := &ledger.Ledger{}
 	srv := NewServer(ServerConfig{})
 	t.Cleanup(func() { srv.Close() })
 	// Budget smaller than the bundle frame, so the first attempt dies
 	// mid-bundle.
-	sched := NewFaultScheduler(FaultPlan{Seed: 11, MeanDropBytes: 6 << 10, MaxDrops: 2})
-
-	var prevDone chan struct{}
-	dial := func() (net.Conn, error) {
-		if prevDone != nil {
-			<-prevDone
-		}
-		clientEnd, serverEnd := net.Pipe()
-		done := make(chan struct{})
-		prevDone = done
-		go func() {
-			defer close(done)
-			srv.HandleConn(serverEnd)
-		}()
-		return sched.Wrap(clientEnd), nil
-	}
-	conn, err := dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient(conn, "alice", "bundle-retry",
-		WithLedger(clientLed), WithDialer(dial),
-		WithRetry(RetryPolicy{MaxAttempts: 6, Sleep: func(time.Duration) {}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDevice(t, srv, "bundle-retry", FaultPlan{Seed: 11, MeanDropBytes: 6 << 10, MaxDrops: 2})
+	c, clientLed := d.c, d.led
 
 	files := makeBatch("retry", 6, 2048)
 	var payloadBytes int64
@@ -190,7 +165,7 @@ func TestBundleFaultRetryRetransmit(t *testing.T) {
 		}
 	}
 	c.Close()
-	<-prevDone
+	<-d.prevDone
 
 	clientIn, clientOut := c.WireTotals()
 	if got, want := clientLed.Total(), clientIn+clientOut; got != want {

@@ -54,8 +54,10 @@ var ErrServerClosed = errors.New("syncnet: server closed")
 
 // ServerConfig selects the server's design choices.
 type ServerConfig struct {
-	// Compression is applied to content on the wire and at rest
-	// (comp.None disables it).
+	// Compression is applied to content on the wire, both ways
+	// (comp.None disables it). Stored content is always raw: the server
+	// decompresses what it receives, keeps and logs the uncompressed
+	// bytes, and compresses them again for each download.
 	Compression comp.Level
 	// BlockSize is the rsync signature granularity for incremental
 	// updates when a SigRequest names none (0 = per file, from its size:

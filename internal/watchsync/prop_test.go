@@ -3,6 +3,7 @@ package watchsync
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -11,157 +12,76 @@ import (
 	"cloudsync/internal/invariant"
 )
 
-// propSeeds is how many independent scenarios the property test
-// replays; propOps is the length of each event script.
-const (
-	propSeeds = 100
-	propOps   = 24
-)
-
-// propDefer derives the scenario's deferment policy from its seed, so
-// every policy — including no deferment — faces every interleaving
-// shape over the run.
-func propDefer(seed uint64) deferpolicy.Policy {
-	switch seed % 4 {
-	case 1:
-		return deferpolicy.Policy{Kind: deferpolicy.Fixed, T: 600 * time.Millisecond}
-	case 2:
-		return deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 50 * time.Millisecond, TMax: 3 * time.Second}
-	case 3:
-		return deferpolicy.Policy{Kind: deferpolicy.UDS, Threshold: 8 << 10, MaxDelay: time.Second}
-	default:
-		return deferpolicy.Policy{}
-	}
-}
-
-// runWatchScenario replays ops[:n] of the seed's event script through
-// a full pipeline — MemSource, debounced buffer, pure planner,
-// parallel executor over net.Pipe, real server — and checks the two
-// end-to-end invariants: the server converges to the local tree, and
-// the traffic-attribution ledgers on BOTH ends balance their wire
-// totals exactly. Deterministic for a given (seed, n), which is what
-// makes prefix shrinking sound.
-func runWatchScenario(seed uint64, n int) []invariant.Violation {
-	fail := func(format string, args ...any) []invariant.Violation {
-		return []invariant.Violation{{Invariant: "watch-pipeline", Detail: fmt.Sprintf(format, args...)}}
-	}
-	ops := invariant.GenOps(seed, n)
-	cfg := Config{
-		Debounce: time.Duration(seed%3) * 150 * time.Millisecond,
-		Defer:    propDefer(seed),
-	}
-	workers := 1 + int(seed%2)
-	r, err := buildRig(workers, cfg, "prop")
-	if err != nil {
-		return fail("rig: %v", err)
-	}
-	defer r.close()
-	if err := r.pipe.Bootstrap(); err != nil {
-		return fail("bootstrap: %v", err)
-	}
-
-	step := func(now time.Duration) []invariant.Violation {
-		if err := r.pipe.Poll(now); err != nil {
-			return fail("poll at %v: %v", now, err)
-		}
-		st, _, _, err := r.pipe.Tick(now)
-		if err != nil {
-			return fail("tick at %v: %v", now, err)
-		}
-		if st.Errors > 0 {
-			return fail("%d transfer errors at %v", st.Errors, now)
-		}
-		return nil
-	}
-
-	// One op lands every 400ms of virtual time; get ops advance the
-	// clock without an event, so quiet gaps occur too.
-	now := time.Duration(0)
-	for _, op := range ops {
-		now += 400 * time.Millisecond
-		switch op.Kind {
-		case invariant.OpPut:
-			r.src.WriteFile(op.Name, content.Random(op.Size, op.ContentSeed).Bytes(), now)
-		case invariant.OpDelete:
-			r.src.RemoveFile(op.Name)
-		}
-		if vs := step(now); vs != nil {
-			return vs
-		}
-	}
-	// Quiesce: tick until every deferred and buffered change drained.
-	for i := 0; r.pipe.PendingPaths() > 0; i++ {
-		if i > 1000 {
-			return fail("did not quiesce: %d paths pending", r.pipe.PendingPaths())
-		}
-		now += 400 * time.Millisecond
-		if vs := step(now); vs != nil {
-			return vs
-		}
-	}
-
-	// Convergence: server state == local tree, deletions included.
-	var out []invariant.Violation
-	local := r.src.Files()
-	snap := r.srv.Snapshot("prop")
-	for name, want := range local {
-		got, ok := snap[name]
-		switch {
-		case !ok || got.Deleted:
-			out = append(out, invariant.Violation{Invariant: "watch-convergence",
-				Detail: fmt.Sprintf("%s live locally but absent remotely", name)})
-		case !bytes.Equal(got.Data, want):
-			out = append(out, invariant.Violation{Invariant: "watch-convergence",
-				Detail: fmt.Sprintf("%s differs: %d B local vs %d B remote", name, len(want), len(got.Data))})
-		}
-	}
-	for name, f := range snap {
-		if _, ok := local[name]; !ok && !f.Deleted {
-			out = append(out, invariant.Violation{Invariant: "watch-convergence",
-				Detail: fmt.Sprintf("%s live remotely but deleted locally", name)})
-		}
-	}
-
-	// Exact ledger balance on both ends: close the clients first so
-	// residual partial-frame bytes are swept into framing.
-	clientWire := r.wire()
-	r.close()
-	out = append(out, invariant.CheckLedger(clientWire, r.cliLed.Snapshot())...)
-	stats := r.srv.Stats()
-	out = append(out, invariant.CheckLedger(stats.BytesReceived+stats.BytesSent, r.srvLed.Snapshot())...)
-	return out
-}
-
-// TestWatchPipelineProperty replays propSeeds random event
-// interleavings end to end. On failure it shrinks to the shortest
-// failing prefix of the seed's script before reporting, so the log
-// shows a minimal reproducer.
+// TestWatchPipelineProperty replays seeded interleavings of writes and
+// removes through a whole pipeline — MemSource, debounced buffer,
+// planner, a pool of one or two workers over net.Pipe, real server —
+// under each deferment policy. At quiescence the server holds the local
+// tree, deletions included, and the ledgers on both ends balance their
+// wire totals. The seeded worlds of internal/invariant compose this with
+// other devices, link cuts and server crashes.
 func TestWatchPipelineProperty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property replay is not short")
+	policies := []deferpolicy.Policy{
+		{},
+		{Kind: deferpolicy.Fixed, T: 600 * time.Millisecond},
+		{Kind: deferpolicy.ASD, Epsilon: 50 * time.Millisecond, TMax: 3 * time.Second},
+		{Kind: deferpolicy.UDS, Threshold: 8 << 10, MaxDelay: time.Second},
 	}
-	for seed := uint64(0); seed < propSeeds; seed++ {
-		vs := runWatchScenario(seed, propOps)
-		if len(vs) == 0 {
-			continue
+	for seed := uint64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x3a7c))
+		cfg := Config{Debounce: time.Duration(seed%3) * 150 * time.Millisecond, Defer: policies[seed%4]}
+		r, err := buildRig(1+int(seed%2), cfg, "prop")
+		if err != nil {
+			t.Fatal(err)
 		}
-		shrunk := invariant.ShrinkPrefix(propOps, func(k int) bool {
-			return len(runWatchScenario(seed, k)) > 0
-		})
-		ops := invariant.GenOps(seed, shrunk)
-		var script []string
-		for i, op := range ops {
-			script = append(script, fmt.Sprintf("  %2d. %v", i+1, op))
+		if err := r.pipe.Bootstrap(); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("seed %d fails (shrunk %d → %d ops):\n%s\nviolations: %v\nreplay: runWatchScenario(%d, %d)",
-			seed, propOps, shrunk, joinLines(script), runWatchScenario(seed, shrunk), seed, shrunk)
-	}
-}
+		now := time.Duration(0)
+		step := func() {
+			now += 400 * time.Millisecond
+			if err := r.pipe.Poll(now); err != nil {
+				t.Fatalf("seed %d: poll at %v: %v", seed, now, err)
+			}
+			if st, _, _, err := r.pipe.Tick(now); err != nil || st.Errors > 0 {
+				t.Fatalf("seed %d: tick at %v: %v, %d transfer errors", seed, now, err, st.Errors)
+			}
+		}
+		for i := 0; i < 24; i++ {
+			name := fmt.Sprintf("f%d.bin", rng.IntN(6))
+			if _, live := r.src.Files()[name]; live && rng.IntN(4) == 0 {
+				r.src.RemoveFile(name)
+			} else {
+				r.src.WriteFile(name, content.Random(1+rng.Int64N(24<<10), rng.Int64()).Bytes(), now)
+			}
+			step()
+		}
+		for i := 0; r.pipe.PendingPaths() > 0; i++ {
+			if i == 1000 {
+				t.Fatalf("seed %d: %d paths still pending", seed, r.pipe.PendingPaths())
+			}
+			step()
+		}
 
-func joinLines(lines []string) string {
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
+		local, snap := r.src.Files(), r.srv.Snapshot("prop")
+		for name, f := range snap {
+			if _, ok := local[name]; !ok && !f.Deleted {
+				t.Errorf("seed %d: %s live remotely but removed locally", seed, name)
+			}
+		}
+		for name, want := range local {
+			if f := snap[name]; f.Deleted || !bytes.Equal(f.Data, want) {
+				t.Errorf("seed %d: %s: %d B local, %d B remote (deleted %v)", seed, name, len(want), len(f.Data), f.Deleted)
+			}
+		}
+		wire := r.wire()
+		r.close()
+		st := r.srv.Stats()
+		for _, v := range append(invariant.CheckLedger(wire, r.cliLed.Snapshot()),
+			invariant.CheckLedger(st.BytesReceived+st.BytesSent, r.srvLed.Snapshot())...) {
+			t.Errorf("seed %d: %v", seed, v)
+		}
+		if t.Failed() {
+			return
+		}
 	}
-	return out
 }
