@@ -112,6 +112,16 @@ func TestSignWireSize(t *testing.T) {
 	if got := sig.WireSize(); got != want {
 		t.Fatalf("WireSize = %d, want %d", got, want)
 	}
+	// SignatureWireSize predicts it without signing, short tail or none.
+	for _, size := range []int{0, 1, 4095, 4096, 4097, 100_000} {
+		sig := Sign(content.Random(int64(size), 11).Bytes(), 4096)
+		if got := SignatureWireSize(int64(size), 4096); got != int64(sig.WireSize()) {
+			t.Errorf("SignatureWireSize(%d, 4096) = %d, Sign's WireSize %d", size, got, sig.WireSize())
+		}
+	}
+	if got, want := SignatureWireSize(1<<42, MinBlockSize), int64(12+(1<<33)*20); got != want {
+		t.Errorf("SignatureWireSize(2^42, %d) = %d, want %d", MinBlockSize, got, want)
+	}
 }
 
 func TestSignInvalidBlockSizePanics(t *testing.T) {

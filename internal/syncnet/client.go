@@ -119,9 +119,12 @@ func WithCompression(l comp.Level) ClientOption {
 	return func(c *Client) { c.compression = l }
 }
 
-// WithBlockSize sets the delta-sync granularity requested from the
-// server (0 = server default), which refuses a size outside
-// [delta.MinBlockSize, delta.MaxBlockSize].
+// WithBlockSize fixes the client's delta-sync granularity (0 = per
+// file). It sets the block size a SigRequest names (0 leaves it to the
+// server, which refuses a size outside [delta.MinBlockSize,
+// delta.MaxBlockSize]), the block a full upload signs its held
+// signature at (0: heldBlockSize), and the inline threshold
+// (inlineLimit).
 func WithBlockSize(bs int) ClientOption {
 	return func(c *Client) { c.blockSize = bs }
 }
@@ -359,14 +362,15 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 // fullUpload sends the whole file — or, on a dedup hit, only its
 // identity; after a reconnect, only the tail the server lacks. Either
 // way the client holds the bytes the server commits, so it signs them
-// while the exchange runs, and an acknowledged upload leaves that
+// (at heldBlockSize: this signature never crosses the wire) while the
+// exchange runs, and an acknowledged upload leaves that
 // signature remembered at the acknowledged version: the first modify
 // is then one conditional delta. A failed one leaves nothing.
 func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats, error) {
 	sp := c.parent().Child("client.full_upload")
 	defer sp.End()
 	c.sigs.drop(name) // whole new content: nothing to carry over
-	bs := cmp.Or(c.blockSize, delta.BlockSizeFor(int64(len(data))))
+	bs := cmp.Or(c.blockSize, heldBlockSize(int64(len(data))))
 	sp.Set("block_size", bs)
 	var sig delta.Signature
 	var signing sync.WaitGroup

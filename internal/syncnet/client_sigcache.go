@@ -8,12 +8,35 @@ import (
 
 // sigCacheBudget bounds what one client remembers about the files it
 // uploads and delta-syncs, in encoded signature bytes
-// (delta.Signature.WireSize: 20 per block; at delta.BlockSizeFor's
-// √size blocks that is 3.9 % of a file under 1 MiB, 1 % of a 4 MiB
-// file, 0.06 % of 1 GiB — so the budget covers ≈ 100 MB of small
-// files, ≈ 400 MB of 4 MiB ones; resident, a block signature is twice
-// that).
+// (delta.Signature.WireSize: 20 per block). At heldBlockSize's blocks
+// that is 3.9 % of a file up to 4 MiB (512 B blocks), 1 % of 16 MiB,
+// 0.06 % of 1 GiB — so the budget covers ≈ 100 MB of files up to 4 MiB
+// (25 files of 4 MiB), ≈ 400 MB of 16 MiB ones; resident, a block
+// signature is twice that.
 const sigCacheBudget = 4 << 20
+
+// heldSigShare is the most one file's held signature may take of
+// sigCacheBudget: a sixteenth, so one large file neither empties the
+// cache nor is refused by put.
+const heldSigShare = sigCacheBudget / 16
+
+// heldBlockSize is the block size a client signs a file of size bytes
+// at when it signs its own bytes and holds the result (a full upload;
+// delta.Resign keeps it until the next one). Such a signature never
+// crosses the wire, so DESIGN's 20·p·N/B + e·B has p = 0 and the finest
+// block wins: the smallest power of two from delta.MinBlockSize whose
+// signature fits heldSigShare, but never coarser than
+// delta.BlockSizeFor(size), the √N rule for a signature that is served
+// (p = 1). Below 1 MiB the two agree; 4 MiB → 512 B, 16 MiB → 2 KiB,
+// and from 64 MiB up it is BlockSizeFor's.
+func heldBlockSize(size int64) int {
+	served := delta.BlockSizeFor(size)
+	bs := delta.MinBlockSize
+	for bs < served && delta.SignatureWireSize(size, bs) > heldSigShare {
+		bs *= 2
+	}
+	return bs
+}
 
 // clientSig is delta.Sign of the content a file held at version, as far
 // as this client knows: the signature its last full upload or delta

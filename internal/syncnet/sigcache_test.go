@@ -854,9 +854,10 @@ func TestLostAckOfConditionalDelta(t *testing.T) {
 // content sent whole, a probed dedup hit that sends none, one resumed
 // after a cut inside its payload — leaves the client the signature of
 // the bytes it holds, field for field delta.Sign at the file's
-// BlockSizeFor, at the version the Ack reported. That is exactly what
-// the server serves for that version, so the first modify needs no
-// SigRequest.
+// heldBlockSize, at the version the Ack reported, so the first modify
+// needs no SigRequest. The server serves that version signed at
+// BlockSizeFor: the same signature below 1 MiB, a coarser one of the
+// same bytes from there (4 MiB: 2 KiB blocks against the held 512 B).
 func TestFullUploadRemembersItsSignature(t *testing.T) {
 	leakCheck(t)
 	srv := NewServer(ServerConfig{})
@@ -870,13 +871,15 @@ func TestFullUploadRemembersItsSignature(t *testing.T) {
 		if have == nil || have.version != st.Version {
 			t.Fatalf("%s: client remembers %+v, want a signature of v%d", step, have, st.Version)
 		}
-		want := delta.Sign(data, delta.BlockSizeFor(int64(len(data))))
+		want := delta.Sign(data, heldBlockSize(int64(len(data))))
 		if !reflect.DeepEqual(have.sig, want) {
 			t.Fatalf("%s: remembered signature (%d blocks of %d B) is not delta.Sign of the uploaded bytes (%d of %d B)",
 				step, len(have.sig.Blocks), have.sig.BlockSize, len(want.Blocks), want.BlockSize)
 		}
+		want = delta.Sign(data, delta.BlockSizeFor(int64(len(data))))
 		if served := probe.served(name, 0); served.Version != st.Version || !bytes.Equal(served.Payload, want.Encode()) {
-			t.Fatalf("%s: the server serves v%d as other bytes than the client remembers of v%d", step, served.Version, st.Version)
+			t.Fatalf("%s: the server serves v%d as other than delta.Sign at %d B of what the client uploaded as v%d",
+				step, served.Version, want.BlockSize, st.Version)
 		}
 	}
 
@@ -900,15 +903,25 @@ func TestFullUploadRemembersItsSignature(t *testing.T) {
 		t.Fatalf("resumed upload: %+v, %v", st, err)
 	}
 	check("resumed upload", "c", other, st)
+
+	large := content.Random(4<<20, 2).Bytes()
+	st, err = d.c.Upload("d", large)
+	if err != nil || st.DedupHit || st.Attempts != 1 {
+		t.Fatalf("4 MiB full upload: %+v, %v", st, err)
+	}
+	check("4 MiB full upload", "d", large, st)
+	if bs := d.c.sigs.get("d").sig.BlockSize; bs != 512 {
+		t.Fatalf("4 MiB file held at %d B blocks, want 512", bs)
+	}
 	// One join per acknowledged upload; the attempt cut short had none.
-	if n := reg.Histogram("syncnet_client_sign_wait_us", "").Count(); n != 3 {
-		t.Fatalf("sign wait observed %d times, want 3", n)
+	if n := reg.Histogram("syncnet_client_sign_wait_us", "").Count(); n != 4 {
+		t.Fatalf("sign wait observed %d times, want 4", n)
 	}
 
 	probe.close()
 	d.close(t, "device")
-	if ss := srv.Stats(); ss.SignaturesServed != 3 || ss.Resumes != 1 {
-		t.Fatalf("%d signatures served, %d resumes; want only the probe's 3 and 1", ss.SignaturesServed, ss.Resumes)
+	if ss := srv.Stats(); ss.SignaturesServed != 4 || ss.Resumes != 1 {
+		t.Fatalf("%d signatures served, %d resumes; want only the probe's 4 and 1", ss.SignaturesServed, ss.Resumes)
 	}
 }
 
