@@ -35,22 +35,26 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./...
 
-# KERNEL_PKGS are the data-plane kernel packages (chunking and delta
-# scan); KERNEL_FILTER selects their entries out of BENCH_core.json for
-# the failing throughput gate. Kernels run at a real -benchtime (unlike
-# the 1x experiment tables) so the recorded MB/s figures are stable.
-KERNEL_PKGS = ./internal/chunker ./internal/delta
-KERNEL_FILTER = ^(Fixed$$|ContentDefined|Delta|Resign$$|WeakSum$$)
-# KERNEL_BENCH measures them, plus the one live round trip whose cost is
-# a kernel's: the repeat delta sync (the client-held signature keeps it
+# KERNEL_PKGS are the data-plane kernel packages (chunking, delta scan,
+# and the flate codec); KERNEL_FILTER selects their entries out of
+# BENCH_core.json for the failing throughput gate. Kernels run at a real
+# -benchtime (unlike the 1x experiment tables) so the recorded MB/s
+# figures are stable.
+KERNEL_PKGS = ./internal/chunker ./internal/delta ./internal/comp
+KERNEL_FILTER = ^(Fixed$$|ContentDefined|Delta|Resign$$|WeakSum$$|Compress1MBText$$|Decompress1MBText$$|FullUploadDedupHit$$)
+# KERNEL_BENCH measures them, plus the live round trips whose cost is a
+# kernel's: the repeat delta sync (the client-held signature keeps it
 # at Resign's O(edit) hashing and the server signs nothing; losing
-# either shows as Sign's extra allocations and a throughput drop).
+# either shows as Sign's extra allocations and a throughput drop), and
+# the full upload that hits dedup (it compresses nothing; compressing
+# anyway shows as Compress's allocations and a 10x throughput drop, and
+# a Compress without its pooled writer as nearly twice Compress1MBText's).
 KERNEL_BENCH = $(GO) test -bench . -benchmem -benchtime 0.5s -run '^$$' $(KERNEL_PKGS) ; \
-	$(GO) test -bench 'DeltaSyncRepeat$$' -benchmem -benchtime 0.5s -run '^$$' ./internal/syncnet
+	$(GO) test -bench 'DeltaSyncRepeat$$|FullUploadDedupHit$$' -benchmem -benchtime 0.5s -run '^$$' ./internal/syncnet
 
 # bench-core records the experiment-table baseline — every root-package
 # benchmark (the paper tables and figures) at -benchtime 1x — plus the
-# chunker/delta kernel benchmarks at a real benchtime with their MB/s
+# kernel benchmarks at a real benchtime with their MB/s
 # captured, dumped together into BENCH_core.json. ns/op is
 # machine-dependent — the trajectory to watch is allocation counts,
 # relative shape, and kernel throughput ratios.
@@ -60,7 +64,7 @@ bench-core:
 	cat BENCH_core.json
 
 # bench-kernel-diff is the failing CI gate on the data-plane kernels:
-# re-measure only the chunker/delta benchmarks and diff allocation
+# re-measure only the kernel benchmarks and diff allocation
 # counts (tight, machine-independent) and MB/s throughput (loose —
 # absolute throughput moves with the machine, so the 50% bound only
 # catches falling off an algorithmic cliff: losing the gear-hash skip

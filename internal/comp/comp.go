@@ -1,7 +1,13 @@
 // Package comp is the data-compression subsystem. It plays two roles:
 //
-//   - A real codec (flate) used by the storage substrate and examples to
-//     actually compress and decompress bytes.
+//   - A real codec (flate) the live sync stack (syncnet) uses to
+//     actually compress and decompress payloads. Compress draws its
+//     writer from a per-level pool, so a payload costs its output
+//     buffer, not a fresh ≈ 1 MB compressor. What a peer sends is
+//     inflated by DecompressSize, into exactly the size the content
+//     was announced at, after refusing a size no payload of that
+//     length can reach; CompressBound is the matching cap on the
+//     payload a size can announce.
 //   - An analytic size model used by the simulation: services compress
 //     uploads at a *compression level* that is a design choice (§ 5.1 of
 //     the paper distinguishes "no", "low" — mobile apps saving battery —
@@ -19,8 +25,10 @@ package comp
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"cloudsync/internal/content"
@@ -183,16 +191,7 @@ func textIdeal(size int64) int64 {
 
 func flateSize(data []byte) int64 {
 	var counter countWriter
-	w, err := flate.NewWriter(&counter, flate.BestCompression)
-	if err != nil {
-		panic(fmt.Sprintf("comp: flate.NewWriter: %v", err))
-	}
-	if _, err := w.Write(data); err != nil {
-		panic(fmt.Sprintf("comp: compress: %v", err))
-	}
-	if err := w.Close(); err != nil {
-		panic(fmt.Sprintf("comp: close: %v", err))
-	}
+	deflate(&counter, data, High)
 	return counter.n
 }
 
@@ -248,16 +247,22 @@ func flateLevel(l Level) int {
 	}
 }
 
-// Compress really compresses data with the codec corresponding to the
-// level. Level None returns the input unchanged.
-func Compress(data []byte, l Level) []byte {
-	if l == None {
-		return data
-	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flateLevel(l))
-	if err != nil {
-		panic(fmt.Sprintf("comp: flate.NewWriter: %v", err))
+// writers pools one flate.Writer per level: a writer is ≈ 1 MB of
+// hash chains and window, and Reset makes a pooled one produce exactly
+// the bytes a fresh one would.
+var writers [High + 1]sync.Pool
+
+// deflate writes data to dst compressed at level l, through a pooled
+// writer.
+func deflate(dst io.Writer, data []byte, l Level) {
+	w, _ := writers[l].Get().(*flate.Writer)
+	if w == nil {
+		var err error
+		if w, err = flate.NewWriter(dst, flateLevel(l)); err != nil {
+			panic(fmt.Sprintf("comp: flate.NewWriter: %v", err))
+		}
+	} else {
+		w.Reset(dst)
 	}
 	if _, err := w.Write(data); err != nil {
 		panic(fmt.Sprintf("comp: compress: %v", err))
@@ -265,10 +270,102 @@ func Compress(data []byte, l Level) []byte {
 	if err := w.Close(); err != nil {
 		panic(fmt.Sprintf("comp: close: %v", err))
 	}
+	w.Reset(io.Discard) // a pooled writer must not pin dst
+	writers[l].Put(w)
+}
+
+// Compress really compresses data with the codec corresponding to the
+// level. Level None returns the input unchanged. The result is never
+// longer than CompressBound(len(data), l).
+func Compress(data []byte, l Level) []byte {
+	if l == None {
+		return data
+	}
+	var buf bytes.Buffer
+	deflate(&buf, data, l)
 	return buf.Bytes()
 }
 
-// Decompress reverses Compress. Level None returns the input unchanged.
+// flateBlock is the least input a non-final block of this package's
+// codec covers: compress/flate ends a block every 16 Ki tokens at
+// Moderate and High (every 65 535 bytes at Low), and a token is at
+// least one byte.
+const flateBlock = 16 << 10
+
+// CompressBound is the longest payload Compress can produce from size
+// bytes at level l: exactly size under None, else the input stored
+// verbatim, at worst a 5-byte stored-block header per block, plus the
+// final block. A receiver that knows the size a payload announces can
+// refuse any longer one before buffering it.
+func CompressBound(size int64, l Level) int64 {
+	if l == None || size < 0 {
+		return size
+	}
+	b := size + 5*(size/flateBlock+1) + 10
+	if b < size {
+		return math.MaxInt64 // overflowed: no real payload is that long
+	}
+	return b
+}
+
+// maxInflation is DEFLATE's largest expansion: at best a 258-byte match
+// is coded in two bits (a one-bit length code, a one-bit distance
+// code), 1032 output bytes per input byte, and nothing codes denser.
+const maxInflation = 1032
+
+// ErrSizeMismatch reports a payload that does not inflate to exactly
+// the size it was announced at.
+var ErrSizeMismatch = errors.New("comp: content size mismatch")
+
+// DecompressSize reverses Compress into exactly size bytes, the size
+// the content was announced at. It fails with ErrSizeMismatch when the
+// payload inflates to more or fewer bytes, or when no DEFLATE stream of
+// len(data) bytes reaches size — checked before anything is allocated,
+// so a lying size costs nothing — and with another error when the
+// stream is corrupt or followed by trailing bytes. Level None checks
+// len(data) == size and returns data itself.
+func DecompressSize(data []byte, l Level, size int64) ([]byte, error) {
+	if l == None {
+		if int64(len(data)) != size {
+			return nil, ErrSizeMismatch
+		}
+		return data, nil
+	}
+	if size < 0 || size > maxInflation*int64(len(data)) || int64(int(size)) != size {
+		return nil, ErrSizeMismatch
+	}
+	src := bytes.NewReader(data)
+	r := flate.NewReader(src)
+	defer r.Close()
+	out := make([]byte, size)
+	for n := 0; n < len(out); {
+		m, err := r.Read(out[n:])
+		n += m
+		if err == io.EOF && n < len(out) {
+			return nil, ErrSizeMismatch
+		}
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("comp: decompress: %w", err)
+		}
+	}
+	// The stream must end exactly here: no byte more, none after it.
+	var more [1]byte
+	if m, err := r.Read(more[:]); m > 0 {
+		return nil, ErrSizeMismatch
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("comp: decompress: %w", err)
+	}
+	if src.Len() > 0 {
+		return nil, fmt.Errorf("comp: decompress: %d bytes after the stream", src.Len())
+	}
+	return out, nil
+}
+
+// Decompress reverses Compress, however large the result: it takes no
+// size to bound the output, so nothing that reads a peer's bytes calls
+// it (they call DecompressSize). Level None returns the input
+// unchanged. Its last caller is the benchmark's per-layer replay, which
+// ROADMAP item 2(a) deletes.
 func Decompress(data []byte, l Level) ([]byte, error) {
 	if l == None {
 		return data, nil

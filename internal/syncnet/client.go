@@ -77,8 +77,9 @@ type Client struct {
 	propagate bool
 	// replyWaitUS, set via WithClientMetrics, times every blocking wait
 	// for a server reply — the wire round-trip as the client sees it.
-	// signWaitUS times what a full upload's signing added after the Ack.
-	replyWaitUS, signWaitUS *obs.Histogram
+	// signWaitUS times what a full upload's signing added after the Ack,
+	// compressUS every payload the client compressed.
+	replyWaitUS, signWaitUS, compressUS *obs.Histogram
 }
 
 // WireTotals reports the bytes this client has read from and written to
@@ -159,14 +160,30 @@ func WithTraceContext() ClientOption {
 // and service, as the client experiences it), and
 // syncnet_client_sign_wait_us, the microseconds a full upload blocked
 // on its own signature after the Ack (the part of signing the upload
-// did not hide). A nil reg leaves the client unmetered.
+// did not hide), and syncnet_client_compress_us, the microseconds each
+// payload took to compress. A nil reg leaves the client unmetered.
 func WithClientMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) {
 		c.replyWaitUS = reg.Histogram("syncnet_client_reply_wait_us",
 			"Microseconds a client blocked waiting for a server reply (round-trip wait).")
 		c.signWaitUS = reg.Histogram("syncnet_client_sign_wait_us",
 			"Microseconds a full upload blocked after its Ack on signing what it uploaded.")
+		c.compressUS = reg.Histogram("syncnet_client_compress_us",
+			"Microseconds spent compressing each payload the client sent compressed.")
 	}
+}
+
+// compress compresses a payload at the client's level, timed into
+// syncnet_client_compress_us when the client is metered and the level
+// compresses at all.
+func (c *Client) compress(data []byte) []byte {
+	if c.compressUS == nil || c.compression == comp.None {
+		return comp.Compress(data, c.compression)
+	}
+	t0 := time.Now()
+	payload := comp.Compress(data, c.compression)
+	c.compressUS.Observe(time.Since(t0).Microseconds())
+	return payload
 }
 
 // sendTraceCtx prefixes the current attempt with the client's trace
@@ -347,7 +364,7 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 	defer sp.End()
 	entries := []protocol.BundleEntry{{
 		Name: name, Size: int64(len(data)), FileHash: md5.Sum(data),
-		Payload: comp.Compress(data, c.compression),
+		Payload: c.compress(data),
 	}}
 	var stats [1]UploadStats
 	err := c.bundleExchange(entries, stats[:], attempt)
@@ -388,14 +405,17 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 		}
 	}()
 	hash := md5.Sum(data)
-	payload := comp.Compress(data, c.compression)
 
 	// After a reconnect, probe for a stashed partial upload before
 	// re-announcing the file: a positive answer skips the index exchange
-	// and the payload prefix the server already buffered.
+	// and the payload prefix the server already buffered. The offset it
+	// names is one into the compressed payload, so a retry compresses
+	// first; a first attempt compresses only past a dedup miss.
+	var payload []byte
 	var fileID uint64
 	var resumeAt int64
 	if attempt > 1 {
+		payload = c.compress(data)
 		info, err := c.resumeQuery(name, int64(len(data)), hash)
 		if err != nil {
 			return stats, err
@@ -427,6 +447,9 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 	c.ids[name] = fileID
 
 	if !stats.DedupHit {
+		if payload == nil {
+			payload = c.compress(data)
+		}
 		stats.PayloadBytes = len(payload) - int(resumeAt)
 		if err := c.wc.sendPayload(fileID, payload, resumeAt); err != nil {
 			return stats, err
@@ -606,6 +629,7 @@ func (c *Client) downloadOnce(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("syncnet: expected file info, got %v", m.Type())
 	}
+	level := comp.Level(info.Compression)
 	var payload []byte
 	for {
 		m, err := c.read()
@@ -617,14 +641,14 @@ func (c *Client) downloadOnce(name string) ([]byte, error) {
 			if v.Offset != int64(len(payload)) {
 				return nil, fmt.Errorf("syncnet: out-of-order download piece at %d", v.Offset)
 			}
+			if v.Offset+int64(len(v.Payload)) > comp.CompressBound(info.Size, level) {
+				return nil, fmt.Errorf("syncnet: download of %q past what %d bytes compress to", name, info.Size)
+			}
 			payload = append(payload, v.Payload...)
 		case *protocol.Ack:
-			raw, err := comp.Decompress(payload, comp.Level(info.Compression))
+			raw, err := comp.DecompressSize(payload, level, info.Size)
 			if err != nil {
-				return nil, err
-			}
-			if int64(len(raw)) != info.Size {
-				return nil, fmt.Errorf("syncnet: downloaded %d bytes, expected %d", len(raw), info.Size)
+				return nil, fmt.Errorf("syncnet: download of %q: %w", name, err)
 			}
 			c.ids[name] = info.FileID
 			c.known[name] = true

@@ -4,7 +4,6 @@ import (
 	"crypto/md5"
 	"fmt"
 
-	"cloudsync/internal/comp"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/protocol"
 )
@@ -54,7 +53,7 @@ func (c *Client) UploadBundle(files []FileUpload) ([]UploadStats, error) {
 		c.digest.Reset()
 		c.digest.Write(f.Data)
 		c.digest.Sum(en.FileHash[:0])
-		en.Payload = comp.Compress(f.Data, c.compression)
+		en.Payload = c.compress(f.Data)
 	}
 	stats := make([]UploadStats, len(files))
 	err := c.withRetry(func(attempt int) error {

@@ -49,7 +49,8 @@ type serverObs struct {
 
 	// Phase decomposition: where a request's handling time goes (WAL
 	// fsync time is metered inside internal/store/wal).
-	applyUS *obs.Histogram
+	applyUS      *obs.Histogram
+	decompressUS *obs.Histogram
 }
 
 // newServerObs registers the server's metric set on reg. With reg nil
@@ -91,7 +92,8 @@ func newServerObs(reg *obs.Registry) serverObs {
 		sessionTUEMilli: hist.Histogram("syncd_session_tue_milli", "Per-session TUE x1000: wire bytes received / content bytes committed, for sessions that committed content."),
 		requestUS:       hist.Histogram("syncd_request_duration_us", "Per-request handling time in microseconds."),
 
-		applyUS: hist.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
+		applyUS:      hist.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
+		decompressUS: hist.Histogram("syncd_decompress_us", "Microseconds spent inflating each compressed upload payload into its announced size (part of syncd_apply_us)."),
 	}
 }
 

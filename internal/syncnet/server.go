@@ -726,24 +726,42 @@ func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id
 // verifiedContent returns the raw content a whole-content upload
 // commits: on a dedup hit the store's copy — filed under the very hash
 // the client announced, so only transferred bytes need hashing — else
-// the payload decompressed and checked against the announced hash. The
-// announced size is checked either way. The error text is what the peer
-// is told.
+// the payload inflated into exactly the announced size and checked
+// against the announced hash. The announced size is checked either
+// way. The error text is what the peer is told.
 func (s *Server) verifiedContent(hit bool, stored, payload []byte, size int64, hash protocol.Fingerprint) ([]byte, error) {
-	raw := stored
-	if !hit {
-		var err error
-		if raw, err = comp.Decompress(payload, s.cfg.Compression); err != nil {
-			return nil, errors.New("undecodable content")
+	if hit {
+		if int64(len(stored)) != size {
+			return nil, errSizeMismatch
 		}
+		return stored, nil
 	}
-	if int64(len(raw)) != size {
-		return nil, errors.New("content size mismatch")
+	raw, err := s.decompress(payload, size)
+	if errors.Is(err, comp.ErrSizeMismatch) {
+		return nil, errSizeMismatch
 	}
-	if !hit && md5.Sum(raw) != hash {
+	if err != nil {
+		return nil, errors.New("undecodable content")
+	}
+	if md5.Sum(raw) != hash {
 		return nil, errors.New("content hash mismatch")
 	}
 	return raw, nil
+}
+
+var errSizeMismatch = errors.New("content size mismatch")
+
+// decompress inflates an upload's payload into its announced size,
+// timed into syncd_decompress_us when the server is metered and the
+// level compresses at all.
+func (s *Server) decompress(payload []byte, size int64) ([]byte, error) {
+	if s.om.decompressUS == nil || s.cfg.Compression == comp.None {
+		return comp.DecompressSize(payload, s.cfg.Compression, size)
+	}
+	t0 := time.Now()
+	raw, err := comp.DecompressSize(payload, s.cfg.Compression, size)
+	s.om.decompressUS.Observe(time.Since(t0).Microseconds())
+	return raw, err
 }
 
 func (ss *session) onIndexUpdate(m *protocol.IndexUpdate) error {
@@ -768,7 +786,8 @@ func (ss *session) onResumeQuery(m *protocol.ResumeQuery) error {
 }
 
 // onData appends one piece to its upload. A bad piece ends the session
-// without a reply: its sender is still streaming (see handle).
+// without a reply: its sender is still streaming (see handle). So does
+// one that would buffer more than the announced size can compress to.
 func (ss *session) onData(m *protocol.Data) error {
 	up := ss.uploads[m.FileID]
 	if up == nil {
@@ -776,6 +795,9 @@ func (ss *session) onData(m *protocol.Data) error {
 	}
 	if int64(m.Offset) != int64(len(up.buf)) {
 		return fmt.Errorf("syncnet: data offset %d, expected %d", m.Offset, len(up.buf))
+	}
+	if bound := comp.CompressBound(up.size, ss.srv.cfg.Compression); m.Offset+int64(len(m.Payload)) > bound {
+		return fmt.Errorf("syncnet: upload of %q past %d bytes, all that %d bytes compress to", up.name, bound, up.size)
 	}
 	up.buf = append(up.buf, m.Payload...)
 	return nil
