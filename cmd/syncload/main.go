@@ -468,6 +468,7 @@ func phaseOrder(reg *obs.Registry) []phase {
 		{"request", "server request handling", reg.Histogram("syncd_request_duration_us", "")},
 		{"apply", "server apply (in-memory)", reg.Histogram("syncd_apply_us", "")},
 		{"fsync", "server WAL group commit", reg.Histogram("syncd_wal_fsync_duration_us", "")},
+		{"commit-wait", "server commit wait", reg.Histogram("syncd_wal_commit_wait_us", "")},
 		{"service", "operation service (whole batch)", reg.Histogram("syncload_service_us", "")},
 	}
 }

@@ -1,12 +1,15 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 )
 
 // Store manages one durable state directory: the current generation's
@@ -27,11 +30,30 @@ import (
 // recreated empty, stale older-generation files are swept). Open
 // always selects the highest complete snapshot, so recovery is
 // deterministic whatever the crash point.
+//
+// A Store is safe for concurrent use. Append only buffers, under a
+// small mutex. Sync runs leader/follower under a flush mutex: the
+// caller that takes it writes and fsyncs every frame buffered so far,
+// and a caller whose frames that flush covered returns without one.
 type Store struct {
 	dir     string
-	gen     uint64
-	log     *Log
 	metrics *Metrics
+
+	// flush is held by whoever writes the log — a commit's leader,
+	// Compact, Close — and guards the log's file and crash points.
+	flush sync.Mutex
+	// mu guards the rest, and is held for nothing slower than a copy.
+	mu      sync.Mutex
+	log     *Log   // swapped by Compact under both mutexes
+	gen     uint64 // likewise
+	pending []byte // frames appended since the last flush began
+	spare   []byte // the buffer the last flush wrote, for reuse
+	// Commit offsets: positions in everything appended to the store,
+	// which keep growing across compactions.
+	base    int64 // commit offset of the current log's first byte
+	end     int64 // commit offset past the last appended frame
+	durable int64 // commit offset up to which the log is durable
+	dead    bool
 }
 
 const (
@@ -131,7 +153,7 @@ func Open(dir string, replay func(rec []byte) error) (*Store, error) {
 		return nil, err
 	}
 	syncDir(dir)
-	return &Store{dir: dir, gen: gen, log: log}, nil
+	return &Store{dir: dir, gen: gen, log: log, end: log.Size(), durable: log.Size()}, nil
 }
 
 // SetMetrics installs (or, with nil, removes) the store's instrument
@@ -147,24 +169,126 @@ func (st *Store) SetMetrics(m *Metrics) {
 func (st *Store) Dir() string { return st.dir }
 
 // Generation returns the current snapshot/log generation.
-func (st *Store) Generation() uint64 { return st.gen }
+func (st *Store) Generation() uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.gen
+}
 
-// Append buffers one record for the next Sync (see Log.Append).
-func (st *Store) Append(rec []byte) { st.log.Append(rec) }
+// Append buffers one record for the next flush. It never touches the
+// disk — durability is Sync's job — so it cannot fail; a dead store's
+// buffered records are simply never written.
+func (st *Store) Append(rec []byte) {
+	st.mu.Lock()
+	n := len(st.pending)
+	st.pending = appendFrame(st.pending, rec)
+	st.end += int64(len(st.pending) - n)
+	st.mu.Unlock()
+}
 
-// Sync makes every record appended so far durable in one fsync.
-func (st *Store) Sync() error { return st.log.Sync() }
+// Sync returns once every record appended before the call is durable:
+// at once if a finished flush covered them, else after the flush it
+// leads or waits behind — one fsync for every caller waiting at the
+// time. A dead store returns ErrCrashed.
+func (st *Store) Sync() error {
+	var t0 time.Time
+	if st.metrics != nil {
+		t0 = time.Now()
+	}
+	err := st.sync()
+	if m := st.metrics; m != nil && err == nil {
+		m.CommitWaitUS.Observe(time.Since(t0).Microseconds())
+	}
+	return err
+}
+
+func (st *Store) sync() error {
+	st.mu.Lock()
+	end := st.end
+	st.mu.Unlock()
+	if done, err := st.covered(end); done {
+		return err
+	}
+	st.flush.Lock()
+	defer st.flush.Unlock()
+	if done, err := st.covered(end); done {
+		return err
+	}
+	return st.flushLocked()
+}
+
+// covered reports whether a commit up to end is decided: durable, or
+// never to be, the store being dead.
+func (st *Store) covered(end int64) (bool, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dead {
+		return true, ErrCrashed
+	}
+	return st.durable >= end, nil
+}
+
+// flushLocked writes and fsyncs every frame buffered so far, holding mu
+// only to swap the buffer out and to publish the result. The caller
+// holds flush.
+func (st *Store) flushLocked() error {
+	st.mu.Lock()
+	if st.dead {
+		st.mu.Unlock()
+		return ErrCrashed
+	}
+	buf, end := st.pending, st.end
+	st.pending = st.spare[:0]
+	st.mu.Unlock()
+
+	err := st.log.write(buf)
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.spare = buf[:0]
+	if err != nil {
+		st.dead = true
+		return err
+	}
+	st.durable = end
+	return nil
+}
 
 // LogBytes reports the current log's size including unsynced appends —
-// the quantity compaction policies threshold on.
-func (st *Store) LogBytes() int64 { return st.log.Size() + st.log.Pending() }
+// the quantity compaction policies threshold on. It never waits on a
+// flush.
+func (st *Store) LogBytes() int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.end - st.base
+}
 
 // FailAt arms the injected crash point on the current log at an
 // absolute log-file offset (see Log.FailAt).
-func (st *Store) FailAt(offset int64) { st.log.FailAt(offset) }
+func (st *Store) FailAt(offset int64) {
+	st.flush.Lock()
+	defer st.flush.Unlock()
+	st.log.FailAt(offset)
+}
+
+// StallSync holds the next flush after its write and before its fsync
+// until release is closed — a test's stand-in for a slow disk. The
+// returned channel closes when a flush is held. Like FailAt it arms the
+// current log.
+func (st *Store) StallSync(release <-chan struct{}) (held <-chan struct{}) {
+	st.flush.Lock()
+	defer st.flush.Unlock()
+	s := &stall{held: make(chan struct{}), release: release}
+	st.log.stall = s
+	return s.held
+}
 
 // Dead reports whether the store has crashed.
-func (st *Store) Dead() bool { return st.log.Dead() }
+func (st *Store) Dead() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.dead
+}
 
 // Compact writes state — the caller's full current state rendered as
 // records — as the next generation's snapshot, starts that
@@ -172,12 +296,12 @@ func (st *Store) Dead() bool { return st.log.Dead() }
 // is fsynced before the atomic rename that makes it authoritative, so
 // a crash at any byte leaves either the old generation or the new one,
 // never a blend. The caller must guarantee quiescence (no concurrent
-// Append) and must have Synced every record already acknowledged.
+// Append); concurrent Sync calls wait, and return once the flush
+// Compact begins with covers them.
 func (st *Store) Compact(state [][]byte) error {
-	if st.log.Dead() {
-		return ErrCrashed
-	}
-	if err := st.log.Sync(); err != nil {
+	st.flush.Lock()
+	defer st.flush.Unlock()
+	if err := st.flushLocked(); err != nil {
 		return err
 	}
 	next := st.gen + 1
@@ -232,10 +356,20 @@ func (st *Store) Compact(state [][]byte) error {
 	os.Remove(filepath.Join(st.dir, genFile(walPrefix, st.gen)))
 	os.Remove(filepath.Join(st.dir, genFile(snapPrefix, st.gen)))
 	syncDir(st.dir)
-	st.log = newLog
-	st.gen = next
+	st.mu.Lock()
+	st.log, st.gen, st.base = newLog, next, st.durable
+	st.mu.Unlock()
 	return old.Close()
 }
 
-// Close flushes and closes the current log.
-func (st *Store) Close() error { return st.log.Close() }
+// Close flushes buffered records (unless the store is dead) and closes
+// the current log.
+func (st *Store) Close() error {
+	st.flush.Lock()
+	defer st.flush.Unlock()
+	var err error
+	if !st.Dead() {
+		err = st.flushLocked()
+	}
+	return errors.Join(err, st.log.Close())
+}

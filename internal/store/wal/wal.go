@@ -4,15 +4,16 @@
 // compacting snapshots, managed together as one state directory.
 //
 // The contract is crash-safety under kill -9 at any byte: a record is
-// durable once Sync has returned, a torn tail (a frame cut mid-write
-// by a crash) is detected by its CRC or short length and discarded on
-// the next Open, and a snapshot becomes the recovery base only via an
-// atomic rename after its bytes are fsynced. Recovery therefore always
-// reconstructs exactly the state as of the last completed Sync — never
-// a torn or interleaved hybrid. docs/DURABILITY.md specifies the frame
-// layout, the generation scheme, and the compaction policy; the
-// crash-point property harness in internal/invariant drives kill
-// -9-equivalent cuts through this package at seeded offsets.
+// durable once a Store.Sync has returned, a torn tail (a frame cut
+// mid-write by a crash) is detected by its CRC or short length and
+// discarded on the next Open, and a snapshot becomes the recovery base
+// only via an atomic rename after its bytes are fsynced. Recovery
+// therefore always reconstructs exactly the state as of the last
+// completed flush — never a torn or interleaved hybrid.
+// docs/DURABILITY.md specifies the frame layout, the zero-filled tail,
+// the generation scheme, and the compaction policy; the crash-point
+// property harness in internal/invariant drives kill -9-equivalent cuts
+// through this package at seeded offsets.
 //
 // The package is deliberately value-free about record contents: the
 // caller defines its own record codec and replay function.
@@ -43,6 +44,13 @@ type Metrics struct {
 	Fsyncs *obs.Counter
 	// BytesAppended counts framed record bytes made durable.
 	BytesAppended *obs.Counter
+	// ZeroBytes counts the zeros written ahead of the last frame (see
+	// Log); over BytesAppended it is the zero-fill's write overhead.
+	ZeroBytes *obs.Counter
+	// CommitWaitUS times each successful Store.Sync, in microseconds:
+	// the wait for the flush that covers the caller's records. Its
+	// count over Fsyncs is the group-commit factor.
+	CommitWaitUS *obs.Histogram
 	// Compactions counts log-into-snapshot compactions completed.
 	Compactions *obs.Counter
 	// SnapshotBytes holds the current generation's snapshot size.
@@ -68,15 +76,18 @@ const maxRecordSize = 1 << 30
 // accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Log is one append-only record log file. Appends buffer in memory;
-// Sync writes the buffered frames and fsyncs, so N appended records
-// cost one fsync (group commit). A Log is not safe for concurrent use;
-// callers serialize (the sync server appends under its state lock).
+// Log is one append-only record log file: write makes a buffer of
+// frames durable after the last frame with one fsync. Along a run of
+// small writes the file keeps durable zeros ahead of its last frame, so
+// the next small commits overwrite blocks that are already allocated
+// instead of growing the file. A Log is not safe for concurrent use;
+// Store buffers the frames and is the concurrent front end.
 type Log struct {
-	f       *os.File
-	path    string
-	size    int64  // bytes of complete, flushed frames in the file
-	pending []byte // frames appended since the last Sync
+	f      *os.File
+	path   string
+	size   int64 // bytes of complete, flushed frames in the file
+	zeroed int64 // the file's bytes [size, zeroed) are durable zeros
+	fill   int64 // the next zero-fill's extent; 0 outside a run of small writes
 
 	// failAt, when ≥ 0, is the injected crash point: an absolute file
 	// offset beyond which no byte may reach the disk. The flush that
@@ -85,11 +96,35 @@ type Log struct {
 	// then on.
 	failAt int64
 	dead   bool
+	// stall, when non-nil, holds the next flush between its write and
+	// its fsync (Store.StallSync).
+	stall *stall
 
 	// metrics, when non-nil, receives fsync timings and durable byte
 	// counts (Store.SetMetrics installs it and keeps it across
 	// compaction's log swap).
 	metrics *Metrics
+}
+
+// A write of minZeroFill or more appends as it is: its fsync is mostly
+// its data. A smaller one's is mostly the metadata of growing the file,
+// so along a run of small writes the log writes zeros for the next ones
+// to overwrite: the run's second write zero-fills minZeroFill bytes
+// after itself, and each later one that passes the zeros twice the
+// previous extent, up to maxZeroFill. A large write ends the run, so a
+// run writes at most twice its own bytes plus minZeroFill of zeros.
+const (
+	minZeroFill = 64 << 10
+	maxZeroFill = 4 << 20
+)
+
+var zeros [minZeroFill]byte
+
+// stall is an armed fsync stall: held closes when a flush reaches it,
+// which then waits for release to close.
+type stall struct {
+	held    chan struct{}
+	release <-chan struct{}
 }
 
 // appendFrame appends one framed record to buf.
@@ -109,8 +144,9 @@ func appendFrame(buf, rec []byte) []byte {
 func FrameSize(n int) int64 { return frameHeaderSize + int64(n) }
 
 // OpenLog opens (creating if needed) the log at path, replays every
-// complete record through fn in append order, truncates any torn tail,
-// and leaves the log positioned for appending. fn must not retain rec.
+// complete record through fn in append order, truncates any torn tail
+// (and any zeros after it), and leaves the log ready for appending. fn
+// must not retain rec.
 func OpenLog(path string, fn func(rec []byte) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -128,11 +164,7 @@ func OpenLog(path string, fn func(rec []byte) error) (*Log, error) {
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek: %w", err)
-	}
-	return &Log{f: f, path: path, size: valid, failAt: -1}, nil
+	return &Log{f: f, path: path, size: valid, zeroed: valid, failAt: -1}, nil
 }
 
 // replayFrames scans complete frames from r, calling fn for each, and
@@ -189,65 +221,84 @@ func (b *byteCounter) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Append buffers one record for the next Sync. It never touches the
-// disk — durability is Sync's job — so it cannot fail; a dead log's
-// buffered records are simply never written.
-func (l *Log) Append(rec []byte) {
-	l.pending = appendFrame(l.pending, rec)
-}
-
-// Pending reports the buffered-but-unsynced byte volume.
-func (l *Log) Pending() int64 { return int64(len(l.pending)) }
-
 // Size reports the flushed (complete-frame) byte size of the log file.
 func (l *Log) Size() int64 { return l.size }
 
-// Sync flushes every buffered record and fsyncs the file: the group
-// commit. On return the records are durable. If a crash point trips
-// mid-flush, the allowed prefix reaches the file (torn), ErrCrashed is
-// returned, and every later operation fails the same way.
-func (l *Log) Sync() error {
+// write makes buf — whole frames — durable after the log's last frame,
+// with one fsync: the group commit. When a small buf inside a run of
+// small ones passes the zeros, a fresh extent of zeros is written after
+// it, under the same fsync. If a crash point trips mid-flush, the allowed
+// prefix reaches the file (torn), ErrCrashed is returned, and every
+// later write fails the same way.
+func (l *Log) write(buf []byte) error {
 	if l.dead {
 		return ErrCrashed
 	}
-	if len(l.pending) == 0 {
+	if len(buf) == 0 {
 		return nil
 	}
 	var t0 time.Time
 	if l.metrics != nil {
 		t0 = time.Now()
 	}
-	buf := l.pending
-	if l.failAt >= 0 && l.size+int64(len(buf)) > l.failAt {
-		allowed := l.failAt - l.size
-		if allowed < 0 {
-			allowed = 0
-		}
-		if allowed > 0 {
+	end := l.size + int64(len(buf))
+	if l.failAt >= 0 && end > l.failAt {
+		if allowed := l.failAt - l.size; allowed > 0 {
 			// The kernel got the prefix; whether it hit the platter is
 			// moot — recovery must tolerate the torn frame either way.
-			l.f.Write(buf[:allowed])
+			l.f.WriteAt(buf[:allowed], l.size)
 			l.f.Sync()
 		}
 		l.dead = true
 		return ErrCrashed
 	}
-	n, err := l.f.Write(buf)
-	if err != nil {
-		l.size += int64(n)
+	if len(buf) >= minZeroFill {
+		l.fill = 0
+	} else if end > l.zeroed {
+		if l.fill > 0 {
+			if err := l.zeroFill(end, end+l.fill); err != nil {
+				l.dead = true
+				return fmt.Errorf("wal: zero-fill: %w", err)
+			}
+		}
+		l.fill = min(max(2*l.fill, minZeroFill), maxZeroFill)
+	}
+	if _, err := l.f.WriteAt(buf, l.size); err != nil {
 		l.dead = true
 		return fmt.Errorf("wal: append: %w", err)
+	}
+	if s := l.stall; s != nil {
+		l.stall = nil
+		close(s.held)
+		<-s.release
 	}
 	if err := l.f.Sync(); err != nil {
 		l.dead = true
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.size += int64(len(buf))
-	l.pending = l.pending[:0]
+	l.size = end
 	if m := l.metrics; m != nil {
 		m.Fsyncs.Inc()
 		m.BytesAppended.Add(int64(len(buf)))
 		m.FsyncUS.Observe(time.Since(t0).Microseconds())
+	}
+	return nil
+}
+
+// zeroFill writes zeros over the file's bytes [from, to) and records
+// to as the zero-filled extent's end; the caller's fsync makes them
+// durable.
+func (l *Log) zeroFill(from, to int64) error {
+	for off := from; off < to; {
+		n, err := l.f.WriteAt(zeros[:min(to-off, int64(len(zeros)))], off)
+		if err != nil {
+			return err
+		}
+		off += int64(n)
+	}
+	l.zeroed = to
+	if m := l.metrics; m != nil {
+		m.ZeroBytes.Add(to - from)
 	}
 	return nil
 }
@@ -263,22 +314,22 @@ func (l *Log) FailAt(offset int64) { l.failAt = offset }
 // have left it.
 func (l *Log) Dead() bool { return l.dead }
 
-// Close flushes buffered records (unless the log is dead) and closes
-// the file. A dead log closes without writing another byte.
+// Close cuts the zero-filled extent off (unless the log is dead) and
+// closes the file, so a closed log is exactly its frames. A dead log
+// closes without touching the file.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
 	var err error
-	if !l.dead {
-		err = l.Sync()
+	if !l.dead && l.zeroed > l.size {
+		if err = l.f.Truncate(l.size); err != nil {
+			err = fmt.Errorf("wal: cutting the zero-filled extent: %w", err)
+		}
 	}
-	cerr := l.f.Close()
+	err = errors.Join(err, l.f.Close())
 	l.f = nil
-	if err != nil {
-		return err
-	}
-	return cerr
+	return err
 }
 
 // syncDir fsyncs a directory so renames and creates within it are

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -19,16 +20,29 @@ func collect(t *testing.T, recs *[][]byte) func([]byte) error {
 
 func rec(i int) []byte { return []byte(fmt.Sprintf("record-%03d-%s", i, "payload")) }
 
+func allZero(b []byte) bool { return !slices.ContainsFunc(b, func(c byte) bool { return c != 0 }) }
+
+// commit makes recs durable on l in one flush, the way Store.Sync hands
+// its buffered frames to the log.
+func commit(l *Log, recs ...[]byte) error {
+	var buf []byte
+	for _, r := range recs {
+		buf = appendFrame(buf, r)
+	}
+	return l.write(buf)
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, err := OpenLog(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var recs [][]byte
 	for i := 0; i < 10; i++ {
-		l.Append(rec(i))
+		recs = append(recs, rec(i))
 	}
-	if err := l.Sync(); err != nil {
+	if err := commit(l, recs...); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -60,23 +74,16 @@ func TestLogRoundTrip(t *testing.T) {
 
 // TestLogCloseFlushes: a graceful Close makes unsynced appends durable.
 func TestLogCloseFlushes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenLog(path, nil)
-	if err != nil {
+	dir := t.TempDir()
+	st, _ := openCollect(t, dir)
+	st.Append(rec(0))
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(rec(0))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	l2, err := OpenLog(path, func([]byte) error { n++; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.Close()
-	if n != 1 {
-		t.Fatalf("replayed %d records after graceful close, want 1", n)
+	st2, got := openCollect(t, dir)
+	st2.Close()
+	if len(got) != 1 {
+		t.Fatalf("replayed %d records after graceful close, want 1", len(got))
 	}
 }
 
@@ -92,14 +99,15 @@ func TestTornTailEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 6
+	var recs [][]byte
 	var ends []int64 // cumulative frame end offsets
 	off := int64(0)
 	for i := 0; i < n; i++ {
-		l.Append(rec(i))
+		recs = append(recs, rec(i))
 		off += FrameSize(len(rec(i)))
 		ends = append(ends, off)
 	}
-	if err := l.Sync(); err != nil {
+	if err := commit(l, recs...); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -128,8 +136,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(got), wantRecs)
 		}
 		// The repaired log must accept appends and replay them.
-		l.Append([]byte("after-crash"))
-		if err := l.Sync(); err != nil {
+		if err := commit(l, []byte("after-crash")); err != nil {
 			t.Fatalf("cut %d: append after repair: %v", cut, err)
 		}
 		l.Close()
@@ -154,10 +161,7 @@ func TestCorruptFrameStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		l.Append(rec(i))
-	}
-	if err := l.Sync(); err != nil {
+	if err := commit(l, rec(0), rec(1), rec(2), rec(3)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -187,33 +191,33 @@ func TestFailPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(rec(0))
-	if err := l.Sync(); err != nil {
+	if err := commit(l, rec(0)); err != nil {
 		t.Fatal(err)
 	}
 	first := l.Size()
 
 	// Cut 3 bytes into the second record's frame.
 	l.FailAt(first + 3)
-	l.Append(rec(1))
-	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
+	if err := commit(l, rec(1)); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Sync past fail point: %v, want ErrCrashed", err)
 	}
 	if !l.Dead() {
 		t.Fatal("log not dead after crash")
 	}
-	l.Append(rec(2))
-	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
+	if err := commit(l, rec(2)); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Sync on dead log: %v, want ErrCrashed", err)
 	}
 	l.Close()
 
-	fi, err := os.Stat(path)
+	// The file is the log up to the cut, then the zeros a commit
+	// overwrites.
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != first+3 {
-		t.Fatalf("file size %d after crash at %d", fi.Size(), first+3)
+	want := appendFrame(appendFrame(nil, rec(0)), rec(1))[:first+3]
+	if int64(len(raw)) < first+3 || !bytes.Equal(raw[:first+3], want) || !allZero(raw[first+3:]) {
+		t.Fatalf("file after crash at %d is not the log's first %d bytes then zeros", first+3, first+3)
 	}
 	var got [][]byte
 	l2, err := OpenLog(path, collect(t, &got))

@@ -104,7 +104,9 @@ func walMetrics(reg *obs.Registry) *wal.Metrics {
 	return &wal.Metrics{
 		FsyncUS:       reg.Histogram("syncd_wal_fsync_duration_us", "Microseconds per WAL group commit (buffered write + fsync)."),
 		Fsyncs:        reg.Counter("syncd_wal_fsyncs_total", "WAL group commits (fsyncs) performed."),
+		CommitWaitUS:  reg.Histogram("syncd_wal_commit_wait_us", "Microseconds a session waits, outside the server lock, for the WAL flush that covers its records; its count over syncd_wal_fsyncs_total is the group-commit factor."),
 		BytesAppended: reg.Counter("syncd_wal_bytes_appended_total", "Framed record bytes made durable in the WAL."),
+		ZeroBytes:     reg.Counter("syncd_wal_zero_fill_bytes_total", "Zeros written ahead of the WAL's last frame, which later commits overwrite."),
 		Compactions:   reg.Counter("syncd_wal_compactions_total", "Log-into-snapshot compactions completed."),
 		SnapshotBytes: reg.Gauge("syncd_wal_snapshot_bytes", "Size of the current generation's snapshot in bytes."),
 	}

@@ -180,33 +180,51 @@ func (s *Server) putContentLocked(hash protocol.Fingerprint, raw []byte) {
 	}
 }
 
-// persistSync group-commits every record appended since the last sync —
-// the durability point a session must cross before acknowledging. One
-// fsync covers all mutations batched behind it (a whole Bundle, or
-// several pipelined commits). When the log crosses the compaction
-// threshold the whole state is folded into a snapshot. Any failure —
-// the injected crash point included — marks the server crashed.
+// persistSync makes every record appended so far durable — the point
+// a session must cross before acknowledging, so its ACK also covers
+// records other sessions appended before its own (a dedup hit's content
+// record, say). The write and fsync run outside s.mu, one flush
+// covering every session waiting on it (wal.Store.Sync). When the log
+// crosses the compaction threshold the whole state is folded into a
+// snapshot, under s.mu. Any failure — the injected crash point included
+// — marks the server crashed.
 func (s *Server) persistSync() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistSyncLocked()
-}
-
-func (s *Server) persistSyncLocked() error {
-	if s.persist == nil {
+	p := s.persist
+	s.mu.Unlock()
+	if p == nil {
 		return nil
 	}
-	if err := s.persist.Sync(); err != nil {
-		s.markCrashedLocked()
-		return fmt.Errorf("%w: %v", ErrServerCrashed, err)
+	if err := p.Sync(); err != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.crashLocked(err)
 	}
-	if s.persist.LogBytes() > s.cfg.CompactLogBytes {
-		if err := s.persist.Compact(s.snapshotRecordsLocked()); err != nil {
-			s.markCrashedLocked()
-			return fmt.Errorf("%w: %v", ErrServerCrashed, err)
-		}
+	if p.LogBytes() <= s.cfg.CompactLogBytes {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p.LogBytes() <= s.cfg.CompactLogBytes {
+		return nil // another session compacted first
+	}
+	return s.compactLocked()
+}
+
+// compactLocked folds the durable log into a snapshot of the state
+// under s.mu, which the caller holds.
+func (s *Server) compactLocked() error {
+	if err := s.persist.Compact(s.snapshotRecordsLocked()); err != nil {
+		return s.crashLocked(err)
 	}
 	return nil
+}
+
+// crashLocked marks the server crashed by the durable store's err and
+// returns the error a session reports. Caller holds s.mu.
+func (s *Server) crashLocked(err error) error {
+	s.markCrashedLocked()
+	return fmt.Errorf("%w: %v", ErrServerCrashed, err)
 }
 
 // snapshotRecordsLocked renders the full server state as records, in
@@ -331,11 +349,7 @@ func (s *Server) CompactState() error {
 	if s.persist == nil {
 		return nil
 	}
-	if err := s.persist.Compact(s.snapshotRecordsLocked()); err != nil {
-		s.markCrashedLocked()
-		return fmt.Errorf("%w: %v", ErrServerCrashed, err)
-	}
-	return nil
+	return s.compactLocked()
 }
 
 // closePersist tears down the durable store at server Close, flushing

@@ -197,7 +197,8 @@ type Server struct {
 	handlers sync.WaitGroup // serve loops + connection handlers
 
 	// persist is the durable state store (nil for in-RAM servers);
-	// appended under s.mu, group-committed by persistSync. crashed trips
+	// appended under s.mu, group-committed by persistSync outside it; the
+	// pointer is set at open and cleared at Close. crashed trips
 	// once the store dies — see persist.go.
 	persist  *wal.Store
 	crashed  atomic.Bool

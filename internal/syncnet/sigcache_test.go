@@ -524,14 +524,26 @@ func TestDeleteByIDIndex(t *testing.T) {
 // no name ended up holding content nobody uploaded, that every served
 // signature still matches its file, and that all three ledgers balance.
 func TestTwoDevicesHammerOneAccount(t *testing.T) {
+	hammerOneAccount(t, ServerConfig{})
+}
+
+// hammerOneAccount runs the hammer on a server built from cfg (its
+// ledger, block size and log hook are the hammer's own) and returns
+// each name's last acknowledged version and content.
+func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 	leakCheck(t)
 	srvLed := &ledger.Ledger{}
 	var refused atomic.Int64
-	srv := NewServer(ServerConfig{Ledger: srvLed, BlockSize: 512, Logf: func(f string, _ ...any) {
+	cfg.Ledger, cfg.BlockSize = srvLed, 512
+	cfg.Logf = func(f string, _ ...any) {
 		if strings.HasPrefix(f, "refused stale-basis") {
 			refused.Add(1)
 		}
-	}})
+	}
+	srv, err := OpenServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { srv.Close() })
 	const (
 		devices = 2
@@ -542,6 +554,14 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 
 	var mu sync.Mutex
 	uploaded := map[[md5.Size]byte]bool{}
+	acked := map[string]FileState{}
+	ack := func(name string, data []byte, version uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		if version > acked[name].Version {
+			acked[name] = FileState{Version: version, Data: bytes.Clone(data)}
+		}
+	}
 	leds := make([]*ledger.Ledger, devices)
 	clients := make([]*Client, devices)
 	closers := make([]func(), devices)
@@ -554,9 +574,11 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 		mu.Lock()
 		uploaded[md5.Sum(base)] = true
 		mu.Unlock()
-		if _, err := clients[0].Upload(name, base); err != nil {
+		st, err := clients[0].Upload(name, base)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ack(name, base, st.Version)
 	}
 	if _, err := clients[1].List(); err != nil {
 		t.Fatal(err)
@@ -589,7 +611,7 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 				mu.Lock()
 				uploaded[md5.Sum(data)] = true
 				mu.Unlock()
-				_, err := c.Upload(name, data)
+				st, err := c.Upload(name, data)
 				var perr *protocol.Error
 				if errors.As(err, &perr) && perr.Code == protocol.ErrConflict {
 					continue // lost maxDeltaConflicts races in a row: allowed
@@ -598,6 +620,7 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 					t.Errorf("device %d upload %s: %v", dev, name, err)
 					return
 				}
+				ack(name, data, st.Version)
 			}
 		}(dev, c)
 	}
@@ -635,6 +658,7 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 	if devTotal == 0 || ss.DeltaSyncs == 0 || ss.Uploads <= int64(len(names)) {
 		t.Errorf("hammer did not exercise both paths: %d delta syncs, %d uploads", ss.DeltaSyncs, ss.Uploads)
 	}
+	return acked
 }
 
 // device is one client of a lost-Ack or cut test: its transport (a
