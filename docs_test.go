@@ -353,6 +353,10 @@ func TestObservabilityCatalogue(t *testing.T) {
 	must("delete", c.Delete("small"))
 	must("client close", c.Close())
 	must("server close", srv.Close())
+	// The metered client's one delta sync, timed once.
+	if n := reg.Histogram("syncnet_client_delta_compute_us", "").Count(); n != 1 {
+		t.Fatalf("syncnet_client_delta_compute_us counted %d delta computes, want 1", n)
+	}
 
 	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
 	if err != nil {

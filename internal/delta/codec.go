@@ -25,13 +25,17 @@ import (
 //
 // Signatures encode as:
 //
-//	magic "SIG1" (4 bytes)
+//	magic "SIG2" (4 bytes)
 //	blockSize uint32
 //	fileSize  uint64
 //	count     uint32
 //	blocks: count × (weak uint32, strong 16 bytes)  — sizes are implied
 //	by position (all full except a final short block derived from
 //	fileSize).
+//
+// The strong bytes are strongSum's SHA-256 prefix. "SIG1" frames, whose
+// strong bytes were MD5, are refused: against SHA-256 sums every block
+// would miss and the delta would go out all literal.
 //
 // Both codecs write little-endian fields by hand into one buffer sized
 // up front, and parse with direct offset arithmetic: the reflection-
@@ -40,7 +44,7 @@ import (
 
 const (
 	deltaMagic  = "DLT1"
-	sigMagic    = "SIG1"
+	sigMagic    = "SIG2"
 	opCopyTag   = 0x01
 	opLitTag    = 0x02
 	opRunTag    = 0x03

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,20 @@ func TestSignatureDecodeErrors(t *testing.T) {
 		if _, err := DecodeSignature(c); err == nil {
 			t.Errorf("case %d: DecodeSignature succeeded on malformed input", i)
 		}
+	}
+}
+
+// TestSignatureRefusesSIG1 checks that a frame under the old magic,
+// whose strong sums were MD5, is refused rather than decoded into
+// sums no block of a SHA-256 scan could match.
+func TestSignatureRefusesSIG1(t *testing.T) {
+	frame := Sign(content.Random(3000, 5).Bytes(), 1024).Encode()
+	if string(frame[:4]) != "SIG2" {
+		t.Fatalf("signature magic %q, want SIG2", frame[:4])
+	}
+	_, err := DecodeSignature(corrupt(frame, 0, []byte("SIG1")...))
+	if err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("DecodeSignature(SIG1 frame) err = %v, want a bad-magic error", err)
 	}
 }
 

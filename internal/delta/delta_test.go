@@ -2,6 +2,8 @@ package delta
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"runtime"
@@ -264,6 +266,29 @@ func TestWeakSumRolling(t *testing.T) {
 		w = roll(w, data[i-1], data[i+n-1], n)
 		if direct := weakSum(data[i : i+n]); w != direct {
 			t.Fatalf("rolling sum diverged at offset %d: %08x vs %08x", i, w, direct)
+		}
+	}
+}
+
+// TestStrongSumKnownAnswer pins a block's strong sum to the first 16
+// bytes of its SHA-256: the FIPS 180-2 "abc" vector, the empty block,
+// and every block Sign cuts from a random file with a short tail.
+func TestStrongSumKnownAnswer(t *testing.T) {
+	abc := strongSum([]byte("abc"))
+	if got, want := hex.EncodeToString(abc[:]), "ba7816bf8f01cfea414140de5dae2223"; got != want {
+		t.Fatalf("strongSum(abc) = %s, want %s", got, want)
+	}
+	for _, x := range [][]byte{nil, {0}, content.Random(4096, 21).Bytes()} {
+		full := sha256.Sum256(x)
+		if got := strongSum(x); !bytes.Equal(got[:], full[:16]) {
+			t.Fatalf("strongSum of %d bytes = %x, want %x", len(x), got, full[:16])
+		}
+	}
+	data := content.Random(3*512+100, 22).Bytes()
+	for _, b := range Sign(data, 512).Blocks {
+		full := sha256.Sum256(data[b.Index*512 : b.Index*512+b.Size])
+		if !bytes.Equal(b.Strong[:], full[:16]) {
+			t.Fatalf("block %d: Strong = %x, want %x", b.Index, b.Strong, full[:16])
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package delta
 
-import (
-	"crypto/md5"
-	"fmt"
-)
+import "fmt"
 
 // Retained reference implementations: the straightforward forms of the
 // optimized kernels, which the differential harness and the benchmarks
@@ -50,7 +47,7 @@ func computeRef(sig Signature, target []byte) Delta {
 		for {
 			matched := -1
 			if cand := wt.lookup(w); cand >= 0 {
-				strong := md5.Sum(target[i : i+bs])
+				strong := strongSum(target[i : i+bs])
 				for ; cand >= 0; cand = wt.next[cand] {
 					if wt.blocks[cand].Strong == strong {
 						matched = wt.blocks[cand].Index
@@ -80,7 +77,7 @@ func computeRef(sig Signature, target []byte) Delta {
 	rest := target[litStart:]
 	if partial != nil && len(rest) >= partial.Size && partial.Size > 0 {
 		tail := rest[len(rest)-partial.Size:]
-		if weakSumRef(tail) == partial.Weak && md5.Sum(tail) == partial.Strong {
+		if weakSumRef(tail) == partial.Weak && strongSum(tail) == partial.Strong {
 			emitLiteral(rest[:len(rest)-partial.Size])
 			d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: partial.Index})
 			return d

@@ -78,8 +78,9 @@ type Client struct {
 	// replyWaitUS, set via WithClientMetrics, times every blocking wait
 	// for a server reply — the wire round-trip as the client sees it.
 	// signWaitUS times what a full upload's signing added after the Ack,
-	// compressUS every payload the client compressed.
-	replyWaitUS, signWaitUS, compressUS *obs.Histogram
+	// compressUS every payload the client compressed, deltaComputeUS
+	// every delta.Compute of a delta sync.
+	replyWaitUS, signWaitUS, compressUS, deltaComputeUS *obs.Histogram
 }
 
 // WireTotals reports the bytes this client has read from and written to
@@ -160,8 +161,10 @@ func WithTraceContext() ClientOption {
 // and service, as the client experiences it), and
 // syncnet_client_sign_wait_us, the microseconds a full upload blocked
 // on its own signature after the Ack (the part of signing the upload
-// did not hide), and syncnet_client_compress_us, the microseconds each
-// payload took to compress. A nil reg leaves the client unmetered.
+// did not hide), syncnet_client_compress_us, the microseconds each
+// payload took to compress, and syncnet_client_delta_compute_us, the
+// microseconds each delta sync spent in delta.Compute. A nil reg leaves
+// the client unmetered.
 func WithClientMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) {
 		c.replyWaitUS = reg.Histogram("syncnet_client_reply_wait_us",
@@ -170,6 +173,8 @@ func WithClientMetrics(reg *obs.Registry) ClientOption {
 			"Microseconds a full upload blocked after its Ack on signing what it uploaded.")
 		c.compressUS = reg.Histogram("syncnet_client_compress_us",
 			"Microseconds spent compressing each payload the client sent compressed.")
+		c.deltaComputeUS = reg.Histogram("syncnet_client_delta_compute_us",
+			"Microseconds each delta sync spent computing its delta against the basis signature.")
 	}
 }
 
@@ -184,6 +189,18 @@ func (c *Client) compress(data []byte) []byte {
 	payload := comp.Compress(data, c.compression)
 	c.compressUS.Observe(time.Since(t0).Microseconds())
 	return payload
+}
+
+// computeDelta is delta.Compute, timed into
+// syncnet_client_delta_compute_us when the client is metered.
+func (c *Client) computeDelta(sig delta.Signature, data []byte) delta.Delta {
+	if c.deltaComputeUS == nil {
+		return delta.Compute(sig, data)
+	}
+	t0 := time.Now()
+	d := delta.Compute(sig, data)
+	c.deltaComputeUS.Observe(time.Since(t0).Microseconds())
+	return d
 }
 
 // sendTraceCtx prefixes the current attempt with the client's trace
@@ -565,7 +582,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 		base = sigMsg.Version
 	}
 	sp.Set("block_size", sig.BlockSize)
-	d := delta.Compute(sig, data)
+	d := c.computeDelta(sig, data)
 	payload := d.Encode()
 	if err := c.wc.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {
 		return stats, err

@@ -166,18 +166,21 @@ func encodeContentRec(hash protocol.Fingerprint, data []byte) []byte {
 // putContentLocked is the content store's one insertion, shared by
 // store, a published delta and replay: a blob not yet in byHash is
 // kept (raw is retained, not copied), counted in syncd_bytes_stored and
-// appended to the durable log. Replay appends nothing, because
-// s.persist is still nil until wal.Open returns. Caller holds s.mu (or,
-// during replay, owns the unshared server).
-func (s *Server) putContentLocked(hash protocol.Fingerprint, raw []byte) {
-	if _, ok := s.byHash[hash]; ok {
-		return
+// appended to the durable log. It returns the store's copy — raw, or
+// the blob already filed under hash — which is what a file version must
+// hold, so content reached again is kept once. Replay appends nothing,
+// because s.persist is still nil until wal.Open returns. Caller holds
+// s.mu (or, during replay, owns the unshared server).
+func (s *Server) putContentLocked(hash protocol.Fingerprint, raw []byte) []byte {
+	if stored, ok := s.byHash[hash]; ok {
+		return stored
 	}
 	s.byHash[hash] = raw
 	s.om.bytesStored.Add(int64(len(raw)))
 	if s.persist != nil {
 		s.persist.Append(encodeContentRec(hash, raw))
 	}
+	return raw
 }
 
 // persistSync makes every record appended so far durable — the point

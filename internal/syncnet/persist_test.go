@@ -121,6 +121,45 @@ func TestBytesStoredAfterReopen(t *testing.T) {
 	}
 }
 
+// TestStoredContentKeptOnce: a version whose content the store already
+// holds keeps the store's copy, not a second one. A delta that toggles a
+// file back to an earlier version and another account's full upload of
+// the same bytes (a dedup miss: the index is per account) both leave
+// f.data sharing byHash's backing array, and syncd_bytes_stored counts
+// each distinct blob once.
+func TestStoredContentKeptOnce(t *testing.T) {
+	srv, dial := startServer(t, ServerConfig{})
+	alice, _ := dial("alice")
+	bob, _ := dial("bob")
+	a := content.Random(64<<10, 1).Bytes()
+	b := bytes.Clone(a)
+	copy(b[5000:], "edited")
+	for _, v := range [][]byte{a, b, a} { // full upload, then two deltas
+		if _, err := alice.Upload("f", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bob.Upload("f", a); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.DeltaSyncs != 2 || st.DedupSkips != 0 {
+		t.Fatalf("%d delta syncs and %d dedup skips, want 2 and 0", st.DeltaSyncs, st.DedupSkips)
+	}
+	if want := int64(len(a) + len(b)); st.BytesStored != want {
+		t.Fatalf("BytesStored %d, want %d: each distinct blob once", st.BytesStored, want)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, user := range []string{"alice", "bob"} {
+		f := srv.account(user).files["f"]
+		stored := srv.byHash[f.hash]
+		if !bytes.Equal(f.data, a) || &f.data[0] != &stored[0] {
+			t.Errorf("%s/f holds its own copy of content the store already keeps", user)
+		}
+	}
+}
+
 // TestServerTornTailEveryOffset is the kill -9 property over the whole
 // log: truncated at every byte, the state directory must reopen without
 // error. A cut at an acknowledged commit's end recovers exactly the

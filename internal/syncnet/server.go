@@ -842,13 +842,12 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.fileLocked(ss.user, name, id)
-	f.data = raw
+	f.data = s.putContentLocked(hash, raw)
 	f.hash = hash
 	f.version++
 	f.deleted = false
 	f.history++
 	s.index.Add(ss.user, hash, int64(len(raw)))
-	s.putContentLocked(hash, raw)
 	s.commitFileLocked(ss.user, f)
 	if wasDedup {
 		s.om.dedupSkips.Inc()
@@ -1017,12 +1016,11 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
-	f.data = raw
+	f.data = s.putContentLocked(hash, raw)
 	f.version++
 	f.history++
 	f.hash = hash
 	s.index.Add(ss.user, hash, int64(len(raw)))
-	s.putContentLocked(hash, raw)
 	s.commitFileLocked(ss.user, f)
 	version := f.version
 	id := f.id
