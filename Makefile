@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench bench-core bench-kernel-diff bench-load bench-e2e bench-build tuebench
+.PHONY: check build vet test race fuzz bench bench-core bench-kernel-diff bench-e2e bench-build tuebench
 
 # check is the full gate: compile everything, vet, and run the test
 # suite under the race detector (the experiment layer is concurrent).
@@ -75,23 +75,6 @@ bench-kernel-diff:
 		| $(GO) run ./internal/obs/benchjson > /tmp/bench_kernel_new.json
 	$(GO) run ./internal/obs/benchjson -compare -filter '$(KERNEL_FILTER)' \
 		BENCH_core.json /tmp/bench_kernel_new.json
-
-# bench-load records the live-sync throughput baseline: syncload drives
-# open-loop arrivals of small-file batches against an in-process syncd
-# over real TCP in both modes (lockstep, bundle) at a rate past lockstep
-# saturation, verifying ledger exactness as it goes, and writes
-# sustained req/s, latency quantiles, and peak RSS per mode into
-# BENCH_load.json. The headline is the shape, which follows the
-# exchanges per file: these files fit one delta block, so lockstep
-# Upload sends each inline (one exchange per file) and sheds what it
-# cannot carry; bundle (one exchange per batch) must carry the whole
-# offered rate without shedding, at a fraction of lockstep's p50 and p99.
-SYNCLOAD_ARGS = -accounts 256 -rate 8000 -duration 4s -batch 8 \
-	-max-size 4096 -seed 1 -check -quiet
-
-bench-load:
-	$(GO) run ./cmd/syncload $(SYNCLOAD_ARGS) -json BENCH_load.json
-	cat BENCH_load.json
 
 # bench-e2e runs the repo's one closed-loop benchmark (BENCHMARK.json):
 # every named workload, end-to-end metrics checked for correctness,

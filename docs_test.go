@@ -276,8 +276,7 @@ func diffSets(t *testing.T, what string, code, doc map[string]bool) {
 // registry and a tracer on both ends, then requires the syncd_* and
 // syncnet_* metric names registered, and the client.* and server.* span
 // names emitted, to equal the ones the tables of docs/OBSERVABILITY.md
-// name — in both directions. (syncload's own instruments are held to
-// the same tables by cmd/syncload's TestSyncloadMetricsDocumented.)
+// name — in both directions.
 func TestObservabilityCatalogue(t *testing.T) {
 	reg := obs.NewRegistry()
 	srvTr, cliTr := obs.NewTracer(), obs.NewTracer()

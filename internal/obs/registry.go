@@ -127,67 +127,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// QuantileStepTolerancePct is the smallest relative band (in percent)
-// within which two Quantile results must be treated as equal: adjacent
-// representable answers inside one power-of-two bucket can differ by
-// up to the bucket's full width, i.e. up to 2×. Comparisons of
-// quantiles — regression gates, phase decompositions, bench diffs —
-// must therefore never use a tolerance tighter than this.
-const QuantileStepTolerancePct = 125
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed values
-// by linear interpolation within the power-of-two bucket holding the
-// target rank.
-//
-// Resolution contract: the answer is exact only to the width of the
-// bucket the rank lands in. Buckets double, so the true quantile can
-// be anywhere in (bound/2, bound] — a worst-case ~2× relative error,
-// though interpolation does far better when observations spread inside
-// the bucket. Two quantiles closer than QuantileStepTolerancePct
-// percent apart are indistinguishable on this scale and must not be
-// compared more finely (phase decompositions and bench gates included).
-// Returns 0 on a nil or empty histogram; ranks landing in the +Inf
-// bucket report the largest finite bound.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total <= 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := 0; i <= HistBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= HistBuckets {
-				return BucketBound(HistBuckets - 1)
-			}
-			lo := int64(0)
-			if i > 0 {
-				lo = BucketBound(i - 1)
-			}
-			hi := BucketBound(i)
-			// Linear interpolation of the rank's position within the
-			// bucket's value range.
-			frac := (rank - float64(cum)) / float64(n)
-			return lo + int64(frac*float64(hi-lo)+0.5)
-		}
-		cum += n
-	}
-	return BucketBound(HistBuckets - 1)
-}
-
 // metricKind tags a registered name for rendering.
 type metricKind uint8
 
@@ -310,7 +249,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				cum += m.h.buckets[i].Load()
 				le := "+Inf"
 				if i < HistBuckets {
-					le = strconv.FormatInt(int64(1)<<uint(i), 10)
+					le = strconv.FormatInt(BucketBound(i), 10)
 				}
 				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, le, cum)
 			}

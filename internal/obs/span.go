@@ -290,14 +290,3 @@ func (t *Tracer) Spans() []SpanData {
 	}
 	return out
 }
-
-// Reset discards every recorded span (the tracer's clock keeps
-// running). Exports after a Reset cover only spans recorded since.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.mu.Unlock()
-}

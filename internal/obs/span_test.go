@@ -30,7 +30,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp.End()
 	sp.EndAt(5)
 	tr.Record("r", 0, 1)
-	tr.Reset()
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil tracer Spans = %v, want nil", got)
 	}
@@ -176,14 +175,5 @@ func TestWriteChromeTrace(t *testing.T) {
 		if c.tr == sim && (ch.Ts != 2000 || r.Dur != 2000) {
 			t.Fatalf("sim child ts %v µs, root dur %v µs; want 2000, 2000", ch.Ts, r.Dur)
 		}
-	}
-}
-
-func TestResetDropsSpans(t *testing.T) {
-	tr := NewTracer()
-	tr.Start("x").End()
-	tr.Reset()
-	if n := len(tr.Spans()); n != 0 {
-		t.Fatalf("after Reset, %d spans remain", n)
 	}
 }

@@ -2,9 +2,17 @@ package syncnet
 
 import (
 	"bytes"
+	"crypto/md5"
+	"fmt"
+	"math/rand/v2"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"cloudsync/internal/invariant"
+	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
 )
 
@@ -138,4 +146,179 @@ func TestLedgerResumeAndRetransmit(t *testing.T) {
 		t.Errorf("fresh payload bytes %d exceed file size %d; re-sent ranges leaked past the retransmit split\n%s",
 			got, len(payload), clientLed.Snapshot().Table("client"))
 	}
+}
+
+// TestConcurrentSessionsLedgerExact runs many sessions at once over
+// loopback TCP into one durable, traced, metered server: half upload
+// lockstep (each small file inline, one exchange per file), half in
+// bundles of eight (one exchange per batch), every session propagating
+// its trace context. No operation may fail and the server must hold
+// each session's bytes. While the sessions are still open, every
+// ledger on either side must equal its metered wire bytes; the
+// clients' ledgers must sum to the server's cause by cause, with
+// payload and dedup probes exactly what the uploads put on the wire;
+// and merging every dump must hang each server span a client parented
+// remotely under that client's span.
+func TestConcurrentSessionsLedgerExact(t *testing.T) {
+	const sessions, rounds, batch, maxSize = 16, 12, 8, 4 << 10
+	srvLed, srvTr, reg := &ledger.Ledger{}, obs.NewTracer(), obs.NewRegistry()
+	srv, dial := startServer(t, ServerConfig{
+		StateDir: t.TempDir(), Ledger: srvLed, Tracer: srvTr, Metrics: reg,
+	})
+
+	type session struct {
+		user    string
+		c       *Client
+		written *atomic.Int64
+		led     *ledger.Ledger
+		tr      *obs.Tracer
+		files   [rounds][]FileUpload
+		payload int64 // Σ UploadStats.PayloadBytes
+		err     error
+	}
+	rng := rand.New(rand.NewPCG(42, 0x5e55))
+	ss := make([]*session, sessions)
+	for i := range ss {
+		s := &session{user: fmt.Sprintf("u%02d", i), led: &ledger.Ledger{}, tr: obs.NewTracer()}
+		for r := range s.files {
+			for f := range batch {
+				data := make([]byte, 1+rng.IntN(maxSize))
+				for k := range data {
+					data[k] = byte(rng.Uint32())
+				}
+				s.files[r] = append(s.files[r], FileUpload{Name: fmt.Sprintf("r%02d/f%d", r, f), Data: data})
+			}
+		}
+		s.c, s.written = dial(s.user, WithLedger(s.led), WithTracer(s.tr), WithTraceContext())
+		ss[i] = s
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, s := range ss {
+		wg.Add(1)
+		go func(lockstep bool) {
+			defer wg.Done()
+			<-start
+			for _, files := range s.files {
+				var stats []UploadStats
+				if lockstep {
+					for _, f := range files {
+						st, err := s.c.Upload(f.Name, f.Data)
+						if err != nil {
+							s.err = err
+							return
+						}
+						stats = append(stats, st)
+					}
+				} else if stats, s.err = s.c.UploadBundle(files); s.err != nil {
+					return
+				}
+				for _, st := range stats {
+					s.payload += int64(st.PayloadBytes)
+				}
+			}
+		}(i%2 == 0)
+	}
+	close(start)
+	wg.Wait()
+
+	var payload, files int64
+	for _, s := range ss {
+		if s.err != nil {
+			t.Fatalf("%s: %v", s.user, s.err)
+		}
+		for _, round := range s.files {
+			for _, f := range round {
+				if got, ok := srv.FileContent(s.user, f.Name); !ok || !bytes.Equal(got, f.Data) {
+					t.Errorf("%s/%s: server holds %d bytes (present %v), sent %d", s.user, f.Name, len(got), ok, len(f.Data))
+				}
+				files++
+			}
+		}
+		payload += s.payload
+	}
+
+	// The books are checked with every session still open, so the
+	// residual a session's end sweeps into framing cannot hide a frame
+	// left uncharged. The clients are idle and their books final; a
+	// server meters and charges a reply just after writing it, so its
+	// books may trail the clients' for a moment.
+	var sum ledger.Snapshot
+	var cliIn, cliOut int64
+	for _, s := range ss {
+		in, out := s.c.WireTotals()
+		if w := s.written.Load(); w != out {
+			t.Errorf("%s: socket carried %d bytes out, client metered %d", s.user, w, out)
+		}
+		for _, v := range invariant.CheckLedger(in+out, s.led.Snapshot()) {
+			t.Errorf("%s ledger: %v", s.user, v)
+		}
+		sum = sum.Merge(s.led.Snapshot())
+		cliIn, cliOut = cliIn+in, cliOut+out
+	}
+	var st ServerStats
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st = srv.Stats()
+		if st.BytesReceived == cliOut && st.BytesSent == cliIn && srvLed.Total() == cliIn+cliOut {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server read %d and wrote %d bytes and charged %d; clients wrote %d and read %d\n%s",
+				st.BytesReceived, st.BytesSent, srvLed.Total(), cliOut, cliIn, srvLed.Table("server"))
+		}
+	}
+	for _, v := range invariant.CheckLedger(st.BytesReceived+st.BytesSent, srvLed.Snapshot()) {
+		t.Errorf("server ledger: %v", v)
+	}
+	if srvSnap := srvLed.Snapshot(); sum != srvSnap {
+		t.Errorf("client ledgers sum to\n%s\nserver ledger\n%s", sum.Table("clients"), srvSnap.Table("server"))
+	}
+	if got := sum.Get(ledger.Payload); got != payload {
+		t.Errorf("payload charged %d bytes, the uploads sent %d", got, payload)
+	}
+	if got, want := sum.Get(ledger.DedupProbe), files*md5.Size; got != want {
+		t.Errorf("dedup_probe charged %d bytes, want %d (one hash per file)", got, want)
+	}
+
+	for _, s := range ss {
+		s.c.Close()
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("syncd_wal_fsyncs_total", "").Value(); n == 0 {
+		t.Error("no WAL fsync: the server was not durable")
+	}
+
+	dumps := []obs.TraceDump{srvTr.Dump("server")} // first: merged IDs equal its span IDs
+	for _, s := range ss {
+		dumps = append(dumps, s.tr.Dump(s.user))
+	}
+	merged := obs.Merge(dumps...)
+	byID := make(map[uint64]obs.MergedSpan, len(merged))
+	for _, m := range merged {
+		byID[m.ID] = m
+	}
+	remote := 0
+	for _, sp := range dumps[0].Spans {
+		if sp.RemoteParent == 0 {
+			continue
+		}
+		remote++
+		var user any
+		for _, a := range sp.Attrs {
+			if a.Key == "user" {
+				user = a.Value
+			}
+		}
+		if p, ok := byID[byID[sp.ID].Parent]; !ok || p.Process != user {
+			t.Errorf("server span %s of %v (remote parent %d) resolved under %q", sp.Name, user, sp.RemoteParent, p.Process)
+		}
+	}
+	if ops := sessions / 2 * rounds * (batch + 1); remote != ops {
+		t.Errorf("%d remotely parented server spans for %d operations", remote, ops)
+	}
+	t.Logf("%d files, %d wire bytes, %d fsyncs, %d remotely parented server spans",
+		files, st.BytesReceived+st.BytesSent, reg.Counter("syncd_wal_fsyncs_total", "").Value(), remote)
 }
