@@ -28,7 +28,6 @@
 package main
 
 import (
-	"crypto/md5"
 	"flag"
 	"fmt"
 	"io"
@@ -43,6 +42,7 @@ import (
 	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/dirwatch"
 	"cloudsync/internal/planner"
+	"cloudsync/internal/protocol"
 	"cloudsync/internal/syncnet"
 	"cloudsync/internal/watchsync"
 )
@@ -192,7 +192,7 @@ func runDryRun(o options, out io.Writer) error {
 		}
 		present[ch.Path] = true
 		in.Changes = append(in.Changes, planner.Change{
-			Path: ch.Path, Size: int64(len(data)), MD5: contentMD5(data),
+			Path: ch.Path, Size: int64(len(data)), Hash: protocol.Sum(data),
 		})
 	}
 	// Baseline entries not on disk anymore are pending removals.
@@ -358,5 +358,3 @@ func runDaemon(o options, stop <-chan struct{}) error {
 		}
 	}
 }
-
-func contentMD5(data []byte) [16]byte { return md5.Sum(data) }

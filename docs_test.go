@@ -356,6 +356,12 @@ func TestObservabilityCatalogue(t *testing.T) {
 	if n := reg.Histogram("syncnet_client_delta_compute_us", "").Count(); n != 1 {
 		t.Fatalf("syncnet_client_delta_compute_us counted %d delta computes, want 1", n)
 	}
+	// The server hashed what it committed from transferred bytes or a
+	// delta: the resumed upload, both deltas, the inline file and the
+	// two bundled ones.
+	if n := reg.Histogram("syncd_content_hash_us", "").Count(); n != 6 {
+		t.Fatalf("syncd_content_hash_us counted %d content hashes, want 6", n)
+	}
 
 	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
 	if err != nil {

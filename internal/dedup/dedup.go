@@ -18,7 +18,8 @@ import (
 	"sync/atomic"
 )
 
-// Fingerprint is a content fingerprint (MD5, as in the paper's trace).
+// Fingerprint is a content fingerprint: an MD5 in the simulator, as in
+// the paper's trace; the live server files protocol.Sum values here.
 type Fingerprint = [md5.Size]byte
 
 // Granularity is the unit at which fingerprints are computed and

@@ -14,8 +14,8 @@
 // The block sum is a SHA-256 prefix rather than rsync's MD5 because Go's
 // crypto/sha256 runs on the CPU's SHA extensions (x86 SHA-NI, ARMv8
 // SHA2) where present, about twice MD5's speed there; without them it is
-// slower than MD5. File identity elsewhere in the repository (the
-// FileHash a listing or the dedup index carries) stays MD5.
+// slower than MD5. Live file identity (protocol.Sum) is the same
+// SHA-256 prefix; only the simulator's fingerprints stay MD5.
 package delta
 
 import (

@@ -9,7 +9,7 @@
 // schedule:
 //
 //  1. Convergence: every file the client committed exists server-side
-//     with byte-identical (MD5-equal) content, and every file the
+//     with byte-identical (hash-equal) content, and every file the
 //     client deleted is gone (or fake-deleted).
 //  2. Monotone versions: the server-side version of a file never runs
 //     backwards, and each committed update strictly advances it.
@@ -39,11 +39,11 @@ package invariant
 
 import (
 	"bytes"
-	"crypto/md5"
 	"fmt"
 	"sort"
 
 	"cloudsync/internal/obs/ledger"
+	"cloudsync/internal/protocol"
 )
 
 // Violation is one broken invariant.
@@ -112,7 +112,7 @@ type Tracker struct {
 	Compressed bool
 
 	files      map[string]*trackedFile
-	seen       map[[md5.Size]byte]bool
+	seen       map[protocol.Fingerprint]bool
 	freshBytes int64
 	violations []Violation
 }
@@ -121,7 +121,7 @@ type Tracker struct {
 func NewTracker() *Tracker {
 	return &Tracker{
 		files: make(map[string]*trackedFile),
-		seen:  make(map[[md5.Size]byte]bool),
+		seen:  make(map[protocol.Fingerprint]bool),
 	}
 }
 
@@ -161,7 +161,7 @@ func (t *Tracker) record(name string, data []byte, version uint64, fresh bool) {
 	f.versions++
 	f.deleted = false
 
-	sum := md5.Sum(data)
+	sum := protocol.Sum(data)
 	if !t.seen[sum] && fresh {
 		t.freshBytes += int64(len(data))
 	}
@@ -187,8 +187,8 @@ func (t *Tracker) RecordDownload(name string, data []byte) {
 	case f == nil || f.deleted:
 		t.violatef("convergence", "%q: download succeeded for a file that should not exist", name)
 	case !bytes.Equal(f.data, data):
-		t.violatef("convergence", "%q: downloaded %d bytes (md5 %x), expected %d bytes (md5 %x)",
-			name, len(data), md5.Sum(data), len(f.data), md5.Sum(f.data))
+		t.violatef("convergence", "%q: downloaded %d bytes (hash %x), expected %d bytes (hash %x)",
+			name, len(data), protocol.Sum(data), len(f.data), protocol.Sum(f.data))
 	}
 }
 
@@ -233,8 +233,8 @@ func (t *Tracker) Check(server map[string]ServerFile, w Wire) []Violation {
 			continue
 		}
 		if !bytes.Equal(sf.Data, f.data) {
-			report("convergence", "%q: server holds %d bytes (md5 %x), client committed %d bytes (md5 %x)",
-				name, len(sf.Data), md5.Sum(sf.Data), len(f.data), md5.Sum(f.data))
+			report("convergence", "%q: server holds %d bytes (hash %x), client committed %d bytes (hash %x)",
+				name, len(sf.Data), protocol.Sum(sf.Data), len(f.data), protocol.Sum(f.data))
 		}
 		if sf.Version < f.version {
 			report("versions", "%q: server version %d behind last acknowledged commit %d",
@@ -269,8 +269,8 @@ func (t *Tracker) Check(server map[string]ServerFile, w Wire) []Violation {
 // against cannot produce them.
 func CheckStored(name string, acked []byte, stored ServerFile) []Violation {
 	if stored.Deleted || !bytes.Equal(stored.Data, acked) {
-		return []Violation{{"stored", fmt.Sprintf("%q: acknowledged %d bytes (md5 %x), the server stores %d bytes (md5 %x, deleted=%v)",
-			name, len(acked), md5.Sum(acked), len(stored.Data), md5.Sum(stored.Data), stored.Deleted)}}
+		return []Violation{{"stored", fmt.Sprintf("%q: acknowledged %d bytes (hash %x), the server stores %d bytes (hash %x, deleted=%v)",
+			name, len(acked), protocol.Sum(acked), len(stored.Data), protocol.Sum(stored.Data), stored.Deleted)}}
 	}
 	return nil
 }
@@ -280,7 +280,7 @@ func CheckStored(name string, acked []byte, stored ServerFile) []Violation {
 type Listed struct {
 	ID      uint64
 	Size    int64
-	MD5     [md5.Size]byte
+	Hash    protocol.Fingerprint
 	Version uint64
 	Deleted bool
 }
@@ -298,7 +298,7 @@ func CheckListing(listed map[string]Listed, server map[string]ServerFile) []Viol
 	sort.Strings(names)
 	for _, name := range names {
 		f := server[name]
-		want := Listed{f.ID, int64(len(f.Data)), md5.Sum(f.Data), f.Version, f.Deleted}
+		want := Listed{f.ID, int64(len(f.Data)), protocol.Sum(f.Data), f.Version, f.Deleted}
 		if got, ok := listed[name]; !ok || got != want {
 			out = append(out, Violation{"listing", fmt.Sprintf("%q: listed %+v (present %v), the server holds %+v", name, got, ok, want)})
 		}
@@ -314,7 +314,7 @@ func CheckListing(listed map[string]Listed, server map[string]ServerFile) []Viol
 // CheckRecovery verifies the crash-recovery contract of a durable
 // store: after a crash at ANY byte of the state log, reopening must
 // reconstruct exactly the state as of the last acknowledged operation
-// — per-file content (MD5-equal), version, deletion flag, history, and
+// — per-file content (hash-equal), version, deletion flag, history, and
 // file identity all unchanged — with nothing resurrected and nothing
 // invented. acked is the snapshot taken after the last operation the
 // client saw acknowledged before the crash; recovered is the reopened
@@ -342,8 +342,8 @@ func CheckRecovery(acked, recovered map[string]ServerFile) []Violation {
 			continue
 		}
 		if !bytes.Equal(a.Data, r.Data) {
-			report("%q: recovered %d bytes (md5 %x), acknowledged %d bytes (md5 %x)",
-				name, len(r.Data), md5.Sum(r.Data), len(a.Data), md5.Sum(a.Data))
+			report("%q: recovered %d bytes (hash %x), acknowledged %d bytes (hash %x)",
+				name, len(r.Data), protocol.Sum(r.Data), len(a.Data), protocol.Sum(a.Data))
 		}
 		if r.Version != a.Version {
 			report("%q: recovered at version %d, acknowledged %d", name, r.Version, a.Version)

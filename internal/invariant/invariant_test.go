@@ -1,9 +1,10 @@
 package invariant
 
 import (
-	"crypto/md5"
 	"strings"
 	"testing"
+
+	"cloudsync/internal/protocol"
 )
 
 func content(b byte, n int) []byte {
@@ -189,7 +190,7 @@ func TestCheckStoredFlags(t *testing.T) {
 
 func TestCheckListingFlags(t *testing.T) {
 	a := content('a', 10)
-	listed := map[string]Listed{"a": {1, 10, md5.Sum(a), 2, false}, "b": {2, 10, md5.Sum(a), 1, true}}
+	listed := map[string]Listed{"a": {1, 10, protocol.Sum(a), 2, false}, "b": {2, 10, protocol.Sum(a), 1, true}}
 	for label, server := range map[string]map[string]ServerFile{
 		"":               {"a": {ID: 1, Data: a, Version: 2}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}},
 		"newer version":  {"a": {ID: 1, Data: a, Version: 3}, "b": {ID: 2, Data: a, Version: 1, Deleted: true}},

@@ -500,7 +500,7 @@ func (r *runner) list(d *device, o op) error {
 	snap := r.snapshot()
 	listed := map[string]invariant.Listed{}
 	for _, en := range got {
-		listed[en.Name] = invariant.Listed{ID: en.FileID, Size: en.Size, MD5: en.FileHash, Version: en.Version, Deleted: en.Deleted}
+		listed[en.Name] = invariant.Listed{ID: en.FileID, Size: en.Size, Hash: en.FileHash, Version: en.Version, Deleted: en.Deleted}
 	}
 	r.check("", invariant.CheckListing(listed, snap))
 

@@ -35,7 +35,7 @@ import (
 // the client last uploaded and the server acknowledged.
 type FileMeta struct {
 	Size    int64
-	MD5     [16]byte
+	Hash    [16]byte
 	Version uint64
 }
 
@@ -43,7 +43,7 @@ type FileMeta struct {
 type RemoteFile struct {
 	FileID  uint64
 	Size    int64
-	MD5     [16]byte // zero = unknown (never "matches")
+	Hash    [16]byte // zero = unknown (never "matches")
 	Version uint64
 	Deleted bool
 }
@@ -52,12 +52,12 @@ type RemoteFile struct {
 // buffer guarantees at most one Change per path per planning round.
 type Change struct {
 	Path string
-	// Remove marks that the file no longer exists locally. Size, MD5,
+	// Remove marks that the file no longer exists locally. Size, Hash,
 	// and Writes are meaningless for removes.
 	Remove bool
-	// Size and MD5 describe the current local content.
+	// Size and Hash describe the current local content.
 	Size int64
-	MD5  [16]byte
+	Hash [16]byte
 	// Writes lists the virtual times of the write events observed since
 	// the previous planning round, ascending. The planner folds them
 	// into the defer estimator exactly once: callers must clear a
@@ -135,7 +135,7 @@ func (k ActionKind) String() string {
 	}
 }
 
-// Action is one planned sync step. For non-remove actions Size/MD5
+// Action is one planned sync step. For non-remove actions Size/Hash
 // describe the local content the action syncs (for NoOp, the content
 // the baseline entry should record); Version, when nonzero, is the
 // remote version the baseline should record for a NoOp. Absent marks
@@ -144,7 +144,7 @@ type Action struct {
 	Kind    ActionKind
 	Path    string
 	Size    int64
-	MD5     [16]byte
+	Hash    [16]byte
 	Version uint64
 	// Until is the re-plan time for Defer actions.
 	Until time.Duration
@@ -264,7 +264,7 @@ func Plan(in Input) Output {
 		}
 		if st.Armed && st.Deadline > in.Now {
 			out.Actions = append(out.Actions, Action{
-				Kind: Defer, Path: path, Size: ch.Size, MD5: ch.MD5,
+				Kind: Defer, Path: path, Size: ch.Size, Hash: ch.Hash,
 				Until: st.Deadline, Reason: "defer window open",
 			})
 			out.DeferState[path] = st
@@ -281,18 +281,18 @@ func Plan(in Input) Output {
 			out.DeferState[path] = st
 		}
 
-		action := Action{Path: path, Size: ch.Size, MD5: ch.MD5}
+		action := Action{Path: path, Size: ch.Size, Hash: ch.Hash}
 		var zero [16]byte
 		switch {
-		case liveRemote && r.MD5 != zero && r.MD5 == ch.MD5 && r.Size == ch.Size:
+		case liveRemote && r.Hash != zero && r.Hash == ch.Hash && r.Size == ch.Size:
 			action.Kind, action.Version = NoOp, r.Version
 			action.Reason = "remote already matches"
-		case hasBase && base.MD5 == ch.MD5 && base.Size == ch.Size && !in.RemoteKnown:
+		case hasBase && base.Hash == ch.Hash && base.Size == ch.Size && !in.RemoteKnown:
 			action.Kind, action.Version = NoOp, base.Version
 			action.Reason = "unchanged since baseline"
 		case liveRemote:
 			action.Kind = Delta
-			if hasBase && base.MD5 == ch.MD5 && base.Size == ch.Size {
+			if hasBase && base.Hash == ch.Hash && base.Size == ch.Size {
 				action.Reason = "remote diverged; local wins"
 			} else {
 				action.Reason = "modified locally"
@@ -344,17 +344,17 @@ func Plan(in Input) Output {
 			switch {
 			case !hasRemote || r.Deleted:
 				out.Actions = append(out.Actions, Action{
-					Kind: Upload, Path: path, Size: base.Size, MD5: base.MD5,
+					Kind: Upload, Path: path, Size: base.Size, Hash: base.Hash,
 					Reason: "remote missing; restore",
 				})
-			case r.MD5 != zero && r.MD5 != base.MD5:
+			case r.Hash != zero && r.Hash != base.Hash:
 				out.Actions = append(out.Actions, Action{
-					Kind: Delta, Path: path, Size: base.Size, MD5: base.MD5,
+					Kind: Delta, Path: path, Size: base.Size, Hash: base.Hash,
 					Reason: "remote diverged; local wins",
 				})
 			case r.Version != base.Version:
 				out.Actions = append(out.Actions, Action{
-					Kind: NoOp, Path: path, Size: base.Size, MD5: base.MD5,
+					Kind: NoOp, Path: path, Size: base.Size, Hash: base.Hash,
 					Version: r.Version, Reason: "record remote version",
 				})
 			}

@@ -65,10 +65,10 @@ func applyTable(in Input, out Output) Input {
 		switch a.Kind {
 		case Upload, Delta:
 			v := bump(a.Path)
-			next.Baseline[a.Path] = FileMeta{Size: a.Size, MD5: a.MD5, Version: v}
+			next.Baseline[a.Path] = FileMeta{Size: a.Size, Hash: a.Hash, Version: v}
 			if in.RemoteKnown {
 				id := next.Remote[a.Path].FileID
-				next.Remote[a.Path] = RemoteFile{FileID: id, Size: a.Size, MD5: a.MD5, Version: v}
+				next.Remote[a.Path] = RemoteFile{FileID: id, Size: a.Size, Hash: a.Hash, Version: v}
 			}
 		case Delete:
 			delete(next.Baseline, a.Path)
@@ -82,7 +82,7 @@ func applyTable(in Input, out Output) Input {
 			if a.Absent {
 				delete(next.Baseline, a.Path)
 			} else {
-				m := FileMeta{Size: a.Size, MD5: a.MD5, Version: a.Version}
+				m := FileMeta{Size: a.Size, Hash: a.Hash, Version: a.Version}
 				if m.Version == 0 {
 					m.Version = next.Baseline[a.Path].Version
 				}
@@ -90,7 +90,7 @@ func applyTable(in Input, out Output) Input {
 			}
 		case Defer:
 			next.Changes = append(next.Changes, Change{
-				Path: a.Path, Size: a.Size, MD5: a.MD5, // writes consumed
+				Path: a.Path, Size: a.Size, Hash: a.Hash, // writes consumed
 			})
 		}
 	}
@@ -112,13 +112,13 @@ type tableCase struct {
 }
 
 func tableCases() []tableCase {
-	base1 := map[string]FileMeta{"a.txt": {Size: 9, MD5: hashA, Version: 3}}
-	remoteLiveA := map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, MD5: hashA, Version: 3}}
-	remoteLiveB := map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, MD5: hashB, Version: 5}}
-	remoteDeleted := map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, MD5: hashA, Version: 4, Deleted: true}}
+	base1 := map[string]FileMeta{"a.txt": {Size: 9, Hash: hashA, Version: 3}}
+	remoteLiveA := map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, Hash: hashA, Version: 3}}
+	remoteLiveB := map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, Hash: hashB, Version: 5}}
+	remoteDeleted := map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, Hash: hashA, Version: 4, Deleted: true}}
 
-	wA := Change{Path: "a.txt", Size: 9, MD5: hashA}
-	wB := Change{Path: "a.txt", Size: 9, MD5: hashB}
+	wA := Change{Path: "a.txt", Size: 9, Hash: hashA}
+	wB := Change{Path: "a.txt", Size: 9, Hash: hashB}
 	rm := Change{Path: "a.txt", Remove: true}
 
 	fixed5 := deferpolicy.Policy{Kind: deferpolicy.Fixed, T: 5 * s}
@@ -160,7 +160,7 @@ func tableCases() []tableCase {
 		{
 			name: "create/remote-zero-hash-is-unknown",
 			in: Input{Now: s, Changes: []Change{wA},
-				Remote:      map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, MD5: zeroH, Version: 2}},
+				Remote:      map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, Hash: zeroH, Version: 2}},
 				RemoteKnown: true},
 			want: []string{"delta a.txt [modified locally]"},
 		},
@@ -201,7 +201,7 @@ func tableCases() []tableCase {
 		{
 			name: "modify/size-change-same-prefix-hash-differs",
 			in: Input{Now: s, Baseline: base1,
-				Changes: []Change{{Path: "a.txt", Size: 12, MD5: hashC}},
+				Changes: []Change{{Path: "a.txt", Size: 12, Hash: hashC}},
 				Remote:  remoteLiveA, RemoteKnown: true},
 			want: []string{"delta a.txt [modified locally]"},
 		},
@@ -243,12 +243,12 @@ func tableCases() []tableCase {
 		{
 			name: "rename/upload-before-delete",
 			in: Input{Now: s,
-				Baseline: map[string]FileMeta{"old.txt": {Size: 9, MD5: hashA, Version: 1}},
+				Baseline: map[string]FileMeta{"old.txt": {Size: 9, Hash: hashA, Version: 1}},
 				Changes: []Change{
 					{Path: "old.txt", Remove: true},
-					{Path: "new.txt", Size: 9, MD5: hashA},
+					{Path: "new.txt", Size: 9, Hash: hashA},
 				},
-				Remote:      map[string]RemoteFile{"old.txt": {FileID: 1, Size: 9, MD5: hashA, Version: 1}},
+				Remote:      map[string]RemoteFile{"old.txt": {FileID: 1, Size: 9, Hash: hashA, Version: 1}},
 				RemoteKnown: true},
 			want: []string{
 				"upload new.txt [new file]",
@@ -258,9 +258,9 @@ func tableCases() []tableCase {
 		{
 			name: "ordering/paths-sorted-within-kind",
 			in: Input{Now: s, Changes: []Change{
-				{Path: "b.txt", Size: 1, MD5: hashB},
-				{Path: "a.txt", Size: 1, MD5: hashA},
-				{Path: "c.txt", Size: 1, MD5: hashC},
+				{Path: "b.txt", Size: 1, Hash: hashB},
+				{Path: "a.txt", Size: 1, Hash: hashA},
+				{Path: "c.txt", Size: 1, Hash: hashC},
 			}, RemoteKnown: true},
 			want: []string{
 				"upload a.txt [new file]",
@@ -272,18 +272,18 @@ func tableCases() []tableCase {
 			name: "ordering/kind-groups",
 			in: Input{Now: s,
 				Baseline: map[string]FileMeta{
-					"dead.txt": {Size: 9, MD5: hashA, Version: 1},
-					"sync.txt": {Size: 9, MD5: hashB, Version: 2},
+					"dead.txt": {Size: 9, Hash: hashA, Version: 1},
+					"sync.txt": {Size: 9, Hash: hashB, Version: 2},
 				},
 				Changes: []Change{
 					{Path: "dead.txt", Remove: true},
-					{Path: "new.txt", Size: 3, MD5: hashC},
-					withWrites(Change{Path: "slow.txt", Size: 3, MD5: hashA}, s),
-					{Path: "sync.txt", Size: 9, MD5: hashB},
+					{Path: "new.txt", Size: 3, Hash: hashC},
+					withWrites(Change{Path: "slow.txt", Size: 3, Hash: hashA}, s),
+					{Path: "sync.txt", Size: 9, Hash: hashB},
 				},
 				Remote: map[string]RemoteFile{
-					"dead.txt": {FileID: 1, Size: 9, MD5: hashA, Version: 1},
-					"sync.txt": {FileID: 2, Size: 9, MD5: hashB, Version: 2},
+					"dead.txt": {FileID: 1, Size: 9, Hash: hashA, Version: 1},
+					"sync.txt": {FileID: 2, Size: 9, Hash: hashB, Version: 2},
 				},
 				RemoteKnown: true, Defer: fixed5},
 			want: []string{
@@ -393,7 +393,7 @@ func tableCases() []tableCase {
 		{
 			name: "defer-uds/at-threshold-immediate",
 			in: Input{Now: s,
-				Changes:     []Change{withWrites(Change{Path: "big.bin", Size: 1 << 20, MD5: hashC}, s)},
+				Changes:     []Change{withWrites(Change{Path: "big.bin", Size: 1 << 20, Hash: hashC}, s)},
 				RemoteKnown: true, Defer: uds},
 			want: []string{"upload big.bin [new file]"},
 		},
@@ -402,7 +402,7 @@ func tableCases() []tableCase {
 			// none: a write stamped after Now does not re-arm a window.
 			name: "defer-uds/at-threshold-future-write-still-ready",
 			in: Input{Now: 0,
-				Changes:     []Change{withWrites(Change{Path: "big.bin", Size: 1 << 20, MD5: hashC}, s)},
+				Changes:     []Change{withWrites(Change{Path: "big.bin", Size: 1 << 20, Hash: hashC}, s)},
 				RemoteKnown: true, Defer: uds},
 			want: []string{"upload big.bin [new file]"},
 		},
@@ -463,7 +463,7 @@ func tableCases() []tableCase {
 		{
 			name: "repair/version-drift-only",
 			in: Input{Now: s, Baseline: base1,
-				Remote:      map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, MD5: hashA, Version: 7}},
+				Remote:      map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, Hash: hashA, Version: 7}},
 				RemoteKnown: true},
 			want: []string{"no-op a.txt [record remote version]"},
 		},
@@ -481,7 +481,7 @@ func tableCases() []tableCase {
 		{
 			name: "mirror/remote-only-file-ignored",
 			in: Input{Now: s,
-				Remote:      map[string]RemoteFile{"other-device.txt": {FileID: 9, Size: 5, MD5: hashC, Version: 1}},
+				Remote:      map[string]RemoteFile{"other-device.txt": {FileID: 9, Size: 5, Hash: hashC, Version: 1}},
 				RemoteKnown: true},
 			want: nil,
 		},
@@ -495,8 +495,8 @@ func tableCases() []tableCase {
 			name: "wake/min-of-multiple-deadlines",
 			in: Input{Now: 2 * s, Defer: fixed5, RemoteKnown: true,
 				Changes: []Change{
-					withWrites(Change{Path: "x", Size: 1, MD5: hashA}, s),
-					withWrites(Change{Path: "y", Size: 1, MD5: hashB}, 0),
+					withWrites(Change{Path: "x", Size: 1, Hash: hashA}, s),
+					withWrites(Change{Path: "y", Size: 1, Hash: hashB}, 0),
 				}},
 			want: []string{
 				"defer x [defer window open] until=6s",
@@ -599,8 +599,8 @@ func TestPlannerPanicsOnDuplicateChange(t *testing.T) {
 		}
 	}()
 	Plan(Input{Changes: []Change{
-		{Path: "a", Size: 1, MD5: hashA},
-		{Path: "a", Size: 2, MD5: hashB},
+		{Path: "a", Size: 1, Hash: hashA},
+		{Path: "a", Size: 2, Hash: hashB},
 	}})
 }
 
@@ -614,7 +614,7 @@ func TestPlannerPanicsOnDescendingWrites(t *testing.T) {
 		}
 	}()
 	Plan(Input{Changes: []Change{
-		{Path: "a", Size: 1, MD5: hashA, Writes: []time.Duration{2 * s, s}},
+		{Path: "a", Size: 1, Hash: hashA, Writes: []time.Duration{2 * s, s}},
 	}})
 }
 
@@ -636,12 +636,12 @@ func TestPlannerPanicsOnInvalidPolicy(t *testing.T) {
 func TestPlannerDoesNotMutateInput(t *testing.T) {
 	in := Input{
 		Now:      s,
-		Baseline: map[string]FileMeta{"a.txt": {Size: 9, MD5: hashA, Version: 3}},
+		Baseline: map[string]FileMeta{"a.txt": {Size: 9, Hash: hashA, Version: 3}},
 		Changes: []Change{
-			{Path: "a.txt", Size: 9, MD5: hashB, Writes: []time.Duration{s}},
+			{Path: "a.txt", Size: 9, Hash: hashB, Writes: []time.Duration{s}},
 			{Path: "b.txt", Remove: true},
 		},
-		Remote:      map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, MD5: hashA, Version: 3}},
+		Remote:      map[string]RemoteFile{"a.txt": {FileID: 1, Size: 9, Hash: hashA, Version: 3}},
 		RemoteKnown: true,
 		Defer:       deferpolicy.Policy{Kind: deferpolicy.ASD, Epsilon: 100 * ms, TMax: 10 * s},
 		DeferState:  map[string]DeferState{"a.txt": {Deadline: 500 * ms, Armed: true}},
@@ -659,13 +659,13 @@ func TestFormatTableStable(t *testing.T) {
 	out := Plan(Input{
 		Now: 2 * s,
 		Baseline: map[string]FileMeta{
-			"keep.txt": {Size: 4, MD5: hashA, Version: 1},
-			"gone.txt": {Size: 8, MD5: hashB, Version: 2},
+			"keep.txt": {Size: 4, Hash: hashA, Version: 1},
+			"gone.txt": {Size: 8, Hash: hashB, Version: 2},
 		},
 		Changes: []Change{
-			{Path: "keep.txt", Size: 4, MD5: hashA},
+			{Path: "keep.txt", Size: 4, Hash: hashA},
 			{Path: "gone.txt", Remove: true},
-			{Path: "fresh.bin", Size: 123, MD5: hashC},
+			{Path: "fresh.bin", Size: 123, Hash: hashC},
 		},
 	})
 	got := FormatTable(out)

@@ -17,7 +17,7 @@
 package protocol
 
 import (
-	"crypto/md5"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -107,8 +107,21 @@ type Message interface {
 	decodeBody(*decBuf) error
 }
 
-// Fingerprint matches dedup.Fingerprint (MD5).
-type Fingerprint = [md5.Size]byte
+// FingerprintSize is the length of a Fingerprint on the wire.
+const FingerprintSize = 16
+
+// Fingerprint is a live file's identity: the first FingerprintSize bytes
+// of its content's SHA-256, as Sum computes it. The simulator's
+// dedup.Fingerprint has the same shape but holds an MD5, the hash of the
+// paper's services.
+type Fingerprint = [FingerprintSize]byte
+
+// Sum returns data's Fingerprint.
+func Sum(data []byte) (fp Fingerprint) {
+	h := sha256.Sum256(data)
+	copy(fp[:], h[:])
+	return fp
+}
 
 // Hello opens a session.
 type Hello struct {
@@ -304,11 +317,11 @@ func (d *decBuf) blob() ([]byte, error) {
 }
 
 func (d *decBuf) fingerprint(fp *Fingerprint) error {
-	if len(d.b) < md5.Size {
+	if len(d.b) < FingerprintSize {
 		return errShort
 	}
-	copy(fp[:], d.b[:md5.Size])
-	d.b = d.b[md5.Size:]
+	copy(fp[:], d.b[:FingerprintSize])
+	d.b = d.b[FingerprintSize:]
 	return nil
 }
 
@@ -554,7 +567,7 @@ func (m *IndexUpdate) decodeBody(d *decBuf) (err error) {
 	if err != nil {
 		return err
 	}
-	if uint64(n)*md5.Size > uint64(d.remaining()) {
+	if uint64(n)*FingerprintSize > uint64(d.remaining()) {
 		return fmt.Errorf("block hash count %d exceeds body", n)
 	}
 	m.BlockHashes = make([]Fingerprint, n)

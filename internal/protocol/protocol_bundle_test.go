@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"crypto/md5"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -15,7 +14,7 @@ func sampleBundle(n int) *Bundle {
 		b.Entries[i] = BundleEntry{
 			Name:     fmt.Sprintf("dir/file-%03d.txt", i),
 			Size:     int64(len(payload)),
-			FileHash: md5.Sum(payload),
+			FileHash: Sum(payload),
 			Payload:  payload,
 		}
 	}
@@ -78,7 +77,7 @@ func TestAppendDataHeaderMatchesEncode(t *testing.T) {
 // buffer with capacity performs zero allocations per message.
 func BenchmarkAppendEncode(b *testing.B) {
 	m := &IndexUpdate{FileID: 7, Name: "docs/report.txt", Size: 1 << 16,
-		FileHash: md5.Sum([]byte("x"))}
+		FileHash: Sum([]byte("x"))}
 	buf := make([]byte, 0, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -45,7 +45,7 @@ type ListEntry struct {
 	Size    int64
 	Version uint64
 	Deleted bool
-	// FileHash is the MD5 of the stored raw content (zero for entries
+	// FileHash is the Sum of the stored raw content (zero for entries
 	// whose content predates hash tracking — callers must treat a zero
 	// hash as "unknown", never as "matches").
 	FileHash Fingerprint

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"crypto/md5"
 	"encoding/hex"
 	"reflect"
 	"runtime"
@@ -17,10 +16,10 @@ func allMessages() []Message {
 		&TraceCtx{TraceID: [16]byte{1, 2, 3, 4}, SpanID: 99},
 		&IndexUpdate{
 			FileID: 7, Name: "docs/report.txt", Size: 1 << 20,
-			FileHash:  md5.Sum([]byte("content")),
+			FileHash:  Sum([]byte("content")),
 			BlockSize: 4 << 20,
 			BlockHashes: []Fingerprint{
-				md5.Sum([]byte("b0")), md5.Sum([]byte("b1")),
+				Sum([]byte("b0")), Sum([]byte("b1")),
 			},
 		},
 		&IndexReply{FileID: 7, DedupHit: false, NeedBlocks: []uint32{0, 1, 5}},
@@ -31,8 +30,8 @@ func allMessages() []Message {
 		&Notify{FileID: 7, Version: 3, Name: "docs/report.txt"},
 		&Delete{FileID: 9},
 		&Bundle{Entries: []BundleEntry{
-			{Name: "notes/a.txt", Size: 3, FileHash: md5.Sum([]byte("abc")), Payload: []byte("abc")},
-			{Name: "b", Size: 0, FileHash: md5.Sum(nil)},
+			{Name: "notes/a.txt", Size: 3, FileHash: Sum([]byte("abc")), Payload: []byte("abc")},
+			{Name: "b", Size: 0, FileHash: Sum(nil)},
 		}},
 		&BundleReply{Results: []BundleResult{
 			{FileID: 11, Version: 2, OK: true},
@@ -42,7 +41,7 @@ func allMessages() []Message {
 		&ListRequest{},
 		&Listing{Entries: []ListEntry{
 			{FileID: 3, Name: "docs/report.txt", Size: 1 << 20, Version: 4,
-				FileHash: md5.Sum([]byte("content"))},
+				FileHash: Sum([]byte("content"))},
 			{FileID: 9, Name: "old.bin", Size: 12, Version: 2, Deleted: true},
 		}},
 		&Listing{},
@@ -50,7 +49,7 @@ func allMessages() []Message {
 		&ListRequest{Epoch: 1 << 60, Since: 42},
 		&Listing{Epoch: 1 << 60, Seq: 43},
 		&Listing{Epoch: 9, Seq: 44, Incremental: true, Entries: []ListEntry{
-			{FileID: 5, Name: "b", Size: 1, Version: 7, FileHash: md5.Sum([]byte("b"))},
+			{FileID: 5, Name: "b", Size: 1, Version: 7, FileHash: Sum([]byte("b"))},
 		}},
 	}
 }
@@ -83,7 +82,10 @@ func TestClientFramesMatchGoldens(t *testing.T) {
 		{&ListRequest{Epoch: 1 << 40, Since: 7},
 			"131000000000000000000100000700000000000000"},
 		{&Listing{Entries: []ListEntry{
-			{FileID: 3, Name: "a.txt", Size: 42, Version: 2, FileHash: md5.Sum([]byte("a"))},
+			// A fixed 16-byte hash (the MD5 of "a", the identity when
+			// the golden was cut): the frame carries any 16 bytes.
+			{FileID: 3, Name: "a.txt", Size: 42, Version: 2, FileHash: Fingerprint{
+				0x0c, 0xc1, 0x75, 0xb9, 0xc0, 0xf1, 0xb6, 0xa8, 0x31, 0xc3, 0x99, 0xe2, 0x69, 0x77, 0x26, 0x61}},
 			{FileID: 9, Name: "old", Size: 7, Version: 4, Deleted: true},
 		}, Epoch: 1 << 40, Seq: 9, Incremental: true},
 			"147700000002000000030000000000000005000000612e7478742a000000000000000200000000000000000cc175b9c0f1b6a831c399e2697726610900000000000000030000006f6c640700000000000000040000000000000001000000000000000000000000000000000000000000010000090000000000000001"},
@@ -103,6 +105,19 @@ func TestClientFramesMatchGoldens(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m, tc.m) {
 			t.Fatalf("the golden %v decodes to %#v", tc.m.Type(), m)
+		}
+	}
+}
+
+// TestSumKnownAnswer pins Sum to the first 16 bytes of SHA-256: the
+// FIPS 180-2 vector for "abc", and the empty input.
+func TestSumKnownAnswer(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"abc", "ba7816bf8f01cfea414140de5dae2223"},
+		{"", "e3b0c44298fc1c149afbf4c8996fb924"},
+	} {
+		if got := Sum([]byte(tc.in)); hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("Sum(%q) = %x, want %s", tc.in, got, tc.want)
 		}
 	}
 }
@@ -244,8 +259,8 @@ func TestDecodeCorruptBlockCount(t *testing.T) {
 func TestIndexUpdateSizeGrowsWithBlocks(t *testing.T) {
 	small := EncodedSize(&IndexUpdate{Name: "f"})
 	big := EncodedSize(&IndexUpdate{Name: "f", BlockHashes: make([]Fingerprint, 100)})
-	if big-small != 100*md5.Size {
-		t.Fatalf("block hashes cost %d bytes, want %d", big-small, 100*md5.Size)
+	if big-small != 100*FingerprintSize {
+		t.Fatalf("block hashes cost %d bytes, want %d", big-small, 100*FingerprintSize)
 	}
 }
 

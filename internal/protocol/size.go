@@ -1,7 +1,5 @@
 package protocol
 
-import "crypto/md5"
-
 // Analytic message sizes.
 //
 // The simulator's traffic accounting only needs len(Encode(m)), and the
@@ -20,7 +18,7 @@ const frameOverhead = 5
 func SizeIndexUpdate(name string, nHashes int) int {
 	// FileID + (len-prefixed name) + Size + FileHash + BlockSize +
 	// hash count + hashes.
-	return frameOverhead + 8 + 4 + len(name) + 8 + md5.Size + 4 + 4 + md5.Size*nHashes
+	return frameOverhead + 8 + 4 + len(name) + 8 + FingerprintSize + 4 + 4 + FingerprintSize*nHashes
 }
 
 // SizeIndexReply reports the encoded size of an IndexReply listing

@@ -99,7 +99,7 @@ func (c *RecCursor) Str() string { return string(c.Take(int(c.U32()))) }
 // Bytes reads a u32-length-prefixed byte slice (aliasing the record).
 func (c *RecCursor) Bytes() []byte { return c.Take(int(c.U32())) }
 
-// Hash16 reads a 16-byte digest (an MD5 fingerprint).
+// Hash16 reads a 16-byte digest (a content fingerprint).
 func (c *RecCursor) Hash16() (h [16]byte) {
 	copy(h[:], c.Take(len(h)))
 	return h

@@ -2,9 +2,7 @@ package syncnet
 
 import (
 	"cmp"
-	"crypto/md5"
 	"fmt"
-	"hash"
 	"net"
 	"sync"
 	"time"
@@ -61,9 +59,6 @@ type Client struct {
 	// change-feed cursor the next List sends.
 	mirror listMirror
 
-	// digest is the MD5 state UploadBundle reuses across a batch's files.
-	digest hash.Hash
-
 	// tracer, when set via WithTracer, records one span per operation
 	// with children per attempt and per protocol stage. Nil keeps the
 	// untraced fast path.
@@ -79,8 +74,9 @@ type Client struct {
 	// for a server reply — the wire round-trip as the client sees it.
 	// signWaitUS times what a full upload's signing added after the Ack,
 	// compressUS every payload the client compressed, deltaComputeUS
-	// every delta.Compute of a delta sync.
-	replyWaitUS, signWaitUS, compressUS, deltaComputeUS *obs.Histogram
+	// every delta.Compute of a delta sync, contentHashUS every file
+	// identity an upload computed.
+	replyWaitUS, signWaitUS, compressUS, deltaComputeUS, contentHashUS *obs.Histogram
 }
 
 // WireTotals reports the bytes this client has read from and written to
@@ -162,9 +158,10 @@ func WithTraceContext() ClientOption {
 // syncnet_client_sign_wait_us, the microseconds a full upload blocked
 // on its own signature after the Ack (the part of signing the upload
 // did not hide), syncnet_client_compress_us, the microseconds each
-// payload took to compress, and syncnet_client_delta_compute_us, the
-// microseconds each delta sync spent in delta.Compute. A nil reg leaves
-// the client unmetered.
+// payload took to compress, syncnet_client_delta_compute_us, the
+// microseconds each delta sync spent in delta.Compute, and
+// syncnet_client_content_hash_us, the microseconds each upload spent
+// in protocol.Sum. A nil reg leaves the client unmetered.
 func WithClientMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) {
 		c.replyWaitUS = reg.Histogram("syncnet_client_reply_wait_us",
@@ -175,7 +172,21 @@ func WithClientMetrics(reg *obs.Registry) ClientOption {
 			"Microseconds spent compressing each payload the client sent compressed.")
 		c.deltaComputeUS = reg.Histogram("syncnet_client_delta_compute_us",
 			"Microseconds each delta sync spent computing its delta against the basis signature.")
+		c.contentHashUS = reg.Histogram("syncnet_client_content_hash_us",
+			"Microseconds spent computing each uploaded file's identity hash.")
 	}
+}
+
+// sum is protocol.Sum, timed into syncnet_client_content_hash_us when
+// the client is metered.
+func (c *Client) sum(data []byte) protocol.Fingerprint {
+	if c.contentHashUS == nil {
+		return protocol.Sum(data)
+	}
+	t0 := time.Now()
+	h := protocol.Sum(data)
+	c.contentHashUS.Observe(time.Since(t0).Microseconds())
+	return h
 }
 
 // compress compresses a payload at the client's level, timed into
@@ -380,7 +391,7 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 	sp := c.parent().Child("client.inline_upload")
 	defer sp.End()
 	entries := []protocol.BundleEntry{{
-		Name: name, Size: int64(len(data)), FileHash: md5.Sum(data),
+		Name: name, Size: int64(len(data)), FileHash: c.sum(data),
 		Payload: c.compress(data),
 	}}
 	var stats [1]UploadStats
@@ -421,7 +432,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 			sp.Set("dedup_hit", true)
 		}
 	}()
-	hash := md5.Sum(data)
+	hash := c.sum(data)
 
 	// After a reconnect, probe for a stashed partial upload before
 	// re-announcing the file: a positive answer skips the index exchange

@@ -1,7 +1,6 @@
 package syncnet
 
 import (
-	"crypto/md5"
 	"fmt"
 
 	"cloudsync/internal/obs"
@@ -40,19 +39,12 @@ func (c *Client) UploadBundle(files []FileUpload) ([]UploadStats, error) {
 	c.op = c.tracer.Start("client.upload_bundle", obs.Int("files", int64(len(files))))
 	in0, out0 := c.WireTotals()
 	// The batch is fingerprinted and compressed once, outside the retry
-	// loop, reusing one MD5 state across files — retries must not
-	// recompute digests, and per-file md5.New allocations would dominate
-	// tiny-file batches.
-	if c.digest == nil {
-		c.digest = md5.New()
-	}
+	// loop: retries must not recompute either.
 	entries := make([]protocol.BundleEntry, len(files))
 	for i, f := range files {
 		en := &entries[i]
 		en.Name, en.Size = f.Name, int64(len(f.Data))
-		c.digest.Reset()
-		c.digest.Write(f.Data)
-		c.digest.Sum(en.FileHash[:0])
+		en.FileHash = c.sum(f.Data)
 		en.Payload = c.compress(f.Data)
 	}
 	stats := make([]UploadStats, len(files))

@@ -2,7 +2,6 @@ package syncnet
 
 import (
 	"bytes"
-	"crypto/md5"
 	"io"
 	"net"
 	"runtime"
@@ -53,6 +52,14 @@ func TestFullUploadCompressesOnlyMisses(t *testing.T) {
 			t.Errorf("%s counted %d payloads over %d uploads with %d dedup hits, want %d",
 				name, n, uploads, hits, uploads-hits)
 		}
+	}
+	// Every upload names its content; the server hashes only content
+	// it was sent, and a dedup hit sends none.
+	if n := reg.Histogram("syncnet_client_content_hash_us", "").Count(); n != uploads {
+		t.Errorf("syncnet_client_content_hash_us counted %d hashes over %d uploads", n, uploads)
+	}
+	if n := reg.Histogram("syncd_content_hash_us", "").Count(); n != int64(uploads-hits) {
+		t.Errorf("syncd_content_hash_us counted %d hashes, want %d (the dedup misses)", n, uploads-hits)
 	}
 }
 
@@ -192,7 +199,7 @@ func TestContentSizeMismatchHardAndSoft(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	data := content.Text(50_000, 3).Bytes()
 	packed := comp.Compress(data, comp.Moderate)
-	hash := md5.Sum(data)
+	hash := protocol.Sum(data)
 
 	t.Run("lone upload", func(t *testing.T) {
 		cp, sp := net.Pipe()
@@ -223,7 +230,7 @@ func TestContentSizeMismatchHardAndSoft(t *testing.T) {
 		other := content.Text(3_000, 4).Bytes()
 		cp.Write(protocol.Encode(&protocol.Hello{User: "alice"}))
 		cp.Write(protocol.Encode(&protocol.Bundle{Entries: []protocol.BundleEntry{
-			{Name: "before", Size: int64(len(other)), FileHash: md5.Sum(other), Payload: comp.Compress(other, comp.Moderate)},
+			{Name: "before", Size: int64(len(other)), FileHash: protocol.Sum(other), Payload: comp.Compress(other, comp.Moderate)},
 			{Name: "liar", Size: int64(len(data)) - 1, FileHash: hash, Payload: packed},
 			{Name: "after", Size: int64(len(data)), FileHash: hash, Payload: packed},
 		}}))

@@ -1,7 +1,6 @@
 package syncnet
 
 import (
-	"crypto/md5"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -109,7 +108,7 @@ func TestListFeedConverges(t *testing.T) {
 				want := make([]protocol.ListEntry, 0, len(snap))
 				for name, f := range snap {
 					want = append(want, protocol.ListEntry{FileID: f.ID, Name: name, Size: int64(len(f.Data)),
-						Version: f.Version, Deleted: f.Deleted, FileHash: md5.Sum(f.Data)})
+						Version: f.Version, Deleted: f.Deleted, FileHash: protocol.Sum(f.Data)})
 				}
 				slices.SortFunc(want, func(a, b protocol.ListEntry) int { return strings.Compare(a.Name, b.Name) })
 				if !slices.Equal(got, want) {
@@ -171,7 +170,7 @@ func TestListFeedForgetsUnsyncedCommit(t *testing.T) {
 	writer := openRaw(t, srv, "alice")
 	kept := []byte("acknowledged before the crash")
 	if reply := writer.roundTrip(&protocol.Bundle{Entries: []protocol.BundleEntry{{
-		Name: "kept", Size: int64(len(kept)), FileHash: md5.Sum(kept), Payload: kept}}}); reply.Type() != protocol.TypeBundleReply {
+		Name: "kept", Size: int64(len(kept)), FileHash: protocol.Sum(kept), Payload: kept}}}); reply.Type() != protocol.TypeBundleReply {
 		t.Fatalf("seeding bundle: %#v", reply)
 	}
 	if _, err := r.c.List(); err != nil { // the reader holds a cursor
@@ -182,7 +181,7 @@ func TestListFeedForgetsUnsyncedCommit(t *testing.T) {
 	srv.FailStateAt(srv.StateLogBytes() + 1) // the next group commit tears
 	ghost := []byte("committed, listed, never synced")
 	reply := writer.roundTrip(&protocol.Bundle{Entries: []protocol.BundleEntry{
-		{Name: "ghost", Size: int64(len(ghost)), FileHash: md5.Sum(ghost), Payload: ghost},
+		{Name: "ghost", Size: int64(len(ghost)), FileHash: protocol.Sum(ghost), Payload: ghost},
 		{Name: "bad", Size: 3, Payload: []byte("abc")}, // hash mismatch
 	}})
 	reader = nil
@@ -208,7 +207,7 @@ func TestListFeedForgetsUnsyncedCommit(t *testing.T) {
 	writer = openRaw(t, current, "alice")
 	var after []protocol.BundleEntry
 	for _, name := range []string{"after1", "after2"} {
-		after = append(after, protocol.BundleEntry{Name: name, Size: int64(len(name)), FileHash: md5.Sum([]byte(name)), Payload: []byte(name)})
+		after = append(after, protocol.BundleEntry{Name: name, Size: int64(len(name)), FileHash: protocol.Sum([]byte(name)), Payload: []byte(name)})
 	}
 	writer.roundTrip(&protocol.Bundle{Entries: after})
 	writer.close()
@@ -328,7 +327,7 @@ func BenchmarkListFeed(b *testing.B) {
 			defer reader.Close()
 			entry := func(i int, v byte) protocol.BundleEntry {
 				data := []byte{v, byte(i), byte(i >> 8), byte(i >> 16)}
-				return protocol.BundleEntry{Name: fmt.Sprintf("f%06d", i), Size: int64(len(data)), FileHash: md5.Sum(data), Payload: data}
+				return protocol.BundleEntry{Name: fmt.Sprintf("f%06d", i), Size: int64(len(data)), FileHash: protocol.Sum(data), Payload: data}
 			}
 			for lo := 0; lo < n; lo += 1000 {
 				bundle := &protocol.Bundle{}

@@ -1,8 +1,6 @@
 package syncnet
 
 import (
-	"crypto/md5"
-
 	"cloudsync/internal/delta"
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/protocol"
@@ -61,7 +59,7 @@ func messageSegments(dst []causeSeg, m protocol.Message, total int64) []causeSeg
 	dst = append(dst, causeSeg{ledger.Framing, frameHeaderSize})
 	switch v := m.(type) {
 	case *protocol.IndexUpdate:
-		probe := int64(md5.Size) * int64(1+len(v.BlockHashes))
+		probe := protocol.FingerprintSize * int64(1+len(v.BlockHashes))
 		if probe > body {
 			probe = body
 		}
@@ -100,10 +98,10 @@ func messageSegments(dst []causeSeg, m protocol.Message, total int64) []causeSeg
 			meta := int64(4 + len(en.Name) + 8)
 			dst = append(dst,
 				causeSeg{ledger.Metadata, meta},
-				causeSeg{ledger.DedupProbe, md5.Size},
+				causeSeg{ledger.DedupProbe, protocol.FingerprintSize},
 				causeSeg{ledger.Framing, 4},
 				causeSeg{ledger.Payload, int64(len(en.Payload))})
-			rest -= meta + md5.Size + 4 + int64(len(en.Payload))
+			rest -= meta + protocol.FingerprintSize + 4 + int64(len(en.Payload))
 		}
 		if rest > 0 {
 			// Entry layout fell short of the body length — impossible for

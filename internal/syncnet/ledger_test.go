@@ -2,7 +2,6 @@ package syncnet
 
 import (
 	"bytes"
-	"crypto/md5"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -14,6 +13,7 @@ import (
 	"cloudsync/internal/invariant"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
+	"cloudsync/internal/protocol"
 )
 
 // TestLedgerRoundTrip drives the full operation mix through a ledgered
@@ -277,7 +277,7 @@ func TestConcurrentSessionsLedgerExact(t *testing.T) {
 	if got := sum.Get(ledger.Payload); got != payload {
 		t.Errorf("payload charged %d bytes, the uploads sent %d", got, payload)
 	}
-	if got, want := sum.Get(ledger.DedupProbe), files*md5.Size; got != want {
+	if got, want := sum.Get(ledger.DedupProbe), files*protocol.FingerprintSize; got != want {
 		t.Errorf("dedup_probe charged %d bytes, want %d (one hash per file)", got, want)
 	}
 

@@ -49,8 +49,9 @@ type serverObs struct {
 
 	// Phase decomposition: where a request's handling time goes (WAL
 	// fsync time is metered inside internal/store/wal).
-	applyUS      *obs.Histogram
-	decompressUS *obs.Histogram
+	applyUS       *obs.Histogram
+	decompressUS  *obs.Histogram
+	contentHashUS *obs.Histogram
 }
 
 // newServerObs registers the server's metric set on reg. With reg nil
@@ -92,8 +93,9 @@ func newServerObs(reg *obs.Registry) serverObs {
 		sessionTUEMilli: hist.Histogram("syncd_session_tue_milli", "Per-session TUE x1000: wire bytes received / content bytes committed, for sessions that committed content."),
 		requestUS:       hist.Histogram("syncd_request_duration_us", "Per-request handling time in microseconds."),
 
-		applyUS:      hist.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
-		decompressUS: hist.Histogram("syncd_decompress_us", "Microseconds spent inflating each compressed upload payload into its announced size (part of syncd_apply_us)."),
+		applyUS:       hist.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
+		decompressUS:  hist.Histogram("syncd_decompress_us", "Microseconds spent inflating each compressed upload payload into its announced size (part of syncd_apply_us)."),
+		contentHashUS: hist.Histogram("syncd_content_hash_us", "Microseconds spent hashing each transferred or delta-applied content into its identity (part of syncd_apply_us)."),
 	}
 }
 

@@ -28,10 +28,16 @@ var ErrServerCrashed = errors.New("syncnet: server crashed (durable state dead)"
 // Record kinds of the server's durable log. The codec is internal to
 // this package; docs/DURABILITY.md documents the framing below it.
 const (
-	recFile    = 1 // one file's metadata (content referenced by hash)
-	recContent = 2 // one content blob, keyed by its MD5
-	recIndex   = 3 // one dedup-index entry (snapshot-only)
+	recFile       = 1 // one file's metadata (content referenced by hash)
+	recMD5Content = 2 // a content blob keyed by its MD5: refused
+	recIndex      = 3 // one dedup-index entry (snapshot-only)
+	recContent    = 4 // one content blob, keyed by its protocol.Sum
 )
+
+// ErrMD5ContentRecord is returned by OpenServer for a state directory
+// written when file identity was an MD5: its content records (kind 2)
+// are keyed by a hash this server no longer computes.
+var ErrMD5ContentRecord = errors.New("syncnet: state holds MD5-keyed content records (kind 2)")
 
 // DefaultCompactLogBytes is the log-size threshold at which a durable
 // server folds its log into a snapshot when ServerConfig.CompactLogBytes
@@ -132,6 +138,8 @@ func (s *Server) replayRecord(rec []byte) error {
 		if id > s.nextID {
 			s.nextID = id
 		}
+	case recMD5Content:
+		return ErrMD5ContentRecord
 	default:
 		return fmt.Errorf("syncnet: unknown state record kind %d", rec[0])
 	}

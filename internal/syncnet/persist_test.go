@@ -361,7 +361,7 @@ func TestDataAfterCrashEndsSession(t *testing.T) {
 	data := content.Random(64*DataPieceSize, 1).Bytes()
 	for _, m := range []protocol.Message{
 		&protocol.Hello{User: "alice", Device: "streamer"},
-		&protocol.IndexUpdate{Name: "big", Size: int64(len(data)), FileHash: md5.Sum(data)},
+		&protocol.IndexUpdate{Name: "big", Size: int64(len(data)), FileHash: protocol.Sum(data)},
 	} {
 		if _, err := cp.Write(protocol.Encode(m)); err != nil {
 			t.Fatalf("write %v: %v", m.Type(), err)
@@ -459,5 +459,34 @@ func TestRecoveryRejectsForeignRecords(t *testing.T) {
 	if _, err := OpenServer(ServerConfig{StateDir: dir}); err == nil ||
 		!strings.Contains(err.Error(), "unknown state record") {
 		t.Fatalf("OpenServer on foreign records: %v, want unknown-record error", err)
+	}
+}
+
+// TestRecoveryRefusesMD5ContentRecords: a state directory written when
+// file identity was an MD5 holds kind-2 content records. Open refuses it
+// with ErrMD5ContentRecord rather than serve files under keys no upload
+// or delta will ever compute again.
+func TestRecoveryRefusesMD5ContentRecords(t *testing.T) {
+	dir := t.TempDir()
+	st, err := wal.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("written under MD5 identity")
+	hash := md5.Sum(data)
+	st.Append(wal.AppendBytes(append([]byte{recMD5Content}, hash[:]...), data))
+	st.Append(encodeFileRec("u", &serverFile{id: 1, name: "a.txt", hash: hash, version: 1, history: 1}))
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	srv, err := OpenServer(ServerConfig{StateDir: dir})
+	if !errors.Is(err, ErrMD5ContentRecord) {
+		t.Fatalf("OpenServer on MD5-keyed content: %v, want ErrMD5ContentRecord", err)
+	}
+	if srv != nil {
+		_, served := srv.FileContent("u", "a.txt")
+		t.Fatalf("OpenServer returned a server (serving a.txt: %v) beside its error", served)
 	}
 }

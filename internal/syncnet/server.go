@@ -15,7 +15,6 @@ package syncnet
 
 import (
 	"cmp"
-	"crypto/md5"
 	"errors"
 	"fmt"
 	"io"
@@ -744,13 +743,25 @@ func (s *Server) verifiedContent(hit bool, stored, payload []byte, size int64, h
 	if err != nil {
 		return nil, errors.New("undecodable content")
 	}
-	if md5.Sum(raw) != hash {
+	if s.sum(raw) != hash {
 		return nil, errors.New("content hash mismatch")
 	}
 	return raw, nil
 }
 
 var errSizeMismatch = errors.New("content size mismatch")
+
+// sum is protocol.Sum, timed into syncd_content_hash_us when the server
+// is metered.
+func (s *Server) sum(raw []byte) protocol.Fingerprint {
+	if s.om.contentHashUS == nil {
+		return protocol.Sum(raw)
+	}
+	t0 := time.Now()
+	h := protocol.Sum(raw)
+	s.om.contentHashUS.Observe(time.Since(t0).Microseconds())
+	return h
+}
 
 // decompress inflates an upload's payload into its announced size,
 // timed into syncd_decompress_us when the server is metered and the
@@ -980,8 +991,8 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 // no other: a delta carries no full-file hash, so applied to any other
 // basis it would corrupt the file silently. That version is the one the
 // message names, checked when the basis is read and again when the
-// result is published; in between — Apply and MD5, both proportional to
-// the file — the server lock is not held.
+// result is published; in between — Apply and the identity hash, both
+// proportional to the file — the server lock is not held.
 func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	ta := ss.applyStart()
 	d, err := delta.DecodeDelta(m.Payload)
@@ -1009,7 +1020,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrBadRequest, "inapplicable delta")
 		return fmt.Errorf("syncnet: %w", err)
 	}
-	hash := md5.Sum(raw)
+	hash := s.sum(raw)
 
 	s.mu.Lock()
 	if f.version != m.BaseVersion {

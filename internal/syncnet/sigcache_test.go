@@ -2,7 +2,6 @@ package syncnet
 
 import (
 	"bytes"
-	"crypto/md5"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -553,7 +552,7 @@ func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 	names := []string{"n0", "n1", "n2"}
 
 	var mu sync.Mutex
-	uploaded := map[[md5.Size]byte]bool{}
+	uploaded := map[protocol.Fingerprint]bool{}
 	acked := map[string]FileState{}
 	ack := func(name string, data []byte, version uint64) {
 		mu.Lock()
@@ -572,7 +571,7 @@ func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 	base := content.Random(size, 1).Bytes()
 	for _, name := range names {
 		mu.Lock()
-		uploaded[md5.Sum(base)] = true
+		uploaded[protocol.Sum(base)] = true
 		mu.Unlock()
 		st, err := clients[0].Upload(name, base)
 		if err != nil {
@@ -609,7 +608,7 @@ func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 				off := dev*size/2 + (i*97)%(size/2-8)
 				copy(data[off:], fmt.Sprintf("%d:%05d", dev, i))
 				mu.Lock()
-				uploaded[md5.Sum(data)] = true
+				uploaded[protocol.Sum(data)] = true
 				mu.Unlock()
 				st, err := c.Upload(name, data)
 				var perr *protocol.Error
@@ -632,7 +631,7 @@ func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 		if !ok {
 			t.Fatalf("%s missing", name)
 		}
-		if !uploaded[md5.Sum(got)] {
+		if !uploaded[protocol.Sum(got)] {
 			t.Errorf("%s holds content no device uploaded", name)
 		}
 		if !bytes.Equal(probe.signature(name, 0), delta.Sign(got, 512).Encode()) {

@@ -11,8 +11,8 @@ import (
 )
 
 // baselineDoc is the on-disk shape of the persisted baseline. Content
-// hashes are hex strings so the file stays inspectable with plain
-// tools; the version field guards against future format changes.
+// hashes (protocol.Sum) are hex strings so the file stays inspectable
+// with plain tools. Format 1 held MD5s under "md5" and is refused.
 type baselineDoc struct {
 	Format int                     `json:"format"`
 	Files  map[string]baselineFile `json:"files"`
@@ -20,11 +20,11 @@ type baselineDoc struct {
 
 type baselineFile struct {
 	Size    int64  `json:"size"`
-	MD5     string `json:"md5"`
+	Hash    string `json:"hash"`
 	Version uint64 `json:"version"`
 }
 
-const baselineFormat = 1
+const baselineFormat = 2
 
 // LoadBaseline reads the persisted last-synced snapshot. A missing
 // file is a fresh start, not an error: the daemon's first run begins
@@ -47,11 +47,11 @@ func LoadBaseline(path string) (map[string]planner.FileMeta, error) {
 	out := make(map[string]planner.FileMeta, len(doc.Files))
 	for name, f := range doc.Files {
 		m := planner.FileMeta{Size: f.Size, Version: f.Version}
-		sum, err := hex.DecodeString(f.MD5)
-		if err != nil || len(sum) != len(m.MD5) {
+		sum, err := hex.DecodeString(f.Hash)
+		if err != nil || len(sum) != len(m.Hash) {
 			return nil, fmt.Errorf("watchsync: baseline %s: bad hash for %q", path, name)
 		}
-		copy(m.MD5[:], sum)
+		copy(m.Hash[:], sum)
 		out[name] = m
 	}
 	return out, nil
@@ -68,7 +68,7 @@ func SaveBaseline(path string, files map[string]planner.FileMeta) error {
 	for name, m := range files {
 		doc.Files[name] = baselineFile{
 			Size:    m.Size,
-			MD5:     hex.EncodeToString(m.MD5[:]),
+			Hash:    hex.EncodeToString(m.Hash[:]),
 			Version: m.Version,
 		}
 	}

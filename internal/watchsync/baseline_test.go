@@ -1,19 +1,19 @@
 package watchsync
 
 import (
-	"crypto/md5"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cloudsync/internal/planner"
+	"cloudsync/internal/protocol"
 )
 
 func testBaseline() map[string]planner.FileMeta {
 	return map[string]planner.FileMeta{
-		"notes.txt": {Size: 11, MD5: md5.Sum([]byte("hello world")), Version: 3},
-		"deep/a":    {Size: 0, MD5: md5.Sum(nil), Version: 1},
+		"notes.txt": {Size: 11, Hash: protocol.Sum([]byte("hello world")), Version: 3},
+		"deep/a":    {Size: 0, Hash: protocol.Sum(nil), Version: 1},
 	}
 }
 
@@ -74,14 +74,14 @@ func TestBaselineTruncated(t *testing.T) {
 
 // TestBaselineCorrupt covers the decode-time rejections: invalid JSON,
 // a format version from the future, and entries whose hashes do not
-// decode to an MD5.
+// decode to a 16-byte hash.
 func TestBaselineCorrupt(t *testing.T) {
 	cases := map[string]string{
-		"not json":      `{"format": 1, "files"`,
-		"wrong type":    `{"format": 1, "files": {"a": "nope"}}`,
+		"not json":      `{"format": 2, "files"`,
+		"wrong type":    `{"format": 2, "files": {"a": "nope"}}`,
 		"future format": `{"format": 99, "files": {}}`,
-		"bad hex hash":  `{"format": 1, "files": {"a": {"size": 1, "md5": "zz", "version": 1}}}`,
-		"short hash":    `{"format": 1, "files": {"a": {"size": 1, "md5": "abcd", "version": 1}}}`,
+		"bad hex hash":  `{"format": 2, "files": {"a": {"size": 1, "hash": "zz", "version": 1}}}`,
+		"short hash":    `{"format": 2, "files": {"a": {"size": 1, "hash": "abcd", "version": 1}}}`,
 	}
 	for label, body := range cases {
 		path := filepath.Join(t.TempDir(), "baseline.json")
@@ -94,6 +94,22 @@ func TestBaselineCorrupt(t *testing.T) {
 	}
 }
 
+// TestBaselineRefusesFormat1 checks that a baseline written when
+// content hashes were MD5s is refused for its format, whole: none of
+// its hashes can match a protocol.Sum, so planning from it would
+// upload every file again.
+func TestBaselineRefusesFormat1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	body := `{"format": 1, "files": {"a": {"size": 3, "md5": "900150983cd24fb0d6963f7d28e17f72", "version": 1}}}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadBaseline(path)
+	if err == nil || !strings.Contains(err.Error(), "has format 1, want 2") {
+		t.Fatalf("LoadBaseline(format 1) = %v, %v; want the format error", got, err)
+	}
+}
+
 // TestBaselineMidRenameCrash simulates kill -9 between the temp-file
 // fsync and the rename: the temp file exists, the target still holds
 // the previous baseline. Recovery must load the old baseline untouched,
@@ -103,7 +119,7 @@ func TestBaselineMidRenameCrash(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "baseline.json")
 	old := map[string]planner.FileMeta{
-		"stable.txt": {Size: 6, MD5: md5.Sum([]byte("stable")), Version: 1},
+		"stable.txt": {Size: 6, Hash: protocol.Sum([]byte("stable")), Version: 1},
 	}
 	if err := SaveBaseline(path, old); err != nil {
 		t.Fatal(err)
@@ -115,7 +131,7 @@ func TestBaselineMidRenameCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tmp.Write([]byte(`{"format": 1, "files": {"doomed.txt": {"size": 1, "md5": "00000000000000000000000000000000", "version": 9}}}`)); err != nil {
+	if _, err := tmp.Write([]byte(`{"format": 2, "files": {"doomed.txt": {"size": 1, "hash": "00000000000000000000000000000000", "version": 9}}}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tmp.Close(); err != nil {

@@ -1,17 +1,13 @@
 package watchsync
 
 import (
-	"crypto/md5"
 	"fmt"
 	"time"
 
 	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/planner"
+	"cloudsync/internal/protocol"
 )
-
-// contentMD5 fingerprints file content the way the whole stack does
-// (the paper's target services are MD5-indexed).
-func contentMD5(data []byte) [16]byte { return md5.Sum(data) }
 
 // Config are the pipeline's policy knobs.
 type Config struct {
@@ -100,7 +96,7 @@ func (p *Pipeline) Bootstrap() error {
 		p.remote[en.Name] = planner.RemoteFile{
 			FileID:  en.FileID,
 			Size:    en.Size,
-			MD5:     en.FileHash,
+			Hash:    en.FileHash,
 			Version: en.Version,
 			Deleted: en.Deleted,
 		}
@@ -184,7 +180,7 @@ func (p *Pipeline) Tick(now time.Duration) (TickStats, time.Duration, bool, erro
 				ch = planner.Change{Path: path, Remove: true}
 			} else {
 				ch.Size = int64(len(data))
-				ch.MD5 = contentMD5(data)
+				ch.Hash = protocol.Sum(data)
 			}
 		}
 		in.Changes = append(in.Changes, ch)
@@ -228,12 +224,12 @@ func (p *Pipeline) Tick(now time.Duration) (TickStats, time.Duration, bool, erro
 					st.Uploads++
 				}
 				st.WireBytes += res.Stats.PayloadBytes
-				meta := planner.FileMeta{Size: a.Size, MD5: a.MD5, Version: res.Version}
+				meta := planner.FileMeta{Size: a.Size, Hash: a.Hash, Version: res.Version}
 				p.baseline[a.Path] = meta
 				if p.remoteOK {
 					id := p.remote[a.Path].FileID
 					p.remote[a.Path] = planner.RemoteFile{
-						FileID: id, Size: a.Size, MD5: a.MD5, Version: res.Version,
+						FileID: id, Size: a.Size, Hash: a.Hash, Version: res.Version,
 					}
 				}
 			}
@@ -247,7 +243,7 @@ func (p *Pipeline) Tick(now time.Duration) (TickStats, time.Duration, bool, erro
 					p.dirty = true
 				}
 			} else {
-				meta := planner.FileMeta{Size: a.Size, MD5: a.MD5, Version: a.Version}
+				meta := planner.FileMeta{Size: a.Size, Hash: a.Hash, Version: a.Version}
 				if meta.Version == 0 {
 					meta.Version = p.baseline[a.Path].Version
 				}
