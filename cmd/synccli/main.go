@@ -13,10 +13,10 @@
 // -trace writes the operation's span tree in Chrome trace_event format
 // (load it in chrome://tracing or Perfetto); -report prints an indented
 // per-stage summary with wire-byte counts to stderr. -trace-dump writes
-// the run's span dump in the obs JSONL format; with -propagate (the
-// default when tracing) the server's spans carry this run's context, so
-// merging the two dumps with tracemerge yields one cross-process
-// timeline. See docs/OBSERVABILITY.md.
+// the run's span dump in the obs JSONL format. Whenever it traces, the
+// client sends its trace context, so the server's spans carry this
+// run's context and merging the two dumps with tracemerge yields one
+// cross-process timeline. See docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -61,7 +61,6 @@ func main() {
 		retryBase = flag.Duration("retry-base", 200*time.Millisecond, "initial reconnect backoff")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event file of this run's spans")
 		traceDump = flag.String("trace-dump", "", "write this run's span dump (obs JSONL), mergeable with syncd's via tracemerge")
-		propagate = flag.Bool("propagate", true, "with tracing on, send the trace context to the server so its spans join this run's trace")
 		report    = flag.Bool("report", false, "print a per-stage span summary to stderr")
 	)
 	flag.Usage = usage
@@ -127,9 +126,6 @@ func main() {
 	}
 	if tracer != nil {
 		opts = append(opts, syncnet.WithTracer(tracer))
-		if *propagate {
-			opts = append(opts, syncnet.WithTraceContext())
-		}
 	}
 	if *retries > 1 {
 		opts = append(opts, syncnet.WithRetry(syncnet.RetryPolicy{

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cloudsync/internal/core"
 	"cloudsync/internal/parallel"
@@ -15,11 +14,6 @@ import (
 // synthetic user population on the worker pool and report wall time,
 // heap allocation, peak RSS, and per-service TUE stability against the
 // 1× baseline (replayed first, under the same per-account semantics).
-//
-// Besides the human table, the run prints `go test -bench`-style
-// result lines, so the output pipes straight through
-// internal/obs/benchjson into a JSON report. Custom units
-// (peak-rss-bytes, tue-*) ride along as extra metrics.
 func runScale(args []string) {
 	fs := flag.NewFlagSet("tuebench scale", flag.ExitOnError)
 	var (
@@ -43,11 +37,6 @@ func runScale(args []string) {
 	}
 
 	fmt.Print(core.RenderScale(base, scaled))
-	fmt.Println()
-	printScaleBench(base)
-	if *n > 1 {
-		printScaleBench(scaled)
-	}
 
 	for i, sr := range scaled.Services {
 		if sr.TUE != base.Services[i].TUE {
@@ -56,18 +45,4 @@ func runScale(args []string) {
 			os.Exit(1)
 		}
 	}
-}
-
-// printScaleBench emits one benchmark-format line for a scale run.
-func printScaleBench(r core.ScaleResult) {
-	fmt.Printf("BenchmarkScaleReplay/n=%d\t%8d\t%d ns/op\t%d B/op\t%d allocs/op\t%d peak-rss-bytes",
-		r.Multiplier, 1, r.Wall.Nanoseconds(), r.AllocBytes, r.AllocObjects, r.PeakRSSBytes)
-	for _, sr := range r.Services {
-		fmt.Printf("\t%.6g %s", sr.TUE, "tue-"+serviceSlug(sr.Service))
-	}
-	fmt.Println()
-}
-
-func serviceSlug(name string) string {
-	return strings.ReplaceAll(strings.ToLower(name), " ", "-")
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cloudsync/internal/content"
+	"cloudsync/internal/kerneltest"
 )
 
 var codecLevels = []Level{Low, Moderate, High}
@@ -157,6 +158,40 @@ func TestDecompressSizeRefusesBeforeAllocating(t *testing.T) {
 	}
 	if _, err := DecompressSize(packed, High, int64(len(zeros))); err != nil {
 		t.Fatalf("8 MiB of zeros: %v", err)
+	}
+}
+
+// TestAllocCeilings pins the codec's allocations per 1 MiB text, row
+// names after their benchmarks; a count does not depend on the machine,
+// so each ceiling is the count the benchmark reports (AllocsPerRun
+// reads Compress at 14 of its 16). Compress draws its flate writer
+// from a pool, so a Compress that builds one per call allocates about
+// twice as much; the race detector drops pooled items, so that row
+// skips under -race.
+func TestAllocCeilings(t *testing.T) {
+	data := content.Text(1<<20, 1).Bytes()
+	packed := Compress(data, Moderate)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		pooled  bool
+		run     func()
+	}{
+		{"Compress1MBText", 16, true, func() { Compress(data, Moderate) }},
+		{"Decompress1MBText", 140, false, func() {
+			if _, err := DecompressSize(packed, Moderate, int64(len(data))); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.pooled && kerneltest.Race {
+				t.Skip("the race detector drops pooled items")
+			}
+			if allocs := testing.AllocsPerRun(3, tc.run); allocs > tc.ceiling {
+				t.Errorf("%.0f allocations per call, ceiling %.0f", allocs, tc.ceiling)
+			}
+		})
 	}
 }
 

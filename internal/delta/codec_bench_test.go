@@ -8,8 +8,7 @@ import (
 
 // benchDelta builds a realistic delta: a 1 MB basis with scattered edits
 // and an appended tail, producing a mix of copy runs and literal ops.
-func benchDelta(b *testing.B) (Delta, Signature) {
-	b.Helper()
+func benchDelta() (Delta, Signature) {
 	basis := content.Random(1<<20, 41).Bytes()
 	target := append([]byte(nil), basis...)
 	for off := 5_000; off < len(target); off += 90_000 {
@@ -27,7 +26,7 @@ func benchDelta(b *testing.B) (Delta, Signature) {
 // literal payloads.
 
 func BenchmarkDeltaEncode(b *testing.B) {
-	d, _ := benchDelta(b)
+	d, _ := benchDelta()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,7 +35,7 @@ func BenchmarkDeltaEncode(b *testing.B) {
 }
 
 func BenchmarkDeltaDecode(b *testing.B) {
-	d, _ := benchDelta(b)
+	d, _ := benchDelta()
 	enc := d.Encode()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -50,7 +49,7 @@ func BenchmarkDeltaDecode(b *testing.B) {
 }
 
 func BenchmarkSignatureEncode(b *testing.B) {
-	_, sig := benchDelta(b)
+	_, sig := benchDelta()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,7 +58,7 @@ func BenchmarkSignatureEncode(b *testing.B) {
 }
 
 func BenchmarkSignatureDecode(b *testing.B) {
-	_, sig := benchDelta(b)
+	_, sig := benchDelta()
 	enc := sig.Encode()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -396,22 +396,11 @@ func BenchmarkDeltaCompute1MBUnchanged(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaCompute1MBFullRewrite is the literal-heavy worst case:
-// nothing matches, so every byte of the target rolls through the
-// scanner — the path the tag bitmap exists for.
-//
-// The seeds must be far apart: content.Random(_, s) streams are windows
-// of one splitmix orbit, so seeds within size/8 words of each other
-// share content (seed 2's stream is seed 1's shifted by 8 bytes). The
-// literal-fraction assertion keeps this bench honest about being a
-// rewrite.
+// BenchmarkDeltaCompute1MBFullRewrite is the literal-heavy worst case
+// (rewrite1MB): every byte of the target rolls through the scanner —
+// the path the tag bitmap exists for.
 func BenchmarkDeltaCompute1MBFullRewrite(b *testing.B) {
-	basis := content.Random(1<<20, 1).Bytes()
-	target := content.Random(1<<20, 1<<20).Bytes()
-	sig := Sign(basis, DefaultBlockSize)
-	if d := Compute(sig, target); d.LiteralBytes() != len(target) {
-		b.Fatalf("rewrite delta matched %d bytes; seeds overlap", len(target)-d.LiteralBytes())
-	}
+	sig, target := rewrite1MB(b)
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -423,9 +412,7 @@ func BenchmarkDeltaCompute1MBFullRewrite(b *testing.B) {
 // scanner on the same all-literal input — the before/after of the tag
 // bitmap, visible in every bench run rather than only in history.
 func BenchmarkDeltaCompute1MBFullRewriteRef(b *testing.B) {
-	basis := content.Random(1<<20, 1).Bytes()
-	target := content.Random(1<<20, 1<<20).Bytes()
-	sig := Sign(basis, DefaultBlockSize)
+	sig, target := rewrite1MB(b)
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -434,16 +421,13 @@ func BenchmarkDeltaCompute1MBFullRewriteRef(b *testing.B) {
 }
 
 // BenchmarkDeltaCompute1MBInsertShift models the workload content-
-// defined chunking and rsync exist for: a small insertion near the
-// front misaligns every later block, so the scanner rolls byte-by-byte
-// until it realigns and then copies block after block.
+// defined chunking and rsync exist for (insertShift1MB): the scanner
+// rolls byte-by-byte until it realigns and then copies block after
+// block.
 func BenchmarkDeltaCompute1MBInsertShift(b *testing.B) {
-	basis := content.Random(1<<20, 1).Bytes()
-	ins := content.Random(137, 3).Bytes()
-	target := append(append(append([]byte(nil), basis[:1000]...), ins...), basis[1000:]...)
+	basis, target := insertShift1MB()
 	sig := Sign(basis, DefaultBlockSize)
-	d := Compute(sig, target)
-	if d.LiteralBytes() > len(target)/10 {
+	if d := Compute(sig, target); d.LiteralBytes() > len(target)/10 {
 		b.Fatalf("insert-shift delta resent %d literal bytes", d.LiteralBytes())
 	}
 	b.SetBytes(int64(len(target)))
@@ -456,11 +440,7 @@ func BenchmarkDeltaCompute1MBInsertShift(b *testing.B) {
 // BenchmarkDeltaComputeSparseEdits: a handful of scattered single-byte
 // edits — mostly aligned copies with short literal runs between them.
 func BenchmarkDeltaComputeSparseEdits(b *testing.B) {
-	basis := content.Random(1<<20, 1).Bytes()
-	target := append([]byte(nil), basis...)
-	for off := 50_000; off < len(target); off += 200_000 {
-		target[off] ^= 0xFF
-	}
+	basis, target := sparseEdits1MB()
 	sig := Sign(basis, DefaultBlockSize)
 	b.SetBytes(int64(len(target)))
 	b.ResetTimer()
@@ -478,12 +458,8 @@ func BenchmarkDeltaSign1MB(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaApply pins Apply's allocation budget: one exactly-sized
-// output slice per call, regardless of how many ops the delta carries.
 func BenchmarkDeltaApply(b *testing.B) {
-	basis := content.Random(1<<20, 1).Bytes()
-	ins := content.Random(137, 3).Bytes()
-	target := append(append(append([]byte(nil), basis[:1000]...), ins...), basis[1000:]...)
+	basis, target := insertShift1MB()
 	d := Compute(Sign(basis, DefaultBlockSize), target)
 	b.SetBytes(int64(len(target)))
 	b.ReportAllocs()
@@ -495,23 +471,12 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
-// BenchmarkResign is the repeat-sync signature cost: a 4 MiB basis with
-// 8 dirty blocks, so 8 of 512 blocks are hashed and the rest carried
-// over. MB/s is over the whole target — what Sign would have to read —
-// so the figure is directly comparable with BenchmarkDeltaSign1MB.
+// BenchmarkResign is the repeat-sync signature cost (resign4MB). MB/s
+// is over the whole target — what Sign would have to read — so the
+// figure is directly comparable with BenchmarkDeltaSign1MB.
 func BenchmarkResign(b *testing.B) {
-	const size = 4 << 20
-	basis := content.Random(size, 1).Bytes()
-	target := append([]byte(nil), basis...)
-	for k := 0; k < 8; k++ {
-		target[k*(size/8)+12_345] ^= 0xFF
-	}
-	old := Sign(basis, DefaultBlockSize)
-	d := Compute(old, target)
-	if _, hashed := Resign(old, d, target); hashed != 8 {
-		b.Fatalf("resign hashed %d blocks, want 8", hashed)
-	}
-	b.SetBytes(size)
+	old, d, target := resign4MB(b)
+	b.SetBytes(int64(len(target)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -527,22 +492,5 @@ func BenchmarkWeakSum(b *testing.B) {
 		if weakSum(data) == 0 {
 			b.Fatal("unlikely zero sum")
 		}
-	}
-}
-
-// TestApplySingleAllocation pins the exact-size Apply contract at the
-// allocation level: the output slice must be the only allocation.
-func TestApplySingleAllocation(t *testing.T) {
-	basis := content.Random(256<<10, 1).Bytes()
-	target := append([]byte(nil), basis...)
-	target[100_000] ^= 0xFF
-	d := Compute(Sign(basis, 4096), target)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Apply(basis, d); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 1 {
-		t.Fatalf("Apply allocated %.1f times per run, want ≤ 1", allocs)
 	}
 }

@@ -60,16 +60,13 @@ type Client struct {
 	mirror listMirror
 
 	// tracer, when set via WithTracer, records one span per operation
-	// with children per attempt and per protocol stage. Nil keeps the
-	// untraced fast path.
+	// with children per attempt and per protocol stage, and prefixes
+	// each attempt with a TraceCtx frame. Nil keeps the untraced fast
+	// path.
 	tracer *obs.Tracer
 	op     *obs.Span // span of the operation currently in flight
 	att    *obs.Span // span of the current retry attempt, if any
 
-	// propagate, set via WithTraceContext, opts the session into
-	// cross-process trace propagation: each attempt is prefixed with a
-	// TraceCtx frame. Inert without a tracer.
-	propagate bool
 	// replyWaitUS, set via WithClientMetrics, times every blocking wait
 	// for a server reply — the wire round-trip as the client sees it.
 	// signWaitUS times what a full upload's signing added after the Ack,
@@ -128,8 +125,11 @@ func WithBlockSize(bs int) ClientOption {
 }
 
 // WithTracer records client-side spans (one per operation, with
-// children per attempt and protocol stage) on tr. A nil tr records
-// none.
+// children per attempt and protocol stage) on tr, and propagates them:
+// every operation attempt is prefixed with a TraceCtx frame naming the
+// tracer's identity and the attempt span, so the server parents its
+// spans under this client's operation (joined by obs.Merge). A nil tr
+// records none and puts no extra byte on the wire.
 func WithTracer(tr *obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = tr }
 }
@@ -139,16 +139,6 @@ func WithTracer(tr *obs.Tracer) ClientOption {
 // in+out exactly once the client is closed; a nil l charges nothing.
 func WithLedger(l *ledger.Ledger) ClientOption {
 	return func(c *Client) { c.wc.led = l }
-}
-
-// WithTraceContext opts the session into cross-process trace
-// propagation: every operation attempt is prefixed with a TraceCtx
-// frame naming the client tracer's identity and the attempt span, so
-// the server parents its spans under this client's operation (joined by
-// obs.Merge). Requires WithTracer — without a tracer the option is
-// inert and not a single wire byte changes.
-func WithTraceContext() ClientOption {
-	return func(c *Client) { c.propagate = true }
 }
 
 // WithClientMetrics registers the client's phase instruments on reg:
@@ -215,10 +205,10 @@ func (c *Client) computeDelta(sig delta.Signature, data []byte) delta.Delta {
 }
 
 // sendTraceCtx prefixes the current attempt with the client's trace
-// context so the server can parent its spans under it. No-op unless
-// the session propagates (WithTraceContext plus a tracer).
+// context so the server can parent its spans under it. No-op without a
+// tracer.
 func (c *Client) sendTraceCtx() error {
-	if !c.propagate || c.tracer == nil {
+	if c.tracer == nil {
 		return nil
 	}
 	return c.wc.send(&protocol.TraceCtx{

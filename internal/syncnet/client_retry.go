@@ -130,7 +130,7 @@ func (c *Client) withRetry(op func(attempt int) error) error {
 				continue
 			}
 		}
-		// Propagating sessions prefix every attempt with the trace
+		// Traced sessions prefix every attempt with the trace
 		// context (the attempt span), so server-side work on any retry
 		// still joins this operation's tree. A failed send is a
 		// transport failure like any other: it consumes the attempt.

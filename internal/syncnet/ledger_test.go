@@ -189,7 +189,7 @@ func TestConcurrentSessionsLedgerExact(t *testing.T) {
 				s.files[r] = append(s.files[r], FileUpload{Name: fmt.Sprintf("r%02d/f%d", r, f), Data: data})
 			}
 		}
-		s.c, s.written = dial(s.user, WithLedger(s.led), WithTracer(s.tr), WithTraceContext())
+		s.c, s.written = dial(s.user, WithLedger(s.led), WithTracer(s.tr))
 		ss[i] = s
 	}
 

@@ -13,20 +13,17 @@ import (
 // instrumented (server registry + tracer, client tracer); otherwise
 // the server keeps only the private counters behind Stats and nothing
 // traces. The delta between the two is the whole observability tax on
-// the sync hot path (`go test -bench 'ObsO(ff|n)$'` runs the pairs).
-// propagate additionally opts the client into
-// cross-process trace-context propagation (one extra TraceCtx frame
-// per operation attempt).
-func benchUploads(b *testing.B, observed, propagate bool) {
+// the sync hot path, trace-context propagation included: the traced
+// client sends one TraceCtx frame per operation attempt, which the
+// server adopts as its request spans' remote parent (`go test -bench
+// 'ObsO(ff|n)$'` runs the pair).
+func benchUploads(b *testing.B, observed bool) {
 	cfg := ServerConfig{}
 	var clientOpts []ClientOption
 	if observed {
 		cfg.Metrics = obs.NewRegistry()
 		cfg.Tracer = obs.NewTracer()
 		clientOpts = append(clientOpts, WithTracer(obs.NewTracer()))
-		if propagate {
-			clientOpts = append(clientOpts, WithTraceContext())
-		}
 	}
 	srv := NewServer(cfg)
 	defer srv.Close()
@@ -54,14 +51,6 @@ func benchUploads(b *testing.B, observed, propagate bool) {
 	<-done
 }
 
-func BenchmarkSyncUploadObsOff(b *testing.B) { benchUploads(b, false, false) }
+func BenchmarkSyncUploadObsOff(b *testing.B) { benchUploads(b, false) }
 
-func BenchmarkSyncUploadObsOn(b *testing.B) { benchUploads(b, true, false) }
-
-// The propagation pair isolates the cost of shipping trace context
-// across the wire on top of full instrumentation: Off is the
-// instrumented baseline, On adds WithTraceContext (TraceCtx frame +
-// server-side remote re-parenting).
-func BenchmarkSyncUploadPropObsOff(b *testing.B) { benchUploads(b, true, false) }
-
-func BenchmarkSyncUploadPropObsOn(b *testing.B) { benchUploads(b, true, true) }
+func BenchmarkSyncUploadObsOn(b *testing.B) { benchUploads(b, true) }

@@ -153,7 +153,15 @@ func TestObsRoundTrip(t *testing.T) {
 	assertStage("client.full_upload", 0)
 	assertStage("client.delta_sync", 1)
 
-	// Server span tree: one session root, one child per request.
+	// Server span tree: one session root, and one span per request. The
+	// traced client sends its trace context, so each request span is a
+	// remote child of the client attempt that caused it.
+	attempts := map[uint64]bool{}
+	for _, s := range cs {
+		if s.Name == "client.attempt" {
+			attempts[s.ID] = true
+		}
+	}
 	ss := rig.serverTr.Spans()
 	var sessions, requests int
 	for _, s := range ss {
@@ -165,8 +173,9 @@ func TestObsRoundTrip(t *testing.T) {
 			}
 		case strings.HasPrefix(s.Name, "server."):
 			requests++
-			if s.Parent == 0 {
-				t.Errorf("request span %s has no parent", s.Name)
+			if s.RemoteTrace != rig.clientTr.TraceID() || !attempts[s.RemoteParent] {
+				t.Errorf("request span %s: remote parent %d in trace %v, want a client.attempt of trace %v",
+					s.Name, s.RemoteParent, s.RemoteTrace, rig.clientTr.TraceID())
 			}
 		default:
 			t.Errorf("unexpected server span %s", s.Name)
@@ -241,8 +250,7 @@ func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
 // TestObsUntracedClientCountsNothing pins what an uninstrumented client
 // costs: it charges no ledger and puts no trace context on the wire
-// (WithTraceContext is inert without a tracer, so the server's spans
-// all stay local), while its wire meter — every client has one —
+// (the server's spans all stay local), while its wire meter — every client has one —
 // agrees byte for byte with the server's on a net.Pipe session.
 func TestObsUntracedClientCountsNothing(t *testing.T) {
 	leakCheck(t)
@@ -252,7 +260,7 @@ func TestObsUntracedClientCountsNothing(t *testing.T) {
 	cp, sp := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- srv.HandleConn(sp) }()
-	c, err := NewClient(cp, "alice", "plain", WithTraceContext())
+	c, err := NewClient(cp, "alice", "plain")
 	if err != nil {
 		t.Fatal(err)
 	}

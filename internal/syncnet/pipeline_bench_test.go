@@ -8,6 +8,7 @@ import (
 
 	"cloudsync/internal/comp"
 	"cloudsync/internal/content"
+	"cloudsync/internal/kerneltest"
 )
 
 // benchClient connects a client to srv: over net.Pipe — synchronous,
@@ -15,27 +16,27 @@ import (
 // loopback socket, where every request/reply exchange pays the
 // syscalls and scheduler hand-offs a round trip really costs. The
 // returned func closes the client and waits for its session to end.
-func benchClient(b *testing.B, srv *Server, tcp bool, opts ...ClientOption) (*Client, func()) {
-	b.Helper()
+func benchClient(tb testing.TB, srv *Server, tcp bool, opts ...ClientOption) (*Client, func()) {
+	tb.Helper()
 	cp, sp := net.Pipe()
 	if tcp {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		defer l.Close()
 		if cp, err = net.Dial("tcp", l.Addr().String()); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if sp, err = l.Accept(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.HandleConn(sp) }()
 	c, err := NewClient(cp, "bench", "bench", opts...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c, func() {
 		c.Close()
@@ -98,12 +99,8 @@ func BenchmarkUploadLockstep8(b *testing.B) { benchBatchClient(b, 8, false, uplo
 func BenchmarkUploadLockstepTCP8(b *testing.B) { benchBatchClient(b, 8, true, uploadLockstep) }
 
 // BenchmarkDeltaSyncRepeat is the repeat-modification round trip the
-// signature caches — the server's and the client's — exist for: one
-// 4 MiB file, 8 in-place 256-byte edits per iteration, re-uploaded as a
-// version-conditional delta over net.Pipe. The edit is an XOR toggle,
-// so the file alternates between two contents and the server's
-// never-evicting content store stays at two blobs however long the
-// benchmark runs. Bytes/s is file bytes kept in sync per second, not
+// signature caches — the server's and the client's — exist for
+// (deltaSyncRepeat). Bytes/s is file bytes kept in sync per second, not
 // wire bytes.
 func BenchmarkDeltaSyncRepeat(b *testing.B) { benchDeltaSyncRepeat(b, false) }
 
@@ -112,10 +109,27 @@ func BenchmarkDeltaSyncRepeat(b *testing.B) { benchDeltaSyncRepeat(b, false) }
 func BenchmarkDeltaSyncRepeatTCP(b *testing.B) { benchDeltaSyncRepeat(b, true) }
 
 func benchDeltaSyncRepeat(b *testing.B, tcp bool) {
+	edit, done := deltaSyncRepeat(b, tcp)
+	b.SetBytes(4 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edit()
+	}
+	b.StopTimer()
+	done()
+}
+
+// deltaSyncRepeat sets up one 4 MiB file on a fresh server and returns
+// a step that makes 8 in-place 256-byte edits and re-uploads it as a
+// version-conditional delta. The edit is an XOR toggle, so the file
+// alternates between two contents and the server's never-evicting
+// content store stays at two blobs however many steps run. Both
+// contents are stored and the signature caches warm before it returns.
+func deltaSyncRepeat(tb testing.TB, tcp bool) (edit, done func()) {
 	const size, regions, editLen = 4 << 20, 8, 256
 	srv := NewServer(ServerConfig{})
-	defer srv.Close()
-	c, closeC := benchClient(b, srv, tcp)
+	c, closeC := benchClient(tb, srv, tcp)
 	data := append([]byte(nil), content.Random(size, 1).Bytes()...)
 	toggle := func() {
 		for r := 0; r < regions; r++ {
@@ -126,59 +140,104 @@ func benchDeltaSyncRepeat(b *testing.B, tcp bool) {
 		}
 	}
 	if _, err := c.Upload("big", data); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Both contents stored and the cache warm before timing starts.
 	for i := 0; i < 2; i++ {
 		toggle()
 		if _, err := c.Upload("big", data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	edit = func() {
 		toggle()
 		st, err := c.Upload("big", data)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if !st.DeltaSync {
-			b.Fatal("re-upload was not a delta sync")
+			tb.Fatal("re-upload was not a delta sync")
 		}
 	}
-	b.StopTimer()
-	closeC()
+	return edit, func() {
+		closeC()
+		srv.Close()
+	}
 }
 
 // BenchmarkFullUploadDedupHit is a full upload the server answers from
-// its content store: a 1 MiB text at comp.Moderate that the server
-// already holds, under a new name each iteration, over net.Pipe. The
-// client asks before it compresses, so a hit costs the MD5, the held
-// signature and one round trip, and never the 1 MiB Compress
+// its content store (fullUploadDedupHit). A hit costs the content hash,
+// the held signature and one round trip, and never the 1 MiB Compress
 // (BenchmarkCompress1MBText in internal/comp: its allocations and
-// about 36 ms on the 2-vCPU Xeon the baseline was recorded on).
+// about 36 ms on a 2-vCPU Xeon).
 func BenchmarkFullUploadDedupHit(b *testing.B) {
-	srv := NewServer(ServerConfig{Compression: comp.Moderate})
-	defer srv.Close()
-	c, closeC := benchClient(b, srv, false, WithCompression(comp.Moderate))
-	data := content.Text(1<<20, 1).Bytes()
-	if _, err := c.Upload("original", data); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
+	upload, done := fullUploadDedupHit(b)
+	b.SetBytes(1 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := c.Upload("copy"+strconv.Itoa(i), data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !st.DedupHit {
-			b.Fatal("re-upload of stored content was not a dedup hit")
-		}
+		upload()
 	}
 	b.StopTimer()
-	closeC()
+	done()
+}
+
+// fullUploadDedupHit stores a 1 MiB text at comp.Moderate and returns a
+// step that uploads it again under a new name over net.Pipe. The client
+// asks before it compresses, so each step is a dedup hit that
+// compresses nothing.
+func fullUploadDedupHit(tb testing.TB) (upload, done func()) {
+	srv := NewServer(ServerConfig{Compression: comp.Moderate})
+	c, closeC := benchClient(tb, srv, false, WithCompression(comp.Moderate))
+	data := content.Text(1<<20, 1).Bytes()
+	if _, err := c.Upload("original", data); err != nil {
+		tb.Fatal(err)
+	}
+	n := 0
+	upload = func() {
+		n++
+		st, err := c.Upload("copy"+strconv.Itoa(n), data)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !st.DedupHit {
+			tb.Fatal("re-upload of stored content was not a dedup hit")
+		}
+	}
+	return upload, func() {
+		closeC()
+		srv.Close()
+	}
+}
+
+// TestAllocCeilings pins the allocations of the two live round trips
+// whose cost is a kernel's, process-wide (client and server), row names
+// after their benchmarks. The repeat delta sync stays at Resign's
+// O(edit) hashing on a signature the client holds, and the server signs
+// nothing; losing either shows as Sign's allocations and a SigRequest
+// exchange. The dedup hit compresses nothing; compressing anyway shows
+// as Compress's allocations. The ceilings are 10 % over the counts
+// measured (42 and 30), which move by one from run to run. Both paths
+// draw frame buffers and flate writers from pools, which the race
+// detector drops, so the test skips under -race.
+func TestAllocCeilings(t *testing.T) {
+	if kerneltest.Race {
+		t.Skip("the race detector drops pooled items")
+	}
+	leakCheck(t)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		setup   func(testing.TB) (step, done func())
+	}{
+		{"DeltaSyncRepeat", 46, func(tb testing.TB) (func(), func()) { return deltaSyncRepeat(tb, false) }},
+		{"FullUploadDedupHit", 33, fullUploadDedupHit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			step, done := tc.setup(t)
+			defer done()
+			if allocs := testing.AllocsPerRun(5, step); allocs > tc.ceiling {
+				t.Errorf("%.0f allocations per round trip, ceiling %.0f", allocs, tc.ceiling)
+			}
+		})
+	}
 }

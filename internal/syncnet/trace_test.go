@@ -37,14 +37,14 @@ func tracedPair(t *testing.T, cfg ServerConfig, opts ...ClientOption) (*Client, 
 	}
 }
 
-// TestTracePropagationMergedTree is the tentpole shape check: with
-// context propagation on, merging the two sides' dumps must hang every
+// TestTracePropagationMergedTree is the cross-process shape check: a
+// traced client propagates its context, so merging the two sides' dumps must hang every
 // server request span off the client attempt that caused it, under one
 // shared root.
 func TestTracePropagationMergedTree(t *testing.T) {
 	serverTr, clientTr := obs.NewTracer(), obs.NewTracer()
 	c, _, finish := tracedPair(t, ServerConfig{Tracer: serverTr},
-		WithTracer(clientTr), WithTraceContext())
+		WithTracer(clientTr))
 
 	if _, err := c.Upload("a.txt", bytes.Repeat([]byte("trace "), 2048)); err != nil {
 		t.Fatalf("upload: %v", err)
@@ -86,14 +86,14 @@ func TestTracePropagationMergedTree(t *testing.T) {
 	}
 }
 
-// TestTraceLedgerExactWithPropagation: the TraceCtx frames a
-// propagating session adds are charged to framing, so both sides'
+// TestTraceLedgerExactWithPropagation: the TraceCtx frames a traced
+// session adds are charged to framing, so both sides'
 // ledgers must still equal their metered wire bytes exactly.
 func TestTraceLedgerExactWithPropagation(t *testing.T) {
 	clientLed, serverLed := &ledger.Ledger{}, &ledger.Ledger{}
 	serverTr, clientTr := obs.NewTracer(), obs.NewTracer()
 	c, srv, finish := tracedPair(t, ServerConfig{Tracer: serverTr, Ledger: serverLed},
-		WithTracer(clientTr), WithTraceContext(), WithLedger(clientLed))
+		WithTracer(clientTr), WithLedger(clientLed))
 
 	v1 := bytes.Repeat([]byte("propagated "), 4<<10)
 	if _, err := c.Upload("report.txt", v1); err != nil {
@@ -160,51 +160,6 @@ func (c *teeConn) frames(t *testing.T) [][]byte {
 }
 
 const frameHeaderLen = 5
-
-// TestNonPropagatingClientIsWireIdenticalToLegacy: a traced client that
-// does not opt into propagation puts exactly an untraced client's byte
-// stream on the wire — its Hello is the plain encoding and no TraceCtx
-// frame ever appears — and the ledgers still balance.
-func TestNonPropagatingClientIsWireIdenticalToLegacy(t *testing.T) {
-	leakCheck(t)
-	clientLed := &ledger.Ledger{}
-	srv := NewServer(ServerConfig{Tracer: obs.NewTracer()})
-	cp, sp := net.Pipe()
-	handlerCh := make(chan error, 1)
-	go func() { handlerCh <- srv.HandleConn(sp) }()
-	tee := &teeConn{Conn: cp}
-	c, err := NewClient(tee, "alice", "legacy-test",
-		WithTracer(obs.NewTracer()), WithLedger(clientLed)) // no WithTraceContext
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	if _, err := c.Upload("a.txt", []byte("legacy wire")); err != nil {
-		t.Fatalf("upload: %v", err)
-	}
-	c.Close()
-	if err := <-handlerCh; err != nil {
-		t.Fatalf("HandleConn: %v", err)
-	}
-
-	frames := tee.frames(t)
-	if len(frames) == 0 {
-		t.Fatal("no frames captured")
-	}
-	plainHello := protocol.Encode(&protocol.Hello{User: "alice", Device: "legacy-test", Version: "cloudsync/1"})
-	if !bytes.Equal(frames[0], plainHello) {
-		t.Fatalf("Hello differs from the plain encoding:\n got %x\nwant %x", frames[0], plainHello)
-	}
-	for i, f := range frames {
-		if protocol.MsgType(f[0]) == protocol.TypeTraceCtx {
-			t.Fatalf("frame %d is a TraceCtx from a non-propagating client", i)
-		}
-	}
-	in, out := c.WireTotals()
-	if got, want := clientLed.Total(), in+out; got != want {
-		t.Errorf("client ledger total %d ≠ wire %d", got, want)
-	}
-}
 
 // TestTraceCtxAdopted: a raw Hello, a TraceCtx and a ListRequest at a
 // tracing server re-parent the request's span under the remote context.
