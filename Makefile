@@ -21,16 +21,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz explores the wire decoders for 30 s each beyond their seed
-# corpora (replayed by every ordinary test run): the protocol frame
-# decoder and stream reader, and the delta and signature codecs. A
-# crasher lands in the package's testdata/fuzz/<Target>: fix it and
-# commit the file, so the test suite replays it from then on.
+# fuzz explores the decoders for 30 s each beyond their seed corpora
+# (replayed by every ordinary test run): the protocol frame decoder and
+# stream reader, the delta and signature codecs, and the server's
+# durable-state records (decode, re-encode, apply). A crasher lands in
+# the package's testdata/fuzz/<Target>: fix it and commit the file, so
+# the test suite replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime 30s ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignature$$' -fuzztime 30s ./internal/delta
+	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 30s ./internal/syncnet
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./...

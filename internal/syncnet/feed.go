@@ -42,15 +42,11 @@ func newEpoch() uint64 {
 	}
 }
 
-// commitFileLocked makes a mutation of f visible: it stamps f with the
-// account's next sequence number, moves it to the newest end of the
-// account's commit-order list, and appends its metadata to the durable
-// log. Every mutation path — store, a published delta, a delete —
-// ends here, so it is the one place the feed is written. The feed
-// work is O(1) pointer updates, no allocation. Caller holds s.mu; the
-// content f references must already be persisted
-// (putContentLocked runs at every byHash insertion).
-func (s *Server) commitFileLocked(user string, f *serverFile) {
+// stampLocked gives f the account's next sequence number and moves it to
+// the newest end of the commit-order list. commitLocked's call after each
+// file record is the one place the feed is written, in O(1) pointer
+// updates with no allocation. s.mu is held.
+func (s *Server) stampLocked(user string, f *serverFile) {
 	acct := s.users[user]
 	acct.seq++
 	f.seq = acct.seq
@@ -68,9 +64,6 @@ func (s *Server) commitFileLocked(user string, f *serverFile) {
 			acct.newest.newer = f
 		}
 		acct.newest = f
-	}
-	if s.persist != nil {
-		s.persist.Append(encodeFileRec(user, f))
 	}
 }
 
@@ -93,7 +86,10 @@ func (f *serverFile) listEntry() protocol.ListEntry {
 func (ss *session) onList(m *protocol.ListRequest) error {
 	s := ss.srv
 	s.mu.Lock()
-	acct := s.account(ss.user)
+	acct := s.users[ss.user]
+	if acct == nil {
+		acct = &account{} // no commit yet: an empty namespace at seq 0
+	}
 	reply := &protocol.Listing{Epoch: s.epoch, Seq: acct.seq,
 		Incremental: m.Epoch == s.epoch && m.Since <= acct.seq}
 	if reply.Incremental {

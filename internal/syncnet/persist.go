@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"cloudsync/internal/dedup"
@@ -54,21 +55,32 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 	if cfg.CompactLogBytes == 0 {
 		cfg.CompactLogBytes = DefaultCompactLogBytes
 	}
+	om := newServerObs(cfg.Metrics)
 	s := &Server{
-		cfg:       cfg,
-		users:     make(map[string]*account),
+		cfg: cfg,
+		state: state{
+			users:       make(map[string]*account),
+			byID:        make(map[fileKey]*serverFile),
+			byHash:      make(map[dedup.Fingerprint][]byte),
+			index:       dedup.NewIndex(cfg.CrossUserDedup),
+			bytesStored: om.bytesStored,
+		},
 		epoch:     newEpoch(),
-		byID:      make(map[fileKey]*serverFile),
-		byHash:    make(map[dedup.Fingerprint][]byte),
-		index:     dedup.NewIndex(cfg.CrossUserDedup),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		pending:   make(map[pendingKey]*pendingUpload),
 		crashedC:  make(chan struct{}),
-		om:        newServerObs(cfg.Metrics),
+		om:        om,
 	}
 	if cfg.StateDir != "" {
-		st, err := wal.Open(cfg.StateDir, s.replayRecord)
+		// Replay applies each record as the live commit did, unlocked.
+		st, err := wal.Open(cfg.StateDir, func(rec []byte) error {
+			r, err := decodeRecord(rec)
+			if err == nil {
+				err = s.apply(r)
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -82,113 +94,83 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// replayRecord applies one durable record during Open. It runs before
-// the server is shared, so no locking; record bytes are not retained.
-func (s *Server) replayRecord(rec []byte) error {
-	if len(rec) == 0 {
-		return errors.New("syncnet: empty state record")
-	}
-	c := wal.NewRecCursor(rec[1:])
-	switch rec[0] {
-	case recContent:
-		hash := c.Hash16()
-		data := c.Bytes()
-		if c.Err() != nil {
-			return fmt.Errorf("syncnet: content record: %w", c.Err())
-		}
-		// data lives in the log's reused frame buffer: copy a new blob,
-		// and only a new one.
-		if _, ok := s.byHash[hash]; !ok {
-			s.putContentLocked(hash, bytes.Clone(data))
-		}
-	case recIndex:
-		scope := c.Str()
-		hash := c.Hash16()
-		size := c.I64()
-		if c.Err() != nil {
-			return fmt.Errorf("syncnet: index record: %w", c.Err())
-		}
-		// An entry's scope fed back through Add reproduces it exactly:
-		// per-user indexes use the user name as scope, cross-user "".
-		s.index.Add(scope, hash, size)
+// record is one entry of the durable log, an absolute state: a file's
+// whole metadata, a content blob or a dedup-index entry.
+type record struct {
+	kind        byte
+	deleted     bool
+	user, name  string // user: a file's owner, an index entry's scope
+	id, version uint64
+	history     uint64 // versions ever stored (fake deletion keeps content)
+	hash        protocol.Fingerprint
+	data        []byte // content
+	size        int64  // index
+}
+
+// encode renders r in the log's format: the kind, then for a file user,
+// name, id, version, flags (bit 0: deleted), history and hash; for
+// content hash and data; for an index entry scope, hash and size.
+func (r *record) encode() []byte {
+	le := binary.LittleEndian
+	b := append(make([]byte, 0, 1+4+len(r.user)+4+len(r.name)+3*8+1+16+4+len(r.data)), r.kind)
+	switch r.kind {
 	case recFile:
-		user := c.Str()
-		name := c.Str()
-		id := c.U64()
-		version := c.U64()
-		flags := c.U8()
-		history := c.U64()
-		hash := c.Hash16()
-		if c.Err() != nil {
-			return fmt.Errorf("syncnet: file record: %w", c.Err())
+		b = wal.AppendStr(wal.AppendStr(b, r.user), r.name)
+		b = le.AppendUint64(le.AppendUint64(b, r.id), r.version)
+		flags := byte(0)
+		if r.deleted {
+			flags = 1
 		}
-		data, ok := s.byHash[hash]
-		if !ok {
-			return fmt.Errorf("syncnet: file record %s/%s references unknown content %x", user, name, hash)
-		}
-		f := s.fileLocked(user, name, id)
-		f.data = data
-		f.hash = hash
-		f.version = version
-		f.deleted = flags&1 != 0
-		f.history = int(history)
-		// Re-derive the live-path index add; duplicates (snapshot replay
-		// after recIndex records) are no-ops.
-		s.index.Add(user, hash, int64(len(data)))
-		if id > s.nextID {
-			s.nextID = id
-		}
+		b = append(le.AppendUint64(append(b, flags), r.history), r.hash[:]...)
+	case recContent:
+		b = wal.AppendBytes(append(b, r.hash[:]...), r.data)
+	case recIndex:
+		b = le.AppendUint64(append(wal.AppendStr(b, r.user), r.hash[:]...), uint64(r.size))
+	}
+	return b
+}
+
+// decodeRecord parses one log record strictly: one encode would not
+// reproduce byte for byte is an error. r does not alias b.
+func decodeRecord(b []byte) (r record, err error) {
+	c := wal.NewRecCursor(b)
+	var flags byte
+	switch r.kind = c.U8(); r.kind {
+	case recFile:
+		r.user, r.name, r.id, r.version = c.Str(), c.Str(), c.U64(), c.U64()
+		flags, r.history, r.hash = c.U8(), c.U64(), c.Hash16()
+		r.deleted = flags == 1
+	case recContent:
+		r.hash, r.data = c.Hash16(), bytes.Clone(c.Bytes())
+	case recIndex:
+		r.user, r.hash, r.size = c.Str(), c.Hash16(), c.I64()
 	case recMD5Content:
-		return ErrMD5ContentRecord
+		return r, ErrMD5ContentRecord
 	default:
-		return fmt.Errorf("syncnet: unknown state record kind %d", rec[0])
+		return r, fmt.Errorf("syncnet: unknown state record kind %d", r.kind)
 	}
-	return nil
+	if c.Err() != nil || len(c.Rest()) != 0 || flags > 1 {
+		return r, fmt.Errorf("syncnet: malformed state record of kind %d (%v, %d bytes over, flags %#x)", r.kind, c.Err(), len(c.Rest()), flags)
+	}
+	return r, nil
 }
 
-// encodeFileRec renders one file's metadata as a recFile record.
-func encodeFileRec(user string, f *serverFile) []byte {
-	b := make([]byte, 0, 64+len(user)+len(f.name))
-	b = append(b, recFile)
-	b = wal.AppendStr(b, user)
-	b = wal.AppendStr(b, f.name)
-	b = binary.LittleEndian.AppendUint64(b, f.id)
-	b = binary.LittleEndian.AppendUint64(b, f.version)
-	flags := byte(0)
-	if f.deleted {
-		flags |= 1
+// commitLocked is every live mutation's one path: each record in order
+// is appended to the log, if any, then applied, so replay rebuilds what
+// was acknowledged. A file record follows the content it names and
+// stamps the feed; one that does not apply is a bug. s.mu is held.
+func (s *Server) commitLocked(recs ...record) {
+	for _, r := range recs {
+		if s.persist != nil {
+			s.persist.Append(r.encode())
+		}
+		if err := s.apply(r); err != nil {
+			panic(err)
+		}
+		if r.kind == recFile {
+			s.stampLocked(r.user, s.users[r.user].files[r.name])
+		}
 	}
-	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint64(b, uint64(f.history))
-	return append(b, f.hash[:]...)
-}
-
-// encodeContentRec renders one content blob as a recContent record.
-func encodeContentRec(hash protocol.Fingerprint, data []byte) []byte {
-	b := make([]byte, 0, 1+16+4+len(data))
-	b = append(b, recContent)
-	b = append(b, hash[:]...)
-	return wal.AppendBytes(b, data)
-}
-
-// putContentLocked is the content store's one insertion, shared by
-// store, a published delta and replay: a blob not yet in byHash is
-// kept (raw is retained, not copied), counted in syncd_bytes_stored and
-// appended to the durable log. It returns the store's copy — raw, or
-// the blob already filed under hash — which is what a file version must
-// hold, so content reached again is kept once. Replay appends nothing,
-// because s.persist is still nil until wal.Open returns. Caller holds
-// s.mu (or, during replay, owns the unshared server).
-func (s *Server) putContentLocked(hash protocol.Fingerprint, raw []byte) []byte {
-	if stored, ok := s.byHash[hash]; ok {
-		return stored
-	}
-	s.byHash[hash] = raw
-	s.om.bytesStored.Add(int64(len(raw)))
-	if s.persist != nil {
-		s.persist.Append(encodeContentRec(hash, raw))
-	}
-	return raw
 }
 
 // persistSync makes every record appended so far durable — the point
@@ -245,36 +227,18 @@ func (s *Server) crashLocked(err error) error {
 // user, name). Caller holds s.mu.
 func (s *Server) snapshotRecordsLocked() [][]byte {
 	var recs [][]byte
-	hashes := make([]dedup.Fingerprint, 0, len(s.byHash))
-	for h := range s.byHash {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
-	for _, h := range hashes {
-		recs = append(recs, encodeContentRec(h, s.byHash[h]))
+	for _, h := range slices.SortedFunc(maps.Keys(s.byHash), func(a, b dedup.Fingerprint) int { return bytes.Compare(a[:], b[:]) }) {
+		r := record{kind: recContent, hash: h, data: s.byHash[h]}
+		recs = append(recs, r.encode())
 	}
 	for _, e := range s.index.Entries() {
-		b := make([]byte, 0, 1+4+len(e.Scope)+16+8)
-		b = append(b, recIndex)
-		b = wal.AppendStr(b, e.Scope)
-		b = append(b, e.FP[:]...)
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.Size))
-		recs = append(recs, b)
+		r := record{kind: recIndex, user: e.Scope, hash: e.FP, size: e.Size}
+		recs = append(recs, r.encode())
 	}
-	users := make([]string, 0, len(s.users))
-	for u := range s.users {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, u := range users {
+	for _, u := range slices.Sorted(maps.Keys(s.users)) {
 		files := s.users[u].files
-		names := make([]string, 0, len(files))
-		for n := range files {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			recs = append(recs, encodeFileRec(u, files[n]))
+		for _, n := range slices.Sorted(maps.Keys(files)) {
+			recs = append(recs, files[n].encode())
 		}
 	}
 	return recs

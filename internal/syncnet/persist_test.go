@@ -152,7 +152,7 @@ func TestStoredContentKeptOnce(t *testing.T) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	for _, user := range []string{"alice", "bob"} {
-		f := srv.account(user).files["f"]
+		f := srv.files(user)["f"]
 		stored := srv.byHash[f.hash]
 		if !bytes.Equal(f.data, a) || &f.data[0] != &stored[0] {
 			t.Errorf("%s/f holds its own copy of content the store already keeps", user)
@@ -163,8 +163,8 @@ func TestStoredContentKeptOnce(t *testing.T) {
 // TestServerTornTailEveryOffset is the kill -9 property over the whole
 // log: truncated at every byte, the state directory must reopen without
 // error. A cut at an acknowledged commit's end recovers exactly the
-// state at that ack; a cut inside a commit recovers no torn file and not
-// the whole commit.
+// state at that ack, the whole durable state and not only the files; a
+// cut inside a commit recovers no torn file and not the whole commit.
 func TestServerTornTailEveryOffset(t *testing.T) {
 	seedDir := t.TempDir()
 	srv, dial := startServer(t, ServerConfig{StateDir: seedDir})
@@ -175,14 +175,15 @@ func TestServerTornTailEveryOffset(t *testing.T) {
 	type checkpoint struct {
 		bytes int64
 		state map[string]FileState
+		dump  string
 	}
-	ckpts := []checkpoint{{0, srv.Snapshot("alice")}}
+	ckpts := []checkpoint{{0, srv.Snapshot("alice"), dumpState(srv)}}
 	acked := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ckpts = append(ckpts, checkpoint{srv.StateLogBytes(), srv.Snapshot("alice")})
+		ckpts = append(ckpts, checkpoint{srv.StateLogBytes(), srv.Snapshot("alice"), dumpState(srv)})
 	}
 	big := content.Random(2_048, 1).Bytes()
 	_, err := c.Upload("inline", []byte("rides in a one-entry bundle"))
@@ -220,7 +221,7 @@ func TestServerTornTailEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		got := rs.Snapshot("alice")
+		got, dump := rs.Snapshot("alice"), dumpState(rs)
 		rs.Close()
 
 		i := 0
@@ -229,7 +230,7 @@ func TestServerTornTailEveryOffset(t *testing.T) {
 		}
 		label := fmt.Sprintf("cut %d", cut)
 		if ckpts[i].bytes == int64(cut) {
-			sameSnapshot(t, label, ckpts[i].state, got)
+			sameDump(t, label, ckpts[i].dump, dump)
 			continue
 		}
 		// Inside one group commit: its whole-record prefix replays, so a
@@ -275,7 +276,8 @@ func TestDurableCompaction(t *testing.T) {
 	if _, err := c.Upload("a", content.Random(8_000, 1).Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Upload("b", content.Random(8_000, 2).Bytes()); err != nil {
+	b := content.Random(8_000, 2).Bytes()
+	if _, err := c.Upload("b", b); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.CompactState(); err != nil {
@@ -295,11 +297,18 @@ func TestDurableCompaction(t *testing.T) {
 	srv2 := reopenServer(t, dir)
 	sameSnapshot(t, "alice", want, srv2.Snapshot("alice"))
 
-	// Recovered dedup index still answers: re-uploading b's bytes under
-	// a new name must dedup-skip (no payload transfer).
-	// (Server-internal check: the content blob is still addressable.)
-	if _, ok := srv2.FileContent("alice", "b"); !ok {
-		t.Fatal("content lost across compaction")
+	// The recovered dedup index still answers: b's bytes re-uploaded
+	// under a new name dedup-skip. At 8 000 bytes they ride an inline
+	// bundle, so the payload crosses the wire all the same; the hit
+	// shows in the commit, which stores no second copy.
+	c2, closeC2 := pipeClient(t, srv2, "alice", "dev2", nil)
+	defer closeC2()
+	st, err := c2.Upload("b-copy", b)
+	if err != nil || !st.DedupHit {
+		t.Fatalf("re-upload of b's bytes after reopen: %+v, %v; want a dedup hit", st, err)
+	}
+	if skips := srv2.Stats().DedupSkips; skips != 1 {
+		t.Fatalf("%d dedup skips after reopen, want 1", skips)
 	}
 }
 
@@ -475,7 +484,8 @@ func TestRecoveryRefusesMD5ContentRecords(t *testing.T) {
 	data := []byte("written under MD5 identity")
 	hash := md5.Sum(data)
 	st.Append(wal.AppendBytes(append([]byte{recMD5Content}, hash[:]...), data))
-	st.Append(encodeFileRec("u", &serverFile{id: 1, name: "a.txt", hash: hash, version: 1, history: 1}))
+	r := record{kind: recFile, user: "u", name: "a.txt", id: 1, version: 1, history: 1, hash: hash}
+	st.Append(r.encode())
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"cloudsync/internal/comp"
-	"cloudsync/internal/dedup"
 	"cloudsync/internal/delta"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
@@ -98,14 +97,10 @@ type ServerConfig struct {
 	CompactLogBytes int64
 }
 
+// serverFile is a file as the last file record applied to it left it.
 type serverFile struct {
-	id      uint64
-	name    string
-	data    []byte // raw (uncompressed) content
-	hash    protocol.Fingerprint
-	version uint64
-	deleted bool
-	history int // versions ever stored (fake deletion keeps content)
+	record
+	data []byte // raw (uncompressed) content: the content store's copy
 	// seq is the account change sequence number of the file's last
 	// commit in this server's lifetime (0 for a file replayed at open and
 	// untouched since); older/newer link the account's committed files
@@ -173,18 +168,14 @@ type pendingKey struct {
 type Server struct {
 	cfg ServerConfig
 
-	mu    sync.Mutex
-	users map[string]*account
+	mu sync.Mutex
+	state
 	// epoch names this server's lifetime in change-feed cursors: drawn
 	// at random, never zero, never persisted (see feed.go).
 	epoch uint64
-	// byID indexes each user's files by FileID — what a Delete names.
-	// An entry is added wherever a serverFile is created and never
-	// removed: deletion is fake and a recreated name keeps its file.
-	byID      map[fileKey]*serverFile
-	byHash    map[dedup.Fingerprint][]byte // full-file dedup content store
-	index     *dedup.Index
-	nextID    uint64
+	// minted is the last FileID probe handed out; an upload may never
+	// commit the one it was given, so it can run ahead of nextID.
+	minted    uint64
 	closed    bool
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
@@ -501,29 +492,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) account(user string) *account {
-	a := s.users[user]
-	if a == nil {
-		a = &account{files: make(map[string]*serverFile)}
-		s.users[user] = a
-	}
-	return a
-}
-
-// fileLocked returns the user's file under name, creating it with the
-// given id — and indexing it by that id — when absent. Caller holds
-// s.mu (or is replaying before the server is shared).
-func (s *Server) fileLocked(user, name string, id uint64) *serverFile {
-	files := s.account(user).files
-	f := files[name]
-	if f == nil {
-		f = &serverFile{id: id, name: name}
-		files[name] = f
-		s.byID[fileKey{user, id}] = f
-	}
-	return f
-}
-
 // FileState is one file's externally visible server-side state, as
 // reported by Snapshot.
 type FileState struct {
@@ -541,7 +509,7 @@ type FileState struct {
 func (s *Server) Snapshot(user string) map[string]FileState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	files := s.account(user).files
+	files := s.files(user)
 	out := make(map[string]FileState, len(files))
 	for name, f := range files {
 		out[name] = FileState{
@@ -549,7 +517,7 @@ func (s *Server) Snapshot(user string) map[string]FileState {
 			Data:    append([]byte(nil), f.data...),
 			Version: f.version,
 			Deleted: f.deleted,
-			History: f.history,
+			History: int(f.history),
 		}
 	}
 	return out
@@ -560,7 +528,7 @@ func (s *Server) Snapshot(user string) map[string]FileState {
 func (s *Server) FileContent(user, name string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.account(user).files[name]
+	f, ok := s.files(user)[name]
 	if !ok || f.deleted {
 		return nil, false
 	}
@@ -711,11 +679,11 @@ func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f := s.account(ss.user).files[name]; f != nil {
+	if f := s.files(ss.user)[name]; f != nil {
 		id = f.id
 	} else {
-		s.nextID++
-		id = s.nextID
+		s.minted = max(s.minted, s.nextID) + 1
+		id = s.minted
 	}
 	if s.index.Lookup(ss.user, hash, size) {
 		stored, hit = s.byHash[hash]
@@ -852,21 +820,30 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := s.fileLocked(ss.user, name, id)
-	f.data = s.putContentLocked(hash, raw)
-	f.hash = hash
-	f.version++
-	f.deleted = false
-	f.history++
-	s.index.Add(ss.user, hash, int64(len(raw)))
-	s.commitFileLocked(ss.user, f)
+	id, version := s.putLocked(ss.user, name, id, raw, hash)
 	if wasDedup {
 		s.om.dedupSkips.Inc()
 	}
 	s.om.uploads.Inc()
 	ss.contentBytes += int64(len(raw))
-	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, f.version, len(raw), wasDedup)
-	return f.id, f.version
+	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, version, len(raw), wasDedup)
+	return id, version
+}
+
+// putLocked commits raw as the next version of the user's file under
+// name, a new file with the given id when the name is free, and returns
+// the file's identity and version. s.mu is held.
+func (s *Server) putLocked(user, name string, id uint64, raw []byte, hash protocol.Fingerprint) (uint64, uint64) {
+	r := record{kind: recFile, user: user, name: name, id: id, version: 1, history: 1, hash: hash}
+	if f := s.files(user)[name]; f != nil {
+		r.id, r.version, r.history = f.id, f.version+1, f.history+1
+	}
+	if _, ok := s.byHash[hash]; ok {
+		s.commitLocked(r)
+	} else {
+		s.commitLocked(record{kind: recContent, hash: hash, data: raw}, r)
+	}
+	return r.id, r.version
 }
 
 // onBundle demultiplexes a batched small-file upload: each entry is
@@ -920,23 +897,22 @@ func (ss *session) onDelete(m *protocol.Delete) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
-	target.deleted = true // fake deletion: content retained
-	target.version++
-	version := target.version
-	s.commitFileLocked(ss.user, target)
+	r := target.record
+	r.version, r.deleted = target.version+1, true // fake deletion: content retained
+	s.commitLocked(r)
 	s.mu.Unlock()
 	s.om.deletes.Inc()
 	if err := s.persistSync(); err != nil {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
 		return err
 	}
-	return ss.wc.send(&protocol.Ack{FileID: m.FileID, Version: version, OK: true})
+	return ss.wc.send(&protocol.Ack{FileID: m.FileID, Version: r.version, OK: true})
 }
 
 func (ss *session) onGet(m *protocol.Get) error {
 	s := ss.srv
 	s.mu.Lock()
-	f := s.account(ss.user).files[m.Name]
+	f := s.files(ss.user)[m.Name]
 	if f == nil || f.deleted {
 		s.mu.Unlock()
 		ss.sendErr(protocol.ErrNotFound, "no such file")
@@ -974,7 +950,7 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	}
 	s := ss.srv
 	s.mu.Lock()
-	f := s.account(ss.user).files[m.Name]
+	f := s.files(ss.user)[m.Name]
 	if f == nil || f.deleted {
 		s.mu.Unlock()
 		ss.sendErr(protocol.ErrNotFound, "no such file")
@@ -1002,7 +978,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	}
 	s := ss.srv
 	s.mu.Lock()
-	f := s.account(ss.user).files[m.Name]
+	f := s.files(ss.user)[m.Name]
 	if f == nil || f.deleted {
 		s.mu.Unlock()
 		ss.sendErr(protocol.ErrNotFound, "no such file")
@@ -1027,14 +1003,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
-	f.data = s.putContentLocked(hash, raw)
-	f.version++
-	f.history++
-	f.hash = hash
-	s.index.Add(ss.user, hash, int64(len(raw)))
-	s.commitFileLocked(ss.user, f)
-	version := f.version
-	id := f.id
+	id, version := s.putLocked(ss.user, m.Name, f.id, raw, hash)
 	s.mu.Unlock()
 	s.om.deltaSyncs.Inc()
 	s.om.deltaLiteralBytes.Add(int64(d.LiteralBytes()))
