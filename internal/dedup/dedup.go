@@ -19,7 +19,8 @@ import (
 )
 
 // Fingerprint is a content fingerprint: an MD5 in the simulator, as in
-// the paper's trace; the live server files protocol.Sum values here.
+// the paper's trace; the live server files protocol.Sum values here, a
+// leaf-hashed SHA-256 of the same size.
 type Fingerprint = [md5.Size]byte
 
 // Granularity is the unit at which fingerprints are computed and

@@ -14,13 +14,15 @@
 // The block sum is a SHA-256 prefix rather than rsync's MD5 because Go's
 // crypto/sha256 runs on the CPU's SHA extensions (x86 SHA-NI, ARMv8
 // SHA2) where present, about twice MD5's speed there; without them it is
-// slower than MD5. Live file identity (protocol.Sum) is the same
-// SHA-256 prefix; only the simulator's fingerprints stay MD5.
+// slower than MD5. Live file identity (protocol.Sum) is SHA-256 too,
+// taken over 16 KiB leaves; only the simulator's fingerprints stay MD5.
 package delta
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -560,15 +562,17 @@ func sealLiterals(d *Delta) {
 // Every op is checked and the output length summed before anything is
 // allocated, so a TargetSize the ops do not add up to costs no memory
 // (it arrives straight off the wire). The output is then one
-// exactly-sized allocation filled with one copy per op: a copy run is
-// one contiguous range of the basis.
+// allocation, which bytes.Join fills with one copy per op (a copy run
+// is one contiguous range of the basis) without zeroing it first. The
+// list of parts lives on the stack up to applyParts ops; a longer
+// delta pays one more, small allocation for it.
 func Apply(basis []byte, d Delta) ([]byte, error) {
 	bs := d.BlockSize
 	if bs <= 0 {
 		return nil, fmt.Errorf("delta: apply with invalid block size %d", bs)
 	}
-	if d.TargetSize < 0 {
-		return nil, fmt.Errorf("delta: apply with negative target size %d", d.TargetSize)
+	if d.TargetSize < 0 || d.TargetSize > math.MaxInt {
+		return nil, fmt.Errorf("delta: apply with target size %d outside [0, %d]", d.TargetSize, math.MaxInt)
 	}
 	nBlocks := (len(basis) + bs - 1) / bs
 	var size int64
@@ -593,15 +597,18 @@ func Apply(basis []byte, d Delta) ([]byte, error) {
 	if size != d.TargetSize {
 		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", size, d.TargetSize)
 	}
-	out := make([]byte, size)
-	pos := 0
+	parts := make([][]byte, 0, applyParts)
 	for _, op := range d.Ops {
 		if op.Kind == OpLiteral {
-			pos += copy(out[pos:], op.Data)
+			parts = append(parts, op.Data)
 			continue
 		}
 		off := op.Index * bs
-		pos += copy(out[pos:], basis[off:min(off+op.Count*bs, len(basis))])
+		parts = append(parts, basis[off:min(off+op.Count*bs, len(basis))])
 	}
-	return out, nil
+	return bytes.Join(parts, nil), nil
 }
+
+// applyParts is how many ops Apply gathers on the stack: a delta of a
+// few scattered edits has two per edit and one more.
+const applyParts = 64

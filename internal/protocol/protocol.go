@@ -17,7 +17,6 @@
 package protocol
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -109,19 +108,6 @@ type Message interface {
 
 // FingerprintSize is the length of a Fingerprint on the wire.
 const FingerprintSize = 16
-
-// Fingerprint is a live file's identity: the first FingerprintSize bytes
-// of its content's SHA-256, as Sum computes it. The simulator's
-// dedup.Fingerprint has the same shape but holds an MD5, the hash of the
-// paper's services.
-type Fingerprint = [FingerprintSize]byte
-
-// Sum returns data's Fingerprint.
-func Sum(data []byte) (fp Fingerprint) {
-	h := sha256.Sum256(data)
-	copy(fp[:], h[:])
-	return fp
-}
 
 // Hello opens a session.
 type Hello struct {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -109,15 +110,21 @@ func TestClientFramesMatchGoldens(t *testing.T) {
 	}
 }
 
-// TestSumKnownAnswer pins Sum to the first 16 bytes of SHA-256: the
-// FIPS 180-2 vector for "abc", and the empty input.
+// TestSumKnownAnswer pins Sum to its definition, each vector taken with
+// sha256sum over the prefixed input: a file of at most one leaf is the
+// SHA-256 of 0x00 and the file ("", "abc", and exactly one leaf of
+// 'a'); a longer one the SHA-256 of 0x01 and its leaf sums (one leaf of
+// 'a' and a one-byte leaf).
 func TestSumKnownAnswer(t *testing.T) {
-	for _, tc := range []struct{ in, want string }{
-		{"abc", "ba7816bf8f01cfea414140de5dae2223"},
-		{"", "e3b0c44298fc1c149afbf4c8996fb924"},
+	leafA := strings.Repeat("a", LeafSize)
+	for _, tc := range []struct{ name, in, want string }{
+		{"empty", "", "6e340b9cffb37a989ca544e6bb780a2c"},
+		{"abc", "abc", "609f6e36d2405585188d5cfd761f407c"},
+		{"one full leaf", leafA, "efc218e05045c10736574abdc1b7ce7f"},
+		{"two leaves", leafA + "a", "553a8ddffb209ad5cf57755f33ab1e8a"},
 	} {
 		if got := Sum([]byte(tc.in)); hex.EncodeToString(got[:]) != tc.want {
-			t.Errorf("Sum(%q) = %x, want %s", tc.in, got, tc.want)
+			t.Errorf("Sum(%s) = %x, want %s", tc.name, got, tc.want)
 		}
 	}
 }

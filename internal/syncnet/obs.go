@@ -52,6 +52,9 @@ type serverObs struct {
 	applyUS       *obs.Histogram
 	decompressUS  *obs.Histogram
 	contentHashUS *obs.Histogram
+	// The witness of what identity hashing costs, read without a clock:
+	// the bytes of content fed to it.
+	contentHashBytes *obs.Counter
 }
 
 // newServerObs registers the server's metric set on reg. With reg nil
@@ -95,7 +98,9 @@ func newServerObs(reg *obs.Registry) serverObs {
 
 		applyUS:       hist.Histogram("syncd_apply_us", "Microseconds spent applying a mutation to in-memory state (decode, verify, store), excluding the WAL group commit."),
 		decompressUS:  hist.Histogram("syncd_decompress_us", "Microseconds spent inflating each compressed upload payload into its announced size (part of syncd_apply_us)."),
-		contentHashUS: hist.Histogram("syncd_content_hash_us", "Microseconds spent hashing each transferred or delta-applied content into its identity (part of syncd_apply_us)."),
+		contentHashUS: hist.Histogram("syncd_content_hash_us", "Microseconds spent on each identity hash: of a transferred upload, or of a delta's result, only the leaves the delta touched (part of syncd_apply_us)."),
+
+		contentHashBytes: reg.Counter("syncd_content_hash_bytes_total", "Bytes of content the server hashed into identities: a transferred upload's whole size, only the touched leaves of a delta's result."),
 	}
 }
 

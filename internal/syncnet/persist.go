@@ -29,16 +29,18 @@ var ErrServerCrashed = errors.New("syncnet: server crashed (durable state dead)"
 // Record kinds of the server's durable log. The codec is internal to
 // this package; docs/DURABILITY.md documents the framing below it.
 const (
-	recFile       = 1 // one file's metadata (content referenced by hash)
-	recMD5Content = 2 // a content blob keyed by its MD5: refused
-	recIndex      = 3 // one dedup-index entry (snapshot-only)
-	recContent    = 4 // one content blob, keyed by its protocol.Sum
+	recFile        = 1 // one file's metadata (content referenced by hash)
+	recMD5Content  = 2 // a content blob keyed by its MD5: refused
+	recIndex       = 3 // one dedup-index entry (snapshot-only)
+	recFlatContent = 4 // a content blob keyed by its flat SHA-256 prefix: refused
+	recContent     = 5 // one content blob, keyed by its protocol.Sum
 )
 
-// ErrMD5ContentRecord is returned by OpenServer for a state directory
-// written when file identity was an MD5: its content records (kind 2)
-// are keyed by a hash this server no longer computes.
-var ErrMD5ContentRecord = errors.New("syncnet: state holds MD5-keyed content records (kind 2)")
+// ErrStaleContentRecord is returned by OpenServer for a state directory
+// written under an earlier file identity: its content records (kind 2,
+// MD5; kind 4, a SHA-256 prefix of the whole file) are keyed by a hash
+// this server no longer computes.
+var ErrStaleContentRecord = errors.New("syncnet: state holds content records keyed by an earlier file identity")
 
 // DefaultCompactLogBytes is the log-size threshold at which a durable
 // server folds its log into a snapshot when ServerConfig.CompactLogBytes
@@ -65,6 +67,7 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 			index:       dedup.NewIndex(cfg.CrossUserDedup),
 			bytesStored: om.bytesStored,
 		},
+		leafSums:  make(map[protocol.Fingerprint][]protocol.LeafSum),
 		epoch:     newEpoch(),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -144,8 +147,8 @@ func decodeRecord(b []byte) (r record, err error) {
 		r.hash, r.data = c.Hash16(), bytes.Clone(c.Bytes())
 	case recIndex:
 		r.user, r.hash, r.size = c.Str(), c.Hash16(), c.I64()
-	case recMD5Content:
-		return r, ErrMD5ContentRecord
+	case recMD5Content, recFlatContent:
+		return r, fmt.Errorf("%w (kind %d)", ErrStaleContentRecord, r.kind)
 	default:
 		return r, fmt.Errorf("syncnet: unknown state record kind %d", r.kind)
 	}

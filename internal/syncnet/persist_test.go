@@ -3,6 +3,7 @@ package syncnet
 import (
 	"bytes"
 	"crypto/md5"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net"
@@ -471,32 +472,43 @@ func TestRecoveryRejectsForeignRecords(t *testing.T) {
 	}
 }
 
-// TestRecoveryRefusesMD5ContentRecords: a state directory written when
-// file identity was an MD5 holds kind-2 content records. Open refuses it
-// with ErrMD5ContentRecord rather than serve files under keys no upload
-// or delta will ever compute again.
-func TestRecoveryRefusesMD5ContentRecords(t *testing.T) {
-	dir := t.TempDir()
-	st, err := wal.Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("written under MD5 identity")
-	hash := md5.Sum(data)
-	st.Append(wal.AppendBytes(append([]byte{recMD5Content}, hash[:]...), data))
-	r := record{kind: recFile, user: "u", name: "a.txt", id: 1, version: 1, history: 1, hash: hash}
-	st.Append(r.encode())
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
+// TestRecoveryRefusesStaleContentRecords: a state directory written
+// under an earlier file identity holds content records of kind 2 (keyed
+// by MD5) or kind 4 (keyed by a SHA-256 prefix of the whole file). Open
+// refuses either with ErrStaleContentRecord, naming the kind, rather
+// than serve files under keys no upload or delta will compute again.
+func TestRecoveryRefusesStaleContentRecords(t *testing.T) {
+	data := []byte("written under an earlier identity")
+	md5Sum, flatSum := md5.Sum(data), sha256.Sum256(data)
+	for _, tc := range []struct {
+		kind byte
+		hash protocol.Fingerprint
+	}{
+		{recMD5Content, md5Sum},
+		{recFlatContent, protocol.Fingerprint(flatSum[:protocol.FingerprintSize])},
+	} {
+		t.Run(fmt.Sprintf("kind=%d", tc.kind), func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := wal.Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Append(wal.AppendBytes(append([]byte{tc.kind}, tc.hash[:]...), data))
+			r := record{kind: recFile, user: "u", name: "a.txt", id: 1, version: 1, history: 1, hash: tc.hash}
+			st.Append(r.encode())
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
 
-	srv, err := OpenServer(ServerConfig{StateDir: dir})
-	if !errors.Is(err, ErrMD5ContentRecord) {
-		t.Fatalf("OpenServer on MD5-keyed content: %v, want ErrMD5ContentRecord", err)
-	}
-	if srv != nil {
-		_, served := srv.FileContent("u", "a.txt")
-		t.Fatalf("OpenServer returned a server (serving a.txt: %v) beside its error", served)
+			srv, err := OpenServer(ServerConfig{StateDir: dir})
+			if !errors.Is(err, ErrStaleContentRecord) || !strings.Contains(err.Error(), fmt.Sprintf("(kind %d)", tc.kind)) {
+				t.Fatalf("OpenServer on kind-%d content: %v, want ErrStaleContentRecord naming the kind", tc.kind, err)
+			}
+			if srv != nil {
+				_, served := srv.FileContent("u", "a.txt")
+				t.Fatalf("OpenServer returned a server (serving a.txt: %v) beside its error", served)
+			}
+		})
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/protocol"
 	"cloudsync/internal/store/wal"
+	"cloudsync/internal/trace"
 )
 
 // DataPieceSize is the Data-message payload granularity for content
@@ -41,6 +42,13 @@ const DataPieceSize = 64 << 10
 // flushing replies to a peer that has stopped reading after Close
 // half-closed its connection.
 const drainWriteTimeout = 2 * time.Second
+
+// maxFileSize bounds the size a peer may announce for a file — a whole
+// upload, a bundle entry, a delta's target — and is checked before
+// anything is allocated for it: 2 GiB, the largest file of the paper's
+// trace. A delta of a few hundred bytes can name a target thousands of
+// times its basis, all of which Apply would allocate.
+const maxFileSize = trace.MaxFileSize
 
 // maxPendingUploads caps the partial-upload buffers the server keeps
 // for resumption; beyond it the oldest stash is evicted (the client
@@ -170,6 +178,9 @@ type Server struct {
 
 	mu sync.Mutex
 	state
+	// leafSums holds each multi-leaf content's leaf sums beside the
+	// content store (leaves.go). Derived data: never logged, not state.
+	leafSums map[protocol.Fingerprint][]protocol.LeafSum
 	// epoch names this server's lifetime in change-feed cursors: drawn
 	// at random, never zero, never persisted (see feed.go).
 	epoch uint64
@@ -695,41 +706,34 @@ func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id
 // commits: on a dedup hit the store's copy — filed under the very hash
 // the client announced, so only transferred bytes need hashing — else
 // the payload inflated into exactly the announced size and checked
-// against the announced hash. The announced size is checked either
-// way. The error text is what the peer is told.
-func (s *Server) verifiedContent(hit bool, stored, payload []byte, size int64, hash protocol.Fingerprint) ([]byte, error) {
+// against the announced hash, with its leaf sums (nil for a content of
+// one leaf). The announced size is checked either way. The error text
+// is what the peer is told.
+func (s *Server) verifiedContent(hit bool, stored, payload []byte, size int64, hash protocol.Fingerprint) ([]byte, []protocol.LeafSum, error) {
 	if hit {
 		if int64(len(stored)) != size {
-			return nil, errSizeMismatch
+			return nil, nil, errSizeMismatch
 		}
-		return stored, nil
+		return stored, nil, nil
 	}
 	raw, err := s.decompress(payload, size)
 	if errors.Is(err, comp.ErrSizeMismatch) {
-		return nil, errSizeMismatch
+		return nil, nil, errSizeMismatch
 	}
 	if err != nil {
-		return nil, errors.New("undecodable content")
+		return nil, nil, errors.New("undecodable content")
 	}
-	if s.sum(raw) != hash {
-		return nil, errors.New("content hash mismatch")
+	leaves := newLeaves(len(raw))
+	if s.identify(raw, leaves) != hash {
+		return nil, nil, errors.New("content hash mismatch")
 	}
-	return raw, nil
+	return raw, leaves, nil
 }
 
 var errSizeMismatch = errors.New("content size mismatch")
 
-// sum is protocol.Sum, timed into syncd_content_hash_us when the server
-// is metered.
-func (s *Server) sum(raw []byte) protocol.Fingerprint {
-	if s.om.contentHashUS == nil {
-		return protocol.Sum(raw)
-	}
-	t0 := time.Now()
-	h := protocol.Sum(raw)
-	s.om.contentHashUS.Observe(time.Since(t0).Microseconds())
-	return h
-}
+// tooLarge is what a peer announcing more than maxFileSize is told.
+var tooLarge = fmt.Sprintf("file larger than %d bytes", int64(maxFileSize))
 
 // decompress inflates an upload's payload into its announced size,
 // timed into syncd_decompress_us when the server is metered and the
@@ -745,6 +749,10 @@ func (s *Server) decompress(payload []byte, size int64) ([]byte, error) {
 }
 
 func (ss *session) onIndexUpdate(m *protocol.IndexUpdate) error {
+	if m.Size > maxFileSize {
+		ss.sendErr(protocol.ErrBadRequest, tooLarge)
+		return nil
+	}
 	id, stored, hit := ss.probe(m.Name, m.FileHash, m.Size)
 	ss.uploads[id] = &pendingUpload{id: id, name: m.Name, size: m.Size, hash: m.FileHash, dedupHit: hit, stored: stored}
 	return ss.wc.send(&protocol.IndexReply{FileID: id, DedupHit: hit})
@@ -793,14 +801,14 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 
 	ta := ss.applyStart()
 	s := ss.srv
-	raw, err := s.verifiedContent(up.dedupHit, up.stored, up.buf, up.size, up.hash)
+	raw, leaves, err := s.verifiedContent(up.dedupHit, up.stored, up.buf, up.size, up.hash)
 	if err != nil {
 		// Hard: a lone upload that fails verification ends the session.
 		ss.sendErr(protocol.ErrBadRequest, err.Error())
 		return fmt.Errorf("syncnet: commit of %q: %w", up.name, err)
 	}
 
-	id, version := ss.store(up.name, up.id, raw, up.hash, up.dedupHit)
+	id, version := ss.store(up.name, up.id, raw, up.hash, leaves, up.dedupHit)
 	ss.applyEnd(ta)
 	// Durability before acknowledgement: the commit must survive kill -9
 	// once the client has seen the Ack.
@@ -816,11 +824,11 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 // minted before the content was verified outside s.mu: when another
 // session created the name in between, the file keeps the identity it
 // was created with, and that is the one the caller must report.
-func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Fingerprint, wasDedup bool) (uint64, uint64) {
+func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Fingerprint, leaves []protocol.LeafSum, wasDedup bool) (uint64, uint64) {
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, version := s.putLocked(ss.user, name, id, raw, hash)
+	id, version := s.putLocked(ss.user, name, id, raw, hash, leaves)
 	if wasDedup {
 		s.om.dedupSkips.Inc()
 	}
@@ -832,8 +840,9 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 
 // putLocked commits raw as the next version of the user's file under
 // name, a new file with the given id when the name is free, and returns
-// the file's identity and version. s.mu is held.
-func (s *Server) putLocked(user, name string, id uint64, raw []byte, hash protocol.Fingerprint) (uint64, uint64) {
+// the file's identity and version; raw's leaf sums (nil for one leaf)
+// join the leaf cache unless it has them. s.mu is held.
+func (s *Server) putLocked(user, name string, id uint64, raw []byte, hash protocol.Fingerprint, leaves []protocol.LeafSum) (uint64, uint64) {
 	r := record{kind: recFile, user: user, name: name, id: id, version: 1, history: 1, hash: hash}
 	if f := s.files(user)[name]; f != nil {
 		r.id, r.version, r.history = f.id, f.version+1, f.history+1
@@ -842,6 +851,9 @@ func (s *Server) putLocked(user, name string, id uint64, raw []byte, hash protoc
 		s.commitLocked(r)
 	} else {
 		s.commitLocked(record{kind: recContent, hash: hash, data: raw}, r)
+	}
+	if leaves != nil && s.leafSums[hash] == nil {
+		s.leafSums[hash] = leaves
 	}
 	return r.id, r.version
 }
@@ -861,13 +873,17 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 		en := &m.Entries[i]
 		res := &results[i]
 
+		if en.Size > maxFileSize {
+			s.logf("bundle entry %s/%s: %s", ss.user, en.Name, tooLarge)
+			continue
+		}
 		id, stored, hit := ss.probe(en.Name, en.FileHash, en.Size)
-		raw, err := s.verifiedContent(hit, stored, en.Payload, en.Size, en.FileHash)
+		raw, leaves, err := s.verifiedContent(hit, stored, en.Payload, en.Size, en.FileHash)
 		if err != nil {
 			s.logf("bundle entry %s/%s: %v", ss.user, en.Name, err)
 			continue
 		}
-		res.FileID, res.Version = ss.store(en.Name, id, raw, en.FileHash, hit)
+		res.FileID, res.Version = ss.store(en.Name, id, raw, en.FileHash, leaves, hit)
 		res.DedupHit, res.OK = hit, true
 		committed++
 	}
@@ -967,14 +983,20 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 // no other: a delta carries no full-file hash, so applied to any other
 // basis it would corrupt the file silently. That version is the one the
 // message names, checked when the basis is read and again when the
-// result is published; in between — Apply and the identity hash, both
-// proportional to the file — the server lock is not held.
+// result is published; in between — Apply, proportional to the file,
+// and the identity hash, proportional to the leaves the delta touched —
+// the server lock is not held. A target past maxFileSize is refused
+// before Apply allocates it.
 func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	ta := ss.applyStart()
 	d, err := delta.DecodeDelta(m.Payload)
 	if err != nil {
 		ss.sendErr(protocol.ErrBadRequest, "undecodable delta")
 		return fmt.Errorf("syncnet: %w", err)
+	}
+	if d.TargetSize > maxFileSize {
+		ss.sendErr(protocol.ErrBadRequest, tooLarge)
+		return nil
 	}
 	s := ss.srv
 	s.mu.Lock()
@@ -988,7 +1010,7 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
-	basis := f.data
+	basis, old := f.data, s.leafSums[f.hash]
 	s.mu.Unlock()
 
 	raw, err := delta.Apply(basis, d)
@@ -996,14 +1018,15 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrBadRequest, "inapplicable delta")
 		return fmt.Errorf("syncnet: %w", err)
 	}
-	hash := s.sum(raw)
+	leaves := carryLeaves(old, len(basis), d, len(raw))
+	hash := s.identify(raw, leaves)
 
 	s.mu.Lock()
 	if f.version != m.BaseVersion {
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
-	id, version := s.putLocked(ss.user, m.Name, f.id, raw, hash)
+	id, version := s.putLocked(ss.user, m.Name, f.id, raw, hash, leaves)
 	s.mu.Unlock()
 	s.om.deltaSyncs.Inc()
 	s.om.deltaLiteralBytes.Add(int64(d.LiteralBytes()))

@@ -73,6 +73,28 @@ func dumpState(s *Server) string {
 	return b.String()
 }
 
+// checkIdentities requires every content in the store to be filed
+// under its own protocol.Sum, and every leaf sum kept beside it to be
+// its leaf's.
+func checkIdentities(t *testing.T, s *Server) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for h, data := range s.byHash {
+		if got := protocol.Sum(data); got != h {
+			t.Fatalf("content of %d B filed under %x, its identity is %x", len(data), h, got)
+		}
+		if leaves, ok := s.leafSums[h]; ok && !slices.Equal(leaves, leavesOf(data)) {
+			t.Fatalf("content %x: kept leaf sums are not its leaves'", h)
+		}
+	}
+	for h := range s.leafSums {
+		if _, ok := s.byHash[h]; !ok {
+			t.Fatalf("leaf sums kept for %x, which is not stored", h)
+		}
+	}
+}
+
 // sameDump fails the test at the first line two dumps differ.
 func sameDump(t *testing.T, label, want, got string) {
 	t.Helper()
@@ -250,8 +272,11 @@ func replayScript(t *testing.T, seed uint64, cross bool) ServerStats {
 	n := 0
 	fresh := func(small bool) []byte {
 		n++
-		if small {
+		switch {
+		case small:
 			return content.Random(int64(1+rng.IntN(512)), int64(n)).Bytes()
+		case rng.IntN(4) == 0: // several leaves: a delta carries leaf sums
+			return content.Random(int64(protocol.LeafSize+rng.IntN(3*protocol.LeafSize)), int64(n)).Bytes()
 		}
 		return content.Random(int64(600+rng.IntN(3500)), int64(n)).Bytes()
 	}
@@ -348,6 +373,7 @@ func replayScript(t *testing.T, seed uint64, cross bool) ServerStats {
 	closeB()
 	stats := srv.Stats()
 	live := dumpState(srv)
+	checkIdentities(t, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 
 // baselineDoc is the on-disk shape of the persisted baseline. Content
 // hashes (protocol.Sum) are hex strings so the file stays inspectable
-// with plain tools. Format 1 held MD5s under "md5" and is refused.
+// with plain tools. Earlier formats held other hashes and are refused:
+// format 1 MD5s under "md5", format 2 flat SHA-256 prefixes.
 type baselineDoc struct {
 	Format int                     `json:"format"`
 	Files  map[string]baselineFile `json:"files"`
@@ -24,7 +25,7 @@ type baselineFile struct {
 	Version uint64 `json:"version"`
 }
 
-const baselineFormat = 2
+const baselineFormat = 3
 
 // LoadBaseline reads the persisted last-synced snapshot. A missing
 // file is a fresh start, not an error: the daemon's first run begins

@@ -1,6 +1,7 @@
 package watchsync
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,11 +78,11 @@ func TestBaselineTruncated(t *testing.T) {
 // decode to a 16-byte hash.
 func TestBaselineCorrupt(t *testing.T) {
 	cases := map[string]string{
-		"not json":      `{"format": 2, "files"`,
-		"wrong type":    `{"format": 2, "files": {"a": "nope"}}`,
+		"not json":      `{"format": 3, "files"`,
+		"wrong type":    `{"format": 3, "files": {"a": "nope"}}`,
 		"future format": `{"format": 99, "files": {}}`,
-		"bad hex hash":  `{"format": 2, "files": {"a": {"size": 1, "hash": "zz", "version": 1}}}`,
-		"short hash":    `{"format": 2, "files": {"a": {"size": 1, "hash": "abcd", "version": 1}}}`,
+		"bad hex hash":  `{"format": 3, "files": {"a": {"size": 1, "hash": "zz", "version": 1}}}`,
+		"short hash":    `{"format": 3, "files": {"a": {"size": 1, "hash": "abcd", "version": 1}}}`,
 	}
 	for label, body := range cases {
 		path := filepath.Join(t.TempDir(), "baseline.json")
@@ -94,19 +95,23 @@ func TestBaselineCorrupt(t *testing.T) {
 	}
 }
 
-// TestBaselineRefusesFormat1 checks that a baseline written when
-// content hashes were MD5s is refused for its format, whole: none of
-// its hashes can match a protocol.Sum, so planning from it would
-// upload every file again.
-func TestBaselineRefusesFormat1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	body := `{"format": 1, "files": {"a": {"size": 3, "md5": "900150983cd24fb0d6963f7d28e17f72", "version": 1}}}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBaseline(path)
-	if err == nil || !strings.Contains(err.Error(), "has format 1, want 2") {
-		t.Fatalf("LoadBaseline(format 1) = %v, %v; want the format error", got, err)
+// TestBaselineRefusesOldFormats checks that a baseline written under an
+// earlier file identity is refused for its format, whole: format 1 held
+// MD5s, format 2 flat SHA-256 prefixes. None of their hashes can match
+// a protocol.Sum, so planning from them would upload every file again.
+func TestBaselineRefusesOldFormats(t *testing.T) {
+	for format, body := range map[int]string{
+		1: `{"format": 1, "files": {"a": {"size": 3, "md5": "900150983cd24fb0d6963f7d28e17f72", "version": 1}}}`,
+		2: `{"format": 2, "files": {"a": {"size": 3, "hash": "ba7816bf8f01cfea414140de5dae2223", "version": 1}}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "baseline.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadBaseline(path)
+		if want := fmt.Sprintf("has format %d, want 3", format); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("LoadBaseline(format %d) = %v, %v; want the format error", format, got, err)
+		}
 	}
 }
 
@@ -131,7 +136,7 @@ func TestBaselineMidRenameCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tmp.Write([]byte(`{"format": 2, "files": {"doomed.txt": {"size": 1, "hash": "00000000000000000000000000000000", "version": 9}}}`)); err != nil {
+	if _, err := tmp.Write([]byte(`{"format": 3, "files": {"doomed.txt": {"size": 1, "hash": "00000000000000000000000000000000", "version": 9}}}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tmp.Close(); err != nil {
