@@ -24,10 +24,11 @@ race:
 # fuzz explores the decoders for 30 s each beyond their seed corpora
 # (replayed by every ordinary test run): the protocol frame decoder and
 # stream reader, the delta and signature codecs, the server's
-# durable-state records (decode, re-encode, apply), and the leaf sums a
-# delta carries into its result's identity. A crasher lands in
-# the package's testdata/fuzz/<Target>: fix it and commit the file, so
-# the test suite replays it from then on.
+# durable-state records (decode, re-encode, apply), the leaf sums a
+# delta carries into its result's identity, and the server's Bundle
+# demultiplexer. What decodes must re-encode to exactly its bytes. A
+# crasher lands in the package's testdata/fuzz/<Target>: fix it and
+# commit the file, so the test suite replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/protocol
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignature$$' -fuzztime 30s ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 30s ./internal/syncnet
 	$(GO) test -run '^$$' -fuzz '^FuzzLeafSum$$' -fuzztime 30s ./internal/syncnet
+	$(GO) test -run '^$$' -fuzz '^FuzzBundle$$' -fuzztime 30s ./internal/syncnet
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./...

@@ -1,9 +1,11 @@
 package delta
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"math"
+
+	"cloudsync/internal/bin"
 )
 
 // Wire format of an encoded delta:
@@ -15,8 +17,8 @@ import (
 //	ops:
 //	  0x01 <uint32 index>                copy of one block
 //	  0x02 <uint32 length> <bytes>       literal
-//	  0x03 <uint32 index> <uint32 count> copy of count ≥ 1 consecutive
-//	                                     blocks (written for count ≥ 2)
+//	  0x03 <uint32 index> <uint32 count> copy of count ≥ 2 consecutive
+//	                                     blocks
 //
 // A delta without adjacent copies encodes exactly as it did before
 // runs existed; a decoder that predates 0x03 rejects one that has them.
@@ -37,10 +39,11 @@ import (
 // strong bytes were MD5, are refused: against SHA-256 sums every block
 // would miss and the delta would go out all literal.
 //
-// Both codecs write little-endian fields by hand into one buffer sized
-// up front, and parse with direct offset arithmetic: the reflection-
-// driven binary.Write/binary.Read per field (and the bytes.Buffer
-// growth behind it) used to dominate the codec's allocation profile.
+// Both codecs append through internal/bin and read through its
+// bounded cursor; DecodeDelta and EncodedLiteralBytes walk the same op
+// reader. Each value has one encoding: a decoded delta or signature
+// re-encodes to exactly its input, so a run of fewer than two blocks,
+// which Encode writes as 0x01, is refused.
 
 const (
 	deltaMagic  = "DLT1"
@@ -48,9 +51,10 @@ const (
 	opCopyTag   = 0x01
 	opLitTag    = 0x02
 	opRunTag    = 0x03
-	deltaHeader = 20 // magic + blockSize + targetSize + opCount
-	sigHeader   = 20 // magic + blockSize + fileSize + count
-	minOpSize   = 5  // tag + one uint32
+	deltaHeader = 20     // magic + blockSize + targetSize + opCount
+	sigHeader   = 20     // magic + blockSize + fileSize + count
+	minOpSize   = 5      // tag + one uint32
+	sigBlock    = 4 + 16 // weak + strong
 )
 
 // Encode serializes the delta for transmission.
@@ -68,153 +72,119 @@ func (d Delta) Encode() []byte {
 			panic(fmt.Sprintf("delta: encoding invalid op (kind %d, count %d)", op.Kind, op.Count))
 		}
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, deltaMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.BlockSize))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.TargetSize))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Ops)))
+	buf := append(make([]byte, 0, size), deltaMagic...)
+	buf = bin.AppendU64(bin.AppendU32(buf, uint32(d.BlockSize)), uint64(d.TargetSize))
+	buf = bin.AppendU32(buf, uint32(len(d.Ops)))
 	for _, op := range d.Ops {
 		switch {
 		case op.Kind == OpLiteral:
-			buf = append(buf, opLitTag)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Data)))
-			buf = append(buf, op.Data...)
+			buf = bin.AppendBytes(append(buf, opLitTag), op.Data)
 		case op.Count == 1:
-			buf = append(buf, opCopyTag)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(op.Index))
+			buf = bin.AppendU32(append(buf, opCopyTag), uint32(op.Index))
 		default:
-			buf = append(buf, opRunTag)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(op.Index))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(op.Count))
+			buf = bin.AppendU32(bin.AppendU32(append(buf, opRunTag), uint32(op.Index)), uint32(op.Count))
 		}
 	}
 	return buf
 }
 
+// opReader walks an encoded delta: the header, then one op per next,
+// then nothing. A literal's Data aliases the encoding.
+type opReader struct {
+	bin.Reader
+	blockSize  int
+	targetSize int64
+	left       int // ops not yet read
+}
+
+func readOps(data []byte) opReader {
+	o := opReader{Reader: bin.NewReader(data)}
+	if magic := o.Take(len(deltaMagic)); string(magic) != deltaMagic {
+		o.Failf("bad magic %q", data[:min(len(data), len(deltaMagic))])
+	}
+	bs := o.U32()
+	o.targetSize = int64(o.U64())
+	o.left = o.Count(minOpSize)
+	if bs == 0 || bs > math.MaxInt32 {
+		o.Failf("block size %d out of range", bs)
+	}
+	o.blockSize = int(bs)
+	return o
+}
+
+// next reads the next op; false once every op is read or one fails.
+func (o *opReader) next() (Op, bool) {
+	if o.left == 0 || o.Err() != nil {
+		return Op{}, false
+	}
+	o.left--
+	var op Op
+	switch tag := o.U8(); tag {
+	case opCopyTag:
+		op = Op{Kind: OpCopy, Index: int(o.U32()), Count: 1}
+	case opRunTag:
+		idx, count := o.U32(), o.U32()
+		if count < 2 || uint64(idx)+uint64(count) > math.MaxUint32 {
+			o.Failf("invalid run of %d blocks at %d", count, idx)
+		}
+		op = Op{Kind: OpCopy, Index: int(idx), Count: int(count)}
+	case opLitTag:
+		op = Op{Kind: OpLiteral, Data: o.Prefixed()}
+	default:
+		o.Failf("unknown op tag %#x", tag)
+	}
+	return op, o.Err() == nil
+}
+
+// end reports the first failure, or bytes past the last op.
+func (o *opReader) end() error {
+	if err := o.End(); err != nil {
+		return fmt.Errorf("delta: %w", err)
+	}
+	return nil
+}
+
 // EncodedLiteralBytes reports how many literal data bytes an encoded
-// delta carries, scanning the op stream without decoding or copying —
-// the traffic-attribution ledger uses it to split a DeltaMsg body into
-// delta_literal vs delta_copyref without paying a second decode.
+// delta carries, walking its ops without copying them — the
+// traffic-attribution ledger uses it to split a DeltaMsg body into
+// delta_literal vs delta_copyref without building a Delta.
 func EncodedLiteralBytes(data []byte) (int64, error) {
-	if len(data) < deltaHeader || string(data[:4]) != deltaMagic {
-		return 0, fmt.Errorf("delta: bad magic in encoded delta")
-	}
-	n := binary.LittleEndian.Uint32(data[16:deltaHeader])
-	off := deltaHeader
+	o := readOps(data)
 	var lit int64
-	for i := uint32(0); i < n; i++ {
-		if off >= len(data) {
-			return 0, fmt.Errorf("delta: truncated at op %d", i)
-		}
-		tag := data[off]
-		off++
-		switch tag {
-		case opCopyTag:
-			off += 4
-		case opRunTag:
-			off += 8
-		case opLitTag:
-			if off+4 > len(data) {
-				return 0, fmt.Errorf("delta: truncated literal length at op %d", i)
-			}
-			l := binary.LittleEndian.Uint32(data[off : off+4])
-			off += 4
-			if uint64(l) > uint64(len(data)-off) {
-				return 0, fmt.Errorf("delta: literal of %d bytes at op %d exceeds %d remaining", l, i, len(data)-off)
-			}
-			off += int(l)
-			lit += int64(l)
-		default:
-			return 0, fmt.Errorf("delta: op %d has unknown tag %#x", i, tag)
-		}
+	for op, ok := o.next(); ok; op, ok = o.next() {
+		lit += int64(len(op.Data))
 	}
-	if off > len(data) {
-		return 0, fmt.Errorf("delta: ops run past the encoding")
-	}
-	return lit, nil
+	return lit, o.end()
 }
 
 // DecodeDelta parses an encoded delta. It allocates no more ops than
 // the input's bytes can encode, and a run stays one op whatever its
 // count.
 func DecodeDelta(data []byte) (Delta, error) {
-	var d Delta
-	if len(data) < deltaHeader || string(data[:4]) != deltaMagic {
-		return d, fmt.Errorf("delta: bad magic %q", truncMagic(data))
+	o := readOps(data)
+	d := Delta{BlockSize: o.blockSize, TargetSize: o.targetSize}
+	if o.left > 0 {
+		d.Ops = make([]Op, 0, o.left)
 	}
-	bs := binary.LittleEndian.Uint32(data[4:8])
-	ts := binary.LittleEndian.Uint64(data[8:16])
-	n := binary.LittleEndian.Uint32(data[16:deltaHeader])
-	if bs == 0 || bs > math.MaxInt32 {
-		return d, fmt.Errorf("delta: block size %d out of range", bs)
-	}
-	d.BlockSize = int(bs)
-	d.TargetSize = int64(ts)
-	if n > 0 {
-		// The bound is taken before converting to int: on a 32-bit int
-		// a count word of 2³¹ or more would turn negative.
-		d.Ops = make([]Op, 0, int(min(uint64(n), uint64(len(data)-deltaHeader)/minOpSize)))
-	}
-	off := deltaHeader
-	for i := uint32(0); i < n; i++ {
-		if off >= len(data) {
-			return d, fmt.Errorf("delta: op %d: unexpected EOF", i)
+	for op, ok := o.next(); ok; op, ok = o.next() {
+		if op.Kind == OpLiteral {
+			op.Data = bytes.Clone(op.Data)
 		}
-		tag := data[off]
-		off++
-		switch tag {
-		case opCopyTag:
-			if off+4 > len(data) {
-				return d, fmt.Errorf("delta: op %d index: unexpected EOF", i)
-			}
-			idx := binary.LittleEndian.Uint32(data[off : off+4])
-			off += 4
-			d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: int(idx), Count: 1})
-		case opRunTag:
-			if off+8 > len(data) {
-				return d, fmt.Errorf("delta: op %d run: unexpected EOF", i)
-			}
-			idx := binary.LittleEndian.Uint32(data[off : off+4])
-			count := binary.LittleEndian.Uint32(data[off+4 : off+8])
-			off += 8
-			if count == 0 || uint64(idx)+uint64(count) > math.MaxUint32 {
-				return d, fmt.Errorf("delta: op %d has invalid run of %d blocks at %d", i, count, idx)
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpCopy, Index: int(idx), Count: int(count)})
-		case opLitTag:
-			if off+4 > len(data) {
-				return d, fmt.Errorf("delta: op %d length: unexpected EOF", i)
-			}
-			length := binary.LittleEndian.Uint32(data[off : off+4])
-			off += 4
-			if uint64(length) > uint64(len(data)-off) {
-				return d, fmt.Errorf("delta: op %d literal of %d bytes exceeds %d remaining",
-					i, length, len(data)-off)
-			}
-			lit := make([]byte, length)
-			copy(lit, data[off:off+int(length)])
-			off += int(length)
-			d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: lit})
-		default:
-			return d, fmt.Errorf("delta: op %d has unknown tag %#x", i, tag)
-		}
+		d.Ops = append(d.Ops, op)
 	}
-	if off != len(data) {
-		return d, fmt.Errorf("delta: %d trailing bytes", len(data)-off)
+	if err := o.end(); err != nil {
+		return Delta{}, err
 	}
 	return d, nil
 }
 
 // Encode serializes the signature for transmission.
 func (s Signature) Encode() []byte {
-	buf := make([]byte, 0, sigHeader+len(s.Blocks)*(4+16))
-	buf = append(buf, sigMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.BlockSize))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.FileSize))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Blocks)))
+	buf := append(make([]byte, 0, sigHeader+len(s.Blocks)*sigBlock), sigMagic...)
+	buf = bin.AppendU64(bin.AppendU32(buf, uint32(s.BlockSize)), uint64(s.FileSize))
+	buf = bin.AppendU32(buf, uint32(len(s.Blocks)))
 	for _, b := range s.Blocks {
-		buf = binary.LittleEndian.AppendUint32(buf, b.Weak)
-		buf = append(buf, b.Strong[:]...)
+		buf = append(bin.AppendU32(buf, b.Weak), b.Strong[:]...)
 	}
 	return buf
 }
@@ -222,51 +192,26 @@ func (s Signature) Encode() []byte {
 // DecodeSignature parses an encoded signature, reconstructing block
 // indices and sizes from the file size.
 func DecodeSignature(data []byte) (Signature, error) {
-	var s Signature
-	if len(data) < sigHeader || string(data[:4]) != sigMagic {
-		return s, fmt.Errorf("delta: bad signature magic %q", truncMagic(data))
+	r := bin.NewReader(data)
+	if magic := r.Take(len(sigMagic)); string(magic) != sigMagic {
+		return Signature{}, fmt.Errorf("delta: bad signature magic %q", data[:min(len(data), len(sigMagic))])
 	}
-	bs := binary.LittleEndian.Uint32(data[4:8])
-	fs := binary.LittleEndian.Uint64(data[8:16])
-	n := binary.LittleEndian.Uint32(data[16:sigHeader])
-	if bs == 0 || bs > math.MaxInt32 {
-		return s, fmt.Errorf("delta: signature block size %d out of range", bs)
-	}
-	if fs > math.MaxInt64 {
-		return s, fmt.Errorf("delta: signature file size %d out of range", fs)
-	}
-	s.BlockSize = int(bs)
-	s.FileSize = int64(fs)
-	want := (s.FileSize + int64(bs) - 1) / int64(bs)
-	if int64(n) != want {
-		return s, fmt.Errorf("delta: signature has %d blocks, file size implies %d", n, want)
-	}
-	if uint64(len(data)-sigHeader) != uint64(n)*(4+16) {
-		return s, fmt.Errorf("delta: signature body is %d bytes, %d blocks imply %d",
-			len(data)-sigHeader, n, uint64(n)*(4+16))
-	}
-	if n > 0 {
+	bs, fs, n := r.U32(), r.U64(), r.Count(sigBlock)
+	s := Signature{BlockSize: int(bs), FileSize: int64(fs)}
+	switch {
+	case r.Err() != nil: // End reports it
+	case bs == 0 || bs > math.MaxInt32 || fs > math.MaxInt64:
+		r.Failf("block size %d or file size %d out of range", bs, fs)
+	case int64(n) != (s.FileSize+int64(bs)-1)/int64(bs):
+		r.Failf("%d blocks for %d bytes in blocks of %d", n, fs, bs)
+	case n > 0:
 		s.Blocks = make([]BlockSig, n)
 	}
-	off := sigHeader
-	for i := uint32(0); i < n; i++ {
-		blk := &s.Blocks[i]
-		blk.Index = int(i)
-		blk.Size = s.BlockSize
-		if rem := s.FileSize - int64(i)*int64(bs); rem < int64(blk.Size) {
-			blk.Size = int(rem)
-		}
-		blk.Weak = binary.LittleEndian.Uint32(data[off : off+4])
-		copy(blk.Strong[:], data[off+4:off+20])
-		off += 20
+	for i := range s.Blocks {
+		s.Blocks[i] = BlockSig{Index: i, Size: int(min(int64(bs), s.FileSize-int64(i)*int64(bs))), Weak: r.U32(), Strong: r.Bytes16()}
+	}
+	if err := r.End(); err != nil {
+		return Signature{}, fmt.Errorf("delta: signature: %w", err)
 	}
 	return s, nil
-}
-
-// truncMagic quotes up to the first four bytes for error messages.
-func truncMagic(data []byte) []byte {
-	if len(data) > 4 {
-		return data[:4]
-	}
-	return data
 }

@@ -5,8 +5,9 @@
 // payload the wire model frames — but the codec is real: every message
 // round-trips through Encode/Decode, so the protocol could serve an
 // actual client/server implementation over net.Conn. Message layout is
-// a type byte, a uint32 body length, and a fixed-order body using
-// little-endian integers and length-prefixed strings.
+// a type byte, a uint32 body length, and a fixed-order body of
+// internal/bin values: little-endian integers, bool and flag bytes,
+// length-prefixed strings. Each message has exactly one encoding.
 //
 // The codec is allocation-lean by design: encoding appends into a
 // caller-supplied buffer (AppendEncode) and decoding slices a byte
@@ -21,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"cloudsync/internal/bin"
 )
 
 // MsgType identifies a message.
@@ -100,10 +103,10 @@ func (t MsgType) String() string {
 // Message is implemented by every protocol message.
 type Message interface {
 	Type() MsgType
-	// encodeBody appends the body encoding.
-	encodeBody(*encBuf)
-	// decodeBody parses the body encoding.
-	decodeBody(*decBuf) error
+	// encodeBody appends the body encoding to b.
+	encodeBody(b []byte) []byte
+	// decodeBody parses the body encoding; Decode checks r once after.
+	decodeBody(r *bin.Reader)
 }
 
 // FingerprintSize is the length of a Fingerprint on the wire.
@@ -201,136 +204,16 @@ func (*Delete) Type() MsgType { return TypeDelete }
 // length.
 const frameHeader = 5
 
-// encBuf is the append-only encoding buffer. All writes are direct
-// appends — no interface calls, no reflection — so encoding into a
-// pre-sized buffer performs zero allocations.
-type encBuf struct{ b []byte }
-
-func (e *encBuf) u8(v byte)    { e.b = append(e.b, v) }
-func (e *encBuf) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *encBuf) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *encBuf) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encBuf) raw(p []byte) { e.b = append(e.b, p...) }
-func (e *encBuf) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encBuf) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *encBuf) blob(p []byte) {
-	e.u32(uint32(len(p)))
-	e.raw(p)
-}
-
-// decBuf consumes an encoded body front to back by slicing in place.
-// Variable-length fields that outlive the frame (strings, payloads)
-// are copied out; everything else is read without allocating.
-type decBuf struct{ b []byte }
-
-var errShort = fmt.Errorf("truncated body")
-
-func (d *decBuf) remaining() int { return len(d.b) }
-
-func (d *decBuf) u8() (byte, error) {
-	if len(d.b) < 1 {
-		return 0, errShort
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v, nil
-}
-
-func (d *decBuf) u32() (uint32, error) {
-	if len(d.b) < 4 {
-		return 0, errShort
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v, nil
-}
-
-func (d *decBuf) u64() (uint64, error) {
-	if len(d.b) < 8 {
-		return 0, errShort
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v, nil
-}
-
-func (d *decBuf) i64() (int64, error) {
-	v, err := d.u64()
-	return int64(v), err
-}
-
-func (d *decBuf) bool() (bool, error) {
-	v, err := d.u8()
-	return v == 1, err
-}
-
-func (d *decBuf) str() (string, error) {
-	n, err := d.u32()
-	if err != nil {
-		return "", err
-	}
-	if uint64(n) > uint64(len(d.b)) {
-		return "", fmt.Errorf("string length %d exceeds %d remaining", n, len(d.b))
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s, nil
-}
-
-// blob reads a uint32-length-prefixed byte slice, copying it out so the
-// result survives reuse of the frame buffer.
-func (d *decBuf) blob() ([]byte, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(n) > uint64(len(d.b)) {
-		return nil, fmt.Errorf("payload length %d exceeds body", n)
-	}
-	p := make([]byte, n)
-	copy(p, d.b[:n])
-	d.b = d.b[n:]
-	return p, nil
-}
-
-func (d *decBuf) fingerprint(fp *Fingerprint) error {
-	if len(d.b) < FingerprintSize {
-		return errShort
-	}
-	copy(fp[:], d.b[:FingerprintSize])
-	d.b = d.b[FingerprintSize:]
-	return nil
-}
-
-// encPool recycles the encoder header: &e passed to the encodeBody
-// interface method escapes (the callee is unknown to escape analysis),
-// which would cost one small heap allocation per encoded message on the
-// live path. Pooling makes AppendEncode allocation-free steady-state.
-var encPool = sync.Pool{New: func() any { return new(encBuf) }}
-
 // AppendEncode appends m's full frame (type byte, uint32 body length,
 // body) to dst and returns the extended slice. With a dst of adequate
 // capacity it performs no allocations — the live path's send buffers
 // are pooled and reused across messages.
 func AppendEncode(dst []byte, m Message) []byte {
-	e := encPool.Get().(*encBuf)
-	e.b = append(dst, byte(m.Type()), 0, 0, 0, 0)
-	start := len(e.b)
-	m.encodeBody(e)
-	binary.LittleEndian.PutUint32(e.b[start-4:start], uint32(len(e.b)-start))
-	out := e.b
-	e.b = nil
-	encPool.Put(e)
-	return out
+	dst = append(dst, byte(m.Type()), 0, 0, 0, 0)
+	start := len(dst)
+	dst = m.encodeBody(dst)
+	binary.LittleEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start))
+	return dst
 }
 
 // Encode serializes a message: type byte, uint32 body length, body.
@@ -348,12 +231,9 @@ func Encode(m Message) []byte {
 func AppendDataHeader(dst []byte, fileID uint64, offset int64, payloadLen int) []byte {
 	dst = append(dst, byte(TypeData), 0, 0, 0, 0)
 	start := len(dst)
-	e := encBuf{dst}
-	e.u64(fileID)
-	e.i64(offset)
-	e.u32(uint32(payloadLen))
-	binary.LittleEndian.PutUint32(e.b[start-4:start], uint32(len(e.b)-start+payloadLen))
-	return e.b
+	dst = bin.AppendU32(bin.AppendU64(bin.AppendU64(dst, fileID), uint64(offset)), uint32(payloadLen))
+	binary.LittleEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start+payloadLen))
+	return dst
 }
 
 var sizeScratch = sync.Pool{New: func() any {
@@ -438,24 +318,22 @@ func Decode(data []byte) (Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("protocol: unknown message type %d", t)
 	}
-	// Pooled for the same reason as encPool: &d escapes through the
-	// decodeBody interface call, and the live path decodes per message.
-	d := decPool.Get().(*decBuf)
-	d.b = data[frameHeader:]
-	err := m.decodeBody(d)
-	rest := d.remaining()
-	d.b = nil
-	decPool.Put(d)
+	r := readers.Get().(*bin.Reader)
+	*r = bin.NewReader(data[frameHeader:])
+	m.decodeBody(r)
+	err := r.End()
+	*r = bin.Reader{}
+	readers.Put(r)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decoding %v: %w", t, err)
-	}
-	if rest != 0 {
-		return nil, fmt.Errorf("protocol: %d trailing bytes after %v", rest, t)
 	}
 	return m, nil
 }
 
-var decPool = sync.Pool{New: func() any { return new(decBuf) }}
+// readers recycles Decode's cursor: a pointer passed to the decodeBody
+// interface call escapes (the callee is unknown to escape analysis), so
+// an unpooled cursor would cost a heap allocation per decoded message.
+var readers = sync.Pool{New: func() any { return new(bin.Reader) }}
 
 // ReadMessage reads one framed message from r.
 func ReadMessage(r io.Reader) (Message, error) {
@@ -504,168 +382,73 @@ func ReadMessageBuf(r io.Reader, buf []byte) (Message, []byte, error) {
 
 // --- body encodings ---
 
-func (m *Hello) encodeBody(e *encBuf) {
-	e.str(m.User)
-	e.str(m.Device)
-	e.str(m.Version)
+func (m *Hello) encodeBody(b []byte) []byte {
+	return bin.AppendStr(bin.AppendStr(bin.AppendStr(b, m.User), m.Device), m.Version)
 }
 
-func (m *Hello) decodeBody(d *decBuf) (err error) {
-	if m.User, err = d.str(); err != nil {
-		return err
-	}
-	if m.Device, err = d.str(); err != nil {
-		return err
-	}
-	m.Version, err = d.str()
-	return err
+func (m *Hello) decodeBody(r *bin.Reader) {
+	m.User, m.Device, m.Version = r.Str(), r.Str(), r.Str()
 }
 
-func (m *IndexUpdate) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.str(m.Name)
-	e.i64(m.Size)
-	e.raw(m.FileHash[:])
-	e.u32(m.BlockSize)
-	e.u32(uint32(len(m.BlockHashes)))
+func (m *IndexUpdate) encodeBody(b []byte) []byte {
+	b = bin.AppendU64(bin.AppendStr(bin.AppendU64(b, m.FileID), m.Name), uint64(m.Size))
+	b = bin.AppendU32(bin.AppendU32(append(b, m.FileHash[:]...), m.BlockSize), uint32(len(m.BlockHashes)))
 	for _, h := range m.BlockHashes {
-		e.raw(h[:])
+		b = append(b, h[:]...)
 	}
+	return b
 }
 
-func (m *IndexUpdate) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	if m.Name, err = d.str(); err != nil {
-		return err
-	}
-	if m.Size, err = d.i64(); err != nil {
-		return err
-	}
-	if err = d.fingerprint(&m.FileHash); err != nil {
-		return err
-	}
-	if m.BlockSize, err = d.u32(); err != nil {
-		return err
-	}
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if uint64(n)*FingerprintSize > uint64(d.remaining()) {
-		return fmt.Errorf("block hash count %d exceeds body", n)
-	}
-	m.BlockHashes = make([]Fingerprint, n)
+func (m *IndexUpdate) decodeBody(r *bin.Reader) {
+	m.FileID, m.Name, m.Size, m.FileHash, m.BlockSize = r.U64(), r.Str(), r.I64(), r.Bytes16(), r.U32()
+	m.BlockHashes = make([]Fingerprint, r.Count(FingerprintSize))
 	for i := range m.BlockHashes {
-		if err = d.fingerprint(&m.BlockHashes[i]); err != nil {
-			return err
-		}
+		m.BlockHashes[i] = r.Bytes16()
 	}
-	return nil
 }
 
-func (m *IndexReply) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.bool(m.DedupHit)
-	e.u32(uint32(len(m.NeedBlocks)))
+func (m *IndexReply) encodeBody(b []byte) []byte {
+	b = bin.AppendU32(bin.AppendBool(bin.AppendU64(b, m.FileID), m.DedupHit), uint32(len(m.NeedBlocks)))
 	for _, idx := range m.NeedBlocks {
-		e.u32(idx)
+		b = bin.AppendU32(b, idx)
 	}
+	return b
 }
 
-func (m *IndexReply) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	if m.DedupHit, err = d.bool(); err != nil {
-		return err
-	}
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if uint64(n)*4 > uint64(d.remaining()) {
-		return fmt.Errorf("need-block count %d exceeds body", n)
-	}
-	m.NeedBlocks = make([]uint32, n)
+func (m *IndexReply) decodeBody(r *bin.Reader) {
+	m.FileID, m.DedupHit = r.U64(), r.Bool()
+	m.NeedBlocks = make([]uint32, r.Count(4))
 	for i := range m.NeedBlocks {
-		if m.NeedBlocks[i], err = d.u32(); err != nil {
-			return err
-		}
+		m.NeedBlocks[i] = r.U32()
 	}
-	return nil
 }
 
-func (m *Data) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.i64(m.Offset)
-	e.blob(m.Payload)
+func (m *Data) encodeBody(b []byte) []byte {
+	return bin.AppendBytes(bin.AppendU64(bin.AppendU64(b, m.FileID), uint64(m.Offset)), m.Payload)
 }
 
-func (m *Data) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	if m.Offset, err = d.i64(); err != nil {
-		return err
-	}
-	m.Payload, err = d.blob()
-	return err
+func (m *Data) decodeBody(r *bin.Reader) {
+	m.FileID, m.Offset, m.Payload = r.U64(), r.I64(), r.Bytes()
 }
 
-func (m *Commit) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.u64(m.Version)
+func (m *Commit) encodeBody(b []byte) []byte {
+	return bin.AppendU64(bin.AppendU64(b, m.FileID), m.Version)
 }
 
-func (m *Commit) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	m.Version, err = d.u64()
-	return err
+func (m *Commit) decodeBody(r *bin.Reader) { m.FileID, m.Version = r.U64(), r.U64() }
+
+func (m *Ack) encodeBody(b []byte) []byte {
+	return bin.AppendBool(bin.AppendU64(bin.AppendU64(b, m.FileID), m.Version), m.OK)
 }
 
-func (m *Ack) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.u64(m.Version)
-	e.bool(m.OK)
+func (m *Ack) decodeBody(r *bin.Reader) { m.FileID, m.Version, m.OK = r.U64(), r.U64(), r.Bool() }
+
+func (m *Notify) encodeBody(b []byte) []byte {
+	return bin.AppendStr(bin.AppendU64(bin.AppendU64(b, m.FileID), m.Version), m.Name)
 }
 
-func (m *Ack) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	if m.Version, err = d.u64(); err != nil {
-		return err
-	}
-	m.OK, err = d.bool()
-	return err
-}
+func (m *Notify) decodeBody(r *bin.Reader) { m.FileID, m.Version, m.Name = r.U64(), r.U64(), r.Str() }
 
-func (m *Notify) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.u64(m.Version)
-	e.str(m.Name)
-}
+func (m *Delete) encodeBody(b []byte) []byte { return bin.AppendU64(b, m.FileID) }
 
-func (m *Notify) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	if m.Version, err = d.u64(); err != nil {
-		return err
-	}
-	m.Name, err = d.str()
-	return err
-}
-
-func (m *Delete) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-}
-
-func (m *Delete) decodeBody(d *decBuf) (err error) {
-	m.FileID, err = d.u64()
-	return err
-}
+func (m *Delete) decodeBody(r *bin.Reader) { m.FileID = r.U64() }

@@ -1,6 +1,6 @@
 package protocol
 
-import "fmt"
+import "cloudsync/internal/bin"
 
 // Bundle message types: the paper's batching remedy applied to the live
 // protocol. A session full of tiny uploads pays one full request
@@ -56,87 +56,53 @@ type BundleReply struct {
 // Type implements Message.
 func (*BundleReply) Type() MsgType { return TypeBundleReply }
 
-func (m *Bundle) encodeBody(e *encBuf) {
-	e.u32(uint32(len(m.Entries)))
+func (m *Bundle) encodeBody(b []byte) []byte {
+	b = bin.AppendU32(b, uint32(len(m.Entries)))
 	for i := range m.Entries {
 		en := &m.Entries[i]
-		e.str(en.Name)
-		e.i64(en.Size)
-		e.raw(en.FileHash[:])
-		e.blob(en.Payload)
+		b = append(bin.AppendU64(bin.AppendStr(b, en.Name), uint64(en.Size)), en.FileHash[:]...)
+		b = bin.AppendBytes(b, en.Payload)
+	}
+	return b
+}
+
+func (m *Bundle) decodeBody(r *bin.Reader) {
+	m.Entries = make([]BundleEntry, r.Count(SizeBundleEntry("", 0)))
+	for i := range m.Entries {
+		en := &m.Entries[i]
+		en.Name, en.Size, en.FileHash, en.Payload = r.Str(), r.I64(), r.Bytes16(), r.Bytes()
 	}
 }
 
-func (m *Bundle) decodeBody(d *decBuf) (err error) {
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	// Every entry costs at least a name prefix, size, hash, and payload
-	// prefix; a count that cannot fit is corruption, not a big bundle.
-	if uint64(n)*(4+8+16+4) > uint64(d.remaining()) {
-		return fmt.Errorf("bundle entry count %d exceeds body", n)
-	}
-	m.Entries = make([]BundleEntry, n)
-	for i := range m.Entries {
-		en := &m.Entries[i]
-		if en.Name, err = d.str(); err != nil {
-			return err
-		}
-		if en.Size, err = d.i64(); err != nil {
-			return err
-		}
-		if err = d.fingerprint(&en.FileHash); err != nil {
-			return err
-		}
-		if en.Payload, err = d.blob(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Bundle result flags.
+const (
+	resultOK       = 1
+	resultDedupHit = 2
+)
 
-func (m *BundleReply) encodeBody(e *encBuf) {
-	e.u32(uint32(len(m.Results)))
-	for _, r := range m.Results {
-		e.u64(r.FileID)
-		e.u64(r.Version)
+func (m *BundleReply) encodeBody(b []byte) []byte {
+	b = bin.AppendU32(b, uint32(len(m.Results)))
+	for _, res := range m.Results {
 		var flags byte
-		if r.OK {
-			flags |= 1
+		if res.OK {
+			flags |= resultOK
 		}
-		if r.DedupHit {
-			flags |= 2
+		if res.DedupHit {
+			flags |= resultDedupHit
 		}
-		e.u8(flags)
+		b = append(bin.AppendU64(bin.AppendU64(b, res.FileID), res.Version), flags)
 	}
+	return b
 }
 
-func (m *BundleReply) decodeBody(d *decBuf) (err error) {
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if uint64(n)*(8+8+1) > uint64(d.remaining()) {
-		return fmt.Errorf("bundle result count %d exceeds body", n)
-	}
-	m.Results = make([]BundleResult, n)
+func (m *BundleReply) decodeBody(r *bin.Reader) {
+	m.Results = make([]BundleResult, r.Count(8+8+1))
 	for i := range m.Results {
-		r := &m.Results[i]
-		if r.FileID, err = d.u64(); err != nil {
-			return err
-		}
-		if r.Version, err = d.u64(); err != nil {
-			return err
-		}
-		flags, err := d.u8()
-		if err != nil {
-			return err
-		}
-		r.OK = flags&1 != 0
-		r.DedupHit = flags&2 != 0
+		res := &m.Results[i]
+		res.FileID, res.Version = r.U64(), r.U64()
+		flags := r.Flags(resultOK | resultDedupHit)
+		res.OK, res.DedupHit = flags&resultOK != 0, flags&resultDedupHit != 0
 	}
-	return nil
 }
 
 // SizeBundleEntry reports the encoded body bytes one bundle entry with

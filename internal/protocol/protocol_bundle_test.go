@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+
+	"cloudsync/internal/kerneltest"
 )
 
 func sampleBundle(n int) *Bundle {
@@ -70,6 +72,33 @@ func TestAppendDataHeaderMatchesEncode(t *testing.T) {
 	got := append(append([]byte{}, hdr...), payload...)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("AppendDataHeader + payload:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestDecodeAllocs pins Decode's allocations: the message, its entry
+// slice, and one string or payload copy per field that outlives the
+// frame — 2 + 2 per bundle entry, 2 + 1 per listing entry. The cursor
+// itself is pooled; the race detector drops pooled items, so the test
+// skips under -race.
+func TestDecodeAllocs(t *testing.T) {
+	if kerneltest.Race {
+		t.Skip("the race detector drops pooled items")
+	}
+	l := &Listing{Epoch: 3, Seq: 9}
+	for i := range 5 {
+		l.Entries = append(l.Entries, ListEntry{FileID: uint64(i), Name: fmt.Sprintf("dir/file-%03d.txt", i), Size: 100})
+	}
+	for _, tc := range []struct {
+		m      Message
+		allocs float64
+	}{
+		{sampleBundle(5), 12},
+		{l, 7},
+	} {
+		enc := Encode(tc.m)
+		if got := testing.AllocsPerRun(100, func() { Decode(enc) }); got != tc.allocs {
+			t.Errorf("Decode of a %v: %.0f allocations, want %.0f", tc.m.Type(), got, tc.allocs)
+		}
 	}
 }
 

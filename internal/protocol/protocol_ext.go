@@ -1,6 +1,10 @@
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+
+	"cloudsync/internal/bin"
+)
 
 // Extended message types used by the live sync service (internal/syncnet):
 // content retrieval, rsync-style incremental updates, and error
@@ -102,97 +106,44 @@ const (
 	ErrConflict
 )
 
-func (m *Get) encodeBody(e *encBuf) { e.str(m.Name) }
+func (m *Get) encodeBody(b []byte) []byte { return bin.AppendStr(b, m.Name) }
 
-func (m *Get) decodeBody(d *decBuf) (err error) {
-	m.Name, err = d.str()
-	return err
+func (m *Get) decodeBody(r *bin.Reader) { m.Name = r.Str() }
+
+func (m *FileInfo) encodeBody(b []byte) []byte {
+	b = bin.AppendU64(bin.AppendStr(bin.AppendU64(b, m.FileID), m.Name), uint64(m.Size))
+	return append(bin.AppendU64(b, m.Version), m.Compression)
 }
 
-func (m *FileInfo) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.str(m.Name)
-	e.i64(m.Size)
-	e.u64(m.Version)
-	e.u8(m.Compression)
+func (m *FileInfo) decodeBody(r *bin.Reader) {
+	m.FileID, m.Name, m.Size, m.Version, m.Compression = r.U64(), r.Str(), r.I64(), r.U64(), r.U8()
 }
 
-func (m *FileInfo) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	if m.Name, err = d.str(); err != nil {
-		return err
-	}
-	if m.Size, err = d.i64(); err != nil {
-		return err
-	}
-	if m.Version, err = d.u64(); err != nil {
-		return err
-	}
-	m.Compression, err = d.u8()
-	return err
+func (m *SigRequest) encodeBody(b []byte) []byte {
+	return bin.AppendU32(bin.AppendStr(b, m.Name), m.BlockSize)
 }
 
-func (m *SigRequest) encodeBody(e *encBuf) {
-	e.str(m.Name)
-	e.u32(m.BlockSize)
+func (m *SigRequest) decodeBody(r *bin.Reader) { m.Name, m.BlockSize = r.Str(), r.U32() }
+
+func (m *SignatureMsg) encodeBody(b []byte) []byte {
+	return bin.AppendU64(bin.AppendBytes(bin.AppendStr(b, m.Name), m.Payload), m.Version)
 }
 
-func (m *SigRequest) decodeBody(d *decBuf) (err error) {
-	if m.Name, err = d.str(); err != nil {
-		return err
-	}
-	m.BlockSize, err = d.u32()
-	return err
+func (m *SignatureMsg) decodeBody(r *bin.Reader) {
+	m.Name, m.Payload, m.Version = r.Str(), r.Bytes(), r.U64()
 }
 
-func (m *SignatureMsg) encodeBody(e *encBuf) {
-	e.str(m.Name)
-	e.blob(m.Payload)
-	e.u64(m.Version)
+func (m *DeltaMsg) encodeBody(b []byte) []byte {
+	return bin.AppendU64(bin.AppendBytes(bin.AppendStr(b, m.Name), m.Payload), m.BaseVersion)
 }
 
-func (m *SignatureMsg) decodeBody(d *decBuf) (err error) {
-	if m.Name, err = d.str(); err != nil {
-		return err
-	}
-	if m.Payload, err = d.blob(); err != nil {
-		return err
-	}
-	m.Version, err = d.u64()
-	return err
+func (m *DeltaMsg) decodeBody(r *bin.Reader) {
+	m.Name, m.Payload, m.BaseVersion = r.Str(), r.Bytes(), r.U64()
 }
 
-func (m *DeltaMsg) encodeBody(e *encBuf) {
-	e.str(m.Name)
-	e.blob(m.Payload)
-	e.u64(m.BaseVersion)
-}
+func (m *Error) encodeBody(b []byte) []byte { return bin.AppendStr(bin.AppendU32(b, m.Code), m.Msg) }
 
-func (m *DeltaMsg) decodeBody(d *decBuf) (err error) {
-	if m.Name, err = d.str(); err != nil {
-		return err
-	}
-	if m.Payload, err = d.blob(); err != nil {
-		return err
-	}
-	m.BaseVersion, err = d.u64()
-	return err
-}
-
-func (m *Error) encodeBody(e *encBuf) {
-	e.u32(m.Code)
-	e.str(m.Msg)
-}
-
-func (m *Error) decodeBody(d *decBuf) (err error) {
-	if m.Code, err = d.u32(); err != nil {
-		return err
-	}
-	m.Msg, err = d.str()
-	return err
-}
+func (m *Error) decodeBody(r *bin.Reader) { m.Code, m.Msg = r.U32(), r.Str() }
 
 // Error implements the error interface so servers can return it
 // directly.

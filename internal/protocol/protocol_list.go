@@ -1,6 +1,6 @@
 package protocol
 
-import "fmt"
+import "cloudsync/internal/bin"
 
 // Listing message types: the remote-observer half of the watch-mode
 // pipeline (internal/watchsync). A client planning a sync round needs
@@ -67,84 +67,31 @@ type Listing struct {
 func (*Listing) Type() MsgType { return TypeListing }
 
 // listEntryFixedSize is one Listing entry's bytes beyond its name: ID,
-// name prefix, size, version, flags and hash.
+// name prefix, size, version, deleted byte and hash.
 const listEntryFixedSize = 8 + 4 + 8 + 8 + 1 + 16
 
-func (m *ListRequest) encodeBody(e *encBuf) {
-	e.u64(m.Epoch)
-	e.u64(m.Since)
+func (m *ListRequest) encodeBody(b []byte) []byte {
+	return bin.AppendU64(bin.AppendU64(b, m.Epoch), m.Since)
 }
 
-func (m *ListRequest) decodeBody(d *decBuf) (err error) {
-	if m.Epoch, err = d.u64(); err != nil {
-		return err
-	}
-	m.Since, err = d.u64()
-	return err
-}
+func (m *ListRequest) decodeBody(r *bin.Reader) { m.Epoch, m.Since = r.U64(), r.U64() }
 
-func (m *Listing) encodeBody(e *encBuf) {
-	e.u32(uint32(len(m.Entries)))
+func (m *Listing) encodeBody(b []byte) []byte {
+	b = bin.AppendU32(b, uint32(len(m.Entries)))
 	for i := range m.Entries {
 		en := &m.Entries[i]
-		e.u64(en.FileID)
-		e.str(en.Name)
-		e.i64(en.Size)
-		e.u64(en.Version)
-		var flags byte
-		if en.Deleted {
-			flags |= 1
-		}
-		e.u8(flags)
-		e.raw(en.FileHash[:])
+		b = bin.AppendU64(bin.AppendStr(bin.AppendU64(b, en.FileID), en.Name), uint64(en.Size))
+		b = append(bin.AppendBool(bin.AppendU64(b, en.Version), en.Deleted), en.FileHash[:]...)
 	}
-	e.u64(m.Epoch)
-	e.u64(m.Seq)
-	e.bool(m.Incremental)
+	return bin.AppendBool(bin.AppendU64(bin.AppendU64(b, m.Epoch), m.Seq), m.Incremental)
 }
 
-func (m *Listing) decodeBody(d *decBuf) (err error) {
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	// Every entry costs at least an ID, a name prefix, a size, a
-	// version, a flag byte, and a hash; a count that cannot fit in the
-	// remaining body is corruption, not a big listing.
-	if uint64(n)*listEntryFixedSize > uint64(d.remaining()) {
-		return fmt.Errorf("listing entry count %d exceeds body", n)
-	}
-	m.Entries = make([]ListEntry, n)
+func (m *Listing) decodeBody(r *bin.Reader) {
+	m.Entries = make([]ListEntry, r.Count(listEntryFixedSize))
 	for i := range m.Entries {
 		en := &m.Entries[i]
-		if en.FileID, err = d.u64(); err != nil {
-			return err
-		}
-		if en.Name, err = d.str(); err != nil {
-			return err
-		}
-		if en.Size, err = d.i64(); err != nil {
-			return err
-		}
-		if en.Version, err = d.u64(); err != nil {
-			return err
-		}
-		flags, err := d.u8()
-		if err != nil {
-			return err
-		}
-		en.Deleted = flags&1 != 0
-		if err = d.fingerprint(&en.FileHash); err != nil {
-			return err
-		}
+		en.FileID, en.Name, en.Size, en.Version = r.U64(), r.Str(), r.I64(), r.U64()
+		en.Deleted, en.FileHash = r.Bool(), r.Bytes16()
 	}
-	if m.Epoch, err = d.u64(); err != nil {
-		return err
-	}
-	if m.Seq, err = d.u64(); err != nil {
-		return err
-	}
-	flags, err := d.u8()
-	m.Incremental = flags&1 != 0
-	return err
+	m.Epoch, m.Seq, m.Incremental = r.U64(), r.U64(), r.Bool()
 }

@@ -1,5 +1,7 @@
 package protocol
 
+import "cloudsync/internal/bin"
+
 // Resume message types: after a connection failure mid-upload, a client
 // asks the server how much of the interrupted transfer it already holds
 // so only the unacknowledged tail is re-sent.
@@ -37,31 +39,16 @@ type ResumeInfo struct {
 // Type implements Message.
 func (*ResumeInfo) Type() MsgType { return TypeResumeInfo }
 
-func (m *ResumeQuery) encodeBody(e *encBuf) {
-	e.str(m.Name)
-	e.i64(m.Size)
-	e.raw(m.FileHash[:])
+func (m *ResumeQuery) encodeBody(b []byte) []byte {
+	return append(bin.AppendU64(bin.AppendStr(b, m.Name), uint64(m.Size)), m.FileHash[:]...)
 }
 
-func (m *ResumeQuery) decodeBody(d *decBuf) (err error) {
-	if m.Name, err = d.str(); err != nil {
-		return err
-	}
-	if m.Size, err = d.i64(); err != nil {
-		return err
-	}
-	return d.fingerprint(&m.FileHash)
+func (m *ResumeQuery) decodeBody(r *bin.Reader) {
+	m.Name, m.Size, m.FileHash = r.Str(), r.I64(), r.Bytes16()
 }
 
-func (m *ResumeInfo) encodeBody(e *encBuf) {
-	e.u64(m.FileID)
-	e.i64(m.Offset)
+func (m *ResumeInfo) encodeBody(b []byte) []byte {
+	return bin.AppendU64(bin.AppendU64(b, m.FileID), uint64(m.Offset))
 }
 
-func (m *ResumeInfo) decodeBody(d *decBuf) (err error) {
-	if m.FileID, err = d.u64(); err != nil {
-		return err
-	}
-	m.Offset, err = d.i64()
-	return err
-}
+func (m *ResumeInfo) decodeBody(r *bin.Reader) { m.FileID, m.Offset = r.U64(), r.I64() }

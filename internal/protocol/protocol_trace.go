@@ -1,5 +1,7 @@
 package protocol
 
+import "cloudsync/internal/bin"
+
 // Trace-propagation message type: a prefix frame carrying the client's
 // trace context, so the server can parent its spans under the client
 // operation that caused them. A client sends it only when it opted into
@@ -25,15 +27,8 @@ type TraceCtx struct {
 // Type implements Message.
 func (*TraceCtx) Type() MsgType { return TypeTraceCtx }
 
-func (m *TraceCtx) encodeBody(e *encBuf) {
-	e.raw(m.TraceID[:])
-	e.u64(m.SpanID)
+func (m *TraceCtx) encodeBody(b []byte) []byte {
+	return bin.AppendU64(append(b, m.TraceID[:]...), m.SpanID)
 }
 
-func (m *TraceCtx) decodeBody(d *decBuf) (err error) {
-	if err = d.fingerprint(&m.TraceID); err != nil {
-		return err
-	}
-	m.SpanID, err = d.u64()
-	return err
-}
+func (m *TraceCtx) decodeBody(r *bin.Reader) { m.TraceID, m.SpanID = r.Bytes16(), r.U64() }

@@ -110,6 +110,8 @@ func (ss *session) onList(m *protocol.ListRequest) error {
 	if !reply.Incremental {
 		s.om.listingResyncs.Inc()
 	}
-	s.logf("listing: %d entries for %s (incremental=%v)", len(reply.Entries), ss.user, reply.Incremental)
+	if s.cfg.Logf != nil {
+		s.logf("listing: %d entries for %s (incremental=%v)", len(reply.Entries), ss.user, reply.Incremental)
+	}
 	return ss.wc.send(reply)
 }

@@ -2,7 +2,6 @@ package syncnet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -12,6 +11,7 @@ import (
 	"slices"
 	"time"
 
+	"cloudsync/internal/bin"
 	"cloudsync/internal/dedup"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/protocol"
@@ -111,24 +111,18 @@ type record struct {
 }
 
 // encode renders r in the log's format: the kind, then for a file user,
-// name, id, version, flags (bit 0: deleted), history and hash; for
+// name, id, version, deleted (a bool byte), history and hash; for
 // content hash and data; for an index entry scope, hash and size.
 func (r *record) encode() []byte {
-	le := binary.LittleEndian
 	b := append(make([]byte, 0, 1+4+len(r.user)+4+len(r.name)+3*8+1+16+4+len(r.data)), r.kind)
 	switch r.kind {
 	case recFile:
-		b = wal.AppendStr(wal.AppendStr(b, r.user), r.name)
-		b = le.AppendUint64(le.AppendUint64(b, r.id), r.version)
-		flags := byte(0)
-		if r.deleted {
-			flags = 1
-		}
-		b = append(le.AppendUint64(append(b, flags), r.history), r.hash[:]...)
+		b = bin.AppendU64(bin.AppendU64(bin.AppendStr(bin.AppendStr(b, r.user), r.name), r.id), r.version)
+		b = append(bin.AppendU64(bin.AppendBool(b, r.deleted), r.history), r.hash[:]...)
 	case recContent:
-		b = wal.AppendBytes(append(b, r.hash[:]...), r.data)
+		b = bin.AppendBytes(append(b, r.hash[:]...), r.data)
 	case recIndex:
-		b = le.AppendUint64(append(wal.AppendStr(b, r.user), r.hash[:]...), uint64(r.size))
+		b = bin.AppendU64(append(bin.AppendStr(b, r.user), r.hash[:]...), uint64(r.size))
 	}
 	return b
 }
@@ -136,24 +130,22 @@ func (r *record) encode() []byte {
 // decodeRecord parses one log record strictly: one encode would not
 // reproduce byte for byte is an error. r does not alias b.
 func decodeRecord(b []byte) (r record, err error) {
-	c := wal.NewRecCursor(b)
-	var flags byte
+	c := bin.NewReader(b)
 	switch r.kind = c.U8(); r.kind {
 	case recFile:
 		r.user, r.name, r.id, r.version = c.Str(), c.Str(), c.U64(), c.U64()
-		flags, r.history, r.hash = c.U8(), c.U64(), c.Hash16()
-		r.deleted = flags == 1
+		r.deleted, r.history, r.hash = c.Bool(), c.U64(), c.Bytes16()
 	case recContent:
-		r.hash, r.data = c.Hash16(), bytes.Clone(c.Bytes())
+		r.hash, r.data = c.Bytes16(), c.Bytes()
 	case recIndex:
-		r.user, r.hash, r.size = c.Str(), c.Hash16(), c.I64()
+		r.user, r.hash, r.size = c.Str(), c.Bytes16(), c.I64()
 	case recMD5Content, recFlatContent:
 		return r, fmt.Errorf("%w (kind %d)", ErrStaleContentRecord, r.kind)
 	default:
 		return r, fmt.Errorf("syncnet: unknown state record kind %d", r.kind)
 	}
-	if c.Err() != nil || len(c.Rest()) != 0 || flags > 1 {
-		return r, fmt.Errorf("syncnet: malformed state record of kind %d (%v, %d bytes over, flags %#x)", r.kind, c.Err(), len(c.Rest()), flags)
+	if err := c.End(); err != nil {
+		return r, fmt.Errorf("syncnet: malformed state record of kind %d: %w", r.kind, err)
 	}
 	return r, nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudsync/internal/bin"
 	"cloudsync/internal/content"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/protocol"
@@ -493,7 +494,7 @@ func TestRecoveryRefusesStaleContentRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.Append(wal.AppendBytes(append([]byte{tc.kind}, tc.hash[:]...), data))
+			st.Append(bin.AppendBytes(append([]byte{tc.kind}, tc.hash[:]...), data))
 			r := record{kind: recFile, user: "u", name: "a.txt", id: 1, version: 1, history: 1, hash: tc.hash}
 			st.Append(r.encode())
 			if err := st.Sync(); err != nil {

@@ -497,6 +497,9 @@ func (ss *session) applyEnd(t0 time.Time) {
 	}
 }
 
+// logf logs through ServerConfig.Logf, if set. Boxing the arguments
+// allocates even when it is not, so a per-file or per-poll line checks
+// Logf before calling.
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
@@ -834,7 +837,9 @@ func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Finge
 	}
 	s.om.uploads.Inc()
 	ss.contentBytes += int64(len(raw))
-	s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, version, len(raw), wasDedup)
+	if s.cfg.Logf != nil {
+		s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, version, len(raw), wasDedup)
+	}
 	return id, version
 }
 
@@ -880,7 +885,9 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 		id, stored, hit := ss.probe(en.Name, en.FileHash, en.Size)
 		raw, leaves, err := s.verifiedContent(hit, stored, en.Payload, en.Size, en.FileHash)
 		if err != nil {
-			s.logf("bundle entry %s/%s: %v", ss.user, en.Name, err)
+			if s.cfg.Logf != nil {
+				s.logf("bundle entry %s/%s: %v", ss.user, en.Name, err)
+			}
 			continue
 		}
 		res.FileID, res.Version = ss.store(en.Name, id, raw, en.FileHash, leaves, hit)
@@ -900,7 +907,9 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
 		return err
 	}
-	s.logf("bundle: committed %d/%d entries for %s", committed, len(m.Entries), ss.user)
+	if s.cfg.Logf != nil {
+		s.logf("bundle: committed %d/%d entries for %s", committed, len(m.Entries), ss.user)
+	}
 	return ss.wc.send(&protocol.BundleReply{Results: results})
 }
 
@@ -1036,7 +1045,9 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		ss.sendErr(protocol.ErrInternal, "server crashed")
 		return err
 	}
-	ss.srv.logf("delta-synced %s/%s v%d (%d literal bytes)", ss.user, m.Name, version, d.LiteralBytes())
+	if s.cfg.Logf != nil {
+		s.logf("delta-synced %s/%s v%d (%d literal bytes)", ss.user, m.Name, version, d.LiteralBytes())
+	}
 	return ss.wc.send(&protocol.Ack{FileID: id, Version: version, OK: true})
 }
 
