@@ -23,6 +23,7 @@ import (
 
 	"cloudsync/internal/content"
 	"cloudsync/internal/obs"
+	"cloudsync/internal/protocol"
 	"cloudsync/internal/syncnet"
 )
 
@@ -361,6 +362,11 @@ func TestObservabilityCatalogue(t *testing.T) {
 	// two bundled ones.
 	if n := reg.Histogram("syncd_content_hash_us", "").Count(); n != 6 {
 		t.Fatalf("syncd_content_hash_us counted %d content hashes, want 6", n)
+	}
+	// Each delta flipped one byte: it built that byte's 16 KiB leaf and
+	// shared the file's other 31.
+	if n := reg.Counter("syncd_delta_built_bytes_total", "").Value(); n != 2*protocol.LeafSize {
+		t.Fatalf("syncd_delta_built_bytes_total %d after two one-byte deltas, want %d", n, 2*protocol.LeafSize)
 	}
 
 	raw, err := os.ReadFile("docs/OBSERVABILITY.md")

@@ -90,19 +90,47 @@ type Signature struct {
 
 // Sign computes the signature of basis data with the given block size.
 func Sign(data []byte, blockSize int) Signature {
+	return SignParts([][]byte{data}, blockSize)
+}
+
+// SignParts is Sign of the concatenation of parts, read where they lie:
+// a block inside one part is signed in place, and only a block that
+// straddles parts is gathered first, through one scratch buffer reused
+// for every such block.
+func SignParts(parts [][]byte, blockSize int) Signature {
 	if blockSize <= 0 {
 		panic(fmt.Sprintf("delta: invalid block size %d", blockSize))
 	}
-	sig := Signature{BlockSize: blockSize, FileSize: int64(len(data))}
-	if len(data) > 0 { // an empty file keeps Blocks nil, as Decode gives it back
-		sig.Blocks = make([]BlockSig, 0, (len(data)-1)/blockSize+1)
+	size := 0
+	for _, p := range parts {
+		size += len(p)
 	}
-	for off, idx := 0, 0; off < len(data); off, idx = off+blockSize, idx+1 {
-		end := off + blockSize
-		if end > len(data) {
-			end = len(data)
+	sig := Signature{BlockSize: blockSize, FileSize: int64(size)}
+	if size > 0 { // an empty file keeps Blocks nil, as Decode gives it back
+		sig.Blocks = make([]BlockSig, 0, (size-1)/blockSize+1)
+	}
+	var scratch, cur []byte // cur: the unread rest of the part in hand
+	for off, idx := 0, 0; off < size; off, idx = off+blockSize, idx+1 {
+		n := min(blockSize, size-off)
+		for len(cur) == 0 {
+			cur, parts = parts[0], parts[1:]
 		}
-		sig.Blocks = append(sig.Blocks, signBlock(data[off:end], idx))
+		var blk []byte
+		if len(cur) >= n {
+			blk, cur = cur[:n], cur[n:]
+		} else {
+			if scratch == nil {
+				scratch = make([]byte, 0, blockSize)
+			}
+			for blk = scratch[:0]; len(blk) < n; {
+				for len(cur) == 0 {
+					cur, parts = parts[0], parts[1:]
+				}
+				k := min(n-len(blk), len(cur))
+				blk, cur = append(blk, cur[:k]...), cur[k:]
+			}
+		}
+		sig.Blocks = append(sig.Blocks, signBlock(blk, idx))
 	}
 	return sig
 }
@@ -555,26 +583,23 @@ func sealLiterals(d *Delta) {
 	}
 }
 
-// Apply reconstructs the target from the basis and a delta. It verifies
-// block references and the final size, returning an error on any
-// inconsistency.
-//
-// Every op is checked and the output length summed before anything is
-// allocated, so a TargetSize the ops do not add up to costs no memory
-// (it arrives straight off the wire). The output is then one
-// allocation, which bytes.Join fills with one copy per op (a copy run
-// is one contiguous range of the basis) without zeroing it first. The
-// list of parts lives on the stack up to applyParts ops; a longer
-// delta pays one more, small allocation for it.
-func Apply(basis []byte, d Delta) ([]byte, error) {
+// Validate checks that d applies to a basis of basisLen bytes and
+// returns the length of its result: a positive block size, every copy
+// inside the basis, every op of a known kind, and the ops adding up to
+// exactly TargetSize, which an int must hold. It reads only the ops and
+// allocates nothing, so a TargetSize the ops do not add up to costs no
+// memory (it arrives straight off the wire). It is all the checking
+// Apply does; a caller that builds the result its own way calls it
+// first.
+func (d Delta) Validate(basisLen int) (int, error) {
 	bs := d.BlockSize
 	if bs <= 0 {
-		return nil, fmt.Errorf("delta: apply with invalid block size %d", bs)
+		return 0, fmt.Errorf("delta: apply with invalid block size %d", bs)
 	}
 	if d.TargetSize < 0 || d.TargetSize > math.MaxInt {
-		return nil, fmt.Errorf("delta: apply with target size %d outside [0, %d]", d.TargetSize, math.MaxInt)
+		return 0, fmt.Errorf("delta: apply with target size %d outside [0, %d]", d.TargetSize, math.MaxInt)
 	}
-	nBlocks := (len(basis) + bs - 1) / bs
+	nBlocks := (basisLen + bs - 1) / bs
 	var size int64
 	for i, op := range d.Ops {
 		switch op.Kind {
@@ -582,21 +607,37 @@ func Apply(basis []byte, d Delta) ([]byte, error) {
 			size += int64(len(op.Data))
 		case OpCopy:
 			if op.Index < 0 || op.Count < 1 || op.Index >= nBlocks || op.Count > nBlocks-op.Index {
-				return nil, fmt.Errorf("delta: op %d copies blocks %d+%d outside basis (%d blocks)",
+				return 0, fmt.Errorf("delta: op %d copies blocks %d+%d outside basis (%d blocks)",
 					i, op.Index, op.Count, nBlocks)
 			}
 			off := op.Index * bs
-			size += int64(min(off+op.Count*bs, len(basis)) - off)
+			size += int64(min(off+op.Count*bs, basisLen) - off)
 		default:
-			return nil, fmt.Errorf("delta: op %d has unknown kind %d", i, op.Kind)
+			return 0, fmt.Errorf("delta: op %d has unknown kind %d", i, op.Kind)
 		}
 		if size > d.TargetSize {
-			return nil, fmt.Errorf("delta: op %d overruns target size %d", i, d.TargetSize)
+			return 0, fmt.Errorf("delta: op %d overruns target size %d", i, d.TargetSize)
 		}
 	}
 	if size != d.TargetSize {
-		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", size, d.TargetSize)
+		return 0, fmt.Errorf("delta: reconstructed %d bytes, want %d", size, d.TargetSize)
 	}
+	return int(size), nil
+}
+
+// Apply reconstructs the target from the basis and a delta, once
+// Validate has passed them; its error is Validate's.
+//
+// The output is one allocation, which bytes.Join fills with one copy
+// per op (a copy run is one contiguous range of the basis) without
+// zeroing it first. The list of parts lives on the stack up to
+// applyParts ops; a longer delta pays one more, small allocation for
+// it.
+func Apply(basis []byte, d Delta) ([]byte, error) {
+	if _, err := d.Validate(len(basis)); err != nil {
+		return nil, err
+	}
+	bs := d.BlockSize
 	parts := make([][]byte, 0, applyParts)
 	for _, op := range d.Ops {
 		if op.Kind == OpLiteral {

@@ -163,6 +163,42 @@ func TestApplyErrors(t *testing.T) {
 		if _, err := Apply(basis, d); err == nil {
 			t.Errorf("case %d: Apply succeeded, want error", i)
 		}
+		if _, err := d.Validate(len(basis)); err == nil {
+			t.Errorf("case %d: Validate passed, want error", i)
+		}
+	}
+	d := Delta{BlockSize: 10, TargetSize: 18, Ops: []Op{{Kind: OpCopy, Index: 9, Count: 1}, {Kind: OpLiteral, Data: []byte("abcdefghijklm")}}}
+	if n, err := d.Validate(len(basis)); n != 18 || err != nil {
+		t.Errorf("Validate of 5 B copied and 13 B literal: %d, %v; want 18", n, err)
+	}
+}
+
+// TestSignPartsReadsInPlace: a file cut into parts anyhow — empty
+// parts, parts shorter and longer than a block, at block sizes that do
+// and do not divide them — signs exactly as the whole file does, and
+// the caller's parts are left as they were.
+func TestSignPartsReadsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for _, size := range []int{0, 1, 511, 4096, 70_000} {
+		data := content.Random(int64(size), int64(size)).Bytes()
+		for _, bs := range []int{1, 512, 1000, 16 << 10, 128 << 10} {
+			var parts [][]byte
+			for off := 0; off < size || len(parts) == 0; {
+				n := min(rng.Intn(3*bs+1)*rng.Intn(2), size-off)
+				parts = append(parts, data[off:off+n])
+				off += n
+			}
+			kept := append([][]byte(nil), parts...)
+			want, got := Sign(data, bs), SignParts(parts, bs)
+			if !bytes.Equal(got.Encode(), want.Encode()) || got.FileSize != want.FileSize || len(got.Blocks) != len(want.Blocks) {
+				t.Fatalf("%d B in %d parts at %d B blocks: SignParts differs from Sign", size, len(parts), bs)
+			}
+			for i := range parts {
+				if len(parts[i]) != len(kept[i]) || len(parts[i]) > 0 && &parts[i][0] != &kept[i][0] {
+					t.Fatalf("%d B at %d B blocks: SignParts moved part %d", size, bs, i)
+				}
+			}
+		}
 	}
 }
 

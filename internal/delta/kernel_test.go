@@ -66,7 +66,8 @@ func resign4MB(tb testing.TB) (Signature, Delta, []byte) {
 
 // TestAllocCeilings pins each kernel's allocations per call, row names
 // after their benchmarks. A count does not depend on the machine, so
-// each ceiling is the exact count. Apply's is its contract: the
+// each ceiling is the exact count. SignParts adds one scratch buffer
+// for the blocks that straddle parts. Apply's is its contract: the
 // exactly-sized output is the only allocation, however many ops the
 // delta carries (ApplySingleAllocation: 256 KiB, 4 KiB blocks, one
 // edit).
@@ -86,6 +87,10 @@ func TestAllocCeilings(t *testing.T) {
 	smallDelta := Compute(Sign(small, 4096), smallEdit)
 	codecDelta, _ := benchDelta()
 	enc := codecDelta.Encode()
+	var leaves [][]byte // data in 16 KiB parts, which 3000 B blocks straddle
+	for off := 0; off < len(data); off += 16 << 10 {
+		leaves = append(leaves, data[off:off+16<<10])
+	}
 
 	apply := func(basis []byte, d Delta) func() {
 		return func() {
@@ -100,6 +105,7 @@ func TestAllocCeilings(t *testing.T) {
 		run     func()
 	}{
 		{"DeltaSign1MB", 1, func() { Sign(data, DefaultBlockSize) }},
+		{"SignPartsStraddling", 2, func() { SignParts(leaves, 3000) }},
 		{"DeltaCompute1MBUnchanged", 3, func() { Compute(sig, data) }},
 		{"DeltaCompute1MBFullRewrite", 4, func() { Compute(rwSig, rwTarget) }},
 		{"DeltaCompute1MBInsertShift", 5, func() { Compute(isSig, isTarget) }},

@@ -31,7 +31,7 @@ var (
 // FingerprintSize bytes of that hash, and a file of one leaf costs one
 // pass of SHA-256, as a flat hash would.
 func Sum(data []byte) Fingerprint {
-	fp, _ := SumLeaves(data, nil)
+	fp, _ := sumLeaves(len(data), func(i int) []byte { return data[i*LeafSize : min((i+1)*LeafSize, len(data))] }, nil)
 	return fp
 }
 
@@ -45,36 +45,64 @@ func NumLeaves(size int) int {
 	return (size + LeafSize - 1) / LeafSize
 }
 
-// SumLeaves is Sum that takes and keeps leaf sums: the incremental form
-// of a file's identity. leaves is nil, or holds NumLeaves(len(data))
-// entries. A non-zero entry is taken as its leaf's sum without reading
-// the leaf; every zero entry is hashed from data and filled in. hashed
-// is the number of bytes of data read, so a caller that knows every
-// leaf but one pays for one leaf. A non-zero entry that is not its
-// leaf's sum yields a wrong Fingerprint.
-func SumLeaves(data []byte, leaves []LeafSum) (fp Fingerprint, hashed int) {
-	n := NumLeaves(len(data))
-	if leaves != nil && len(leaves) != n {
-		panic(fmt.Sprintf("protocol: %d leaf sums for %d bytes, want %d", len(leaves), len(data), n))
+// Leaves cuts data on the leaf grid: every leaf a sub-slice of data,
+// capped at its own end, none for empty data.
+func Leaves(data []byte) [][]byte {
+	leaves := make([][]byte, 0, (len(data)+LeafSize-1)/LeafSize)
+	for off := 0; off < len(data); off += LeafSize {
+		end := min(off+LeafSize, len(data))
+		leaves = append(leaves, data[off:end:end])
+	}
+	return leaves
+}
+
+// SumLeaves is Sum of a file given as its leaves (as Leaves cuts it),
+// taking and keeping leaf sums: the incremental form of a file's
+// identity. sums is nil, or holds NumLeaves of the file's size entries.
+// A non-zero entry is taken as its leaf's sum without reading the leaf;
+// every zero entry is hashed from its leaf and filled in. hashed is the
+// number of bytes read, so a caller that knows every leaf but one pays
+// for one leaf. A non-zero entry that is not its leaf's sum yields a
+// wrong Fingerprint; leaves off the grid are refused with a panic.
+func SumLeaves(leaves [][]byte, sums []LeafSum) (fp Fingerprint, hashed int) {
+	size := 0
+	for i, l := range leaves {
+		if len(l) == 0 || len(l) > LeafSize || len(l) < LeafSize && i < len(leaves)-1 {
+			panic(fmt.Sprintf("protocol: leaf %d of %d holds %d bytes", i, len(leaves), len(l)))
+		}
+		size += len(l)
+	}
+	return sumLeaves(size, func(i int) []byte { return leaves[i] }, sums)
+}
+
+// sumLeaves is SumLeaves of the size-byte file whose leaf i is leaf(i).
+func sumLeaves(size int, leaf func(i int) []byte, sums []LeafSum) (fp Fingerprint, hashed int) {
+	n := NumLeaves(size)
+	if sums != nil && len(sums) != n {
+		panic(fmt.Sprintf("protocol: %d leaf sums for %d bytes, want %d", len(sums), size, n))
 	}
 	st := sumStates.Get().(*sumState)
 	defer sumStates.Put(st)
 	if n == 0 {
+		var data []byte
+		if size > 0 {
+			data = leaf(0)
+		}
 		st.leafSum(data)
-		return Fingerprint(st.sum[:FingerprintSize]), len(data)
+		return Fingerprint(st.sum[:FingerprintSize]), size
 	}
 	st.root.Reset()
 	st.root.Write(rootPrefix)
 	for i := range n {
-		if leaves == nil || leaves[i] == (LeafSum{}) {
-			leaf := data[i*LeafSize : min((i+1)*LeafSize, len(data))]
-			st.leafSum(leaf)
-			hashed += len(leaf)
-			if leaves != nil {
-				leaves[i] = st.sum
+		if sums == nil || sums[i] == (LeafSum{}) {
+			l := leaf(i)
+			st.leafSum(l)
+			hashed += len(l)
+			if sums != nil {
+				sums[i] = st.sum
 			}
 		} else {
-			st.sum = leaves[i]
+			st.sum = sums[i]
 		}
 		st.root.Write(st.sum[:])
 	}

@@ -18,9 +18,9 @@ func TestSumLeavesReusesWhatItIsGiven(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Uint32())
 		}
-		want := Sum(data)
+		want, cut := Sum(data), Leaves(data)
 		leaves := make([]LeafSum, NumLeaves(size))
-		if fp, hashed := SumLeaves(data, leaves); fp != want || hashed != size {
+		if fp, hashed := SumLeaves(cut, leaves); fp != want || hashed != size {
 			t.Fatalf("%d B from no leaves: %x after %d B, want %x after %d", size, fp, hashed, want, size)
 		}
 		for i := range leaves {
@@ -30,22 +30,29 @@ func TestSumLeavesReusesWhatItIsGiven(t *testing.T) {
 			known := append([]LeafSum(nil), leaves...)
 			known[i] = LeafSum{}
 			leaf := min((i+1)*LeafSize, size) - i*LeafSize
-			if fp, hashed := SumLeaves(data, known); fp != want || hashed != leaf || known[i] != leaves[i] {
+			if fp, hashed := SumLeaves(cut, known); fp != want || hashed != leaf || known[i] != leaves[i] {
 				t.Fatalf("%d B knowing all but leaf %d: %x after %d B, want %x after %d", size, i, fp, hashed, want, leaf)
 			}
 		}
 	}
 }
 
-// TestSumLeavesRefusesMisfitLeaves: a leaf list of the wrong length is
-// a caller's bug, not a different file.
+// TestSumLeavesRefusesMisfitLeaves: a leaf-sum list of the wrong
+// length, or a file cut off the leaf grid, is a caller's bug, not a
+// different file.
 func TestSumLeavesRefusesMisfitLeaves(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SumLeaves took 1 leaf sum for a 3-leaf file")
-		}
-	}()
-	SumLeaves(make([]byte, 2*LeafSize+1), make([]LeafSum, 1))
+	refused := func(what string, leaves [][]byte, sums []LeafSum) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("SumLeaves took %s", what)
+			}
+		}()
+		SumLeaves(leaves, sums)
+	}
+	refused("1 leaf sum for a 3-leaf file", Leaves(make([]byte, 2*LeafSize+1)), make([]LeafSum, 1))
+	refused("a short leaf before the last", [][]byte{make([]byte, 1), make([]byte, LeafSize)}, nil)
+	refused("an empty leaf", [][]byte{{}}, nil)
 }
 
 // TestSumAllocatesNothing: the hashers are pooled, so identity costs no
@@ -57,6 +64,10 @@ func TestSumAllocatesNothing(t *testing.T) {
 	small, large := make([]byte, 100), make([]byte, 4*LeafSize+1)
 	if n := testing.AllocsPerRun(10, func() { Sum(small); Sum(large) }); n != 0 {
 		t.Errorf("Sum allocates %.0f times per two files, want 0", n)
+	}
+	leaves := Leaves(large)
+	if n := testing.AllocsPerRun(10, func() { SumLeaves(leaves, nil) }); n != 0 {
+		t.Errorf("SumLeaves allocates %.0f times per file, want 0", n)
 	}
 }
 

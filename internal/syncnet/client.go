@@ -469,7 +469,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 			payload = c.compress(data)
 		}
 		stats.PayloadBytes = len(payload) - int(resumeAt)
-		if err := c.wc.sendPayload(fileID, payload, resumeAt); err != nil {
+		if err := c.wc.sendPayload(fileID, [][]byte{payload}, resumeAt); err != nil {
 			return stats, err
 		}
 	}

@@ -69,7 +69,7 @@ func (s *Server) stampLocked(user string, f *serverFile) {
 
 func (f *serverFile) listEntry() protocol.ListEntry {
 	return protocol.ListEntry{
-		FileID: f.id, Name: f.name, Size: int64(len(f.data)),
+		FileID: f.id, Name: f.name, Size: int64(f.data.size()),
 		Version: f.version, Deleted: f.deleted, FileHash: f.hash,
 	}
 }

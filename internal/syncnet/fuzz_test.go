@@ -35,7 +35,7 @@ func FuzzRecord(f *testing.F) {
 		}
 		NewServer(ServerConfig{}).apply(r)
 		s := NewServer(ServerConfig{CrossUserDedup: true})
-		s.apply(record{kind: recContent, hash: r.hash, data: []byte("held")})
+		s.apply(record{kind: recContent, hash: r.hash, data: newBlob([]byte("held"))})
 		s.apply(r)
 	})
 }
@@ -74,7 +74,7 @@ func FuzzBundle(f *testing.F) {
 		}
 		srv := NewServer(ServerConfig{})
 		defer srv.Close()
-		srv.apply(record{kind: recContent, hash: protocol.Sum(held), data: held})
+		srv.apply(record{kind: recContent, hash: protocol.Sum(held), data: newBlob(held)})
 		srv.apply(record{kind: recFile, user: "u", name: "held.txt", id: 1, version: 1, history: 1, hash: protocol.Sum(held)})
 
 		raw := openRaw(t, srv, "u")
@@ -95,9 +95,9 @@ func FuzzBundle(f *testing.F) {
 			}
 			en := b.Entries[i]
 			srv.mu.Lock()
-			data, stored := srv.byHash[en.FileHash]
+			kept, stored := srv.byHash[en.FileHash]
 			srv.mu.Unlock()
-			if !stored || int64(len(data)) != en.Size || protocol.Sum(data) != en.FileHash {
+			if !stored || int64(kept.size()) != en.Size || protocol.Sum(kept.bytes()) != en.FileHash {
 				t.Fatalf("entry %d (%q) OK but its content is not stored under size %d and its Sum", i, en.Name, en.Size)
 			}
 			last[en.Name] = en

@@ -7,43 +7,103 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cloudsync/internal/content"
 	"cloudsync/internal/delta"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/protocol"
+	"cloudsync/internal/wire"
 )
 
 const leaf = protocol.LeafSize
 
-// leavesOf returns data's leaf sums, every one hashed.
-func leavesOf(data []byte) []protocol.LeafSum {
-	leaves := newLeaves(len(data))
-	protocol.SumLeaves(data, leaves)
-	return leaves
+// sumsOf returns data's leaf sums, every one hashed: nil for one leaf.
+func sumsOf(data []byte) []protocol.LeafSum {
+	n := protocol.NumLeaves(len(data))
+	if n == 0 {
+		return nil
+	}
+	sums := make([]protocol.LeafSum, n)
+	protocol.SumLeaves(protocol.Leaves(data), sums)
+	return sums
 }
 
-// checkCarry applies d to basis and requires the incremental identity —
-// basis's leaf sums carried through d, the rest hashed — to equal
-// protocol.Sum of the result, leaf for leaf. It returns how many leaves
-// were carried and how many bytes were hashed.
+// overlaps reports whether a and b share any byte of memory.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+}
+
+// checkCarry is the differential check of applyDelta against
+// delta.Apply. It decodes d out of a pooled frame buffer, as a session
+// reads it, and applies it to basis held as a stored blob with its leaf
+// sums. The result must hold Apply's bytes, on the leaf grid; every leaf
+// it shares must be basis's own leaf at the same index, with its sum;
+// every leaf it built must alias neither basis, nor the frame, nor a
+// literal, and count into built. Hashing the result's zero sums must
+// give protocol.Sum of Apply's result, leaf for leaf. It returns how
+// many leaves were carried and how many bytes were hashed.
 func checkCarry(t *testing.T, label string, basis []byte, d delta.Delta) (carried, hashed int) {
 	t.Helper()
-	raw, err := delta.Apply(basis, d)
+	want, err := delta.Apply(basis, d)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	leaves := carryLeaves(leavesOf(basis), len(basis), d, len(raw))
-	for _, l := range leaves {
-		if l != (protocol.LeafSum{}) {
+	frame := append(wire.GetFrame(0)[:0], d.Encode()...)
+	defer wire.PutFrame(frame)
+	if d, err = delta.DecodeDelta(frame); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	b := newBlob(basis)
+	b.sums = sumsOf(basis)
+	got, built, err := applyDelta(b, d)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !bytes.Equal(got.bytes(), want) {
+		t.Fatalf("%s: built %d B that differ from Apply's %d", label, got.size(), len(want))
+	}
+	if len(got.sums) != protocol.NumLeaves(len(want)) {
+		t.Fatalf("%s: %d leaf sums for %d B", label, len(got.sums), len(want))
+	}
+	builtLen := 0
+	for i, l := range got.leaves {
+		var sum protocol.LeafSum
+		if got.sums != nil {
+			sum = got.sums[i]
+		}
+		if i < len(b.leaves) && len(l) == len(b.leaves[i]) && unsafe.SliceData(l) == unsafe.SliceData(b.leaves[i]) {
 			carried++
+			if got.sums != nil && b.sums != nil && sum != b.sums[i] {
+				t.Fatalf("%s: leaf %d shared without its sum", label, i)
+			}
+			continue
+		}
+		builtLen += len(l)
+		if sum != (protocol.LeafSum{}) {
+			t.Fatalf("%s: built leaf %d came with a sum", label, i)
+		}
+		if overlaps(l, basis) || overlaps(l, frame[:cap(frame)]) {
+			t.Fatalf("%s: built leaf %d aliases the basis or the frame", label, i)
+		}
+		for _, op := range d.Ops {
+			if overlaps(l, op.Data) {
+				t.Fatalf("%s: built leaf %d aliases a literal", label, i)
+			}
 		}
 	}
-	fp, hashed := protocol.SumLeaves(raw, leaves)
-	if want := protocol.Sum(raw); fp != want {
+	if built != builtLen {
+		t.Fatalf("%s: %d B built reported, %d B of leaves not shared", label, built, builtLen)
+	}
+	fp, hashed := protocol.SumLeaves(got.leaves, got.sums)
+	if want := protocol.Sum(want); fp != want {
 		t.Fatalf("%s: incremental identity %x, want %x", label, fp, want)
 	}
-	if want := leavesOf(raw); !slices.Equal(leaves, want) {
+	if !slices.Equal(got.sums, sumsOf(want)) {
 		t.Fatalf("%s: leaf sums differ from the result's", label)
 	}
 	return carried, hashed
@@ -52,9 +112,11 @@ func checkCarry(t *testing.T, label string, basis []byte, d delta.Delta) (carrie
 // TestCarryLeavesMatchesSum: over seeded edit scripts — in-place
 // edits, moved and repeated blocks, truncation and growth, a partial
 // last leaf, empty and single-leaf files — at block sizes below, at,
-// above and across the leaf grid, the leaf sums a delta carries from
-// its basis and the ones hashed afresh give exactly protocol.Sum of the
-// result. Only the leaves carried are skipped, and some always are.
+// above and across the leaf grid, the result applyDelta builds holds
+// delta.Apply's bytes, and the leaf sums it carries from its basis and
+// the ones hashed afresh give exactly protocol.Sum of the result
+// (checkCarry). Only the leaves carried are skipped, and some always
+// are.
 func TestCarryLeavesMatchesSum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 1))
 	random := func(n int) []byte { return content.Random(int64(n), rng.Int64()).Bytes() }
@@ -115,10 +177,10 @@ func TestCarryLeavesMatchesSum(t *testing.T) {
 	t.Logf("%d cases, %d leaves carried", cases, carried)
 }
 
-// TestCarryLeavesRefusesMovedLeaves pins the two conditions of carrying
+// TestCarryLeavesRefusesMovedLeaves pins the two conditions of sharing
 // a leaf. A whole leaf copied to another leaf's place — the same bytes,
-// at another offset — is hashed, and so is the last leaf of a basis cut
-// short inside it, whose bytes are all in place but fewer.
+// at another offset — is built and hashed, and so is the last leaf of a
+// basis cut short inside it, whose bytes are all in place but fewer.
 func TestCarryLeavesRefusesMovedLeaves(t *testing.T) {
 	basis := content.Random(4*leaf, 3).Bytes()
 	swap := delta.Delta{BlockSize: leaf, TargetSize: 4 * leaf, Ops: []delta.Op{
@@ -139,8 +201,9 @@ func TestCarryLeavesRefusesMovedLeaves(t *testing.T) {
 
 // FuzzLeafSum builds a delta from the fuzzer's script — runs of basis
 // blocks copied from anywhere, runs copied in place, literals — over a
-// basis of up to six leaves, and checks the carried identity against
-// protocol.Sum of the result.
+// basis of up to six leaves, and checks the leaf-shared result against
+// delta.Apply's and its carried identity against protocol.Sum
+// (checkCarry).
 func FuzzLeafSum(f *testing.F) {
 	f.Add(uint32(3*leaf+100), uint32(512), []byte{2, 0, 40, 1, 1, 7, 0, 3, 2, 2, 0, 200})
 	f.Add(uint32(4*leaf), uint32(leaf), []byte{0, 1, 1, 0, 0, 1, 2, 0, 2})
@@ -182,29 +245,36 @@ func FuzzLeafSum(f *testing.F) {
 	})
 }
 
-// TestDeltaHashesOnlyTouchedLeaves is the witness of the leaf-hashed
-// identity, read from syncd_content_hash_bytes_total: a full upload of
-// a 4 MiB file hashes exactly its size, and a delta of eight 256 B
-// edits to it (the large-modify workload's) at most its eight leaves
-// and 8 KiB of slack, not the file. After a reopen the basis's leaf
-// sums are gone, so the first delta hashes its whole result; the next
-// one is back to the touched leaves.
+// TestDeltaHashesOnlyTouchedLeaves is the witness of the leaf-shared
+// content store, read from syncd_content_hash_bytes_total and
+// syncd_delta_built_bytes_total: a full upload of a 4 MiB file hashes
+// exactly its size and builds nothing, and a delta of eight 256 B edits
+// to it (the large-modify workload's) builds exactly its eight touched
+// leaves and hashes at most those and 8 KiB of slack, not the file.
+// After a reopen the basis's leaf sums are gone, so the first delta
+// hashes its whole result — but its bytes are still shared, so it
+// builds only the touched leaves; the next one is back to hashing them
+// alone.
 func TestDeltaHashesOnlyTouchedLeaves(t *testing.T) {
 	const size = 4 << 20
-	const bound = 8*leaf + 8<<10
+	const bound, touched = 8*leaf + 8<<10, 8 * leaf
 	dir := t.TempDir()
 	data := content.Random(size, 1).Bytes()
-	open := func() (srv *Server, hashed func() int64) {
+	var hashed, built func() int64
+	open := func() *Server {
 		reg := obs.NewRegistry()
 		srv, err := OpenServer(ServerConfig{StateDir: dir, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv, reg.Counter("syncd_content_hash_bytes_total", "").Value
+		hashed = reg.Counter("syncd_content_hash_bytes_total", "").Value
+		built = reg.Counter("syncd_delta_built_bytes_total", "").Value
+		return srv
 	}
-	upload := func(srv *Server, c *Client, hashed func() int64, what string, wantDelta bool) int64 {
+	// upload returns the bytes the server hashed and built for it.
+	upload := func(srv *Server, c *Client, what string, wantDelta bool) (h, b int64) {
 		t.Helper()
-		before := hashed()
+		h0, b0 := hashed(), built()
 		st, err := c.Upload("big", data)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -215,26 +285,26 @@ func TestDeltaHashesOnlyTouchedLeaves(t *testing.T) {
 		if got, _ := srv.FileContent("alice", "big"); !bytes.Equal(got, data) {
 			t.Fatalf("%s: server holds other bytes", what)
 		}
-		n := hashed() - before
-		t.Logf("%s: %d B hashed", what, n)
-		return n
+		h, b = hashed()-h0, built()-b0
+		t.Logf("%s: %d B hashed, %d B built", what, h, b)
+		return h, b
 	}
 
-	srv, hashed := open()
+	srv := open()
 	c, closeC := pipeClient(t, srv, "alice", "a", nil)
-	if n := upload(srv, c, hashed, "full upload", false); n != size {
-		t.Errorf("full upload hashed %d B, want exactly its %d", n, size)
+	if h, b := upload(srv, c, "full upload", false); h != size || b != 0 {
+		t.Errorf("full upload hashed %d B and built %d, want exactly its %d and none", h, b, size)
 	}
 	data = editRegions(data, 8, 16) // 256 B at 4 KiB into each eighth, as large-modify edits
-	if n := upload(srv, c, hashed, "delta", true); n > bound {
-		t.Errorf("delta of 8 x 256 B hashed %d B, want at most %d", n, bound)
+	if h, b := upload(srv, c, "delta", true); h > bound || b != touched {
+		t.Errorf("delta of 8 x 256 B hashed %d B and built %d, want at most %d and exactly %d", h, b, bound, touched)
 	}
 	closeC()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	srv, hashed = open()
+	srv = open()
 	defer srv.Close()
 	c, closeC = pipeClient(t, srv, "alice", "a", nil)
 	defer closeC()
@@ -242,12 +312,61 @@ func TestDeltaHashesOnlyTouchedLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	data = editRegions(data, 8, 17)
-	if n := upload(srv, c, hashed, "first delta after reopen", true); n != size {
-		t.Errorf("first delta after reopen hashed %d B, want the whole result's %d", n, size)
+	if h, b := upload(srv, c, "first delta after reopen", true); h != size || b != touched {
+		t.Errorf("first delta after reopen hashed %d B and built %d, want the whole result's %d and exactly %d", h, b, size, touched)
 	}
 	data = editRegions(data, 8, 18)
-	if n := upload(srv, c, hashed, "second delta after reopen", true); n > bound {
-		t.Errorf("second delta after reopen hashed %d B, want at most %d", n, bound)
+	if h, b := upload(srv, c, "second delta after reopen", true); h > bound || b != touched {
+		t.Errorf("second delta after reopen hashed %d B and built %d, want at most %d and exactly %d", h, b, bound, touched)
+	}
+}
+
+// TestDeltaEditsCostTouchedLeavesOfRAM: 32 edits of a 4 MiB file, each
+// eight 256 B regions no earlier edit wrote (the large-modify workload's
+// shape, never toggling back), leave 32 new contents on an in-RAM server
+// that keeps every version. Each shares its basis's untouched leaves,
+// so the live heap grows by the eight leaves each edit built and their
+// bookkeeping (leaf slices and sums: ≈ 14 KiB per 4 MiB version), not
+// by 32 copies of the file.
+func TestDeltaEditsCostTouchedLeavesOfRAM(t *testing.T) {
+	const size, edits = 4 << 20, 32
+	const bound = edits * (8*leaf + 32<<10)
+	leakCheck(t)
+	srv := NewServer(ServerConfig{})
+	defer srv.Close()
+	c, closeC := pipeClient(t, srv, "alice", "a", nil)
+	defer closeC()
+	data := content.Random(size, 1).Bytes()
+	if _, err := c.Upload("big", data); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // a second cycle empties the pools' victim caches
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := range edits {
+		for k := range 8 {
+			region := data[k*(size/8)+i*256:][:256]
+			for j := range region {
+				region[j] ^= 0x5A
+			}
+		}
+		st, err := c.Upload("big", data)
+		if err != nil || !st.DeltaSync {
+			t.Fatalf("edit %d: %+v, %v", i, st, err)
+		}
+	}
+	grew := heap() - before
+	t.Logf("%d edits grew the live heap by %d B (%d B per edit)", edits, grew, grew/edits)
+	if got, _ := srv.FileContent("alice", "big"); !bytes.Equal(got, data) {
+		t.Fatal("server holds other bytes")
+	}
+	if grew > bound {
+		t.Errorf("%d edits grew the live heap by %d B, want at most %d", edits, grew, bound)
 	}
 }
 
@@ -298,5 +417,75 @@ func TestServerRefusesOversizedFiles(t *testing.T) {
 	raw.close()
 	if got, _ := srv.FileContent("alice", "f"); len(got) != 4<<20 {
 		t.Errorf("f holds %d B after the refused delta, want its 4 MiB", len(got))
+	}
+}
+
+// TestConcurrentDeltasShareBlobs: two sessions toggle two files between
+// the same two contents, on a server reopened from its state dir, so
+// both stored blobs start without leaf sums. Each delta's result is
+// already stored: the first to produce it gives the stored blob its
+// sums under s.mu while the other session reads that blob as its basis.
+// Run under -race; afterwards every kept sum is its leaf's and each file
+// holds the bytes last sent.
+func TestConcurrentDeltasShareBlobs(t *testing.T) {
+	const size, rounds = 256 << 10, 20
+	dir := t.TempDir()
+	x := content.Random(size, 7).Bytes()
+	y := editRegions(x, 8, 3)
+	srv, err := OpenServer(ServerConfig{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, closeC := pipeClient(t, srv, "alice", "a", nil)
+	for _, up := range []struct {
+		name string
+		data []byte
+	}{{"a", x}, {"b", x}, {"a", y}, {"b", y}} {
+		if _, err := c.Upload(up.name, up.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeC()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err = OpenServer(ServerConfig{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	errs := make(chan error, 2)
+	for _, name := range []string{"a", "b"} {
+		c, closeC := pipeClient(t, srv, "alice", name, nil)
+		defer closeC()
+		go func() {
+			if _, err := c.List(); err != nil {
+				errs <- err
+				return
+			}
+			for i := range rounds {
+				data := x
+				if i%2 == 1 {
+					data = y
+				}
+				if st, err := c.Upload(name, data); err != nil || !st.DeltaSync {
+					errs <- fmt.Errorf("%s, round %d: %+v, %v", name, i, st, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkIdentities(t, srv)
+	for _, name := range []string{"a", "b"} {
+		if got, _ := srv.FileContent("alice", name); !bytes.Equal(got, y) {
+			t.Errorf("%s holds other bytes than its last upload", name)
+		}
 	}
 }

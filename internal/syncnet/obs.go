@@ -26,8 +26,10 @@ type serverObs struct {
 	bundleFiles *obs.Counter
 
 	// The edit's cost on the wire: literal bytes in the deltas applied,
-	// at whatever block size they were cut.
+	// at whatever block size they were cut. Its cost in server memory:
+	// the bytes of the leaves the results could not share.
 	deltaLiteralBytes *obs.Counter
+	deltaBuiltBytes   *obs.Counter
 
 	// Round trips: files that rode inline in a one-entry bundle,
 	// signatures served (each one a round trip ahead of a delta), and
@@ -82,6 +84,7 @@ func newServerObs(reg *obs.Registry) serverObs {
 		bundleFiles: reg.Counter("syncd_bundle_files_total", "Files committed via bundle messages."),
 
 		deltaLiteralBytes: reg.Counter("syncd_delta_literal_bytes_total", "Literal bytes in the deltas applied: what edits cost on the wire, about one block per dirty block."),
+		deltaBuiltBytes:   reg.Counter("syncd_delta_built_bytes_total", "Bytes the server copied to build delta results: the leaves a result could not share with its basis, one 16 KiB leaf per leaf an edit touched."),
 
 		inlineUploads:      reg.Counter("syncd_inline_uploads_total", "Files committed from one-entry bundles: lockstep uploads of files no larger than one delta block, payload inline, one round trip."),
 		signaturesServed:   reg.Counter("syncd_signatures_served_total", "Signatures served in answer to SigRequest, each signed from the file's content at that moment: every one is a round trip some delta sync paid before its delta."),

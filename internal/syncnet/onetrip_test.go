@@ -392,9 +392,9 @@ func TestDedupHitSkipsRehash(t *testing.T) {
 		planted := append([]byte(nil), data...)
 		planted[0] ^= 0xFF
 		srv.mu.Lock()
-		for h, raw := range srv.byHash {
-			if bytes.Equal(raw, data) {
-				srv.byHash[h] = planted
+		for h, b := range srv.byHash {
+			if bytes.Equal(b.bytes(), data) {
+				srv.byHash[h] = newBlob(planted)
 			}
 		}
 		srv.mu.Unlock()

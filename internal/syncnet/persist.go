@@ -63,11 +63,10 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 		state: state{
 			users:       make(map[string]*account),
 			byID:        make(map[fileKey]*serverFile),
-			byHash:      make(map[dedup.Fingerprint][]byte),
+			byHash:      make(map[dedup.Fingerprint]*blob),
 			index:       dedup.NewIndex(cfg.CrossUserDedup),
 			bytesStored: om.bytesStored,
 		},
-		leafSums:  make(map[protocol.Fingerprint][]protocol.LeafSum),
 		epoch:     newEpoch(),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -106,21 +105,29 @@ type record struct {
 	id, version uint64
 	history     uint64 // versions ever stored (fake deletion keeps content)
 	hash        protocol.Fingerprint
-	data        []byte // content
-	size        int64  // index
+	data        *blob // content
+	size        int64 // index
 }
 
 // encode renders r in the log's format: the kind, then for a file user,
 // name, id, version, deleted (a bool byte), history and hash; for
-// content hash and data; for an index entry scope, hash and size.
+// content hash and data (its leaves, end to end); for an index entry
+// scope, hash and size.
 func (r *record) encode() []byte {
-	b := append(make([]byte, 0, 1+4+len(r.user)+4+len(r.name)+3*8+1+16+4+len(r.data)), r.kind)
+	n := 0
+	if r.kind == recContent {
+		n = r.data.size()
+	}
+	b := append(make([]byte, 0, 1+4+len(r.user)+4+len(r.name)+3*8+1+16+4+n), r.kind)
 	switch r.kind {
 	case recFile:
 		b = bin.AppendU64(bin.AppendU64(bin.AppendStr(bin.AppendStr(b, r.user), r.name), r.id), r.version)
 		b = append(bin.AppendU64(bin.AppendBool(b, r.deleted), r.history), r.hash[:]...)
 	case recContent:
-		b = bin.AppendBytes(append(b, r.hash[:]...), r.data)
+		b = bin.AppendU32(append(b, r.hash[:]...), uint32(n))
+		for _, l := range r.data.leaves {
+			b = append(b, l...)
+		}
 	case recIndex:
 		b = bin.AppendU64(append(bin.AppendStr(b, r.user), r.hash[:]...), uint64(r.size))
 	}
@@ -136,7 +143,8 @@ func decodeRecord(b []byte) (r record, err error) {
 		r.user, r.name, r.id, r.version = c.Str(), c.Str(), c.U64(), c.U64()
 		r.deleted, r.history, r.hash = c.Bool(), c.U64(), c.Bytes16()
 	case recContent:
-		r.hash, r.data = c.Bytes16(), c.Bytes()
+		r.hash = c.Bytes16()
+		r.data = newBlob(c.Bytes())
 	case recIndex:
 		r.user, r.hash, r.size = c.Str(), c.Bytes16(), c.I64()
 	case recMD5Content, recFlatContent:

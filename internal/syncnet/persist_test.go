@@ -127,7 +127,7 @@ func TestBytesStoredAfterReopen(t *testing.T) {
 // holds keeps the store's copy, not a second one. A delta that toggles a
 // file back to an earlier version and another account's full upload of
 // the same bytes (a dedup miss: the index is per account) both leave
-// f.data sharing byHash's backing array, and syncd_bytes_stored counts
+// f.data the very blob byHash holds, and syncd_bytes_stored counts
 // each distinct blob once.
 func TestStoredContentKeptOnce(t *testing.T) {
 	srv, dial := startServer(t, ServerConfig{})
@@ -155,8 +155,7 @@ func TestStoredContentKeptOnce(t *testing.T) {
 	defer srv.mu.Unlock()
 	for _, user := range []string{"alice", "bob"} {
 		f := srv.files(user)["f"]
-		stored := srv.byHash[f.hash]
-		if !bytes.Equal(f.data, a) || &f.data[0] != &stored[0] {
+		if !bytes.Equal(f.data.bytes(), a) || f.data != srv.byHash[f.hash] {
 			t.Errorf("%s/f holds its own copy of content the store already keeps", user)
 		}
 	}

@@ -108,7 +108,7 @@ type ServerConfig struct {
 // serverFile is a file as the last file record applied to it left it.
 type serverFile struct {
 	record
-	data []byte // raw (uncompressed) content: the content store's copy
+	data *blob // raw (uncompressed) content: the content store's own
 	// seq is the account change sequence number of the file's last
 	// commit in this server's lifetime (0 for a file replayed at open and
 	// untouched since); older/newer link the account's committed files
@@ -178,9 +178,6 @@ type Server struct {
 
 	mu sync.Mutex
 	state
-	// leafSums holds each multi-leaf content's leaf sums beside the
-	// content store (leaves.go). Derived data: never logged, not state.
-	leafSums map[protocol.Fingerprint][]protocol.LeafSum
 	// epoch names this server's lifetime in change-feed cursors: drawn
 	// at random, never zero, never persisted (see feed.go).
 	epoch uint64
@@ -528,7 +525,7 @@ func (s *Server) Snapshot(user string) map[string]FileState {
 	for name, f := range files {
 		out[name] = FileState{
 			ID:      f.id,
-			Data:    append([]byte(nil), f.data...),
+			Data:    f.data.bytes(),
 			Version: f.version,
 			Deleted: f.deleted,
 			History: int(f.history),
@@ -546,7 +543,7 @@ func (s *Server) FileContent(user, name string) ([]byte, bool) {
 	if !ok || f.deleted {
 		return nil, false
 	}
-	return append([]byte(nil), f.data...), true
+	return f.data.bytes(), true
 }
 
 // session is the per-connection state: the connection, the
@@ -582,7 +579,7 @@ type pendingUpload struct {
 	size     int64
 	hash     protocol.Fingerprint
 	dedupHit bool
-	stored   []byte // dedup hit: the content store's copy, fetched by the probe
+	stored   *blob // dedup hit: the content store's own, fetched by the probe
 	buf      []byte
 }
 
@@ -687,9 +684,9 @@ func (ss *session) handle(msg protocol.Message) error {
 // probe opens a whole-content upload of name, announced alone
 // (IndexUpdate) or inside a Bundle: it resolves the identity the file
 // would commit under — its own, or a freshly minted one — and looks the
-// announced content up in the dedup store. stored is the store's copy
+// announced content up in the dedup store. stored is the store's own
 // on a hit; an index hit whose content is gone is a miss.
-func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id uint64, stored []byte, hit bool) {
+func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id uint64, stored *blob, hit bool) {
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -705,32 +702,32 @@ func (ss *session) probe(name string, hash protocol.Fingerprint, size int64) (id
 	return id, stored, hit
 }
 
-// verifiedContent returns the raw content a whole-content upload
-// commits: on a dedup hit the store's copy — filed under the very hash
-// the client announced, so only transferred bytes need hashing — else
-// the payload inflated into exactly the announced size and checked
-// against the announced hash, with its leaf sums (nil for a content of
-// one leaf). The announced size is checked either way. The error text
-// is what the peer is told.
-func (s *Server) verifiedContent(hit bool, stored, payload []byte, size int64, hash protocol.Fingerprint) ([]byte, []protocol.LeafSum, error) {
+// verifiedContent returns the content a whole-content upload commits:
+// on a dedup hit the store's own — filed under the very hash the client
+// announced, so only transferred bytes need hashing — else the payload
+// inflated into exactly the announced size, cut into leaves where it
+// lies and checked against the announced hash, which fills in its leaf
+// sums. The announced size is checked either way. The error text is
+// what the peer is told.
+func (s *Server) verifiedContent(hit bool, stored *blob, payload []byte, size int64, hash protocol.Fingerprint) (*blob, error) {
 	if hit {
-		if int64(len(stored)) != size {
-			return nil, nil, errSizeMismatch
+		if int64(stored.size()) != size {
+			return nil, errSizeMismatch
 		}
-		return stored, nil, nil
+		return stored, nil
 	}
 	raw, err := s.decompress(payload, size)
 	if errors.Is(err, comp.ErrSizeMismatch) {
-		return nil, nil, errSizeMismatch
+		return nil, errSizeMismatch
 	}
 	if err != nil {
-		return nil, nil, errors.New("undecodable content")
+		return nil, errors.New("undecodable content")
 	}
-	leaves := newLeaves(len(raw))
-	if s.identify(raw, leaves) != hash {
-		return nil, nil, errors.New("content hash mismatch")
+	c := newBlob(raw)
+	if s.identify(c) != hash {
+		return nil, errors.New("content hash mismatch")
 	}
-	return raw, leaves, nil
+	return c, nil
 }
 
 var errSizeMismatch = errors.New("content size mismatch")
@@ -804,14 +801,14 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 
 	ta := ss.applyStart()
 	s := ss.srv
-	raw, leaves, err := s.verifiedContent(up.dedupHit, up.stored, up.buf, up.size, up.hash)
+	c, err := s.verifiedContent(up.dedupHit, up.stored, up.buf, up.size, up.hash)
 	if err != nil {
 		// Hard: a lone upload that fails verification ends the session.
 		ss.sendErr(protocol.ErrBadRequest, err.Error())
 		return fmt.Errorf("syncnet: commit of %q: %w", up.name, err)
 	}
 
-	id, version := ss.store(up.name, up.id, raw, up.hash, leaves, up.dedupHit)
+	id, version := ss.store(up.name, up.id, c, up.hash, up.dedupHit)
 	ss.applyEnd(ta)
 	// Durability before acknowledgement: the commit must survive kill -9
 	// once the client has seen the Ack.
@@ -822,43 +819,44 @@ func (ss *session) onCommit(m *protocol.Commit) error {
 	return ss.wc.send(&protocol.Ack{FileID: id, Version: version, OK: true})
 }
 
-// store commits raw content under the user's name and returns the
+// store commits content c under the user's name and returns the
 // identity and version it committed under. id is only a proposal,
 // minted before the content was verified outside s.mu: when another
 // session created the name in between, the file keeps the identity it
 // was created with, and that is the one the caller must report.
-func (ss *session) store(name string, id uint64, raw []byte, hash protocol.Fingerprint, leaves []protocol.LeafSum, wasDedup bool) (uint64, uint64) {
+func (ss *session) store(name string, id uint64, c *blob, hash protocol.Fingerprint, wasDedup bool) (uint64, uint64) {
 	s := ss.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, version := s.putLocked(ss.user, name, id, raw, hash, leaves)
+	id, version := s.putLocked(ss.user, name, id, c, hash)
 	if wasDedup {
 		s.om.dedupSkips.Inc()
 	}
 	s.om.uploads.Inc()
-	ss.contentBytes += int64(len(raw))
+	ss.contentBytes += int64(c.size())
 	if s.cfg.Logf != nil {
-		s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, version, len(raw), wasDedup)
+		s.logf("stored %s/%s v%d (%d bytes, dedup=%v)", ss.user, name, version, c.size(), wasDedup)
 	}
 	return id, version
 }
 
-// putLocked commits raw as the next version of the user's file under
+// putLocked commits c as the next version of the user's file under
 // name, a new file with the given id when the name is free, and returns
-// the file's identity and version; raw's leaf sums (nil for one leaf)
-// join the leaf cache unless it has them. s.mu is held.
-func (s *Server) putLocked(user, name string, id uint64, raw []byte, hash protocol.Fingerprint, leaves []protocol.LeafSum) (uint64, uint64) {
+// the file's identity and version. When the store already holds c's
+// bytes, the file takes the store's content, which takes c's leaf sums
+// if it has none. s.mu is held.
+func (s *Server) putLocked(user, name string, id uint64, c *blob, hash protocol.Fingerprint) (uint64, uint64) {
 	r := record{kind: recFile, user: user, name: name, id: id, version: 1, history: 1, hash: hash}
 	if f := s.files(user)[name]; f != nil {
 		r.id, r.version, r.history = f.id, f.version+1, f.history+1
 	}
-	if _, ok := s.byHash[hash]; ok {
+	if held := s.byHash[hash]; held != nil {
+		if held.sums == nil {
+			held.sums = c.sums
+		}
 		s.commitLocked(r)
 	} else {
-		s.commitLocked(record{kind: recContent, hash: hash, data: raw}, r)
-	}
-	if leaves != nil && s.leafSums[hash] == nil {
-		s.leafSums[hash] = leaves
+		s.commitLocked(record{kind: recContent, hash: hash, data: c}, r)
 	}
 	return r.id, r.version
 }
@@ -883,14 +881,14 @@ func (ss *session) onBundle(m *protocol.Bundle) error {
 			continue
 		}
 		id, stored, hit := ss.probe(en.Name, en.FileHash, en.Size)
-		raw, leaves, err := s.verifiedContent(hit, stored, en.Payload, en.Size, en.FileHash)
+		c, err := s.verifiedContent(hit, stored, en.Payload, en.Size, en.FileHash)
 		if err != nil {
 			if s.cfg.Logf != nil {
 				s.logf("bundle entry %s/%s: %v", ss.user, en.Name, err)
 			}
 			continue
 		}
-		res.FileID, res.Version = ss.store(en.Name, id, raw, en.FileHash, leaves, hit)
+		res.FileID, res.Version = ss.store(en.Name, id, c, en.FileHash, hit)
 		res.DedupHit, res.OK = hit, true
 		committed++
 	}
@@ -943,9 +941,9 @@ func (ss *session) onGet(m *protocol.Get) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
-	raw := f.data
+	c := f.data
 	info := &protocol.FileInfo{
-		FileID: f.id, Name: f.name, Size: int64(len(raw)),
+		FileID: f.id, Name: f.name, Size: int64(c.size()),
 		Version: f.version, Compression: uint8(s.cfg.Compression),
 	}
 	s.mu.Unlock()
@@ -954,7 +952,11 @@ func (ss *session) onGet(m *protocol.Get) error {
 	if err := ss.wc.send(info); err != nil {
 		return err
 	}
-	if err := ss.wc.sendPayload(info.FileID, comp.Compress(raw, s.cfg.Compression), 0); err != nil {
+	payload := c.leaves
+	if s.cfg.Compression != comp.None {
+		payload = [][]byte{comp.Compress(c.bytes(), s.cfg.Compression)}
+	}
+	if err := ss.wc.sendPayload(info.FileID, payload, 0); err != nil {
 		return err
 	}
 	return ss.wc.send(&protocol.Ack{FileID: info.FileID, Version: info.Version, OK: true})
@@ -966,8 +968,9 @@ func (ss *session) onGet(m *protocol.Get) error {
 // calls for. A named size outside [delta.MinBlockSize,
 // delta.MaxBlockSize] is refused, softly: below it the signature of a
 // large file would outweigh the file, above 2³¹ the size is negative as
-// a 32-bit int. Stored content is immutable — files only ever swap to a
-// new slice — so the file is signed outside s.mu, and nothing is kept.
+// a 32-bit int. Stored leaves are immutable — files only ever swap to a
+// new content — so the file is signed outside s.mu, leaf by leaf, and
+// nothing is kept.
 func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	if bs := m.BlockSize; bs != 0 && (bs < delta.MinBlockSize || bs > delta.MaxBlockSize) {
 		ss.sendErr(protocol.ErrBadRequest, "block size out of range")
@@ -981,21 +984,20 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 		ss.sendErr(protocol.ErrNotFound, "no such file")
 		return nil
 	}
-	data, version := f.data, f.version
+	c, version := f.data, f.version
 	s.mu.Unlock()
 	s.om.signaturesServed.Inc()
-	bs := cmp.Or(int(m.BlockSize), s.cfg.BlockSize, delta.BlockSizeFor(int64(len(data))))
-	return ss.wc.send(&protocol.SignatureMsg{Name: m.Name, Payload: delta.Sign(data, bs).Encode(), Version: version})
+	bs := cmp.Or(int(m.BlockSize), s.cfg.BlockSize, delta.BlockSizeFor(int64(c.size())))
+	return ss.wc.send(&protocol.SignatureMsg{Name: m.Name, Payload: delta.SignParts(c.leaves, bs).Encode(), Version: version})
 }
 
 // onDelta applies a delta to the one version it was cut against, and to
 // no other: a delta carries no full-file hash, so applied to any other
 // basis it would corrupt the file silently. That version is the one the
 // message names, checked when the basis is read and again when the
-// result is published; in between — Apply, proportional to the file,
-// and the identity hash, proportional to the leaves the delta touched —
-// the server lock is not held. A target past maxFileSize is refused
-// before Apply allocates it.
+// result is published; in between — building the leaves the delta
+// touched (applyDelta) and hashing them — the server lock is not held.
+// A target past maxFileSize is refused before anything is built.
 func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 	ta := ss.applyStart()
 	d, err := delta.DecodeDelta(m.Payload)
@@ -1019,27 +1021,27 @@ func (ss *session) onDelta(m *protocol.DeltaMsg) error {
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
-	basis, old := f.data, s.leafSums[f.hash]
+	basis := *f.data // its sums may be set under s.mu (putLocked)
 	s.mu.Unlock()
 
-	raw, err := delta.Apply(basis, d)
+	c, built, err := applyDelta(&basis, d)
 	if err != nil {
 		ss.sendErr(protocol.ErrBadRequest, "inapplicable delta")
 		return fmt.Errorf("syncnet: %w", err)
 	}
-	leaves := carryLeaves(old, len(basis), d, len(raw))
-	hash := s.identify(raw, leaves)
+	s.om.deltaBuiltBytes.Add(int64(built))
+	hash := s.identify(c)
 
 	s.mu.Lock()
 	if f.version != m.BaseVersion {
 		s.mu.Unlock()
 		return ss.staleBasis(m.Name)
 	}
-	id, version := s.putLocked(ss.user, m.Name, f.id, raw, hash, leaves)
+	id, version := s.putLocked(ss.user, m.Name, f.id, c, hash)
 	s.mu.Unlock()
 	s.om.deltaSyncs.Inc()
 	s.om.deltaLiteralBytes.Add(int64(d.LiteralBytes()))
-	ss.contentBytes += int64(len(raw))
+	ss.contentBytes += int64(c.size())
 	ss.applyEnd(ta)
 	if err := s.persistSync(); err != nil {
 		ss.sendErr(protocol.ErrInternal, "server crashed")

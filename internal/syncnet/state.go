@@ -15,7 +15,7 @@ type state struct {
 	// byID indexes each user's files by FileID, which a Delete names. It
 	// is never pruned: deletion is fake and a recreated name keeps its file.
 	byID        map[fileKey]*serverFile
-	byHash      map[dedup.Fingerprint][]byte // full-file dedup content store
+	byHash      map[dedup.Fingerprint]*blob // full-file dedup content store (leaves.go)
 	index       *dedup.Index
 	nextID      uint64     // the highest FileID a file record named
 	bytesStored *obs.Gauge // syncd_bytes_stored: the bytes in byHash
@@ -30,7 +30,7 @@ func (st *state) files(user string) map[string]*serverFile {
 }
 
 // apply makes r part of the state, taking no lock and doing no I/O. A
-// content record's data is kept, not copied, when its hash is new. A
+// content record's content is kept, not copied, when its hash is new. A
 // file record becomes the file's, on the store's copy of its content,
 // which it files in the dedup index; one naming content the state lacks
 // is an error and changes nothing.
@@ -39,7 +39,7 @@ func (st *state) apply(r record) error {
 	case recContent:
 		if _, ok := st.byHash[r.hash]; !ok {
 			st.byHash[r.hash] = r.data
-			st.bytesStored.Add(int64(len(r.data)))
+			st.bytesStored.Add(int64(r.data.size()))
 		}
 	case recIndex:
 		st.index.Add(r.user, r.hash, r.size) // a scope is a user name, or "" cross-user
@@ -61,7 +61,7 @@ func (st *state) apply(r record) error {
 			return fmt.Errorf("syncnet: file record %s/%s names id %d, not the file's %d", r.user, r.name, r.id, f.id)
 		}
 		f.record, f.data = r, data
-		st.index.Add(r.user, r.hash, int64(len(data)))
+		st.index.Add(r.user, r.hash, int64(data.size()))
 		st.nextID = max(st.nextID, r.id)
 	default:
 		return fmt.Errorf("syncnet: cannot apply state record kind %d", r.kind)

@@ -40,7 +40,7 @@ func dumpState(s *Server) string {
 		for _, n := range names {
 			f := files[n]
 			fmt.Fprintf(&b, "file %s/%s id=%d version=%d deleted=%v history=%d hash=%x data=%d:%x\n",
-				u, f.name, f.id, f.version, f.deleted, f.history, f.hash, len(f.data), protocol.Sum(f.data))
+				u, f.name, f.id, f.version, f.deleted, f.history, f.hash, f.data.size(), protocol.Sum(f.data.bytes()))
 		}
 	}
 	keys := make([]fileKey, 0, len(s.byID))
@@ -59,8 +59,8 @@ func dumpState(s *Server) string {
 		fmt.Fprintf(&b, "byID %s/%d -> %s\n", k.user, k.id, where)
 	}
 	hashes := make([]string, 0, len(s.byHash))
-	for h, data := range s.byHash {
-		hashes = append(hashes, fmt.Sprintf("content %x %d", h, len(data)))
+	for h, b := range s.byHash {
+		hashes = append(hashes, fmt.Sprintf("content %x %d", h, b.size()))
 	}
 	sort.Strings(hashes)
 	for _, h := range hashes {
@@ -73,24 +73,22 @@ func dumpState(s *Server) string {
 	return b.String()
 }
 
-// checkIdentities requires every content in the store to be filed
-// under its own protocol.Sum, and every leaf sum kept beside it to be
-// its leaf's.
+// checkIdentities requires every content in the store to be cut on
+// the leaf grid, its leaves to hash to the key it is filed under, and
+// every leaf sum it keeps to be its leaf's.
 func checkIdentities(t *testing.T, s *Server) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for h, data := range s.byHash {
-		if got := protocol.Sum(data); got != h {
-			t.Fatalf("content of %d B filed under %x, its identity is %x", len(data), h, got)
+	for h, b := range s.byHash {
+		if got := protocol.Sum(b.bytes()); got != h {
+			t.Fatalf("content of %d B filed under %x, its identity is %x", b.size(), h, got)
 		}
-		if leaves, ok := s.leafSums[h]; ok && !slices.Equal(leaves, leavesOf(data)) {
+		if got, _ := protocol.SumLeaves(b.leaves, nil); got != h { // panics off the grid
+			t.Fatalf("content %x: its leaves hash to %x", h, got)
+		}
+		if b.sums != nil && !slices.Equal(b.sums, sumsOf(b.bytes())) {
 			t.Fatalf("content %x: kept leaf sums are not its leaves'", h)
-		}
-	}
-	for h := range s.leafSums {
-		if _, ok := s.byHash[h]; !ok {
-			t.Fatalf("leaf sums kept for %x, which is not stored", h)
 		}
 	}
 }

@@ -19,10 +19,12 @@ type wireConn struct {
 
 	// Pooled scratch: enc frames outgoing messages, readBuf absorbs
 	// incoming ones (both from the wire frame pool, returned by settle),
-	// segs is the reusable ledger-segment layout.
+	// segs is the reusable ledger-segment layout, vec a Data piece's
+	// vectored send.
 	enc     []byte
 	readBuf []byte
 	segs    []causeSeg
+	vec     net.Buffers
 
 	// in and out are this end's wire bytes; inC and outC, when set,
 	// receive them too (the server-wide totals; nil on a client).
@@ -84,27 +86,47 @@ func (w *wireConn) send(m protocol.Message) error {
 	return nil
 }
 
-// sendPayload streams payload[from:] as Data pieces of at most
-// DataPieceSize. Each piece is one vectored send — the frame header
-// from the pooled scratch, the content slice directly, a single writev
-// on connections that support it — so content is never copied into a
-// frame buffer. A payload that is empty from the start still goes out
-// as one empty piece. A client's pieces split against its sent
-// high-water mark: re-sent ranges are retransmits.
-func (w *wireConn) sendPayload(fileID uint64, payload []byte, from int64) error {
-	for off := int(from); off < len(payload) || off == 0; off += DataPieceSize {
-		piece := payload[off:min(off+DataPieceSize, len(payload))]
-		hdr := protocol.AppendDataHeader(w.enc[:0], fileID, int64(off), len(piece))
+// sendPayload streams the payload — parts, end to end — from offset
+// from on, as Data pieces of at most DataPieceSize. Each piece is one
+// vectored send — the frame header from the pooled scratch, then the
+// parts' slices it covers, directly (a stored content's leaves: four to
+// a piece), a single writev on connections that support it — so
+// content is never copied into a frame buffer. A payload that is empty
+// from the start still goes out as one empty piece. A client's pieces
+// split against its sent high-water mark: re-sent ranges are
+// retransmits.
+func (w *wireConn) sendPayload(fileID uint64, parts [][]byte, from int64) error {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	cur, skip := []byte(nil), int(from) // cur: the unsent rest of the part in hand
+	for skip >= len(cur) && len(parts) > 0 {
+		skip -= len(cur)
+		cur, parts = parts[0], parts[1:]
+	}
+	cur = cur[min(skip, len(cur)):]
+	for off := int(from); off < size || off == 0; off += DataPieceSize {
+		n := min(DataPieceSize, size-off)
+		hdr := protocol.AppendDataHeader(w.enc[:0], fileID, int64(off), n)
 		w.enc = hdr[:0]
-		bufs := net.Buffers{hdr, piece}
-		n, err := bufs.WriteTo(w.conn)
-		w.wrote(n)
-		if w.led != nil {
-			segs := appendDataSegments(w.segs[:0], int64(len(hdr)+len(piece)), int64(len(piece)))
-			if w.resend != nil {
-				segs = splitDataByHighWater(segs, int64(off), int64(len(piece)), &w.resend.txHigh)
+		bufs := append(w.vec[:0], hdr)
+		for got := 0; got < n; {
+			for len(cur) == 0 {
+				cur, parts = parts[0], parts[1:]
 			}
-			w.charge(segs, n)
+			k := min(n-got, len(cur))
+			bufs, cur, got = append(bufs, cur[:k]), cur[k:], got+k
+		}
+		w.vec = bufs[:0] // WriteTo consumes bufs, not the array under it
+		written, err := bufs.WriteTo(w.conn)
+		w.wrote(written)
+		if w.led != nil {
+			segs := appendDataSegments(w.segs[:0], int64(len(hdr)+n), int64(n))
+			if w.resend != nil {
+				segs = splitDataByHighWater(segs, int64(off), int64(n), &w.resend.txHigh)
+			}
+			w.charge(segs, written)
 		}
 		if err != nil {
 			return fmt.Errorf("syncnet: sending data: %w", err)
