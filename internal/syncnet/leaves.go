@@ -31,10 +31,20 @@ import (
 type blob struct {
 	leaves [][]byte           // the bytes, cut as protocol.Leaves cuts them
 	sums   []protocol.LeafSum // nil: one leaf, or not known
+	// one holds the leaf of a content of at most one leaf — every small
+	// file — so that storing one is a single allocation.
+	one [1][]byte
 }
 
 // newBlob cuts raw into leaves where it lies, copying nothing.
-func newBlob(raw []byte) *blob { return &blob{leaves: protocol.Leaves(raw)} }
+func newBlob(raw []byte) *blob {
+	if len(raw) > protocol.LeafSize {
+		return &blob{leaves: protocol.Leaves(raw)}
+	}
+	c := &blob{one: [1][]byte{raw[:len(raw):len(raw)]}}
+	c.leaves = c.one[:min(len(raw), 1)]
+	return c
+}
 
 // size is the content's length in bytes.
 func (c *blob) size() int {

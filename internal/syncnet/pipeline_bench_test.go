@@ -71,10 +71,39 @@ func benchBatchClient(b *testing.B, files int, tcp bool, fn func(c *Client, batc
 }
 
 func BenchmarkUploadBundle8(b *testing.B) {
-	benchBatchClient(b, 8, false, func(c *Client, batch []FileUpload) error {
-		_, err := c.UploadBundle(batch)
-		return err
-	})
+	benchBatchClient(b, 8, false, uploadBundle)
+}
+
+func uploadBundle(c *Client, batch []FileUpload) error {
+	_, err := c.UploadBundle(batch)
+	return err
+}
+
+// uploadBundle8 is BenchmarkUploadBundle8 as a step: one bundle of
+// eight new 1 KiB files, each stored as a content of one leaf. 256
+// bundles go first, so that the content store's map has grown past the
+// sizes at which a few steps would pay for its growth.
+func uploadBundle8(tb testing.TB) (upload, done func()) {
+	srv := NewServer(ServerConfig{})
+	c, closeC := benchClient(tb, srv, false)
+	batch := makeBatch("bench", 8, 1024)
+	n := 0
+	upload = func() {
+		n++
+		for j := range batch {
+			binary.LittleEndian.PutUint64(batch[j].Data, uint64(n)<<8|uint64(j))
+		}
+		if err := uploadBundle(c, batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for range 256 {
+		upload()
+	}
+	return upload, func() {
+		closeC()
+		srv.Close()
+	}
 }
 
 // uploadLockstep uploads the batch one blocking Upload at a time. The
@@ -209,17 +238,19 @@ func fullUploadDedupHit(tb testing.TB) (upload, done func()) {
 	}
 }
 
-// TestAllocCeilings pins the allocations of the two live round trips
-// whose cost is a kernel's, process-wide (client and server), row names
-// after their benchmarks. The repeat delta sync stays at Resign's
-// O(edit) hashing on a signature the client holds, and the server signs
-// nothing; losing either shows as Sign's allocations and a SigRequest
-// exchange. The dedup hit compresses nothing; compressing anyway shows
-// as Compress's allocations. The ceilings are 10 % over the counts
-// measured (38 and 26; a server without a logger boxes no log
-// arguments), which move by one from run to run. Both paths draw frame
-// buffers and flate writers from pools, which the race detector drops,
-// so the test skips under -race.
+// TestAllocCeilings pins the allocations of three live round trips,
+// process-wide (client and server), row names after their benchmarks.
+// The repeat delta sync stays at Resign's O(edit) hashing on a
+// signature the client holds, and the server signs nothing; losing
+// either shows as Sign's allocations and a SigRequest exchange. The
+// dedup hit compresses nothing; compressing anyway shows as Compress's
+// allocations. The bundle stores each small file as one allocation
+// beside its bytes (a blob holds its one leaf itself); a separate leaf
+// slice per file shows as 8 more. The ceilings are 10 % over the
+// counts measured (38, 26 and 36; a server without a logger boxes no
+// log arguments), which move by one from run to run. The paths draw
+// frame buffers and flate writers from pools, which the race detector
+// drops, so the test skips under -race.
 func TestAllocCeilings(t *testing.T) {
 	if kerneltest.Race {
 		t.Skip("the race detector drops pooled items")
@@ -232,6 +263,7 @@ func TestAllocCeilings(t *testing.T) {
 	}{
 		{"DeltaSyncRepeat", 42, func(tb testing.TB) (func(), func()) { return deltaSyncRepeat(tb, false) }},
 		{"FullUploadDedupHit", 29, fullUploadDedupHit},
+		{"UploadBundle8", 40, uploadBundle8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			step, done := tc.setup(t)
