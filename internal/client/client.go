@@ -169,10 +169,6 @@ type syncedInfo struct {
 	size int64
 }
 
-type pendingEntry struct {
-	deleted bool
-}
-
 // Client is a sync client bound to one folder, one cloud, and one path.
 type Client struct {
 	cfg   Config
@@ -181,19 +177,51 @@ type Client struct {
 	cloud *cloud.Cloud
 	path  *netem.Path
 
-	synced         map[string]*syncedInfo
-	pending        map[string]*pendingEntry
+	synced         map[string]syncedInfo
+	pending        map[string]bool // name → deleted
 	inSession      map[string]bool
 	deferState     deferpolicy.ASDState
-	deferTimer     *simclock.Timer
+	deferTimer     simclock.Timer
 	inFlight       bool
 	wantSync       bool
 	applyingRemote bool
 
-	round    *obs.Span // current sync round (nil when idle or untraced)
+	// The clock callbacks, bound once rather than at every scheduling.
+	dispatchFn, timerFn, sessionDoneFn func()
+
+	round round
+	stats Stats
+}
+
+// round is the sync round in flight and its scratch. Condition 1
+// keeps at most one round in flight per client, and the path reads a
+// session's exchanges before Do returns, so one round's scratch is
+// free once its last session completes: the next round truncates and
+// refills it rather than allocating its own.
+type round struct {
+	span     *obs.Span // the round (nil when idle or untraced)
 	metaSpan *obs.Span // metadata-computation window within the round
 
-	stats Stats
+	names []string
+	batch []workItem // pending files in name order
+	// items is batch in session order: with BDS the creations first,
+	// then the rest; each unit commits a run of it.
+	items []workItem
+	units []sessionUnit
+	// exchanges is the arena every unit's exchanges are a run of, the
+	// session tail included.
+	exchanges []netem.Exchange
+	done      int // units whose session has completed
+}
+
+// sessionUnit is an independently dispatchable piece of work: one file
+// operation, one BDS bundle of creations, or — with SharedSession —
+// the whole round. It commits items[itemLo:itemHi] over
+// exchanges[exLo:exHi] of its round.
+type sessionUnit struct {
+	itemLo, itemHi int
+	exLo, exHi     int
+	span           *obs.Span
 }
 
 // New wires a client to its folder, cloud, and path, and starts
@@ -209,10 +237,11 @@ func New(cfg Config, clock *simclock.Clock, fs *vfs.FS, cl *cloud.Cloud, path *n
 		fs:        fs,
 		cloud:     cl,
 		path:      path,
-		synced:    make(map[string]*syncedInfo),
-		pending:   make(map[string]*pendingEntry),
+		synced:    make(map[string]syncedInfo),
+		pending:   make(map[string]bool),
 		inSession: make(map[string]bool),
 	}
+	c.dispatchFn, c.timerFn, c.sessionDoneFn = c.dispatch, c.trySync, c.sessionDone
 	fs.Watch(c.onEvent)
 	if cfg.AutoSyncRemote {
 		cl.Subscribe(cfg.User, cfg.Device, c.onRemoteChange)
@@ -240,12 +269,7 @@ func (c *Client) onEvent(ev vfs.Event) {
 	}
 	switch ev.Op {
 	case vfs.OpCreate, vfs.OpModify:
-		p := c.pending[ev.Name]
-		if p == nil {
-			p = &pendingEntry{}
-			c.pending[ev.Name] = p
-		}
-		p.deleted = false
+		c.pending[ev.Name] = false
 	case vfs.OpDelete:
 		_, everSynced := c.synced[ev.Name]
 		if !everSynced && !c.inSession[ev.Name] {
@@ -257,27 +281,19 @@ func (c *Client) onEvent(ev vfs.Event) {
 			delete(c.pending, ev.Name)
 			return
 		}
-		p := c.pending[ev.Name]
-		if p == nil {
-			p = &pendingEntry{}
-			c.pending[ev.Name] = p
-		}
-		p.deleted = true
+		c.pending[ev.Name] = true
 	}
 	var delay time.Duration
 	delay, c.deferState = c.cfg.Defer.Step(c.deferState, c.clock.Now(), c.pendingBytes())
-	if c.deferTimer != nil {
-		c.deferTimer.Stop()
-	}
-	c.deferTimer = c.clock.Schedule(delay, c.timerFired)
+	c.clock.Reset(&c.deferTimer, delay, c.timerFn)
 }
 
 // pendingBytes estimates the unsynchronized volume, the input to
 // byte-counter deferment policies.
 func (c *Client) pendingBytes() int64 {
 	var total int64
-	for name, p := range c.pending {
-		if p.deleted {
+	for name, deleted := range c.pending {
+		if deleted {
 			continue
 		}
 		f, ok := c.fs.File(name)
@@ -295,11 +311,6 @@ func (c *Client) pendingBytes() int64 {
 	return total
 }
 
-func (c *Client) timerFired() {
-	c.deferTimer = nil
-	c.trySync()
-}
-
 // trySync begins a sync cycle if one is not already in flight
 // (Condition 1) and there is work to do.
 func (c *Client) trySync() {
@@ -311,23 +322,23 @@ func (c *Client) trySync() {
 		return
 	}
 	c.inFlight = true
-	c.round = c.cfg.Tracer.Start("client.sync_round",
+	c.round.span = c.cfg.Tracer.Start("client.sync_round",
 		obs.String("user", c.cfg.User), obs.String("device", c.cfg.Device),
 		obs.Int("pending", int64(len(c.pending))))
 	// Condition 2: compute metadata for every pending file before
 	// dispatching. Updates arriving during this window join the batch,
 	// because the snapshot happens at dispatch time.
 	var metaBytes int64
-	for name, p := range c.pending {
-		if p.deleted {
+	for name, deleted := range c.pending {
+		if deleted {
 			continue
 		}
 		if f, ok := c.fs.File(name); ok {
 			metaBytes += f.Size()
 		}
 	}
-	c.metaSpan = c.round.Child("client.metadata", obs.Int("bytes", metaBytes))
-	c.clock.PostDelay(c.cfg.Hardware.MetadataTime(metaBytes), c.dispatch)
+	c.round.metaSpan = c.round.span.Child("client.metadata", obs.Int("bytes", metaBytes))
+	c.clock.PostDelay(c.cfg.Hardware.MetadataTime(metaBytes), c.dispatchFn)
 }
 
 // workItem is one file operation snapshotted into a session.
@@ -342,47 +353,45 @@ type workItem struct {
 }
 
 func (c *Client) dispatch() {
-	c.metaSpan.End()
-	c.metaSpan = nil
-	batch := c.snapshot()
-	if len(batch) == 0 {
-		c.inFlight = false
-		c.round.End()
-		c.round = nil
+	r := &c.round
+	r.metaSpan.End()
+	r.metaSpan = nil
+	c.snapshot()
+	if len(r.batch) == 0 {
+		c.endRound()
 		return
 	}
-	units := c.composeUnits(batch)
-	if c.cfg.SharedSession {
-		merged := sessionUnit{}
-		for _, u := range units {
-			merged.exchanges = append(merged.exchanges, u.exchanges...)
-			merged.commits = append(merged.commits, u.commits...)
-		}
-		units = []sessionUnit{merged}
-	}
-	c.round.Set("files", len(batch))
-	c.round.Set("sessions", len(units))
-	remaining := len(units)
-	for _, u := range units {
-		u := u
-		u.exchanges = append(u.exchanges, c.sessionExchange())
+	c.composeUnits()
+	r.span.Set(obs.Int("files", int64(len(r.batch))), obs.Int("sessions", int64(len(r.units))))
+	for i := range r.units {
+		u := &r.units[i]
+		exchanges := r.exchanges[u.exLo:u.exHi]
 		c.stats.Sessions++
 		var up, down int64
-		for _, ex := range u.exchanges {
+		for _, ex := range exchanges {
 			up += int64(ex.UpApp)
 			down += int64(ex.DownApp)
 		}
-		ssp := c.round.Child("client.session",
-			obs.Int("exchanges", int64(len(u.exchanges))),
+		u.span = r.span.Child("client.session",
+			obs.Int("exchanges", int64(len(exchanges))),
 			obs.Int("up_app", up), obs.Int("down_app", down))
-		c.path.Do(u.exchanges, c.cloud.Config().ProcessingTime, func(time.Duration) {
-			c.runCommits(u.commits)
-			ssp.End()
-			remaining--
-			if remaining == 0 {
-				c.onAllSessionsDone()
-			}
-		})
+		c.path.Do(exchanges, c.cloud.Config().ProcessingTime, c.sessionDoneFn)
+	}
+}
+
+// sessionDone commits the next unit of the round. The path completes
+// sessions in the order Do started them, so the n-th completion is
+// the round's n-th unit.
+func (c *Client) sessionDone() {
+	r := &c.round
+	u := &r.units[r.done]
+	r.done++
+	for i := u.itemLo; i < u.itemHi; i++ {
+		c.commit(&r.items[i])
+	}
+	u.span.End()
+	if r.done == len(r.units) {
+		c.onAllSessionsDone()
 	}
 }
 
@@ -397,41 +406,42 @@ func (c *Client) sessionExchange() netem.Exchange {
 	}
 }
 
-func (c *Client) snapshot() []workItem {
-	names := make([]string, 0, len(c.pending))
+// snapshot fills the round's batch with the pending files, in name
+// order, and moves them from pending to inSession.
+func (c *Client) snapshot() {
+	r := &c.round
+	r.names = r.names[:0]
 	for name := range c.pending {
-		names = append(names, name)
+		r.names = append(r.names, name)
 	}
-	sort.Strings(names)
-	batch := make([]workItem, 0, len(names))
-	for _, name := range names {
-		p := c.pending[name]
-		if p.deleted {
-			batch = append(batch, workItem{name: name, deleted: true})
+	sort.Strings(r.names)
+	r.batch = r.batch[:0]
+	for _, name := range r.names {
+		if c.pending[name] {
+			r.batch = append(r.batch, workItem{name: name, deleted: true})
 			continue
 		}
 		f, ok := c.fs.File(name)
 		if !ok {
 			continue
 		}
-		s := c.synced[name]
+		s, everSynced := c.synced[name]
 		item := workItem{
 			name:     name,
-			isCreate: s == nil,
+			isCreate: !everSynced,
 			blob:     f.Blob(),
 			gen:      f.Gen(),
 		}
-		if s != nil {
+		if everSynced {
 			item.dirty = f.EditsSince(s.gen)
 		}
 		item.decision = c.cloud.ProbeUpload(c.cfg.User, item.blob, c.cfg.UseDedup)
-		batch = append(batch, item)
+		r.batch = append(r.batch, item)
 	}
 	clear(c.pending)
-	for _, item := range batch {
+	for _, item := range r.batch {
 		c.inSession[item.name] = true
 	}
-	return batch
 }
 
 // expand applies the service's payload framing expansion.
@@ -440,7 +450,7 @@ func (c *Client) expand(n int64) int {
 }
 
 // uploadPayload computes the content bytes a work item must transfer.
-func (c *Client) uploadPayload(item workItem) int64 {
+func (c *Client) uploadPayload(item *workItem) int64 {
 	if item.decision.SkipAll {
 		return 0
 	}
@@ -467,62 +477,64 @@ func (c *Client) uploadPayload(item workItem) int64 {
 	return payload
 }
 
-// sessionUnit is an independently dispatchable piece of work: one file
-// operation, or one BDS bundle of creations.
-type sessionUnit struct {
-	exchanges []netem.Exchange
-	commits   []func()
-}
-
-func (c *Client) composeUnits(batch []workItem) []sessionUnit {
-	// Partition: BDS bundles creations; everything else goes per file.
-	var creations, rest []workItem
+// composeUnits orders the round's batch into its items and cuts them
+// into units: BDS bundles creations, everything else goes per file,
+// and SharedSession merges every unit into one session. Each session
+// ends with the once-per-session tail.
+func (c *Client) composeUnits() {
+	r := &c.round
+	r.items, r.units, r.exchanges, r.done = r.items[:0], r.units[:0], r.exchanges[:0], 0
+	creations := 0
 	if c.cfg.BDS {
-		for _, item := range batch {
+		for _, item := range r.batch {
 			if !item.deleted && item.isCreate {
-				creations = append(creations, item)
-			} else {
-				rest = append(rest, item)
+				r.items = append(r.items, item)
+			}
+		}
+		creations = len(r.items)
+		for _, item := range r.batch {
+			if item.deleted || !item.isCreate {
+				r.items = append(r.items, item)
 			}
 		}
 	} else {
-		rest = batch
+		r.items = append(r.items, r.batch...)
 	}
 
-	units := make([]sessionUnit, 0, len(rest))
 	bundleSize := c.cfg.BundleSize
 	if bundleSize <= 0 {
-		bundleSize = len(creations)
+		bundleSize = creations
 	}
-	for len(creations) > 0 {
-		n := bundleSize
-		if n > len(creations) {
-			n = len(creations)
+	for lo := 0; lo < len(r.items); {
+		hi := lo + 1
+		exLo := len(r.exchanges)
+		if lo < creations {
+			hi = min(lo+bundleSize, creations)
+			c.appendBundleExchanges(r.items[lo:hi])
+			c.stats.Bundles++
+		} else {
+			c.appendFileExchanges(&r.items[lo])
 		}
-		bundle := creations[:n]
-		creations = creations[n:]
-		u := sessionUnit{exchanges: c.bundleExchanges(bundle)}
-		for _, item := range bundle {
-			u.commits = append(u.commits, c.commitFn(item))
+		if !c.cfg.SharedSession {
+			r.exchanges = append(r.exchanges, c.sessionExchange())
 		}
-		units = append(units, u)
-		c.stats.Bundles++
+		r.units = append(r.units, sessionUnit{itemLo: lo, itemHi: hi, exLo: exLo, exHi: len(r.exchanges)})
+		lo = hi
 	}
-	for _, item := range rest {
-		units = append(units, sessionUnit{
-			exchanges: c.fileExchanges(item),
-			commits:   []func(){c.commitFn(item)},
-		})
+	if c.cfg.SharedSession {
+		r.exchanges = append(r.exchanges, c.sessionExchange())
+		r.units = append(r.units[:0], sessionUnit{itemHi: len(r.items), exHi: len(r.exchanges)})
 	}
-	return units
 }
 
-// bundleExchanges composes one BDS bundle: a single index/commit
-// exchange pair covering every file, with the payloads concatenated.
-func (c *Client) bundleExchanges(bundle []workItem) []netem.Exchange {
+// appendBundleExchanges composes one BDS bundle onto the round's
+// exchanges: a single index/commit exchange pair covering every file,
+// with the payloads concatenated.
+func (c *Client) appendBundleExchanges(bundle []workItem) {
 	indexUp := 0
 	var payload int64
-	for _, item := range bundle {
+	for i := range bundle {
+		item := &bundle[i]
 		indexUp += protocol.SizeIndexUpdate(item.name, item.decision.IndexFingerprints)
 		payload += c.uploadPayload(item)
 		if item.decision.SkipAll {
@@ -530,21 +542,20 @@ func (c *Client) bundleExchanges(bundle []workItem) []netem.Exchange {
 		}
 		c.stats.FileSyncs++
 	}
-	replyDown := protocol.SizeIndexReply(0)
-	ex := []netem.Exchange{{
+	r := &c.round
+	r.exchanges = append(r.exchanges, netem.Exchange{
 		UpApp:   indexUp,
-		DownApp: replyDown,
+		DownApp: protocol.SizeIndexReply(0),
 		Kind:    capturepkg.KindControl,
 		Cause:   indexCause(bundle),
-	}}
+	})
 	if payload > 0 {
-		ex = append(ex, netem.Exchange{
+		r.exchanges = append(r.exchanges, netem.Exchange{
 			UpApp:   c.expand(payload),
 			DownApp: protocol.SizeAck(),
 			Kind:    capturepkg.KindData,
 		})
 	}
-	return ex
 }
 
 // indexCause attributes an index exchange: when it carries content
@@ -559,16 +570,19 @@ func indexCause(items []workItem) ledger.Cause {
 	return ledger.Unset // → metadata via the control default
 }
 
-// fileExchanges composes the per-file exchange sequence: index update,
-// data (if any), commit with the per-file control chatter.
-func (c *Client) fileExchanges(item workItem) []netem.Exchange {
+// appendFileExchanges composes the per-file exchange sequence onto the
+// round's exchanges: index update, data (if any), commit with the
+// per-file control chatter.
+func (c *Client) appendFileExchanges(item *workItem) {
+	r := &c.round
 	if item.deleted {
 		c.stats.Deletes++
-		return []netem.Exchange{{
+		r.exchanges = append(r.exchanges, netem.Exchange{
 			UpApp:   protocol.SizeDelete() + c.cfg.MetaPerFileUp/2,
 			DownApp: protocol.SizeAck() + c.cfg.MetaPerFileDown/2,
 			Kind:    capturepkg.KindControl,
-		}}
+		})
+		return
 	}
 	c.stats.FileSyncs++
 	if item.decision.SkipAll {
@@ -580,12 +594,12 @@ func (c *Client) fileExchanges(item workItem) []netem.Exchange {
 	if item.decision.IndexFingerprints > 0 {
 		cause = ledger.DedupProbe
 	}
-	ex := []netem.Exchange{{
+	r.exchanges = append(r.exchanges, netem.Exchange{
 		UpApp:   indexUp,
 		DownApp: replyDown,
 		Kind:    capturepkg.KindControl,
 		Cause:   cause,
-	}}
+	})
 	if payload := c.uploadPayload(item); payload > 0 {
 		dataCause := ledger.Unset // → payload via the data default
 		if !item.isCreate && !c.cfg.FullFileSync {
@@ -593,43 +607,41 @@ func (c *Client) fileExchanges(item workItem) []netem.Exchange {
 			// the sim-path equivalent of a delta's literal bytes.
 			dataCause = ledger.DeltaLiteral
 		}
-		ex = append(ex, netem.Exchange{
+		r.exchanges = append(r.exchanges, netem.Exchange{
 			UpApp:   c.expand(payload),
 			DownApp: protocol.SizeAck(),
 			Kind:    capturepkg.KindData,
 			Cause:   dataCause,
 		})
 	}
-	ex = append(ex, netem.Exchange{
+	r.exchanges = append(r.exchanges, netem.Exchange{
 		UpApp:   protocol.SizeCommit() + c.cfg.MetaPerFileUp,
 		DownApp: protocol.SizeAck() + c.cfg.MetaPerFileDown,
 		Kind:    capturepkg.KindControl,
 	})
-	return ex
 }
 
-func (c *Client) commitFn(item workItem) func() {
+// commit applies one work item of a completed session to the cloud.
+func (c *Client) commit(item *workItem) {
 	user := c.cfg.User
-	return func() {
-		if item.deleted {
-			// The file may have been recreated meanwhile; a failed
-			// delete of an already-gone entry is harmless.
-			if e, ok := c.cloud.File(user, item.name); ok {
-				_ = c.cloud.Delete(user, item.name)
-				c.cloud.NotifyPeers(user, c.cfg.Device, e, true)
-			}
-			delete(c.synced, item.name)
-			return
+	if item.deleted {
+		// The file may have been recreated meanwhile; a failed delete
+		// of an already-gone entry is harmless.
+		if e, ok := c.cloud.File(user, item.name); ok {
+			_ = c.cloud.Delete(user, item.name)
+			c.cloud.NotifyPeers(user, c.cfg.Device, e, true)
 		}
-		var e *cloud.Entry
-		if item.decision.SkipAll {
-			e = c.cloud.RecordSkippedUpload(user, item.name, item.blob)
-		} else {
-			e = c.cloud.Commit(user, item.name, item.blob, item.dirty)
-		}
-		c.synced[item.name] = &syncedInfo{gen: item.gen, size: item.blob.Size()}
-		c.cloud.NotifyPeers(user, c.cfg.Device, e, false)
+		delete(c.synced, item.name)
+		return
 	}
+	var e *cloud.Entry
+	if item.decision.SkipAll {
+		e = c.cloud.RecordSkippedUpload(user, item.name, item.blob)
+	} else {
+		e = c.cloud.Commit(user, item.name, item.blob, item.dirty)
+	}
+	c.synced[item.name] = syncedInfo{gen: item.gen, size: item.blob.Size()}
+	c.cloud.NotifyPeers(user, c.cfg.Device, e, false)
 }
 
 // onRemoteChange mirrors another device's committed change into the
@@ -643,14 +655,14 @@ func (c *Client) onRemoteChange(e *cloud.Entry, deleted bool) {
 	blob := e.Blob
 	sp := c.cfg.Tracer.Start("client.remote_change",
 		obs.String("name", name), obs.Bool("deleted", deleted))
-	c.path.Push(notify, func(time.Duration) {
+	c.path.Push(notify, func() {
 		if deleted {
 			c.applyRemoteDelete(name)
 			sp.End()
 			return
 		}
 		payload := c.cloud.ServeSize(e, c.cfg.DownloadCompression)
-		sp.Set("payload", payload)
+		sp.Set(obs.Int("payload", payload))
 		exchanges := []netem.Exchange{
 			{
 				UpApp:   protocol.SizeGet(name),
@@ -663,7 +675,7 @@ func (c *Client) onRemoteChange(e *cloud.Entry, deleted bool) {
 				Kind:    capturepkg.KindData,
 			},
 		}
-		c.path.Do(exchanges, 0, func(time.Duration) {
+		c.path.Do(exchanges, 0, func() {
 			c.stats.Downloads++
 			c.applyRemoteUpsert(name, blob)
 			sp.End()
@@ -684,7 +696,7 @@ func (c *Client) applyRemoteUpsert(name string, blob *content.Blob) {
 		panic(fmt.Sprintf("client: applying remote change to %q: %v", name, err))
 	}
 	f, _ := c.fs.File(name)
-	c.synced[name] = &syncedInfo{gen: f.Gen(), size: blob.Size()}
+	c.synced[name] = syncedInfo{gen: f.Gen(), size: blob.Size()}
 	delete(c.pending, name)
 }
 
@@ -700,21 +712,24 @@ func (c *Client) applyRemoteDelete(name string) {
 	delete(c.pending, name)
 }
 
-func (c *Client) runCommits(commits []func()) {
-	for _, fn := range commits {
-		fn()
-	}
-}
-
 func (c *Client) onAllSessionsDone() {
-	c.round.End()
-	c.round = nil
-	c.inFlight = false
+	c.endRound()
 	clear(c.inSession)
 	if c.wantSync {
 		c.wantSync = false
 		c.trySync()
 	}
+}
+
+// endRound closes the round. Its scratch stays for the next round, with
+// the work items cleared so it holds no blob past the round.
+func (c *Client) endRound() {
+	r := &c.round
+	r.span.End()
+	r.span = nil
+	clear(r.batch)
+	clear(r.items)
+	c.inFlight = false
 }
 
 // Download fetches a file's content from the cloud — the DN phase of
@@ -739,7 +754,7 @@ func (c *Client) Download(name string, done func()) error {
 			Kind:    capturepkg.KindData,
 		},
 	}
-	c.path.Do(exchanges, 0, func(time.Duration) {
+	c.path.Do(exchanges, 0, func() {
 		c.stats.Downloads++
 		sp.End()
 		if done != nil {

@@ -161,7 +161,8 @@ func fileFingerprint(blob *content.Blob) dedup.Fingerprint {
 	if blob.Kind() == content.KindBytes {
 		return blob.MD5()
 	}
-	return md5.Sum([]byte(blob.Identity()))
+	var id [64]byte
+	return md5.Sum(blob.AppendIdentity(id[:0]))
 }
 
 // blockFingerprints derives per-block fingerprints. Literal blobs get

@@ -14,8 +14,10 @@ package content
 import (
 	"crypto/md5"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 
 	"cloudsync/internal/chunker"
@@ -228,11 +230,18 @@ func (b *Blob) Reader() io.Reader {
 // intentionally do not share an identity — the simulation always keeps
 // one representation per logical file, and this keeps identity O(1) for
 // arbitrarily large descriptor blobs.
-func (b *Blob) Identity() string {
+func (b *Blob) Identity() string { return string(b.AppendIdentity(nil)) }
+
+// AppendIdentity appends the blob's Identity to dst, so a caller that
+// only hashes it can keep it in a buffer of its own.
+func (b *Blob) AppendIdentity(dst []byte) []byte {
 	if b.kind == KindBytes {
-		return fmt.Sprintf("md5:%x", b.MD5())
+		sum := b.MD5()
+		return hex.AppendEncode(append(dst, "md5:"...), sum[:])
 	}
-	return fmt.Sprintf("gen:%d:%d:%d", b.kind, b.seed, b.size)
+	dst = strconv.AppendUint(append(dst, "gen:"...), uint64(b.kind), 10)
+	dst = strconv.AppendInt(append(dst, ':'), b.seed, 10)
+	return strconv.AppendInt(append(dst, ':'), b.size, 10)
 }
 
 // Equal reports whether two blobs have the same identity.

@@ -3,6 +3,7 @@ package content
 import (
 	"bytes"
 	"compress/flate"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -193,6 +194,17 @@ func TestIdentity(t *testing.T) {
 	}
 	if a.Equal(FromBytes([]byte("diff"))) {
 		t.Fatal("different literals Equal")
+	}
+	// The form is pinned: the cloud fingerprints a descriptor blob by
+	// hashing it, so any change would move dedup and TUE.
+	for _, b := range []*Blob{Random(100, -7), Text(1<<20, 1<<40), Zeros(3), a} {
+		want := fmt.Sprintf("gen:%d:%d:%d", b.kind, b.seed, b.size)
+		if b.kind == KindBytes {
+			want = fmt.Sprintf("md5:%x", b.MD5())
+		}
+		if got := b.Identity(); got != want {
+			t.Errorf("Identity %q, want %q", got, want)
+		}
 	}
 }
 

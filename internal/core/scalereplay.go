@@ -66,12 +66,14 @@ type ScaleResult struct {
 	PeakRSSBytes int64
 }
 
-// userPartition is one trace user's records, with their global record
-// indices preserved for stable file naming.
+// userPartition is one trace user's records: their global record
+// indices, and the file names those indices give ("f%06d"), made once
+// for every service and clone that replays the user.
 type userPartition struct {
 	user    string
 	service string
 	idx     []int
+	names   []string
 }
 
 // partitionByUser groups records by user in first-appearance order.
@@ -88,6 +90,7 @@ func partitionByUser(recs []trace.Record) []userPartition {
 			parts = append(parts, userPartition{user: r.User, service: r.Service})
 		}
 		parts[p].idx = append(parts[p].idx, i)
+		parts[p].names = append(parts[p].names, fmt.Sprintf("f%06d", i))
 	}
 	return parts
 }
@@ -105,13 +108,14 @@ func scaleCloudConfig(n service.Name) cloud.Config {
 	return service.CloudConfig(n)
 }
 
-// replayAccount replays one account's records through a fresh setup
-// attached to sharedCloud (nil: the account gets a private cloud).
+// replayAccount replays one user partition's records as account user
+// through a fresh setup attached to sharedCloud (nil: the account gets
+// a private cloud).
 func replayAccount(n service.Name, sharedCloud *cloud.Cloud, user string,
-	recs []trace.Record, idx []int, idOffset int64) (traffic, update int64) {
+	recs []trace.Record, p userPartition, idOffset int64) (traffic, update int64) {
 	s := newSetup(n, client.PC, service.Options{User: user, Cloud: sharedCloud})
-	for _, i := range idx {
-		update += scheduleRecord(s, fmt.Sprintf("f%06d", i), recs[i], idOffset)
+	for k, i := range p.idx {
+		update += scheduleRecord(s, p.names[k], recs[i], idOffset)
 	}
 	s.Clock.Run()
 	return s.Capture.TotalBytes(), update
@@ -174,7 +178,7 @@ func ScaleReplay(recs []trace.Record, multiplier int) ScaleResult {
 			user = fmt.Sprintf("%s+%d", user, u.clone)
 		}
 		t, up := replayAccount(services[u.svc], shared[u.svc], user,
-			recs, p.idx, int64(u.clone)*cloneContentStride)
+			recs, p, int64(u.clone)*cloneContentStride)
 		cells[i] = cell{traffic: t, update: up}
 	})
 

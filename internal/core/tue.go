@@ -107,8 +107,7 @@ func runOp(n service.Name, a client.AccessMethod, opts service.Options, op func(
 	op(s)
 	s.Clock.Run()
 	u, d, _ := s.Capture.Since(mark)
-	sp.Set("up", u)
-	sp.Set("down", d)
+	sp.Set(obs.Int("up", u), obs.Int("down", d))
 	sp.End()
 	return u, d
 }

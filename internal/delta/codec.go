@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -159,7 +158,9 @@ func EncodedLiteralBytes(data []byte) (int64, error) {
 
 // DecodeDelta parses an encoded delta. It allocates no more ops than
 // the input's bytes can encode, and a run stays one op whatever its
-// count.
+// count. Literal ops alias data rather than copy it: the caller must
+// not reuse data while the delta is in use, and hands in a private
+// copy when it would (a decoded DeltaMsg's Payload already is one).
 func DecodeDelta(data []byte) (Delta, error) {
 	o := readOps(data)
 	d := Delta{BlockSize: o.blockSize, TargetSize: o.targetSize}
@@ -167,9 +168,6 @@ func DecodeDelta(data []byte) (Delta, error) {
 		d.Ops = make([]Op, 0, o.left)
 	}
 	for op, ok := o.next(); ok; op, ok = o.next() {
-		if op.Kind == OpLiteral {
-			op.Data = bytes.Clone(op.Data)
-		}
 		d.Ops = append(d.Ops, op)
 	}
 	if err := o.end(); err != nil {

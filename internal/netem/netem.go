@@ -167,10 +167,12 @@ func (p *Path) Sessions() int { return p.sessions }
 
 // Do runs a session of exchanges over the path, queueing behind any
 // session in flight, and schedules done (which may be nil) at the
-// session's completion time. serverTime adds fixed server-side
-// processing to the session (commit latency, metadata DB work).
-// It returns the scheduled completion time.
-func (p *Path) Do(exchanges []Exchange, serverTime time.Duration, done func(end time.Duration)) time.Duration {
+// session's completion time, where the clock reads it. serverTime adds
+// fixed server-side processing to the session (commit latency,
+// metadata DB work). It returns the scheduled completion time. Do
+// reads exchanges before it returns and keeps no reference to them.
+// Sessions complete in the order they were started.
+func (p *Path) Do(exchanges []Exchange, serverTime time.Duration, done func()) time.Duration {
 	asked := p.clock.Now()
 	start := asked
 	if p.busyUntil > start {
@@ -193,11 +195,7 @@ func (p *Path) Do(exchanges []Exchange, serverTime time.Duration, done func(end 
 	p.tracer.Record("net.session", start, end,
 		obs.Int("exchanges", int64(len(exchanges))),
 		obs.Int("queued_us", (start-asked).Microseconds()))
-	p.clock.Post(end, func() {
-		if done != nil {
-			done(end)
-		}
-	})
+	p.clock.Post(end, orNoop(done))
 	return end
 }
 
@@ -252,7 +250,7 @@ func (p *Path) exchange(at time.Duration, ex Exchange) time.Duration {
 // Push delivers a server-initiated message (notification) to the client
 // immediately, without occupying the path's session queue. It returns
 // the delivery time. The connection is opened if needed.
-func (p *Path) Push(app int, done func(end time.Duration)) time.Duration {
+func (p *Path) Push(app int, done func()) time.Duration {
 	at := p.clock.Now()
 	if !p.conn.Established() {
 		up, down := p.conn.Open(at)
@@ -263,10 +261,15 @@ func (p *Path) Push(app int, done func(end time.Duration)) time.Duration {
 	start := at
 	at += p.link.RTT/2 + p.link.DownTime(app)
 	p.tracer.Record("net.push", start, at, obs.Int("bytes", int64(app)))
-	p.clock.Post(at, func() {
-		if done != nil {
-			done(at)
-		}
-	})
+	p.clock.Post(at, orNoop(done))
 	return at
+}
+
+// orNoop stands in an empty callback for a nil one, so a session's
+// completion is an event on the clock either way.
+func orNoop(done func()) func() {
+	if done == nil {
+		return func() {}
+	}
+	return done
 }

@@ -50,7 +50,7 @@ func TestDoHandshakeThenRequest(t *testing.T) {
 	p, cap, clk := newPath(t, Minnesota(), true)
 	var end time.Duration
 	p.Do([]Exchange{{UpApp: 10_000, DownApp: 100, Kind: capture.KindData}}, 0,
-		func(e time.Duration) { end = e })
+		func() { end = clk.Now() })
 	clk.Run()
 	if end == 0 {
 		t.Fatal("done callback never ran")
@@ -99,14 +99,14 @@ func TestSessionsSerialize(t *testing.T) {
 	p, _, clk := newPath(t, Custom(8_000_000, 100*time.Millisecond), true)
 	var first, second time.Duration
 	p.Do([]Exchange{{UpApp: 4_000_000, Kind: capture.KindData}}, 0,
-		func(e time.Duration) { first = e })
+		func() { first = clk.Now() })
 	if !p.Busy() {
 		t.Fatal("path should be busy right after Do")
 	}
 	// Queue a second session immediately: it must start after the first
 	// completes.
 	p.Do([]Exchange{{UpApp: 4_000_000, Kind: capture.KindData}}, 0,
-		func(e time.Duration) { second = e })
+		func() { second = clk.Now() })
 	clk.Run()
 	if second <= first {
 		t.Fatalf("second session ended at %v, not after first %v", second, first)
@@ -125,7 +125,7 @@ func TestBandwidthScalesDuration(t *testing.T) {
 	for i, bps := range []int64{1_600_000, 20_000_000} {
 		p, _, clk := newPath(t, Custom(bps, 60*time.Millisecond), true)
 		p.Do([]Exchange{{UpApp: 1 << 20, Kind: capture.KindData}}, 0,
-			func(e time.Duration) { ends[i] = e })
+			func() { ends[i] = clk.Now() })
 		clk.Run()
 	}
 	if ends[0] <= ends[1] {
@@ -144,7 +144,7 @@ func TestLatencyScalesDuration(t *testing.T) {
 		p.Do([]Exchange{
 			{UpApp: 1000, Kind: capture.KindControl},
 			{UpApp: 1000, Kind: capture.KindControl, ExtraRTTs: 1},
-		}, 0, func(e time.Duration) { ends[i] = e })
+		}, 0, func() { ends[i] = clk.Now() })
 		clk.Run()
 	}
 	// 5 handshake+exchange+extra RTTs at 1 s ≫ everything at 40 ms.
@@ -161,8 +161,8 @@ func TestServerTimeAdds(t *testing.T) {
 	p2, _, clk2 := newPath(t, Minnesota(), true)
 	var e1, e2 time.Duration
 	ex := []Exchange{{UpApp: 100, Kind: capture.KindControl}}
-	p1.Do(ex, 0, func(e time.Duration) { e1 = e })
-	p2.Do(ex, 2*time.Second, func(e time.Duration) { e2 = e })
+	p1.Do(ex, 0, func() { e1 = clk1.Now() })
+	p2.Do(ex, 2*time.Second, func() { e2 = clk2.Now() })
 	clk1.Run()
 	clk2.Run()
 	if d := e2 - e1; d != 2*time.Second {
@@ -183,7 +183,7 @@ func TestNegativeExchangePanics(t *testing.T) {
 func TestPush(t *testing.T) {
 	p, cap, clk := newPath(t, Minnesota(), true)
 	var end time.Duration
-	p.Push(500, func(e time.Duration) { end = e })
+	p.Push(500, func() { end = clk.Now() })
 	clk.Run()
 	if end == 0 {
 		t.Fatal("push callback never ran")

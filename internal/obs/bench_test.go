@@ -17,7 +17,7 @@ func BenchmarkSpanObsOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start("op")
 		child := sp.Child("stage")
-		child.Set("bytes", int64(i))
+		child.Set(Int("bytes", int64(i)))
 		child.End()
 		sp.End()
 	}
@@ -30,7 +30,7 @@ func BenchmarkSpanObsOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start("op")
 		child := sp.Child("stage")
-		child.Set("bytes", int64(i))
+		child.Set(Int("bytes", int64(i)))
 		child.End()
 		sp.End()
 		t++

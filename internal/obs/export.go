@@ -13,7 +13,7 @@ func (d SpanData) attrMap() map[string]string {
 	}
 	m := make(map[string]string, len(d.Attrs))
 	for _, a := range d.Attrs {
-		m[a.Key] = attrString(a.Value)
+		m[a.Key] = attrString(a)
 	}
 	return m
 }
@@ -105,7 +105,7 @@ func attrSuffix(d SpanData) string {
 	}
 	parts := make([]string, 0, len(d.Attrs))
 	for _, a := range d.Attrs {
-		parts = append(parts, a.Key+"="+attrString(a.Value))
+		parts = append(parts, a.Key+"="+attrString(a))
 	}
 	return " [" + strings.Join(parts, " ") + "]"
 }

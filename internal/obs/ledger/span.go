@@ -16,10 +16,10 @@ func (s Snapshot) AttachTo(span *obs.Span) {
 	}
 	for _, c := range Causes() {
 		if s[c] > 0 {
-			span.Set("cause_"+c.String(), s[c])
+			span.Set(obs.Int("cause_"+c.String(), s[c]))
 		}
 	}
-	span.Set("cause_total", total)
+	span.Set(obs.Int("cause_total", total))
 }
 
 // AttachTo stamps the ledger's current snapshot onto a span; see

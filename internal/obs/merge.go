@@ -285,7 +285,7 @@ func WriteMergedChromeTrace(w io.Writer, spans []MergedSpan) error {
 	for _, m := range spans {
 		args := map[string]string{"process": m.Process}
 		for _, a := range m.Attrs {
-			args[a.Key] = attrString(a.Value)
+			args[a.Key] = attrString(a)
 		}
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 			Name: m.Name, Ph: "X", Ts: us(m.Start - base), Dur: us(m.Duration()),

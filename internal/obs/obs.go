@@ -26,44 +26,58 @@
 // ListenAndServe (syncd -obs-addr).
 package obs
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
-// Attr is one key/value annotation on a span. Values are restricted to
-// the types attrString renders: string, bool, int, int64, float64.
+// Attr is one key/value annotation on a span: a key and one typed
+// value (string, int, uint or bool). It holds no interface, so
+// building one never allocates, and a call handing attrs to a nil
+// *Tracer or *Span allocates nothing.
 type Attr struct {
 	// Key names the annotation (snake_case by convention).
-	Key string
-	// Value is the annotation payload.
-	Value any
+	Key  string
+	kind attrKind
+	str  string
+	num  uint64 // an int's, uint's or bool's bits
 }
 
-// String builds a string-valued attribute.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
+type attrKind uint8
 
-// Int builds an integer-valued attribute.
-func Int(k string, v int64) Attr { return Attr{Key: k, Value: v} }
+const (
+	kindString attrKind = iota
+	kindInt
+	kindUint
+	kindBool
+)
+
+// String builds a string-valued attribute.
+func String(k, v string) Attr { return Attr{Key: k, kind: kindString, str: v} }
+
+// Int builds a signed-integer attribute.
+func Int(k string, v int64) Attr { return Attr{Key: k, kind: kindInt, num: uint64(v)} }
+
+// Uint builds an unsigned-integer attribute (versions, IDs).
+func Uint(k string, v uint64) Attr { return Attr{Key: k, kind: kindUint, num: v} }
 
 // Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
+func Bool(k string, v bool) Attr {
+	a := Attr{Key: k, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
 
 // attrString renders an attribute value for the report tree and the
 // Chrome trace args.
-func attrString(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case bool:
-		return strconv.FormatBool(x)
-	case int:
-		return strconv.Itoa(x)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'g', 6, 64)
+func attrString(a Attr) string {
+	switch a.kind {
+	case kindInt:
+		return strconv.FormatInt(int64(a.num), 10)
+	case kindUint:
+		return strconv.FormatUint(a.num, 10)
+	case kindBool:
+		return strconv.FormatBool(a.num != 0)
 	default:
-		return fmt.Sprintf("%v", x)
+		return a.str
 	}
 }

@@ -170,7 +170,8 @@ func (t *Tracer) StartRemote(name string, trace TraceID, parentSpan uint64, attr
 func (t *Tracer) newSpan(name string, parent, root uint64, start time.Duration, attrs []Attr) *Span {
 	t.mu.Lock()
 	t.nextID++
-	s := &Span{tr: t, id: t.nextID, parent: parent, root: root, name: name, start: start, attrs: attrs}
+	s := &Span{tr: t, id: t.nextID, parent: parent, root: root, name: name, start: start,
+		attrs: append([]Attr(nil), attrs...)}
 	if root == 0 {
 		s.root = s.id
 	}
@@ -187,13 +188,13 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	return s.tr.newSpan(name, s.id, s.root, s.tr.now(), attrs)
 }
 
-// Set attaches (or appends) an attribute to the span.
-func (s *Span) Set(key string, value any) *Span {
+// Set appends attributes to the span.
+func (s *Span) Set(attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
 	s.tr.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	s.attrs = append(s.attrs, attrs...)
 	s.tr.mu.Unlock()
 	return s
 }
@@ -265,7 +266,7 @@ func (d SpanData) Duration() time.Duration {
 func (d SpanData) Attr(key string) string {
 	for _, a := range d.Attrs {
 		if a.Key == key {
-			return attrString(a.Value)
+			return attrString(a)
 		}
 	}
 	return ""

@@ -21,7 +21,7 @@ func TestNilTracerIsInert(t *testing.T) {
 		t.Fatalf("nil tracer Start returned %v, want nil", sp)
 	}
 	// Every span method must absorb the nil receiver.
-	sp.Set("k", 1)
+	sp.Set(Int("k", 1))
 	child := sp.Child("sub")
 	if child != nil {
 		t.Fatalf("nil span Child returned %v, want nil", child)
@@ -50,7 +50,7 @@ func TestSpanTree(t *testing.T) {
 	att := root.Child("client.attempt", Int("attempt", 1))
 	clk.t = 15 * time.Millisecond
 	full := att.Child("client.full_upload")
-	full.Set("payload_bytes", int64(4096))
+	full.Set(Int("payload_bytes", 4096))
 	clk.t = 40 * time.Millisecond
 	full.End()
 	att.End()
@@ -174,6 +174,28 @@ func TestWriteChromeTrace(t *testing.T) {
 		// b starts 2 ms into a's 2 ms.
 		if c.tr == sim && (ch.Ts != 2000 || r.Dur != 2000) {
 			t.Fatalf("sim child ts %v µs, root dur %v µs; want 2000, 2000", ch.Ts, r.Dur)
+		}
+	}
+}
+
+// TestAttrRendering pins how each attr kind renders in reports and
+// trace args: the forms the boxed values rendered in before attrs
+// became plain values.
+func TestAttrRendering(t *testing.T) {
+	for _, tc := range []struct {
+		a    Attr
+		want string
+	}{
+		{String("name", "a.txt"), "a.txt"},
+		{Int("bytes", 4096), "4096"},
+		{Int("delta", -42), "-42"},
+		{Uint("base_version", 1<<63+1), "9223372036854775809"},
+		{Bool("dedup_hit", true), "true"},
+		{Bool("incremental", false), "false"},
+	} {
+		d := SpanData{Attrs: []Attr{tc.a}}
+		if got := d.Attr(tc.a.Key); got != tc.want {
+			t.Errorf("%s renders %q, want %q", tc.a.Key, got, tc.want)
 		}
 	}
 }

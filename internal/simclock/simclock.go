@@ -13,7 +13,8 @@
 // schedules hundreds of thousands of events, and the value heap makes
 // the handle-free Post/PostDelay path allocation-free per event. At and
 // Schedule still return a *Timer handle (one small allocation) for
-// callers that need cancellation.
+// callers that need cancellation; Reset re-arms a handle the caller
+// keeps, allocating nothing.
 package simclock
 
 import (
@@ -45,10 +46,11 @@ func (c *Clock) Now() time.Duration {
 }
 
 // Timer is a handle to a scheduled event. It can be stopped before it
-// fires.
+// fires. A zero Timer a caller keeps is ready for Reset.
 type Timer struct {
 	canceled bool
 	fired    bool
+	seq      uint64 // the live event's seq; an entry with another is dead
 }
 
 // Stop cancels the timer. It reports whether the call prevented the
@@ -76,7 +78,9 @@ type event struct {
 	timer *Timer
 }
 
-func (e *event) canceled() bool { return e.timer != nil && e.timer.canceled }
+func (e *event) canceled() bool {
+	return e.timer != nil && (e.timer.canceled || e.timer.seq != e.seq)
+}
 
 // Schedule arranges for fn to run at Now()+delay. A negative delay is
 // treated as zero (fire on the next Step). fn must not be nil.
@@ -93,6 +97,17 @@ func (c *Clock) At(t time.Duration, fn func()) *Timer {
 	tm := &Timer{}
 	c.push(t, fn, tm)
 	return tm
+}
+
+// Reset stops t and re-arms it to run fn at Now()+delay, as Stop then
+// Schedule would, but on the caller's own handle: a deadline pushed
+// back by every event (a deferment timer) allocates nothing per re-arm.
+func (c *Clock) Reset(t *Timer, delay time.Duration, fn func()) {
+	if delay < 0 {
+		delay = 0
+	}
+	t.canceled, t.fired = false, false
+	c.push(c.now+delay, fn, t)
 }
 
 // Post arranges for fn to run at absolute virtual time t, exactly like
@@ -117,6 +132,9 @@ func (c *Clock) push(t time.Duration, fn func(), tm *Timer) {
 	}
 	if t < c.now {
 		t = c.now
+	}
+	if tm != nil {
+		tm.seq = c.seq
 	}
 	c.events = append(c.events, event{at: t, seq: c.seq, fn: fn, timer: tm})
 	c.seq++

@@ -125,6 +125,36 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// TestResetRearmsOneHandle: Reset moves a kept handle's deadline, as
+// Stop then Schedule would — only the last arming fires, the earlier
+// ones are dead entries — and works again after the timer fired.
+func TestResetRearmsOneHandle(t *testing.T) {
+	c := New()
+	var tm Timer
+	var fired []string
+	c.Reset(&tm, 5*time.Second, func() { fired = append(fired, "first") })
+	c.Reset(&tm, 2*time.Second, func() { fired = append(fired, "second") })
+	if n := c.Pending(); n != 1 || !tm.Pending() {
+		t.Fatalf("after two arms: Pending %d, timer pending %v; want 1, true", n, tm.Pending())
+	}
+	c.Run()
+	if len(fired) != 1 || fired[0] != "second" || c.Now() != 2*time.Second {
+		t.Fatalf("fired %v by %v, want [second] at 2s", fired, c.Now())
+	}
+	if tm.Pending() || tm.Stop() {
+		t.Fatal("fired timer should be neither pending nor stoppable")
+	}
+	c.Reset(&tm, time.Second, func() { fired = append(fired, "third") })
+	if !tm.Stop() {
+		t.Fatal("Stop after Reset should report true")
+	}
+	c.Reset(&tm, time.Second, func() { fired = append(fired, "fourth") })
+	c.Run()
+	if len(fired) != 2 || fired[1] != "fourth" || c.Now() != 3*time.Second {
+		t.Fatalf("fired %v by %v, want [second fourth] at 3s", fired, c.Now())
+	}
+}
+
 func TestStopAfterFire(t *testing.T) {
 	c := New()
 	tm := c.Schedule(time.Second, func() {})

@@ -96,10 +96,9 @@ func (c *Client) endOp(in0, out0 int64, err error) {
 	if c.op == nil {
 		return
 	}
-	c.op.Set("bytes_in", c.wc.in-in0)
-	c.op.Set("bytes_out", c.wc.out-out0)
+	c.op.Set(obs.Int("bytes_in", c.wc.in-in0), obs.Int("bytes_out", c.wc.out-out0))
 	if err != nil {
-		c.op.Set("error", err.Error())
+		c.op.Set(obs.String("error", err.Error()))
 	}
 	c.op.End()
 	c.op = nil
@@ -319,16 +318,15 @@ func (c *Client) Upload(name string, data []byte) (UploadStats, error) {
 		stats, err = c.uploadOnce(name, data, attempt)
 		return err
 	})
-	c.op.Set("attempts", stats.Attempts)
-	c.op.Set("payload_bytes", stats.PayloadBytes)
+	c.op.Set(obs.Int("attempts", int64(stats.Attempts)), obs.Int("payload_bytes", int64(stats.PayloadBytes)))
 	if stats.DedupHit {
-		c.op.Set("dedup_hit", true)
+		c.op.Set(obs.Bool("dedup_hit", true))
 	}
 	if stats.DeltaSync {
-		c.op.Set("delta_sync", true)
+		c.op.Set(obs.Bool("delta_sync", true))
 	}
 	if stats.ResumedFrom > 0 {
-		c.op.Set("resumed_from", stats.ResumedFrom)
+		c.op.Set(obs.Int("resumed_from", stats.ResumedFrom))
 	}
 	c.endOp(in0, out0, err)
 	return stats, err
@@ -387,9 +385,9 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 	var stats [1]UploadStats
 	err := c.bundleExchange(entries, stats[:], attempt)
 	stats[0].Attempts = attempt
-	sp.Set("payload_bytes", stats[0].PayloadBytes)
+	sp.Set(obs.Int("payload_bytes", int64(stats[0].PayloadBytes)))
 	if stats[0].DedupHit {
-		sp.Set("dedup_hit", true)
+		sp.Set(obs.Bool("dedup_hit", true))
 	}
 	return stats[0], err
 }
@@ -406,7 +404,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 	defer sp.End()
 	c.sigs.drop(name) // whole new content: nothing to carry over
 	bs := cmp.Or(c.blockSize, heldBlockSize(int64(len(data))))
-	sp.Set("block_size", bs)
+	sp.Set(obs.Int("block_size", int64(bs)))
 	var sig delta.Signature
 	var signing sync.WaitGroup
 	signing.Add(1)
@@ -417,9 +415,9 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 	defer signing.Wait() // no signer outlives the upload, failed or not
 	var stats UploadStats
 	defer func() {
-		sp.Set("payload_bytes", stats.PayloadBytes)
+		sp.Set(obs.Int("payload_bytes", int64(stats.PayloadBytes)))
 		if stats.DedupHit {
-			sp.Set("dedup_hit", true)
+			sp.Set(obs.Bool("dedup_hit", true))
 		}
 	}()
 	hash := c.sum(data)
@@ -493,7 +491,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 	if c.signWaitUS != nil {
 		c.signWaitUS.Observe(time.Since(t0).Microseconds())
 	}
-	sp.Set("signed_blocks", len(sig.Blocks))
+	sp.Set(obs.Int("signed_blocks", int64(len(sig.Blocks))))
 	c.sigs.put(name, ack.Version, sig)
 	return stats, nil
 }
@@ -514,7 +512,7 @@ func (c *Client) resumeQuery(name string, size int64, hash protocol.Fingerprint)
 	if !ok {
 		return nil, fmt.Errorf("syncnet: expected resume info, got %v", m.Type())
 	}
-	sp.Set("offset", info.Offset)
+	sp.Set(obs.Int("offset", info.Offset))
 	return info, nil
 }
 
@@ -554,7 +552,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 	sp := c.parent().Child("client.delta_sync")
 	defer sp.End()
 	defer func() {
-		sp.Set("payload_bytes", stats.PayloadBytes)
+		sp.Set(obs.Int("payload_bytes", int64(stats.PayloadBytes)))
 		if err != nil {
 			c.sigs.drop(name)
 		}
@@ -563,7 +561,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 	var base uint64
 	if have != nil {
 		sig, base = have.sig, have.version
-		sp.Set("base_version", base)
+		sp.Set(obs.Uint("base_version", base))
 	} else {
 		if err := c.wc.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
 			return stats, err
@@ -576,13 +574,13 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 		if !ok {
 			return stats, fmt.Errorf("syncnet: expected signature, got %v", m.Type())
 		}
-		sp.Set("sig_bytes", len(sigMsg.Payload))
+		sp.Set(obs.Int("sig_bytes", int64(len(sigMsg.Payload))))
 		if sig, err = delta.DecodeSignature(sigMsg.Payload); err != nil {
 			return stats, err
 		}
 		base = sigMsg.Version
 	}
-	sp.Set("block_size", sig.BlockSize)
+	sp.Set(obs.Int("block_size", int64(sig.BlockSize)))
 	d := c.computeDelta(sig, data)
 	payload := d.Encode()
 	if err := c.wc.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {
@@ -630,7 +628,7 @@ func (c *Client) Download(name string) ([]byte, error) {
 		data, err = c.downloadOnce(name)
 		return err
 	})
-	c.op.Set("size", len(data))
+	c.op.Set(obs.Int("size", int64(len(data))))
 	c.endOp(in0, out0, err)
 	return data, err
 }

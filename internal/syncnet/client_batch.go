@@ -51,7 +51,7 @@ func (c *Client) UploadBundle(files []FileUpload) ([]UploadStats, error) {
 	err := c.withRetry(func(attempt int) error {
 		return c.bundleExchange(entries, stats, attempt)
 	})
-	c.op.Set("attempts", stats[0].Attempts)
+	c.op.Set(obs.Int("attempts", int64(stats[0].Attempts)))
 	c.endOp(in0, out0, err)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"cloudsync/internal/obs"
 	"cloudsync/internal/protocol"
 )
 
@@ -83,9 +84,9 @@ func (c *Client) List() ([]protocol.ListEntry, error) {
 			c.sigs.dropUnless(en.Name, en.Version)
 			c.identify(en.Name, en.FileID, !en.Deleted)
 		}
-		c.op.Set("entries", len(c.mirror.entries))
-		c.op.Set("incremental", listing.Incremental)
-		c.op.Set("changed", len(listing.Entries))
+		c.op.Set(obs.Int("entries", int64(len(c.mirror.entries))),
+			obs.Bool("incremental", listing.Incremental),
+			obs.Int("changed", int64(len(listing.Entries))))
 	}
 	c.endOp(in0, out0, err)
 	if err != nil {

@@ -75,7 +75,7 @@ func (c *Client) reconnect(attempt int) error {
 	c.wc.conn.Close()
 	c.sigs.clear()
 	if d := c.backoff(attempt); d > 0 {
-		c.att.Set("backoff_us", d.Microseconds())
+		c.att.Set(obs.Int("backoff_us", d.Microseconds()))
 		if c.retry.Sleep != nil {
 			c.retry.Sleep(d)
 		} else {
@@ -125,7 +125,7 @@ func (c *Client) withRetry(op func(attempt int) error) error {
 		if attempt > 1 {
 			if rerr := c.reconnect(attempt); rerr != nil {
 				err = rerr // dial failures consume attempts too
-				c.att.Set("error", rerr.Error()).End()
+				c.att.Set(obs.String("error", rerr.Error())).End()
 				c.att = nil
 				continue
 			}
@@ -136,13 +136,13 @@ func (c *Client) withRetry(op func(attempt int) error) error {
 		// transport failure like any other: it consumes the attempt.
 		if terr := c.sendTraceCtx(); terr != nil {
 			err = terr
-			c.att.Set("error", terr.Error()).End()
+			c.att.Set(obs.String("error", terr.Error())).End()
 			c.att = nil
 			continue
 		}
 		err = op(attempt)
 		if err != nil {
-			c.att.Set("error", err.Error())
+			c.att.Set(obs.String("error", err.Error()))
 		}
 		c.att.End()
 		c.att = nil

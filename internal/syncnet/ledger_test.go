@@ -306,12 +306,7 @@ func TestConcurrentSessionsLedgerExact(t *testing.T) {
 			continue
 		}
 		remote++
-		var user any
-		for _, a := range sp.Attrs {
-			if a.Key == "user" {
-				user = a.Value
-			}
-		}
+		user := sp.Attr("user")
 		if p, ok := byID[byID[sp.ID].Parent]; !ok || p.Process != user {
 			t.Errorf("server span %s of %v (remote parent %d) resolved under %q", sp.Name, user, sp.RemoteParent, p.Process)
 		}

@@ -465,9 +465,8 @@ func (ss *session) requestSpan(name string) *obs.Span {
 // per-session TUE histogram (wire bytes in over content bytes
 // committed, in thousandths) for sessions that committed content.
 func (ss *session) finish() {
-	ss.span.Set("bytes_in", ss.wc.in)
-	ss.span.Set("bytes_out", ss.wc.out)
-	ss.span.Set("content_bytes", ss.contentBytes)
+	ss.span.Set(obs.Int("bytes_in", ss.wc.in), obs.Int("bytes_out", ss.wc.out),
+		obs.Int("content_bytes", ss.contentBytes))
 	ss.span.End()
 	if ss.contentBytes > 0 {
 		ss.srv.om.sessionTUEMilli.Observe(ss.wc.in * 1000 / ss.contentBytes)
