@@ -355,6 +355,7 @@ type textReader struct {
 	remaining int64
 	state     uint64
 	pending   []byte
+	tok       [16]byte // scratch nextToken builds each token in
 }
 
 func newTextReader(size, seed int64) *textReader {
@@ -381,18 +382,21 @@ func (r *textReader) Read(p []byte) (int, error) {
 	return total, nil
 }
 
+// nextToken returns the next word or number with its separator, in
+// r.tok: it is valid until the next call.
 func (r *textReader) nextToken() []byte {
 	v := splitmixNext(&r.state)
 	word := vocabulary[v%uint64(len(vocabulary))]
+	tok := r.tok[:0]
 	switch (v >> 32) % 20 {
 	case 0:
-		return []byte(word + ".\n")
+		return append(append(tok, word...), ".\n"...)
 	case 1:
-		return []byte(word + ", ")
+		return append(append(tok, word...), ", "...)
 	case 2:
 		// Occasional numeric token keeps the entropy realistic.
-		return []byte(fmt.Sprintf("%d ", v%100000))
+		return append(strconv.AppendUint(tok, v%100000, 10), ' ')
 	default:
-		return []byte(word + " ")
+		return append(append(tok, word...), ' ')
 	}
 }

@@ -3,6 +3,7 @@ package content
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"strings"
@@ -133,6 +134,26 @@ func TestReaderMatchesBytes(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), b.Bytes()) {
 		t.Fatal("chunked reader output differs from Bytes()")
+	}
+}
+
+// TestTextReadAllocates: the text generator builds each token in a
+// scratch array of its reader, so streaming a 1 MiB text blob costs
+// the blob and its reader, not an allocation per word. The digest pins
+// the generated bytes.
+func TestTextReadAllocates(t *testing.T) {
+	const want = "80cb45966b89dc0458c112b3d83848df60fdd476136f3f627c93df4c920649d7"
+	if got := fmt.Sprintf("%x", sha256.Sum256(Text(1<<20, 7).Bytes())); got != want {
+		t.Fatalf("Text(1 MiB, 7) hashes to %s, want %s", got, want)
+	}
+	buf := make([]byte, 1<<20)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := io.ReadFull(Text(1<<20, 7).Reader(), buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("reading a 1 MiB text blob made %.0f allocations, want at most 2", allocs)
 	}
 }
 

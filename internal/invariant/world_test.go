@@ -139,7 +139,7 @@ type runner struct {
 // server, summed across incarnations.
 func runWorld(w world) report {
 	r := &runner{w: w, tr: invariant.NewTracker(), armed: w.crashAt > 0,
-		cfg: syncnet.ServerConfig{Ledger: &ledger.Ledger{}, BlockSize: block}}
+		cfg: syncnet.ServerConfig{Ledger: &ledger.Ledger{}}}
 	r.rep.crashOp, r.rep.cov = -1, coverage{}
 	if w.durable {
 		dir, err := os.MkdirTemp("", "world-")

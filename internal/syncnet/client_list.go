@@ -82,7 +82,7 @@ func (c *Client) List() ([]protocol.ListEntry, error) {
 		for i := range listing.Entries {
 			en := &listing.Entries[i]
 			c.sigs.dropUnless(en.Name, en.Version)
-			c.identify(en.Name, en.FileID, !en.Deleted)
+			c.Prime(en.Name, en.FileID, !en.Deleted)
 		}
 		c.op.Set(obs.Int("entries", int64(len(c.mirror.entries))),
 			obs.Bool("incremental", listing.Incremental),
@@ -96,9 +96,7 @@ func (c *Client) List() ([]protocol.ListEntry, error) {
 }
 
 // FileID reports the server-side identity this client has learned for
-// name (via upload, download, listing, or priming). The watch-mode
-// executor uses it to propagate identities from the worker that
-// performed an upload to its siblings.
+// name (via upload, download, listing, or priming).
 func (c *Client) FileID(name string) (uint64, bool) {
 	id, ok := c.ids[name]
 	return id, ok
@@ -108,18 +106,12 @@ func (c *Client) FileID(name string) (uint64, bool) {
 // round trip: fileID is the server's handle (required by Delete), and
 // live marks whether a stored version currently exists (which routes
 // the next Upload through the delta path). The watch-mode executor
-// primes its worker clients from one shared listing so that any worker
-// can delta-update or delete any file, regardless of which client
-// originally uploaded it. What the client is told this way happened
-// outside its own exchanges, and names no version, so a signature it
-// remembers for the file may describe a superseded version and is
-// forgotten.
+// primes each listed file's owner from one shared listing at
+// bootstrap, before the owner has synced anything. A signature the
+// client holds for the file is kept: it is a guess like any other, and
+// the server's version check refuses a delta cut against a superseded
+// one.
 func (c *Client) Prime(name string, fileID uint64, live bool) {
-	c.sigs.drop(name)
-	c.identify(name, fileID, live)
-}
-
-func (c *Client) identify(name string, fileID uint64, live bool) {
 	c.ids[name] = fileID
 	if live {
 		c.known[name] = true

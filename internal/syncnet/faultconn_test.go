@@ -274,7 +274,7 @@ func TestDownloadRetriesAfterInjectedFault(t *testing.T) {
 }
 
 func TestDeltaUploadRetriesAfterInjectedFault(t *testing.T) {
-	srv, addr := startFaultServer(t, ServerConfig{BlockSize: 4096})
+	srv, addr := startFaultServer(t, ServerConfig{})
 	base := content.Random(1<<20, 11).Bytes()
 
 	clean, err := Dial("tcp", addr, "alice", "setup")
@@ -287,8 +287,8 @@ func TestDeltaUploadRetriesAfterInjectedFault(t *testing.T) {
 	clean.Close()
 
 	// A 16 KiB rewrite: the dedup-hit upload below leaves the client the
-	// signature of base (1 KiB blocks), so the modify is one DeltaMsg
-	// carrying ~17 KiB of literals.
+	// signature of base (4 KiB blocks), so the modify is one DeltaMsg
+	// carrying ~20 KiB of literals.
 	modified := append([]byte(nil), base...)
 	copy(modified[100:], content.Random(16<<10, 1<<30).Bytes()) // a seed far from 11: no shared bytes
 
@@ -301,7 +301,7 @@ func TestDeltaUploadRetriesAfterInjectedFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := NewClient(conn, "alice", "laptop",
-		WithDialer(dial),
+		WithDialer(dial), WithBlockSize(4096),
 		WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 4,
 			Sleep: func(time.Duration) {}}))
 	if err != nil {

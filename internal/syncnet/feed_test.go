@@ -41,7 +41,7 @@ func TestListFeedConverges(t *testing.T) {
 	var incremental, full, cutInRequest, cutInListing int
 	for seed := uint64(0); seed < 40; seed++ {
 		var answered atomic.Bool // whether the server's last listing was incremental
-		cfg := ServerConfig{StateDir: t.TempDir(), BlockSize: 1024, Logf: func(format string, args ...any) {
+		cfg := ServerConfig{StateDir: t.TempDir(), Logf: func(format string, args ...any) {
 			if strings.HasPrefix(format, "listing:") {
 				answered.Store(args[len(args)-1].(bool))
 			}

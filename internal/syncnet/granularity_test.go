@@ -140,19 +140,6 @@ func TestDeltaGranularityFollowsFileSize(t *testing.T) {
 		t.Errorf("a request naming 4096 B was served %d B", sig.BlockSize)
 	}
 	raw.close()
-
-	fixed := NewServer(ServerConfig{BlockSize: 4096})
-	t.Cleanup(func() { fixed.Close() })
-	c, closeC = pipeClient(t, fixed, "alice", "dev", nil)
-	if _, err := c.Upload("large.bin", content.Random(4<<20, 9).Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	closeC()
-	raw = openRaw(t, fixed, "alice")
-	if sig, _ := delta.DecodeSignature(raw.signature("large.bin", 0)); sig.BlockSize != 4096 {
-		t.Errorf("ServerConfig.BlockSize 4096: served %d B", sig.BlockSize)
-	}
-	raw.close()
 }
 
 // TestHeldBlockSize pins the block a client signs its own bytes at:

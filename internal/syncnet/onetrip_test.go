@@ -249,9 +249,9 @@ func TestConditionalDeltaOnTheWire(t *testing.T) {
 func TestConditionalDeltaNeedsTheCurrentVersion(t *testing.T) {
 	leakCheck(t)
 	const bs = 512
-	srv := NewServer(ServerConfig{BlockSize: bs})
+	srv := NewServer(ServerConfig{})
 	t.Cleanup(func() { srv.Close() })
-	c, closeC := pipeClient(t, srv, "alice", "dev", nil)
+	c, closeC := pipeClient(t, srv, "alice", "dev", nil, WithBlockSize(bs))
 	v1 := content.Random(16<<10, 1).Bytes()
 	v2 := append([]byte(nil), v1...)
 	v2[5000] ^= 1

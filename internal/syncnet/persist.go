@@ -51,9 +51,6 @@ const DefaultCompactLogBytes = 64 << 20
 // cfg.StateDir when it is set. With an empty StateDir the server is
 // purely in-RAM and OpenServer cannot fail (NewServer wraps this case).
 func OpenServer(cfg ServerConfig) (*Server, error) {
-	if cfg.BlockSize < 0 {
-		panic(fmt.Sprintf("syncnet: negative block size %d", cfg.BlockSize))
-	}
 	if cfg.CompactLogBytes == 0 {
 		cfg.CompactLogBytes = DefaultCompactLogBytes
 	}

@@ -65,9 +65,11 @@ type ServerConfig struct {
 	// decompresses what it receives, keeps and logs the uncompressed
 	// bytes, and compresses them again for each download.
 	Compression comp.Level
-	// BlockSize is the rsync signature granularity for incremental
-	// updates when a SigRequest names none (0 = per file, from its size:
-	// delta.BlockSizeFor).
+	// BlockSize is ignored: a SigRequest names its block size, else the
+	// file's size sets it (delta.BlockSizeFor).
+	//
+	// Deprecated: the bench module's layer replay still reads the field;
+	// it is deleted together with that replay.
 	BlockSize int
 	// CrossUserDedup shares the full-file dedup index across accounts.
 	CrossUserDedup bool
@@ -963,13 +965,12 @@ func (ss *session) onGet(m *protocol.Get) error {
 
 // onSigRequest serves the signature a delta will be computed against,
 // with the file version it describes, at the block size the request
-// names, else the server's configured one, else the one the file's size
-// calls for. A named size outside [delta.MinBlockSize,
-// delta.MaxBlockSize] is refused, softly: below it the signature of a
-// large file would outweigh the file, above 2³¹ the size is negative as
-// a 32-bit int. Stored leaves are immutable — files only ever swap to a
-// new content — so the file is signed outside s.mu, leaf by leaf, and
-// nothing is kept.
+// names, else the one the file's size calls for. A named size outside
+// [delta.MinBlockSize, delta.MaxBlockSize] is refused, softly: below it
+// the signature of a large file would outweigh the file, above 2³¹ the
+// size is negative as a 32-bit int. Stored leaves are immutable — files
+// only ever swap to a new content — so the file is signed outside s.mu,
+// leaf by leaf, and nothing is kept.
 func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	if bs := m.BlockSize; bs != 0 && (bs < delta.MinBlockSize || bs > delta.MaxBlockSize) {
 		ss.sendErr(protocol.ErrBadRequest, "block size out of range")
@@ -986,7 +987,7 @@ func (ss *session) onSigRequest(m *protocol.SigRequest) error {
 	c, version := f.data, f.version
 	s.mu.Unlock()
 	s.om.signaturesServed.Inc()
-	bs := cmp.Or(int(m.BlockSize), s.cfg.BlockSize, delta.BlockSizeFor(int64(c.size())))
+	bs := cmp.Or(int(m.BlockSize), delta.BlockSizeFor(int64(c.size())))
 	return ss.wc.send(&protocol.SignatureMsg{Name: m.Name, Payload: delta.SignParts(c.leaves, bs).Encode(), Version: version})
 }
 

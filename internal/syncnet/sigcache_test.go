@@ -52,8 +52,8 @@ func (r *rawSession) roundTrip(m protocol.Message) protocol.Message {
 	return reply
 }
 
-// served requests name's signature at block size bs (0 = server
-// default) and returns the server's answer.
+// served requests name's signature at block size bs (0: the one the
+// file's size calls for) and returns the server's answer.
 func (r *rawSession) served(name string, bs int) *protocol.SignatureMsg {
 	r.t.Helper()
 	reply := r.roundTrip(&protocol.SigRequest{Name: name, BlockSize: uint32(bs)})
@@ -128,7 +128,7 @@ func (c *beforeDeltaConn) Write(p []byte) (int, error) {
 func TestStaleBasisDeltaIsRefused(t *testing.T) {
 	leakCheck(t)
 	srvLed := &ledger.Ledger{}
-	srv := NewServer(ServerConfig{Ledger: srvLed, BlockSize: 1024})
+	srv := NewServer(ServerConfig{Ledger: srvLed})
 	t.Cleanup(func() { srv.Close() })
 
 	base := content.Random(16<<10, 7).Bytes()
@@ -138,12 +138,12 @@ func TestStaleBasisDeltaIsRefused(t *testing.T) {
 	bData[9*1024+10] ^= 0xFF // B edits block 9
 
 	aLed, bLed := &ledger.Ledger{}, &ledger.Ledger{}
-	b, closeB := pipeClient(t, srv, "alice", "dev-b", nil, WithLedger(bLed))
+	b, closeB := pipeClient(t, srv, "alice", "dev-b", nil, WithLedger(bLed), WithBlockSize(1024))
 	var aConn *beforeDeltaConn
 	a, closeA := pipeClient(t, srv, "alice", "dev-a", func(c net.Conn) net.Conn {
 		aConn = &beforeDeltaConn{Conn: c}
 		return aConn
-	}, WithLedger(aLed))
+	}, WithLedger(aLed), WithBlockSize(1024))
 
 	if _, err := a.Upload("shared.bin", base); err != nil {
 		t.Fatalf("seeding upload: %v", err)
@@ -207,7 +207,7 @@ func TestStaleBasisDeltaIsRefused(t *testing.T) {
 // two.
 func TestDeltaWithoutBaseVersionIsRefused(t *testing.T) {
 	leakCheck(t)
-	srv := NewServer(ServerConfig{BlockSize: 512})
+	srv := NewServer(ServerConfig{})
 	t.Cleanup(func() { srv.Close() })
 	c, closeC := pipeClient(t, srv, "alice", "dev", nil)
 	v1 := content.Random(4096, 1).Bytes()
@@ -228,7 +228,7 @@ func TestDeltaWithoutBaseVersionIsRefused(t *testing.T) {
 		}
 	}
 	wantConflict("unsolicited delta", raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: payload}))
-	sig := raw.served("f", 0)
+	sig := raw.served("f", 512)
 	wantConflict("delta on version 0 after its signature", raw.roundTrip(&protocol.DeltaMsg{Name: "f", Payload: payload}))
 	if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, v1) {
 		t.Fatal("a refused delta changed the content")
@@ -251,9 +251,9 @@ func TestDeltaWithoutBaseVersionIsRefused(t *testing.T) {
 // up after its bounded re-requests and reports the conflict.
 func TestClientSurfacesPersistentConflict(t *testing.T) {
 	leakCheck(t)
-	srv := NewServer(ServerConfig{BlockSize: 512})
+	srv := NewServer(ServerConfig{})
 	t.Cleanup(func() { srv.Close() })
-	other, closeOther := pipeClient(t, srv, "alice", "other", nil)
+	other, closeOther := pipeClient(t, srv, "alice", "other", nil, WithBlockSize(512))
 	defer closeOther()
 
 	const size = 16 << 10 // several blocks: a one-block file would go inline
@@ -268,7 +268,7 @@ func TestClientSurfacesPersistentConflict(t *testing.T) {
 	c, closeC := pipeClient(t, srv, "alice", "dev", func(nc net.Conn) net.Conn {
 		conn = &beforeDeltaConn{Conn: nc}
 		return conn
-	})
+	}, WithBlockSize(512))
 	defer closeC()
 	if _, err := c.Upload("f", content.Random(size, 1).Bytes()); err != nil {
 		t.Fatal(err)
@@ -303,12 +303,12 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	leakCheck(t)
 	const bs = 1024
 	dir := t.TempDir()
-	srv, err := OpenServer(ServerConfig{StateDir: dir, BlockSize: bs})
+	srv, err := OpenServer(ServerConfig{StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c, closeC := pipeClient(t, srv, "alice", "dev", nil)
+	c, closeC := pipeClient(t, srv, "alice", "dev", nil, WithBlockSize(bs))
 	probe := openRaw(t, srv, "alice")
 
 	check := func(step string) {
@@ -317,7 +317,7 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: file missing", step)
 		}
-		sig := probe.served("f", 0)
+		sig := probe.served("f", bs)
 		if want := delta.Sign(cur, bs).Encode(); !bytes.Equal(sig.Payload, want) {
 			t.Fatalf("%s: served signature differs from delta.Sign(current content)", step)
 		}
@@ -397,11 +397,11 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 		t.Fatal("signature at another block size differs from delta.Sign")
 	}
 
-	// A session is served the default-size signature, another session a
-	// signature at another block size, then the first session's delta
-	// lands: the file has not moved, so it applies.
+	// A session is served a signature at one block size, another session
+	// one at another, then the first session's delta lands: the file has
+	// not moved, so it applies.
 	second := openRaw(t, srv, "alice")
-	sig := second.served("f", 0)
+	sig := second.served("f", bs)
 	basis, err := delta.DecodeSignature(sig.Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	}
 
 	// Reopen: content and versions come back from the log.
-	srv, err = OpenServer(ServerConfig{StateDir: dir, BlockSize: bs})
+	srv, err = OpenServer(ServerConfig{StateDir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -431,7 +431,7 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	}
 	probe = openRaw(t, srv, "alice")
 	defer probe.close()
-	c, closeC = pipeClient(t, srv, "alice", "dev", nil)
+	c, closeC = pipeClient(t, srv, "alice", "dev", nil, WithBlockSize(bs))
 	defer closeC()
 	check("after reopen")
 	if _, err := c.List(); err != nil { // learn the file
@@ -527,13 +527,14 @@ func TestTwoDevicesHammerOneAccount(t *testing.T) {
 }
 
 // hammerOneAccount runs the hammer on a server built from cfg (its
-// ledger, block size and log hook are the hammer's own) and returns
-// each name's last acknowledged version and content.
+// ledger and log hook are the hammer's own; its devices ask for 512 B
+// blocks) and returns each name's last acknowledged version and
+// content.
 func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 	leakCheck(t)
 	srvLed := &ledger.Ledger{}
 	var refused atomic.Int64
-	cfg.Ledger, cfg.BlockSize = srvLed, 512
+	cfg.Ledger = srvLed
 	cfg.Logf = func(f string, _ ...any) {
 		if strings.HasPrefix(f, "refused stale-basis") {
 			refused.Add(1)
@@ -566,7 +567,7 @@ func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 	closers := make([]func(), devices)
 	for dev := range clients {
 		leds[dev] = &ledger.Ledger{}
-		clients[dev], closers[dev] = pipeClient(t, srv, "alice", fmt.Sprintf("dev-%d", dev), nil, WithLedger(leds[dev]))
+		clients[dev], closers[dev] = pipeClient(t, srv, "alice", fmt.Sprintf("dev-%d", dev), nil, WithLedger(leds[dev]), WithBlockSize(512))
 	}
 	base := content.Random(size, 1).Bytes()
 	for _, name := range names {
@@ -634,7 +635,7 @@ func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 		if !uploaded[protocol.Sum(got)] {
 			t.Errorf("%s holds content no device uploaded", name)
 		}
-		if !bytes.Equal(probe.signature(name, 0), delta.Sign(got, 512).Encode()) {
+		if !bytes.Equal(probe.signature(name, 512), delta.Sign(got, 512).Encode()) {
 			t.Errorf("%s: served signature differs from delta.Sign(current content)", name)
 		}
 	}
@@ -746,7 +747,7 @@ func TestTwoDeviceEditScripts(t *testing.T) {
 	var retried int
 	for seed := uint64(0); seed < 60; seed++ {
 		srvLed := &ledger.Ledger{}
-		srv := NewServer(ServerConfig{Ledger: srvLed, BlockSize: bs})
+		srv := NewServer(ServerConfig{Ledger: srvLed})
 		rng := rand.New(rand.NewPCG(seed, 0x51c))
 		var devs [2]*device
 		copies := [2]map[string][]byte{{}, {}}

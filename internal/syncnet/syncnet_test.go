@@ -203,8 +203,8 @@ func TestCompressionShrinksWire(t *testing.T) {
 }
 
 func TestDeltaSyncSendsOnlyChanges(t *testing.T) {
-	_, dial := startServer(t, ServerConfig{BlockSize: 4096})
-	c, counter := dial("alice")
+	_, dial := startServer(t, ServerConfig{})
+	c, counter := dial("alice", WithBlockSize(4096))
 
 	base := content.Random(1<<20, 3).Bytes()
 	if _, err := c.Upload("big.bin", base); err != nil {
@@ -242,8 +242,8 @@ func TestDeltaSyncSendsOnlyChanges(t *testing.T) {
 }
 
 func TestDeltaSyncAppend(t *testing.T) {
-	_, dial := startServer(t, ServerConfig{BlockSize: 4096})
-	c, counter := dial("alice")
+	_, dial := startServer(t, ServerConfig{})
+	c, counter := dial("alice", WithBlockSize(4096))
 	base := content.Random(500_000, 4).Bytes()
 	if _, err := c.Upload("log", base); err != nil {
 		t.Fatal(err)
@@ -500,13 +500,4 @@ func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient(client, "", "dev"); err == nil {
 		t.Fatal("empty user should fail")
 	}
-}
-
-func TestNegativeBlockSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative block size did not panic")
-		}
-	}()
-	NewServer(ServerConfig{BlockSize: -1})
 }

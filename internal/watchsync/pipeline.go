@@ -224,12 +224,12 @@ func (p *Pipeline) Tick(now time.Duration) (TickStats, time.Duration, bool, erro
 					st.Uploads++
 				}
 				st.WireBytes += res.Stats.PayloadBytes
-				meta := planner.FileMeta{Size: a.Size, Hash: a.Hash, Version: res.Version}
+				meta := planner.FileMeta{Size: a.Size, Hash: a.Hash, Version: res.Stats.Version}
 				p.baseline[a.Path] = meta
 				if p.remoteOK {
 					id := p.remote[a.Path].FileID
 					p.remote[a.Path] = planner.RemoteFile{
-						FileID: id, Size: a.Size, Hash: a.Hash, Version: res.Version,
+						FileID: id, Size: a.Size, Hash: a.Hash, Version: res.Stats.Version,
 					}
 				}
 			}

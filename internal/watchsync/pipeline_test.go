@@ -198,22 +198,23 @@ func TestPipelineLifecycle(t *testing.T) {
 	}
 }
 
-// TestPipelineRestartResumes is the crash-recovery story: a new daemon
-// generation loading the persisted baseline must recognize unchanged
-// files without re-uploading a byte, and must still be able to delete
-// a file only the previous generation ever uploaded.
 // TestRepeatEditsAcrossWorkers: each worker client remembers the
-// signatures its own uploads and delta syncs ended on, and a file's
-// edits land on whichever worker is free. The pool must never pay for a
-// stale memory: a worker told about another's sync forgets its own
-// signature (it falls back to asking), and the worker that did the sync
-// keeps its — so a lone worker sends every edit, the first after the
-// full upload included, as a one-round-trip conditional delta, and no
-// pool is ever refused one.
+// signatures its own uploads and delta syncs ended on, and every action
+// on a path runs on that path's owner. So the owner of a file holds the
+// signature each of its edits is cut against: in every pool, every
+// edit, the first after the full upload included, is a one-round-trip
+// conditional delta — no signature is served, none is refused.
 func TestRepeatEditsAcrossWorkers(t *testing.T) {
-	for _, workers := range []int{1, 3} {
+	docs := []string{"a.bin", "b.bin", "c.bin", "d.bin", "e.bin", "f.bin"}
+	for _, workers := range []int{1, 2, 3} {
 		r := newRig(t, workers, Config{})
-		docs := []string{"a.bin", "b.bin"}
+		owned := make(map[int]bool)
+		for _, name := range docs {
+			owned[r.pipe.exec.owner(name)] = true
+		}
+		if len(owned) != workers {
+			t.Fatalf("%d workers: the documents land on only %d of them", workers, len(owned))
+		}
 		data := make([][]byte, len(docs))
 		for i, name := range docs {
 			data[i] = []byte(strings.Repeat(name+" ", 4096))
@@ -233,12 +234,9 @@ func TestRepeatEditsAcrossWorkers(t *testing.T) {
 			}
 		}
 		ss := r.srv.Stats()
-		if ss.CondDeltaConflicts != 0 {
-			t.Errorf("%d workers: %d conditional deltas refused inside one executor", workers, ss.CondDeltaConflicts)
-		}
-		if want := int64(len(docs) * rounds); workers == 1 && ss.DeltaSyncs-ss.SignaturesServed != want {
-			t.Errorf("lone worker sent %d deltas without asking for a signature, want %d (every edit)",
-				ss.DeltaSyncs-ss.SignaturesServed, want)
+		if ss.SignaturesServed != 0 || ss.CondDeltaConflicts != 0 {
+			t.Errorf("%d workers: %d signatures served and %d conditional deltas refused over %d deltas, want none",
+				workers, ss.SignaturesServed, ss.CondDeltaConflicts, ss.DeltaSyncs)
 		}
 		snap := r.srv.Snapshot("alice")
 		for i, name := range docs {
@@ -250,67 +248,110 @@ func TestRepeatEditsAcrossWorkers(t *testing.T) {
 	}
 }
 
+// restart starts a new daemon generation on r's server — workers fresh
+// clients (no identities, no signatures) over src, loading the
+// baseline at base — and bootstraps and polls it at now. r's own
+// clients must be closed: the daemon they stood for died.
+func (r *rig) restart(t *testing.T, workers int, src *MemSource, base string, now time.Duration) *Pipeline {
+	t.Helper()
+	clients := make([]*syncnet.Client, workers)
+	for i := range clients {
+		cc, sc := net.Pipe()
+		go r.srv.HandleConn(sc)
+		c, err := syncnet.NewClient(cc, "alice", fmt.Sprintf("gen2.w%d", i), syncnet.WithLedger(r.cliLed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		clients[i] = c
+	}
+	pipe := NewPipeline(src, NewExecutor(clients...), Config{BaselinePath: base})
+	if err := pipe.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Poll(now); err != nil {
+		t.Fatal(err)
+	}
+	return pipe
+}
+
+// TestPipelineRestartResumes is the crash-recovery story: a new daemon
+// generation loading the persisted baseline must recognize unchanged
+// files without re-uploading a byte, and must still be able to
+// delta-edit and delete files only the previous generation ever
+// uploaded. The bootstrap listing runs on worker 0, yet each file's
+// transfers run on its owner, which learned the file only from that
+// listing: on three workers the edited and the deleted file are owned
+// by others.
 func TestPipelineRestartResumes(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	r := newRig(t, 1, Config{BaselinePath: base})
-	content := []byte("generation one content, sizeable enough to notice on the wire")
-	r.src.WriteFile("doc.txt", content, 0)
-	if st := r.step(t, 0); st.Uploads != 1 {
-		t.Fatalf("gen1 sync: %+v", st)
-	}
-	r2copy := r.src.Files() // the tree survives the "crash"
-	for _, c := range r.clients {
-		c.Close() // daemon dies; server keeps running
-	}
+	const edited, removed = "a.bin", "b.bin"
+	for _, workers := range []int{1, 3} {
+		base := filepath.Join(t.TempDir(), "baseline.json")
+		r := newRig(t, workers, Config{BaselinePath: base})
+		for _, name := range []string{edited, removed, "c.bin"} {
+			r.src.WriteFile(name, []byte(strings.Repeat(name+" ", 4096)), 0)
+		}
+		if st := r.step(t, 0); st.Uploads != 3 {
+			t.Fatalf("%d workers: gen1 sync: %+v", workers, st)
+		}
+		tree := r.src.Files() // the tree survives the "crash"
+		for _, c := range r.clients {
+			c.Close() // daemon dies; server keeps running
+		}
 
-	// Generation two: fresh client (empty ids/known), same server, same
-	// baseline file.
-	cc, sc := net.Pipe()
-	go r.srv.HandleConn(sc)
-	c2, err := syncnet.NewClient(cc, "alice", "gen2", syncnet.WithLedger(r.cliLed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c2.Close() })
-	src2 := NewMemSource()
-	for p, d := range r2copy {
-		src2.WriteFile(p, d, 0) // startup rescan reports everything as created
-	}
-	pipe2 := NewPipeline(src2, NewExecutor(c2), Config{BaselinePath: base})
-	if err := pipe2.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe2.Poll(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	wire0, _ := c2.WireTotals()
-	st, _, _, err := pipe2.Tick(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Uploads != 0 || st.Deltas != 0 || st.Errors != 0 {
-		t.Fatalf("restart re-synced unchanged content: %+v", st)
-	}
-	wire1, _ := c2.WireTotals()
-	if moved := wire1 - wire0; moved != 0 {
-		t.Fatalf("restart reconciliation read %d wire bytes, want 0 (listing happened at bootstrap)", moved)
-	}
+		// Generation two: fresh clients, same server, same baseline file.
+		src2 := NewMemSource()
+		for p, d := range tree {
+			src2.WriteFile(p, d, 0) // startup rescan reports everything as created
+		}
+		pipe2 := r.restart(t, workers, src2, base, time.Minute)
+		for _, name := range []string{edited, removed} {
+			if workers > 1 && pipe2.exec.owner(name) == 0 {
+				t.Fatalf("%s is owned by worker 0, which learns it from its own listing", name)
+			}
+		}
+		wire := func() (total int64) {
+			for _, c := range pipe2.exec.workers {
+				in, out := c.WireTotals()
+				total += in + out
+			}
+			return total
+		}
+		wire0 := wire()
+		st, _, _, err := pipe2.Tick(time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Uploads != 0 || st.Deltas != 0 || st.Errors != 0 {
+			t.Fatalf("%d workers: restart re-synced unchanged content: %+v", workers, st)
+		}
+		if moved := wire() - wire0; moved != 0 {
+			t.Fatalf("%d workers: restart reconciliation moved %d wire bytes, want 0 (listing happened at bootstrap)", workers, moved)
+		}
 
-	// Deleting a file gen2 never uploaded works because the bootstrap
-	// listing primed the file's server identity.
-	src2.RemoveFile("doc.txt")
-	if err := pipe2.Poll(time.Minute + time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st, _, _, err = pipe2.Tick(time.Minute + time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Deletes != 1 || st.Errors != 0 {
-		t.Fatalf("gen2 delete: %+v", st)
-	}
-	if f := r.srv.Snapshot("alice")["doc.txt"]; !f.Deleted {
-		t.Fatalf("doc.txt still live server-side: %+v", f)
+		now := time.Minute + time.Second
+		data := append([]byte(nil), tree[edited]...)
+		data[100] ^= 0xFF
+		src2.WriteFile(edited, data, now)
+		src2.RemoveFile(removed)
+		if err := pipe2.Poll(now); err != nil {
+			t.Fatal(err)
+		}
+		st, _, _, err = pipe2.Tick(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Deltas != 1 || st.Deletes != 1 || st.Uploads != 0 || st.Errors != 0 {
+			t.Fatalf("%d workers: gen2 edit and delete: %+v, want 1 delta and 1 delete", workers, st)
+		}
+		snap := r.srv.Snapshot("alice")
+		if string(snap[edited].Data) != string(data) {
+			t.Fatalf("%d workers: %s diverged", workers, edited)
+		}
+		if !snap[removed].Deleted {
+			t.Fatalf("%d workers: %s still live server-side: %+v", workers, removed, snap[removed])
+		}
+		r.close()
 	}
 }
 
@@ -333,22 +374,9 @@ func TestPipelineRestartDetectsOfflineDelete(t *testing.T) {
 
 	// Generation two's rescan sees only keep.txt; gone.txt vanished
 	// offline, so no remove event will ever name it.
-	cc, sc := net.Pipe()
-	go r.srv.HandleConn(sc)
-	c2, err := syncnet.NewClient(cc, "alice", "gen2", syncnet.WithLedger(r.cliLed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c2.Close() })
 	src2 := NewMemSource()
 	src2.WriteFile("keep.txt", []byte("survives the outage"), 0)
-	pipe2 := NewPipeline(src2, NewExecutor(c2), Config{BaselinePath: base})
-	if err := pipe2.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pipe2.Poll(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	pipe2 := r.restart(t, 1, src2, base, time.Minute)
 	st, _, _, err := pipe2.Tick(time.Minute)
 	if err != nil {
 		t.Fatal(err)

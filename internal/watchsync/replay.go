@@ -30,8 +30,6 @@ type ReplayConfig struct {
 	Seed        int64
 	Defer       deferpolicy.Policy
 	Debounce    time.Duration
-	// Workers is the executor pool size (0 = 1).
-	Workers int
 }
 
 // ReplayResult is what one replay cost and achieved.
@@ -84,32 +82,21 @@ func ReplayFreqMod(cfg ReplayConfig) (*ReplayResult, error) {
 	if cfg.EditBytes <= 0 {
 		cfg.EditBytes = 256
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-
 	srvLed := ledger.New()
 	srv := syncnet.NewServer(syncnet.ServerConfig{Ledger: srvLed})
 	defer srv.Close()
 
 	cliLed := ledger.New()
-	clients := make([]*syncnet.Client, workers)
-	for i := range clients {
-		cc, sc := net.Pipe()
-		go srv.HandleConn(sc)
-		c, err := syncnet.NewClient(cc, "replay", fmt.Sprintf("w%d", i),
-			syncnet.WithLedger(cliLed))
-		if err != nil {
-			return nil, err
-		}
-		defer c.Close()
-		clients[i] = c
+	cc, sc := net.Pipe()
+	go srv.HandleConn(sc)
+	c, err := syncnet.NewClient(cc, "replay", "w0", syncnet.WithLedger(cliLed))
+	if err != nil {
+		return nil, err
 	}
+	defer c.Close()
 
 	src := NewMemSource()
-	exec := NewExecutor(clients...)
-	pipe := NewPipeline(src, exec, Config{Debounce: cfg.Debounce, Defer: cfg.Defer})
+	pipe := NewPipeline(src, NewExecutor(c), Config{Debounce: cfg.Debounce, Defer: cfg.Defer})
 	if err := pipe.Bootstrap(); err != nil {
 		return nil, err
 	}
@@ -203,16 +190,11 @@ func ReplayFreqMod(cfg ReplayConfig) (*ReplayResult, error) {
 		}
 	}
 
-	// Close the clients before snapshotting the ledgers so residual
+	// Close the client before snapshotting the ledgers so residual
 	// partial-frame bytes are swept and the balance is exact.
-	var in, out int64
-	for _, c := range clients {
-		ci, co := c.WireTotals()
-		in += ci
-		out += co
-		if err := c.Close(); err != nil {
-			return nil, err
-		}
+	in, out := c.WireTotals()
+	if err := c.Close(); err != nil {
+		return nil, err
 	}
 	res.ClientWire = in + out
 	res.ClientLedger = cliLed.Snapshot()
