@@ -10,8 +10,6 @@
 //	tuebench -workers 8          # experiment worker-pool size (1 = sequential)
 //	tuebench -list               # list artifact names
 //	tuebench -trace out.json     # Chrome trace of per-cell runtimes
-//	tuebench -explain            # per-cause TUE decomposition tables
-//	tuebench -ledger-out l.json  # per-cell cause breakdown for tuediff
 //	tuebench scale -n 8          # N× user-population scale replay
 //
 // The scale subcommand replays the trace with every user as an
@@ -25,12 +23,11 @@
 // worker pool) and writes Chrome trace_event JSON loadable in
 // chrome://tracing or Perfetto. Tracing never changes the tables.
 //
-// -explain selects the decomposition artifact: each cell's sync traffic
-// split into the attribution ledger's causes (metadata, payload, dedup
-// probes, delta literals/copy references, resume, retransmit, framing),
-// asserted to sum exactly to the cell's wire bytes. -ledger-out writes
-// the same decomposition as deterministic JSON; cmd/tuediff compares
-// two such dumps and flags per-cause drift.
+// -experiment explain is the decomposition artifact: each cell's sync
+// traffic split into the attribution ledger's causes (metadata, payload,
+// dedup probes, delta literals/copy references, resume, retransmit,
+// framing) as exact byte counts, asserted to sum to the cell's wire
+// bytes.
 package main
 
 import (
@@ -215,21 +212,16 @@ func main() {
 		return
 	}
 	var (
-		name      = flag.String("experiment", "all", "artifact to regenerate (see -list)")
-		quick     = flag.Bool("quick", false, "reduced parameter sweeps")
-		scale     = flag.Float64("scale", 0.05, "trace scale (1.0 = full 222,632 files)")
-		seed      = flag.Int64("seed", 1, "trace generation seed")
-		workers   = flag.Int("workers", 0, "experiment worker-pool size (0 = GOMAXPROCS; 1 = sequential)")
-		list      = flag.Bool("list", false, "list artifact names and exit")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event file of per-cell runtimes")
-		explain   = flag.Bool("explain", false, "shorthand for -experiment explain (per-cause TUE decomposition)")
-		ledgerOut = flag.String("ledger-out", "", "write the explain experiment's per-cell cause breakdown as JSON (for tuediff)")
+		name     = flag.String("experiment", "all", "artifact to regenerate (see -list)")
+		quick    = flag.Bool("quick", false, "reduced parameter sweeps")
+		scale    = flag.Float64("scale", 0.05, "trace scale (1.0 = full 222,632 files)")
+		seed     = flag.Int64("seed", 1, "trace generation seed")
+		workers  = flag.Int("workers", 0, "experiment worker-pool size (0 = GOMAXPROCS; 1 = sequential)")
+		list     = flag.Bool("list", false, "list artifact names and exit")
+		traceOut = flag.String("trace", "", "write a Chrome trace_event file of per-cell runtimes")
 	)
 	flag.Parse()
 	parallel.SetWorkers(*workers)
-	if *explain {
-		*name = "explain"
-	}
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -280,25 +272,6 @@ func main() {
 	}
 	fmt.Printf("regenerated %d artifact(s) in %v (%d worker(s))\n",
 		ran, time.Since(start).Round(time.Millisecond), parallel.Workers())
-
-	if *ledgerOut != "" {
-		// The dump is regenerated from a fresh seed state, so its bytes
-		// are identical no matter which artifacts ran above — two builds
-		// can always be tuediff'ed against each other.
-		core.ResetContentSeeds()
-		f, err := os.Create(*ledgerOut)
-		if err == nil {
-			err = writeLedgerDump(f, core.ExplainAll(*quick))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tuebench: writing ledger dump: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tuebench: ledger dump written to %s\n", *ledgerOut)
-	}
 
 	if tracer != nil {
 		f, err := os.Create(*traceOut)

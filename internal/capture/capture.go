@@ -116,19 +116,13 @@ type DirStats struct {
 	Segments  int64
 }
 
-// Capture accumulates traffic statistics and, when Retain is set,
-// the individual packets. The zero value is a valid counting-only
+// Capture accumulates traffic statistics. The zero value is a valid
 // capture.
 type Capture struct {
-	// Retain stores each recorded Packet for later inspection. Leave it
-	// false for long simulations where only totals matter.
-	Retain bool
-
-	packets []Packet
-	dir     [2]DirStats
-	kind    [numKinds]int64
-	flows   map[Flow]*DirStats
-	led     *ledger.Ledger
+	dir   [2]DirStats
+	kind  [numKinds]int64
+	flows map[Flow]*DirStats
+	led   *ledger.Ledger
 }
 
 // SetLedger attaches a traffic-attribution ledger. Every subsequently
@@ -156,8 +150,7 @@ func effectiveCause(p Packet) ledger.Cause {
 	}
 }
 
-// New returns a counting-only capture. Set Retain before recording to
-// keep individual packets.
+// New returns an empty capture.
 func New() *Capture { return &Capture{} }
 
 // Record adds one packet to the capture. Packets with non-positive wire
@@ -175,9 +168,6 @@ func (c *Capture) Record(p Packet) {
 	}
 	if p.Segments < 1 {
 		p.Segments = 1
-	}
-	if c.Retain {
-		c.packets = append(c.packets, p)
 	}
 	ds := &c.dir[p.Dir]
 	ds.WireBytes += int64(p.Wire)
@@ -262,26 +252,8 @@ func (c *Capture) Flows() []Flow {
 	return out
 }
 
-// Recorded returns the retained packets. It returns nil unless Retain
-// was set before recording.
-func (c *Capture) Recorded() []Packet { return c.packets }
-
-// Filter returns the retained packets matching pred. It returns nil
-// unless Retain was set.
-func (c *Capture) Filter(pred func(Packet) bool) []Packet {
-	var out []Packet
-	for _, p := range c.packets {
-		if pred(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Reset clears all counters and retained packets, keeping the Retain
-// setting.
+// Reset clears all counters.
 func (c *Capture) Reset() {
-	c.packets = nil
 	c.dir = [2]DirStats{}
 	c.kind = [numKinds]int64{}
 	c.flows = nil

@@ -3,7 +3,6 @@ package capture
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 var testFlow = Flow{Src: "client:M1", Dst: "cloud:dropbox"}
@@ -109,28 +108,6 @@ func TestSegmentsDefaultToOne(t *testing.T) {
 	}
 }
 
-func TestRetention(t *testing.T) {
-	c := New()
-	c.Record(Packet{Flow: testFlow, Dir: Up, Wire: 100, App: 50})
-	if c.Recorded() != nil {
-		t.Fatal("non-retaining capture stored packets")
-	}
-	c.Retain = true
-	c.Record(Packet{Time: time.Second, Flow: testFlow, Dir: Up, Kind: KindData, Wire: 200, App: 150})
-	got := c.Recorded()
-	if len(got) != 1 || got[0].Wire != 200 {
-		t.Fatalf("Recorded() = %+v", got)
-	}
-	data := c.Filter(func(p Packet) bool { return p.Kind == KindData })
-	if len(data) != 1 {
-		t.Fatalf("Filter found %d packets, want 1", len(data))
-	}
-	none := c.Filter(func(p Packet) bool { return p.Kind == KindAck })
-	if none != nil {
-		t.Fatalf("Filter should return nil when nothing matches, got %v", none)
-	}
-}
-
 func TestFlowStats(t *testing.T) {
 	c := New()
 	other := Flow{Src: "client:M2", Dst: "cloud:box"}
@@ -152,14 +129,10 @@ func TestFlowStats(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := New()
-	c.Retain = true
 	c.Record(Packet{Flow: testFlow, Dir: Up, Wire: 100, App: 80})
 	c.Reset()
-	if c.TotalBytes() != 0 || c.Packets() != 0 || len(c.Recorded()) != 0 || len(c.Flows()) != 0 {
+	if c.TotalBytes() != 0 || c.Packets() != 0 || len(c.Flows()) != 0 {
 		t.Fatal("Reset did not clear capture")
-	}
-	if !c.Retain {
-		t.Fatal("Reset must keep Retain setting")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"cloudsync/internal/client"
 	"cloudsync/internal/content"
@@ -213,7 +214,8 @@ func ExplainAll(quick bool) ExplainResult {
 }
 
 // explainTable renders one section's cells: one row per cell, one
-// column per cause, plus the exact total and the TUE.
+// column per cause, plus the total and the TUE. Every byte column is an
+// exact count, so a golden of this table pins each cause to the byte.
 func explainTable(cells []ExplainCell, param func(ExplainCell) string, paramHeader string) string {
 	header := []string{"Service", paramHeader}
 	for _, c := range ledger.Causes() {
@@ -224,13 +226,9 @@ func explainTable(cells []ExplainCell, param func(ExplainCell) string, paramHead
 	for _, cell := range cells {
 		row := []string{cell.Service.String(), param(cell)}
 		for _, c := range ledger.Causes() {
-			if n := cell.Causes.Get(c); n > 0 {
-				row = append(row, metrics.HumanBytes(n))
-			} else {
-				row = append(row, "-")
-			}
+			row = append(row, strconv.FormatInt(cell.Causes.Get(c), 10))
 		}
-		row = append(row, metrics.HumanBytes(cell.Traffic), fmtTUE(cell.TUE))
+		row = append(row, strconv.FormatInt(cell.Traffic, 10), fmtTUE(cell.TUE))
 		tb.AddRow(row...)
 	}
 	return tb.String()

@@ -108,6 +108,7 @@ type device struct {
 	pool   string // watch: the prefix of the device's own names
 	eps    []*endpoint
 	copies map[string][]byte // raw: each name as the device last wrote or read it
+	known  map[string]bool   // raw: each name the device has written, read or listed, so its client holds the identity
 	src    *watchsync.MemSource
 	pipe   *watchsync.Pipeline
 	seen   map[string]uint64 // raw: each name's version in the last listing applied
@@ -271,7 +272,7 @@ func (r *runner) recovered(acked map[string]invariant.ServerFile) {
 // addDevice builds device i: every client, watch workers included,
 // dials the current incarnation through the device's own cut links.
 func (r *runner) addDevice(i int, spec devSpec) error {
-	d := &device{spec: spec, copies: map[string][]byte{}}
+	d := &device{spec: spec, copies: map[string][]byte{}, known: map[string]bool{}}
 	r.devs = append(r.devs, d)
 	var clients []*syncnet.Client
 	for k := 0; k < max(spec.workers, 1); k++ {
@@ -441,13 +442,14 @@ func (r *runner) raw(d *device, o op) error {
 			return err
 		}
 		r.tr.RecordDownload(o.name, data)
-		d.copies[o.name] = data
+		d.copies[o.name], d.known[o.name] = data, true
 	case opDelete:
-		if _, ok := c.FileID(o.name); !ok {
+		if !d.known[o.name] {
 			// A client deletes by identity: learn it first.
 			if _, err := c.Download(o.name); err != nil {
 				return err
 			}
+			d.known[o.name] = true
 		}
 		if err := c.Delete(o.name); err != nil {
 			return err
@@ -468,7 +470,7 @@ func (r *runner) uploaded(d *device, name string, data []byte, st syncnet.Upload
 		record = r.tr.RecordEdit
 	}
 	record(name, data, st.Version)
-	d.copies[name] = data
+	d.copies[name], d.known[name] = data, true
 	if st.Attempts > 1 {
 		r.rep.cov["uploads retried"]++
 	}
@@ -500,6 +502,7 @@ func (r *runner) list(d *device, o op) error {
 	snap := r.snapshot()
 	listed := map[string]invariant.Listed{}
 	for _, en := range got {
+		d.known[en.Name] = true
 		listed[en.Name] = invariant.Listed{ID: en.FileID, Size: en.Size, Hash: en.FileHash, Version: en.Version, Deleted: en.Deleted}
 	}
 	r.check("", invariant.CheckListing(listed, snap))

@@ -159,9 +159,6 @@ func (p *Path) Conn() *wire.Conn { return p.conn }
 // Busy reports whether a session is currently occupying the path.
 func (p *Path) Busy() bool { return p.busyUntil > p.clock.Now() }
 
-// BusyUntil reports when the path frees up (zero if idle and never used).
-func (p *Path) BusyUntil() time.Duration { return p.busyUntil }
-
 // Sessions reports how many sessions have been started on the path.
 func (p *Path) Sessions() int { return p.sessions }
 

@@ -16,7 +16,6 @@
 package ledger
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -67,8 +66,8 @@ func Causes() []Cause {
 	return []Cause{Metadata, Payload, DedupProbe, DeltaLiteral, DeltaCopyRef, Resume, Retransmit, Framing}
 }
 
-// String returns the snake_case cause label used in Prometheus series,
-// JSON dumps, and breakdown tables.
+// String returns the snake_case cause label used in Prometheus series
+// and breakdown tables.
 func (c Cause) String() string {
 	switch c {
 	case Unset:
@@ -92,17 +91,6 @@ func (c Cause) String() string {
 	default:
 		return fmt.Sprintf("cause(%d)", uint8(c))
 	}
-}
-
-// CauseFromString inverts String for the real causes. It reports false
-// for "unset" and unknown labels.
-func CauseFromString(s string) (Cause, bool) {
-	for _, c := range Causes() {
-		if c.String() == s {
-			return c, true
-		}
-	}
-	return Unset, false
 }
 
 // Ledger charges wire bytes to causes. All methods are safe for
@@ -233,41 +221,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 		s[c] += o[c]
 	}
 	return s
-}
-
-// MarshalJSON renders the snapshot as {"cause": bytes} with every real
-// cause present (zeros included), so dumps from different builds always
-// have the same shape for tuediff.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	m := make(map[string]int64, len(Causes()))
-	for _, c := range Causes() {
-		m[c.String()] = s[c]
-	}
-	return json.Marshal(m)
-}
-
-// UnmarshalJSON inverts MarshalJSON. Unknown cause labels are an error:
-// a dump from a newer taxonomy should fail loudly, not drop bytes.
-func (s *Snapshot) UnmarshalJSON(b []byte) error {
-	var m map[string]int64
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	var out Snapshot
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c, ok := CauseFromString(k)
-		if !ok {
-			return fmt.Errorf("ledger: unknown cause %q in snapshot", k)
-		}
-		out[c] = m[k]
-	}
-	*s = out
-	return nil
 }
 
 // Table renders the snapshot as a breakdown table; see Ledger.Table.

@@ -95,13 +95,6 @@ func (c *Client) List() ([]protocol.ListEntry, error) {
 	return slices.Clone(c.mirror.entries), nil
 }
 
-// FileID reports the server-side identity this client has learned for
-// name (via upload, download, listing, or priming).
-func (c *Client) FileID(name string) (uint64, bool) {
-	id, ok := c.ids[name]
-	return id, ok
-}
-
 // Prime teaches the client a file's server-side identity without a
 // round trip: fileID is the server's handle (required by Delete), and
 // live marks whether a stored version currently exists (which routes

@@ -66,7 +66,7 @@ func TestListFeedConverges(t *testing.T) {
 		for i := 0; i < 18; i++ {
 			k, name := rng.IntN(2), fmt.Sprintf("f%d", rng.IntN(5))
 			d := devs[k]
-			_, known := d.c.FileID(name)
+			_, known := d.c.ids[name]
 			known = known && live[name] // a client deletes by identity
 			switch roll := rng.IntN(10); {
 			case i == reopenAt:

@@ -106,7 +106,7 @@ func TestDeltaGranularityFollowsFileSize(t *testing.T) {
 	large = editRegions(large, 8, 5)
 	upload("resigned round", "large.bin", large, servedDelta)
 	// A full upload starts a held chain again.
-	id, _ := c.FileID("large.bin")
+	id := c.ids["large.bin"]
 	c.Prime("large.bin", id, false)
 	if st, err := c.Upload("large.bin", large); err != nil || st.DeltaSync {
 		t.Fatalf("forced full upload: %+v, %v", st, err)
@@ -226,7 +226,7 @@ func TestHeldAndServedChainsMeet(t *testing.T) {
 	for step, op := range "aabbabAaaBbab" {
 		k := int(unicode.ToLower(op) - 'a')
 		if unicode.IsUpper(op) {
-			id, _ := devs[k].c.FileID("f")
+			id := devs[k].c.ids["f"]
 			devs[k].c.Prime("f", id, false)
 			full(k)
 			continue

@@ -332,8 +332,8 @@ func TestRacingCreatesAgreeOnFileID(t *testing.T) {
 		t.Fatalf("racing uploads: %v / %v", err, hookErr)
 	}
 	want := srv.Snapshot("alice")["doc"].ID
-	idA, _ := a.FileID("doc")
-	idB, _ := b.FileID("doc")
+	idA := a.ids["doc"]
+	idB := b.ids["doc"]
 	if idA != want || idB != want {
 		t.Fatalf("file is %d on the server; device A learned %d, device B %d", want, idA, idB)
 	}
@@ -363,8 +363,8 @@ func TestRacingCreatesAgreeOnFileID(t *testing.T) {
 	wg.Wait()
 	snap := srv.Snapshot("alice")
 	for _, name := range names {
-		idA, _ := a.FileID(name)
-		idB, _ := b.FileID(name)
+		idA := a.ids[name]
+		idB := b.ids[name]
 		if want := snap[name].ID; idA != want || idB != want {
 			t.Fatalf("%s is %d on the server; device A learned %d, device B %d", name, want, idA, idB)
 		}

@@ -361,7 +361,7 @@ func TestServedSignatureMatchesContentOnEveryPath(t *testing.T) {
 	}
 	check("after growing delta sync")
 
-	id, _ := c.FileID("f")
+	id := c.ids["f"]
 	cur = content.Random(18*bs, 13).Bytes()
 	c.Prime("f", id, false) // forget the file: next upload is a full one
 	upload("full overwrite", cur, false)
@@ -463,7 +463,7 @@ func TestDeleteByIDIndex(t *testing.T) {
 	if _, err := c.UploadBundle([]FileUpload{{Name: "b", Data: []byte("bundled")}}); err != nil {
 		t.Fatal(err)
 	}
-	idA, _ := c.FileID("a")
+	idA := c.ids["a"]
 	if e, ok := mallory.roundTrip(&protocol.Delete{FileID: idA}).(*protocol.Error); !ok || e.Code != protocol.ErrNotFound {
 		t.Fatalf("another user's delete of alice's id: %#v", e)
 	}
@@ -475,7 +475,7 @@ func TestDeleteByIDIndex(t *testing.T) {
 	if _, err := c.Upload("a", []byte("second")); err != nil {
 		t.Fatalf("recreate: %v", err)
 	}
-	if id, _ := c.FileID("a"); id != idA {
+	if id := c.ids["a"]; id != idA {
 		t.Fatalf("recreated file got id %d, want the original %d", id, idA)
 	}
 	if err := c.Delete("a"); err != nil {
@@ -600,7 +600,7 @@ func hammerOneAccount(t *testing.T, cfg ServerConfig) map[string]FileState {
 					}
 					continue
 				case 4:
-					id, _ := c.FileID(name)
+					id := c.ids[name]
 					c.Prime(name, id, false) // full upload next
 				}
 				// Each device edits its own half, stamped so contents
