@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudsync/internal/capture"
 	"cloudsync/internal/client"
 	"cloudsync/internal/content"
 	"cloudsync/internal/core"
@@ -250,13 +249,4 @@ func (s *Simulation) CloudFileSize(name string) (int64, error) {
 		return 0, fmt.Errorf("cloudsync: %q not in cloud", name)
 	}
 	return e.Blob.Size(), nil
-}
-
-// Flow returns the client↔cloud flow identifier used in the capture.
-func (s *Simulation) Flow() capture.Flow {
-	flows := s.setup.Capture.Flows()
-	if len(flows) == 0 {
-		return capture.Flow{}
-	}
-	return flows[0]
 }

@@ -150,13 +150,3 @@ func TestDownloadAndDirections(t *testing.T) {
 		t.Fatal("overhead accounting missing")
 	}
 }
-
-func TestFlowExposed(t *testing.T) {
-	sim := New(SugarSync, Mobile)
-	sim.CreateRandomFile("f", 100)
-	sim.Run()
-	f := sim.Flow()
-	if f.Src == "" && f.Dst == "" {
-		t.Fatal("flow not recorded")
-	}
-}

@@ -7,20 +7,19 @@ import (
 )
 
 // TestLedgerChargesEveryWireByte pins the charging rule: App bytes go
-// to the packet's effective cause, Wire−App to framing, so the ledger
-// total always equals the capture's wire total.
+// to the packet's cause, Wire−App to framing, so the ledger total
+// always equals the capture's wire total.
 func TestLedgerChargesEveryWireByte(t *testing.T) {
 	c := New()
 	led := ledger.New()
 	c.SetLedger(led)
-	f := Flow{Src: "client", Dst: "cloud"}
 
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindHandshake, Wire: 500})
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindControl, Wire: 300, App: 120})
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindData, Wire: 1100, App: 1000})
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindData, Wire: 90, App: 64, Cause: ledger.Retransmit})
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindControl, Wire: 60, App: 16, Cause: ledger.DedupProbe})
-	c.Record(Packet{Flow: f.Reverse(), Dir: Down, Kind: KindAck, Wire: 66})
+	c.Record(Packet{Dir: Up, Cause: ledger.Framing, Wire: 500})
+	c.Record(Packet{Dir: Up, Cause: ledger.Metadata, Wire: 300, App: 120})
+	c.Record(Packet{Dir: Up, Cause: ledger.Payload, Wire: 1100, App: 1000})
+	c.Record(Packet{Dir: Up, Cause: ledger.Retransmit, Wire: 90, App: 64})
+	c.Record(Packet{Dir: Up, Cause: ledger.DedupProbe, Wire: 60, App: 16})
+	c.Record(Packet{Dir: Down, Cause: ledger.Framing, Wire: 66})
 
 	if got, want := led.Total(), c.TotalBytes(); got != want {
 		t.Fatalf("ledger total %d != capture total %d", got, want)
@@ -33,7 +32,7 @@ func TestLedgerChargesEveryWireByte(t *testing.T) {
 		{ledger.Payload, 1000},
 		{ledger.Retransmit, 64},
 		{ledger.DedupProbe, 16},
-		// framing = all handshake/ack wire + every packet's Wire−App
+		// framing = every framing packet's wire + every packet's Wire−App
 		{ledger.Framing, 500 + 66 + (300 - 120) + (1100 - 1000) + (90 - 64) + (60 - 16)},
 	}
 	for _, ck := range checks {
@@ -49,18 +48,14 @@ func TestLedgerDetachAndResetSurvival(t *testing.T) {
 	c := New()
 	led := ledger.New()
 	c.SetLedger(led)
-	f := Flow{Src: "a", Dst: "b"}
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindData, Wire: 10, App: 10})
+	c.Record(Packet{Dir: Up, Cause: ledger.Payload, Wire: 10, App: 10})
 	c.Reset()
-	if c.Ledger() != led {
-		t.Fatal("Reset detached the ledger")
-	}
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindData, Wire: 5, App: 5})
+	c.Record(Packet{Dir: Up, Cause: ledger.Payload, Wire: 5, App: 5})
 	if got := led.Get(ledger.Payload); got != 15 {
-		t.Fatalf("Payload = %d, want 15 (ledger is not reset by Capture.Reset)", got)
+		t.Fatalf("Payload = %d, want 15 (Reset keeps the ledger attached and does not reset it)", got)
 	}
 	c.SetLedger(nil)
-	c.Record(Packet{Flow: f, Dir: Up, Kind: KindData, Wire: 5, App: 5})
+	c.Record(Packet{Dir: Up, Cause: ledger.Payload, Wire: 5, App: 5})
 	if got := led.Get(ledger.Payload); got != 15 {
 		t.Fatalf("detached ledger still charged: %d", got)
 	}

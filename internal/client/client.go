@@ -32,8 +32,6 @@ import (
 	"cloudsync/internal/protocol"
 	"cloudsync/internal/simclock"
 	"cloudsync/internal/vfs"
-
-	capturepkg "cloudsync/internal/capture"
 )
 
 // AccessMethod is how the user reaches the service (§ 3.2): native PC
@@ -401,8 +399,8 @@ func (c *Client) sessionExchange() netem.Exchange {
 	return netem.Exchange{
 		UpApp:     protocol.SizeCommit() + c.cfg.MetaPerSyncUp,
 		DownApp:   protocol.SizeAck() + c.cfg.MetaPerSyncDown,
-		Kind:      capturepkg.KindControl,
 		ExtraRTTs: c.cfg.ExtraRTTs,
+		Cause:     ledger.Metadata,
 	}
 }
 
@@ -546,14 +544,13 @@ func (c *Client) appendBundleExchanges(bundle []workItem) {
 	r.exchanges = append(r.exchanges, netem.Exchange{
 		UpApp:   indexUp,
 		DownApp: protocol.SizeIndexReply(0),
-		Kind:    capturepkg.KindControl,
 		Cause:   indexCause(bundle),
 	})
 	if payload > 0 {
 		r.exchanges = append(r.exchanges, netem.Exchange{
 			UpApp:   c.expand(payload),
 			DownApp: protocol.SizeAck(),
-			Kind:    capturepkg.KindData,
+			Cause:   ledger.Payload,
 		})
 	}
 }
@@ -567,7 +564,7 @@ func indexCause(items []workItem) ledger.Cause {
 			return ledger.DedupProbe
 		}
 	}
-	return ledger.Unset // → metadata via the control default
+	return ledger.Metadata
 }
 
 // appendFileExchanges composes the per-file exchange sequence onto the
@@ -580,7 +577,7 @@ func (c *Client) appendFileExchanges(item *workItem) {
 		r.exchanges = append(r.exchanges, netem.Exchange{
 			UpApp:   protocol.SizeDelete() + c.cfg.MetaPerFileUp/2,
 			DownApp: protocol.SizeAck() + c.cfg.MetaPerFileDown/2,
-			Kind:    capturepkg.KindControl,
+			Cause:   ledger.Metadata,
 		})
 		return
 	}
@@ -590,18 +587,17 @@ func (c *Client) appendFileExchanges(item *workItem) {
 	}
 	indexUp := protocol.SizeIndexUpdate(item.name, item.decision.IndexFingerprints)
 	replyDown := protocol.SizeIndexReply(item.decision.MissingBlocks)
-	cause := ledger.Unset // → metadata via the control default
+	cause := ledger.Metadata
 	if item.decision.IndexFingerprints > 0 {
 		cause = ledger.DedupProbe
 	}
 	r.exchanges = append(r.exchanges, netem.Exchange{
 		UpApp:   indexUp,
 		DownApp: replyDown,
-		Kind:    capturepkg.KindControl,
 		Cause:   cause,
 	})
 	if payload := c.uploadPayload(item); payload > 0 {
-		dataCause := ledger.Unset // → payload via the data default
+		dataCause := ledger.Payload
 		if !item.isCreate && !c.cfg.FullFileSync {
 			// Incremental data sync ships only the changed byte ranges —
 			// the sim-path equivalent of a delta's literal bytes.
@@ -610,14 +606,13 @@ func (c *Client) appendFileExchanges(item *workItem) {
 		r.exchanges = append(r.exchanges, netem.Exchange{
 			UpApp:   c.expand(payload),
 			DownApp: protocol.SizeAck(),
-			Kind:    capturepkg.KindData,
 			Cause:   dataCause,
 		})
 	}
 	r.exchanges = append(r.exchanges, netem.Exchange{
 		UpApp:   protocol.SizeCommit() + c.cfg.MetaPerFileUp,
 		DownApp: protocol.SizeAck() + c.cfg.MetaPerFileDown,
-		Kind:    capturepkg.KindControl,
+		Cause:   ledger.Metadata,
 	})
 }
 
@@ -667,12 +662,12 @@ func (c *Client) onRemoteChange(e *cloud.Entry, deleted bool) {
 			{
 				UpApp:   protocol.SizeGet(name),
 				DownApp: protocol.SizeIndexReply(0),
-				Kind:    capturepkg.KindControl,
+				Cause:   ledger.Metadata,
 			},
 			{
 				UpApp:   protocol.SizeCommit(),
 				DownApp: c.expand(payload),
-				Kind:    capturepkg.KindData,
+				Cause:   ledger.Payload,
 			},
 		}
 		c.path.Do(exchanges, 0, func() {
@@ -746,12 +741,12 @@ func (c *Client) Download(name string, done func()) error {
 		{
 			UpApp:   protocol.SizeIndexUpdate(name, 0) + c.cfg.MetaPerSyncUp/2,
 			DownApp: protocol.SizeIndexReply(0) + c.cfg.MetaPerSyncDown/2,
-			Kind:    capturepkg.KindControl,
+			Cause:   ledger.Metadata,
 		},
 		{
 			UpApp:   protocol.SizeCommit(),
 			DownApp: c.expand(payload),
-			Kind:    capturepkg.KindData,
+			Cause:   ledger.Payload,
 		},
 	}
 	c.path.Do(exchanges, 0, func() {

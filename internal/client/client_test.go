@@ -48,7 +48,7 @@ func newRig(t *testing.T, cfg Config, ccfg cloud.Config, link netem.Link, persis
 	t.Helper()
 	clk := simclock.New()
 	cap := capture.New()
-	conn := wire.NewConn(wire.DefaultParams(), cap, capture.Flow{Src: "client", Dst: "cloud"})
+	conn := wire.NewConn(wire.DefaultParams(), cap)
 	path := netem.NewPath(clk, link, conn, persistent)
 	fs := vfs.New(clk)
 	cl := cloud.New(ccfg)

@@ -63,7 +63,7 @@ func ReliabilityAblation(fileSize int64, link netem.Link, chunk int64, mtbfs []t
 	}
 	params := wire.DefaultParams()
 	wireBytes := func(app int64) int64 {
-		w, ack, _ := params.FrameSize(int(app))
+		w, ack := params.FrameSize(int(app))
 		return int64(w + ack)
 	}
 	handshake := int64(6000) // TCP+TLS establishment, both directions

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cloudsync/internal/capture"
+	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/simclock"
 	"cloudsync/internal/wire"
 )
@@ -14,7 +15,7 @@ import (
 func faultSetup(link Link, persistent bool) (*simclock.Clock, *capture.Capture, *Path) {
 	clk := simclock.New()
 	cap := capture.New()
-	conn := wire.NewConn(wire.DefaultParams(), cap, capture.Flow{Src: "c", Dst: "s"})
+	conn := wire.NewConn(wire.DefaultParams(), cap)
 	return clk, cap, NewPath(clk, link, conn, persistent)
 }
 
@@ -24,7 +25,7 @@ func faultSetup(link Link, persistent bool) (*simclock.Clock, *capture.Capture, 
 // extends the run.
 func runSessions(link Link, n int) (traffic int64, end time.Duration, stats FaultStats) {
 	clk, cap, p := faultSetup(link, true)
-	ex := []Exchange{{UpApp: 32 << 10, DownApp: 1 << 10, Kind: capture.KindData}}
+	ex := []Exchange{{UpApp: 32 << 10, DownApp: 1 << 10, Cause: ledger.Payload}}
 	for i := 0; i < n; i++ {
 		p.Do(ex, 0, nil)
 	}
@@ -135,7 +136,7 @@ func TestSetLinkRestartsFaultSchedule(t *testing.T) {
 	}
 	l := faultyLink(4, 0.5, 0, 0)
 	p.SetLink(l)
-	ex := []Exchange{{UpApp: 1 << 10, DownApp: 128, Kind: capture.KindControl}}
+	ex := []Exchange{{UpApp: 1 << 10, DownApp: 128, Cause: ledger.Metadata}}
 	for i := 0; i < 40; i++ {
 		p.Do(ex, 0, nil)
 	}

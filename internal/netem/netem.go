@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudsync/internal/capture"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/simclock"
@@ -81,14 +80,11 @@ type Exchange struct {
 	// UpApp and DownApp are the application bytes of the request body
 	// and response body.
 	UpApp, DownApp int
-	// Kind classifies the payload for capture accounting.
-	Kind capture.Kind
 	// ExtraRTTs adds protocol round trips beyond the one implied by the
 	// request/response itself (e.g. a commit-then-ack step).
 	ExtraRTTs int
-	// Cause attributes the exchange's payload bytes when the capture has
-	// a ledger attached. ledger.Unset derives the cause from Kind;
-	// loss-triggered retry attempts override it with ledger.Retransmit.
+	// Cause is what the exchange's payload bytes are charged to;
+	// loss-triggered retry attempts charge ledger.Retransmit instead.
 	Cause ledger.Cause
 }
 
@@ -185,7 +181,7 @@ func (p *Path) Do(exchanges []Exchange, serverTime time.Duration, done func()) t
 	}
 	at += serverTime
 	if !p.persistent {
-		p.conn.Close(at)
+		p.conn.Close()
 	}
 	p.busyUntil = at
 	end := at
@@ -202,7 +198,7 @@ func (p *Path) open(at time.Duration) time.Duration {
 	if p.conn.Established() {
 		return at
 	}
-	up, down := p.conn.Open(at)
+	up, down := p.conn.Open()
 	at += time.Duration(wire.HandshakeRTTs) * p.link.RTT
 	return at + p.link.UpTime(up) + p.link.DownTime(down)
 }
@@ -218,7 +214,7 @@ func (p *Path) exchange(at time.Duration, ex Exchange) time.Duration {
 	if st := p.faults; st != nil {
 		at = st.stallUntil(at)
 		if st.dropDue(at) && p.conn.Established() {
-			p.conn.Close(at)
+			p.conn.Close()
 			at = p.open(at)
 		}
 		attempts = st.lossAttempts()
@@ -231,7 +227,7 @@ func (p *Path) exchange(at time.Duration, ex Exchange) time.Duration {
 			// payload's own cause was.
 			cause = ledger.Retransmit
 		}
-		up, down := p.conn.RequestCause(at, ex.UpApp, ex.DownApp, ex.Kind, cause)
+		up, down := p.conn.Request(ex.UpApp, ex.DownApp, cause)
 		at += p.link.RTT // request/response latency
 		at += p.link.UpTime(up) + p.link.DownTime(down)
 		if i < attempts-1 {
@@ -248,13 +244,8 @@ func (p *Path) exchange(at time.Duration, ex Exchange) time.Duration {
 // immediately, without occupying the path's session queue. It returns
 // the delivery time. The connection is opened if needed.
 func (p *Path) Push(app int, done func()) time.Duration {
-	at := p.clock.Now()
-	if !p.conn.Established() {
-		up, down := p.conn.Open(at)
-		at += time.Duration(wire.HandshakeRTTs) * p.link.RTT
-		at += p.link.UpTime(up) + p.link.DownTime(down)
-	}
-	p.conn.Send(at, app, capture.Down, capture.KindControl)
+	at := p.open(p.clock.Now())
+	p.conn.Push(app)
 	start := at
 	at += p.link.RTT/2 + p.link.DownTime(app)
 	p.tracer.Record("net.push", start, at, obs.Int("bytes", int64(app)))

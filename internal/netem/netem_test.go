@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cloudsync/internal/capture"
+	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/simclock"
 	"cloudsync/internal/wire"
 )
@@ -13,7 +14,7 @@ func newPath(t *testing.T, link Link, persistent bool) (*Path, *capture.Capture,
 	t.Helper()
 	clk := simclock.New()
 	cap := capture.New()
-	conn := wire.NewConn(wire.DefaultParams(), cap, capture.Flow{Src: "c", Dst: "s"})
+	conn := wire.NewConn(wire.DefaultParams(), cap)
 	return NewPath(clk, link, conn, persistent), cap, clk
 }
 
@@ -48,8 +49,10 @@ func TestLinkValidation(t *testing.T) {
 
 func TestDoHandshakeThenRequest(t *testing.T) {
 	p, cap, clk := newPath(t, Minnesota(), true)
+	led := ledger.New()
+	cap.SetLedger(led)
 	var end time.Duration
-	p.Do([]Exchange{{UpApp: 10_000, DownApp: 100, Kind: capture.KindData}}, 0,
+	p.Do([]Exchange{{UpApp: 10_000, DownApp: 100, Cause: ledger.Payload}}, 0,
 		func() { end = clk.Now() })
 	clk.Run()
 	if end == 0 {
@@ -59,11 +62,12 @@ func TestDoHandshakeThenRequest(t *testing.T) {
 	if min := time.Duration(wire.HandshakeRTTs+1) * p.Link().RTT; end < min {
 		t.Fatalf("end = %v, want ≥ %v", end, min)
 	}
-	if cap.KindBytes(capture.KindHandshake) == 0 {
-		t.Fatal("no handshake traffic recorded")
+	if got := led.Get(ledger.Payload); got != 10_100 {
+		t.Fatalf("payload = %d, want the exchange's 10100 app bytes", got)
 	}
-	if cap.KindBytes(capture.KindData) == 0 {
-		t.Fatal("no data traffic recorded")
+	if led.Get(ledger.Framing) == 0 || led.Total() != cap.TotalBytes() {
+		t.Fatalf("framing %d, ledger total %d, capture total %d",
+			led.Get(ledger.Framing), led.Total(), cap.TotalBytes())
 	}
 	if !p.Conn().Established() {
 		t.Fatal("persistent path should keep connection open")
@@ -72,12 +76,12 @@ func TestDoHandshakeThenRequest(t *testing.T) {
 
 func TestNonPersistentClosesConn(t *testing.T) {
 	p, _, clk := newPath(t, Minnesota(), false)
-	p.Do([]Exchange{{UpApp: 100, Kind: capture.KindControl}}, 0, nil)
+	p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
 	clk.Run()
 	if p.Conn().Established() {
 		t.Fatal("non-persistent path left connection open")
 	}
-	p.Do([]Exchange{{UpApp: 100, Kind: capture.KindControl}}, 0, nil)
+	p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
 	clk.Run()
 	if got := p.Conn().Opens; got != 2 {
 		t.Fatalf("Opens = %d, want 2 (handshake per session)", got)
@@ -87,7 +91,7 @@ func TestNonPersistentClosesConn(t *testing.T) {
 func TestPersistentReusesConn(t *testing.T) {
 	p, _, clk := newPath(t, Minnesota(), true)
 	for i := 0; i < 3; i++ {
-		p.Do([]Exchange{{UpApp: 100, Kind: capture.KindControl}}, 0, nil)
+		p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
 		clk.Run()
 	}
 	if got := p.Conn().Opens; got != 1 {
@@ -98,14 +102,14 @@ func TestPersistentReusesConn(t *testing.T) {
 func TestSessionsSerialize(t *testing.T) {
 	p, _, clk := newPath(t, Custom(8_000_000, 100*time.Millisecond), true)
 	var first, second time.Duration
-	p.Do([]Exchange{{UpApp: 4_000_000, Kind: capture.KindData}}, 0,
+	p.Do([]Exchange{{UpApp: 4_000_000, Cause: ledger.Payload}}, 0,
 		func() { first = clk.Now() })
 	if !p.Busy() {
 		t.Fatal("path should be busy right after Do")
 	}
 	// Queue a second session immediately: it must start after the first
 	// completes.
-	p.Do([]Exchange{{UpApp: 4_000_000, Kind: capture.KindData}}, 0,
+	p.Do([]Exchange{{UpApp: 4_000_000, Cause: ledger.Payload}}, 0,
 		func() { second = clk.Now() })
 	clk.Run()
 	if second <= first {
@@ -124,7 +128,7 @@ func TestBandwidthScalesDuration(t *testing.T) {
 	var ends [2]time.Duration
 	for i, bps := range []int64{1_600_000, 20_000_000} {
 		p, _, clk := newPath(t, Custom(bps, 60*time.Millisecond), true)
-		p.Do([]Exchange{{UpApp: 1 << 20, Kind: capture.KindData}}, 0,
+		p.Do([]Exchange{{UpApp: 1 << 20, Cause: ledger.Payload}}, 0,
 			func() { ends[i] = clk.Now() })
 		clk.Run()
 	}
@@ -142,8 +146,8 @@ func TestLatencyScalesDuration(t *testing.T) {
 	for i, rtt := range []time.Duration{40 * time.Millisecond, time.Second} {
 		p, _, clk := newPath(t, Custom(20_000_000, rtt), true)
 		p.Do([]Exchange{
-			{UpApp: 1000, Kind: capture.KindControl},
-			{UpApp: 1000, Kind: capture.KindControl, ExtraRTTs: 1},
+			{UpApp: 1000, Cause: ledger.Metadata},
+			{UpApp: 1000, Cause: ledger.Metadata, ExtraRTTs: 1},
 		}, 0, func() { ends[i] = clk.Now() })
 		clk.Run()
 	}
@@ -160,7 +164,7 @@ func TestServerTimeAdds(t *testing.T) {
 	p1, _, clk1 := newPath(t, Minnesota(), true)
 	p2, _, clk2 := newPath(t, Minnesota(), true)
 	var e1, e2 time.Duration
-	ex := []Exchange{{UpApp: 100, Kind: capture.KindControl}}
+	ex := []Exchange{{UpApp: 100, Cause: ledger.Metadata}}
 	p1.Do(ex, 0, func() { e1 = clk1.Now() })
 	p2.Do(ex, 2*time.Second, func() { e2 = clk2.Now() })
 	clk1.Run()
@@ -182,6 +186,8 @@ func TestNegativeExchangePanics(t *testing.T) {
 
 func TestPush(t *testing.T) {
 	p, cap, clk := newPath(t, Minnesota(), true)
+	led := ledger.New()
+	cap.SetLedger(led)
 	var end time.Duration
 	p.Push(500, func() { end = clk.Now() })
 	clk.Run()
@@ -191,8 +197,8 @@ func TestPush(t *testing.T) {
 	if cap.DownBytes() == 0 {
 		t.Fatal("push recorded no downstream traffic")
 	}
-	if cap.Dir(capture.Down).AppBytes != 500 {
-		t.Fatalf("push app bytes = %d", cap.Dir(capture.Down).AppBytes)
+	if got := led.Get(ledger.Metadata); got != 500 {
+		t.Fatalf("push metadata bytes = %d, want 500", got)
 	}
 }
 

@@ -23,13 +23,13 @@ import (
 )
 
 // Cause classifies why a wire byte was spent. The zero value Unset is
-// not a cause: charging sites use it to mean "derive the cause from
-// context" (for example from the capture packet kind).
+// not a cause.
 type Cause uint8
 
 const (
-	// Unset asks the charging site to classify by context; it never
-	// appears in a ledger.
+	// Unset is the zero value, a cause nobody named. It never appears
+	// in a ledger: Add drops bytes charged to it, and the simulator's
+	// capture refuses a packet that carries it.
 	Unset Cause = iota
 	// Metadata is sync-protocol control chatter: index updates and
 	// replies, commits, acks, notifications, session setup.

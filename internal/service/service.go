@@ -381,15 +381,11 @@ func assemble(n Name, access client.AccessMethod, ccfg cloud.Config, cfg client.
 	}
 	cfg.AutoSyncRemote = opts.AutoSyncRemote
 	cfg.Tracer = opts.Tracer
-	flow := capture.Flow{
-		Src: capture.Endpoint("client:" + opts.User + "@" + opts.Hardware.Name),
-		Dst: capture.Endpoint("cloud:" + n.String()),
-	}
-	conn := wire.NewConn(wire.DefaultParams(), cap, flow)
+	conn := wire.NewConn(wire.DefaultParams(), cap)
 	path := netem.NewPath(clk, opts.Link, conn, persistent)
 	path.SetTracer(opts.Tracer)
 	if persistent {
-		conn.Open(clk.Now())
+		conn.Open()
 		if opts.Capture == nil {
 			cap.Reset()
 		}

@@ -11,8 +11,6 @@
 package wire
 
 import (
-	"time"
-
 	"cloudsync/internal/capture"
 	"cloudsync/internal/obs/ledger"
 )
@@ -71,8 +69,7 @@ func DefaultParams() Params {
 // FrameSize reports the on-the-wire cost of sending app application
 // bytes over an established connection in one direction, and the wire
 // size of the pure-ACK traffic it provokes on the reverse path.
-// segments is the number of TCP segments used.
-func (p Params) FrameSize(app int) (wire, ackWire, segments int) {
+func (p Params) FrameSize(app int) (wire, ackWire int) {
 	if app < 0 {
 		panic("wire: FrameSize with negative size")
 	}
@@ -81,14 +78,13 @@ func (p Params) FrameSize(app int) (wire, ackWire, segments int) {
 		records = 1 // even an empty message is one record
 	}
 	tls := app + records*p.TLSRecordOverhead
-	segments = (tls + p.MSS - 1) / p.MSS
+	segments := (tls + p.MSS - 1) / p.MSS
 	if segments == 0 {
 		segments = 1
 	}
 	wire = tls + segments*p.SegHeader
 	acks := (segments + p.AckEverySegments - 1) / p.AckEverySegments
-	ackWire = acks * p.SegHeader
-	return wire, ackWire, segments
+	return wire, acks * p.SegHeader
 }
 
 // HandshakeRTTs is the number of round trips a fresh HTTPS connection
@@ -98,24 +94,24 @@ const HandshakeRTTs = 3
 
 // Conn is a simulated HTTPS connection between a client and the cloud.
 // It tracks whether the connection is established and records every
-// transmission into the capture.
+// transmission into the capture. Handshake, FIN and ACK bytes are
+// charged to ledger.Framing; a request's payload to the cause its
+// caller names.
 type Conn struct {
 	params Params
 	cap    *capture.Capture
-	flow   capture.Flow // client→cloud orientation
 	open   bool
 
-	// Opens counts how many times the connection was (re)established —
-	// visible in tests and in the per-connection-overhead ablation.
+	// Opens counts how many times the connection was (re)established.
 	Opens int
 }
 
-// NewConn returns a closed connection for the given client→cloud flow.
-func NewConn(params Params, cap *capture.Capture, flow capture.Flow) *Conn {
+// NewConn returns a closed connection recording into cap.
+func NewConn(params Params, cap *capture.Capture) *Conn {
 	if cap == nil {
 		panic("wire: NewConn with nil capture")
 	}
-	return &Conn{params: params, cap: cap, flow: flow}
+	return &Conn{params: params, cap: cap}
 }
 
 // Established reports whether the connection is currently open.
@@ -124,10 +120,14 @@ func (c *Conn) Established() bool { return c.open }
 // Params returns the cost model in use.
 func (c *Conn) Params() Params { return c.params }
 
+func (c *Conn) record(dir capture.Direction, cause ledger.Cause, wire, app int) {
+	c.cap.Record(capture.Packet{Dir: dir, Cause: cause, Wire: wire, App: app})
+}
+
 // Open establishes the connection if needed, recording TCP and TLS
-// handshake traffic stamped at time at. It reports the wire bytes spent
-// in each direction (zero if already open).
-func (c *Conn) Open(at time.Duration) (up, down int) {
+// handshake traffic. It reports the wire bytes spent in each direction
+// (zero if already open).
+func (c *Conn) Open() (up, down int) {
 	if c.open {
 		return 0, 0
 	}
@@ -137,84 +137,54 @@ func (c *Conn) Open(at time.Duration) (up, down int) {
 	// TCP 3-way handshake: SYN up, SYN-ACK down, ACK up.
 	upSegs := (p.TCPHandshakeSegments + 1) / 2
 	downSegs := p.TCPHandshakeSegments - upSegs
-	up = upSegs * p.SegHeader
-	down = downSegs * p.SegHeader
 	// TLS handshake payloads ride on data segments.
-	hsUp, hsUpAck, segsUp := p.FrameSize(p.TLSHandshakeUp)
-	hsDown, hsDownAck, segsDown := p.FrameSize(p.TLSHandshakeDown)
-	up += hsUp + hsDownAck
-	down += hsDown + hsUpAck
-	c.cap.Record(capture.Packet{Time: at, Flow: c.flow, Dir: capture.Up,
-		Kind: capture.KindHandshake, Wire: up, App: 0, Segments: upSegs + segsUp})
-	c.cap.Record(capture.Packet{Time: at, Flow: c.flow.Reverse(), Dir: capture.Down,
-		Kind: capture.KindHandshake, Wire: down, App: 0, Segments: downSegs + segsDown})
+	hsUp, hsUpAck := p.FrameSize(p.TLSHandshakeUp)
+	hsDown, hsDownAck := p.FrameSize(p.TLSHandshakeDown)
+	up = upSegs*p.SegHeader + hsUp + hsDownAck
+	down = downSegs*p.SegHeader + hsDown + hsUpAck
+	c.record(capture.Up, ledger.Framing, up, 0)
+	c.record(capture.Down, ledger.Framing, down, 0)
 	return up, down
 }
 
 // Request performs one HTTP request/response exchange over the open
 // connection: upApp request-body bytes up, downApp response-body bytes
 // down, plus headers, TLS records, segment headers, and reverse-path
-// ACKs. kind classifies the payload (data vs control). It panics if the
-// connection is not established — callers must Open first, so handshake
-// costs are never silently omitted. It reports wire bytes per direction.
-func (c *Conn) Request(at time.Duration, upApp, downApp int, kind capture.Kind) (up, down int) {
-	return c.RequestCause(at, upApp, downApp, kind, ledger.Unset)
-}
-
-// RequestCause is Request with an explicit attribution cause for the
-// request and response payload bytes (ledger.Unset derives the cause
-// from kind). ACK packets always charge to framing.
-func (c *Conn) RequestCause(at time.Duration, upApp, downApp int, kind capture.Kind, cause ledger.Cause) (up, down int) {
+// ACKs. Both bodies are charged to cause, everything else to framing.
+// It panics if the connection is not established — callers must Open
+// first, so handshake costs are never silently omitted. It reports
+// wire bytes per direction.
+func (c *Conn) Request(upApp, downApp int, cause ledger.Cause) (up, down int) {
 	if !c.open {
 		panic("wire: Request on closed connection")
 	}
 	p := c.params
-	reqWire, reqAck, reqSegs := p.FrameSize(upApp + p.HTTPRequestHeader)
-	respWire, respAck, respSegs := p.FrameSize(downApp + p.HTTPResponseHeader)
-	c.cap.Record(capture.Packet{Time: at, Flow: c.flow, Dir: capture.Up,
-		Kind: kind, Wire: reqWire, App: upApp, Segments: reqSegs, Cause: cause})
-	c.cap.Record(capture.Packet{Time: at, Flow: c.flow.Reverse(), Dir: capture.Down,
-		Kind: kind, Wire: respWire, App: downApp, Segments: respSegs, Cause: cause})
-	if reqAck > 0 {
-		c.cap.Record(capture.Packet{Time: at, Flow: c.flow.Reverse(), Dir: capture.Down,
-			Kind: capture.KindAck, Wire: reqAck, App: 0, Segments: reqAck / p.SegHeader})
-	}
-	if respAck > 0 {
-		c.cap.Record(capture.Packet{Time: at, Flow: c.flow, Dir: capture.Up,
-			Kind: capture.KindAck, Wire: respAck, App: 0, Segments: respAck / p.SegHeader})
-	}
-	return reqWire + respAck, respWire + reqAck
+	reqWire, reqAck := p.FrameSize(upApp + p.HTTPRequestHeader)
+	respWire, respAck := p.FrameSize(downApp + p.HTTPResponseHeader)
+	// Each direction carries its own body plus the ACKs of the other's.
+	up, down = reqWire+respAck, respWire+reqAck
+	c.record(capture.Up, cause, up, upApp)
+	c.record(capture.Down, cause, down, downApp)
+	return up, down
 }
 
-// Send transmits raw application bytes in one direction without HTTP
-// request/response semantics — used for custom sync protocols such as
-// Ubuntu One's storage protocol and for server push notifications.
-func (c *Conn) Send(at time.Duration, app int, dir capture.Direction, kind capture.Kind) (wire int) {
+// Push sends app bytes of server-initiated control traffic (a
+// notification) down the open connection, without HTTP request/response
+// semantics, and records the client's ACKs up.
+func (c *Conn) Push(app int) {
 	if !c.open {
-		panic("wire: Send on closed connection")
+		panic("wire: Push on closed connection")
 	}
-	p := c.params
-	w, ack, segs := p.FrameSize(app)
-	flow := c.flow
-	if dir == capture.Down {
-		flow = flow.Reverse()
-	}
-	c.cap.Record(capture.Packet{Time: at, Flow: flow, Dir: dir, Kind: kind,
-		Wire: w, App: app, Segments: segs})
+	w, ack := c.params.FrameSize(app)
+	c.record(capture.Down, ledger.Metadata, w, app)
 	if ack > 0 {
-		rd := capture.Down
-		if dir == capture.Down {
-			rd = capture.Up
-		}
-		c.cap.Record(capture.Packet{Time: at, Flow: flow.Reverse(), Dir: rd,
-			Kind: capture.KindAck, Wire: ack, App: 0, Segments: ack / p.SegHeader})
+		c.record(capture.Up, ledger.Framing, ack, 0)
 	}
-	return w
 }
 
 // Close tears the connection down, recording the FIN exchange. Closing
 // a closed connection is a no-op.
-func (c *Conn) Close(at time.Duration) {
+func (c *Conn) Close() {
 	if !c.open {
 		return
 	}
@@ -223,11 +193,9 @@ func (c *Conn) Close(at time.Duration) {
 	upSegs := p.CloseSegments / 2
 	downSegs := p.CloseSegments - upSegs
 	if upSegs > 0 {
-		c.cap.Record(capture.Packet{Time: at, Flow: c.flow, Dir: capture.Up,
-			Kind: capture.KindHandshake, Wire: upSegs * p.SegHeader, Segments: upSegs})
+		c.record(capture.Up, ledger.Framing, upSegs*p.SegHeader, 0)
 	}
 	if downSegs > 0 {
-		c.cap.Record(capture.Packet{Time: at, Flow: c.flow.Reverse(), Dir: capture.Down,
-			Kind: capture.KindHandshake, Wire: downSegs * p.SegHeader, Segments: downSegs})
+		c.record(capture.Down, ledger.Framing, downSegs*p.SegHeader, 0)
 	}
 }

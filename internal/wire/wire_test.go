@@ -5,22 +5,19 @@ import (
 	"testing/quick"
 
 	"cloudsync/internal/capture"
+	"cloudsync/internal/kerneltest"
+	"cloudsync/internal/obs/ledger"
 )
 
-var flow = capture.Flow{Src: "client", Dst: "cloud"}
-
 func newConn(c *capture.Capture) *Conn {
-	return NewConn(DefaultParams(), c, flow)
+	return NewConn(DefaultParams(), c)
 }
 
 func TestFrameSizeSmall(t *testing.T) {
 	p := DefaultParams()
-	wire, ack, segs := p.FrameSize(100)
-	if segs != 1 {
-		t.Fatalf("segments = %d, want 1", segs)
-	}
+	wire, ack := p.FrameSize(100)
 	if wire != 100+p.TLSRecordOverhead+p.SegHeader {
-		t.Fatalf("wire = %d", wire)
+		t.Fatalf("wire = %d, want one record in one segment", wire)
 	}
 	if ack != p.SegHeader {
 		t.Fatalf("ack = %d", ack)
@@ -29,9 +26,8 @@ func TestFrameSizeSmall(t *testing.T) {
 
 func TestFrameSizeEmpty(t *testing.T) {
 	p := DefaultParams()
-	wire, _, segs := p.FrameSize(0)
-	if segs != 1 || wire != p.TLSRecordOverhead+p.SegHeader {
-		t.Fatalf("empty frame: wire=%d segs=%d", wire, segs)
+	if wire, _ := p.FrameSize(0); wire != p.TLSRecordOverhead+p.SegHeader {
+		t.Fatalf("empty frame: wire=%d", wire)
 	}
 }
 
@@ -47,15 +43,15 @@ func TestFrameSizeNegativePanics(t *testing.T) {
 func TestFrameSizeLarge(t *testing.T) {
 	p := DefaultParams()
 	app := 1 << 20
-	wire, ack, segs := p.FrameSize(app)
+	wire, ack := p.FrameSize(app)
 	records := (app + p.TLSRecordSize - 1) / p.TLSRecordSize
 	wantTLS := app + records*p.TLSRecordOverhead
-	wantSegs := (wantTLS + p.MSS - 1) / p.MSS
-	if segs != wantSegs {
-		t.Fatalf("segments = %d, want %d", segs, wantSegs)
-	}
+	segs := (wantTLS + p.MSS - 1) / p.MSS
 	if wire != wantTLS+segs*p.SegHeader {
-		t.Fatalf("wire = %d", wire)
+		t.Fatalf("wire = %d, want %d", wire, wantTLS+segs*p.SegHeader)
+	}
+	if want := (segs + p.AckEverySegments - 1) / p.AckEverySegments * p.SegHeader; ack != want {
+		t.Fatalf("ack = %d, want %d", ack, want)
 	}
 	// Overhead for a 1 MB transfer should be a few percent, not more.
 	overhead := float64(wire+ack-app) / float64(app)
@@ -70,7 +66,7 @@ func TestOpenRecordsHandshake(t *testing.T) {
 	if c.Established() {
 		t.Fatal("new connection should be closed")
 	}
-	up, down := c.Open(0)
+	up, down := c.Open()
 	if !c.Established() {
 		t.Fatal("Open did not establish")
 	}
@@ -84,15 +80,15 @@ func TestOpenRecordsHandshake(t *testing.T) {
 	if down <= up {
 		t.Fatalf("handshake down (%d) should exceed up (%d)", down, up)
 	}
-	if got := cap.KindBytes(capture.KindHandshake); got != int64(up+down) {
-		t.Fatalf("handshake capture = %d, want %d", got, up+down)
+	if cap.UpBytes() != int64(up) || cap.DownBytes() != int64(down) {
+		t.Fatalf("capture (%d,%d), want (%d,%d)", cap.UpBytes(), cap.DownBytes(), up, down)
 	}
 	// Everything is overhead: no app payload.
-	if cap.AppBytes() != 0 {
-		t.Fatalf("handshake app bytes = %d", cap.AppBytes())
+	if cap.OverheadBytes() != cap.TotalBytes() {
+		t.Fatalf("handshake overhead %d of %d wire bytes", cap.OverheadBytes(), cap.TotalBytes())
 	}
 	// Re-open is free.
-	up2, down2 := c.Open(0)
+	up2, down2 := c.Open()
 	if up2 != 0 || down2 != 0 || c.Opens != 1 {
 		t.Fatal("re-open of established connection should be a no-op")
 	}
@@ -104,24 +100,24 @@ func TestRequestOnClosedPanics(t *testing.T) {
 			t.Fatal("Request on closed conn did not panic")
 		}
 	}()
-	newConn(capture.New()).Request(0, 10, 10, capture.KindData)
+	newConn(capture.New()).Request(10, 10, ledger.Payload)
 }
 
-func TestSendOnClosedPanics(t *testing.T) {
+func TestPushOnClosedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Send on closed conn did not panic")
+			t.Fatal("Push on closed conn did not panic")
 		}
 	}()
-	newConn(capture.New()).Send(0, 10, capture.Up, capture.KindData)
+	newConn(capture.New()).Push(10)
 }
 
 func TestRequestAccounting(t *testing.T) {
 	cap := capture.New()
 	c := newConn(cap)
-	c.Open(0)
+	c.Open()
 	m := cap.Mark()
-	up, down := c.Request(0, 1000, 200, capture.KindData)
+	up, down := c.Request(1000, 200, ledger.Payload)
 	gotUp, gotDown, app := cap.Since(m)
 	if gotUp != int64(up) || gotDown != int64(down) {
 		t.Fatalf("capture (%d,%d) != returned (%d,%d)", gotUp, gotDown, up, down)
@@ -134,32 +130,89 @@ func TestRequestAccounting(t *testing.T) {
 	}
 }
 
-func TestSendDirections(t *testing.T) {
-	for _, dir := range []capture.Direction{capture.Up, capture.Down} {
-		cap := capture.New()
-		c := newConn(cap)
-		c.Open(0)
-		m := cap.Mark()
-		c.Send(0, 5000, dir, capture.KindControl)
-		up, down, app := cap.Since(m)
-		if app != 5000 {
-			t.Fatalf("dir %v: app = %d", dir, app)
+// TestConnChargesEveryByte drives each Conn method on a capture with a
+// ledger attached and checks, after every call, the bytes per
+// direction and per cause against the cost model: a request's bodies go
+// to the cause its caller names, a push's to metadata, and every
+// handshake, header, ACK and FIN byte to framing. The ledger total must
+// equal the capture's wire total throughout.
+func TestConnChargesEveryByte(t *testing.T) {
+	p := DefaultParams()
+	cap := capture.New()
+	led := ledger.New()
+	cap.SetLedger(led)
+	c := newConn(cap)
+
+	// Each row is one call and the bytes it must put on the wire: up and
+	// down in total, of which app are charged to cause and the rest to
+	// framing.
+	type row struct {
+		name     string
+		call     func()
+		up, down int
+		cause    ledger.Cause
+		app      int
+	}
+	// Open: the TCP handshake's empty segments plus both TLS flights,
+	// each direction also carrying the ACKs of the other's flight.
+	hsUp, hsUpAck := p.FrameSize(p.TLSHandshakeUp)
+	hsDown, hsDownAck := p.FrameSize(p.TLSHandshakeDown)
+	syn := (p.TCPHandshakeSegments + 1) / 2
+	rows := []row{{"Open", func() { c.Open() },
+		syn*p.SegHeader + hsUp + hsDownAck,
+		(p.TCPHandshakeSegments-syn)*p.SegHeader + hsDown + hsUpAck,
+		ledger.Framing, 0}}
+	for i, cause := range ledger.Causes() {
+		upApp, downApp := 1000*(i+1), 3*(i+1)<<10
+		req, reqAck := p.FrameSize(upApp + p.HTTPRequestHeader)
+		resp, respAck := p.FrameSize(downApp + p.HTTPResponseHeader)
+		rows = append(rows, row{"Request " + cause.String(), func() { c.Request(upApp, downApp, cause) },
+			req + respAck, resp + reqAck, cause, upApp + downApp})
+	}
+	push, pushAck := p.FrameSize(500)
+	fin := p.CloseSegments / 2
+	rows = append(rows,
+		row{"Push", func() { c.Push(500) }, pushAck, push, ledger.Metadata, 500},
+		row{"Close", func() { c.Close() }, fin * p.SegHeader, (p.CloseSegments - fin) * p.SegHeader, ledger.Framing, 0})
+
+	var want [ledger.NumCauses]int64
+	var wantUp, wantDown int64
+	for _, r := range rows {
+		r.call()
+		wantUp += int64(r.up)
+		wantDown += int64(r.down)
+		want[r.cause] += int64(r.app)
+		want[ledger.Framing] += int64(r.up + r.down - r.app)
+		if cap.UpBytes() != wantUp || cap.DownBytes() != wantDown {
+			t.Errorf("%s: capture (up %d, down %d), want (%d, %d)",
+				r.name, cap.UpBytes(), cap.DownBytes(), wantUp, wantDown)
 		}
-		if dir == capture.Up && up <= down {
-			t.Fatalf("up send: up=%d down=%d", up, down)
+		for _, k := range ledger.Causes() {
+			if got := led.Get(k); got != want[k] {
+				t.Errorf("%s: %s = %d, want %d", r.name, k, got, want[k])
+			}
 		}
-		if dir == capture.Down && down <= up {
-			t.Fatalf("down send: up=%d down=%d", up, down)
+		if led.Total() != cap.TotalBytes() {
+			t.Errorf("%s: ledger total %d != capture total %d", r.name, led.Total(), cap.TotalBytes())
 		}
+	}
+
+	if kerneltest.Race {
+		t.Log("allocation check skipped: the race detector skews allocation counts")
+		return
+	}
+	c.Open()
+	if n := testing.AllocsPerRun(100, func() { c.Request(512, 64, ledger.Payload) }); n != 0 {
+		t.Errorf("Request on an open connection allocates %.0f times, want 0", n)
 	}
 }
 
 func TestCloseRecordsFin(t *testing.T) {
 	cap := capture.New()
 	c := newConn(cap)
-	c.Open(0)
+	c.Open()
 	before := cap.TotalBytes()
-	c.Close(0)
+	c.Close()
 	if c.Established() {
 		t.Fatal("Close did not close")
 	}
@@ -167,7 +220,7 @@ func TestCloseRecordsFin(t *testing.T) {
 		t.Fatal("Close recorded no traffic")
 	}
 	after := cap.TotalBytes()
-	c.Close(0) // double close is a no-op
+	c.Close() // double close is a no-op
 	if cap.TotalBytes() != after {
 		t.Fatal("double Close recorded traffic")
 	}
@@ -176,9 +229,9 @@ func TestCloseRecordsFin(t *testing.T) {
 func TestReopenCountsHandshakeAgain(t *testing.T) {
 	cap := capture.New()
 	c := newConn(cap)
-	c.Open(0)
-	c.Close(0)
-	c.Open(0)
+	c.Open()
+	c.Close()
+	c.Open()
 	if c.Opens != 2 {
 		t.Fatalf("Opens = %d, want 2", c.Opens)
 	}
@@ -190,7 +243,7 @@ func TestNewConnNilCapturePanics(t *testing.T) {
 			t.Fatal("NewConn(nil capture) did not panic")
 		}
 	}()
-	NewConn(DefaultParams(), nil, flow)
+	NewConn(DefaultParams(), nil)
 }
 
 // Property: framing is monotone (more app bytes never costs less wire)
@@ -202,8 +255,8 @@ func TestPropertyFrameMonotone(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		wx, ax, _ := p.FrameSize(x)
-		wy, ay, _ := p.FrameSize(y)
+		wx, ax := p.FrameSize(x)
+		wy, ay := p.FrameSize(y)
 		return wx+ax <= wy+ay
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -217,7 +270,7 @@ func TestPropertyOverheadBounds(t *testing.T) {
 	p := DefaultParams()
 	f := func(a uint32) bool {
 		app := int(a % (8 << 20))
-		w, ack, _ := p.FrameSize(app)
+		w, ack := p.FrameSize(app)
 		if w < app {
 			return false
 		}
