@@ -23,11 +23,13 @@
 // worker pool) and writes Chrome trace_event JSON loadable in
 // chrome://tracing or Perfetto. Tracing never changes the tables.
 //
-// -experiment explain is the decomposition artifact: each cell's sync
-// traffic split into the attribution ledger's causes (metadata, payload,
-// dedup probes, delta literals/copy references, resume, retransmit,
-// framing) as exact byte counts, asserted to sum to the cell's wire
-// bytes.
+// -experiment explain is the decomposition artifact: it decomposes the
+// cells of Experiment 1 (Table 6, PC clients), Experiment 3 (Fig. 4's
+// one-byte modification at Table 6's sizes, PC clients) and the fault
+// sweep, splitting each cell's sync traffic into the attribution
+// ledger's causes (metadata, payload, dedup probes, delta literals/copy
+// references, resume, retransmit, framing) as exact byte counts,
+// asserted to sum to the cell's wire bytes.
 package main
 
 import (
@@ -65,6 +67,23 @@ func (c config) sizes() []int64 {
 	return core.PaperSizes
 }
 
+// tableSizes are the sizes Table 6 prints, and explain decomposes.
+func (c config) tableSizes() []int64 {
+	if c.quick {
+		return core.QuickSizes
+	}
+	return core.TableSizes
+}
+
+// lossProbs is the fault sweep's loss sweep, which explain decomposes
+// too.
+func (c config) lossProbs() []float64 {
+	if c.quick {
+		return core.QuickFaultLossProbs
+	}
+	return core.FaultLossProbs
+}
+
 func (c config) xs() []float64 {
 	if c.quick {
 		return core.QuickXs()
@@ -88,10 +107,7 @@ var experiments = []experiment{
 		return core.RenderTable2(trace.PerServiceCounts(c.trace()))
 	}},
 	{"table6", "file-creation traffic (Table 6)", func(c config) string {
-		sizes := core.TableSizes
-		if c.quick {
-			sizes = core.QuickSizes
-		}
+		sizes := c.tableSizes()
 		return core.RenderTable6(core.Experiment1(sizes), sizes)
 	}},
 	{"fig3", "TUE vs file size, PC clients (Fig. 3)", func(c config) string {
@@ -195,14 +211,11 @@ var experiments = []experiment{
 		return core.RenderChunking(core.ChunkingAblation(versions, size, edit), versions, size, edit)
 	}},
 	{"faults", "TUE under injected exchange loss x link (fault injection)", func(c config) string {
-		probs := core.FaultLossProbs
-		if c.quick {
-			probs = core.QuickFaultLossProbs
-		}
-		return core.RenderFaultSweep(core.FaultSweep(probs))
+		return core.RenderFaultSweep(core.FaultSweep(c.lossProbs()))
 	}},
 	{"explain", "per-cause traffic decomposition / explainable TUE", func(c config) string {
-		return core.RenderExplain(core.ExplainAll(c.quick))
+		sizes := c.tableSizes()
+		return core.RenderExplain(core.Experiment1(sizes), core.Experiment3(sizes), core.FaultSweep(c.lossProbs()))
 	}},
 }
 

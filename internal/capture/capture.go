@@ -4,7 +4,7 @@
 // Actors that put bytes on a simulated link record them here as Packet
 // entries carrying the on-the-wire size, the application payload size
 // and the cause the payload is charged to. A Capture keeps per-direction
-// wire and payload totals, which answer the two questions every
+// wire totals and a payload total, which answer the two questions every
 // experiment asks: how much total sync traffic was used, and how much of
 // it was overhead (total − payload). An attached cause ledger splits the
 // same bytes by cause.
@@ -51,15 +51,16 @@ type Packet struct {
 	App int
 }
 
-// Mark is a snapshot of a capture's totals; see Capture.Mark.
+// Mark is a snapshot of a capture's wire totals; see Capture.Mark.
 type Mark struct {
-	wire, app [2]int64
+	wire [2]int64
 }
 
-// Capture accumulates per-direction traffic totals. The zero value is
-// a valid capture.
+// Capture accumulates per-direction wire totals and one payload total.
+// The zero value is a valid capture.
 type Capture struct {
 	sum Mark
+	app int64
 	led *ledger.Ledger
 }
 
@@ -83,7 +84,7 @@ func (c *Capture) Record(p Packet) {
 		panic(fmt.Sprintf("capture: Record of invalid packet %+v", p))
 	}
 	c.sum.wire[p.Dir] += int64(p.Wire)
-	c.sum.app[p.Dir] += int64(p.App)
+	c.app += int64(p.App)
 	// App → cause, overhead → framing: each packet contributes exactly
 	// Wire bytes, so sum(causes) == TotalBytes by construction.
 	c.led.Add(p.Cause, int64(p.App))
@@ -103,20 +104,18 @@ func (c *Capture) DownBytes() int64 { return c.sum.wire[Down] }
 // OverheadBytes reports total framing-plus-control overhead: wire bytes
 // that did not carry file content or protocol message payload.
 func (c *Capture) OverheadBytes() int64 {
-	return c.TotalBytes() - c.sum.app[Up] - c.sum.app[Down]
+	return c.TotalBytes() - c.app
 }
 
 // Reset clears all counters.
-func (c *Capture) Reset() { c.sum = Mark{} }
+func (c *Capture) Reset() { c.sum, c.app = Mark{}, 0 }
 
 // Mark returns a snapshot of the current totals, usable with Since to
 // measure the traffic of one operation inside a longer capture.
 func (c *Capture) Mark() Mark { return c.sum }
 
-// Since reports traffic recorded after the snapshot was taken.
-func (c *Capture) Since(m Mark) (up, down, app int64) {
-	up = c.sum.wire[Up] - m.wire[Up]
-	down = c.sum.wire[Down] - m.wire[Down]
-	app = c.sum.app[Up] - m.app[Up] + c.sum.app[Down] - m.app[Down]
-	return up, down, app
+// Since reports the wire bytes recorded in each direction after the
+// snapshot was taken.
+func (c *Capture) Since(m Mark) (up, down int64) {
+	return c.sum.wire[Up] - m.wire[Up], c.sum.wire[Down] - m.wire[Down]
 }

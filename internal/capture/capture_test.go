@@ -71,9 +71,9 @@ func TestMarkSince(t *testing.T) {
 	m := c.Mark()
 	c.Record(Packet{Dir: Up, Cause: ledger.Payload, Wire: 40, App: 30})
 	c.Record(Packet{Dir: Down, Cause: ledger.Payload, Wire: 60, App: 20})
-	up, down, app := c.Since(m)
-	if up != 40 || down != 60 || app != 50 {
-		t.Fatalf("Since = (%d,%d,%d), want (40,60,50)", up, down, app)
+	up, down := c.Since(m)
+	if up != 40 || down != 60 {
+		t.Fatalf("Since = (%d,%d), want (40,60)", up, down)
 	}
 }
 

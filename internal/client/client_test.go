@@ -113,7 +113,7 @@ func TestFullFileVsChunkedModification(t *testing.T) {
 		m := r.cap.Mark()
 		r.fs.ModifyByte("f", size/2)
 		r.clock.Run()
-		up, down, _ := r.cap.Since(m)
+		up, down := r.cap.Since(m)
 		return up + down
 	}
 	full := run(true)
@@ -139,7 +139,7 @@ func TestChunkedAppendSendsTail(t *testing.T) {
 	m := r.cap.Mark()
 	r.fs.Append("log", 1024)
 	r.clock.Run()
-	up, down, _ := r.cap.Since(m)
+	up, down := r.cap.Since(m)
 	if total := up + down; total > 60_000 {
 		t.Fatalf("1KB append moved %d bytes, want one chunk + overhead", total)
 	}
@@ -201,7 +201,7 @@ func TestDeletionTrafficNegligible(t *testing.T) {
 	m := r.cap.Mark()
 	r.fs.Delete("big")
 	r.clock.Run()
-	up, down, _ := r.cap.Since(m)
+	up, down := r.cap.Since(m)
 	if total := up + down; total > 100_000 {
 		t.Fatalf("deletion cost %d bytes, want < 100 KB", total)
 	}
@@ -235,7 +235,7 @@ func TestFullFileDedupSkipsUpload(t *testing.T) {
 	m := r.cap.Mark()
 	r.fs.Create("copy", content.Random(1<<20, 8)) // identical content
 	r.clock.Run()
-	up, down, _ := r.cap.Since(m)
+	up, down := r.cap.Since(m)
 	if total := up + down; total > 50_000 {
 		t.Fatalf("dedup'd upload cost %d bytes, want control traffic only", total)
 	}
@@ -258,7 +258,7 @@ func TestWebAccessIgnoresDedup(t *testing.T) {
 	m := r.cap.Mark()
 	r.fs.Create("copy", content.Random(1<<20, 9))
 	r.clock.Run()
-	up, _, _ := r.cap.Since(m)
+	up, _ := r.cap.Since(m)
 	if up < 1<<20 {
 		t.Fatalf("web re-upload moved %d bytes, want full content (no dedup)", up)
 	}
@@ -295,7 +295,7 @@ func TestFixedDeferBatchesFastUpdates(t *testing.T) {
 		r.clock.At(at, func() { r.fs.Append("doc", 1024) })
 	}
 	r.clock.Run()
-	up, down, _ := r.cap.Since(m)
+	up, down := r.cap.Since(m)
 	total := up + down
 	// One batched full-file sync ≈ 64 KB + overhead; unbatched would be
 	// ≈ 64×(avg 32 KB) ≈ 2 MB.
@@ -407,7 +407,7 @@ func TestDownload(t *testing.T) {
 	if !done {
 		t.Fatal("download callback never ran")
 	}
-	_, down, _ := r.cap.Since(m)
+	_, down := r.cap.Since(m)
 	if down >= 1<<20 {
 		t.Fatalf("compressed download moved %d bytes, want < raw size", down)
 	}
@@ -493,7 +493,7 @@ func TestRapidEditsCoalesceDirtyRanges(t *testing.T) {
 		r.fs.ModifyByte("f", 4096)
 	}
 	r.clock.Run()
-	up, down, _ := r.cap.Since(m)
+	up, down := r.cap.Since(m)
 	if total := up + down; total > 60_000 {
 		t.Fatalf("coalesced edits moved %d bytes, want one chunk + overhead", total)
 	}

@@ -132,7 +132,7 @@ func TestLocalEditAfterMirrorSyncsIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.clock.Run()
-	up, _, _ := b.cap.Since(m)
+	up, _ := b.cap.Since(m)
 	// defaultConfig is full-file sync, so B re-uploads the file — but
 	// it must be a modify (one upload), not a create-from-scratch plus
 	// echo loops.

@@ -24,7 +24,7 @@ func TestTUE(t *testing.T) {
 	}
 }
 
-func pcCells(cells []Cell) map[service.Name]map[float64]Cell {
+func pcBySize(cells []Cell) map[service.Name]map[float64]Cell {
 	out := map[service.Name]map[float64]Cell{}
 	for _, c := range cells {
 		if c.Access != client.PC {
@@ -43,7 +43,7 @@ func TestExperiment1Shapes(t *testing.T) {
 	if len(cells) != 6*3*len(QuickSizes) {
 		t.Fatalf("cells = %d", len(cells))
 	}
-	pc := pcCells(cells)
+	pc := pcBySize(cells)
 	for _, n := range service.All() {
 		oneB := pc[n][1].TUE
 		oneMB := pc[n][1<<20].TUE

@@ -23,27 +23,24 @@ const maxProbeSize = 16 << 20
 // uploadProbe uploads f1 (b1 random bytes) and then f2 = f1 + f1 on a
 // fresh setup, returning the sync traffic of each upload.
 func uploadProbe(n service.Name, a client.AccessMethod, b1, seed int64) (tr1, tr2 int64) {
-	s := newSetup(n, a, service.Options{})
+	s := service.NewSetup(n, a, service.Options{})
 	// Literal content: Algorithm 1 compares a file against its own
 	// self-concatenation, so both must fingerprint through the same
 	// (real MD5) path.
 	f1 := content.FromBytes(content.Random(b1, seed).Bytes())
-	mark := s.Capture.Mark()
-	if err := s.FS.Create("probe/f1", f1); err != nil {
-		panic(err)
-	}
-	s.Clock.Run()
-	u, d, _ := s.Capture.Since(mark)
-	tr1 = u + d
+	tr1, _ = measure(s, func() {
+		if err := s.FS.Create("probe/f1", f1); err != nil {
+			panic(err)
+		}
+	})
 
 	f2 := f1.Concat(f1)
-	mark = s.Capture.Mark()
-	if err := s.FS.Create("probe/f2", f2); err != nil {
-		panic(err)
-	}
-	s.Clock.Run()
-	u, d, _ = s.Capture.Since(mark)
-	return tr1, u + d
+	tr2, _ = measure(s, func() {
+		if err := s.FS.Create("probe/f2", f2); err != nil {
+			panic(err)
+		}
+	})
+	return tr1, tr2
 }
 
 // Algorithm1 is the paper's Iterative Self Duplication Algorithm: infer
@@ -98,7 +95,7 @@ func algorithm1(n service.Name, a client.AccessMethod, seeds *seedSeq) (blockSiz
 // user or by a second user sharing the cloud — and reports whether the
 // second upload's traffic indicates full-file deduplication.
 func duplicateFileProbe(n service.Name, a client.AccessMethod, crossUser bool, seed int64) bool {
-	s := newSetup(n, a, service.Options{User: "alice"})
+	s := service.NewSetup(n, a, service.Options{User: "alice"})
 	blob := content.Random(1<<20, seed)
 	if err := s.FS.Create("orig.bin", blob); err != nil {
 		panic(err)
@@ -107,20 +104,19 @@ func duplicateFileProbe(n service.Name, a client.AccessMethod, crossUser bool, s
 
 	uploader := s
 	if crossUser {
-		uploader = newSetup(n, a, service.Options{
+		uploader = service.NewSetup(n, a, service.Options{
 			User:    "bob",
 			Cloud:   s.Cloud,
 			Clock:   s.Clock,
 			Capture: s.Capture,
 		})
 	}
-	mark := s.Capture.Mark()
-	if err := uploader.FS.Create("copy.bin", content.Random(1<<20, blob.Seed())); err != nil {
-		panic(err)
-	}
-	s.Clock.Run()
-	u, d, _ := s.Capture.Since(mark)
-	return u+d < smallTraffic
+	traffic, _ := measure(s, func() {
+		if err := uploader.FS.Create("copy.bin", content.Random(1<<20, blob.Seed())); err != nil {
+			panic(err)
+		}
+	})
+	return traffic < smallTraffic
 }
 
 // DedupInference is one Table 9 row.

@@ -7,17 +7,18 @@ import (
 	"cloudsync/internal/content"
 	"cloudsync/internal/metrics"
 	"cloudsync/internal/netem"
+	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/parallel"
 	"cloudsync/internal/service"
 )
 
-// FaultCell is one measurement of the fault-injection sweep: the TUE of
-// the file-creation workload on one link at one exchange-loss rate,
-// plus the faults the link actually injected.
+// FaultCell is one measurement of the fault-injection sweep: the
+// file-creation workload of Dropbox's PC client on one link, with Param
+// the exchange-loss probability, plus the faults the link actually
+// injected.
 type FaultCell struct {
+	Cell
 	Location string
-	LossProb float64
-	TUE      float64
 	Faults   netem.FaultStats
 }
 
@@ -40,20 +41,19 @@ const (
 )
 
 // faultWorkload creates faultFiles distinct files on the setup, one
-// sync session at a time, and returns the traffic they caused. baseSeed
-// fixes every file's content, so two cells given the same baseSeed move
-// byte-identical payloads.
-func faultWorkload(s *service.Setup, baseSeed int64) int64 {
-	mark := s.Capture.Mark()
-	for i := 0; i < faultFiles; i++ {
-		name := fmt.Sprintf("fault-%02d.bin", i)
-		if err := s.FS.Create(name, content.Random(faultFileSize, baseSeed+int64(i))); err != nil {
-			panic(fmt.Sprintf("core: fault workload: %v", err))
+// sync session at a time, and measures the traffic they caused.
+// baseSeed fixes every file's content, so two cells given the same
+// baseSeed move byte-identical payloads.
+func faultWorkload(s *service.Setup, baseSeed int64) (int64, ledger.Snapshot) {
+	return measure(s, func() {
+		for i := 0; i < faultFiles; i++ {
+			name := fmt.Sprintf("fault-%02d.bin", i)
+			if err := s.FS.Create(name, content.Random(faultFileSize, baseSeed+int64(i))); err != nil {
+				panic(fmt.Sprintf("core: fault workload: %v", err))
+			}
+			s.Clock.Run()
 		}
-		s.Clock.Run()
-	}
-	up, down, _ := s.Capture.Since(mark)
-	return up + down
+	})
 }
 
 // FaultSweep measures how sync traffic overhead grows when the link is
@@ -112,12 +112,16 @@ func FaultSweep(lossProbs []float64) []FaultCell {
 	})
 
 	return parallel.Map(tasks, func(_ int, t faultTask) FaultCell {
-		s := newSetup(service.Dropbox, client.PC, service.Options{Link: t.link})
-		traffic := faultWorkload(s, t.seed)
+		s := service.NewSetup(service.Dropbox, client.PC, service.Options{Link: t.link})
+		traffic, causes := faultWorkload(s, t.seed)
 		return FaultCell{
-			Location: t.loc, LossProb: t.prob,
-			TUE:    TUE(traffic, faultFiles*faultFileSize),
-			Faults: s.Path.FaultStats(),
+			Cell: Cell{
+				Service: service.Dropbox, Access: client.PC, Param: t.prob,
+				Traffic: traffic, Causes: causes,
+				TUE: TUE(traffic, faultFiles*faultFileSize),
+			},
+			Location: t.loc,
+			Faults:   s.Path.FaultStats(),
 		}
 	})
 }
@@ -127,7 +131,7 @@ func RenderFaultSweep(cells []FaultCell) string {
 	tb := metrics.Table{Header: []string{"Link", "Loss", "TUE", "Retransmits", "Drops", "Stalls"}}
 	for _, c := range cells {
 		tb.AddRow(c.Location,
-			fmt.Sprintf("%.0f%%", c.LossProb*100),
+			lossPercent(c.Param),
 			fmtTUE(c.TUE),
 			fmt.Sprintf("%d", c.Faults.Retransmits),
 			fmt.Sprintf("%d", c.Faults.Drops),
@@ -136,3 +140,6 @@ func RenderFaultSweep(cells []FaultCell) string {
 	return fmt.Sprintf("Fault injection: Dropbox uploading %d x %d KB files, TUE vs exchange loss x link\n",
 		faultFiles, faultFileSize>>10) + tb.String()
 }
+
+// lossPercent renders a loss probability as the fault tables print it.
+func lossPercent(p float64) string { return fmt.Sprintf("%.0f%%", p*100) }

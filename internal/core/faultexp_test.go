@@ -19,12 +19,12 @@ func TestFaultSweepLossRaisesTUE(t *testing.T) {
 			t.Fatalf("%s has %d rows, want %d", loc, len(rows), len(QuickFaultLossProbs))
 		}
 		clean := rows[0]
-		if clean.LossProb != 0 || clean.Faults.Retransmits != 0 {
+		if clean.Param != 0 || clean.Faults.Retransmits != 0 {
 			t.Fatalf("%s baseline row not clean: %+v", loc, clean)
 		}
 		worst := rows[len(rows)-1]
 		if worst.Faults.Retransmits == 0 {
-			t.Fatalf("%s at %v%% loss injected no retransmissions", loc, worst.LossProb*100)
+			t.Fatalf("%s at %v%% loss injected no retransmissions", loc, worst.Param*100)
 		}
 		if worst.TUE <= clean.TUE {
 			t.Fatalf("%s TUE did not grow under loss: clean %.3f, lossy %.3f",
@@ -63,7 +63,7 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRenderFaultSweep(t *testing.T) {
-	out := RenderFaultSweep([]FaultCell{{Location: "MN", LossProb: 0.05, TUE: 12.5}})
+	out := RenderFaultSweep([]FaultCell{{Cell: Cell{Param: 0.05, TUE: 12.5}, Location: "MN"}})
 	for _, want := range []string{"MN", "5%", "Retransmits"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)

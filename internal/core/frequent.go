@@ -30,7 +30,7 @@ func QuickXs() []float64 { return []float64{1, 2, 5, 8, 12, 20} }
 // seed fixes the appended file's content identity; parallel callers
 // pass a pre-reserved seed (see creationSeed's determinism contract).
 func appendTUE(n service.Name, opts service.Options, x float64, seed int64) float64 {
-	s := newSetup(n, client.PC, opts)
+	s := service.NewSetup(n, client.PC, opts)
 	traffic := appendWorkload(s, x, AppendTotal, seed)
 	return TUE(traffic, AppendTotal)
 }

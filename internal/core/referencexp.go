@@ -36,48 +36,44 @@ type referenceWorkload struct {
 func referenceWorkloads() []referenceWorkload {
 	return []referenceWorkload{
 		{"create 1 MB file", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			mark := s.Capture.Mark()
-			if err := s.FS.Create("f", content.Random(1<<20, seeds.Next())); err != nil {
-				panic(err)
-			}
-			s.Clock.Run()
-			up, down, _ := s.Capture.Since(mark)
-			return up + down, 1 << 20
-		}},
-		{"create 1 MB text file", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			mark := s.Capture.Mark()
-			if err := s.FS.Create("f", content.Text(1<<20, seeds.Next())); err != nil {
-				panic(err)
-			}
-			s.Clock.Run()
-			up, down, _ := s.Capture.Since(mark)
-			return up + down, 1 << 20
-		}},
-		{"100 × 1 KB batch", 100, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			mark := s.Capture.Mark()
-			for i := 0; i < 100; i++ {
-				if err := s.FS.Create(fmt.Sprintf("b/f%03d", i), content.Random(1<<10, seeds.Next())); err != nil {
+			traffic, _ := measure(s, func() {
+				if err := s.FS.Create("f", content.Random(1<<20, seeds.Next())); err != nil {
 					panic(err)
 				}
-			}
-			s.Clock.Run()
-			up, down, _ := s.Capture.Since(mark)
-			return up + down, 100 << 10
+			})
+			return traffic, 1 << 20
+		}},
+		{"create 1 MB text file", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
+			traffic, _ := measure(s, func() {
+				if err := s.FS.Create("f", content.Text(1<<20, seeds.Next())); err != nil {
+					panic(err)
+				}
+			})
+			return traffic, 1 << 20
+		}},
+		{"100 × 1 KB batch", 100, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
+			traffic, _ := measure(s, func() {
+				for i := 0; i < 100; i++ {
+					if err := s.FS.Create(fmt.Sprintf("b/f%03d", i), content.Random(1<<10, seeds.Next())); err != nil {
+						panic(err)
+					}
+				}
+			})
+			return traffic, 100 << 10
 		}},
 		{"modify 1 B of 1 MB", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
 			if err := s.FS.Create("f", content.Random(1<<20, seeds.Next())); err != nil {
 				panic(err)
 			}
 			s.Clock.Run()
-			mark := s.Capture.Mark()
-			if err := s.FS.ModifyByte("f", 1<<19); err != nil {
-				panic(err)
-			}
-			s.Clock.Run()
-			up, down, _ := s.Capture.Since(mark)
+			traffic, _ := measure(s, func() {
+				if err := s.FS.ModifyByte("f", 1<<19); err != nil {
+					panic(err)
+				}
+			})
 			// Reference the containing chunk, as the paper's IDS
 			// discussion does: the fairest "should" is one chunk.
-			return up + down, int64(8 << 10)
+			return traffic, int64(8 << 10)
 		}},
 		{"re-upload duplicate 1 MB", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
 			blob := content.Random(1<<20, seeds.Next())
@@ -85,13 +81,12 @@ func referenceWorkloads() []referenceWorkload {
 				panic(err)
 			}
 			s.Clock.Run()
-			mark := s.Capture.Mark()
-			if err := s.FS.Create("copy", content.Random(1<<20, blob.Seed())); err != nil {
-				panic(err)
-			}
-			s.Clock.Run()
-			up, down, _ := s.Capture.Since(mark)
-			return up + down, 1 << 20
+			traffic, _ := measure(s, func() {
+				if err := s.FS.Create("copy", content.Random(1<<20, blob.Seed())); err != nil {
+					panic(err)
+				}
+			})
+			return traffic, 1 << 20
 		}},
 		{"append 1 KB/s → 1 MB", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
 			return appendWorkload(s, 1, AppendTotal, seeds.Next()), AppendTotal
@@ -113,25 +108,19 @@ func ReferenceComparison() []ReferenceCell {
 	// Task i*(1+len(services)) is workload i on the reference design;
 	// the following len(services) tasks are the commercial clients.
 	type task struct {
-		w         referenceWorkload
-		reference bool
-		n         service.Name
-		seeds     *seedSeq
+		w     referenceWorkload
+		n     service.Name
+		seeds *seedSeq
 	}
 	var tasks []task
 	for _, w := range workloads {
-		tasks = append(tasks, task{w: w, reference: true, seeds: reserveSeeds(w.seeds)})
+		tasks = append(tasks, task{w: w, n: service.Reference, seeds: reserveSeeds(w.seeds)})
 		for _, n := range services {
 			tasks = append(tasks, task{w: w, n: n, seeds: reserveSeeds(w.seeds)})
 		}
 	}
 	tues := parallel.Map(tasks, func(_ int, t task) float64 {
-		var s *service.Setup
-		if t.reference {
-			s = newReferenceSetup(service.Options{})
-		} else {
-			s = newSetup(t.n, client.PC, service.Options{})
-		}
+		s := service.NewSetup(t.n, client.PC, service.Options{})
 		traffic, update := t.w.run(s, t.seeds)
 		return TUE(traffic, update)
 	})
@@ -173,7 +162,7 @@ func ReferenceASDBound(xs []float64) float64 {
 		seeds[i] = nextSeed()
 	}
 	tues := parallel.Map(xs, func(i int, x float64) float64 {
-		s := newReferenceSetup(service.Options{})
+		s := service.NewReferenceSetup(service.Options{})
 		return TUE(appendWorkload(s, x, AppendTotal, seeds[i]), AppendTotal)
 	})
 	worst := 0.0

@@ -116,7 +116,7 @@ func scheduleRecord(s *service.Setup, name string, r trace.Record, idOffset int6
 // spread between creation and last-modification time. The replay runs
 // a single account on the PC client from Minnesota.
 func TraceReplay(n service.Name, recs []trace.Record, fullScaleFactor float64) ReplayResult {
-	s := newSetup(n, client.PC, service.Options{})
+	s := service.NewSetup(n, client.PC, service.Options{})
 	var update int64
 	for i, r := range recs {
 		update += scheduleRecord(s, fmt.Sprintf("u/%s/f%06d", r.User, i), r, 0)

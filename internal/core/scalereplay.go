@@ -108,12 +108,9 @@ func scaleCloudConfig(n service.Name) cloud.Config {
 	return service.CloudConfig(n)
 }
 
-// replayAccount replays one user partition's records as account user
-// through a fresh setup attached to sharedCloud (nil: the account gets
-// a private cloud).
-func replayAccount(n service.Name, sharedCloud *cloud.Cloud, user string,
-	recs []trace.Record, p userPartition, idOffset int64) (traffic, update int64) {
-	s := newSetup(n, client.PC, service.Options{User: user, Cloud: sharedCloud})
+// replayAccount replays one user partition's records through the
+// account's fresh setup s.
+func replayAccount(s *service.Setup, recs []trace.Record, p userPartition, idOffset int64) (traffic, update int64) {
 	for k, i := range p.idx {
 		update += scheduleRecord(s, p.names[k], recs[i], idOffset)
 	}
@@ -177,8 +174,9 @@ func ScaleReplay(recs []trace.Record, multiplier int) ScaleResult {
 			// Clone c of user u003 replays as account "u003+c".
 			user = fmt.Sprintf("%s+%d", user, u.clone)
 		}
-		t, up := replayAccount(services[u.svc], shared[u.svc], user,
-			recs, p, int64(u.clone)*cloneContentStride)
+		// A nil shared cloud gives the account a private one.
+		s := service.NewSetup(services[u.svc], client.PC, service.Options{User: user, Cloud: shared[u.svc]})
+		t, up := replayAccount(s, recs, p, int64(u.clone)*cloneContentStride)
 		cells[i] = cell{traffic: t, update: up}
 	})
 

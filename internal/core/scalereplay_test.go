@@ -3,9 +3,11 @@ package core
 import (
 	"testing"
 
+	"cloudsync/internal/client"
 	"cloudsync/internal/invariant"
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/parallel"
+	"cloudsync/internal/service"
 	"cloudsync/internal/trace"
 )
 
@@ -71,27 +73,42 @@ func TestScaleReplayTUEStable(t *testing.T) {
 	}
 }
 
-// TestScaleReplayLedgerBalance is the satellite property test: with
-// the process-wide attribution ledger attached, a sharded parallel
-// scale replay must attribute every wire byte to a cause — the
-// invariant.CheckLedger balance holds exactly even though dozens of
-// accounts charge the (atomic) ledger concurrently.
+// TestScaleReplayLedgerBalance is the ledger property for the trace
+// replay: with one attribution ledger shared by every account of every
+// service, replayed concurrently, each wire byte is charged to a cause
+// — the invariant.CheckLedger balance holds exactly even though dozens
+// of accounts charge the (atomic) ledger at once.
 func TestScaleReplayLedgerBalance(t *testing.T) {
-	led := ledger.New()
-	SetLedger(led)
-	defer SetLedger(nil)
+	recs := scaleTrace()
+	parts := partitionByUser(recs)
+	type unit struct {
+		n    service.Name
+		part userPartition
+	}
+	var units []unit
+	for _, n := range scaleServices() {
+		for _, p := range parts {
+			units = append(units, unit{n, p})
+		}
+	}
 
 	parallel.SetWorkers(8)
 	defer parallel.SetWorkers(0)
 
-	res := ScaleReplay(scaleTrace(), 3)
+	led := ledger.New()
+	traffic := parallel.Map(units, func(_ int, u unit) int64 {
+		s := service.NewSetup(u.n, client.PC, service.Options{User: u.part.user})
+		s.Capture.SetLedger(led)
+		bytes, _ := replayAccount(s, recs, u.part, 0)
+		return bytes
+	})
 
 	var total int64
-	for _, sr := range res.Services {
-		total += sr.Traffic
+	for _, b := range traffic {
+		total += b
 	}
 	if total == 0 {
-		t.Fatal("scale replay produced no traffic")
+		t.Fatal("trace replay produced no traffic")
 	}
 	for _, v := range invariant.CheckLedger(total, led.Snapshot()) {
 		t.Errorf("%v", v)

@@ -48,23 +48,25 @@ func grid(sizes []int64) []gridCell {
 func Experiment1(sizes []int64) []Cell {
 	return parallel.Map(grid(sizes), func(_ int, t gridCell) Cell {
 		blob := content.Random(t.size, t.seed)
-		up, down := runOp(t.n, t.a, service.Options{}, func(s *service.Setup) {
+		traffic, causes := runOp(t.n, t.a, service.Options{}, func(s *service.Setup) {
 			if err := s.FS.Create("file.bin", blob); err != nil {
 				panic(err)
 			}
 		})
 		return Cell{
 			Service: t.n, Access: t.a, Param: float64(t.size),
-			Up: up, Down: down, Traffic: up + down,
-			TUE: TUE(up+down, t.size),
+			Traffic: traffic, Causes: causes, TUE: TUE(traffic, t.size),
 		}
 	})
 }
 
 // Experiment1PC is the Fig. 3 slice of Experiment 1: PC clients only.
-func Experiment1PC(sizes []int64) []Cell {
+func Experiment1PC(sizes []int64) []Cell { return pcCells(Experiment1(sizes)) }
+
+// pcCells keeps the PC-client cells of a grid, in grid order.
+func pcCells(cells []Cell) []Cell {
 	var out []Cell
-	for _, c := range Experiment1(sizes) {
+	for _, c := range cells {
 		if c.Access == client.PC {
 			out = append(out, c)
 		}
@@ -103,7 +105,7 @@ func Experiment1Batch() []BatchCreationResult {
 		}
 	}
 	return parallel.Map(tasks, func(_ int, t task) BatchCreationResult {
-		up, down := runOp(t.n, t.a, service.Options{}, func(s *service.Setup) {
+		traffic, _ := runOp(t.n, t.a, service.Options{}, func(s *service.Setup) {
 			for i := 0; i < files; i++ {
 				name := fmt.Sprintf("batch/f%03d", i)
 				if err := s.FS.Create(name, content.Random(fileSize, t.seeds.Next())); err != nil {
@@ -111,7 +113,6 @@ func Experiment1Batch() []BatchCreationResult {
 				}
 			}
 		})
-		traffic := up + down
 		tue := TUE(traffic, files*fileSize)
 		return BatchCreationResult{
 			Service: t.n, Access: t.a, Traffic: traffic, TUE: tue,
@@ -126,23 +127,22 @@ func Experiment1Batch() []BatchCreationResult {
 func Experiment2(sizes []int64) []Cell {
 	return parallel.Map(grid(sizes), func(_ int, t gridCell) Cell {
 		blob := content.Random(t.size, t.seed)
-		s := newSetup(t.n, t.a, service.Options{})
+		s := service.NewSetup(t.n, t.a, service.Options{})
 		if err := s.FS.Create("victim.bin", blob); err != nil {
 			panic(err)
 		}
 		s.Clock.Run()
-		mark := s.Capture.Mark()
-		if err := s.FS.Delete("victim.bin"); err != nil {
-			panic(err)
-		}
-		s.Clock.Run()
-		up, down, _ := s.Capture.Since(mark)
+		traffic, causes := measure(s, func() {
+			if err := s.FS.Delete("victim.bin"); err != nil {
+				panic(err)
+			}
+		})
 		return Cell{
 			Service: t.n, Access: t.a, Param: float64(t.size),
-			Up: up, Down: down, Traffic: up + down,
+			Traffic: traffic, Causes: causes,
 			// For deletions the natural reference is the file
 			// size, though the paper reports absolute traffic.
-			TUE: TUE(up+down+1, t.size),
+			TUE: TUE(traffic+1, t.size),
 		}
 	})
 }
@@ -159,21 +159,20 @@ func Experiment3(sizes []int64) []Cell {
 	}
 	return parallel.Map(grid(kept), func(_ int, t gridCell) Cell {
 		blob := content.Random(t.size, t.seed)
-		s := newSetup(t.n, t.a, service.Options{})
+		s := service.NewSetup(t.n, t.a, service.Options{})
 		if err := s.FS.Create("target.bin", blob); err != nil {
 			panic(err)
 		}
 		s.Clock.Run()
-		mark := s.Capture.Mark()
-		if err := s.FS.ModifyByte("target.bin", t.size/2); err != nil {
-			panic(err)
-		}
-		s.Clock.Run()
-		up, down, _ := s.Capture.Since(mark)
+		traffic, causes := measure(s, func() {
+			if err := s.FS.ModifyByte("target.bin", t.size/2); err != nil {
+				panic(err)
+			}
+		})
 		return Cell{
 			Service: t.n, Access: t.a, Param: float64(t.size),
-			Up: up, Down: down, Traffic: up + down,
-			TUE: TUE(up+down, 1), // one byte changed
+			Traffic: traffic, Causes: causes,
+			TUE: TUE(traffic, 1), // one byte changed
 		}
 	})
 }
@@ -197,25 +196,21 @@ func Experiment4(size int64) []CompressionCell {
 	seed := nextSeed()
 	return parallel.Map(grid([]int64{size}), func(_ int, t gridCell) CompressionCell {
 		blob := content.Text(t.size, seed)
-		s := newSetup(t.n, t.a, service.Options{})
-		mark := s.Capture.Mark()
-		if err := s.FS.Create("words.txt", blob); err != nil {
-			panic(err)
-		}
-		s.Clock.Run()
-		upU, upD, _ := s.Capture.Since(mark)
-
-		mark = s.Capture.Mark()
-		if err := s.Client.Download("words.txt", nil); err != nil {
-			panic(err)
-		}
-		s.Clock.Run()
-		dnU, dnD, _ := s.Capture.Since(mark)
-
+		s := service.NewSetup(t.n, t.a, service.Options{})
+		up, _ := measure(s, func() {
+			if err := s.FS.Create("words.txt", blob); err != nil {
+				panic(err)
+			}
+		})
+		down, _ := measure(s, func() {
+			if err := s.Client.Download("words.txt", nil); err != nil {
+				panic(err)
+			}
+		})
 		return CompressionCell{
 			Service: t.n, Access: t.a,
-			UpBytes: upU + upD, DnBytes: dnU + dnD, Size: t.size,
-			Detected: upU+upD < t.size*95/100,
+			UpBytes: up, DnBytes: down, Size: t.size,
+			Detected: up < t.size*95/100,
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 
 	"cloudsync/internal/client"
 	"cloudsync/internal/content"
+	"cloudsync/internal/invariant"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/service"
@@ -28,36 +29,6 @@ var tracer atomic.Pointer[obs.Tracer]
 // clock — the measurement tuebench -trace exports. Tracing never
 // affects experiment results; the tables stay byte-identical.
 func SetTracer(tr *obs.Tracer) { tracer.Store(tr) }
-
-// globalLedger is the process-wide traffic-attribution ledger every
-// experiment setup's capture charges into, mirroring the tracer hook:
-// atomic because grids run on the worker pool, nil (the default) a
-// strict no-op.
-var globalLedger atomic.Pointer[ledger.Ledger]
-
-// SetLedger installs (or, with nil, removes) the ledger that receives
-// per-cause byte attribution from every simulated experiment. Like
-// tracing, attribution is passive: the experiment tables stay
-// byte-identical whether or not a ledger is attached (the determinism
-// test asserts this).
-func SetLedger(l *ledger.Ledger) { globalLedger.Store(l) }
-
-// newSetup is the experiments' only constructor for simulated stacks:
-// service.NewSetup plus the process-wide attribution hook. Every
-// experiment cell must build its setup here so that SetLedger observes
-// the whole harness.
-func newSetup(n service.Name, a client.AccessMethod, opts service.Options) *service.Setup {
-	s := service.NewSetup(n, a, opts)
-	s.Capture.SetLedger(globalLedger.Load())
-	return s
-}
-
-// newReferenceSetup mirrors newSetup for the reference-design stack.
-func newReferenceSetup(opts service.Options) *service.Setup {
-	s := service.NewReferenceSetup(opts)
-	s.Capture.SetLedger(globalLedger.Load())
-	return s
-}
 
 // TUE is the paper's Eq. (1): total data sync traffic divided by the
 // data update size. A TUE near 1 means the sync mechanism moved about
@@ -88,28 +59,47 @@ type Cell struct {
 	Service service.Name
 	Access  client.AccessMethod
 	// Param is the experiment's swept parameter (file size in bytes,
-	// append period in seconds, bandwidth, latency — see each
-	// experiment).
+	// append period in seconds, bandwidth, latency, loss probability —
+	// see each experiment).
 	Param float64
-	// Up, Down and Traffic are wire bytes (Traffic = Up + Down).
-	Up, Down, Traffic int64
+	// Traffic is the measured operation's wire bytes in both
+	// directions, and Causes their decomposition by cause: it sums to
+	// Traffic exactly.
+	Traffic int64
+	Causes  ledger.Snapshot
 	// TUE is Traffic over the experiment's data update size.
 	TUE float64
 }
 
-// runOp builds a fresh setup, performs op, runs the simulation to
-// quiescence, and reports the traffic it generated.
-func runOp(n service.Name, a client.AccessMethod, opts service.Options, op func(*service.Setup)) (up, down int64) {
+// measure is how every simulated experiment measures an operation: it
+// attaches a fresh cause ledger to the setup's capture, runs op, drains
+// the clock, and reports the wire bytes op caused with their
+// decomposition by cause. It panics unless the causes sum exactly to
+// the wire bytes — a decomposition is only worth reporting if it is
+// provably complete.
+func measure(s *service.Setup, op func()) (traffic int64, causes ledger.Snapshot) {
+	led := ledger.New()
+	s.Capture.SetLedger(led)
+	mark := s.Capture.Mark()
+	op()
+	s.Clock.Run()
+	up, down := s.Capture.Since(mark)
+	causes = led.Snapshot()
+	if vs := invariant.CheckLedger(up+down, causes); len(vs) != 0 {
+		panic(fmt.Sprintf("core: measured %s/%s: %v", s.Service, s.Access, vs))
+	}
+	return up + down, causes
+}
+
+// runOp builds a fresh setup and measures op on it.
+func runOp(n service.Name, a client.AccessMethod, opts service.Options, op func(*service.Setup)) (traffic int64, causes ledger.Snapshot) {
 	sp := tracer.Load().Start("core.cell",
 		obs.String("service", n.String()), obs.String("access", a.String()))
-	s := newSetup(n, a, opts)
-	mark := s.Capture.Mark()
-	op(s)
-	s.Clock.Run()
-	u, d, _ := s.Capture.Since(mark)
-	sp.Set(obs.Int("up", u), obs.Int("down", d))
+	s := service.NewSetup(n, a, opts)
+	traffic, causes = measure(s, func() { op(s) })
+	sp.Set(obs.Int("traffic", traffic))
 	sp.End()
-	return u, d
+	return traffic, causes
 }
 
 // creationSeed gives every synthetic file in an experiment distinct,
@@ -189,28 +179,27 @@ func appendWorkload(s *service.Setup, x float64, total, seed int64) (traffic int
 		panic(fmt.Sprintf("core: append workload: %v", err))
 	}
 	s.Clock.Run()
-	mark := s.Capture.Mark()
 	step := int64(x * 1024)
 	if step <= 0 {
 		panic(fmt.Sprintf("core: append workload with X = %v", x))
 	}
 	period := time.Duration(x * float64(time.Second))
-	var scheduled int64
-	base := s.Clock.Now()
-	for i := int64(1); scheduled < total; i++ {
-		n := step
-		if scheduled+n > total {
-			n = total - scheduled
-		}
-		scheduled += n
-		grow := n
-		s.Clock.Post(base+time.Duration(i)*period, func() {
-			if err := s.FS.Append(name, grow); err != nil {
-				panic(fmt.Sprintf("core: append: %v", err))
+	traffic, _ = measure(s, func() {
+		var scheduled int64
+		base := s.Clock.Now()
+		for i := int64(1); scheduled < total; i++ {
+			n := step
+			if scheduled+n > total {
+				n = total - scheduled
 			}
-		})
-	}
-	s.Clock.Run()
-	up, down, _ := s.Capture.Since(mark)
-	return up + down
+			scheduled += n
+			grow := n
+			s.Clock.Post(base+time.Duration(i)*period, func() {
+				if err := s.FS.Append(name, grow); err != nil {
+					panic(fmt.Sprintf("core: append: %v", err))
+				}
+			})
+		}
+	})
+	return traffic
 }

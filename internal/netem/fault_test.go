@@ -30,7 +30,7 @@ func runSessions(link Link, n int) (traffic int64, end time.Duration, stats Faul
 		p.Do(ex, 0, nil)
 	}
 	clk.Run()
-	up, down, _ := cap.Since(capture.Mark{})
+	up, down := cap.Since(capture.Mark{})
 	return up + down, clk.Now(), p.FaultStats()
 }
 

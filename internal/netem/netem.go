@@ -149,9 +149,6 @@ func (p *Path) FaultStats() FaultStats {
 	return p.faults.stats
 }
 
-// Conn exposes the underlying connection (for tests and teardown).
-func (p *Path) Conn() *wire.Conn { return p.conn }
-
 // Busy reports whether a session is currently occupying the path.
 func (p *Path) Busy() bool { return p.busyUntil > p.clock.Now() }
 

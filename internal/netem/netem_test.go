@@ -18,6 +18,18 @@ func newPath(t *testing.T, link Link, persistent bool) (*Path, *capture.Capture,
 	return NewPath(clk, link, conn, persistent), cap, clk
 }
 
+// connCosts prices, on a scratch connection, one handshake, one FIN
+// exchange and the framing of one request with the given bodies.
+func connCosts(upApp, downApp int) (handshake, fin, framing int64) {
+	cap := capture.New()
+	c := wire.NewConn(wire.DefaultParams(), cap)
+	hsUp, hsDown := c.Open()
+	up, down := c.Request(upApp, downApp, ledger.Metadata)
+	open := cap.TotalBytes()
+	c.Close()
+	return int64(hsUp + hsDown), cap.TotalBytes() - open, int64(up + down - upApp - downApp)
+}
+
 func TestLinkTimes(t *testing.T) {
 	l := Custom(8_000_000, 100*time.Millisecond) // 1 MB/s
 	if got := l.UpTime(1_000_000); got != time.Second {
@@ -65,37 +77,40 @@ func TestDoHandshakeThenRequest(t *testing.T) {
 	if got := led.Get(ledger.Payload); got != 10_100 {
 		t.Fatalf("payload = %d, want the exchange's 10100 app bytes", got)
 	}
-	if led.Get(ledger.Framing) == 0 || led.Total() != cap.TotalBytes() {
-		t.Fatalf("framing %d, ledger total %d, capture total %d",
-			led.Get(ledger.Framing), led.Total(), cap.TotalBytes())
+	// One handshake and the request's framing, and no FIN: a persistent
+	// path keeps its connection open.
+	hs, _, framing := connCosts(10_000, 100)
+	if got := led.Get(ledger.Framing); got != hs+framing {
+		t.Fatalf("framing = %d, want handshake %d + request framing %d", got, hs, framing)
 	}
-	if !p.Conn().Established() {
-		t.Fatal("persistent path should keep connection open")
+	if led.Total() != cap.TotalBytes() {
+		t.Fatalf("ledger total %d, capture total %d", led.Total(), cap.TotalBytes())
 	}
 }
 
 func TestNonPersistentClosesConn(t *testing.T) {
-	p, _, clk := newPath(t, Minnesota(), false)
-	p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
-	clk.Run()
-	if p.Conn().Established() {
-		t.Fatal("non-persistent path left connection open")
-	}
-	p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
-	clk.Run()
-	if got := p.Conn().Opens; got != 2 {
-		t.Fatalf("Opens = %d, want 2 (handshake per session)", got)
+	p, cap, clk := newPath(t, Minnesota(), false)
+	hs, fin, framing := connCosts(100, 0)
+	for i := int64(1); i <= 2; i++ {
+		p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
+		clk.Run()
+		// Every session pays its own handshake and FIN.
+		if got, want := cap.OverheadBytes(), i*(hs+fin+framing); got != want {
+			t.Fatalf("after %d sessions: overhead %d, want %d", i, got, want)
+		}
 	}
 }
 
 func TestPersistentReusesConn(t *testing.T) {
-	p, _, clk := newPath(t, Minnesota(), true)
-	for i := 0; i < 3; i++ {
+	p, cap, clk := newPath(t, Minnesota(), true)
+	hs, _, framing := connCosts(100, 0)
+	for i := int64(1); i <= 3; i++ {
 		p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
 		clk.Run()
-	}
-	if got := p.Conn().Opens; got != 1 {
-		t.Fatalf("Opens = %d, want 1", got)
+		// One handshake in all: later sessions pay only their framing.
+		if got, want := cap.OverheadBytes(), hs+i*framing; got != want {
+			t.Fatalf("after %d sessions: overhead %d, want %d", i, got, want)
+		}
 	}
 }
 

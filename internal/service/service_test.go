@@ -253,7 +253,7 @@ func TestSharedCloudAcrossUsers(t *testing.T) {
 	m := alice.Capture.Mark()
 	bob.FS.Create("f", content.Random(1<<20, 7))
 	alice.Clock.Run()
-	up, down, _ := alice.Capture.Since(m)
+	up, down := alice.Capture.Since(m)
 	// Ubuntu One dedups across users: bob's identical upload is cheap.
 	if total := up + down; total > 50_000 {
 		t.Fatalf("cross-user duplicate upload cost %d, want control traffic only", total)

@@ -101,9 +101,6 @@ type Conn struct {
 	params Params
 	cap    *capture.Capture
 	open   bool
-
-	// Opens counts how many times the connection was (re)established.
-	Opens int
 }
 
 // NewConn returns a closed connection recording into cap.
@@ -132,7 +129,6 @@ func (c *Conn) Open() (up, down int) {
 		return 0, 0
 	}
 	c.open = true
-	c.Opens++
 	p := c.params
 	// TCP 3-way handshake: SYN up, SYN-ACK down, ACK up.
 	upSegs := (p.TCPHandshakeSegments + 1) / 2

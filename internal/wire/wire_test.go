@@ -70,9 +70,6 @@ func TestOpenRecordsHandshake(t *testing.T) {
 	if !c.Established() {
 		t.Fatal("Open did not establish")
 	}
-	if c.Opens != 1 {
-		t.Fatalf("Opens = %d", c.Opens)
-	}
 	if up <= 0 || down <= 0 {
 		t.Fatalf("handshake bytes = (%d,%d)", up, down)
 	}
@@ -89,7 +86,7 @@ func TestOpenRecordsHandshake(t *testing.T) {
 	}
 	// Re-open is free.
 	up2, down2 := c.Open()
-	if up2 != 0 || down2 != 0 || c.Opens != 1 {
+	if up2 != 0 || down2 != 0 || cap.TotalBytes() != int64(up+down) {
 		t.Fatal("re-open of established connection should be a no-op")
 	}
 }
@@ -118,11 +115,12 @@ func TestRequestAccounting(t *testing.T) {
 	c.Open()
 	m := cap.Mark()
 	up, down := c.Request(1000, 200, ledger.Payload)
-	gotUp, gotDown, app := cap.Since(m)
+	gotUp, gotDown := cap.Since(m)
 	if gotUp != int64(up) || gotDown != int64(down) {
 		t.Fatalf("capture (%d,%d) != returned (%d,%d)", gotUp, gotDown, up, down)
 	}
-	if app != 1200 {
+	// The handshake carried no payload, so every app byte is the request's.
+	if app := cap.TotalBytes() - cap.OverheadBytes(); app != 1200 {
 		t.Fatalf("app bytes = %d, want 1200", app)
 	}
 	if up <= 1000 || down <= 200 {
@@ -229,11 +227,18 @@ func TestCloseRecordsFin(t *testing.T) {
 func TestReopenCountsHandshakeAgain(t *testing.T) {
 	cap := capture.New()
 	c := newConn(cap)
-	c.Open()
+	up1, down1 := c.Open()
 	c.Close()
-	c.Open()
-	if c.Opens != 2 {
-		t.Fatalf("Opens = %d, want 2", c.Opens)
+	closed := cap.TotalBytes()
+	up2, down2 := c.Open()
+	if up2 != up1 || down2 != down1 {
+		t.Fatalf("re-open cost (%d,%d), want the first handshake's (%d,%d)", up2, down2, up1, down1)
+	}
+	if got := cap.TotalBytes() - closed; got != int64(up1+down1) {
+		t.Fatalf("re-open recorded %d bytes, want one handshake's %d", got, up1+down1)
+	}
+	if cap.OverheadBytes() != cap.TotalBytes() {
+		t.Fatal("handshakes and FIN carried payload")
 	}
 }
 
