@@ -23,7 +23,8 @@ race:
 
 # fuzz explores the decoders for 30 s each beyond their seed corpora
 # (replayed by every ordinary test run): the protocol frame decoder and
-# stream reader, the delta and signature codecs, the server's
+# stream reader, the delta and signature codecs, the leaf-guided delta
+# scan over edit scripts (Compute's ops, an exact rebuild), the server's
 # durable-state records (decode, re-encode, apply), the leaf sums a
 # delta carries into its result's identity, and the server's Bundle
 # demultiplexer. What decodes must re-encode to exactly its bytes. A
@@ -34,6 +35,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime 30s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime 30s ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignature$$' -fuzztime 30s ./internal/delta
+	$(GO) test -run '^$$' -fuzz '^FuzzComputeLeaves$$' -fuzztime 30s ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 30s ./internal/syncnet
 	$(GO) test -run '^$$' -fuzz '^FuzzLeafSum$$' -fuzztime 30s ./internal/syncnet
 	$(GO) test -run '^$$' -fuzz '^FuzzBundle$$' -fuzztime 30s ./internal/syncnet

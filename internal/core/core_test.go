@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"cloudsync/internal/client"
+	"cloudsync/internal/obs"
 	"cloudsync/internal/service"
 )
 
@@ -208,6 +211,50 @@ func TestRenderersProduceTables(t *testing.T) {
 		}
 		if len(strings.Split(s, "\n")) < 5 {
 			t.Errorf("%s rendering too short:\n%s", name, s)
+		}
+	}
+}
+
+// TestOneSpanPerMeasuredCell: with a tracer installed, every simulated
+// measurement is one core.cell span carrying its cell's service, access
+// and traffic — for cells measured on a setup of their own (Fig. 4,
+// Experiment 2, the fault sweep) as for those runOp builds (Table 6).
+func TestOneSpanPerMeasuredCell(t *testing.T) {
+	tr := obs.NewTracer()
+	SetTracer(tr)
+	defer SetTracer(nil)
+	for _, exp := range []struct {
+		name string
+		run  func() []Cell
+	}{
+		{"fig4", func() []Cell { return Experiment3([]int64{10 << 10}) }},
+		{"exp2", func() []Cell { return Experiment2([]int64{1 << 10}) }},
+		{"faults", func() []Cell {
+			var cells []Cell
+			for _, c := range FaultSweep(QuickFaultLossProbs) {
+				cells = append(cells, c.Cell)
+			}
+			return cells
+		}},
+		{"table6", func() []Cell { return Experiment1([]int64{1 << 10}) }},
+	} {
+		before := len(tr.Spans())
+		var want, got []string
+		for _, c := range exp.run() {
+			want = append(want, fmt.Sprint([]obs.Attr{
+				obs.String("service", c.Service.String()), obs.String("access", c.Access.String()),
+				obs.Int("traffic", c.Traffic)}))
+		}
+		for _, sp := range tr.Spans()[before:] {
+			if sp.Name != "core.cell" || !sp.Ended {
+				t.Fatalf("%s: span %q (ended %v), want ended core.cell spans only", exp.name, sp.Name, sp.Ended)
+			}
+			got = append(got, fmt.Sprint(sp.Attrs))
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d cells, %d core.cell spans; their service, access and traffic differ", exp.name, len(want), len(got))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cloudsync/internal/client"
 	"cloudsync/internal/content"
@@ -89,14 +90,15 @@ func FaultSweep(lossProbs []float64) []FaultCell {
 		// identical content isolates the fault schedule as the only
 		// difference between a location's rows.
 		baseSeed := reserveSeeds(faultFiles).Next()
-		for i, p := range lossProbs {
+		for _, p := range lossProbs {
 			link := loc.link
 			if p > 0 {
 				link.Faults = &netem.FaultProfile{
-					// The fault seed is a pure function of the cell's
-					// coordinates, so the schedule is reproducible and
+					// The fault seed is a pure function of the loss
+					// rate, so a rate's schedule is reproducible, the
+					// same in every sweep that has the rate, and
 					// independent of the content-seed counter.
-					Seed:     uint64(0xFA0000 + i),
+					Seed:     0xFA0000 ^ math.Float64bits(p),
 					LossProb: p,
 				}
 			}

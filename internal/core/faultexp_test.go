@@ -62,6 +62,32 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFaultSweepCellDependsOnItsRateOnly: a loss rate's cell — its
+// traffic, causes and injected faults — is the same in the quick sweep
+// and in the full one, which lists the rate at another index. The
+// schedule is seeded by the rate, and the payloads are random, so
+// their content seeds move no byte.
+func TestFaultSweepCellDependsOnItsRateOnly(t *testing.T) {
+	type key struct {
+		loc  string
+		prob float64
+	}
+	full := map[key]FaultCell{}
+	for _, c := range FaultSweep(FaultLossProbs) {
+		full[key{c.Location, c.Param}] = c
+	}
+	for _, c := range FaultSweep(QuickFaultLossProbs) {
+		f, ok := full[key{c.Location, c.Param}]
+		if !ok {
+			t.Fatalf("%s at %v loss: not in the full sweep", c.Location, c.Param)
+		}
+		if c.Traffic != f.Traffic || c.Causes != f.Causes || c.Faults != f.Faults {
+			t.Errorf("%s at %v loss: quick sweep %d B, %+v; full sweep %d B, %+v",
+				c.Location, c.Param, c.Traffic, c.Faults, f.Traffic, f.Faults)
+		}
+	}
+}
+
 func TestRenderFaultSweep(t *testing.T) {
 	out := RenderFaultSweep([]FaultCell{{Cell: Cell{Param: 0.05, TUE: 12.5}, Location: "MN"}})
 	for _, want := range []string{"MN", "5%", "Retransmits"} {

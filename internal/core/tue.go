@@ -25,9 +25,9 @@ import (
 var tracer atomic.Pointer[obs.Tracer]
 
 // SetTracer installs (or, with nil, removes) the tracer that receives
-// one "core.cell" span per simulated experiment cell, timed on the wall
-// clock — the measurement tuebench -trace exports. Tracing never
-// affects experiment results; the tables stay byte-identical.
+// one "core.cell" span per simulated measurement (measure), timed on
+// the wall clock — the measurement tuebench -trace exports. Tracing
+// never affects experiment results; the tables stay byte-identical.
 func SetTracer(tr *obs.Tracer) { tracer.Store(tr) }
 
 // TUE is the paper's Eq. (1): total data sync traffic divided by the
@@ -76,8 +76,12 @@ type Cell struct {
 // the clock, and reports the wire bytes op caused with their
 // decomposition by cause. It panics unless the causes sum exactly to
 // the wire bytes — a decomposition is only worth reporting if it is
-// provably complete.
+// provably complete. Each call is one "core.cell" span on the installed
+// tracer.
 func measure(s *service.Setup, op func()) (traffic int64, causes ledger.Snapshot) {
+	sp := tracer.Load().Start("core.cell",
+		obs.String("service", s.Service.String()), obs.String("access", s.Access.String()))
+	defer sp.End()
 	led := ledger.New()
 	s.Capture.SetLedger(led)
 	mark := s.Capture.Mark()
@@ -88,18 +92,14 @@ func measure(s *service.Setup, op func()) (traffic int64, causes ledger.Snapshot
 	if vs := invariant.CheckLedger(up+down, causes); len(vs) != 0 {
 		panic(fmt.Sprintf("core: measured %s/%s: %v", s.Service, s.Access, vs))
 	}
+	sp.Set(obs.Int("traffic", up+down))
 	return up + down, causes
 }
 
 // runOp builds a fresh setup and measures op on it.
 func runOp(n service.Name, a client.AccessMethod, opts service.Options, op func(*service.Setup)) (traffic int64, causes ledger.Snapshot) {
-	sp := tracer.Load().Start("core.cell",
-		obs.String("service", n.String()), obs.String("access", a.String()))
 	s := service.NewSetup(n, a, opts)
-	traffic, causes = measure(s, func() { op(s) })
-	sp.Set(obs.Int("traffic", traffic))
-	sp.End()
-	return traffic, causes
+	return measure(s, func() { op(s) })
 }
 
 // creationSeed gives every synthetic file in an experiment distinct,

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"cloudsync/internal/protocol"
 )
 
 // DefaultBlockSize is the fixed sync granularity of the simulator's
@@ -415,6 +417,22 @@ func (wt *weakTable) firstStrong(cand int32, strong [strongSize]byte) int32 {
 	return -1
 }
 
+// hasDuplicates reports whether two indexed blocks have equal weak and
+// strong sums, so that a copy of one may be taken as a copy of the
+// other.
+func (wt *weakTable) hasDuplicates() bool {
+	for _, head := range wt.slots {
+		for a := head; a >= 0; a = wt.next[a] {
+			for b := wt.next[a]; b >= 0; b = wt.next[b] {
+				if wt.blocks[a].Strong == wt.blocks[b].Strong {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // tagBits sizes the weak-sum tag bitmap: 2^16 bits = 8 KB, small
 // enough to live in L1 for the whole scan.
 const tagBits = 16
@@ -429,7 +447,8 @@ func tagOf(w uint32) uint32 { return (w ^ (w >> tagBits)) & (1<<tagBits - 1) }
 // exactly as rsync does; on hash collision the strong check rejects the
 // block and the byte goes out as a literal. A match of the basis block
 // after the one just copied extends that copy run, so an unchanged
-// stretch costs one op however many blocks it spans.
+// stretch costs one op however many blocks it spans. It is
+// ComputeLeaves knowing no leaf sums.
 //
 // Throughput engineering (outputs byte-identical to computeRef with its
 // adjacent copies merged, pinned by the differential harness):
@@ -452,11 +471,60 @@ func tagOf(w uint32) uint32 { return (w ^ (w >> tagBits)) & (1<<tagBits - 1) }
 //     one strongSum and one probe, and only a miss pays for weakSum —
 //     about a fifth of Compute's time on a 4 MiB file at 512 B blocks.
 func Compute(sig Signature, target []byte) Delta {
+	d, _ := ComputeLeaves(sig, target, nil, nil)
+	return d
+}
+
+// ScanStats is what one ComputeLeaves call read of its target.
+type ScanStats struct {
+	// Rolled is the bytes the block scan walked: every target byte
+	// outside the leaves found equal to the basis's.
+	Rolled int
+	// LeafHashed is the bytes hashed to check leaves against the basis.
+	LeafHashed int
+}
+
+// noLeaf is the scan position of a leaf check that never comes.
+const noLeaf = math.MaxInt
+
+// ComputeLeaves is Compute guided by the leaf sums of the basis
+// (protocol.SumLeaves' entries, a zero entry unknown): it skips the
+// block scan over every leaf the target holds unchanged in place.
+//
+// When the scan reaches a leaf boundary in place — every byte before it
+// copied from the same offset of the basis, or literal bytes begun
+// inside the leaf just passed — and the basis's sum of the leaf there
+// is known, it hashes the target's leaf once. An equal leaf becomes the
+// copies the scan would have found for its blocks, looked up by the
+// basis blocks' own sums, and its sum is kept in targetLeaves. A
+// changed leaf is block-scanned as Compute scans it, and a leaf of
+// unknown sum without a check; either's entry in targetLeaves is zero,
+// so the next delta against them does not hash that leaf twice. A scan
+// that matched shifted copies (after an insertion or a deletion) is not
+// in place, and checks no leaf until it is again.
+//
+// The ops are Compute's, duplicate basis blocks included, unless two
+// different leaves share a SHA-256. basisLeaves is nil (Compute) or
+// holds NumLeaves of the basis's size entries, describing the basis sig
+// was signed from; guidance needs a block size that divides
+// protocol.LeafSize, and without one the scan is Compute's. targetLeaves
+// is nil or holds NumLeaves(len(target)) entries, all overwritten.
+func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []protocol.LeafSum) (Delta, ScanStats) {
 	bs := sig.BlockSize
 	if bs <= 0 {
 		panic(fmt.Sprintf("delta: signature with invalid block size %d", bs))
 	}
+	if targetLeaves != nil && len(targetLeaves) != protocol.NumLeaves(len(target)) {
+		panic(fmt.Sprintf("delta: %d target leaf sums for %d bytes, want %d",
+			len(targetLeaves), len(target), protocol.NumLeaves(len(target))))
+	}
+	if basisLeaves != nil && len(basisLeaves) != protocol.NumLeaves(int(sig.FileSize)) {
+		panic(fmt.Sprintf("delta: %d basis leaf sums for %d bytes, want %d",
+			len(basisLeaves), sig.FileSize, protocol.NumLeaves(int(sig.FileSize))))
+	}
+	clear(targetLeaves)
 	d := Delta{BlockSize: bs, TargetSize: int64(len(target))}
+	st := ScanStats{Rolled: len(target)}
 
 	// Index full-size blocks by weak sum; keep the trailing partial
 	// block (if any) aside for tail matching.
@@ -468,6 +536,40 @@ func Compute(sig Signature, target []byte) Delta {
 			return
 		}
 		d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: data})
+	}
+
+	// checkAt is the leaf boundary b when the scan may check the leaf
+	// there, one the basis has and the target does not end at; else
+	// noLeaf.
+	checkAt := func(b int) int {
+		if b >= len(target) || b/protocol.LeafSize >= len(basisLeaves) {
+			return noLeaf
+		}
+		return b
+	}
+	// afterLeaf is the leaf boundary past off.
+	afterLeaf := func(off int) int { return (off/protocol.LeafSize + 1) * protocol.LeafSize }
+	// equalLeaf is the length of the target's leaf at off when the scan
+	// is there in place, the basis's sum of the leaf is known, and the
+	// target's leaf has that sum; else 0.
+	equalLeaf := func(off, litStart int) int {
+		k := off / protocol.LeafSize
+		lastEnd := 0 // the basis offset the last copy ended at
+		if n := len(d.Ops); n > 0 {
+			lastEnd = (d.Ops[n-1].Index + d.Ops[n-1].Count) * bs
+		}
+		if lastEnd != litStart || off-litStart >= protocol.LeafSize || basisLeaves[k] == (protocol.LeafSum{}) {
+			return 0
+		}
+		leaf := target[off:min(off+protocol.LeafSize, len(target))]
+		st.LeafHashed += len(leaf)
+		if protocol.SumLeaf(leaf) != basisLeaves[k] {
+			return 0
+		}
+		if k < len(targetLeaves) {
+			targetLeaves[k] = basisLeaves[k]
+		}
+		return len(leaf)
 	}
 
 	litStart := 0
@@ -484,8 +586,50 @@ func Compute(sig Signature, target []byte) Delta {
 			}
 		}
 
-		w := weakSum(target[:bs])
+		// next is the scan position of the next leaf check.
+		next := noLeaf
+		if protocol.LeafSize%bs == 0 {
+			next = checkAt(0)
+		}
+		var dups, dupsKnown bool // whether the basis repeats a block, once an equal leaf asks
+		var w uint32
+		fresh := true // w is not yet the weak sum of the window at i
+	scan:
 		for {
+			if i == next {
+				if n := equalLeaf(i, litStart); n > 0 {
+					// Each block of the leaf is the basis block at the
+					// same offset, so its weak and strong sums are that
+					// block's: the copy the scan would emit is the first
+					// block with both — the block itself unless the basis
+					// repeats it — found without hashing.
+					emitLiteral(target[litStart:i])
+					if !dupsKnown {
+						dups, dupsKnown = wt.hasDuplicates(), true
+					}
+					for j := i / bs; j*bs < i+n; j++ {
+						idx := j
+						if blk := &sig.Blocks[j]; dups && blk.Size == bs {
+							idx = wt.blocks[wt.firstStrong(wt.lookup(blk.Weak), blk.Strong)].Index
+						}
+						d.Ops = appendCopy(d.Ops, idx)
+					}
+					i += n
+					litStart = i
+					st.Rolled -= n
+					fresh = true
+					next = checkAt(i)
+					continue
+				}
+				next = checkAt(afterLeaf(i))
+			}
+			if i+bs > len(target) {
+				goto tail
+			}
+			if fresh {
+				w = weakSum(target[i : i+bs])
+				fresh = false
+			}
 			// Fast path: slide the window until the tag bitmap says this
 			// position could match. The accumulators stay unpacked across
 			// iterations and unmasked — every update is an add/sub, so the
@@ -493,12 +637,16 @@ func Compute(sig Signature, target []byte) Delta {
 			// exact mod 2^32 — leaving one add chain, one xor/mask fold,
 			// and one L1 bit test per byte. tagOf(w) on the packed sum is
 			// (a^b)&0xffff: w>>16 is b, so the fold xors a into b's low half.
+			// The slide stops at the next leaf check too.
 			a := w & 0xffff
 			b := w >> 16
 			t := (a ^ b) & (1<<tagBits - 1)
-			limit := len(target) - bs
+			limit := min(len(target)-bs, next)
 			for bitmap[t>>6]&(1<<(t&63)) == 0 {
 				if i >= limit {
+					if i == next {
+						break
+					}
 					goto tail
 				}
 				out, in := uint32(target[i]), uint32(target[i+bs])
@@ -508,6 +656,9 @@ func Compute(sig Signature, target []byte) Delta {
 				t = (a ^ b) & (1<<tagBits - 1)
 			}
 			w = (a & 0xffff) | (b & 0xffff << 16)
+			if i == next {
+				continue // the window at a leaf check waits for the check
+			}
 			matched := int32(-1)
 			if cand := wt.lookup(w); cand >= 0 {
 				matched = wt.firstStrong(cand, strongSum(target[i:i+bs]))
@@ -525,19 +676,26 @@ func Compute(sig Signature, target []byte) Delta {
 				d.Ops = appendCopy(d.Ops, wt.blocks[matched].Index)
 				i += bs
 				litStart = i
+				if i >= next {
+					if i == next {
+						fresh = true
+						continue scan
+					}
+					next = checkAt(afterLeaf(i))
+				}
 				if i+bs > len(target) {
 					goto tail
 				}
-				// Run extension (see above): try the next basis block.
-				next := matched + 1
+				// Run extension (see Compute): try the next basis block.
+				after := matched + 1
 				matched = -1
-				if int(next) < len(wt.blocks) && wt.blocks[next].Size == bs {
-					if strong := strongSum(target[i : i+bs]); strong == wt.blocks[next].Strong {
-						matched = wt.firstStrong(wt.lookup(wt.blocks[next].Weak), strong)
+				if int(after) < len(wt.blocks) && wt.blocks[after].Size == bs {
+					if strong := strongSum(target[i : i+bs]); strong == wt.blocks[after].Strong {
+						matched = wt.firstStrong(wt.lookup(wt.blocks[after].Weak), strong)
 					}
 				}
 			}
-			w = weakSum(target[i : i+bs])
+			fresh = true
 		}
 	}
 
@@ -550,12 +708,12 @@ tail:
 			emitLiteral(rest[:len(rest)-partial.Size])
 			d.Ops = appendCopy(d.Ops, partial.Index)
 			sealLiterals(&d)
-			return d
+			return d, st
 		}
 	}
 	emitLiteral(rest)
 	sealLiterals(&d)
-	return d
+	return d, st
 }
 
 // sealLiterals copies every literal op's bytes — which alias the

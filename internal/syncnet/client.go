@@ -71,9 +71,12 @@ type Client struct {
 	// for a server reply — the wire round-trip as the client sees it.
 	// signWaitUS times what a full upload's signing added after the Ack,
 	// compressUS every payload the client compressed, deltaComputeUS
-	// every delta.Compute of a delta sync, contentHashUS every file
-	// identity an upload computed.
+	// every delta scan of a delta sync, contentHashUS every file
+	// identity an upload computed. rolledBytes counts the bytes delta
+	// scans rolled over, contentHashBytes the bytes hashed into leaf
+	// sums, for identities and for a delta scan's leaf checks.
 	replyWaitUS, signWaitUS, compressUS, deltaComputeUS, contentHashUS *obs.Histogram
+	rolledBytes, contentHashBytes                                      *obs.Counter
 }
 
 // WireTotals reports the bytes this client has read from and written to
@@ -148,9 +151,13 @@ func WithLedger(l *ledger.Ledger) ClientOption {
 // on its own signature after the Ack (the part of signing the upload
 // did not hide), syncnet_client_compress_us, the microseconds each
 // payload took to compress, syncnet_client_delta_compute_us, the
-// microseconds each delta sync spent in delta.Compute, and
+// microseconds each delta sync spent computing its delta,
 // syncnet_client_content_hash_us, the microseconds each upload spent
-// in protocol.Sum. A nil reg leaves the client unmetered.
+// on the file's identity, and two counters that need no clock:
+// syncnet_client_delta_rolled_bytes_total, the bytes delta scans rolled
+// over, and syncnet_client_content_hash_bytes_total, the bytes hashed
+// into leaf sums (identities and a delta scan's leaf checks). A nil reg
+// leaves the client unmetered.
 func WithClientMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) {
 		c.replyWaitUS = reg.Histogram("syncnet_client_reply_wait_us",
@@ -163,18 +170,25 @@ func WithClientMetrics(reg *obs.Registry) ClientOption {
 			"Microseconds each delta sync spent computing its delta against the basis signature.")
 		c.contentHashUS = reg.Histogram("syncnet_client_content_hash_us",
 			"Microseconds spent computing each uploaded file's identity hash.")
+		c.rolledBytes = reg.Counter("syncnet_client_delta_rolled_bytes_total",
+			"Bytes delta scans rolled over: the edited file outside the leaves found unchanged.")
+		c.contentHashBytes = reg.Counter("syncnet_client_content_hash_bytes_total",
+			"Bytes hashed into leaf sums, for file identities and for delta scans' leaf checks.")
 	}
 }
 
-// sum is protocol.Sum, timed into syncnet_client_content_hash_us when
-// the client is metered.
-func (c *Client) sum(data []byte) protocol.Fingerprint {
+// sum is protocol.SumInto, keeping leaves as it does (nil keeps none),
+// timed into syncnet_client_content_hash_us and counted into
+// syncnet_client_content_hash_bytes_total when the client is metered.
+func (c *Client) sum(data []byte, leaves []protocol.LeafSum) protocol.Fingerprint {
 	if c.contentHashUS == nil {
-		return protocol.Sum(data)
+		h, _ := protocol.SumInto(data, leaves)
+		return h
 	}
 	t0 := time.Now()
-	h := protocol.Sum(data)
+	h, hashed := protocol.SumInto(data, leaves)
 	c.contentHashUS.Observe(time.Since(t0).Microseconds())
+	c.contentHashBytes.Add(int64(hashed))
 	return h
 }
 
@@ -191,16 +205,31 @@ func (c *Client) compress(data []byte) []byte {
 	return payload
 }
 
-// computeDelta is delta.Compute, timed into
-// syncnet_client_delta_compute_us when the client is metered.
-func (c *Client) computeDelta(sig delta.Signature, data []byte) delta.Delta {
-	if c.deltaComputeUS == nil {
-		return delta.Compute(sig, data)
+// computeDelta is delta.ComputeLeaves of data against the basis
+// signature sig, guided by the basis's leaf sums when the client holds
+// them (nil: none known), and returns data's leaf sums as far as the
+// scan learned them (nil without basis sums). The bytes it rolled and
+// leaf-hashed are set on sp; when the client is metered it is timed
+// into syncnet_client_delta_compute_us and its bytes counted into
+// syncnet_client_delta_rolled_bytes_total and
+// syncnet_client_content_hash_bytes_total.
+func (c *Client) computeDelta(sp *obs.Span, sig delta.Signature, data []byte, basisLeaves []protocol.LeafSum) (delta.Delta, []protocol.LeafSum) {
+	var leaves []protocol.LeafSum
+	if basisLeaves != nil {
+		leaves = make([]protocol.LeafSum, protocol.NumLeaves(len(data)))
 	}
-	t0 := time.Now()
-	d := delta.Compute(sig, data)
-	c.deltaComputeUS.Observe(time.Since(t0).Microseconds())
-	return d
+	var t0 time.Time
+	if c.deltaComputeUS != nil {
+		t0 = time.Now()
+	}
+	d, scan := delta.ComputeLeaves(sig, data, basisLeaves, leaves)
+	if c.deltaComputeUS != nil {
+		c.deltaComputeUS.Observe(time.Since(t0).Microseconds())
+	}
+	c.rolledBytes.Add(int64(scan.Rolled))
+	c.contentHashBytes.Add(int64(scan.LeafHashed))
+	sp.Set(obs.Int("rolled_bytes", int64(scan.Rolled)), obs.Int("hashed_bytes", int64(scan.LeafHashed)))
+	return d, leaves
 }
 
 // sendTraceCtx prefixes the current attempt with the client's trace
@@ -379,7 +408,7 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 	sp := c.parent().Child("client.inline_upload")
 	defer sp.End()
 	entries := []protocol.BundleEntry{{
-		Name: name, Size: int64(len(data)), FileHash: c.sum(data),
+		Name: name, Size: int64(len(data)), FileHash: c.sum(data, nil),
 		Payload: c.compress(data),
 	}}
 	var stats [1]UploadStats
@@ -396,9 +425,11 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 // identity; after a reconnect, only the tail the server lacks. Either
 // way the client holds the bytes the server commits, so it signs them
 // (at heldBlockSize: this signature never crosses the wire) while the
-// exchange runs, and an acknowledged upload leaves that
-// signature remembered at the acknowledged version: the first modify
-// is then one conditional delta. A failed one leaves nothing.
+// exchange runs, and an acknowledged upload leaves that signature
+// remembered at the acknowledged version, with the leaf sums the
+// identity hash took when the block divides a leaf: the first modify is
+// then one conditional delta, its scan guided by the leaves. A failed
+// one leaves nothing.
 func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats, error) {
 	sp := c.parent().Child("client.full_upload")
 	defer sp.End()
@@ -420,7 +451,11 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 			sp.Set(obs.Bool("dedup_hit", true))
 		}
 	}()
-	hash := c.sum(data)
+	var leaves []protocol.LeafSum
+	if protocol.LeafSize%bs == 0 {
+		leaves = make([]protocol.LeafSum, protocol.NumLeaves(len(data)))
+	}
+	hash := c.sum(data, leaves)
 
 	// After a reconnect, probe for a stashed partial upload before
 	// re-announcing the file: a positive answer skips the index exchange
@@ -492,7 +527,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 		c.signWaitUS.Observe(time.Since(t0).Microseconds())
 	}
 	sp.Set(obs.Int("signed_blocks", int64(len(sig.Blocks))))
-	c.sigs.put(name, ack.Version, sig)
+	c.sigs.put(name, ack.Version, sig, leaves)
 	return stats, nil
 }
 
@@ -541,13 +576,14 @@ func (c *Client) deltaUpload(name string, data []byte) (UploadStats, error) {
 }
 
 // deltaExchange is one try at a delta sync. With have, the delta is cut
-// against the remembered signature: one round trip. Without, the
-// signature is requested first. Either way the delta is sent
-// conditional on the version its signature describes, and an
-// acknowledged exchange leaves the signature of data — carried
-// forward from the basis signature in O(edit), not signed afresh — and
-// the acknowledged version remembered for the next modify; a failed one
-// leaves nothing, because a lost Ack means the file may have moved.
+// against the remembered signature, its scan guided by the remembered
+// leaf sums: one round trip. Without, the signature is requested first.
+// Either way the delta is sent conditional on the version its signature
+// describes, and an acknowledged exchange leaves the signature of data —
+// carried forward from the basis signature in O(edit), not signed
+// afresh — the leaf sums its scan found unchanged, and the acknowledged
+// version remembered for the next modify; a failed one leaves nothing,
+// because a lost Ack means the file may have moved.
 func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats UploadStats, err error) {
 	sp := c.parent().Child("client.delta_sync")
 	defer sp.End()
@@ -559,8 +595,9 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 	}()
 	var sig delta.Signature
 	var base uint64
+	var basisLeaves []protocol.LeafSum
 	if have != nil {
-		sig, base = have.sig, have.version
+		sig, base, basisLeaves = have.sig, have.version, have.leaves
 		sp.Set(obs.Uint("base_version", base))
 	} else {
 		if err := c.wc.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
@@ -581,7 +618,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 		base = sigMsg.Version
 	}
 	sp.Set(obs.Int("block_size", int64(sig.BlockSize)))
-	d := c.computeDelta(sig, data)
+	d, leaves := c.computeDelta(sp, sig, data, basisLeaves)
 	payload := d.Encode()
 	if err := c.wc.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {
 		return stats, err
@@ -594,7 +631,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 	if err != nil {
 		return stats, err
 	}
-	c.sigs.put(name, ack.Version, next)
+	c.sigs.put(name, ack.Version, next, leaves)
 	stats.DeltaSync = true
 	stats.PayloadBytes = len(payload)
 	stats.Version = ack.Version

@@ -4,15 +4,17 @@ import (
 	"container/list"
 
 	"cloudsync/internal/delta"
+	"cloudsync/internal/protocol"
 )
 
 // sigCacheBudget bounds what one client remembers about the files it
 // uploads and delta-syncs, in encoded signature bytes
-// (delta.Signature.WireSize: 20 per block). At heldBlockSize's blocks
-// that is 3.9 % of a file up to 4 MiB (512 B blocks), 1 % of 16 MiB,
-// 0.06 % of 1 GiB — so the budget covers ≈ 100 MB of files up to 4 MiB
-// (25 files of 4 MiB), ≈ 400 MB of 16 MiB ones; resident, a block
-// signature is twice that.
+// (delta.Signature.WireSize: 20 per block) plus 32 per leaf sum held
+// beside a signature (0.2 % of a file). At heldBlockSize's blocks a
+// signature is 3.9 % of a file up to 4 MiB (512 B blocks), 1 % of
+// 16 MiB, 0.06 % of 1 GiB — so the budget covers ≈ 100 MB of files up
+// to 4 MiB (24 files of 4 MiB), ≈ 400 MB of 16 MiB ones; resident, a
+// block signature is twice that.
 const sigCacheBudget = 4 << 20
 
 // heldSigShare is the most one file's held signature may take of
@@ -40,11 +42,20 @@ func heldBlockSize(size int64) int {
 
 // clientSig is delta.Sign of the content a file held at version, as far
 // as this client knows: the signature its last full upload or delta
-// exchange of the file ended on.
+// exchange of the file ended on, and beside it the content's leaf sums
+// as protocol.SumLeaves keeps them (a zero entry unknown; nil when the
+// content has no leaf sums or none is known), which guide the next
+// delta's scan (delta.ComputeLeaves).
 type clientSig struct {
 	name    string
 	version uint64
 	sig     delta.Signature
+	leaves  []protocol.LeafSum
+}
+
+// size is what the entry costs against sigCacheBudget.
+func (cs *clientSig) size() int {
+	return cs.sig.WireSize() + len(cs.leaves)*len(protocol.LeafSum{})
 }
 
 // sigCache is the client-held half of the version-conditional delta:
@@ -52,14 +63,15 @@ type clientSig struct {
 // exchange on it ended on, so that the next modify can cut its delta
 // without asking the server for a signature first. Entries come from
 // the client's own bytes: a full upload signs what it sent (dedup hits
-// and resumed uploads too — the client holds the content either way),
-// and a delta exchange carries its basis signature forward with
-// delta.Resign. A served SignatureMsg is only ever the fallback, once
-// an entry is missing or refused. An entry is a guess — another device
-// may have moved the file — and the server's version check is what
-// makes a wrong guess harmless. Least recently used entries are evicted
-// once the encoded signatures exceed sigCacheBudget. The zero value is
-// an empty cache.
+// and resumed uploads too — the client holds the content either way)
+// and keeps the leaf sums its identity hash took, and a delta exchange
+// carries its basis signature forward with delta.Resign and the leaf
+// sums its scan found unchanged. A served SignatureMsg is only ever the
+// fallback, once an entry is missing or refused, and comes with no leaf
+// sums. An entry is a guess — another device may have moved the file —
+// and the server's version check is what makes a wrong guess harmless.
+// Least recently used entries are evicted once the entries' sizes
+// exceed sigCacheBudget. The zero value is an empty cache.
 type sigCache struct {
 	ll      list.List // of *clientSig, front = most recently used
 	entries map[string]*list.Element
@@ -76,19 +88,20 @@ func (sc *sigCache) get(name string) *clientSig {
 	return el.Value.(*clientSig)
 }
 
-// put remembers sig as name's content at version, replacing what was
-// remembered before. A signature larger than the whole budget is not
-// kept.
-func (sc *sigCache) put(name string, version uint64, sig delta.Signature) {
+// put remembers sig and leaves as name's content at version, replacing
+// what was remembered before. An entry larger than the whole budget is
+// not kept.
+func (sc *sigCache) put(name string, version uint64, sig delta.Signature, leaves []protocol.LeafSum) {
 	sc.drop(name)
-	size := sig.WireSize()
+	cs := &clientSig{name: name, version: version, sig: sig, leaves: leaves}
+	size := cs.size()
 	if size > sigCacheBudget {
 		return
 	}
 	if sc.entries == nil {
 		sc.entries = make(map[string]*list.Element)
 	}
-	sc.entries[name] = sc.ll.PushFront(&clientSig{name: name, version: version, sig: sig})
+	sc.entries[name] = sc.ll.PushFront(cs)
 	sc.bytes += size
 	for sc.bytes > sigCacheBudget {
 		sc.drop(sc.ll.Back().Value.(*clientSig).name)
@@ -101,7 +114,7 @@ func (sc *sigCache) drop(name string) {
 	if !ok {
 		return
 	}
-	sc.bytes -= sc.ll.Remove(el).(*clientSig).sig.WireSize()
+	sc.bytes -= sc.ll.Remove(el).(*clientSig).size()
 	delete(sc.entries, name)
 }
 

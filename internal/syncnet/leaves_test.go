@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"runtime"
 	"slices"
 	"testing"
@@ -318,6 +319,77 @@ func TestDeltaHashesOnlyTouchedLeaves(t *testing.T) {
 	data = editRegions(data, 8, 18)
 	if h, b := upload(srv, c, "second delta after reopen", true); h > bound || b != touched {
 		t.Errorf("second delta after reopen hashed %d B and built %d, want at most %d and exactly %d", h, b, bound, touched)
+	}
+}
+
+// deltaFrames keeps a copy of the payload of every DeltaMsg frame
+// written through it (a client writes each frame whole).
+type deltaFrames struct {
+	net.Conn
+	payloads [][]byte
+}
+
+func (c *deltaFrames) Write(p []byte) (int, error) {
+	if len(p) > 0 && protocol.MsgType(p[0]) == protocol.TypeDelta {
+		if m, err := protocol.Decode(p); err == nil {
+			c.payloads = append(c.payloads, bytes.Clone(m.(*protocol.DeltaMsg).Payload))
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// TestHeldDeltaRollsOnlyChangedLeaves is the client's witness of the
+// leaf-guided delta scan, read from the clock-free counters
+// syncnet_client_delta_rolled_bytes_total and
+// syncnet_client_content_hash_bytes_total: a held 4 MiB file takes the
+// large-modify workload's edit, eight 256 B regions toggled, round after
+// round. The full upload hashes exactly the file and rolls nothing. The
+// first delta leaf-hashes the whole file (every leaf sum is known) and
+// rolls only the eight leaves it finds changed; from then on each delta
+// rolls only the eight leaves the last one changed, whose sums it left
+// unknown (128 KiB, bound 160 KiB), and leaf-hashes the rest. Every delta
+// frame carries exactly delta.Compute's delta against the held
+// signature, and the server ends each round holding the edited bytes.
+func TestHeldDeltaRollsOnlyChangedLeaves(t *testing.T) {
+	const size, rolledBound = 4 << 20, 160 << 10
+	reg := obs.NewRegistry()
+	srv := NewServer(ServerConfig{})
+	defer srv.Close()
+	frames := &deltaFrames{}
+	c, closeC := pipeClient(t, srv, "alice", "a", func(conn net.Conn) net.Conn {
+		frames.Conn = conn
+		return frames
+	}, WithClientMetrics(reg))
+	defer closeC()
+	rolled := reg.Counter("syncnet_client_delta_rolled_bytes_total", "").Value
+	hashed := reg.Counter("syncnet_client_content_hash_bytes_total", "").Value
+	data := content.Random(size, 1).Bytes()
+	if _, err := c.Upload("big", data); err != nil {
+		t.Fatal(err)
+	}
+	if r, h := rolled(), hashed(); r != 0 || h != size {
+		t.Fatalf("full upload rolled %d B and hashed %d, want none and exactly %d", r, h, size)
+	}
+	for round := range 4 {
+		prev := data
+		data = editRegions(data, 8, 16) // the same regions every round: a toggle
+		r0, h0 := rolled(), hashed()
+		st, err := c.Upload("big", data)
+		if err != nil || !st.DeltaSync {
+			t.Fatalf("round %d: %+v, %v; want a delta sync", round, st, err)
+		}
+		r, h := rolled()-r0, hashed()-h0
+		t.Logf("round %d: rolled %d B, leaf-hashed %d B", round, r, h)
+		if wantHashed := int64(size) - int64(min(round, 1))*8*leaf; r > rolledBound || h != wantHashed {
+			t.Errorf("round %d rolled %d B and leaf-hashed %d, want at most %d and exactly %d", round, r, h, rolledBound, wantHashed)
+		}
+		want := delta.Compute(delta.Sign(prev, heldBlockSize(size)), data).Encode()
+		if got := frames.payloads[len(frames.payloads)-1]; !bytes.Equal(got, want) {
+			t.Errorf("round %d sent a %d-byte delta, not Compute's %d bytes", round, len(got), len(want))
+		}
+		if got, _ := srv.FileContent("alice", "big"); !bytes.Equal(got, data) {
+			t.Fatalf("round %d: server holds other bytes", round)
+		}
 	}
 }
 
