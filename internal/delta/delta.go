@@ -310,17 +310,6 @@ func (d Delta) LiteralBytes() int {
 	return n
 }
 
-// CopiedBlocks reports how many basis blocks the delta references.
-func (d Delta) CopiedBlocks() int {
-	n := 0
-	for _, op := range d.Ops {
-		if op.Kind == OpCopy {
-			n += op.Count
-		}
-	}
-	return n
-}
-
 // WireSize reports the transmission cost of the delta: literal bytes
 // plus a 4-byte header per literal run, plus 8 bytes per maximal run of
 // consecutive copied blocks (rsync collapses adjacent block references,
@@ -448,7 +437,7 @@ func tagOf(w uint32) uint32 { return (w ^ (w >> tagBits)) & (1<<tagBits - 1) }
 // block and the byte goes out as a literal. A match of the basis block
 // after the one just copied extends that copy run, so an unchanged
 // stretch costs one op however many blocks it spans. It is
-// ComputeLeaves knowing no leaf sums.
+// ComputeLeaves told of no unchanged leaf.
 //
 // Throughput engineering (outputs byte-identical to computeRef with its
 // adjacent copies merged, pinned by the differential harness):
@@ -471,60 +460,44 @@ func tagOf(w uint32) uint32 { return (w ^ (w >> tagBits)) & (1<<tagBits - 1) }
 //     one strongSum and one probe, and only a miss pays for weakSum —
 //     about a fifth of Compute's time on a 4 MiB file at 512 B blocks.
 func Compute(sig Signature, target []byte) Delta {
-	d, _ := ComputeLeaves(sig, target, nil, nil)
+	d, _ := ComputeLeaves(sig, target, nil)
 	return d
 }
 
-// ScanStats is what one ComputeLeaves call read of its target.
-type ScanStats struct {
-	// Rolled is the bytes the block scan walked: every target byte
-	// outside the leaves found equal to the basis's.
-	Rolled int
-	// LeafHashed is the bytes hashed to check leaves against the basis.
-	LeafHashed int
-}
-
-// noLeaf is the scan position of a leaf check that never comes.
+// noLeaf is the scan position of a leaf skip that never comes.
 const noLeaf = math.MaxInt
 
-// ComputeLeaves is Compute guided by the leaf sums of the basis
-// (protocol.SumLeaves' entries, a zero entry unknown): it skips the
-// block scan over every leaf the target holds unchanged in place.
+// ComputeLeaves is Compute told which leaves (protocol.LeafSize) of
+// target are unchanged: unchanged[k] reports that target's leaf k is,
+// byte for byte, leaf k of the basis sig was signed from. It skips the
+// block scan over every such leaf it reaches in place, and hashes
+// nothing to decide: the verdict is the caller's. rolled is the bytes
+// the block scan walked, every target byte outside the leaves skipped.
 //
-// When the scan reaches a leaf boundary in place — every byte before it
-// copied from the same offset of the basis, or literal bytes begun
-// inside the leaf just passed — and the basis's sum of the leaf there
-// is known, it hashes the target's leaf once. An equal leaf becomes the
-// copies the scan would have found for its blocks, looked up by the
-// basis blocks' own sums, and its sum is kept in targetLeaves. A
-// changed leaf is block-scanned as Compute scans it, and a leaf of
-// unknown sum without a check; either's entry in targetLeaves is zero,
-// so the next delta against them does not hash that leaf twice. A scan
-// that matched shifted copies (after an insertion or a deletion) is not
-// in place, and checks no leaf until it is again.
+// When the scan reaches the boundary of an unchanged leaf in place —
+// every byte before it copied from the same offset of the basis, or
+// literal bytes begun inside the leaf just passed — the leaf becomes
+// the copies the scan would have found for its blocks, looked up by the
+// basis blocks' own sums. Any other leaf is block-scanned as Compute
+// scans it. A scan that matched shifted copies (after an insertion or a
+// deletion) is not in place, and skips no leaf until it is again.
 //
-// The ops are Compute's, duplicate basis blocks included, unless two
-// different leaves share a SHA-256. basisLeaves is nil (Compute) or
-// holds NumLeaves of the basis's size entries, describing the basis sig
-// was signed from; guidance needs a block size that divides
-// protocol.LeafSize, and without one the scan is Compute's. targetLeaves
-// is nil or holds NumLeaves(len(target)) entries, all overwritten.
-func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []protocol.LeafSum) (Delta, ScanStats) {
+// The ops are Compute's, duplicate basis blocks included, as long as
+// every true entry is true of the bytes; one the basis's size rules out
+// is ignored. unchanged is nil (Compute) or holds
+// protocol.NumLeaves(len(target)) entries; skipping needs a block size
+// that divides protocol.LeafSize, and without one the scan is Compute's.
+func ComputeLeaves(sig Signature, target []byte, unchanged []bool) (d Delta, rolled int) {
 	bs := sig.BlockSize
 	if bs <= 0 {
 		panic(fmt.Sprintf("delta: signature with invalid block size %d", bs))
 	}
-	if targetLeaves != nil && len(targetLeaves) != protocol.NumLeaves(len(target)) {
-		panic(fmt.Sprintf("delta: %d target leaf sums for %d bytes, want %d",
-			len(targetLeaves), len(target), protocol.NumLeaves(len(target))))
+	if unchanged != nil && len(unchanged) != protocol.NumLeaves(len(target)) {
+		panic(fmt.Sprintf("delta: %d leaf verdicts for %d bytes, want %d",
+			len(unchanged), len(target), protocol.NumLeaves(len(target))))
 	}
-	if basisLeaves != nil && len(basisLeaves) != protocol.NumLeaves(int(sig.FileSize)) {
-		panic(fmt.Sprintf("delta: %d basis leaf sums for %d bytes, want %d",
-			len(basisLeaves), sig.FileSize, protocol.NumLeaves(int(sig.FileSize))))
-	}
-	clear(targetLeaves)
-	d := Delta{BlockSize: bs, TargetSize: int64(len(target))}
-	st := ScanStats{Rolled: len(target)}
+	d = Delta{BlockSize: bs, TargetSize: int64(len(target))}
+	rolled = len(target)
 
 	// Index full-size blocks by weak sum; keep the trailing partial
 	// block (if any) aside for tail matching.
@@ -538,38 +511,30 @@ func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []pro
 		d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: data})
 	}
 
-	// checkAt is the leaf boundary b when the scan may check the leaf
-	// there, one the basis has and the target does not end at; else
-	// noLeaf.
-	checkAt := func(b int) int {
-		if b >= len(target) || b/protocol.LeafSize >= len(basisLeaves) {
-			return noLeaf
+	// skipFrom is the boundary of the first unchanged leaf from leaf k
+	// on, where the scan stops to try skipping it; else noLeaf.
+	skipFrom := func(k int) int {
+		for ; k < len(unchanged); k++ {
+			if unchanged[k] {
+				return k * protocol.LeafSize
+			}
 		}
-		return b
+		return noLeaf
 	}
-	// afterLeaf is the leaf boundary past off.
-	afterLeaf := func(off int) int { return (off/protocol.LeafSize + 1) * protocol.LeafSize }
-	// equalLeaf is the length of the target's leaf at off when the scan
-	// is there in place, the basis's sum of the leaf is known, and the
-	// target's leaf has that sum; else 0.
-	equalLeaf := func(off, litStart int) int {
-		k := off / protocol.LeafSize
+	// skipLeaf is the length of the unchanged leaf at off when the scan
+	// is there in place and the basis ends where an equal leaf would
+	// have it end; else 0.
+	skipLeaf := func(off, litStart int) int {
 		lastEnd := 0 // the basis offset the last copy ended at
 		if n := len(d.Ops); n > 0 {
 			lastEnd = (d.Ops[n-1].Index + d.Ops[n-1].Count) * bs
 		}
-		if lastEnd != litStart || off-litStart >= protocol.LeafSize || basisLeaves[k] == (protocol.LeafSum{}) {
+		n := min(protocol.LeafSize, len(target)-off)
+		if lastEnd != litStart || off-litStart >= protocol.LeafSize ||
+			int64(off+n) > sig.FileSize || n < protocol.LeafSize && int64(off+n) != sig.FileSize {
 			return 0
 		}
-		leaf := target[off:min(off+protocol.LeafSize, len(target))]
-		st.LeafHashed += len(leaf)
-		if protocol.SumLeaf(leaf) != basisLeaves[k] {
-			return 0
-		}
-		if k < len(targetLeaves) {
-			targetLeaves[k] = basisLeaves[k]
-		}
-		return len(leaf)
+		return n
 	}
 
 	litStart := 0
@@ -586,18 +551,18 @@ func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []pro
 			}
 		}
 
-		// next is the scan position of the next leaf check.
+		// next is the scan position of the next leaf skip to try.
 		next := noLeaf
 		if protocol.LeafSize%bs == 0 {
-			next = checkAt(0)
+			next = skipFrom(0)
 		}
-		var dups, dupsKnown bool // whether the basis repeats a block, once an equal leaf asks
+		var dups, dupsKnown bool // whether the basis repeats a block, once an unchanged leaf asks
 		var w uint32
 		fresh := true // w is not yet the weak sum of the window at i
 	scan:
 		for {
 			if i == next {
-				if n := equalLeaf(i, litStart); n > 0 {
+				if n := skipLeaf(i, litStart); n > 0 {
 					// Each block of the leaf is the basis block at the
 					// same offset, so its weak and strong sums are that
 					// block's: the copy the scan would emit is the first
@@ -614,14 +579,14 @@ func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []pro
 						}
 						d.Ops = appendCopy(d.Ops, idx)
 					}
+					next = skipFrom(i/protocol.LeafSize + 1)
 					i += n
 					litStart = i
-					st.Rolled -= n
+					rolled -= n
 					fresh = true
-					next = checkAt(i)
 					continue
 				}
-				next = checkAt(afterLeaf(i))
+				next = skipFrom(i/protocol.LeafSize + 1)
 			}
 			if i+bs > len(target) {
 				goto tail
@@ -637,7 +602,7 @@ func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []pro
 			// exact mod 2^32 — leaving one add chain, one xor/mask fold,
 			// and one L1 bit test per byte. tagOf(w) on the packed sum is
 			// (a^b)&0xffff: w>>16 is b, so the fold xors a into b's low half.
-			// The slide stops at the next leaf check too.
+			// The slide stops at the next leaf skip too.
 			a := w & 0xffff
 			b := w >> 16
 			t := (a ^ b) & (1<<tagBits - 1)
@@ -657,7 +622,7 @@ func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []pro
 			}
 			w = (a & 0xffff) | (b & 0xffff << 16)
 			if i == next {
-				continue // the window at a leaf check waits for the check
+				continue // the window at a leaf boundary waits for the skip
 			}
 			matched := int32(-1)
 			if cand := wt.lookup(w); cand >= 0 {
@@ -681,7 +646,7 @@ func ComputeLeaves(sig Signature, target []byte, basisLeaves, targetLeaves []pro
 						fresh = true
 						continue scan
 					}
-					next = checkAt(afterLeaf(i))
+					next = skipFrom(i/protocol.LeafSize + 1)
 				}
 				if i+bs > len(target) {
 					goto tail
@@ -708,12 +673,12 @@ tail:
 			emitLiteral(rest[:len(rest)-partial.Size])
 			d.Ops = appendCopy(d.Ops, partial.Index)
 			sealLiterals(&d)
-			return d, st
+			return d, rolled
 		}
 	}
 	emitLiteral(rest)
 	sealLiterals(&d)
-	return d, st
+	return d, rolled
 }
 
 // sealLiterals copies every literal op's bytes — which alias the

@@ -13,6 +13,17 @@ import (
 	"cloudsync/internal/content"
 )
 
+// CopiedBlocks reports how many basis blocks the delta references.
+func (d Delta) CopiedBlocks() int {
+	n := 0
+	for _, op := range d.Ops {
+		if op.Kind == OpCopy {
+			n += op.Count
+		}
+	}
+	return n
+}
+
 func roundTrip(t *testing.T, basis, target []byte, blockSize int) Delta {
 	t.Helper()
 	sig := Sign(basis, blockSize)

@@ -1,8 +1,9 @@
 package delta
 
 // Leaf-guided scan: ComputeLeaves on a file held the way a sync client
-// holds it — its block signature and its leaf sums, carried forward
-// from delta to delta — against Compute on the same inputs.
+// holds it — its block signature carried forward from delta to delta —
+// told which leaves each edit left unchanged, against Compute on the
+// same inputs.
 
 import (
 	"bytes"
@@ -14,43 +15,49 @@ import (
 )
 
 // heldFile is a file as a client holds it after syncing it: the bytes
-// (kept here only to check Apply), their block signature, and their
-// leaf sums as far as known.
+// (kept here only to check Apply and to judge leaves) and their block
+// signature.
 type heldFile struct {
-	data   []byte
-	sig    Signature
-	leaves []protocol.LeafSum
+	data []byte
+	sig  Signature
 }
 
-// hold is a full upload: every leaf sum known, as the file's identity
-// hash leaves them.
+// hold is a full upload.
 func hold(data []byte, bs int) *heldFile {
-	leaves := make([]protocol.LeafSum, protocol.NumLeaves(len(data)))
-	protocol.SumInto(data, leaves)
-	return &heldFile{data: data, sig: Sign(data, bs), leaves: leaves}
+	return &heldFile{data: data, sig: Sign(data, bs)}
 }
 
-// unknownLeaves counts the zero entries of h's leaf sums.
-func (h *heldFile) unknownLeaves() int {
-	n := 0
-	for _, s := range h.leaves {
-		if s == (protocol.LeafSum{}) {
-			n++
+// leafAt is leaf k of data, empty past its end.
+func leafAt(data []byte, k int) []byte {
+	off := min(k*protocol.LeafSize, len(data))
+	return data[off:min(off+protocol.LeafSize, len(data))]
+}
+
+// unchangedLeaves is the verdict a client's leaf tags give for target
+// against basis, taken from the bytes themselves: leaf k is unchanged
+// when it equals the basis's leaf k. It returns the bytes of those
+// leaves too.
+func unchangedLeaves(basis, target []byte) (unchanged []bool, bytesUnchanged int) {
+	unchanged = make([]bool, protocol.NumLeaves(len(target)))
+	for k := range unchanged {
+		if l := leafAt(target, k); bytes.Equal(l, leafAt(basis, k)) {
+			unchanged[k] = true
+			bytesUnchanged += len(l)
 		}
 	}
-	return n
+	return unchanged, bytesUnchanged
 }
 
 // sync cuts the guided delta from h to target and checks it: its ops
-// are Compute's, it applies to exactly target, every leaf sum it keeps
-// is its leaf's, and the bytes it did not roll are exactly the leaves
-// whose sums it kept. Then h holds target, its signature carried by
-// Resign and its leaf sums by the scan, as a client's acknowledged
-// delta leaves them.
-func (h *heldFile) sync(t testing.TB, target []byte, what string) ScanStats {
+// are Compute's, it applies to exactly target, and it skipped no byte
+// outside the leaves the verdict names unchanged. Then h holds target,
+// its signature carried by Resign, as a client's acknowledged delta
+// leaves it. It returns the bytes the scan rolled and the bytes of
+// unchanged leaves it was told of.
+func (h *heldFile) sync(t testing.TB, target []byte, what string) (rolled, bytesUnchanged int) {
 	t.Helper()
-	next := make([]protocol.LeafSum, protocol.NumLeaves(len(target)))
-	got, st := ComputeLeaves(h.sig, target, h.leaves, next)
+	unchanged, bytesUnchanged := unchangedLeaves(h.data, target)
+	got, rolled := ComputeLeaves(h.sig, target, unchanged)
 	if want := Compute(h.sig, target); !deltasEqual(got, want) {
 		t.Fatalf("%s: guided delta has %d ops (%d literal B, wire %d B), Compute %d ops (%d literal B, wire %d B)",
 			what, len(got.Ops), got.LiteralBytes(), got.WireSize(), len(want.Ops), want.LiteralBytes(), want.WireSize())
@@ -59,23 +66,12 @@ func (h *heldFile) sync(t testing.TB, target []byte, what string) ScanStats {
 	if err != nil || !bytes.Equal(out, target) {
 		t.Fatalf("%s: guided delta does not rebuild the target (%v)", what, err)
 	}
-	kept := 0
-	for k, s := range next {
-		if s == (protocol.LeafSum{}) {
-			continue
-		}
-		leaf := target[k*protocol.LeafSize : min((k+1)*protocol.LeafSize, len(target))]
-		if s != protocol.SumLeaf(leaf) {
-			t.Fatalf("%s: leaf %d kept a sum that is not its own", what, k)
-		}
-		kept += len(leaf)
-	}
-	if len(next) > 0 && len(target)-st.Rolled != kept {
-		t.Fatalf("%s: rolled %d of %d B, but kept the sums of %d B of leaves", what, st.Rolled, len(target), kept)
+	if skipped := len(target) - rolled; skipped < 0 || skipped > bytesUnchanged {
+		t.Fatalf("%s: rolled %d of %d B, but only %d B of leaves are unchanged", what, rolled, len(target), bytesUnchanged)
 	}
 	h.sig, _ = Resign(h.sig, got, target)
-	h.data, h.leaves = target, next
-	return st
+	h.data = target
+	return rolled, bytesUnchanged
 }
 
 // editKinds are the edits the property harness draws.
@@ -117,15 +113,15 @@ func edit(r *deltaRand, data []byte, kind string) []byte {
 // seeded files at block sizes that divide the leaf and ones that do
 // not, random or built of repeated blocks, each edited round after
 // round — in place, by insertion, deletion, truncation and append —
-// and synced through one heldFile, so rounds run on every leaf sum
-// known (first edits), on sums a delta carried (repeat edits), and on
-// leaves whose sums an earlier delta left unknown. Every delta passes
+// and synced through one heldFile, each delta told which leaves are
+// byte for byte unchanged. Rounds run on a file just uploaded (first
+// edits) and on one a delta carried (repeat edits). Every delta passes
 // heldFile.sync's checks; the coverage line counts each case, and a
 // case never reached fails.
 func TestComputeLeavesProperty(t *testing.T) {
 	r := deltaRand(0x1EAF)
 	const L = protocol.LeafSize
-	var firstSkips, repeatSkips, unknownRounds, failedChecks, shiftedRounds, rounds int
+	var firstSkips, repeatSkips, changedRounds, declinedRounds, shiftedRounds, rounds int
 	for file := range 40 {
 		size := []int{L, L + 1, 3*L + 777, 8 * L, 21*L + 5, 10_000}[file%6]
 		bs := []int{512, 1024, 2048, 16 << 10, 3000, 64, 512, 512}[file%8]
@@ -142,42 +138,42 @@ func TestComputeLeavesProperty(t *testing.T) {
 			if round > 0 && r.intn(3) == 0 {
 				kind = "in-place" // same leaves again, likely
 			}
-			unknown := h.unknownLeaves() > 0
-			st := h.sync(t, edit(&r, h.data, kind), fmt.Sprintf("file %d (%d B at %d B blocks) round %d, %s", file, size, bs, round, kind))
+			target := edit(&r, h.data, kind)
+			rolled, bytesUnchanged := h.sync(t, target, fmt.Sprintf("file %d (%d B at %d B blocks) round %d, %s", file, size, bs, round, kind))
 			rounds++
-			skipped := len(h.data) - st.Rolled
+			skipped := len(target) - rolled
 			switch {
 			case skipped > 0 && round == 0:
 				firstSkips++
 			case skipped > 0:
 				repeatSkips++
 			}
-			if unknown {
-				unknownRounds++
+			if protocol.NumLeaves(len(target)) > 0 && bytesUnchanged < len(target) {
+				changedRounds++
 			}
-			if st.LeafHashed > skipped {
-				failedChecks++
+			if skipped < bytesUnchanged && protocol.LeafSize%bs == 0 {
+				declinedRounds++
 			}
 			if kind == "insert" || kind == "delete" {
 				shiftedRounds++
 			}
 		}
 	}
-	t.Logf("%d rounds: %d first edits and %d repeat edits skipped leaves, %d ran on unknown leaf sums, %d found a changed leaf, %d shifted the file",
-		rounds, firstSkips, repeatSkips, unknownRounds, failedChecks, shiftedRounds)
-	if firstSkips == 0 || repeatSkips == 0 || unknownRounds == 0 || failedChecks == 0 || shiftedRounds == 0 {
+	t.Logf("%d rounds: %d first edits and %d repeat edits skipped leaves, %d changed a leaf, %d rolled an unchanged leaf not in place, %d shifted the file",
+		rounds, firstSkips, repeatSkips, changedRounds, declinedRounds, shiftedRounds)
+	if firstSkips == 0 || repeatSkips == 0 || changedRounds == 0 || declinedRounds == 0 || shiftedRounds == 0 {
 		t.Fatal("a case of the harness was never reached")
 	}
 }
 
 // FuzzComputeLeaves drives one held file through a fuzzed edit script,
-// syncing after every edit, so later edits run on leaf sums earlier
-// deltas carried or left unknown. Each five bytes of the script are one
-// edit: its kind (in place, insert, delete, truncate, append), where in
-// the file it falls, and how many bytes it takes. Every delta must pass
-// heldFile.sync's checks: Compute's ops, Apply gives the target, every
-// kept leaf sum is its leaf's. The seeds replay in the ordinary test
-// run; `make fuzz` explores beyond them.
+// syncing after every edit, each delta told which leaves are byte for
+// byte unchanged. Each five bytes of the script are one edit: its kind
+// (in place, insert, delete, truncate, append), where in the file it
+// falls, and how many bytes it takes. Every delta must pass
+// heldFile.sync's checks: Compute's ops, Apply gives the target, no
+// byte skipped outside an unchanged leaf. The seeds replay in the
+// ordinary test run; `make fuzz` explores beyond them.
 func FuzzComputeLeaves(f *testing.F) {
 	f.Add(uint64(5*protocol.LeafSize)<<8, uint8(1), []byte{0, 0, 64, 0, 1, 0, 0, 64, 0, 1, 1, 0, 16, 9, 0})
 	f.Add(uint64(3*protocol.LeafSize+100)<<8, uint8(0), []byte{4, 0, 0, 0, 40, 0, 255, 255, 200, 0, 3, 0, 128, 0, 0})
@@ -212,22 +208,48 @@ func FuzzComputeLeaves(f *testing.F) {
 	})
 }
 
-// TestComputeLeavesRefusesMisfitSums: leaf-sum lists of the wrong length
-// are a caller's bug, not a different file.
+// TestComputeLeavesRefusesMisfitSums: a list of leaf verdicts of the
+// wrong length is a caller's bug, not a different file.
 func TestComputeLeavesRefusesMisfitSums(t *testing.T) {
 	data := content.Random(3*protocol.LeafSize, 1).Bytes()
 	sig := Sign(data, 512)
-	refused := func(what string, basis, target []protocol.LeafSum) {
+	refused := func(what string, unchanged []bool) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
 				t.Errorf("ComputeLeaves took %s", what)
 			}
 		}()
-		ComputeLeaves(sig, data, basis, target)
+		ComputeLeaves(sig, data, unchanged)
 	}
-	refused("2 basis leaf sums for 3 leaves", make([]protocol.LeafSum, 2), nil)
-	refused("4 target leaf sums for 3 leaves", nil, make([]protocol.LeafSum, 4))
+	refused("2 leaf verdicts for 3 leaves", make([]bool, 2))
+	refused("4 leaf verdicts for 3 leaves", make([]bool, 4))
+	refused("an empty, non-nil list for 3 leaves", []bool{})
+}
+
+// TestComputeLeavesIgnoresVerdictsPastTheBasis: a leaf verdict the
+// basis's size rules out — a leaf past the basis's end, or a last leaf
+// that ends elsewhere than the basis — skips nothing, so the scan stays
+// inside the basis's blocks and its ops stay Compute's.
+func TestComputeLeavesIgnoresVerdictsPastTheBasis(t *testing.T) {
+	basis := content.Random(2*protocol.LeafSize+100, 2).Bytes()
+	sig := Sign(basis, 512)
+	for _, target := range [][]byte{
+		append(bytes.Clone(basis), content.Random(protocol.LeafSize, 3).Bytes()...),
+		basis[:2*protocol.LeafSize+50],
+	} {
+		all := make([]bool, protocol.NumLeaves(len(target)))
+		for k := range all {
+			all[k] = true
+		}
+		got, rolled := ComputeLeaves(sig, target, all)
+		if want := Compute(sig, target); !deltasEqual(got, want) {
+			t.Errorf("%d B target: guided ops differ from Compute's", len(target))
+		}
+		if want := len(target) - 2*protocol.LeafSize; rolled != want {
+			t.Errorf("%d B target: rolled %d B, want the last leaf's %d", len(target), rolled, want)
+		}
+	}
 }
 
 // toggle XORs 256 B at a 256 B-aligned offset inside each of regions
@@ -245,8 +267,7 @@ func toggle(data []byte, regions int, seed uint64) {
 }
 
 // steadyEdit is a held file in the steady state of repeated toggles: it
-// was uploaded, toggled and synced once (so the toggled leaves' sums are
-// unknown), and target is the next toggle.
+// was uploaded, toggled and synced once, and target is the next toggle.
 func steadyEdit(tb testing.TB, size, regions int) (h *heldFile, target []byte) {
 	data := append([]byte(nil), content.Random(int64(size), 1).Bytes()...)
 	h = hold(append([]byte(nil), data...), 512)
@@ -259,9 +280,9 @@ func steadyEdit(tb testing.TB, size, regions int) (h *heldFile, target []byte) {
 // BenchmarkComputeLeaves times the guided scan against Compute on the
 // same held file and edit: the large-modify workload's steady state (a
 // 4 MiB file, eight 256 B regions toggled again), mixed-rw's (64 KiB,
-// two regions), and 137 bytes inserted near the front of a 1 MiB file
-// whose leaf sums are all known, where one leaf check fails and the
-// shifted rest is Compute's scan.
+// two regions), and 137 bytes inserted near the front of a 1 MiB file,
+// where every leaf from the insertion on is changed and the shifted rest
+// is Compute's scan.
 func BenchmarkComputeLeaves(b *testing.B) {
 	insertShift := func(tb testing.TB) (*heldFile, []byte) {
 		basis, target := insertShift1MB()
@@ -276,12 +297,12 @@ func BenchmarkComputeLeaves(b *testing.B) {
 		{"insert-shift", insertShift},
 	} {
 		h, target := shape.setup(b)
-		next := make([]protocol.LeafSum, protocol.NumLeaves(len(target)))
+		unchanged, _ := unchangedLeaves(h.data, target)
 		b.Run(shape.name+"/guided", func(b *testing.B) {
 			b.SetBytes(int64(len(target)))
 			b.ReportAllocs()
 			for b.Loop() {
-				ComputeLeaves(h.sig, target, h.leaves, next)
+				ComputeLeaves(h.sig, target, unchanged)
 			}
 		})
 		b.Run(shape.name+"/compute", func(b *testing.B) {

@@ -31,24 +31,8 @@ var (
 // FingerprintSize bytes of that hash, and a file of one leaf costs one
 // pass of SHA-256, as a flat hash would.
 func Sum(data []byte) Fingerprint {
-	fp, _ := SumInto(data, nil)
+	fp, _ := sumLeaves(len(data), func(i int) []byte { return data[i*LeafSize : min((i+1)*LeafSize, len(data))] }, nil)
 	return fp
-}
-
-// SumInto is Sum of data that keeps its leaf sums as SumLeaves does:
-// sums is nil, or holds NumLeaves(len(data)) entries, and every zero
-// entry is hashed from its leaf and filled in. hashed is the number of
-// bytes read.
-func SumInto(data []byte, sums []LeafSum) (fp Fingerprint, hashed int) {
-	return sumLeaves(len(data), func(i int) []byte { return data[i*LeafSize : min((i+1)*LeafSize, len(data))] }, sums)
-}
-
-// SumLeaf returns one leaf's LeafSum, the entry SumLeaves keeps for it.
-func SumLeaf(leaf []byte) LeafSum {
-	st := sumStates.Get().(*sumState)
-	defer sumStates.Put(st)
-	st.leafSum(leaf)
-	return st.sum
 }
 
 // NumLeaves is the number of leaf sums a size-byte file's identity is

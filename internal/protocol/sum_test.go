@@ -9,10 +9,9 @@ import (
 
 // TestSumLeavesReusesWhatItIsGiven: over files around the leaf
 // boundaries, SumLeaves with no known leaf hashes the whole file to
-// Sum's answer and fills in every leaf, each entry SumLeaf of its
-// leaf; SumInto of the uncut file keeps the same entries; told all
-// leaves but one, SumLeaves reads that one leaf and reaches the same
-// answer.
+// Sum's answer and fills in every leaf, each entry the leaf's own sum
+// (whose prefix is Sum of the leaf alone); told all leaves but one,
+// SumLeaves reads that one leaf and reaches the same answer.
 func TestSumLeavesReusesWhatItIsGiven(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for _, size := range []int{0, 1, LeafSize - 1, LeafSize, LeafSize + 1, 2 * LeafSize, 5*LeafSize + 7} {
@@ -25,16 +24,12 @@ func TestSumLeavesReusesWhatItIsGiven(t *testing.T) {
 		if fp, hashed := SumLeaves(cut, leaves); fp != want || hashed != size {
 			t.Fatalf("%d B from no leaves: %x after %d B, want %x after %d", size, fp, hashed, want, size)
 		}
-		kept := make([]LeafSum, len(leaves))
-		if fp, hashed := SumInto(data, kept); fp != want || hashed != size {
-			t.Fatalf("%d B through SumInto: %x after %d B, want %x after %d", size, fp, hashed, want, size)
-		}
 		for i := range leaves {
 			if leaves[i] == (LeafSum{}) {
 				t.Fatalf("%d B: leaf %d left unfilled", size, i)
 			}
-			if kept[i] != leaves[i] || SumLeaf(cut[i]) != leaves[i] {
-				t.Fatalf("%d B: leaf %d kept as %x by SumInto, %x by SumLeaf, want %x", size, i, kept[i], SumLeaf(cut[i]), leaves[i])
+			if own := Sum(cut[i]); Fingerprint(leaves[i][:FingerprintSize]) != own {
+				t.Fatalf("%d B: leaf %d kept as %x, want the leaf's own sum %x…", size, i, leaves[i], own)
 			}
 			known := append([]LeafSum(nil), leaves...)
 			known[i] = LeafSum{}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,9 +53,12 @@ type Client struct {
 	// re-sends as retransmits.
 	resend resendMarks
 
-	ids   map[string]uint64
-	known map[string]bool // names known to exist server-side
-	sigs  sigCache        // signatures the uploads and delta exchanges ended on
+	ids    map[string]uint64
+	known  map[string]bool // names known to exist server-side
+	sigs   sigCache        // signatures the uploads and delta exchanges ended on
+	tagger leafTagger      // the key of the leaf tags held in sigs
+	// unchanged is computeDelta's reused list of leaf verdicts.
+	unchanged []bool
 	// mirror is the account listing as of the last List, and the
 	// change-feed cursor the next List sends.
 	mirror listMirror
@@ -71,10 +75,10 @@ type Client struct {
 	// for a server reply — the wire round-trip as the client sees it.
 	// signWaitUS times what a full upload's signing added after the Ack,
 	// compressUS every payload the client compressed, deltaComputeUS
-	// every delta scan of a delta sync, contentHashUS every file
+	// every delta sync's leaf tagging and scan, contentHashUS every file
 	// identity an upload computed. rolledBytes counts the bytes delta
-	// scans rolled over, contentHashBytes the bytes hashed into leaf
-	// sums, for identities and for a delta scan's leaf checks.
+	// scans rolled over, contentHashBytes the bytes hashed into file
+	// identities.
 	replyWaitUS, signWaitUS, compressUS, deltaComputeUS, contentHashUS *obs.Histogram
 	rolledBytes, contentHashBytes                                      *obs.Counter
 }
@@ -151,12 +155,12 @@ func WithLedger(l *ledger.Ledger) ClientOption {
 // on its own signature after the Ack (the part of signing the upload
 // did not hide), syncnet_client_compress_us, the microseconds each
 // payload took to compress, syncnet_client_delta_compute_us, the
-// microseconds each delta sync spent computing its delta,
+// microseconds each delta sync spent tagging and computing its delta,
 // syncnet_client_content_hash_us, the microseconds each upload spent
 // on the file's identity, and two counters that need no clock:
 // syncnet_client_delta_rolled_bytes_total, the bytes delta scans rolled
 // over, and syncnet_client_content_hash_bytes_total, the bytes hashed
-// into leaf sums (identities and a delta scan's leaf checks). A nil reg
+// into file identities (SHA-256; a delta scan hashes none). A nil reg
 // leaves the client unmetered.
 func WithClientMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) {
@@ -167,28 +171,27 @@ func WithClientMetrics(reg *obs.Registry) ClientOption {
 		c.compressUS = reg.Histogram("syncnet_client_compress_us",
 			"Microseconds spent compressing each payload the client sent compressed.")
 		c.deltaComputeUS = reg.Histogram("syncnet_client_delta_compute_us",
-			"Microseconds each delta sync spent computing its delta against the basis signature.")
+			"Microseconds each delta sync spent tagging the file's leaves and computing its delta against the basis signature.")
 		c.contentHashUS = reg.Histogram("syncnet_client_content_hash_us",
 			"Microseconds spent computing each uploaded file's identity hash.")
 		c.rolledBytes = reg.Counter("syncnet_client_delta_rolled_bytes_total",
 			"Bytes delta scans rolled over: the edited file outside the leaves found unchanged.")
 		c.contentHashBytes = reg.Counter("syncnet_client_content_hash_bytes_total",
-			"Bytes hashed into leaf sums, for file identities and for delta scans' leaf checks.")
+			"Bytes hashed into file identities (SHA-256).")
 	}
 }
 
-// sum is protocol.SumInto, keeping leaves as it does (nil keeps none),
-// timed into syncnet_client_content_hash_us and counted into
-// syncnet_client_content_hash_bytes_total when the client is metered.
-func (c *Client) sum(data []byte, leaves []protocol.LeafSum) protocol.Fingerprint {
+// sum is protocol.Sum, timed into syncnet_client_content_hash_us and
+// counted into syncnet_client_content_hash_bytes_total when the client
+// is metered.
+func (c *Client) sum(data []byte) protocol.Fingerprint {
 	if c.contentHashUS == nil {
-		h, _ := protocol.SumInto(data, leaves)
-		return h
+		return protocol.Sum(data)
 	}
 	t0 := time.Now()
-	h, hashed := protocol.SumInto(data, leaves)
+	h := protocol.Sum(data)
 	c.contentHashUS.Observe(time.Since(t0).Microseconds())
-	c.contentHashBytes.Add(int64(hashed))
+	c.contentHashBytes.Add(int64(len(data)))
 	return h
 }
 
@@ -205,31 +208,38 @@ func (c *Client) compress(data []byte) []byte {
 	return payload
 }
 
-// computeDelta is delta.ComputeLeaves of data against the basis
-// signature sig, guided by the basis's leaf sums when the client holds
-// them (nil: none known), and returns data's leaf sums as far as the
-// scan learned them (nil without basis sums). The bytes it rolled and
-// leaf-hashed are set on sp; when the client is metered it is timed
-// into syncnet_client_delta_compute_us and its bytes counted into
-// syncnet_client_delta_rolled_bytes_total and
-// syncnet_client_content_hash_bytes_total.
-func (c *Client) computeDelta(sp *obs.Span, sig delta.Signature, data []byte, basisLeaves []protocol.LeafSum) (delta.Delta, []protocol.LeafSum) {
-	var leaves []protocol.LeafSum
-	if basisLeaves != nil {
-		leaves = make([]protocol.LeafSum, protocol.NumLeaves(len(data)))
-	}
+// computeDelta tags data's leaves and runs delta.ComputeLeaves of data
+// against the basis signature sig, skipping every leaf whose tag equals
+// the basis's (basisTags, nil when the client holds none). It returns
+// data's tags for the next delta. The bytes it rolled and tagged are
+// set on sp; when the client is metered, tagging and scan are timed
+// into syncnet_client_delta_compute_us and the rolled bytes counted
+// into syncnet_client_delta_rolled_bytes_total.
+func (c *Client) computeDelta(sp *obs.Span, sig delta.Signature, data []byte, basisTags []leafTag) (delta.Delta, []leafTag) {
 	var t0 time.Time
 	if c.deltaComputeUS != nil {
 		t0 = time.Now()
 	}
-	d, scan := delta.ComputeLeaves(sig, data, basisLeaves, leaves)
+	tags := c.tagger.tags(data, sig.BlockSize)
+	var unchanged []bool
+	if basisTags != nil {
+		unchanged = slices.Grow(c.unchanged[:0], len(tags))[:len(tags)]
+		for k, tag := range tags {
+			unchanged[k] = k < len(basisTags) && tag == basisTags[k]
+		}
+		c.unchanged = unchanged
+	}
+	d, rolled := delta.ComputeLeaves(sig, data, unchanged)
 	if c.deltaComputeUS != nil {
 		c.deltaComputeUS.Observe(time.Since(t0).Microseconds())
 	}
-	c.rolledBytes.Add(int64(scan.Rolled))
-	c.contentHashBytes.Add(int64(scan.LeafHashed))
-	sp.Set(obs.Int("rolled_bytes", int64(scan.Rolled)), obs.Int("hashed_bytes", int64(scan.LeafHashed)))
-	return d, leaves
+	c.rolledBytes.Add(int64(rolled))
+	tagged := 0
+	if tags != nil {
+		tagged = len(data)
+	}
+	sp.Set(obs.Int("rolled_bytes", int64(rolled)), obs.Int("tagged_bytes", int64(tagged)))
+	return d, tags
 }
 
 // sendTraceCtx prefixes the current attempt with the client's trace
@@ -257,6 +267,7 @@ func NewClient(conn net.Conn, user, device string, opts ...ClientOption) (*Clien
 		device: device,
 		ids:    make(map[string]uint64),
 		known:  make(map[string]bool),
+		tagger: newLeafTagger(),
 	}
 	c.wc.resend = &c.resend
 	for _, opt := range opts {
@@ -408,7 +419,7 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 	sp := c.parent().Child("client.inline_upload")
 	defer sp.End()
 	entries := []protocol.BundleEntry{{
-		Name: name, Size: int64(len(data)), FileHash: c.sum(data, nil),
+		Name: name, Size: int64(len(data)), FileHash: c.sum(data),
 		Payload: c.compress(data),
 	}}
 	var stats [1]UploadStats
@@ -424,24 +435,29 @@ func (c *Client) inlineUpload(name string, data []byte, attempt int) (UploadStat
 // fullUpload sends the whole file — or, on a dedup hit, only its
 // identity; after a reconnect, only the tail the server lacks. Either
 // way the client holds the bytes the server commits, so it signs them
-// (at heldBlockSize: this signature never crosses the wire) while the
-// exchange runs, and an acknowledged upload leaves that signature
-// remembered at the acknowledged version, with the leaf sums the
-// identity hash took when the block divides a leaf: the first modify is
-// then one conditional delta, its scan guided by the leaves. A failed
-// one leaves nothing.
+// (at heldBlockSize: this signature never crosses the wire) and tags
+// their leaves while the exchange runs, and an acknowledged upload
+// leaves signature and tags remembered at the acknowledged version: the
+// first modify is then one conditional delta, its scan guided by the
+// tags. A failed one leaves nothing.
 func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats, error) {
 	sp := c.parent().Child("client.full_upload")
 	defer sp.End()
 	c.sigs.drop(name) // whole new content: nothing to carry over
 	bs := cmp.Or(c.blockSize, heldBlockSize(int64(len(data))))
 	sp.Set(obs.Int("block_size", int64(bs)))
-	var sig delta.Signature
+	// signed is what the signer leaves, one variable: the goroutine
+	// moves each variable it captures to the heap.
+	var signed struct {
+		sig  delta.Signature
+		tags []leafTag
+	}
 	var signing sync.WaitGroup
 	signing.Add(1)
 	go func() {
 		defer signing.Done()
-		sig = delta.Sign(data, bs)
+		signed.sig = delta.Sign(data, bs)
+		signed.tags = c.tagger.tags(data, bs)
 	}()
 	defer signing.Wait() // no signer outlives the upload, failed or not
 	var stats UploadStats
@@ -451,11 +467,7 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 			sp.Set(obs.Bool("dedup_hit", true))
 		}
 	}()
-	var leaves []protocol.LeafSum
-	if protocol.LeafSize%bs == 0 {
-		leaves = make([]protocol.LeafSum, protocol.NumLeaves(len(data)))
-	}
-	hash := c.sum(data, leaves)
+	hash := c.sum(data)
 
 	// After a reconnect, probe for a stashed partial upload before
 	// re-announcing the file: a positive answer skips the index exchange
@@ -526,8 +538,8 @@ func (c *Client) fullUpload(name string, data []byte, attempt int) (UploadStats,
 	if c.signWaitUS != nil {
 		c.signWaitUS.Observe(time.Since(t0).Microseconds())
 	}
-	sp.Set(obs.Int("signed_blocks", int64(len(sig.Blocks))))
-	c.sigs.put(name, ack.Version, sig, leaves)
+	sp.Set(obs.Int("signed_blocks", int64(len(signed.sig.Blocks))))
+	c.sigs.put(name, ack.Version, signed.sig, signed.tags)
 	return stats, nil
 }
 
@@ -577,13 +589,13 @@ func (c *Client) deltaUpload(name string, data []byte) (UploadStats, error) {
 
 // deltaExchange is one try at a delta sync. With have, the delta is cut
 // against the remembered signature, its scan guided by the remembered
-// leaf sums: one round trip. Without, the signature is requested first.
+// leaf tags: one round trip. Without, the signature is requested first.
 // Either way the delta is sent conditional on the version its signature
 // describes, and an acknowledged exchange leaves the signature of data —
 // carried forward from the basis signature in O(edit), not signed
-// afresh — the leaf sums its scan found unchanged, and the acknowledged
-// version remembered for the next modify; a failed one leaves nothing,
-// because a lost Ack means the file may have moved.
+// afresh — data's leaf tags, and the acknowledged version remembered
+// for the next modify; a failed one leaves nothing, because a lost Ack
+// means the file may have moved.
 func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats UploadStats, err error) {
 	sp := c.parent().Child("client.delta_sync")
 	defer sp.End()
@@ -595,9 +607,9 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 	}()
 	var sig delta.Signature
 	var base uint64
-	var basisLeaves []protocol.LeafSum
+	var basisTags []leafTag
 	if have != nil {
-		sig, base, basisLeaves = have.sig, have.version, have.leaves
+		sig, base, basisTags = have.sig, have.version, have.tags
 		sp.Set(obs.Uint("base_version", base))
 	} else {
 		if err := c.wc.send(&protocol.SigRequest{Name: name, BlockSize: uint32(c.blockSize)}); err != nil {
@@ -618,7 +630,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 		base = sigMsg.Version
 	}
 	sp.Set(obs.Int("block_size", int64(sig.BlockSize)))
-	d, leaves := c.computeDelta(sp, sig, data, basisLeaves)
+	d, tags := c.computeDelta(sp, sig, data, basisTags)
 	payload := d.Encode()
 	if err := c.wc.send(&protocol.DeltaMsg{Name: name, Payload: payload, BaseVersion: base}); err != nil {
 		return stats, err
@@ -631,7 +643,7 @@ func (c *Client) deltaExchange(name string, data []byte, have *clientSig) (stats
 	if err != nil {
 		return stats, err
 	}
-	c.sigs.put(name, ack.Version, next, leaves)
+	c.sigs.put(name, ack.Version, next, tags)
 	stats.DeltaSync = true
 	stats.PayloadBytes = len(payload)
 	stats.Version = ack.Version

@@ -44,7 +44,7 @@ func (c *Client) UploadBundle(files []FileUpload) ([]UploadStats, error) {
 	for i, f := range files {
 		en := &entries[i]
 		en.Name, en.Size = f.Name, int64(len(f.Data))
-		en.FileHash = c.sum(f.Data, nil)
+		en.FileHash = c.sum(f.Data)
 		en.Payload = c.compress(f.Data)
 	}
 	stats := make([]UploadStats, len(files))

@@ -338,28 +338,41 @@ func (c *deltaFrames) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// lastTagged is the tagged_bytes of the last client.delta_sync span tr
+// recorded.
+func lastTagged(tr *obs.Tracer) string {
+	tagged := ""
+	for _, s := range tr.Spans() {
+		if s.Name == "client.delta_sync" {
+			tagged = s.Attr("tagged_bytes")
+		}
+	}
+	return tagged
+}
+
 // TestHeldDeltaRollsOnlyChangedLeaves is the client's witness of the
 // leaf-guided delta scan, read from the clock-free counters
 // syncnet_client_delta_rolled_bytes_total and
-// syncnet_client_content_hash_bytes_total: a held 4 MiB file takes the
-// large-modify workload's edit, eight 256 B regions toggled, round after
-// round. The full upload hashes exactly the file and rolls nothing. The
-// first delta leaf-hashes the whole file (every leaf sum is known) and
-// rolls only the eight leaves it finds changed; from then on each delta
-// rolls only the eight leaves the last one changed, whose sums it left
-// unknown (128 KiB, bound 160 KiB), and leaf-hashes the rest. Every delta
-// frame carries exactly delta.Compute's delta against the held
-// signature, and the server ends each round holding the edited bytes.
+// syncnet_client_content_hash_bytes_total and the client.delta_sync
+// span's tagged_bytes: a held 4 MiB file takes the large-modify
+// workload's edit, eight 256 B regions toggled, round after round. The
+// full upload SHA-hashes exactly the file, rolls nothing, and holds a
+// tag for each of its 256 leaves. Every delta tags the whole file,
+// SHA-hashes nothing, and rolls exactly the eight leaves the edit
+// changed. Every delta frame carries exactly delta.Compute's delta
+// against the held signature, and the server ends each round holding
+// the edited bytes.
 func TestHeldDeltaRollsOnlyChangedLeaves(t *testing.T) {
-	const size, rolledBound = 4 << 20, 160 << 10
+	const size, wantRolled = 4 << 20, 8 * leaf
 	reg := obs.NewRegistry()
+	tr := obs.NewTracer()
 	srv := NewServer(ServerConfig{})
 	defer srv.Close()
 	frames := &deltaFrames{}
 	c, closeC := pipeClient(t, srv, "alice", "a", func(conn net.Conn) net.Conn {
 		frames.Conn = conn
 		return frames
-	}, WithClientMetrics(reg))
+	}, WithClientMetrics(reg), WithTracer(tr))
 	defer closeC()
 	rolled := reg.Counter("syncnet_client_delta_rolled_bytes_total", "").Value
 	hashed := reg.Counter("syncnet_client_content_hash_bytes_total", "").Value
@@ -367,8 +380,9 @@ func TestHeldDeltaRollsOnlyChangedLeaves(t *testing.T) {
 	if _, err := c.Upload("big", data); err != nil {
 		t.Fatal(err)
 	}
-	if r, h := rolled(), hashed(); r != 0 || h != size {
-		t.Fatalf("full upload rolled %d B and hashed %d, want none and exactly %d", r, h, size)
+	held := c.sigs.get("big")
+	if r, h := rolled(), hashed(); r != 0 || h != size || held == nil || len(held.tags)*leaf != size {
+		t.Fatalf("full upload rolled %d B, hashed %d and holds %v; want none, exactly %d and a tag per leaf", r, h, held, size)
 	}
 	for round := range 4 {
 		prev := data
@@ -378,10 +392,10 @@ func TestHeldDeltaRollsOnlyChangedLeaves(t *testing.T) {
 		if err != nil || !st.DeltaSync {
 			t.Fatalf("round %d: %+v, %v; want a delta sync", round, st, err)
 		}
-		r, h := rolled()-r0, hashed()-h0
-		t.Logf("round %d: rolled %d B, leaf-hashed %d B", round, r, h)
-		if wantHashed := int64(size) - int64(min(round, 1))*8*leaf; r > rolledBound || h != wantHashed {
-			t.Errorf("round %d rolled %d B and leaf-hashed %d, want at most %d and exactly %d", round, r, h, rolledBound, wantHashed)
+		r, h, tagged := rolled()-r0, hashed()-h0, lastTagged(tr)
+		t.Logf("round %d: rolled %d B, SHA-hashed %d B, tagged %s B", round, r, h, tagged)
+		if r != wantRolled || h != 0 || tagged != itoa(size) {
+			t.Errorf("round %d rolled %d B, SHA-hashed %d and tagged %s; want exactly %d, none and %d", round, r, h, tagged, wantRolled, size)
 		}
 		want := delta.Compute(delta.Sign(prev, heldBlockSize(size)), data).Encode()
 		if got := frames.payloads[len(frames.payloads)-1]; !bytes.Equal(got, want) {
@@ -390,6 +404,78 @@ func TestHeldDeltaRollsOnlyChangedLeaves(t *testing.T) {
 		if got, _ := srv.FileContent("alice", "big"); !bytes.Equal(got, data) {
 			t.Fatalf("round %d: server holds other bytes", round)
 		}
+	}
+}
+
+// TestServedDeltaLeavesTags: a delta cut against a served signature
+// tags what it sends too, so the next edit is guided. A fresh client on
+// the account learns a 64 KiB file from a listing and edits it twice,
+// 256 B into each half: the first delta rides a served signature and
+// rolls the whole file, the second only the two leaves it changed. This
+// is the mixed-rw workload's writer once its held signatures are
+// evicted.
+func TestServedDeltaLeavesTags(t *testing.T) {
+	const size = 64 << 10
+	srv := NewServer(ServerConfig{})
+	defer srv.Close()
+	data := content.Random(size, 3).Bytes()
+	a, closeA := pipeClient(t, srv, "alice", "a", nil)
+	if _, err := a.Upload("f", data); err != nil {
+		t.Fatal(err)
+	}
+	closeA()
+	reg := obs.NewRegistry()
+	c, closeC := pipeClient(t, srv, "alice", "b", nil, WithClientMetrics(reg))
+	defer closeC()
+	if _, err := c.List(); err != nil {
+		t.Fatal(err)
+	}
+	rolled := reg.Counter("syncnet_client_delta_rolled_bytes_total", "").Value
+	for round, want := range []int64{size, 2 * leaf} {
+		served0, r0 := srv.Stats().SignaturesServed, rolled()
+		data = editRegions(data, 2, round)
+		if st, err := c.Upload("f", data); err != nil || !st.DeltaSync {
+			t.Fatalf("edit %d: %+v, %v; want a delta sync", round, st, err)
+		}
+		served, r := srv.Stats().SignaturesServed-served0, rolled()-r0
+		t.Logf("edit %d: %d signatures served, rolled %d B", round, served, r)
+		if served != int64(1-round) || r != want {
+			t.Errorf("edit %d: %d signatures served and %d B rolled, want %d and %d", round, served, r, 1-round, want)
+		}
+		if got, _ := srv.FileContent("alice", "f"); !bytes.Equal(got, data) {
+			t.Fatalf("edit %d: server holds other bytes", round)
+		}
+	}
+}
+
+// TestLeafTagsAreKeyedPerClient: a leaf tag depends on the client's own
+// key, so two clients tag the same leaf differently, and on every bit
+// of the leaf; equal leaves tag equally under one key.
+func TestLeafTagsAreKeyedPerClient(t *testing.T) {
+	data := content.Random(3*leaf+100, 5).Bytes()
+	a, b := newLeafTagger(), newLeafTagger()
+	ta, tb := a.tags(data, 512), b.tags(data, 512)
+	if len(ta) != 4 || len(tb) != 4 {
+		t.Fatalf("%d and %d tags for 4 leaves", len(ta), len(tb))
+	}
+	for k := range ta {
+		if ta[k] == tb[k] {
+			t.Errorf("leaf %d: two clients' keys gave one tag %x", k, ta[k])
+		}
+	}
+	if again := a.tags(data, 512); !slices.Equal(again, ta) {
+		t.Error("one key tagged the same leaves differently")
+	}
+	flipped := bytes.Clone(data)
+	flipped[2*leaf+777] ^= 0x10
+	tf := a.tags(flipped, 512)
+	for k := range ta {
+		if changed := k == 2; (tf[k] != ta[k]) != changed {
+			t.Errorf("leaf %d: tag moved %v after a one-bit flip in leaf 2", k, !changed)
+		}
+	}
+	if a.tags(data[:leaf], 512) != nil || a.tags(data, 3000) != nil {
+		t.Error("tags for a file of one leaf, or for blocks that do not divide a leaf")
 	}
 }
 

@@ -409,42 +409,42 @@ func TestDedupHitSkipsRehash(t *testing.T) {
 }
 
 // TestSigCacheIsBounded: the client's remembered signatures and the
-// leaf sums beside them stay inside the byte budget, evicting least
-// recently used first, and forgetting is complete.
+// leaf tags beside them (16 B each) stay inside the byte budget,
+// evicting least recently used first, and forgetting is complete.
 func TestSigCacheIsBounded(t *testing.T) {
 	var sc sigCache
 	sigOf := func(blocks int) delta.Signature {
 		return delta.Signature{BlockSize: 8, FileSize: int64(8 * blocks), Blocks: make([]delta.BlockSig, blocks)}
 	}
-	leavesOf := func(n int) []protocol.LeafSum { return make([]protocol.LeafSum, n) }
-	// A third of the budget: a signature of a sixth and leaf sums of
+	tagsOf := func(n int) []leafTag { return make([]leafTag, n) }
+	// A third of the budget: a signature of a sixth and leaf tags of
 	// about a sixth.
 	third := sigOf((sigCacheBudget/6 - 12) / 20)
-	thirdLeaves := leavesOf((sigCacheBudget/3 - third.WireSize()) / 32)
+	thirdTags := tagsOf((sigCacheBudget/3 - third.WireSize()) / 16)
 	for _, name := range []string{"a", "b", "c"} {
-		sc.put(name, 1, third, thirdLeaves)
+		sc.put(name, 1, third, thirdTags)
 	}
 	if sc.get("a") == nil || sc.bytes > sigCacheBudget {
 		t.Fatalf("three thirds do not fit: %d bytes held", sc.bytes)
 	}
-	// The signatures alone take half the budget, so only the leaf sums
+	// The signatures alone take half the budget, so only the leaf tags
 	// make room short: d evicts b, a having just been used.
 	sc.put("d", 1, third, nil)
 	if sc.get("b") != nil || sc.get("a") == nil || sc.get("c") == nil || sc.get("d") == nil {
-		t.Fatal("eviction did not count the leaf sums or take the least recently used entry")
+		t.Fatal("eviction did not count the leaf tags or take the least recently used entry")
 	}
-	sc.put("a", 2, sigOf(1), leavesOf(2)) // replacing shrinks the account
-	if got := sc.get("a"); got == nil || got.version != 2 || len(got.leaves) != 2 {
+	sc.put("a", 2, sigOf(1), tagsOf(2)) // replacing shrinks the account
+	if got := sc.get("a"); got == nil || got.version != 2 || len(got.tags) != 2 {
 		t.Fatalf("replaced entry: %+v", got)
 	}
 	sc.put("huge", 1, sigOf(sigCacheBudget/20+1), nil)
-	sc.put("huge leaves", 1, sigOf(1), leavesOf(sigCacheBudget/32+1))
-	if sc.get("huge") != nil || sc.get("huge leaves") != nil {
+	sc.put("huge tags", 1, sigOf(1), tagsOf(sigCacheBudget/16+1))
+	if sc.get("huge") != nil || sc.get("huge tags") != nil {
 		t.Fatal("an entry larger than the budget was kept")
 	}
 	sc.drop("c")
 	sc.drop("never-there")
-	if want := third.WireSize() + sigOf(1).WireSize() + 2*32; sc.bytes != want || sc.ll.Len() != 2 {
+	if want := third.WireSize() + sigOf(1).WireSize() + 2*16; sc.bytes != want || sc.ll.Len() != 2 {
 		t.Fatalf("after drops: %d bytes in %d entries, want %d in 2", sc.bytes, sc.ll.Len(), want)
 	}
 	sc.clear()

@@ -251,9 +251,10 @@ func fullUploadDedupHit(tb testing.TB) (upload, done func()) {
 // slice per file shows as 8 more. The ceilings are 10 % over the
 // counts measured (24, 20 and 34; a server without a logger boxes no
 // log arguments, and untraced spans box no attributes), which move by
-// one from run to run. Holding leaf sums beside each held signature
-// added one slice to the repeat delta sync and to the dedup hit (25
-// and 21), inside the same ceilings. The paths draw
+// one from run to run. Holding leaf tags beside each held signature
+// adds one slice to the repeat delta sync and to the dedup hit (25
+// and 21), inside the same ceilings: each tag is sealed into its slot,
+// and the delta's leaf verdicts reuse the client's one list. The paths draw
 // frame buffers and flate writers from pools, which the race detector
 // drops, so the test skips under -race.
 func TestAllocCeilings(t *testing.T) {
