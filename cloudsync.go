@@ -12,9 +12,8 @@
 // A minimal measurement:
 //
 //	sim := cloudsync.New(cloudsync.Dropbox, cloudsync.PC)
-//	sim.CreateRandomFile("photo.jpg", 1<<20)
-//	sim.Run()
-//	fmt.Printf("traffic=%d TUE=%.2f\n", sim.Traffic(), sim.TUE(1<<20))
+//	m := sim.Measure(func() { sim.CreateRandomFile("photo.jpg", 1<<20) })
+//	fmt.Printf("traffic=%d TUE=%.2f\n", m.Traffic(), cloudsync.TUE(m.Traffic(), 1<<20))
 //
 // The experiment harness behind every table and figure of the paper
 // lives in internal/core and is driven by cmd/tuebench and the
@@ -210,30 +209,18 @@ func (s *Simulation) Now() time.Duration { return s.setup.Clock.Now() }
 // timers, in-flight sessions) has drained.
 func (s *Simulation) Run() { s.setup.Clock.Run() }
 
-// Traffic reports total sync traffic in bytes (both directions) since
-// the simulation started or was last Reset.
-func (s *Simulation) Traffic() int64 { return s.setup.Capture.TotalBytes() }
+// Measurement is the traffic one measured operation caused: Up
+// (client→cloud) and Down (cloud→client) wire bytes, and Causes, their
+// exact split by cause (metadata, payload, framing, …). Traffic()
+// reports Up + Down.
+type Measurement = core.Measurement
 
-// TrafficUp and TrafficDown split the traffic by direction
-// (client→cloud and cloud→client).
-func (s *Simulation) TrafficUp() int64 { return s.setup.Capture.UpBytes() }
-
-// TrafficDown reports cloud→client traffic.
-func (s *Simulation) TrafficDown() int64 { return s.setup.Capture.DownBytes() }
-
-// OverheadBytes reports traffic that carried no file content or
-// protocol payload (framing, handshakes, acks).
-func (s *Simulation) OverheadBytes() int64 { return s.setup.Capture.OverheadBytes() }
-
-// TUE reports the Traffic Usage Efficiency of the traffic so far,
-// relative to the given data update size.
-func (s *Simulation) TUE(dataUpdateSize int64) float64 {
-	return TUE(s.Traffic(), dataUpdateSize)
-}
-
-// ResetTraffic zeroes the traffic counters (the connection state is
-// untouched), so subsequent measurements cover a single operation.
-func (s *Simulation) ResetTraffic() { s.setup.Capture.Reset() }
+// Measure runs op — any sequence of the simulation's operations —
+// drains the simulation, and reports the traffic op caused on this
+// simulation's link, and nothing from before it. It is the measurement
+// behind every table of the paper's reproduction, and it panics unless
+// the causes sum exactly to the wire bytes.
+func (s *Simulation) Measure(op func()) Measurement { return core.Measure(s.setup, op) }
 
 // Sessions reports how many sync sessions the client has dispatched.
 func (s *Simulation) Sessions() int { return s.setup.Client.Stats().Sessions }

@@ -7,14 +7,15 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	sim := New(Dropbox, PC)
-	if err := sim.CreateRandomFile("photo.jpg", 1<<20); err != nil {
-		t.Fatal(err)
+	m := sim.Measure(func() {
+		if err := sim.CreateRandomFile("photo.jpg", 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.Traffic() < 1<<20 {
+		t.Fatalf("traffic = %d, want ≥ file size", m.Traffic())
 	}
-	sim.Run()
-	if sim.Traffic() < 1<<20 {
-		t.Fatalf("traffic = %d, want ≥ file size", sim.Traffic())
-	}
-	tue := sim.TUE(1 << 20)
+	tue := TUE(m.Traffic(), 1<<20)
 	if tue < 1.0 || tue > 1.6 {
 		t.Fatalf("TUE = %.2f, want ≈ 1.3", tue)
 	}
@@ -37,9 +38,8 @@ func TestReferenceDesignViaFacade(t *testing.T) {
 	sim := New(Reference, PC)
 	// Appends past any fixed-deferment boundary still batch (ASD), and
 	// compressible content shrinks on the wire.
-	sim.CreateTextFile("doc.txt", 1<<20)
-	sim.Run()
-	if tue := sim.TUE(1 << 20); tue > 0.8 {
+	m := sim.Measure(func() { sim.CreateTextFile("doc.txt", 1<<20) })
+	if tue := TUE(m.Traffic(), 1<<20); tue > 0.8 {
 		t.Fatalf("reference text TUE = %.2f, want < 0.8 (compression)", tue)
 	}
 	defer func() {
@@ -56,18 +56,25 @@ func TestTUEWrapper(t *testing.T) {
 	}
 }
 
-func TestResetTraffic(t *testing.T) {
-	sim := New(GoogleDrive, PC)
-	sim.CreateRandomFile("a", 1000)
-	sim.Run()
-	sim.ResetTraffic()
-	if sim.Traffic() != 0 {
-		t.Fatal("ResetTraffic did not zero counters")
+// TestMeasureCoversOnlyItsOp: consecutive measurements each report
+// their own operation's traffic, exactly split by cause.
+func TestMeasureCoversOnlyItsOp(t *testing.T) {
+	sim := New(Dropbox, PC)
+	create := sim.Measure(func() { sim.CreateRandomFile("a", 1<<20) })
+	modify := sim.Measure(func() { sim.ModifyByte("a", 10) })
+	// Dropbox syncs a one-byte edit as one chunk's delta, so the modify
+	// is a small fraction of the create unless it counts the create too.
+	if create.Traffic() < 1<<20 || modify.Traffic() == 0 || modify.Traffic() > create.Traffic()/4 {
+		t.Fatalf("create %d B, modify %d B: want at least the file's size, then one chunk",
+			create.Traffic(), modify.Traffic())
 	}
-	sim.ModifyByte("a", 10)
-	sim.Run()
-	if sim.Traffic() == 0 {
-		t.Fatal("no traffic after modify")
+	if idle := sim.Measure(func() {}); idle.Traffic() != 0 {
+		t.Fatalf("an empty op measured %d B", idle.Traffic())
+	}
+	for _, m := range []Measurement{create, modify} {
+		if m.Causes.Total() != m.Traffic() {
+			t.Fatalf("causes sum to %d, traffic is %d", m.Causes.Total(), m.Traffic())
+		}
 	}
 }
 
@@ -77,9 +84,7 @@ func TestOptionsCompose(t *testing.T) {
 		WithHardware("M2"),
 		WithUser("bob"),
 	)
-	sim.CreateRandomFile("f", 1000)
-	sim.Run()
-	if sim.Traffic() == 0 {
+	if sim.Measure(func() { sim.CreateRandomFile("f", 1000) }).Traffic() == 0 {
 		t.Fatal("simulation with options produced no traffic")
 	}
 }
@@ -91,14 +96,14 @@ func TestWithNetworkAndASD(t *testing.T) {
 	)
 	sim.CreateRandomFile("doc", 0)
 	sim.Run()
-	sim.ResetTraffic()
 	// Appends every 8 s — past Google Drive's native 4.2 s deferment —
 	// batch under ASD.
-	for i := 1; i <= 32; i++ {
-		sim.At(time.Duration(i)*8*time.Second, func() { sim.Append("doc", 1024) })
-	}
-	sim.Run()
-	if tue := sim.TUE(32 * 1024); tue > 4 {
+	m := sim.Measure(func() {
+		for i := 1; i <= 32; i++ {
+			sim.At(time.Duration(i)*8*time.Second, func() { sim.Append("doc", 1024) })
+		}
+	})
+	if tue := TUE(m.Traffic(), 32*1024); tue > 4 {
 		t.Fatalf("ASD TUE = %.1f, want ≈ 1", tue)
 	}
 }
@@ -132,21 +137,19 @@ func TestSharedCloudDedup(t *testing.T) {
 
 func TestDownloadAndDirections(t *testing.T) {
 	sim := New(Dropbox, PC)
-	sim.CreateTextFile("doc.txt", 200_000)
-	sim.Run()
-	up := sim.TrafficUp()
-	sim.ResetTraffic()
-	if err := sim.Download("doc.txt"); err != nil {
-		t.Fatal(err)
+	create := sim.Measure(func() { sim.CreateTextFile("doc.txt", 200_000) })
+	dl := sim.Measure(func() {
+		if err := sim.Download("doc.txt"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if dl.Down == 0 || dl.Down < dl.Up {
+		t.Fatalf("download should be downstream-heavy: up=%d down=%d", dl.Up, dl.Down)
 	}
-	sim.Run()
-	if sim.TrafficDown() == 0 || sim.TrafficDown() < sim.TrafficUp() {
-		t.Fatalf("download should be downstream-heavy: up=%d down=%d", sim.TrafficUp(), sim.TrafficDown())
+	if create.Up == 0 || create.Up < create.Down {
+		t.Fatalf("upload should be upstream-heavy: up=%d down=%d", create.Up, create.Down)
 	}
-	if up == 0 {
-		t.Fatal("upload produced no upstream traffic")
-	}
-	if sim.OverheadBytes() <= 0 {
-		t.Fatal("overhead accounting missing")
+	if dl.Causes.Total() != dl.Traffic() {
+		t.Fatalf("download causes sum to %d, traffic is %d", dl.Causes.Total(), dl.Traffic())
 	}
 }

@@ -10,6 +10,7 @@
 //	tuebench -workers 8          # experiment worker-pool size (1 = sequential)
 //	tuebench -list               # list artifact names
 //	tuebench -trace out.json     # Chrome trace of per-cell runtimes
+//	tuebench -cell modify,dropbox,pc,1048576   # one cell, by cause
 //	tuebench scale -n 8          # N× user-population scale replay
 //
 // The scale subcommand replays the trace with every user as an
@@ -30,6 +31,17 @@
 // ledger's causes (metadata, payload, dedup probes, delta literals/copy
 // references, resume, retransmit, framing) as exact byte counts,
 // asserted to sum to the cell's wire bytes.
+//
+// -cell op,service,access,param[,bj] measures one cell of a simple
+// experiment through the experiment's own cell body and prints it as
+// one explain row. op is create (Table 6), delete (Experiment 2),
+// modify (Fig. 4), download (Table 8's second phase), append (Fig. 6)
+// or batch (Table 7); param is the file size in bytes, the append
+// period X in seconds (1 MB appended in all), or the number of 1 KB
+// files for batch; bj runs it from Beijing, as Fig. 7 does. With
+// -trace, the cell's span tree (sync rounds, sessions, network
+// activity, on the simulation's virtual clock) is written as Chrome
+// trace_event JSON and printed under the row as text.
 package main
 
 import (
@@ -231,10 +243,18 @@ func main() {
 		seed     = flag.Int64("seed", 1, "trace generation seed")
 		workers  = flag.Int("workers", 0, "experiment worker-pool size (0 = GOMAXPROCS; 1 = sequential)")
 		list     = flag.Bool("list", false, "list artifact names and exit")
-		traceOut = flag.String("trace", "", "write a Chrome trace_event file of per-cell runtimes")
+		traceOut = flag.String("trace", "", "write a Chrome trace_event file of per-cell runtimes (with -cell: of the cell's virtual-clock spans)")
+		cell     = flag.String("cell", "", "measure one cell, "+cellUsage+" (see the package doc)")
 	)
 	flag.Parse()
 	parallel.SetWorkers(*workers)
+	if *cell != "" {
+		if err := runCell(os.Stdout, *cell, *traceOut); err != nil {
+			fmt.Fprintf(os.Stderr, "tuebench: %v\n", err)
+			os.Exit(2)
+		}
+		return
+	}
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -287,19 +307,27 @@ func main() {
 		ran, time.Since(start).Round(time.Millisecond), parallel.Workers())
 
 	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tuebench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := obs.WriteMergedChromeTrace(f, obs.Merge(tracer.Dump("tuebench"))); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
+		if err := writeTrace(*traceOut, tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "tuebench: writing trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "tuebench: trace written to %s (%d spans; open in chrome://tracing or Perfetto)\n",
-			*traceOut, len(tracer.Spans()))
 	}
+}
+
+// writeTrace writes tracer's spans to path as Chrome trace_event JSON.
+func writeTrace(path string, tracer *obs.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WriteMergedChromeTrace(f, obs.Merge(tracer.Dump("tuebench"))); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "tuebench: trace written to %s (%d spans; open in chrome://tracing or Perfetto)\n",
+		path, len(tracer.Spans()))
+	return nil
 }

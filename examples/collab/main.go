@@ -20,25 +20,21 @@ func editSession(sim *cloudsync.Simulation, xSec float64) float64 {
 		panic(err)
 	}
 	sim.Run()
-	sim.ResetTraffic()
 	step := int64(xSec * 1024)
 	period := time.Duration(xSec * float64(time.Second))
-	var scheduled int64
-	for i := 1; scheduled < total; i++ {
-		n := step
-		if scheduled+n > total {
-			n = total - scheduled
+	m := sim.Measure(func() {
+		var scheduled int64
+		for i := 1; scheduled < total; i++ {
+			n := min(step, total-scheduled)
+			scheduled += n
+			sim.At(sim.Now()+time.Duration(i)*period, func() {
+				if err := sim.Append("draft.doc", n); err != nil {
+					panic(err)
+				}
+			})
 		}
-		scheduled += n
-		grow := n
-		sim.At(sim.Now()+time.Duration(i)*period, func() {
-			if err := sim.Append("draft.doc", grow); err != nil {
-				panic(err)
-			}
-		})
-	}
-	sim.Run()
-	return sim.TUE(total)
+	})
+	return cloudsync.TUE(m.Traffic(), total)
 }
 
 func main() {

@@ -27,28 +27,23 @@ func main() {
 	}
 
 	// Nina saves a 2 MB presentation on the desktop.
-	must(desktop.CreateRandomFile("talk/slides.key", 2<<20))
-	desktop.Run()
-	report("after desktop saves 2 MB of slides", desktop, laptop)
+	report("after desktop saves 2 MB of slides", desktop, laptop, func() {
+		must(desktop.CreateRandomFile("talk/slides.key", 2<<20))
+	})
 
 	// She keeps editing on the laptop (which now has the file).
-	laptop.ResetTraffic()
-	desktop.ResetTraffic()
-	must(laptop.ModifyByte("talk/slides.key", 1<<20))
-	laptop.Run()
-	report("after a one-byte edit on the laptop", desktop, laptop)
+	report("after a one-byte edit on the laptop", desktop, laptop, func() {
+		must(laptop.ModifyByte("talk/slides.key", 1<<20))
+	})
 
 	// Ten quick autosaves on the laptop, two seconds apart.
-	laptop.ResetTraffic()
-	desktop.ResetTraffic()
-	for i := 1; i <= 10; i++ {
-		must := must
-		laptop.At(laptop.Now()+time.Duration(i)*2*time.Second, func() {
-			must(laptop.Append("talk/slides.key", 4<<10))
-		})
-	}
-	laptop.Run()
-	report("after ten 4 KB autosaves on the laptop", desktop, laptop)
+	report("after ten 4 KB autosaves on the laptop", desktop, laptop, func() {
+		for i := 1; i <= 10; i++ {
+			laptop.At(laptop.Now()+time.Duration(i)*2*time.Second, func() {
+				must(laptop.Append("talk/slides.key", 4<<10))
+			})
+		}
+	})
 
 	if size, err := desktop.CloudFileSize("talk/slides.key"); err == nil {
 		fmt.Printf("\ncloud now holds %.2f MB; both devices are in sync\n",
@@ -61,10 +56,13 @@ func main() {
 	fmt.Println("replayed on the download side.")
 }
 
-func report(when string, desktop, laptop *cloudsync.Simulation) {
+// report runs op and prints what it cost each device's link. The two
+// devices share one clock but not one link, so the laptop's
+// measurement runs inside the desktop's.
+func report(when string, desktop, laptop *cloudsync.Simulation, op func()) {
+	var lm cloudsync.Measurement
+	dm := desktop.Measure(func() { lm = laptop.Measure(op) })
 	fmt.Printf("%s:\n", when)
-	fmt.Printf("  desktop link: %8d B up, %8d B down\n",
-		desktop.TrafficUp(), desktop.TrafficDown())
-	fmt.Printf("  laptop link:  %8d B up, %8d B down\n",
-		laptop.TrafficUp(), laptop.TrafficDown())
+	fmt.Printf("  desktop link: %8d B up, %8d B down\n", dm.Up, dm.Down)
+	fmt.Printf("  laptop link:  %8d B up, %8d B down\n", lm.Up, lm.Down)
 }

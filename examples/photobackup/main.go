@@ -12,14 +12,15 @@ import (
 
 func importFolder(svc cloudsync.Service, files int, fileSize int64) (traffic int64, tue float64) {
 	sim := cloudsync.New(svc, cloudsync.PC)
-	for i := 0; i < files; i++ {
-		name := fmt.Sprintf("camera/IMG_%04d.jpg", i)
-		if err := sim.CreateRandomFile(name, fileSize); err != nil {
-			panic(err)
+	m := sim.Measure(func() {
+		for i := 0; i < files; i++ {
+			name := fmt.Sprintf("camera/IMG_%04d.jpg", i)
+			if err := sim.CreateRandomFile(name, fileSize); err != nil {
+				panic(err)
+			}
 		}
-	}
-	sim.Run()
-	return sim.Traffic(), sim.TUE(int64(files) * fileSize)
+	})
+	return m.Traffic(), cloudsync.TUE(m.Traffic(), int64(files)*fileSize)
 }
 
 func main() {

@@ -11,9 +11,9 @@ import (
 	"cloudsync"
 )
 
-// workload applies a realistic session and returns total traffic and
-// the data update size.
-func workload(sim *cloudsync.Simulation) (traffic, updateSize int64) {
+// workload applies a realistic session and returns the data update
+// size.
+func workload(sim *cloudsync.Simulation) (updateSize int64) {
 	must := func(err error) {
 		if err != nil {
 			panic(err)
@@ -49,8 +49,7 @@ func workload(sim *cloudsync.Simulation) (traffic, updateSize int64) {
 	must(sim.Delete("scratch.tmp"))
 	sim.Run()
 
-	update := int64(2<<20) + 2 + 5<<20 + 2<<20 + 20*2<<10 + 1<<20
-	return sim.Traffic(), update
+	return int64(2<<20) + 2 + 5<<20 + 2<<20 + 20*2<<10 + 1<<20
 }
 
 func main() {
@@ -69,7 +68,8 @@ func main() {
 		var rows []row
 		for _, svc := range cloudsync.Services() {
 			sim := cloudsync.New(svc, cloudsync.PC, loc.opts...)
-			traffic, update := workload(sim)
+			var update int64
+			traffic := sim.Measure(func() { update = workload(sim) }).Traffic()
 			rows = append(rows, row{svc.String(), cloudsync.TUE(traffic, update),
 				float64(traffic) / (1 << 20)})
 		}

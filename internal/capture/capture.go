@@ -4,10 +4,9 @@
 // Actors that put bytes on a simulated link record them here as Packet
 // entries carrying the on-the-wire size, the application payload size
 // and the cause the payload is charged to. A Capture keeps per-direction
-// wire totals and a payload total, which answer the two questions every
-// experiment asks: how much total sync traffic was used, and how much of
-// it was overhead (total − payload). An attached cause ledger splits the
-// same bytes by cause.
+// wire totals, which answer the question every experiment asks: how
+// much total sync traffic was used. An attached cause ledger splits the
+// same bytes by cause, framing overhead (Wire − App) among them.
 package capture
 
 import (
@@ -56,11 +55,10 @@ type Mark struct {
 	wire [2]int64
 }
 
-// Capture accumulates per-direction wire totals and one payload total.
-// The zero value is a valid capture.
+// Capture accumulates per-direction wire totals. The zero value is a
+// valid capture.
 type Capture struct {
 	sum Mark
-	app int64
 	led *ledger.Ledger
 }
 
@@ -84,7 +82,6 @@ func (c *Capture) Record(p Packet) {
 		panic(fmt.Sprintf("capture: Record of invalid packet %+v", p))
 	}
 	c.sum.wire[p.Dir] += int64(p.Wire)
-	c.app += int64(p.App)
 	// App → cause, overhead → framing: each packet contributes exactly
 	// Wire bytes, so sum(causes) == TotalBytes by construction.
 	c.led.Add(p.Cause, int64(p.App))
@@ -93,22 +90,10 @@ func (c *Capture) Record(p Packet) {
 
 // TotalBytes reports total wire bytes in both directions — the "total
 // data sync traffic" numerator of TUE.
-func (c *Capture) TotalBytes() int64 { return c.UpBytes() + c.DownBytes() }
+func (c *Capture) TotalBytes() int64 { return c.sum.wire[Up] + c.sum.wire[Down] }
 
-// UpBytes reports client→cloud wire bytes.
-func (c *Capture) UpBytes() int64 { return c.sum.wire[Up] }
-
-// DownBytes reports cloud→client wire bytes.
-func (c *Capture) DownBytes() int64 { return c.sum.wire[Down] }
-
-// OverheadBytes reports total framing-plus-control overhead: wire bytes
-// that did not carry file content or protocol message payload.
-func (c *Capture) OverheadBytes() int64 {
-	return c.TotalBytes() - c.app
-}
-
-// Reset clears all counters.
-func (c *Capture) Reset() { c.sum, c.app = Mark{}, 0 }
+// Reset clears the totals.
+func (c *Capture) Reset() { c.sum = Mark{} }
 
 // Mark returns a snapshot of the current totals, usable with Since to
 // measure the traffic of one operation inside a longer capture.

@@ -15,6 +15,8 @@ func TestDirectionString(t *testing.T) {
 
 func TestRecordAccumulates(t *testing.T) {
 	c := New()
+	led := ledger.New()
+	c.SetLedger(led)
 	c.Record(Packet{Dir: Up, Cause: ledger.Payload, Wire: 1500, App: 1400})
 	c.Record(Packet{Dir: Up, Cause: ledger.Metadata, Wire: 300, App: 200})
 	c.Record(Packet{Dir: Down, Cause: ledger.Framing, Wire: 66, App: 0})
@@ -22,14 +24,11 @@ func TestRecordAccumulates(t *testing.T) {
 	if got := c.TotalBytes(); got != 1866 {
 		t.Fatalf("TotalBytes = %d, want 1866", got)
 	}
-	if got := c.UpBytes(); got != 1800 {
-		t.Fatalf("UpBytes = %d, want 1800", got)
+	if up, down := c.Since(Mark{}); up != 1800 || down != 66 {
+		t.Fatalf("Since(start) = (%d,%d), want (1800,66)", up, down)
 	}
-	if got := c.DownBytes(); got != 66 {
-		t.Fatalf("DownBytes = %d, want 66", got)
-	}
-	if got := c.OverheadBytes(); got != 266 {
-		t.Fatalf("OverheadBytes = %d, want 266", got)
+	if got := led.Get(ledger.Framing); got != 266 {
+		t.Fatalf("framing = %d, want 266", got)
 	}
 }
 
@@ -60,7 +59,7 @@ func TestReset(t *testing.T) {
 	c.Record(Packet{Dir: Up, Cause: ledger.Payload, Wire: 100, App: 80})
 	c.Record(Packet{Dir: Down, Cause: ledger.Payload, Wire: 60, App: 20})
 	c.Reset()
-	if c.TotalBytes() != 0 || c.OverheadBytes() != 0 {
+	if c.TotalBytes() != 0 {
 		t.Fatal("Reset did not clear capture")
 	}
 }
@@ -78,7 +77,7 @@ func TestMarkSince(t *testing.T) {
 }
 
 // Property: the attached ledger's total always equals the capture's
-// wire total, the directions sum to it, and overhead is never negative.
+// wire total, and the directions sum to it.
 func TestPropertyTotalsConsistent(t *testing.T) {
 	type rec struct {
 		Cause uint8
@@ -100,9 +99,8 @@ func TestPropertyTotalsConsistent(t *testing.T) {
 			cause := ledger.Cause(1 + int(r.Cause)%int(ledger.NumCauses-1))
 			c.Record(Packet{Dir: d, Cause: cause, Wire: wire, App: app})
 		}
-		return led.Total() == c.TotalBytes() &&
-			c.OverheadBytes() >= 0 &&
-			c.UpBytes()+c.DownBytes() == c.TotalBytes()
+		up, down := c.Since(Mark{})
+		return led.Total() == c.TotalBytes() && up+down == c.TotalBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -253,12 +253,6 @@ func (c *Client) Config() Config { return c.cfg }
 // Stats returns a copy of the activity counters.
 func (c *Client) Stats() Stats { return c.stats }
 
-// PendingCount reports files awaiting synchronization.
-func (c *Client) PendingCount() int { return len(c.pending) }
-
-// InFlight reports whether a sync session is active.
-func (c *Client) InFlight() bool { return c.inFlight }
-
 func (c *Client) onEvent(ev vfs.Event) {
 	if c.applyingRemote {
 		// The change is a mirror of a remote commit, not local user

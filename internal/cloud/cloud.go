@@ -119,10 +119,6 @@ func New(cfg Config) *Cloud {
 // Config returns the cloud's configuration.
 func (c *Cloud) Config() Config { return c.cfg }
 
-// DedupIndex exposes the deduplication index (for experiment
-// statistics).
-func (c *Cloud) DedupIndex() *dedup.Index { return c.index }
-
 func (c *Cloud) shard(user string) *cloudShard {
 	return &c.shards[maphash.String(userSeed, user)&(cloudShards-1)]
 }

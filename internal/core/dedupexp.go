@@ -28,18 +28,10 @@ func uploadProbe(n service.Name, a client.AccessMethod, b1, seed int64) (tr1, tr
 	// self-concatenation, so both must fingerprint through the same
 	// (real MD5) path.
 	f1 := content.FromBytes(content.Random(b1, seed).Bytes())
-	tr1, _ = measure(s, func() {
-		if err := s.FS.Create("probe/f1", f1); err != nil {
-			panic(err)
-		}
-	})
+	tr1 = Measure(s, func() { must(s.FS.Create("probe/f1", f1)) }).Traffic()
 
 	f2 := f1.Concat(f1)
-	tr2, _ = measure(s, func() {
-		if err := s.FS.Create("probe/f2", f2); err != nil {
-			panic(err)
-		}
-	})
+	tr2 = Measure(s, func() { must(s.FS.Create("probe/f2", f2)) }).Traffic()
 	return tr1, tr2
 }
 
@@ -111,11 +103,7 @@ func duplicateFileProbe(n service.Name, a client.AccessMethod, crossUser bool, s
 			Capture: s.Capture,
 		})
 	}
-	traffic, _ := measure(s, func() {
-		if err := uploader.FS.Create("copy.bin", content.Random(1<<20, blob.Seed())); err != nil {
-			panic(err)
-		}
-	})
+	traffic := Measure(s, func() { must(uploader.FS.Create("copy.bin", content.Random(1<<20, blob.Seed()))) }).Traffic()
 	return traffic < smallTraffic
 }
 

@@ -44,7 +44,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelMatchesSequentialBatch covers an experiment whose cells
 // draw many seeds from pre-reserved sequences (100 files per cell).
 func TestParallelMatchesSequentialBatch(t *testing.T) {
-	run := func(workers int) []BatchCreationResult {
+	run := func(workers int) []Cell {
 		parallel.SetWorkers(workers)
 		creationSeed.Store(10_000)
 		return Experiment1Batch()

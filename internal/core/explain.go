@@ -14,7 +14,7 @@ import (
 // the attribution ledger's cause taxonomy (metadata, payload, dedup
 // probes, delta literals/copy references, resume, retransmit, framing)
 // — the paper-style answer to *why* a cell's TUE is what it is. The
-// decomposition is the measured cell's own: measure checks, as it
+// decomposition is the measured cell's own: Measure checks, as it
 // measures, that the causes sum to the cell's wire traffic exactly.
 
 // explainTable renders cells: one row per cell, the leading columns
@@ -60,4 +60,12 @@ func RenderExplain(creation, modification []Cell, faults []FaultCell) string {
 		fmt.Sprintf("(c) the fault sweep: %d x %d KB file creations, by link and exchange loss\n",
 			faultFiles, faultFileSize>>10) +
 		explainTable(faultCells, []string{"Link", "Loss"}, link)
+}
+
+// RenderCell renders one MeasureCell result as an explain row: the
+// cell's exact bytes per cause, their total and the TUE.
+func RenderCell(op string, c Cell) string {
+	return explainTable([]Cell{c}, []string{"Access", "Op", "Param"}, func(int) []string {
+		return []string{c.Access.String(), op, strconv.FormatFloat(c.Param, 'f', -1, 64)}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"cloudsync/internal/content"
 	"cloudsync/internal/metrics"
 	"cloudsync/internal/netem"
-	"cloudsync/internal/obs/ledger"
 	"cloudsync/internal/parallel"
 	"cloudsync/internal/service"
 )
@@ -45,13 +44,10 @@ const (
 // sync session at a time, and measures the traffic they caused.
 // baseSeed fixes every file's content, so two cells given the same
 // baseSeed move byte-identical payloads.
-func faultWorkload(s *service.Setup, baseSeed int64) (int64, ledger.Snapshot) {
-	return measure(s, func() {
+func faultWorkload(s *service.Setup, baseSeed int64) Measurement {
+	return Measure(s, func() {
 		for i := 0; i < faultFiles; i++ {
-			name := fmt.Sprintf("fault-%02d.bin", i)
-			if err := s.FS.Create(name, content.Random(faultFileSize, baseSeed+int64(i))); err != nil {
-				panic(fmt.Sprintf("core: fault workload: %v", err))
-			}
+			must(s.FS.Create(fmt.Sprintf("fault-%02d.bin", i), content.Random(faultFileSize, baseSeed+int64(i))))
 			s.Clock.Run()
 		}
 	})
@@ -115,13 +111,8 @@ func FaultSweep(lossProbs []float64) []FaultCell {
 
 	return parallel.Map(tasks, func(_ int, t faultTask) FaultCell {
 		s := service.NewSetup(service.Dropbox, client.PC, service.Options{Link: t.link})
-		traffic, causes := faultWorkload(s, t.seed)
 		return FaultCell{
-			Cell: Cell{
-				Service: service.Dropbox, Access: client.PC, Param: t.prob,
-				Traffic: traffic, Causes: causes,
-				TUE: TUE(traffic, faultFiles*faultFileSize),
-			},
+			Cell:     cellOf(s, t.prob, faultWorkload(s, t.seed), faultFiles*faultFileSize),
 			Location: t.loc,
 			Faults:   s.Path.FaultStats(),
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"cloudsync/internal/client"
+	"cloudsync/internal/content"
 	"cloudsync/internal/deferpolicy"
 	"cloudsync/internal/hardware"
 	"cloudsync/internal/netem"
@@ -26,19 +28,43 @@ func PaperXs() []float64 {
 // QuickXs is a reduced sweep.
 func QuickXs() []float64 { return []float64{1, 2, 5, 8, 12, 20} }
 
-// appendTUE runs one "X KB / X sec" experiment and reports its TUE.
-// seed fixes the appended file's content identity; parallel callers
-// pass a pre-reserved seed (see creationSeed's determinism contract).
+// appendCell is Experiment 6's cell (Fig. 6), the paper's "X KB /
+// X sec" appending workload on s: starting from an empty file, append
+// X KB every X seconds until AppendTotal bytes accumulate, then drain.
+// seed fixes the file's content identity; parallel cells pass a
+// pre-reserved seed.
+func appendCell(s *service.Setup, x float64, seed int64) Cell {
+	const name = "frequent.doc"
+	must(s.FS.Create(name, content.Random(0, seed)))
+	s.Clock.Run()
+	step := int64(x * 1024)
+	if step <= 0 {
+		panic(fmt.Sprintf("core: append workload with X = %v", x))
+	}
+	period := time.Duration(x * float64(time.Second))
+	m := Measure(s, func() {
+		var scheduled int64
+		base := s.Clock.Now()
+		for i := int64(1); scheduled < AppendTotal; i++ {
+			n := min(step, AppendTotal-scheduled)
+			scheduled += n
+			s.Clock.Post(base+time.Duration(i)*period, func() { must(s.FS.Append(name, n)) })
+		}
+	})
+	return cellOf(s, x, m, AppendTotal)
+}
+
+// appendTUE runs one "X KB / X sec" experiment on a fresh PC setup and
+// reports its TUE. seed fixes the appended file's content identity;
+// parallel callers pass a pre-reserved seed (see creationSeed's
+// determinism contract).
 func appendTUE(n service.Name, opts service.Options, x float64, seed int64) float64 {
-	s := service.NewSetup(n, client.PC, opts)
-	traffic := appendWorkload(s, x, AppendTotal, seed)
-	return TUE(traffic, AppendTotal)
+	return appendCell(service.NewSetup(n, client.PC, opts), x, seed).TUE
 }
 
 // appendTask is one pre-seeded cell of an appending-workload sweep.
 type appendTask struct {
 	n    service.Name
-	opts service.Options
 	x    float64
 	seed int64
 }
@@ -54,11 +80,7 @@ func Experiment6(services []service.Name, xs []float64) []Cell {
 		}
 	}
 	return parallel.Map(tasks, func(_ int, t appendTask) Cell {
-		tue := appendTUE(t.n, service.Options{}, t.x, t.seed)
-		return Cell{
-			Service: t.n, Access: client.PC, Param: t.x,
-			TUE: tue, Traffic: int64(tue * AppendTotal),
-		}
+		return appendCell(service.NewSetup(t.n, client.PC, service.Options{}), t.x, t.seed)
 	})
 }
 

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"cloudsync/internal/parallel"
+	"cloudsync/internal/service"
 )
 
 func TestReferenceBeatsEveryService(t *testing.T) {
@@ -42,8 +46,18 @@ func TestReferenceBeatsEveryService(t *testing.T) {
 	}
 }
 
+// TestReferenceASDBound verifies the ASD claim end to end on the
+// reference design: the worst-case appending TUE across a cadence sweep.
 func TestReferenceASDBound(t *testing.T) {
-	if worst := ReferenceASDBound([]float64{1, 4, 9, 16}); worst > 2.5 {
+	xs := []float64{1, 4, 9, 16}
+	seeds := make([]int64, len(xs))
+	for i := range seeds {
+		seeds[i] = nextSeed()
+	}
+	tues := parallel.Map(xs, func(i int, x float64) float64 {
+		return appendCell(service.NewReferenceSetup(service.Options{}), x, seeds[i]).TUE
+	})
+	if worst := slices.Max(tues); worst > 2.5 {
 		t.Fatalf("reference worst-case appending TUE = %.2f, want ≈ 1 at every cadence", worst)
 	}
 }

@@ -36,63 +36,41 @@ type referenceWorkload struct {
 func referenceWorkloads() []referenceWorkload {
 	return []referenceWorkload{
 		{"create 1 MB file", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			traffic, _ := measure(s, func() {
-				if err := s.FS.Create("f", content.Random(1<<20, seeds.Next())); err != nil {
-					panic(err)
-				}
-			})
+			traffic := Measure(s, func() { must(s.FS.Create("f", content.Random(1<<20, seeds.Next()))) }).Traffic()
 			return traffic, 1 << 20
 		}},
 		{"create 1 MB text file", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			traffic, _ := measure(s, func() {
-				if err := s.FS.Create("f", content.Text(1<<20, seeds.Next())); err != nil {
-					panic(err)
-				}
-			})
+			traffic := Measure(s, func() { must(s.FS.Create("f", content.Text(1<<20, seeds.Next()))) }).Traffic()
 			return traffic, 1 << 20
 		}},
 		{"100 × 1 KB batch", 100, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			traffic, _ := measure(s, func() {
+			traffic := Measure(s, func() {
 				for i := 0; i < 100; i++ {
-					if err := s.FS.Create(fmt.Sprintf("b/f%03d", i), content.Random(1<<10, seeds.Next())); err != nil {
-						panic(err)
-					}
+					must(s.FS.Create(fmt.Sprintf("b/f%03d", i), content.Random(1<<10, seeds.Next())))
 				}
-			})
+			}).Traffic()
 			return traffic, 100 << 10
 		}},
 		{"modify 1 B of 1 MB", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			if err := s.FS.Create("f", content.Random(1<<20, seeds.Next())); err != nil {
-				panic(err)
-			}
+			must(s.FS.Create("f", content.Random(1<<20, seeds.Next())))
 			s.Clock.Run()
-			traffic, _ := measure(s, func() {
-				if err := s.FS.ModifyByte("f", 1<<19); err != nil {
-					panic(err)
-				}
-			})
+			traffic := Measure(s, func() { must(s.FS.ModifyByte("f", 1<<19)) }).Traffic()
 			// Reference the containing chunk, as the paper's IDS
 			// discussion does: the fairest "should" is one chunk.
 			return traffic, int64(8 << 10)
 		}},
 		{"re-upload duplicate 1 MB", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
 			blob := content.Random(1<<20, seeds.Next())
-			if err := s.FS.Create("orig", blob); err != nil {
-				panic(err)
-			}
+			must(s.FS.Create("orig", blob))
 			s.Clock.Run()
-			traffic, _ := measure(s, func() {
-				if err := s.FS.Create("copy", content.Random(1<<20, blob.Seed())); err != nil {
-					panic(err)
-				}
-			})
+			traffic := Measure(s, func() { must(s.FS.Create("copy", content.Random(1<<20, blob.Seed()))) }).Traffic()
 			return traffic, 1 << 20
 		}},
 		{"append 1 KB/s → 1 MB", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			return appendWorkload(s, 1, AppendTotal, seeds.Next()), AppendTotal
+			return appendCell(s, 1, seeds.Next()).Traffic, AppendTotal
 		}},
 		{"append 8 KB/8 s → 1 MB", 1, func(s *service.Setup, seeds *seedSeq) (int64, int64) {
-			return appendWorkload(s, 8, AppendTotal, seeds.Next()), AppendTotal
+			return appendCell(s, 8, seeds.Next()).Traffic, AppendTotal
 		}},
 	}
 }
@@ -152,24 +130,4 @@ func RenderReference(cells []ReferenceCell) string {
 			fmt.Sprintf("%s (%s)", fmtTUE(c.Worst), c.WorstName))
 	}
 	return "Reference design (all paper recommendations) vs. the six services (PC clients)\n" + tb.String()
-}
-
-// ReferenceASDBound verifies the ASD claim end to end on the reference
-// design: the worst-case appending TUE across the cadence sweep.
-func ReferenceASDBound(xs []float64) float64 {
-	seeds := make([]int64, len(xs))
-	for i := range seeds {
-		seeds[i] = nextSeed()
-	}
-	tues := parallel.Map(xs, func(i int, x float64) float64 {
-		s := service.NewReferenceSetup(service.Options{})
-		return TUE(appendWorkload(s, x, AppendTotal, seeds[i]), AppendTotal)
-	})
-	worst := 0.0
-	for _, tue := range tues {
-		if tue > worst {
-			worst = tue
-		}
-	}
-	return worst
 }

@@ -123,20 +123,14 @@ func RenderFig3(cells []Cell) string {
 }
 
 // RenderTable7 formats Experiment 1′ results as Table 7 does.
-func RenderTable7(results []BatchCreationResult) string {
-	idx := map[service.Name]map[client.AccessMethod]BatchCreationResult{}
-	for _, r := range results {
-		if idx[r.Service] == nil {
-			idx[r.Service] = map[client.AccessMethod]BatchCreationResult{}
-		}
-		idx[r.Service][r.Access] = r
-	}
+func RenderTable7(cells []Cell) string {
+	idx := cellLookup(cells)
 	tb := metrics.Table{Header: []string{"Service",
 		"PC traffic", "(TUE)", "Web traffic", "(TUE)", "Mobile traffic", "(TUE)"}}
 	for _, n := range service.All() {
 		row := []string{n.String()}
 		for _, a := range service.AccessMethods() {
-			r := idx[n][a]
+			r := idx[n][a][batchFiles]
 			row = append(row, metrics.HumanBytes(r.Traffic), "("+fmtTUE(r.TUE)+")")
 		}
 		tb.AddRow(row...)

@@ -9,10 +9,8 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"cloudsync/internal/client"
-	"cloudsync/internal/content"
 	"cloudsync/internal/invariant"
 	"cloudsync/internal/obs"
 	"cloudsync/internal/obs/ledger"
@@ -25,9 +23,10 @@ import (
 var tracer atomic.Pointer[obs.Tracer]
 
 // SetTracer installs (or, with nil, removes) the tracer that receives
-// one "core.cell" span per simulated measurement (measure), timed on
-// the wall clock — the measurement tuebench -trace exports. Tracing
-// never affects experiment results; the tables stay byte-identical.
+// one "core.cell" span per simulated measurement (Measure), timed on
+// the tracer's clock: the wall clock under tuebench -trace, the cell's
+// virtual clock under tuebench -cell. Tracing never affects experiment
+// results; the tables stay byte-identical.
 func SetTracer(tr *obs.Tracer) { tracer.Store(tr) }
 
 // TUE is the paper's Eq. (1): total data sync traffic divided by the
@@ -71,14 +70,25 @@ type Cell struct {
 	TUE float64
 }
 
-// measure is how every simulated experiment measures an operation: it
-// attaches a fresh cause ledger to the setup's capture, runs op, drains
-// the clock, and reports the wire bytes op caused with their
-// decomposition by cause. It panics unless the causes sum exactly to
-// the wire bytes — a decomposition is only worth reporting if it is
-// provably complete. Each call is one "core.cell" span on the installed
-// tracer.
-func measure(s *service.Setup, op func()) (traffic int64, causes ledger.Snapshot) {
+// Measurement is the wire traffic one measured operation caused, by
+// direction and by cause.
+type Measurement struct {
+	// Up is client→cloud wire bytes, Down cloud→client.
+	Up, Down int64
+	// Causes decomposes Up+Down by cause, exactly.
+	Causes ledger.Snapshot
+}
+
+// Traffic reports the measurement's wire bytes in both directions.
+func (m Measurement) Traffic() int64 { return m.Up + m.Down }
+
+// Measure is how every simulated number is measured: it attaches a
+// fresh cause ledger to the setup's capture, runs op, drains the clock,
+// and reports the wire bytes op caused with their decomposition by
+// cause. It panics unless the causes sum exactly to the wire bytes — a
+// decomposition is only worth reporting if it is provably complete.
+// Each call is one "core.cell" span on the installed tracer.
+func Measure(s *service.Setup, op func()) Measurement {
 	sp := tracer.Load().Start("core.cell",
 		obs.String("service", s.Service.String()), obs.String("access", s.Access.String()))
 	defer sp.End()
@@ -87,19 +97,30 @@ func measure(s *service.Setup, op func()) (traffic int64, causes ledger.Snapshot
 	mark := s.Capture.Mark()
 	op()
 	s.Clock.Run()
-	up, down := s.Capture.Since(mark)
-	causes = led.Snapshot()
-	if vs := invariant.CheckLedger(up+down, causes); len(vs) != 0 {
+	m := Measurement{Causes: led.Snapshot()}
+	m.Up, m.Down = s.Capture.Since(mark)
+	if vs := invariant.CheckLedger(m.Traffic(), m.Causes); len(vs) != 0 {
 		panic(fmt.Sprintf("core: measured %s/%s: %v", s.Service, s.Access, vs))
 	}
-	sp.Set(obs.Int("traffic", up+down))
-	return up + down, causes
+	sp.Set(obs.Int("traffic", m.Traffic()))
+	return m
 }
 
-// runOp builds a fresh setup and measures op on it.
-func runOp(n service.Name, a client.AccessMethod, opts service.Options, op func(*service.Setup)) (traffic int64, causes ledger.Snapshot) {
-	s := service.NewSetup(n, a, opts)
-	return measure(s, func() { op(s) })
+// cellOf is s's cell at param for measurement m, with TUE over update
+// bytes.
+func cellOf(s *service.Setup, param float64, m Measurement, update int64) Cell {
+	return Cell{
+		Service: s.Service, Access: s.Access, Param: param,
+		Traffic: m.Traffic(), Causes: m.Causes, TUE: TUE(m.Traffic(), update),
+	}
+}
+
+// must panics on a simulated operation's error: an experiment's
+// operations are valid by construction.
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
 }
 
 // creationSeed gives every synthetic file in an experiment distinct,
@@ -166,40 +187,4 @@ func (q *seedSeq) Next() int64 {
 	v := q.next
 	q.next++
 	return v
-}
-
-// appendWorkload drives the paper's "X KB / X sec" appending
-// experiment on an existing setup: starting from an empty file, append
-// X KB every X seconds until total bytes accumulate, then drain. It
-// returns the sync traffic the appends caused. seed fixes the file's
-// content identity; parallel cells pass a pre-reserved seed.
-func appendWorkload(s *service.Setup, x float64, total, seed int64) (traffic int64) {
-	const name = "frequent.doc"
-	if err := s.FS.Create(name, content.Random(0, seed)); err != nil {
-		panic(fmt.Sprintf("core: append workload: %v", err))
-	}
-	s.Clock.Run()
-	step := int64(x * 1024)
-	if step <= 0 {
-		panic(fmt.Sprintf("core: append workload with X = %v", x))
-	}
-	period := time.Duration(x * float64(time.Second))
-	traffic, _ = measure(s, func() {
-		var scheduled int64
-		base := s.Clock.Now()
-		for i := int64(1); scheduled < total; i++ {
-			n := step
-			if scheduled+n > total {
-				n = total - scheduled
-			}
-			scheduled += n
-			grow := n
-			s.Clock.Post(base+time.Duration(i)*period, func() {
-				if err := s.FS.Append(name, grow); err != nil {
-					panic(fmt.Sprintf("core: append: %v", err))
-				}
-			})
-		}
-	})
-	return traffic
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudsync/internal/capture"
 	"cloudsync/internal/chunker"
 	"cloudsync/internal/client"
 	"cloudsync/internal/content"
@@ -58,7 +59,8 @@ func runSim(seed uint64, ops []op) ([]invariant.Violation, int64) {
 	server := make(map[string]invariant.ServerFile)
 
 	fail := func(err error) ([]invariant.Violation, int64) {
-		return []invariant.Violation{{Invariant: "failed-op", Detail: err.Error()}}, s.Capture.UpBytes()
+		up, _ := s.Capture.Since(capture.Mark{})
+		return []invariant.Violation{{Invariant: "failed-op", Detail: err.Error()}}, up
 	}
 	for _, o := range ops {
 		for _, p := range append([]op{o}, o.batch...) {
@@ -101,7 +103,7 @@ func runSim(seed uint64, ops []op) ([]invariant.Violation, int64) {
 		}
 		server[name] = invariant.ServerFile{Data: e.Blob.Bytes(), Version: e.Version}
 	}
-	up := s.Capture.UpBytes()
+	up, _ := s.Capture.Since(capture.Mark{})
 	// The capture has no independent receiver-side counter, so the
 	// balance check is vacuous here; the TUE floor is the live one:
 	// even with every retransmission charged, up-traffic must cover

@@ -128,18 +128,6 @@ func NewPath(clock *simclock.Clock, link Link, conn *wire.Conn, persistent bool)
 // Link returns the path's link parameters.
 func (p *Path) Link() Link { return p.link }
 
-// SetLink swaps the link parameters (used by controlled bandwidth and
-// latency sweeps). It does not affect sessions already in flight.
-// Swapping in a different fault profile restarts its schedule from the
-// current sim time.
-func (p *Path) SetLink(l Link) {
-	l.validate()
-	if l.Faults != p.link.Faults {
-		p.faults = newFaultState(l.Faults, p.clock.Now())
-	}
-	p.link = l
-}
-
 // FaultStats reports the faults injected on this path so far (zero for
 // fault-free links).
 func (p *Path) FaultStats() FaultStats {
@@ -148,9 +136,6 @@ func (p *Path) FaultStats() FaultStats {
 	}
 	return p.faults.stats
 }
-
-// Busy reports whether a session is currently occupying the path.
-func (p *Path) Busy() bool { return p.busyUntil > p.clock.Now() }
 
 // Sessions reports how many sessions have been started on the path.
 func (p *Path) Sessions() int { return p.sessions }

@@ -90,12 +90,14 @@ func TestDoHandshakeThenRequest(t *testing.T) {
 
 func TestNonPersistentClosesConn(t *testing.T) {
 	p, cap, clk := newPath(t, Minnesota(), false)
+	led := ledger.New()
+	cap.SetLedger(led)
 	hs, fin, framing := connCosts(100, 0)
 	for i := int64(1); i <= 2; i++ {
 		p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
 		clk.Run()
 		// Every session pays its own handshake and FIN.
-		if got, want := cap.OverheadBytes(), i*(hs+fin+framing); got != want {
+		if got, want := led.Get(ledger.Framing), i*(hs+fin+framing); got != want {
 			t.Fatalf("after %d sessions: overhead %d, want %d", i, got, want)
 		}
 	}
@@ -103,12 +105,14 @@ func TestNonPersistentClosesConn(t *testing.T) {
 
 func TestPersistentReusesConn(t *testing.T) {
 	p, cap, clk := newPath(t, Minnesota(), true)
+	led := ledger.New()
+	cap.SetLedger(led)
 	hs, _, framing := connCosts(100, 0)
 	for i := int64(1); i <= 3; i++ {
 		p.Do([]Exchange{{UpApp: 100, Cause: ledger.Metadata}}, 0, nil)
 		clk.Run()
 		// One handshake in all: later sessions pay only their framing.
-		if got, want := cap.OverheadBytes(), hs+i*framing; got != want {
+		if got, want := led.Get(ledger.Framing), hs+i*framing; got != want {
 			t.Fatalf("after %d sessions: overhead %d, want %d", i, got, want)
 		}
 	}
@@ -209,7 +213,7 @@ func TestPush(t *testing.T) {
 	if end == 0 {
 		t.Fatal("push callback never ran")
 	}
-	if cap.DownBytes() == 0 {
+	if _, down := cap.Since(capture.Mark{}); down == 0 {
 		t.Fatal("push recorded no downstream traffic")
 	}
 	if got := led.Get(ledger.Metadata); got != 500 {

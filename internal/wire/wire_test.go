@@ -62,6 +62,8 @@ func TestFrameSizeLarge(t *testing.T) {
 
 func TestOpenRecordsHandshake(t *testing.T) {
 	cap := capture.New()
+	led := ledger.New()
+	cap.SetLedger(led)
 	c := newConn(cap)
 	if c.Established() {
 		t.Fatal("new connection should be closed")
@@ -77,12 +79,12 @@ func TestOpenRecordsHandshake(t *testing.T) {
 	if down <= up {
 		t.Fatalf("handshake down (%d) should exceed up (%d)", down, up)
 	}
-	if cap.UpBytes() != int64(up) || cap.DownBytes() != int64(down) {
-		t.Fatalf("capture (%d,%d), want (%d,%d)", cap.UpBytes(), cap.DownBytes(), up, down)
+	if gotUp, gotDown := cap.Since(capture.Mark{}); gotUp != int64(up) || gotDown != int64(down) {
+		t.Fatalf("capture (%d,%d), want (%d,%d)", gotUp, gotDown, up, down)
 	}
 	// Everything is overhead: no app payload.
-	if cap.OverheadBytes() != cap.TotalBytes() {
-		t.Fatalf("handshake overhead %d of %d wire bytes", cap.OverheadBytes(), cap.TotalBytes())
+	if led.Get(ledger.Framing) != cap.TotalBytes() {
+		t.Fatalf("handshake overhead %d of %d wire bytes", led.Get(ledger.Framing), cap.TotalBytes())
 	}
 	// Re-open is free.
 	up2, down2 := c.Open()
@@ -111,6 +113,8 @@ func TestPushOnClosedPanics(t *testing.T) {
 
 func TestRequestAccounting(t *testing.T) {
 	cap := capture.New()
+	led := ledger.New()
+	cap.SetLedger(led)
 	c := newConn(cap)
 	c.Open()
 	m := cap.Mark()
@@ -120,7 +124,7 @@ func TestRequestAccounting(t *testing.T) {
 		t.Fatalf("capture (%d,%d) != returned (%d,%d)", gotUp, gotDown, up, down)
 	}
 	// The handshake carried no payload, so every app byte is the request's.
-	if app := cap.TotalBytes() - cap.OverheadBytes(); app != 1200 {
+	if app := cap.TotalBytes() - led.Get(ledger.Framing); app != 1200 {
 		t.Fatalf("app bytes = %d, want 1200", app)
 	}
 	if up <= 1000 || down <= 200 {
@@ -181,9 +185,9 @@ func TestConnChargesEveryByte(t *testing.T) {
 		wantDown += int64(r.down)
 		want[r.cause] += int64(r.app)
 		want[ledger.Framing] += int64(r.up + r.down - r.app)
-		if cap.UpBytes() != wantUp || cap.DownBytes() != wantDown {
+		if up, down := cap.Since(capture.Mark{}); up != wantUp || down != wantDown {
 			t.Errorf("%s: capture (up %d, down %d), want (%d, %d)",
-				r.name, cap.UpBytes(), cap.DownBytes(), wantUp, wantDown)
+				r.name, up, down, wantUp, wantDown)
 		}
 		for _, k := range ledger.Causes() {
 			if got := led.Get(k); got != want[k] {
@@ -226,6 +230,8 @@ func TestCloseRecordsFin(t *testing.T) {
 
 func TestReopenCountsHandshakeAgain(t *testing.T) {
 	cap := capture.New()
+	led := ledger.New()
+	cap.SetLedger(led)
 	c := newConn(cap)
 	up1, down1 := c.Open()
 	c.Close()
@@ -237,7 +243,7 @@ func TestReopenCountsHandshakeAgain(t *testing.T) {
 	if got := cap.TotalBytes() - closed; got != int64(up1+down1) {
 		t.Fatalf("re-open recorded %d bytes, want one handshake's %d", got, up1+down1)
 	}
-	if cap.OverheadBytes() != cap.TotalBytes() {
+	if led.Get(ledger.Framing) != cap.TotalBytes() {
 		t.Fatal("handshakes and FIN carried payload")
 	}
 }
